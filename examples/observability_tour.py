@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Observability tour: metrics, traces, and stage breakdowns of a scan.
 
-Runs a small supervised database scan twice — once with the `repro.obs`
+Runs a small supervised database scan (`scan_database` with a report,
+the one-shot session on the task supervisor) twice — once with the `repro.obs`
 layer off (the default) and once with it on — then shows everything the
 layer captured: the Prometheus-style metric families, the Chrome trace
 timeline, the ScanReport v2 stage breakdown, and the `obs summarize`
@@ -18,8 +19,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.encoding import encode_query
-from repro.host.resilience import RetryPolicy, supervised_scan
-from repro.host.scan import PackedDatabase
+from repro.host.resilience import RetryPolicy
+from repro.host.scan import PackedDatabase, scan_database
 from repro.seq.generate import random_protein, random_rna
 
 NUM_REFERENCES = 6
@@ -35,21 +36,20 @@ def build_workload():
 
 
 def run_scan(encoded, database):
-    return supervised_scan(
+    return scan_database(
         encoded,
         database,
         threshold=int(0.6 * len(encoded)),
-        engine="bitscore",
         workers=2,
+        chunk_size=2,
         policy=RetryPolicy(seed=0),
+        with_report=True,
     )
 
 
 def hits_of(outcome):
-    return [
-        [(hit.position, hit.score) for hit in result.hits]
-        for result in outcome.results
-    ]
+    results, _report = outcome
+    return [[(hit.position, hit.score) for hit in result.hits] for result in results]
 
 
 def main() -> None:
@@ -57,7 +57,7 @@ def main() -> None:
 
     # 1. Baseline: observability off (the default) costs nothing.
     baseline = run_scan(encoded, database)
-    print(f"baseline scan: {baseline.report.summary()}")
+    print(f"baseline scan: {baseline[1].summary()}")
 
     # 2. Same scan, instrumented.  One switch, no other code changes.
     obs.reset()
@@ -72,7 +72,7 @@ def main() -> None:
     print("\n--- Prometheus text exposition (excerpt) ---")
     lines = obs.to_prometheus().splitlines()
     for line in lines:
-        if line.startswith(("# TYPE", "fabp_scan", "fabp_shm")):
+        if line.startswith(("# TYPE", "fabp_scan", "fabp_shm")) and "_bucket" not in line:
             print(f"  {line}")
 
     # 4. The span timeline: hierarchical stages, chunk attempts.
@@ -83,9 +83,9 @@ def main() -> None:
               f"[{span.category}]")
 
     # 5. The ScanReport v2 carries its own stage breakdown — even with
-    #    observability off, the supervised runtime times its stages.
+    #    observability off, the supervisor times its stages.
     print("\n--- ScanReport v2 metrics section ---")
-    for key, value in instrumented.report.to_dict()["metrics"].items():
+    for key, value in instrumented[1].to_dict()["metrics"].items():
         print(f"  {key}: {value}")
 
     # 6. Artifacts + the summarize view the CLI exposes as

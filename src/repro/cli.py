@@ -59,13 +59,20 @@ def _device(name: str) -> FpgaDevice:
 
 
 def _load_queries(args) -> List:
+    """The queries of ``--query``/``--query-file``; bad letters exit 2."""
     from repro.seq import fasta
-    from repro.seq.sequence import ProteinSequence
+    from repro.seq.sequence import ProteinSequence, SequenceError
 
-    if args.query_file:
-        return fasta.read_proteins(args.query_file)
-    if args.query:
-        return [ProteinSequence(q, name=f"query_{i}") for i, q in enumerate(args.query)]
+    try:
+        if args.query_file:
+            return fasta.read_proteins(args.query_file)
+        if args.query:
+            return [
+                ProteinSequence(q, name=f"query_{i}") for i, q in enumerate(args.query)
+            ]
+    except SequenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     raise SystemExit("provide --query SEQ... or --query-file FASTA")
 
 
@@ -203,21 +210,17 @@ def cmd_scan(args) -> int:
     import pathlib
 
     from repro.analysis.report import text_table
+    from repro.core.encoding import encode_query
     from repro.host.errors import ScanError
     from repro.host.faults import FaultPlan
     from repro.host.resilience import RetryPolicy
-    from repro.host.scan import (
-        PackedDatabase,
-        chunk_bounds,
-        resolve_chunk_size,
-        resolve_workers,
-        scan_database,
-    )
+    from repro.host.scan import PackedDatabase, resolve_workers, scan_database
+    from repro.host.scan_session import plan_batch
     from repro.seq import fasta
 
     on_error = None if args.on_bad_record == "ignore" else args.on_bad_record
-    obs_active = _obs_begin(args)
     queries = _load_queries(args)
+    obs_active = _obs_begin(args)
     payload: Dict[str, object] = {"version": 1, "queries": []}
     degraded_any = False
     rows: List[list] = []
@@ -226,16 +229,31 @@ def cmd_scan(args) -> int:
         references = fasta.read_rna(args.database, on_error=on_error, skipped=skipped)
         database = PackedDatabase.from_references(references)
         num_workers = resolve_workers(args.workers)
-        size = resolve_chunk_size(database.num_references, num_workers, args.chunk_size)
-        num_chunks = (
-            len(chunk_bounds(database.num_references, size))
-            if database.num_references
-            else 0
+        # The planned task count per scan call: fault plans and checkpoints
+        # are keyed on task ids.
+        encoded = [encode_query(query) for query in queries]
+        calls = [encoded] if args.session else [[e] for e in encoded]
+        num_tasks = max(
+            (
+                len(
+                    plan_batch(
+                        database.lengths, call, [0] * len(call), num_workers,
+                        chunk_size=args.chunk_size,
+                    )[1]
+                )
+                for call in calls
+            ),
+            default=0,
+        )
+        granule = (
+            f"chunks of <= {args.chunk_size} references"
+            if args.chunk_size
+            else "position-balanced tasks"
         )
         print(
             f"database: {database.num_references} references, "
-            f"{database.total_nucleotides:,} nt in {num_chunks} chunks of "
-            f"<= {size} (workers={num_workers})"
+            f"{database.total_nucleotides:,} nt in {num_tasks} {granule} "
+            f"(workers={num_workers})"
         )
         if skipped:
             print(f"quarantined {len(skipped)} bad records:")
@@ -263,7 +281,7 @@ def cmd_scan(args) -> int:
         elif args.fault_rate > 0:
             plan = FaultPlan.from_seed(
                 args.fault_seed,
-                num_chunks,
+                num_tasks,
                 rate=args.fault_rate,
                 max_attempts=args.fault_attempts,
                 hang_seconds=args.fault_hang_seconds,
@@ -271,13 +289,11 @@ def cmd_scan(args) -> int:
 
         threshold = args.threshold
         min_identity = None if threshold is not None else args.min_identity
-        engine = args.engine or (
-            "bitscore_batch" if args.session or args.shards else "bitscore"
-        )
+        engine = args.engine
         outcomes = []
         dead_any = False
         if args.shards is not None:
-            # S supervised shard runtimes (one warm session each), merged
+            # S supervised shard tasks (one session each), merged
             # seam-exactly; shard death degrades to partial results.
             if args.session:
                 raise ValueError("--shards and --session are mutually exclusive")
@@ -287,26 +303,18 @@ def cmd_scan(args) -> int:
                     "not --inject-faults/--fault-rate"
                 )
             from repro.host.faults import ShardFaultPlan
-            from repro.host.shards import ShardedScanRuntime, ShardPolicy
+            from repro.host.shards import ShardedScanRuntime
 
             shard_plan = None
             if args.shard_faults:
                 shard_plan = ShardFaultPlan.parse(
                     args.shard_faults, hang_seconds=args.fault_hang_seconds
                 )
-            shard_policy = ShardPolicy(
-                max_attempts=args.retries + 1,
-                timeout=args.chunk_timeout if args.chunk_timeout > 0 else None,
-                backoff=args.backoff,
-                hedge_after=args.hedge_after,
-                allow_partial=not args.no_degrade,
-                seed=args.seed,
-            )
             runtime = ShardedScanRuntime(
                 database,
                 num_shards=args.shards,
                 engine=engine,
-                policy=shard_policy,
+                policy=policy,
                 faults=shard_plan,
             )
             print(
@@ -335,8 +343,6 @@ def cmd_scan(args) -> int:
             # One warm runtime for the whole query stream: the packed image
             # and worker pool are set up once, queries share passes, and a
             # single batch report covers every query.
-            if plan is not None:
-                raise ValueError("--session does not support fault injection")
             from repro.host.scan_session import ScanSession
 
             checkpoint_dir = (
@@ -351,7 +357,9 @@ def cmd_scan(args) -> int:
                     queries,
                     threshold=threshold,
                     min_identity=min_identity,
+                    chunk_size=args.chunk_size,
                     policy=policy,
+                    faults=plan,
                     checkpoint_dir=checkpoint_dir,
                     resume=args.resume,
                     with_report=True,
@@ -1122,9 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-identity", type=float, default=0.9)
     p.add_argument("--threshold", type=int, default=None,
                    help="absolute score threshold (overrides --min-identity)")
-    p.add_argument("--engine", choices=SCAN_ENGINES, default=None,
-                   help="scoring engine (default: bitscore, or "
-                   "bitscore_batch under --session)")
+    p.add_argument("--engine", choices=SCAN_ENGINES, default="bitscore_batch",
+                   help="scoring engine (default: bitscore_batch)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: one per CPU; 1 = serial)")
     p.add_argument("--session", action="store_true",
@@ -1133,39 +1140,42 @@ def build_parser() -> argparse.ArgumentParser:
                    "are grouped into shared passes, and each database "
                    "window is swept once per pass")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the database into N supervised shard "
-                   "runtimes (one warm session each) with per-shard health "
+                   help="partition the database into N shards, each one "
+                   "supervised task with its own session: per-shard attempt "
                    "budgets, elastic checkpoint resume, hedging, and "
-                   "partial-result degraded mode (exit 4 on dead shards)")
+                   "partial results (exit 4 on dead shards)")
     p.add_argument("--shard-faults", metavar="SPEC",
                    help="deterministic shard fault plan, e.g. "
                    "'shard:0:crash,shard:1:hang:1:always' "
                    "(shard:IDX:KIND[:CHUNK[:ATTEMPTS]]); requires --shards")
     p.add_argument("--chunk-size", type=int, default=None,
-                   help="references per chunk (retry/checkpoint granule)")
+                   help="references per task, the retry/checkpoint/fault "
+                   "granule (default: position-balanced windows)")
     p.add_argument("--max-hits", type=int, default=10)
     p.add_argument("--retries", type=int, default=3,
-                   help="extra attempts per chunk after the first failure")
+                   help="extra attempts per task (chunk or shard) after the "
+                   "first failure")
     p.add_argument("--chunk-timeout", type=float, default=300.0,
-                   help="per-chunk attempt timeout in seconds (0 disables)")
+                   help="per-task attempt timeout in seconds (0 disables)")
     p.add_argument("--backoff", type=float, default=0.05,
                    help="base retry backoff in seconds (doubles per failure)")
     p.add_argument("--hedge-after", type=float, default=None,
-                   help="re-dispatch straggler chunks older than this many "
+                   help="re-dispatch straggler tasks older than this many "
                    "seconds once the queue drains")
     p.add_argument("--max-respawns", type=int, default=8,
                    help="worker respawns tolerated before the pool is "
                    "declared unhealthy")
     p.add_argument("--no-degrade", action="store_true",
-                   help="raise instead of falling back to the serial engine "
-                   "when the pool is unhealthy or a chunk exhausts retries")
+                   help="raise instead of finishing in-process (or, with "
+                   "--shards, reporting the shard dead) when the pool is "
+                   "unhealthy or a task exhausts its retries")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the backoff-jitter RNG")
     p.add_argument("--checkpoint", metavar="DIR",
-                   help="persist completed chunks here (manifest + one .npz "
-                   "per chunk) so a killed scan can --resume")
+                   help="persist completed tasks here (manifest + one .npz "
+                   "per task) so a killed scan can --resume")
     p.add_argument("--resume", action="store_true",
-                   help="skip chunks already completed in --checkpoint; "
+                   help="skip tasks already completed in --checkpoint; "
                    "refuses on a fingerprint mismatch")
     p.add_argument("--report-json", metavar="PATH",
                    help="write the machine-readable ScanReport payload here")
@@ -1177,13 +1187,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deterministic fault plan, e.g. '1:crash,4:hang,"
                    "7:corrupt:2' (CHUNK:KIND[:ATTEMPTS])")
     p.add_argument("--fault-rate", type=float, default=0.0,
-                   help="instead of --inject-faults: fault each chunk with "
-                   "this probability (seeded)")
+                   help="instead of --inject-faults: fault each planned task "
+                   "with this probability (seeded)")
     p.add_argument("--fault-seed", type=int, default=0)
     p.add_argument("--fault-attempts", type=int, default=1,
-                   help="max leading faulty attempts per chosen chunk")
+                   help="max leading faulty attempts per chosen task")
     p.add_argument("--fault-hang-seconds", type=float, default=3600.0,
-                   help="how long an injected hang sleeps (serial mode "
+                   help="how long an injected hang sleeps (in-process "
                    "hangs are not supervised)")
     add_obs_args(p)
     p.set_defaults(func=cmd_scan)

@@ -22,15 +22,9 @@ from repro.host.faults import (
     ShardFaultSpec,
 )
 from repro.host.rescore import RescoreReport, RescoredHit, rescore_hits, rescore_search_result
-from repro.host.resilience import (
-    RetryPolicy,
-    ScanOutcome,
-    ScanReport,
-    ShardStatus,
-    supervised_scan,
-)
+from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus, Supervisor
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import ScanSession, SessionCheckpointStore
+from repro.host.scan_session import ScanSession
 from repro.host.session import (
     DatabaseEntry,
     FabPHost,
@@ -39,7 +33,6 @@ from repro.host.session import (
     PCIE_BANDWIDTH,
 )
 from repro.host.shards import (
-    ShardPolicy,
     ShardSpec,
     ShardedScanRuntime,
     plan_shards,
@@ -70,17 +63,15 @@ __all__ = [
     "RescoredHit",
     "RetryPolicy",
     "ScanError",
-    "ScanOutcome",
     "ScanReport",
     "ScanSession",
-    "SessionCheckpointStore",
     "ShardFailedError",
     "ShardFaultPlan",
     "ShardFaultSpec",
-    "ShardPolicy",
     "ShardSpec",
     "ShardStatus",
     "ShardedScanRuntime",
+    "Supervisor",
     "WorkerCrashError",
     "plan_shards",
     "rescore_hits",
@@ -88,5 +79,4 @@ __all__ = [
     "scan_database",
     "scan_fingerprint",
     "shard_database",
-    "supervised_scan",
 ]

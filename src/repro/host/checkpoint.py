@@ -1,22 +1,24 @@
 """Durable checkpointing for long database scans.
 
-A multi-hour scan must survive process death.  The supervised runtime
-(:mod:`repro.host.resilience`) writes each completed chunk's results into a
-checkpoint directory as soon as the chunk passes its sanity check:
+A multi-hour scan must survive process death.  The supervisor
+(:mod:`repro.host.resilience`) writes each completed task's results into a
+checkpoint directory as soon as the task passes its sanity check:
 
 * ``manifest.json`` — schema version plus a SHA-256 **fingerprint** of
   everything that determines the results (packed database image, reference
-  names/lengths, encoded query instructions, threshold, engine,
-  ``keep_scores``, chunk layout).  ``--resume`` refuses to reuse
-  checkpoints whose fingerprint does not match the current scan
+  names/lengths, every pass's encoded queries and thresholds, engine,
+  ``keep_scores``, task/window layout).  ``--resume`` refuses to reuse
+  checkpoints whose fingerprint or schema does not match the current scan
   (:class:`repro.host.errors.CheckpointMismatchError`).
-* ``chunk_NNNNNN.npz`` — one file per completed chunk holding the exact
-  per-reference arrays (hit positions, hit scores, optional full score
-  vectors, lengths).  Files are written to a temp name and ``os.replace``\\ d
-  so a kill mid-write can never leave a half-chunk that resumes wrong —
+* ``chunk_NNNNNN.npz`` — one file per completed task holding its records
+  (the :data:`repro.host.scan_session.SessionRecord` format): a ``meta``
+  table of (query slot, reference, window start, has-scores flag) plus
+  hit positions, hit scores and optional score slices keyed by record
+  position.  Files are written to a temp name and ``os.replace``\\ d so a
+  kill mid-write can never leave a half-task that resumes wrong —
   unreadable files are simply rescanned.
 
-Resuming loads every valid chunk file, skips those chunks entirely (no
+Resuming loads every valid task file, skips those tasks entirely (no
 rescoring), and scans only what is missing.
 """
 
@@ -27,7 +29,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,39 +37,46 @@ from repro.host.errors import CheckpointError, CheckpointMismatchError
 from repro.obs import profile as _obs_profile
 
 #: Bump when the on-disk layout changes; old checkpoints are refused.
-SCHEMA_VERSION = 1
+#: Version 2: one record format for every runtime (the meta-table layout).
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: One reference's scan output: (index, positions, hit_scores, scores|None,
-#: length) — the exact tuple the scan workers produce.
-ChunkRecord = Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray], int]
-ChunkPayload = List[ChunkRecord]
+#: One task's records: ``(query_slot, reference, start, hits, hit_scores,
+#: scores | None)`` tuples, exactly as the scoring tasks produce them.
+ChunkPayload = List[Tuple[int, int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]]
 
 
 def scan_fingerprint(
-    database,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    chunk_size: int,
+    database: Any, tasks: Sequence[Any], engine: str, keep_scores: bool
 ) -> str:
-    """SHA-256 over everything that determines a scan's results.
+    """SHA-256 over everything that determines one scan call's results.
 
-    ``database`` is a :class:`repro.host.scan.PackedDatabase` (duck-typed to
-    avoid a circular import).  Any change to the database image, query,
-    threshold, engine, or chunk layout changes the fingerprint, which is
-    exactly the condition under which old chunk files must not be reused.
+    ``database`` is a :class:`repro.host.scan.PackedDatabase` and ``tasks``
+    the call's :class:`repro.host.scan_session.WindowTask` list (both
+    duck-typed to avoid a circular import).  Covers the database image,
+    every pass's queries and thresholds, the engine/``keep_scores``
+    configuration *and* the task/window layout — task files are keyed by
+    task id, so resuming against a different plan must be refused, not
+    silently mixed.
     """
     digest = hashlib.sha256()
     digest.update(f"fabp-scan-v{SCHEMA_VERSION}".encode())
-    digest.update(np.ascontiguousarray(instructions, dtype=np.uint8).tobytes())
-    digest.update(f"|t={threshold}|e={engine}|k={int(keep_scores)}".encode())
-    digest.update(f"|c={chunk_size}|n={database.num_references}".encode())
+    digest.update(f"|e={engine}|k={int(keep_scores)}".encode())
+    digest.update(f"|n={database.num_references}".encode())
     digest.update("\x00".join(database.names).encode())
     digest.update(np.ascontiguousarray(database.lengths).tobytes())
     digest.update(np.ascontiguousarray(database.buffer).tobytes())
+    hashed_passes = set()
+    for task_id, task in enumerate(tasks):
+        digest.update(f"|c={task_id}:{task.pass_id}".encode())
+        if task.pass_id not in hashed_passes:
+            hashed_passes.add(task.pass_id)
+            for array, threshold in zip(task.arrays, task.thresholds):
+                digest.update(np.ascontiguousarray(array, dtype=np.uint8).tobytes())
+                digest.update(f"|t={threshold}".encode())
+        for reference, start, stop in task.windows:
+            digest.update(f"|w={reference},{start},{stop}".encode())
     return digest.hexdigest()
 
 
@@ -149,16 +158,19 @@ class CheckpointStore:
     # -- chunk files ----------------------------------------------------------
 
     def save_chunk(self, chunk: int, payload: ChunkPayload) -> None:
-        """Atomically persist one completed chunk's records."""
-        arrays: Dict[str, np.ndarray] = {
-            "indices": np.asarray([rec[0] for rec in payload], dtype=np.int64),
-            "lengths": np.asarray([rec[4] for rec in payload], dtype=np.int64),
-        }
-        for index, positions, hit_scores, scores, _length in payload:
-            arrays[f"pos_{index}"] = positions
-            arrays[f"hs_{index}"] = hit_scores
+        """Atomically persist one completed task's records."""
+        meta = np.asarray(
+            [[rec[0], rec[1], rec[2], 0 if rec[5] is None else 1] for rec in payload],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        arrays: Dict[str, np.ndarray] = {"meta": meta}
+        for i, (_slot, _reference, _start, hits, hit_scores, scores) in enumerate(
+            payload
+        ):
+            arrays[f"pos_{i}"] = hits
+            arrays[f"hs_{i}"] = hit_scores
             if scores is not None:
-                arrays[f"sc_{index}"] = scores
+                arrays[f"sc_{i}"] = scores
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.chunk_path(chunk)
         tmp = path.with_suffix(".npz.tmp")
@@ -176,31 +188,30 @@ class CheckpointStore:
         _obs_profile.record_checkpoint_chunk(num_bytes)
 
     def load_chunk(self, chunk: int) -> Optional[ChunkPayload]:
-        """Load one chunk file; ``None`` if missing or unreadable."""
+        """Load one task file; ``None`` if missing or unreadable."""
         path = self.chunk_path(chunk)
         if not path.exists():
             return None
         try:
             with np.load(path) as data:
-                indices = data["indices"]
-                lengths = data["lengths"]
                 payload: ChunkPayload = []
-                for index, length in zip(indices.tolist(), lengths.tolist()):
-                    scores = (
-                        data[f"sc_{index}"] if f"sc_{index}" in data.files else None
-                    )
+                for i, (slot, reference, start, has_scores) in enumerate(
+                    data["meta"].tolist()
+                ):
+                    scores = data[f"sc_{i}"] if has_scores else None
                     payload.append(
                         (
-                            int(index),
-                            data[f"pos_{index}"],
-                            data[f"hs_{index}"],
+                            int(slot),
+                            int(reference),
+                            int(start),
+                            data[f"pos_{i}"],
+                            data[f"hs_{i}"],
                             scores,
-                            int(length),
                         )
                     )
                 return payload
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-            # A kill mid-write or disk corruption: rescan this chunk.
+            # A kill mid-write or disk corruption: rescan this task.
             return None
 
     def load_chunks(self, num_chunks: int) -> Dict[int, ChunkPayload]:

@@ -19,7 +19,7 @@ The hierarchy:
     ``attempts`` attribute carries the per-attempt outcomes.
   * :class:`ShardFailedError` — a shard of the sharded runtime exhausted
     its health budget while partial results were disabled
-    (``ShardPolicy(allow_partial=False)``).
+    (``RetryPolicy(degrade=False)``).
   * :class:`PoolUnhealthyError` — the worker pool kept dying (respawn
     budget exhausted) and degradation was disabled.
   * :class:`CheckpointError` — checkpoint store problems.

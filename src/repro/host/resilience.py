@@ -1,40 +1,50 @@
-"""Supervised, fault-tolerant execution of chunked database scans.
+"""The task supervisor every scan runtime runs on.
 
-:func:`repro.host.scan.scan_database` can fan a scan out over a process
-pool, but a plain pool treats any worker failure as fatal: one hung
-process, one OOM-killed worker, or one corrupt chunk result takes the
-whole multi-hour scan down.  This module is the robustness backbone the
-ROADMAP's production north-star needs — a small supervisor that owns its
-workers directly and guarantees the scan either completes with
-**bit-identical, input-ordered results** or fails with a typed
-:class:`repro.host.errors.ScanError`:
+The paper's host program controls its kernel instances from one place;
+this module is that control loop in software.  Every scan path in
+:mod:`repro.host` — the one-shot :func:`repro.host.scan.scan_database`,
+the warm :class:`repro.host.scan_session.ScanSession` and the sharded
+:class:`repro.host.shards.ShardedScanRuntime` — hands a list of *tasks* to
+one :class:`Supervisor`.  A task is any picklable object with two methods:
 
-* **per-chunk timeout** — a chunk attempt that runs past
-  :attr:`RetryPolicy.timeout` gets its worker killed and the chunk retried;
-* **bounded retries with exponential backoff + jitter** — every failed
-  attempt (crash, hang, raise, corrupt) requeues the chunk until
+* ``run(database, attempt)`` computes the task's payload against a
+  :class:`repro.host.scan.PackedDatabase`, in a worker process or
+  in-process;
+* ``check(database, payload)`` is a cheap structural sanity check that
+  returns ``None`` for a sane payload, else a reason.
+
+A window task scores a chunk of database windows; a shard task scans one
+shard with its own session.  Whatever the task, the supervisor provides:
+
+* **per-task timeout** — an attempt that runs past
+  :attr:`RetryPolicy.timeout` gets its worker killed and the task retried;
+* **bounded retries with seeded exponential backoff + jitter** — every
+  failed attempt (crash, hang, raise, corrupt) requeues the task until
   :attr:`RetryPolicy.max_retries` is exhausted;
 * **dead-worker detection and replacement** — worker deaths are observed
-  via their process sentinels and the pool is topped back up;
-* **hedged re-dispatch** — once the queue drains, straggler chunks older
-  than :attr:`RetryPolicy.hedge_after` are speculatively re-issued to idle
-  workers; the first sane result wins, duplicates are discarded;
-* **per-chunk sanity checking** — every result (including ones loaded from
-  a checkpoint) is validated with :func:`check_chunk_payload`; corrupt
-  data is never merged, it is retried;
-* **graceful degradation** — when a chunk exhausts its budget or the pool
-  keeps dying (:attr:`RetryPolicy.max_respawns`), the remaining chunks are
-  finished by the in-process serial engine and the
-  :class:`ScanReport` marks the scan *degraded* (CLI exit code 3);
-* **durable checkpointing** — with a checkpoint directory every completed
-  chunk is persisted immediately (:mod:`repro.host.checkpoint`), so a scan
-  killed mid-run resumes without rescoring finished chunks.
+  via their process sentinels and the pool is topped back up, within the
+  :attr:`RetryPolicy.max_respawns` budget;
+* **hedged re-dispatch** — once the queue drains, stragglers older than
+  :attr:`RetryPolicy.hedge_after` are re-issued to idle workers; the first
+  sane result wins and duplicates are discarded;
+* **per-task sanity checking** — a payload that fails ``check`` is never
+  merged, it is retried;
+* **durable checkpointing** — with a checkpoint store, every completed
+  task is persisted immediately;
+* **graceful degradation** — when a task exhausts its budget or the pool
+  keeps dying, the remaining tasks finish in-process without injected
+  faults and the :class:`ScanReport` marks the scan *degraded* (CLI exit
+  3).  In *partial* mode (shards) an exhausted task is instead reported
+  dead and the scan completes without it (CLI exit 4).
 
-Determinism: chunk results are merged by reference index, so retry order,
-hedging, and worker scheduling cannot change the output.  The
-:class:`repro.host.faults.FaultPlan` hook exists precisely to prove that in
-CI — any recoverable plan must yield results bit-identical to a fault-free
-serial scan.
+An in-process loop with the same retry semantics serves ``workers <= 1``,
+restricted environments (no fork, no ``/dev/shm``) and the degraded
+completion.  Faults from a :class:`repro.host.faults.FaultPlan` enter
+through one hook, :func:`run_attempt`, in both modes.
+
+Determinism: payloads are merged by task id, so retry order, hedging and
+worker scheduling cannot change the output — any recoverable fault plan
+yields results bit-identical to a fault-free scan.
 """
 
 from __future__ import annotations
@@ -43,27 +53,30 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.host.checkpoint import CheckpointStore, ChunkPayload, scan_fingerprint
 from repro.host.errors import (
     ChunkFailedError,
-    CorruptResultError,
+    InjectedFaultError,
     PoolUnhealthyError,
+    ScanError,
+    ShardFailedError,
 )
-from repro.host.faults import FaultKind, FaultPlan
+from repro.host.faults import FaultKind
 from repro.obs import profile as _obs_profile
 
 __all__ = [
     "RetryPolicy",
     "ChunkAttempt",
     "ScanReport",
-    "ScanOutcome",
+    "SharedImage",
     "ShardStatus",
-    "check_chunk_payload",
-    "supervised_scan",
+    "Supervisor",
+    "WorkerPool",
+    "corrupt_records",
+    "run_attempt",
 ]
 
 
@@ -72,11 +85,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs of the supervised runtime (all durations in seconds)."""
+    """Knobs of the supervisor (all durations in seconds).
 
-    #: Extra attempts allowed per chunk after the first one fails.
+    The same policy governs window tasks and shard tasks.  For shards a
+    task is one whole shard: ``max_retries + 1`` is its attempt budget and
+    ``degrade`` allows partial results (an exhausted shard is reported
+    dead instead of raising :class:`~repro.host.errors.ShardFailedError`).
+    """
+
+    #: Extra attempts allowed per task after the first one fails.
     max_retries: int = 3
-    #: Per-chunk attempt wall-clock budget; ``None`` disables timeouts.
+    #: Per-attempt wall-clock budget; ``None`` disables timeouts.
     timeout: Optional[float] = 300.0
     #: Base backoff delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
     backoff: float = 0.05
@@ -89,8 +108,9 @@ class RetryPolicy:
     hedge_after: Optional[float] = None
     #: Worker respawns tolerated before the pool is declared unhealthy.
     max_respawns: int = 8
-    #: On an unhealthy pool / exhausted chunk, finish serially in-process
-    #: (reported as *degraded*) instead of raising.
+    #: On an unhealthy pool / exhausted task, finish in-process (reported
+    #: as *degraded*), or for shards report the shard dead, instead of
+    #: raising.
     degrade: bool = True
     #: Seed of the jitter RNG — backoff schedules are reproducible.
     seed: int = 0
@@ -114,7 +134,7 @@ class RetryPolicy:
 
 @dataclass
 class ChunkAttempt:
-    """One attempt at one chunk, as recorded in the :class:`ScanReport`."""
+    """One attempt at one task, as recorded in the :class:`ScanReport`."""
 
     chunk: int
     attempt: int
@@ -222,7 +242,7 @@ class ScanReport:
     resumed: bool = False
     attempts: List[ChunkAttempt] = field(default_factory=list)
     #: Profiling section (new in v2): ``stage_seconds``, ``checkpoint``
-    #: volume and ``shared_memory_bytes``, filled by :func:`supervised_scan`.
+    #: volume and ``shared_memory_bytes``.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Per-shard section (new in v3): filled by the sharded runtime, empty
     #: for single-shard scans.
@@ -324,143 +344,57 @@ class ScanReport:
         return line
 
 
-@dataclass
-class ScanOutcome:
-    """What :func:`supervised_scan` returns: results plus their report."""
+# -- the fault hook ------------------------------------------------------------
 
-    results: List[Any]  # List[repro.core.aligner.AlignmentResult]
-    report: ScanReport
-
-
-# -- per-chunk sanity check ----------------------------------------------------
-
-
-def check_chunk_payload(
-    payload: ChunkPayload,
-    start: int,
-    stop: int,
-    lengths: np.ndarray,
-    threshold: int,
-    span: int,
-    keep_scores: bool,
-) -> Optional[str]:
-    """Cheap structural validation of one chunk result.
-
-    Returns ``None`` when the payload is sane, else a human-readable
-    reason.  This is what turns a corrupt worker result into a retry
-    instead of silently wrong output: every invariant checked here is one
-    the honest scan code upholds by construction.
-    """
-    if not isinstance(payload, list):
-        return f"payload is {type(payload).__name__}, expected a record list"
-    if len(payload) != stop - start:
-        return f"expected {stop - start} records, got {len(payload)}"
-    for offset, record in enumerate(payload):
-        if not isinstance(record, tuple) or len(record) != 5:
-            return f"record {offset} is not a 5-tuple"
-        index, positions, hit_scores, scores, length = record
-        expected_index = start + offset
-        if index != expected_index:
-            return f"record {offset} carries index {index}, expected {expected_index}"
-        if int(length) != int(lengths[index]):
-            return (
-                f"reference {index} length {length} != database length "
-                f"{int(lengths[index])}"
-            )
-        if not isinstance(positions, np.ndarray) or positions.ndim != 1:
-            return f"reference {index}: positions is not a 1-D array"
-        if not isinstance(hit_scores, np.ndarray) or hit_scores.shape != positions.shape:
-            return f"reference {index}: hit_scores shape mismatch"
-        num_positions = max(0, int(length) - span + 1)
-        if positions.size:
-            if positions.dtype.kind not in "iu" or hit_scores.dtype.kind not in "iu":
-                return f"reference {index}: non-integer hit arrays"
-            if int(positions.min()) < 0 or int(positions.max()) >= num_positions:
-                return f"reference {index}: hit position out of range"
-            if positions.size > 1 and not bool(np.all(np.diff(positions) > 0)):
-                return f"reference {index}: hit positions not strictly increasing"
-            if int(hit_scores.min()) < threshold or int(hit_scores.max()) > span:
-                return (
-                    f"reference {index}: hit score outside "
-                    f"[{threshold}, {span}]"
-                )
-        if keep_scores:
-            if not isinstance(scores, np.ndarray) or scores.ndim != 1:
-                return f"reference {index}: missing score vector"
-            if scores.size != num_positions:
-                return (
-                    f"reference {index}: score vector size {scores.size} != "
-                    f"{num_positions}"
-                )
-            if scores.size and (
-                int(scores.min()) < 0 or int(scores.max()) > span
-            ):
-                return f"reference {index}: score outside [0, {span}]"
-            recomputed = np.nonzero(scores >= threshold)[0]
-            if not np.array_equal(recomputed, positions):
-                return f"reference {index}: hits disagree with score vector"
-            if not np.array_equal(scores[positions], hit_scores):
-                return f"reference {index}: hit scores disagree with score vector"
-        elif scores is not None:
-            return f"reference {index}: unexpected score vector"
-    return None
-
-
-def corrupt_payload(payload: ChunkPayload, span: int) -> ChunkPayload:
-    """Deterministically damage a payload so the sanity check must catch it.
-
-    Scores are pushed past the perfect score and every reference length is
-    off by one — detectable even for chunks with zero hits.
-    """
-    damaged: ChunkPayload = []
-    for index, positions, hit_scores, scores, length in payload:
-        damaged.append(
-            (
-                index,
-                positions,
-                hit_scores + span + 7,
-                None if scores is None else scores + span + 7,
-                length + 1,
-            )
-        )
-    return damaged
-
-
-# -- chunk scoring (shared by workers, serial mode, degraded fallback) ---------
-
-
-def _score_chunk_span(
-    buffer: np.ndarray,
-    lengths: np.ndarray,
-    byte_offsets: np.ndarray,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    start: int,
-    stop: int,
-) -> ChunkPayload:
-    from repro.host.scan import _scan_reference_codes
-    from repro.seq import packing
-
-    payload: ChunkPayload = []
-    for index in range(start, stop):
-        codes = packing.unpack(
-            buffer[int(byte_offsets[index]) : int(byte_offsets[index + 1])],
-            int(lengths[index]),
-        )
-        positions, hit_scores, scores, length = _scan_reference_codes(
-            instructions, codes, threshold, engine, keep_scores
-        )
-        payload.append((index, positions, hit_scores, scores, length))
-    return payload
-
-
-# -- worker process ------------------------------------------------------------
-
+#: The supervisor's pid when this process is a supervised worker, else
+#: ``None``.  A crash fault can only kill a process that has a supervisor.
+_WORKER_PARENT: Optional[int] = None
 
 #: How often an idle worker re-checks that its supervisor is still alive.
 _ORPHAN_POLL_SECONDS = 1.0
+
+
+def corrupt_records(payload: List[tuple]) -> List[tuple]:
+    """Mis-key every record so the sanity check must reject it.
+
+    Shifting the query-slot key is detectable on *every* record —
+    including zero-hit windows, where damaging scores alone would be
+    invisible.
+    """
+    return [(record[0] + 1,) + tuple(record[1:]) for record in payload]
+
+
+def run_attempt(
+    task: Any,
+    task_id: int,
+    attempt: int,
+    database: Any,
+    fault: Optional[FaultKind] = None,
+    hang_seconds: float = 0.0,
+) -> Any:
+    """One attempt at one task, with its planned fault (if any) injected.
+
+    The single fault hook of every runtime.  ``crash`` kills a supervised
+    worker outright; in-process there is no worker to sacrifice, so it
+    raises.  ``hang`` sleeps: a supervised worker is killed at the task
+    timeout (the sleep still notices an orphaning), while in-process the
+    sleep is real — exactly what the kill-and-resume scenario exploits.
+    ``raise`` raises and ``corrupt`` damages the payload so the sanity
+    check must catch it.
+    """
+    if fault is FaultKind.CRASH and _WORKER_PARENT is not None:
+        os._exit(17)
+    if fault is FaultKind.HANG:
+        if _WORKER_PARENT is not None:
+            _hang_sleep(hang_seconds, _WORKER_PARENT)
+        else:
+            time.sleep(hang_seconds)
+    if fault in (FaultKind.CRASH, FaultKind.HANG, FaultKind.RAISE):
+        raise InjectedFaultError(task_id, attempt, fault.value)
+    payload = task.run(database, attempt)
+    if fault is FaultKind.CORRUPT:
+        payload = corrupt_records(payload)
+    return payload
 
 
 def _recv_or_orphaned(conn, parent_pid: int):
@@ -484,9 +418,9 @@ def _hang_sleep(seconds: float, parent_pid: int) -> None:
     """Injected-hang sleep that still notices a dead supervisor.
 
     The hang models a stuck worker from the *supervisor's* point of view
-    (the chunk times out either way), so slicing the sleep changes
-    nothing it tests — but it lets an orphaned hung worker exit within
-    one slice instead of finishing a multi-minute nap first.
+    (the task times out either way), so slicing the sleep changes nothing
+    it tests — but it lets an orphaned hung worker exit within one slice
+    instead of finishing a multi-minute nap first.
     """
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
@@ -497,75 +431,78 @@ def _hang_sleep(seconds: float, parent_pid: int) -> None:
         time.sleep(min(_ORPHAN_POLL_SECONDS, max(0.0, remaining)))
 
 
-def _worker_main(
-    conn,
-    shm_name: str,
-    packed_bytes: int,
-    lengths: np.ndarray,
-    byte_offsets: np.ndarray,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    span: int,
-    fault_plan: Optional[FaultPlan],
-) -> None:
-    """Worker loop: attach the shared image, score chunks until told to stop.
+# -- worker processes ----------------------------------------------------------
 
-    Protocol (parent -> worker): ``("chunk", chunk_id, start, stop, attempt)``
-    or ``("stop",)``.  Worker -> parent: ``("ok", chunk_id, attempt, payload)``
-    or ``("err", chunk_id, attempt, message)``.
+
+@dataclass(frozen=True)
+class SharedImage:
+    """A packed database published in shared memory, as workers attach it."""
+
+    name: str
+    packed_bytes: int
+    lengths: np.ndarray
+    byte_offsets: np.ndarray
+
+
+def _worker_main(conn, image: Any) -> None:
+    """The worker loop: attach the database once, run tasks until stopped.
+
+    ``image`` is a :class:`SharedImage` (attached zero-copy) or a
+    :class:`repro.host.scan.PackedDatabase` inherited across the fork.
+    Protocol (parent -> worker): ``("task", task_id, attempt, task, fault,
+    hang_seconds)`` or ``("stop",)``.  Worker -> parent: ``("ok", task_id,
+    attempt, payload)`` or ``("err", task_id, attempt, message)``.  Every
+    task message is self-contained, so a respawned or hedged worker needs
+    no per-run installation step.
     """
     from multiprocessing import shared_memory
 
+    from repro.host.scan import PackedDatabase
+
+    global _WORKER_PARENT
     parent_pid = os.getppid()
-    segment = shared_memory.SharedMemory(name=shm_name)
-    buffer: Optional[np.ndarray] = np.frombuffer(
-        segment.buf, dtype=np.uint8, count=packed_bytes
-    )
+    _WORKER_PARENT = parent_pid
+    segment = None
+    buffer: Optional[np.ndarray] = None
+    database = image
+    if isinstance(image, SharedImage):
+        segment = shared_memory.SharedMemory(name=image.name)
+        buffer = np.frombuffer(segment.buf, dtype=np.uint8, count=image.packed_bytes)
+        database = PackedDatabase(
+            names=(),
+            lengths=image.lengths,
+            byte_offsets=image.byte_offsets,
+            buffer=buffer,
+        )
     try:
         while True:
             message = _recv_or_orphaned(conn, parent_pid)
             if message[0] == "stop":
                 break
-            _, chunk_id, start, stop, attempt = message
-            fault = fault_plan.lookup(chunk_id, attempt) if fault_plan else None
-            if fault is FaultKind.CRASH:
-                os._exit(17)
-            if fault is FaultKind.HANG:
-                # The supervisor kills us at the policy timeout.
-                _hang_sleep(
-                    fault_plan.hang_seconds if fault_plan else 3600.0,
-                    parent_pid,
+            _, task_id, attempt, task, fault, hang_seconds = message
+            try:
+                payload = run_attempt(
+                    task, task_id, attempt, database, fault, hang_seconds
                 )
-                conn.send(("err", chunk_id, attempt, "injected hang outlived parent"))
+            except (ScanError, ValueError, IndexError, OSError) as exc:
+                conn.send(("err", task_id, attempt, f"{type(exc).__name__}: {exc}"))
                 continue
-            if fault is FaultKind.RAISE:
-                conn.send(("err", chunk_id, attempt, "injected raise fault"))
-                continue
-            payload = _score_chunk_span(
-                buffer, lengths, byte_offsets, instructions,
-                threshold, engine, keep_scores, start, stop,
-            )
-            if fault is FaultKind.CORRUPT:
-                payload = corrupt_payload(payload, span)
-            conn.send(("ok", chunk_id, attempt, payload))
+            conn.send(("ok", task_id, attempt, payload))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
-        # Drop the numpy view first: closing a segment with an exported
+        # Drop the numpy views first: closing a segment with an exported
         # buffer pointer raises BufferError at interpreter shutdown.
-        buffer = None  # noqa: F841
-        try:
-            segment.close()
-        except (OSError, BufferError):
-            pass
+        buffer = None
+        database = None  # noqa: F841
+        if segment is not None:
+            try:
+                segment.close()
+            except (OSError, BufferError):
+                pass
 
 
-# -- the supervisor ------------------------------------------------------------
-
-
-class _WorkerHandle:
+class _Worker:
     """Parent-side view of one worker process."""
 
     __slots__ = ("id", "process", "conn", "busy")
@@ -574,12 +511,114 @@ class _WorkerHandle:
         self.id = worker_id
         self.process = process
         self.conn = conn
-        #: ``None`` when idle, else ``(chunk, attempt, started, deadline)``.
+        #: ``None`` when idle, else ``(task_id, attempt, started, deadline)``.
         self.busy: Optional[Tuple[int, int, float, Optional[float]]] = None
 
 
+class WorkerPool:
+    """Worker processes owned directly over duplex pipes.
+
+    Every worker attaches ``image`` at spawn (see :func:`_worker_main`).
+    A pool may outlive one supervisor run — a :class:`ScanSession` keeps
+    its pool resident across calls — so :meth:`revive` tops it up before a
+    run and :meth:`retire_busy` clears stale work after one.
+    """
+
+    def __init__(self, image: Any, size: int):
+        import multiprocessing
+
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            self._context = multiprocessing.get_context()
+        self.image = image
+        self.size = size
+        self.workers: List[_Worker] = []
+        #: Workers replaced over the pool's lifetime (all causes).
+        self.respawns = 0
+        self._next_id = 0
+        try:
+            for _ in range(size):
+                self.spawn()
+        except BaseException:
+            self.close()
+            raise
+
+    def spawn(self) -> _Worker:
+        parent_conn, child_conn = self._context.Pipe(duplex=True)
+        process = self._context.Process(
+            target=_worker_main, args=(child_conn, self.image), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        worker = _Worker(self._next_id, process, parent_conn)
+        self._next_id += 1
+        self.workers.append(worker)
+        return worker
+
+    def _drop(self, worker: _Worker) -> None:
+        self.workers.remove(worker)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+    def reap(self, worker: _Worker) -> None:
+        """Drop a worker that has exited."""
+        worker.process.join(timeout=0.5)
+        self._drop(worker)
+
+    def kill(self, worker: _Worker) -> None:
+        """Terminate a worker — there is no way to abort a task in place."""
+        worker.process.terminate()
+        worker.process.join(timeout=1.0)
+        if worker.process.is_alive():  # pragma: no cover - stubborn child
+            worker.process.kill()
+            worker.process.join(timeout=1.0)
+        self._drop(worker)
+
+    def stop(self, workers: List[_Worker]) -> None:
+        """Ask workers to exit; kill any that do not within a second."""
+        for worker in workers:
+            try:
+                worker.conn.send(("stop",))
+            except OSError:
+                pass
+        for worker in workers:
+            worker.process.join(timeout=1.0)
+            if worker.process.is_alive():
+                self.kill(worker)
+            else:
+                self._drop(worker)
+
+    def close(self) -> None:
+        """Stop every worker (idempotent)."""
+        self.stop(list(self.workers))
+
+    def revive(self) -> None:
+        """Replace workers that died between runs; top back up to size."""
+        for worker in [w for w in self.workers if not w.process.is_alive()]:
+            self.reap(worker)
+            self.respawns += 1
+        while len(self.workers) < self.size:
+            self.spawn()
+
+    def retire_busy(self) -> None:
+        """Kill workers still holding a task so stale replies cannot leak.
+
+        A hedged twin, or an exhausted or aborted run, may leave a worker
+        mid-task; its late reply must never be mistaken for a later run's.
+        """
+        for worker in [w for w in self.workers if w.busy is not None]:
+            self.kill(worker)
+            self.respawns += 1
+
+
+# -- the supervisor ------------------------------------------------------------
+
+
 class _Exhausted(Exception):
-    """Internal: a chunk ran out of retries or the pool is unhealthy."""
+    """Internal: a task ran out of retries or the pool is unhealthy."""
 
     def __init__(self, reason: str, error: Exception):
         self.reason = reason
@@ -587,228 +626,288 @@ class _Exhausted(Exception):
         super().__init__(reason)
 
 
-class _Supervisor:
-    """Drive a pool of directly-owned workers through the chunk list."""
+class Supervisor:
+    """Drive tasks to completion under one :class:`RetryPolicy`.
+
+    ``tasks`` maps task ids to tasks (the in-process loop runs them in
+    that order); ``done`` receives each completed payload and may arrive
+    pre-filled with checkpoint-restored ones.  ``faults`` is anything with
+    ``lookup(task_id, attempt)`` and ``hang_seconds`` (a
+    :class:`~repro.host.faults.FaultPlan`).  ``partial=True`` reports a
+    task that exhausts its attempts as dead rather than degrading.
+    ``keep_idle=False`` stops idle workers once nothing is queued, so a
+    per-call pool frees finished runners early.
+    """
 
     def __init__(
         self,
-        database,
-        instructions: np.ndarray,
-        threshold: int,
-        engine: str,
-        keep_scores: bool,
-        span: int,
-        num_workers: int,
-        bounds: Sequence[Tuple[int, int]],
+        database: Any,
+        tasks: Dict[int, Any],
+        *,
         policy: RetryPolicy,
-        fault_plan: Optional[FaultPlan],
-        store: Optional[CheckpointStore],
         report: ScanReport,
-        done: Dict[int, ChunkPayload],
+        done: Dict[int, Any],
+        faults: Any = None,
+        store: Any = None,
+        partial: bool = False,
+        keep_idle: bool = True,
     ):
         self.database = database
-        self.instructions = instructions
-        self.threshold = threshold
-        self.engine = engine
-        self.keep_scores = keep_scores
-        self.span = span
-        self.num_workers = num_workers
-        self.bounds = list(bounds)
+        self.tasks = tasks
         self.policy = policy
-        self.fault_plan = fault_plan
-        self.store = store
         self.report = report
         self.done = done
-        self.rng = random.Random(policy.seed)
-        self.failures: Dict[int, List[str]] = {}
-        self.next_attempt: Dict[int, int] = {}
-        self.in_flight: Dict[int, int] = {}
-        #: (ready_time, chunk) items awaiting dispatch.
-        self.pending: List[Tuple[float, int]] = []
-        self.workers: List[_WorkerHandle] = []
-        self._next_worker_id = 0
-        self._segment = None
-        self._context = None
+        self.faults = faults
+        self.store = store
+        self.partial = partial
+        self.keep_idle = keep_idle
+        #: Dead tasks (partial mode) and why they died.
+        self.dead: Dict[int, str] = {}
+        #: Attempts dispatched per task (hedges included).
+        self.attempts: Dict[int, int] = {}
+        #: Hedged re-dispatches per task.
+        self.hedged: Dict[int, int] = {}
+        #: Seconds from a task's first dispatch until it completed or died.
+        self.elapsed: Dict[int, float] = {}
+        #: Extra stage wall-times (``degraded``) for the report's metrics.
+        self.stage_seconds: Dict[str, float] = {}
+        self._rng = random.Random(policy.seed)
+        self._failures: Dict[int, List[str]] = {}
+        self._first_dispatch: Dict[int, float] = {}
+        self._in_flight: Dict[int, int] = {}
+        #: ``(ready_time, task_id)`` items awaiting dispatch.
+        self._pending: List[Tuple[float, int]] = []
+        self._degraded = False
 
-    # -- lifecycle ------------------------------------------------------------
+    def _open(self, task_id: int) -> bool:
+        return task_id not in self.done and task_id not in self.dead
 
-    def run(self) -> None:
-        import multiprocessing
-
-        from repro.host import scan as scan_mod
-
+    def run(self, pool: Optional[WorkerPool]) -> None:
+        """Finish every open task; ``pool=None`` runs them in-process."""
         try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._context = multiprocessing.get_context()
-        now = time.monotonic()
-        for chunk in range(len(self.bounds)):
-            if chunk not in self.done:
-                self.pending.append((now, chunk))
-        self._segment = scan_mod.publish_segment(self.database.buffer)
-        try:
-            for _ in range(min(self.num_workers, max(1, len(self.pending)))):
-                self._spawn_worker()
-            self._loop()
-        finally:
-            self._shutdown()
-            scan_mod.retire_segment(self._segment)
-            self._segment = None
+            if pool is None:
+                self._run_in_process()
+            else:
+                self.report.mode = "parallel"
+                try:
+                    self._run_pool(pool)
+                except (ImportError, OSError):
+                    # Restricted environments (pipes or fork failing
+                    # mid-run): the in-process loop gives the same results.
+                    self.report.mode = "serial"
+                    self._run_in_process()
+        except _Exhausted as exhausted:
+            if not self.policy.degrade:
+                raise exhausted.error from None
+            self.report.degraded = True
+            self.report.degraded_reason = exhausted.reason
+            self._degraded = True
+            with _obs_profile.stage("scan.degraded", category="scan") as timer:
+                try:
+                    self._run_in_process()
+                except _Exhausted as again:
+                    raise again.error from None
+            self.stage_seconds["degraded"] = timer.seconds
 
-    def _spawn_worker(self) -> _WorkerHandle:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self._segment.name,
-                self.database.packed_bytes,
-                self.database.lengths,
-                self.database.byte_offsets,
-                self.instructions,
-                self.threshold,
-                self.engine,
-                self.keep_scores,
-                self.span,
-                self.fault_plan,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle = _WorkerHandle(self._next_worker_id, process, parent_conn)
-        self._next_worker_id += 1
-        self.workers.append(handle)
-        return handle
+    # -- outcomes -------------------------------------------------------------
 
-    def _shutdown(self) -> None:
-        for worker in self.workers:
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
-        for worker in self.workers:
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self.workers = []
-
-    # -- scheduling -----------------------------------------------------------
-
-    def _take_attempt(self, chunk: int) -> int:
-        attempt = self.next_attempt.get(chunk, 0)
-        self.next_attempt[chunk] = attempt + 1
+    def _take_attempt(self, task_id: int, now: float) -> int:
+        attempt = self.attempts.get(task_id, 0)
+        self.attempts[task_id] = attempt + 1
+        self._first_dispatch.setdefault(task_id, now)
         return attempt
 
-    def _dispatch_to(self, worker: _WorkerHandle, chunk: int, hedge: bool) -> None:
-        attempt = self._take_attempt(chunk)
-        start, stop = self.bounds[chunk]
+    def _accept(
+        self, task_id: int, attempt: int, payload: Any, seconds: float,
+        worker: Optional[int], now: float,
+    ) -> Optional[float]:
+        """Check a payload; complete the task or fail the attempt."""
+        error = self.tasks[task_id].check(self.database, payload)
+        if error is not None:
+            return self._fail(task_id, attempt, "corrupt", seconds, worker, error, now)
+        detail = "degraded serial" if self._degraded else ""
+        self.report.record(task_id, attempt, "ok", seconds, worker, detail)
+        if self._degraded:
+            self.report.chunks_degraded += 1
+        self.done[task_id] = payload
+        self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
+        if self.store is not None:
+            self.store.save_chunk(task_id, payload)
+        return None
+
+    def _fail(
+        self, task_id: int, attempt: int, outcome: str, seconds: float,
+        worker: Optional[int], detail: str, now: float,
+    ) -> Optional[float]:
+        """Record a failed attempt; queue the retry and return its backoff.
+
+        Returns ``None`` when the task just died (partial mode); raises
+        when it exhausted its budget otherwise.
+        """
+        self.report.record(task_id, attempt, outcome, seconds, worker, detail)
+        outcomes = self._failures.setdefault(task_id, [])
+        outcomes.append(outcome)
+        if len(outcomes) > self.policy.max_retries:
+            summary = f"{len(outcomes)} failures: {', '.join(outcomes)}"
+            if not self.partial:
+                raise _Exhausted(
+                    f"task {task_id} exhausted its retry budget ({summary})",
+                    ChunkFailedError(task_id, outcomes),
+                )
+            if not self.policy.degrade:
+                raise ShardFailedError(task_id, outcomes)
+            self.dead[task_id] = (
+                f"health budget exhausted after {len(outcomes)} attempts: "
+                f"{', '.join(outcomes)}"
+            )
+            self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
+            return None
+        self.report.retries += 1
+        delay = self.policy.delay(len(outcomes), self._rng)
+        self._pending.append((now + delay, task_id))
+        return delay
+
+    # -- in-process -----------------------------------------------------------
+
+    def _run_in_process(self) -> None:
+        """Same retry semantics, no pool to kill.
+
+        Serves serial mode, restricted environments and the degraded
+        completion (which runs without injected faults).
+        """
+        hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
+        for task_id, task in self.tasks.items():
+            while self._open(task_id):
+                t0 = time.monotonic()
+                attempt = self._take_attempt(task_id, t0)
+                fault = None
+                if self.faults is not None and not self._degraded:
+                    fault = self.faults.lookup(task_id, attempt)
+                try:
+                    payload = run_attempt(
+                        task, task_id, attempt, self.database, fault, hang_seconds
+                    )
+                except ScanError as exc:
+                    now = time.monotonic()
+                    outcome = "raise"
+                    if isinstance(exc, InjectedFaultError):
+                        outcome = {"crash": "crash", "hang": "hang-timeout"}.get(
+                            exc.kind, "raise"
+                        )
+                    delay = self._fail(
+                        task_id, attempt, outcome, now - t0, None,
+                        f"{type(exc).__name__}: {exc}", now,
+                    )
+                else:
+                    now = time.monotonic()
+                    delay = self._accept(
+                        task_id, attempt, payload, now - t0, None, now
+                    )
+                if delay:
+                    time.sleep(delay)
+
+    # -- pool -----------------------------------------------------------------
+
+    def _run_pool(self, pool: WorkerPool) -> None:
+        from multiprocessing import connection
+
         now = time.monotonic()
+        self._pending = [(now, t) for t in self.tasks if self._open(t)]
+        try:
+            while len(self.done) + len(self.dead) < len(self.tasks):
+                if not pool.workers:
+                    raise _Exhausted(
+                        f"pool unhealthy: no workers left after "
+                        f"{self.report.respawns} respawns",
+                        PoolUnhealthyError(
+                            self.report.respawns, self.policy.max_respawns
+                        ),
+                    )
+                now = time.monotonic()
+                self._dispatch(pool, now)
+                if not self.keep_idle and not self._pending:
+                    pool.stop([w for w in pool.workers if w.busy is None])
+                handles = {w.conn: w for w in pool.workers}
+                handles.update({w.process.sentinel: w for w in pool.workers})
+                ready = connection.wait(
+                    list(handles), timeout=self._wait_timeout(pool, now)
+                )
+                now = time.monotonic()
+                for worker in {id(handles[h]): handles[h] for h in ready}.values():
+                    if worker in pool.workers:
+                        self._service(pool, worker, now)
+                self._sweep_timeouts(pool, time.monotonic())
+                if self.report.respawns > self.policy.max_respawns:
+                    raise _Exhausted(
+                        f"pool unhealthy: {self.report.respawns} worker respawns",
+                        PoolUnhealthyError(
+                            self.report.respawns, self.policy.max_respawns
+                        ),
+                    )
+        finally:
+            pool.retire_busy()
+
+    def _send(self, worker: _Worker, task_id: int, now: float, hedge: bool) -> None:
+        attempt = self._take_attempt(task_id, now)
+        fault = self.faults.lookup(task_id, attempt) if self.faults else None
+        hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
+        worker.conn.send(
+            ("task", task_id, attempt, self.tasks[task_id], fault, hang_seconds)
+        )
         deadline = None if self.policy.timeout is None else now + self.policy.timeout
-        worker.conn.send(("chunk", chunk, start, stop, attempt))
-        worker.busy = (chunk, attempt, now, deadline)
-        self.in_flight[chunk] = self.in_flight.get(chunk, 0) + 1
+        worker.busy = (task_id, attempt, now, deadline)
+        self._in_flight[task_id] = self._in_flight.get(task_id, 0) + 1
         if hedge:
             self.report.hedges += 1
+            self.hedged[task_id] = self.hedged.get(task_id, 0) + 1
 
-    def _dispatch(self, now: float) -> None:
-        idle = [w for w in self.workers if w.busy is None]
-        if not idle:
-            return
-        # Ready pending chunks first (input order for determinism of dispatch).
-        self.pending.sort(key=lambda item: (item[0], item[1]))
-        for worker in idle:
-            chosen = None
-            for i, (ready_time, chunk) in enumerate(self.pending):
-                if chunk in self.done:
-                    self.pending.pop(i)
-                    chosen = None
-                    break  # list mutated; re-enter on next loop iteration
-                if ready_time <= now:
-                    chosen = self.pending.pop(i)[1]
-                    break
-            if chosen is None:
-                continue
-            self._dispatch_to(worker, chosen, hedge=False)
+    def _dispatch(self, pool: WorkerPool, now: float) -> None:
+        self._pending = sorted(p for p in self._pending if self._open(p[1]))
+        for worker in [w for w in pool.workers if w.busy is None]:
+            if not self._pending or self._pending[0][0] > now:
+                break
+            self._send(worker, self._pending.pop(0)[1], now, hedge=False)
         # Hedging: queue drained, idle capacity, stragglers in flight.
-        if self.policy.hedge_after is None or self.pending:
+        if self.policy.hedge_after is None or self._pending:
             return
-        for worker in [w for w in self.workers if w.busy is None]:
-            straggler = self._pick_straggler(now)
+        for worker in [w for w in pool.workers if w.busy is None]:
+            straggler = self._straggler(pool, now)
             if straggler is None:
                 return
-            self._dispatch_to(worker, straggler, hedge=True)
+            self._send(worker, straggler, now, hedge=True)
 
-    def _pick_straggler(self, now: float) -> Optional[int]:
-        oldest_chunk = None
-        oldest_started = None
-        for worker in self.workers:
+    def _straggler(self, pool: WorkerPool, now: float) -> Optional[int]:
+        """The oldest lone in-flight task past the hedge threshold."""
+        oldest: Optional[Tuple[float, int]] = None
+        for worker in pool.workers:
             if worker.busy is None:
                 continue
-            chunk, _attempt, started, _deadline = worker.busy
-            if chunk in self.done or self.in_flight.get(chunk, 0) > 1:
+            task_id, _attempt, started, _deadline = worker.busy
+            if not self._open(task_id) or self._in_flight.get(task_id, 0) > 1:
                 continue
             if now - started < (self.policy.hedge_after or 0.0):
                 continue
-            if oldest_started is None or started < oldest_started:
-                oldest_chunk, oldest_started = chunk, started
-        return oldest_chunk
+            if oldest is None or started < oldest[0]:
+                oldest = (started, task_id)
+        return None if oldest is None else oldest[1]
 
-    def _wait_timeout(self, now: float) -> Optional[float]:
+    def _wait_timeout(self, pool: WorkerPool, now: float) -> Optional[float]:
         candidates: List[float] = []
-        for worker in self.workers:
+        for worker in pool.workers:
             if worker.busy is None:
                 continue
-            if worker.busy[3] is not None:
-                candidates.append(worker.busy[3])
+            _task_id, _attempt, started, deadline = worker.busy
+            if deadline is not None:
+                candidates.append(deadline)
             if self.policy.hedge_after is not None:
-                # Wake at the hedge threshold too — it is always earlier
-                # than (or independent of) the kill deadline.
-                candidates.append(worker.busy[2] + self.policy.hedge_after)
-        if any(w.busy is None for w in self.workers):
-            candidates.extend(ready for ready, _ in self.pending)
+                candidates.append(started + self.policy.hedge_after)
+        if any(w.busy is None for w in pool.workers):
+            candidates.extend(ready for ready, _ in self._pending)
         if not candidates:
             return None
         return max(0.0, min(candidates) - now) + 0.005
 
-    # -- event handling -------------------------------------------------------
-
-    def _loop(self) -> None:
-        from multiprocessing import connection
-
-        total = len(self.bounds)
-        while len(self.done) < total:
-            now = time.monotonic()
-            self._dispatch(now)
-            conn_map = {w.conn: w for w in self.workers}
-            sentinel_map = {w.process.sentinel: w for w in self.workers}
-            timeout = self._wait_timeout(now)
-            ready = connection.wait(
-                list(conn_map) + list(sentinel_map), timeout=timeout
-            )
-            now = time.monotonic()
-            handled = set()
-            for obj in ready:
-                worker = conn_map.get(obj)
-                if worker is None:
-                    worker = sentinel_map.get(obj)
-                if worker is None or id(worker) in handled:
-                    continue
-                handled.add(id(worker))
-                self._service_worker(worker, now)
-            self._sweep_timeouts(time.monotonic())
-            if self.report.respawns > self.policy.max_respawns:
-                raise _Exhausted(
-                    f"pool unhealthy: {self.report.respawns} worker respawns",
-                    PoolUnhealthyError(self.report.respawns, self.policy.max_respawns),
-                )
-
-    def _service_worker(self, worker: _WorkerHandle, now: float) -> None:
+    def _service(self, pool: WorkerPool, worker: _Worker, now: float) -> None:
         message = None
         try:
             if worker.conn.poll():
@@ -819,361 +918,63 @@ class _Supervisor:
             self._on_message(worker, message, now)
             # Fall through: the worker may additionally have died.
         if not worker.process.is_alive():
-            self._on_death(worker, now)
+            self._on_death(pool, worker, now)
 
-    def _on_message(self, worker: _WorkerHandle, message, now: float) -> None:
-        kind, chunk, attempt = message[0], message[1], message[2]
+    def _settle(self, worker: _Worker, task_id: int, now: float) -> float:
+        """Free the worker's slot for ``task_id``; return the attempt's age."""
         started = worker.busy[2] if worker.busy else now
-        elapsed = now - started
         worker.busy = None
-        self.in_flight[chunk] = max(0, self.in_flight.get(chunk, 1) - 1)
-        if chunk in self.done:
+        self._in_flight[task_id] = max(0, self._in_flight.get(task_id, 1) - 1)
+        return now - started
+
+    def _on_message(self, worker: _Worker, message, now: float) -> None:
+        kind, task_id, attempt = message[0], message[1], message[2]
+        seconds = self._settle(worker, task_id, now)
+        if not self._open(task_id):
             self.report.record(
-                chunk, attempt, "duplicate", elapsed, worker.id,
+                task_id, attempt, "duplicate", seconds, worker.id,
                 "hedged twin finished first",
             )
-            return
-        if kind == "err":
-            self.report.record(chunk, attempt, "raise", elapsed, worker.id, message[3])
-            self._register_failure(chunk, "raise", now)
-            return
-        payload = message[3]
-        start, stop = self.bounds[chunk]
-        error = check_chunk_payload(
-            payload, start, stop, self.database.lengths,
-            self.threshold, self.span, self.keep_scores,
-        )
-        if error is not None:
-            self.report.record(chunk, attempt, "corrupt", elapsed, worker.id, error)
-            self._register_failure(chunk, "corrupt", now)
-            return
-        self.report.record(chunk, attempt, "ok", elapsed, worker.id)
-        self._complete(chunk, payload)
+        elif kind == "err":
+            self._fail(task_id, attempt, "raise", seconds, worker.id, message[3], now)
+        else:
+            self._accept(task_id, attempt, message[3], seconds, worker.id, now)
 
-    def _on_death(self, worker: _WorkerHandle, now: float) -> None:
-        self.workers.remove(worker)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(timeout=0.5)
-        exitcode = worker.process.exitcode
-        if worker.busy is not None:
-            chunk, attempt, started, _deadline = worker.busy
-            self.in_flight[chunk] = max(0, self.in_flight.get(chunk, 1) - 1)
-            if chunk not in self.done:
-                self.report.record(
-                    chunk, attempt, "crash", now - started, worker.id,
-                    f"exitcode {exitcode}",
-                )
-                self._register_failure(chunk, "crash", now)
+    def _lose(self, pool: WorkerPool, worker: _Worker, kill: bool) -> None:
+        """Remove a dead or hung worker; replace it within the budget."""
+        if kill:
+            pool.kill(worker)
+        else:
+            pool.reap(worker)
+        pool.respawns += 1
         self.report.respawns += 1
         if self.report.respawns <= self.policy.max_respawns:
-            self._spawn_worker()
+            pool.spawn()
 
-    def _sweep_timeouts(self, now: float) -> None:
-        for worker in list(self.workers):
-            if worker.busy is None or worker.busy[3] is None:
+    def _on_death(self, pool: WorkerPool, worker: _Worker, now: float) -> None:
+        busy = worker.busy
+        self._lose(pool, worker, kill=False)
+        if busy is None:
+            return
+        task_id, attempt = busy[0], busy[1]
+        seconds = self._settle(worker, task_id, now)
+        if self._open(task_id):
+            self._fail(
+                task_id, attempt, "crash", seconds, worker.id,
+                f"exitcode {worker.process.exitcode}", now,
+            )
+
+    def _sweep_timeouts(self, pool: WorkerPool, now: float) -> None:
+        for worker in list(pool.workers):
+            if worker.busy is None:
                 continue
-            chunk, attempt, started, deadline = worker.busy
-            if now <= deadline:
+            task_id, attempt, _started, deadline = worker.busy
+            if deadline is None or now <= deadline:
                 continue
-            # Kill the worker: there is no way to abort the task in place.
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stubborn child
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            self.workers.remove(worker)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            self.in_flight[chunk] = max(0, self.in_flight.get(chunk, 1) - 1)
-            if chunk not in self.done:
-                self.report.record(
-                    chunk, attempt, "timeout", now - started, worker.id,
-                    f"exceeded {self.policy.timeout:.3g}s",
+            self._lose(pool, worker, kill=True)
+            seconds = self._settle(worker, task_id, now)
+            if self._open(task_id):
+                self._fail(
+                    task_id, attempt, "timeout", seconds, worker.id,
+                    f"exceeded {self.policy.timeout:.3g}s", now,
                 )
-                self._register_failure(chunk, "timeout", now)
-            self.report.respawns += 1
-            if self.report.respawns <= self.policy.max_respawns:
-                self._spawn_worker()
-
-    def _register_failure(self, chunk: int, outcome: str, now: float) -> None:
-        outcomes = self.failures.setdefault(chunk, [])
-        outcomes.append(outcome)
-        if len(outcomes) > self.policy.max_retries:
-            raise _Exhausted(
-                f"chunk {chunk} exhausted its retry budget "
-                f"({len(outcomes)} failures: {', '.join(outcomes)})",
-                ChunkFailedError(chunk, outcomes),
-            )
-        self.report.retries += 1
-        ready = now + self.policy.delay(len(outcomes), self.rng)
-        self.pending.append((ready, chunk))
-
-    def _complete(self, chunk: int, payload: ChunkPayload) -> None:
-        self.done[chunk] = payload
-        if self.store is not None:
-            self.store.save_chunk(chunk, payload)
-
-
-# -- serial supervised execution ----------------------------------------------
-
-
-def _serial_supervised(
-    database,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    span: int,
-    bounds: Sequence[Tuple[int, int]],
-    policy: RetryPolicy,
-    fault_plan: Optional[FaultPlan],
-    store: Optional[CheckpointStore],
-    report: ScanReport,
-    done: Dict[int, ChunkPayload],
-) -> None:
-    """In-process supervised loop: same retry semantics, no pool to kill.
-
-    ``crash`` faults raise (there is no worker process to sacrifice) and
-    ``hang`` faults genuinely sleep for the plan's ``hang_seconds`` —
-    there is no supervisor above this process, which is exactly what the
-    kill-and-resume scenario exploits.
-    """
-    rng = random.Random(policy.seed)
-    for chunk, (start, stop) in enumerate(bounds):
-        if chunk in done:
-            continue
-        outcomes: List[str] = []
-        while True:
-            attempt = len(outcomes)
-            fault = fault_plan.lookup(chunk, attempt) if fault_plan else None
-            t0 = time.monotonic()
-            payload: Optional[ChunkPayload] = None
-            outcome = "ok"
-            detail = ""
-            if fault is FaultKind.HANG:
-                time.sleep(fault_plan.hang_seconds if fault_plan else 0.0)
-                outcome, detail = "hang-timeout", "injected hang (serial mode)"
-            elif fault in (FaultKind.CRASH, FaultKind.RAISE):
-                outcome = "crash" if fault is FaultKind.CRASH else "raise"
-                detail = f"injected {fault.value} fault (serial mode)"
-            else:
-                payload = _score_chunk_span(
-                    database.buffer, database.lengths, database.byte_offsets,
-                    instructions, threshold, engine, keep_scores, start, stop,
-                )
-                if fault is FaultKind.CORRUPT:
-                    payload = corrupt_payload(payload, span)
-                error = check_chunk_payload(
-                    payload, start, stop, database.lengths,
-                    threshold, span, keep_scores,
-                )
-                if error is not None:
-                    outcome, detail, payload = "corrupt", error, None
-            elapsed = time.monotonic() - t0
-            report.record(chunk, attempt, outcome, elapsed, None, detail)
-            if payload is not None:
-                done[chunk] = payload
-                if store is not None:
-                    store.save_chunk(chunk, payload)
-                break
-            outcomes.append(outcome)
-            if len(outcomes) > policy.max_retries:
-                raise _Exhausted(
-                    f"chunk {chunk} exhausted its retry budget "
-                    f"({len(outcomes)} failures: {', '.join(outcomes)})",
-                    ChunkFailedError(chunk, outcomes),
-                )
-            report.retries += 1
-            time.sleep(policy.delay(len(outcomes), rng))
-
-
-def _degraded_completion(
-    database,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    span: int,
-    bounds: Sequence[Tuple[int, int]],
-    store: Optional[CheckpointStore],
-    report: ScanReport,
-    done: Dict[int, ChunkPayload],
-) -> None:
-    """Finish the remaining chunks with the pristine in-process engine.
-
-    Fault injection does not apply here — degradation *is* the escape
-    hatch.  A sanity failure on this path means the scan itself is broken,
-    which is fatal.
-    """
-    for chunk, (start, stop) in enumerate(bounds):
-        if chunk in done:
-            continue
-        t0 = time.monotonic()
-        payload = _score_chunk_span(
-            database.buffer, database.lengths, database.byte_offsets,
-            instructions, threshold, engine, keep_scores, start, stop,
-        )
-        error = check_chunk_payload(
-            payload, start, stop, database.lengths, threshold, span, keep_scores
-        )
-        if error is not None:
-            raise CorruptResultError(chunk, 0, f"degraded serial scan: {error}")
-        report.record(chunk, 0, "ok", time.monotonic() - t0, None, "degraded serial")
-        report.chunks_degraded += 1
-        done[chunk] = payload
-        if store is not None:
-            store.save_chunk(chunk, payload)
-
-
-# -- public entry point --------------------------------------------------------
-
-
-def supervised_scan(
-    encoded,
-    database,
-    *,
-    threshold: int,
-    engine: str,
-    keep_scores: bool = False,
-    workers: Optional[int] = 1,
-    chunk_size: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-) -> ScanOutcome:
-    """Run a chunked scan under supervision; return results and a report.
-
-    ``encoded`` is an :class:`repro.core.encoding.EncodedQuery`,
-    ``database`` a :class:`repro.host.scan.PackedDatabase`, ``threshold``
-    already resolved to an absolute score.  Unlike the plain fast path,
-    ``workers`` is honoured literally (no small-database serial gate), so
-    fault injection exercises real worker processes even on test-sized
-    inputs.  Raises a :class:`repro.host.errors.ScanError` subclass on
-    fatal conditions; completes with ``report.degraded`` set when the
-    policy allows degradation instead.
-    """
-    from repro.host.scan import chunk_bounds, resolve_chunk_size, resolve_workers
-
-    policy = policy or RetryPolicy()
-    num_workers = resolve_workers(workers)
-    size = resolve_chunk_size(database.num_references, num_workers, chunk_size)
-    bounds = chunk_bounds(database.num_references, size) if database.num_references else []
-    instructions = encoded.as_array()
-    span = len(encoded)
-
-    report = ScanReport(
-        workers=num_workers,
-        chunk_size=size,
-        chunks_total=len(bounds),
-        engine=engine,
-        threshold=threshold,
-    )
-
-    stage_seconds: Dict[str, float] = {}
-    store: Optional[CheckpointStore] = None
-    done: Dict[int, ChunkPayload] = {}
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        report.checkpoint_dir = str(store.directory)
-        report.resumed = bool(resume)
-        with _obs_profile.stage(
-            "scan.checkpoint_load", category="scan"
-        ) as load_timer:
-            fingerprint = scan_fingerprint(
-                database, instructions, threshold, engine, keep_scores, size
-            )
-            loaded = store.prepare(fingerprint, len(bounds), size, resume)
-            # Never trust disk blindly: a checkpoint chunk must pass the same
-            # sanity check a worker result does, or it gets rescanned.
-            for chunk, payload in loaded.items():
-                start, stop = bounds[chunk]
-                if (
-                    check_chunk_payload(
-                        payload, start, stop, database.lengths,
-                        threshold, span, keep_scores,
-                    )
-                    is None
-                ):
-                    done[chunk] = payload
-        stage_seconds["checkpoint_load"] = load_timer.seconds
-        report.chunks_from_checkpoint = len(done)
-
-    started = time.monotonic()
-    execute_timer: Optional[_obs_profile.StageTimer] = None
-    try:
-        if len(done) < len(bounds):
-            with _obs_profile.stage("scan.execute", category="scan") as timer:
-                execute_timer = timer
-                if num_workers > 1:
-                    report.mode = "parallel"
-                    supervisor = _Supervisor(
-                        database, instructions, threshold, engine, keep_scores,
-                        span, num_workers, bounds, policy, faults, store, report,
-                        done,
-                    )
-                    try:
-                        supervisor.run()
-                    except (ImportError, OSError, PermissionError):
-                        # Restricted environments (no /dev/shm, no fork): the
-                        # supervised serial path provides the same guarantees.
-                        report.mode = "serial"
-                        _serial_supervised(
-                            database, instructions, threshold, engine,
-                            keep_scores, span, bounds, policy, faults, store,
-                            report, done,
-                        )
-                else:
-                    report.mode = "serial"
-                    _serial_supervised(
-                        database, instructions, threshold, engine, keep_scores,
-                        span, bounds, policy, faults, store, report, done,
-                    )
-    except _Exhausted as exhausted:
-        if not policy.degrade:
-            raise exhausted.error from None
-        report.degraded = True
-        report.degraded_reason = exhausted.reason
-        with _obs_profile.stage("scan.degraded", category="scan") as degraded_timer:
-            _degraded_completion(
-                database, instructions, threshold, engine, keep_scores,
-                span, bounds, store, report, done,
-            )
-        stage_seconds["degraded"] = degraded_timer.seconds
-    if execute_timer is not None:
-        stage_seconds["execute"] = execute_timer.seconds
-    report.chunks_completed = len(done)
-    report.elapsed_seconds = time.monotonic() - started
-
-    from repro.host.scan import _build_result
-
-    results: List[Any] = []
-    with _obs_profile.stage("scan.merge", category="scan") as merge_timer:
-        for chunk in range(len(bounds)):
-            for index, positions, hit_scores, scores, length in done[chunk]:
-                results.append(
-                    _build_result(
-                        encoded, database.names[index], length, threshold,
-                        positions, hit_scores, scores,
-                    )
-                )
-    stage_seconds["merge"] = merge_timer.seconds
-    report.metrics["stage_seconds"] = {
-        name: round(seconds, 6) for name, seconds in stage_seconds.items()
-    }
-    if store is not None:
-        report.metrics["checkpoint"] = {
-            "chunks_written": store.chunks_written,
-            "bytes_written": store.bytes_written,
-        }
-    if report.mode == "parallel":
-        report.metrics["shared_memory_bytes"] = int(database.packed_bytes)
-    _obs_profile.record_scan_report_counters(
-        report.retries, report.hedges, report.respawns, report.degraded
-    )
-    return ScanOutcome(results=results, report=report)

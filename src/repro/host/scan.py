@@ -1,4 +1,4 @@
-"""Chunked, multi-process database scan over shared-memory packed references.
+"""Packed database image, its shared-memory lifecycle, and the one-shot scan.
 
 The paper's host program keeps the database resident in FPGA DRAM as a dense
 2-bit array and streams it through parallel kernel instances; the software
@@ -8,65 +8,43 @@ worker processes:
 * :class:`PackedDatabase` packs every reference once (2 bits/nt, the FabP
   DRAM layout from :mod:`repro.seq.packing`) into a single byte buffer with
   an offset table — the in-memory database image;
-* :func:`scan_database` splits the reference list into chunks, publishes the
-  packed image in a :class:`multiprocessing.shared_memory.SharedMemory`
-  segment (workers attach zero-copy; nothing is pickled per task beyond the
-  chunk bounds), scores each chunk with the selected engine, thresholds
-  worker-side so only hits travel back, and merges results in input order;
-* ``workers`` / ``chunk_size`` are the scaling knobs; ``workers <= 1`` (or a
-  tiny database) runs serially in-process, so the scanner degrades cleanly
-  on single-core machines and under restricted multiprocessing.
-
-Results are plain :class:`repro.core.aligner.AlignmentResult` objects, so a
-parallel scan is a drop-in replacement for the serial ``search_database``.
+* :func:`publish_segment` / :func:`retire_segment` own that image's
+  ``/dev/shm`` lifecycle, with ``atexit`` and SIGTERM sweeps so a crashed
+  scan never leaks a segment;
+* :func:`scan_database` is a one-shot
+  :class:`repro.host.scan_session.ScanSession`: it opens a session over
+  the references, scans one query under the task supervisor of
+  :mod:`repro.host.resilience`, and closes it.  Results come back in input
+  order as plain :class:`repro.core.aligner.AlignmentResult` objects, so a
+  scan is a drop-in replacement for the serial ``search_database``.
 """
 
 from __future__ import annotations
 
 import atexit
-import json
 import os
-import pathlib
 import signal
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.aligner import (
-    DEFAULT_ENGINE,
     AlignmentResult,
     Hit,
     QueryLike,
     ReferenceLike,
     iter_reference_codes,
-    resolve_threshold,
-    scores_from_codes,
 )
-from repro.core.encoding import EncodedQuery, encode_query
-from repro.host import windows as _windows
+from repro.core.encoding import EncodedQuery
 from repro.obs import profile as _obs_profile
-from repro.obs import state as _obs_state
 from repro.seq import packing
 
-#: Default references per work item (small enough to load-balance, large
-#: enough that task dispatch does not dominate).  Used by the supervised
-#: runtime, whose retry/checkpoint granule is a reference chunk.
-DEFAULT_CHUNK_SIZE = 8
-
-#: Fallback serial/parallel cutover: databases smaller than this many
-#: nucleotides are scanned serially even when workers are requested — pool
-#: startup would cost more than the scan.  Used only when no committed
-#: benchmark baseline is available; see :func:`parallel_cutover_nucleotides`.
-MIN_PARALLEL_NUCLEOTIDES = 1 << 18
-
-#: Bounds on the baseline-derived cutover, so a noisy or degenerate
-#: benchmark artifact can never disable parallelism (or force it on for
-#: trivially small scans).
-CUTOVER_FLOOR = 1 << 15
-CUTOVER_CEILING = 1 << 24
+#: Engine every runtime sweeps with unless told otherwise: the batched
+#: kernel shares the reference stream *and* the comparator bitplanes across
+#: every co-resident query (bit-identical scores to any other engine).
+SESSION_ENGINE = "bitscore_batch"
 
 
 @dataclass(frozen=True)
@@ -266,131 +244,6 @@ def retire_segment(segment) -> bool:
     return True
 
 
-# -- worker side ---------------------------------------------------------------
-
-# One scan job's context, installed by the pool initializer.  With the fork
-# start method the arrays arrive copy-on-write; the packed buffer itself is
-# always read through the shared-memory segment.
-_WORKER: dict = {}
-
-
-def _worker_init(
-    shm_name: str,
-    packed_bytes: int,
-    lengths: np.ndarray,
-    byte_offsets: np.ndarray,
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-) -> None:
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=shm_name)
-    _WORKER["segment"] = segment
-    _WORKER["buffer"] = np.frombuffer(segment.buf, dtype=np.uint8, count=packed_bytes)
-    _WORKER["lengths"] = lengths
-    _WORKER["byte_offsets"] = byte_offsets
-    _WORKER["instructions"] = instructions
-    _WORKER["threshold"] = threshold
-    _WORKER["engine"] = engine
-    _WORKER["keep_scores"] = keep_scores
-    _WORKER["span"] = int(instructions.size)
-
-
-def _scan_reference_codes(
-    instructions: np.ndarray,
-    codes: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int]:
-    """Score one reference; return (positions, hit_scores, scores?, length)."""
-    scores = scores_from_codes(instructions, codes, engine)
-    positions = np.nonzero(scores >= threshold)[0]
-    return (
-        positions.astype(np.int64),
-        scores[positions],
-        scores if keep_scores else None,
-        int(codes.size),
-    )
-
-
-def _scan_chunk(
-    bounds: Tuple[int, int]
-) -> List[Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray], int]]:
-    """Pool task: scan references ``[start, stop)`` of the shared image."""
-    start, stop = bounds
-    buffer = _WORKER["buffer"]
-    lengths = _WORKER["lengths"]
-    byte_offsets = _WORKER["byte_offsets"]
-    out = []
-    for index in range(start, stop):
-        codes = packing.unpack(
-            buffer[int(byte_offsets[index]) : int(byte_offsets[index + 1])],
-            int(lengths[index]),
-        )
-        positions, hit_scores, scores, length = _scan_reference_codes(
-            _WORKER["instructions"],
-            codes,
-            _WORKER["threshold"],
-            _WORKER["engine"],
-            _WORKER["keep_scores"],
-        )
-        out.append((index, positions, hit_scores, scores, length))
-    return out
-
-
-def _score_window(
-    buffer: np.ndarray,
-    byte_base: int,
-    length: int,
-    window: "_windows.Window",
-    instructions: np.ndarray,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-) -> "_windows.WindowRecord":
-    """Score one window; return its :data:`repro.host.windows.WindowRecord`."""
-    codes, lookback = _windows.window_codes(
-        buffer, byte_base, length, window.start, window.stop, int(instructions.size)
-    )
-    scores = scores_from_codes(instructions, codes, engine)
-    wanted = scores[lookback : lookback + window.positions]
-    hits_local = np.nonzero(wanted >= threshold)[0]
-    return (
-        window.reference,
-        window.start,
-        hits_local.astype(np.int64),
-        wanted[hits_local],
-        wanted if keep_scores else None,
-    )
-
-
-def _scan_window_chunk(
-    chunk: Sequence[Tuple[int, int, int]]
-) -> List["_windows.WindowRecord"]:
-    """Pool task: score a list of ``(reference, start, stop)`` windows."""
-    buffer = _WORKER["buffer"]
-    lengths = _WORKER["lengths"]
-    byte_offsets = _WORKER["byte_offsets"]
-    out: List["_windows.WindowRecord"] = []
-    for reference, start, stop in chunk:
-        out.append(
-            _score_window(
-                buffer,
-                int(byte_offsets[reference]),
-                int(lengths[reference]),
-                _windows.Window(reference, start, stop),
-                _WORKER["instructions"],
-                _WORKER["threshold"],
-                _WORKER["engine"],
-                _WORKER["keep_scores"],
-            )
-        )
-    return out
-
-
 # -- driver side ---------------------------------------------------------------
 
 
@@ -403,84 +256,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return max(1, workers)
 
 
-def _baseline_artifact_path() -> pathlib.Path:
-    """The committed benchmark baseline this checkout carries (if any)."""
-    root = pathlib.Path(__file__).resolve().parents[3]
-    return root / "benchmarks" / "baselines" / "BENCH_scoring.json"
-
-
-def derive_cutover(payload: dict) -> Optional[int]:
-    """Derive the serial/parallel cutover (nt) from a benchmark artifact.
-
-    The artifact carries two serial/parallel wall-time pairs at different
-    database sizes: ``parallel-scan-small`` (workers 1 and 2, parallelism
-    forced) and ``parallel-scan`` (workers 1 and 2) on the big scan
-    workload.  Modeling the parallel overhead ``wall_parallel -
-    wall_serial`` as linear in database size, the cutover is the size at
-    which that difference crosses zero — below it the fixed pool/segment
-    cost exceeds what two workers save.  Returns ``None`` when the
-    artifact lacks either pair; the result is clamped to
-    ``[CUTOVER_FLOOR, CUTOVER_CEILING]``.
-    """
-
-    def _pair(engine: str) -> Optional[Tuple[float, float, float]]:
-        serial = parallel = size = None
-        for record in payload.get("records", []):
-            if record.get("engine") != engine:
-                continue
-            if record.get("workers") == 1:
-                serial = float(record["wall_s"])
-                size = float(record["L_r"])
-            elif record.get("workers") == 2:
-                parallel = float(record["wall_s"])
-        if serial is None or parallel is None or size is None:
-            return None
-        return size, serial, parallel
-
-    small = _pair("parallel-scan-small")
-    big = _pair("parallel-scan")
-    if small is None or big is None:
-        return None
-    small_size, small_serial, small_parallel = small
-    big_size, big_serial, big_parallel = big
-    d_small = small_parallel - small_serial
-    d_big = big_parallel - big_serial
-    if d_small <= 0:
-        # Parallel already wins at the small size: cutover is the floor.
-        return CUTOVER_FLOOR
-    if d_big >= 0 or big_size <= small_size:
-        # Parallel never measured faster (e.g. a single-core recording
-        # machine): no crossover exists, keep the conservative default.
-        return None
-    crossover = small_size + (big_size - small_size) * d_small / (d_small - d_big)
-    return int(max(CUTOVER_FLOOR, min(CUTOVER_CEILING, crossover)))
-
-
-@lru_cache(maxsize=1)
-def _derived_cutover() -> Optional[int]:
-    """Read the committed baseline once per process; derive the cutover."""
-    try:
-        payload = json.loads(_baseline_artifact_path().read_text())
-    except (OSError, ValueError):
-        return None
-    return derive_cutover(payload)
-
-
-def parallel_cutover_nucleotides() -> int:
-    """Databases below this many nucleotides scan serially by default.
-
-    Derived from the committed benchmark baseline
-    (``benchmarks/baselines/BENCH_scoring.json``) via :func:`derive_cutover`
-    so the threshold tracks measured pool overhead on the recorded machine
-    rather than a guess; falls back to the (monkeypatchable)
-    :data:`MIN_PARALLEL_NUCLEOTIDES` when the artifact is missing,
-    predates the small-scan records, or records no serial/parallel
-    crossover at all.
-    """
-    derived = _derived_cutover()
-    return MIN_PARALLEL_NUCLEOTIDES if derived is None else derived
-
-
 def chunk_bounds(num_references: int, chunk_size: int) -> List[Tuple[int, int]]:
     """Split ``range(num_references)`` into ``[start, stop)`` chunks."""
     if chunk_size < 1:
@@ -489,25 +264,6 @@ def chunk_bounds(num_references: int, chunk_size: int) -> List[Tuple[int, int]]:
         (start, min(start + chunk_size, num_references))
         for start in range(0, num_references, chunk_size)
     ]
-
-
-def resolve_chunk_size(
-    num_references: int, num_workers: int, chunk_size: Optional[int]
-) -> int:
-    """The references-per-chunk actually used for a scan.
-
-    An explicit ``chunk_size`` wins; otherwise chunks are the default size,
-    shrunk so every worker gets at least one chunk.  Shared by the plain
-    scan, the supervised runtime, and the CLI (which needs the chunk count
-    up front to size fault plans and checkpoints).
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        return chunk_size
-    if num_references <= 0:
-        return DEFAULT_CHUNK_SIZE
-    return max(1, min(DEFAULT_CHUNK_SIZE, -(-num_references // max(1, num_workers))))
 
 
 def _build_result(
@@ -532,35 +288,13 @@ def _build_result(
     )
 
 
-def _serial_scan(
-    encoded: EncodedQuery,
-    database: PackedDatabase,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-) -> List[AlignmentResult]:
-    instructions = encoded.as_array()
-    results = []
-    for index in range(database.num_references):
-        positions, hit_scores, scores, length = _scan_reference_codes(
-            instructions, database.reference_codes(index), threshold, engine, keep_scores
-        )
-        results.append(
-            _build_result(
-                encoded, database.names[index], length, threshold,
-                positions, hit_scores, scores,
-            )
-        )
-    return results
-
-
 def scan_database(
     query: QueryLike,
     references: object,
     *,
     threshold: Optional[int] = None,
     min_identity: Optional[float] = None,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = SESSION_ENGINE,
     workers: Optional[int] = 1,
     chunk_size: Optional[int] = None,
     keep_scores: bool = False,
@@ -569,168 +303,44 @@ def scan_database(
     checkpoint_dir: object = None,
     resume: bool = False,
     with_report: bool = False,
-    parallel_threshold: Optional[int] = None,
 ) -> Union[List[AlignmentResult], Tuple[List[AlignmentResult], object]]:
-    """Scan one query over a database, optionally across worker processes.
+    """Scan one query over a database under the task supervisor.
 
     ``references`` is any iterable the aligner accepts (strings, sequence
     objects, pre-packed 2-bit code arrays) or a ready
     :class:`PackedDatabase`.  Results come back in input order regardless
     of which worker finished first.  ``workers=None`` uses every CPU;
-    ``workers <= 1`` or a small database scans serially in-process.
+    ``workers <= 1`` scans in-process.  The pool starts only when the
+    plan has more than one task.
 
-    Parallel work is split into position-balanced reference *windows*
+    Tasks are position-balanced reference *windows*
     (:mod:`repro.host.windows`), so a single long reference parallelizes
-    as well as many uniform ones and the merged results — hits and
+    as well as many uniform ones; with an explicit ``chunk_size`` they are
+    whole-reference chunks instead (task *i* = references ``[i *
+    chunk_size, (i + 1) * chunk_size)``), the granule fault plans and
+    checkpoints are keyed on.  Either way the merged results — hits and
     ``keep_scores`` vectors alike — are bit-identical to a serial scan.
-    ``parallel_threshold`` overrides the serial/parallel cutover in
-    nucleotides (``0`` forces the parallel path; by default the cutover is
-    derived from the committed bench baseline, see
-    :func:`parallel_cutover_nucleotides`).
 
     Robustness (see :mod:`repro.host.resilience` and
-    ``docs/robustness.md``): passing any of ``policy`` (a
+    ``docs/robustness.md``): ``policy`` (a
     :class:`~repro.host.resilience.RetryPolicy`), ``faults`` (a
-    :class:`~repro.host.faults.FaultPlan`), ``checkpoint_dir``, ``resume``
-    or ``with_report=True`` routes the scan through the supervised runtime
-    — per-chunk timeout/retry/backoff, dead-worker replacement, durable
-    checkpointing — which honours ``workers`` literally (no small-database
-    gate).  With ``with_report=True`` the return value is
-    ``(results, ScanReport)``.
+    :class:`~repro.host.faults.FaultPlan`), ``checkpoint_dir`` and
+    ``resume`` configure per-task timeout/retry/backoff, dead-worker
+    replacement and durable checkpointing.  With ``with_report=True`` the
+    return value is ``(results, ScanReport)``.
     """
-    encoded = query if isinstance(query, EncodedQuery) else encode_query(query)
-    resolved = resolve_threshold(encoded, threshold, min_identity)
-    database = (
-        references
-        if isinstance(references, PackedDatabase)
-        else PackedDatabase.from_references(references)  # type: ignore[arg-type]
-    )
-    supervised = (
-        policy is not None
-        or faults is not None
-        or checkpoint_dir is not None
-        or resume
-        or with_report
-    )
-    if supervised:
-        from repro.host.resilience import supervised_scan
+    from repro.host.scan_session import ScanSession
 
-        outcome = supervised_scan(
-            encoded,
-            database,
-            threshold=resolved,
-            engine=engine,
+    with ScanSession(references, engine=engine, workers=workers) as session:  # type: ignore[arg-type]
+        return session.scan(
+            query,
+            threshold=threshold,
+            min_identity=min_identity,
             keep_scores=keep_scores,
-            workers=workers,
             chunk_size=chunk_size,
-            policy=policy,  # type: ignore[arg-type]
-            faults=faults,  # type: ignore[arg-type]
+            policy=policy,
+            faults=faults,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
+            with_report=with_report,
         )
-        if with_report:
-            return outcome.results, outcome.report
-        return outcome.results
-    num_workers = resolve_workers(workers)
-    cutover = (
-        parallel_cutover_nucleotides()
-        if parallel_threshold is None
-        else max(0, int(parallel_threshold))
-    )
-    span = len(encoded)
-    chunks = (
-        _windows.plan_windows(database.lengths.tolist(), span, num_workers)
-        if num_workers > 1
-        else []
-    )
-    if (
-        num_workers <= 1
-        or len(chunks) <= 1
-        or database.total_nucleotides < cutover
-    ):
-        with _obs_profile.stage("scan.score", category="scan", mode="serial"):
-            results_serial = _serial_scan(
-                encoded, database, resolved, engine, keep_scores
-            )
-        _record_scan_totals(results_serial)
-        return results_serial
-    try:
-        with _obs_profile.stage(
-            "scan.score", category="scan", mode="parallel", workers=num_workers
-        ):
-            records = _parallel_scan(
-                encoded, database, resolved, engine, keep_scores, num_workers, chunks
-            )
-    except (ImportError, OSError, PermissionError):
-        # Restricted environments (no /dev/shm, no fork) fall back cleanly.
-        with _obs_profile.stage("scan.score", category="scan", mode="serial"):
-            results_serial = _serial_scan(
-                encoded, database, resolved, engine, keep_scores
-            )
-        _record_scan_totals(results_serial)
-        return results_serial
-    with _obs_profile.stage("scan.merge", category="scan"):
-        per_reference = _windows.merge_window_records(
-            records, database.lengths.tolist(), span, keep_scores
-        )
-        results = [
-            _build_result(
-                encoded, database.names[index], length, resolved,
-                positions, hit_scores, scores,
-            )
-            for index, (positions, hit_scores, scores, length) in enumerate(
-                per_reference
-            )
-        ]
-    _record_scan_totals(results)
-    return results
-
-
-def _record_scan_totals(results: Sequence[AlignmentResult]) -> None:
-    """Feed post-merge reference/hit totals to the metrics registry."""
-    if not _obs_state.enabled():
-        return
-    _obs_profile.record_scan_merge(
-        len(results), sum(len(r.hits) for r in results)
-    )
-
-
-def _parallel_scan(
-    encoded: EncodedQuery,
-    database: PackedDatabase,
-    threshold: int,
-    engine: str,
-    keep_scores: bool,
-    num_workers: int,
-    chunks: Sequence[Sequence["_windows.Window"]],
-) -> List["_windows.WindowRecord"]:
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        context = multiprocessing.get_context()
-    segment = publish_segment(database.buffer)
-    try:
-        init_args = (
-            segment.name,
-            database.packed_bytes,
-            database.lengths,
-            database.byte_offsets,
-            encoded.as_array(),
-            threshold,
-            engine,
-            keep_scores,
-        )
-        tasks = [
-            [(w.reference, w.start, w.stop) for w in chunk] for chunk in chunks
-        ]
-        with context.Pool(
-            processes=min(num_workers, len(tasks)),
-            initializer=_worker_init,
-            initargs=init_args,
-        ) as pool:
-            chunk_results = pool.map(_scan_window_chunk, tasks, chunksize=1)
-    finally:
-        retire_segment(segment)
-    return [record for chunk in chunk_results for record in chunk]

@@ -1,14 +1,13 @@
 """Warm scan runtime: one resident database image, many supervised scans.
 
-:func:`repro.host.scan.scan_database` pays its fixed costs — packing the
-references, publishing the shared-memory image, forking the worker pool —
-on every call.  For the interactive / server use case (one database, a
-stream of queries) those costs dominate: the paper's host keeps the
-database resident in FPGA DRAM across searches, and :class:`ScanSession`
-is the software counterpart:
+The paper's host keeps the database resident in FPGA DRAM across
+searches; :class:`ScanSession` is the software counterpart, and the one
+runtime every scan path goes through (:func:`repro.host.scan.scan_database`
+is a session opened for a single call):
 
-* the database is packed and published in shared memory **once**, at
-  session open; worker processes attach at spawn and stay resident;
+* the database is packed once, at session open; the first call whose plan
+  has more than one task publishes it in shared memory and starts the
+  worker pool, and both then stay resident until :meth:`ScanSession.close`;
 * every :meth:`ScanSession.scan` / :meth:`ScanSession.scan_batch` call
   reuses the warm pool — no fork, no image copy, no re-pack;
 * a batch of *k* queries is grouped into shared passes (the software
@@ -19,32 +18,30 @@ is the software counterpart:
   pass**, scoring all co-resident queries against the same unpacked slice
   (the default ``bitscore_batch`` engine additionally shares the
   comparator bitplanes across the batch);
-* execution is supervised in the :mod:`repro.host.resilience` mold —
-  per-task timeout, bounded retries with backoff, dead-worker replacement,
-  hedged stragglers, per-task sanity checks, optional durable
-  checkpointing, graceful degradation to the in-process engine — and each
-  batch returns a :class:`repro.host.resilience.ScanReport` on request;
+* each pass becomes :class:`WindowTask` work items run by the
+  :class:`repro.host.resilience.Supervisor` — per-task timeout, bounded
+  retries with backoff, dead-worker replacement, hedged stragglers,
+  per-task sanity checks, fault injection, durable checkpointing, graceful
+  degradation — and each batch returns a
+  :class:`repro.host.resilience.ScanReport` on request;
 * :meth:`ScanSession.close` (or the context manager) tears everything
   down; the segment is registered with the :mod:`repro.host.scan` cleanup
   sweeps, so even a crashed session cannot leak ``/dev/shm``.
 
 Work is split into the position-balanced windows of
-:mod:`repro.host.windows`; a pass's windows are planned with the *shortest*
-member's span (every co-resident query has at least those positions) and
-scored with the *longest* member's halo, then clipped per query, so the
-merged hits and ``keep_scores`` vectors are bit-identical to scanning each
-query alone.
+:mod:`repro.host.windows` (or, with an explicit ``chunk_size``, into
+whole-reference chunks from :func:`repro.host.scan.chunk_bounds`); a
+pass's windows are planned with the *shortest* member's span (every
+co-resident query has at least those positions) and scored with the
+*longest* member's halo, then clipped per query, so the merged hits and
+``keep_scores`` vectors are bit-identical to scanning each query alone.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import random
 import time
-import zipfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,27 +54,26 @@ from repro.core.aligner import (
 )
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.host import windows as _windows
-from repro.host.checkpoint import CheckpointStore
-from repro.host.errors import (
-    ChunkFailedError,
-    CorruptResultError,
-    PoolUnhealthyError,
-    ScanError,
+from repro.host.checkpoint import CheckpointStore, scan_fingerprint
+from repro.host.errors import ScanError
+from repro.host.resilience import (
+    RetryPolicy,
+    ScanReport,
+    SharedImage,
+    Supervisor,
+    WorkerPool,
 )
-from repro.host.resilience import RetryPolicy, ScanReport
 from repro.host.scan import (
+    SESSION_ENGINE,
     PackedDatabase,
     _build_result,
+    chunk_bounds,
     publish_segment,
     resolve_workers,
     retire_segment,
 )
 from repro.obs import profile as _obs_profile
-
-#: Engine a session sweeps with unless told otherwise: the batched kernel
-#: shares the reference stream *and* the comparator bitplanes across every
-#: co-resident query (bit-identical scores to any other engine).
-SESSION_ENGINE = "bitscore_batch"
+from repro.obs import state as _obs_state
 
 #: Most queries sharing one software pass.  Bounds the per-window working
 #: set (k score vectors plus the shared shift table) and the size of a
@@ -91,13 +87,14 @@ MAX_QUERIES_PER_PASS = 16
 MAX_PASS_SPAN_RATIO = 2.0
 
 __all__ = [
+    "SESSION_ENGINE",
     "ScanSession",
     "SessionRecord",
     "SessionPayload",
-    "SessionCheckpointStore",
-    "check_session_payload",
+    "WindowTask",
+    "check_records",
+    "plan_batch",
     "resolve_batch_thresholds",
-    "session_fingerprint",
 ]
 
 
@@ -133,9 +130,12 @@ def resolve_batch_thresholds(
 #: is the query's index *within its pass*; hit positions are local to the
 #: window.  A task payload lists every window's cells query-major within
 #: the window: record ``j * k + slot`` belongs to window ``j``, slot
-#: ``slot``.
+#: ``slot``.  This is also the one checkpoint record format.
 SessionRecord = Tuple[int, int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]
 SessionPayload = List[SessionRecord]
+
+#: ``(reference, start, stop)``: alignment positions ``[start, stop)``.
+WindowSpan = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -151,76 +151,21 @@ class _PassSpec:
     max_span: int
 
 
-@dataclass(frozen=True)
-class _TaskSpec:
-    """One supervised work item: a chunk of windows of one pass."""
-
-    task_id: int
-    pass_id: int
-    windows: Tuple[Tuple[int, int, int], ...]  # (reference, start, stop)
-
-
-# -- scoring core (shared by workers, serial mode, degraded fallback) ----------
-
-
-def _score_session_windows(
-    buffer: np.ndarray,
-    lengths: np.ndarray,
-    byte_offsets: np.ndarray,
-    window_list: Sequence[Tuple[int, int, int]],
-    arrays: Sequence[np.ndarray],
-    thresholds: Sequence[int],
-    engine: str,
-    keep_scores: bool,
-) -> SessionPayload:
-    """Score every (window, query) cell of one task; one sweep per window.
-
-    Each window is unpacked once with the *longest* query's forward halo
-    and swept once for the whole batch; shorter queries' extra trailing
-    positions are clipped to their own position count, so every kept slice
-    matches a solo scan of that query bit for bit.
-    """
-    spans = [int(a.size) for a in arrays]
-    max_span = max(spans)
-    payload: SessionPayload = []
-    for reference, start, stop in window_list:
-        length = int(lengths[reference])
-        codes, lookback = _windows.window_codes(
-            buffer, int(byte_offsets[reference]), length, start, stop, max_span
-        )
-        scores_list = scores_batch_from_codes(list(arrays), codes, engine)
-        for slot, scores in enumerate(scores_list):
-            stop_q = min(stop, _windows.num_positions(length, spans[slot]))
-            count = max(0, stop_q - start)
-            wanted = scores[lookback : lookback + count]
-            hits_local = np.nonzero(wanted >= thresholds[slot])[0]
-            payload.append(
-                (
-                    slot,
-                    reference,
-                    start,
-                    hits_local.astype(np.int64),
-                    wanted[hits_local],
-                    wanted if keep_scores else None,
-                )
-            )
-    return payload
-
-
-def check_session_payload(
+def check_records(
     payload: SessionPayload,
-    window_list: Sequence[Tuple[int, int, int]],
+    window_list: Sequence[WindowSpan],
     spans: Sequence[int],
     thresholds: Sequence[int],
     lengths: np.ndarray,
     keep_scores: bool,
 ) -> Optional[str]:
-    """Cheap structural validation of one session task result.
+    """Cheap structural validation of one task's records.
 
-    The session analogue of
-    :func:`repro.host.resilience.check_chunk_payload`: returns ``None``
-    when the payload is sane, else a human-readable reason.  Corrupt
-    worker results are retried, never merged.
+    Returns ``None`` when the payload is sane, else a human-readable
+    reason.  This is what turns a corrupt worker result (or a torn
+    checkpoint file) into a retry instead of silently wrong output: every
+    invariant checked here is one the honest scoring code upholds by
+    construction.
     """
     k = len(spans)
     if not isinstance(payload, list):
@@ -277,185 +222,133 @@ def check_session_payload(
     return None
 
 
-# -- durable checkpointing -----------------------------------------------------
+@dataclass(frozen=True)
+class WindowTask:
+    """One supervised work item: a chunk of windows of one pass.
 
-
-class SessionCheckpointStore(CheckpointStore):
-    """Checkpoint layout for session tasks.
-
-    The base store keys arrays by reference index, which is ambiguous here
-    — one task holds many (window x query) cells that may share a
-    reference — so chunk files carry a ``meta`` table (slot, reference,
-    start, has-scores flag) plus arrays keyed by record position.  The
-    manifest/``prepare`` machinery (fingerprint match, stale-file sweep,
-    atomic writes) is inherited unchanged.
+    Self-contained — it carries its pass's queries, thresholds and engine
+    — so a resident worker can run it with nothing installed per call.
     """
 
-    def save_chunk(self, chunk: int, payload: SessionPayload) -> None:
-        meta = np.asarray(
-            [
-                [rec[0], rec[1], rec[2], 0 if rec[5] is None else 1]
-                for rec in payload
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        arrays: Dict[str, np.ndarray] = {"meta": meta}
-        for i, (_slot, _reference, _start, hits, hit_scores, scores) in enumerate(
-            payload
-        ):
-            arrays[f"pos_{i}"] = hits
-            arrays[f"hs_{i}"] = hit_scores
-            if scores is not None:
-                arrays[f"sc_{i}"] = scores
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.chunk_path(chunk)
-        tmp = path.with_suffix(".npz.tmp")
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        num_bytes = tmp.stat().st_size
-        os.replace(tmp, path)
-        self.chunks_written += 1
-        self.bytes_written += num_bytes
-        _obs_profile.record_checkpoint_chunk(num_bytes)
+    pass_id: int
+    windows: Tuple[WindowSpan, ...]
+    arrays: Tuple[np.ndarray, ...]
+    thresholds: Tuple[int, ...]
+    engine: str
+    keep_scores: bool
 
-    def load_chunk(self, chunk: int) -> Optional[SessionPayload]:
-        path = self.chunk_path(chunk)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path) as data:
-                payload: SessionPayload = []
-                for i, (slot, reference, start, has_scores) in enumerate(
-                    data["meta"].tolist()
-                ):
-                    scores = data[f"sc_{i}"] if has_scores else None
-                    payload.append(
-                        (
-                            int(slot),
-                            int(reference),
-                            int(start),
-                            data[f"pos_{i}"],
-                            data[f"hs_{i}"],
-                            scores,
-                        )
-                    )
-                return payload
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-            # A kill mid-write or disk corruption: rescan this task.
-            return None
+    def run(self, database: PackedDatabase, attempt: int) -> SessionPayload:
+        """Score every (window, query) cell; one sweep per window.
 
-
-def session_fingerprint(
-    database: PackedDatabase,
-    passes: Sequence[_PassSpec],
-    tasks: Sequence[_TaskSpec],
-    engine: str,
-    keep_scores: bool,
-) -> str:
-    """SHA-256 over everything that determines one batch call's results.
-
-    Covers the database image, every pass's queries and thresholds, the
-    engine/``keep_scores`` configuration, *and* the task/window layout —
-    task files are keyed by task id, so resuming against a different
-    window plan must be refused, not silently mixed.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"fabp-session-v1")
-    digest.update(f"|e={engine}|k={int(keep_scores)}".encode())
-    digest.update(f"|n={database.num_references}".encode())
-    digest.update("\x00".join(database.names).encode())
-    digest.update(np.ascontiguousarray(database.lengths).tobytes())
-    digest.update(np.ascontiguousarray(database.buffer).tobytes())
-    for spec in passes:
-        digest.update(f"|p={spec.pass_id}".encode())
-        for array, threshold in zip(spec.arrays, spec.thresholds):
-            digest.update(np.ascontiguousarray(array, dtype=np.uint8).tobytes())
-            digest.update(f"|t={threshold}".encode())
-    for task in tasks:
-        digest.update(f"|c={task.task_id}:{task.pass_id}".encode())
-        for reference, start, stop in task.windows:
-            digest.update(f"|w={reference},{start},{stop}".encode())
-    return digest.hexdigest()
-
-
-# -- worker process ------------------------------------------------------------
-
-
-def _session_worker_main(
-    conn,
-    shm_name: str,
-    packed_bytes: int,
-    lengths: np.ndarray,
-    byte_offsets: np.ndarray,
-) -> None:
-    """Resident worker loop: attach the shared image once, score tasks.
-
-    Protocol (parent -> worker): ``("task", task_id, attempt, windows,
-    arrays, thresholds, engine, keep_scores)`` or ``("stop",)``.  Worker ->
-    parent: ``("ok", task_id, attempt, payload)`` or ``("err", task_id,
-    attempt, message)``.  Every task message is self-contained, so a
-    respawned or hedged worker needs no per-scan installation step.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.host.resilience import _recv_or_orphaned
-
-    parent_pid = os.getppid()
-    segment = shared_memory.SharedMemory(name=shm_name)
-    buffer: Optional[np.ndarray] = np.frombuffer(
-        segment.buf, dtype=np.uint8, count=packed_bytes
-    )
-    try:
-        while True:
-            message = _recv_or_orphaned(conn, parent_pid)
-            if message[0] == "stop":
-                break
-            _, task_id, attempt, window_list, arrays, thresholds, engine, keep = (
-                message
+        Each window is unpacked once with the *longest* query's forward
+        halo and swept once for the whole pass; shorter queries' extra
+        trailing positions are clipped to their own position count, so
+        every kept slice matches a solo scan of that query bit for bit.
+        """
+        spans = [int(a.size) for a in self.arrays]
+        max_span = max(spans)
+        payload: SessionPayload = []
+        for reference, start, stop in self.windows:
+            length = int(database.lengths[reference])
+            codes, lookback = _windows.window_codes(
+                database.buffer, int(database.byte_offsets[reference]),
+                length, start, stop, max_span,
             )
-            try:
-                payload = _score_session_windows(
-                    buffer, lengths, byte_offsets,
-                    window_list, arrays, thresholds, engine, keep,
+            scores_list = scores_batch_from_codes(list(self.arrays), codes, self.engine)
+            for slot, scores in enumerate(scores_list):
+                stop_q = min(stop, _windows.num_positions(length, spans[slot]))
+                wanted = scores[lookback : lookback + max(0, stop_q - start)]
+                hits_local = np.nonzero(wanted >= self.thresholds[slot])[0]
+                payload.append(
+                    (
+                        slot,
+                        reference,
+                        start,
+                        hits_local.astype(np.int64),
+                        wanted[hits_local],
+                        wanted if self.keep_scores else None,
+                    )
                 )
-            except (ValueError, IndexError) as exc:
-                conn.send(("err", task_id, attempt, str(exc)))
-                continue
-            conn.send(("ok", task_id, attempt, payload))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        # Drop the numpy view first: closing a segment with an exported
-        # buffer pointer raises BufferError at interpreter shutdown.
-        buffer = None  # noqa: F841
-        try:
-            segment.close()
-        except (OSError, BufferError):
-            pass
+        return payload
+
+    def check(self, database: PackedDatabase, payload: Any) -> Optional[str]:
+        return check_records(
+            payload, self.windows, [int(a.size) for a in self.arrays],
+            self.thresholds, database.lengths, self.keep_scores,
+        )
 
 
-class _SessionWorker:
-    """Parent-side view of one resident worker process."""
+def plan_batch(
+    lengths: Iterable[int],
+    encoded: Sequence[EncodedQuery],
+    thresholds: Sequence[int],
+    num_workers: int,
+    *,
+    chunk_size: Optional[int] = None,
+    engine: str = SESSION_ENGINE,
+    keep_scores: bool = False,
+) -> Tuple[List[_PassSpec], List[WindowTask]]:
+    """Group queries into shared passes; split each pass into tasks.
 
-    __slots__ = ("id", "process", "conn", "busy")
-
-    def __init__(self, worker_id: int, process, conn):
-        self.id = worker_id
-        self.process = process
-        self.conn = conn
-        #: ``None`` when idle, else ``(task_id, attempt, started, deadline)``.
-        self.busy: Optional[Tuple[int, int, float, Optional[float]]] = None
-
-
-class _Exhausted(Exception):
-    """Internal: a task ran out of retries or the pool is unhealthy."""
-
-    def __init__(self, reason: str, error: Exception):
-        self.reason = reason
-        self.error = error
-        super().__init__(reason)
+    Grouping follows the *software* batch kernel's economics, not the
+    FPGA lane budget (which admits one long query per pass): any queries
+    can share a sweep, so sort by span descending and first-fit until a
+    pass holds :data:`MAX_QUERIES_PER_PASS` queries or its span spread
+    would exceed :data:`MAX_PASS_SPAN_RATIO`.  Each pass then splits into
+    position-balanced window chunks, or — with an explicit
+    ``chunk_size`` — into whole-reference chunks, task *i* of a pass being
+    references ``[i * chunk_size, (i + 1) * chunk_size)``.  Task ids are
+    list positions.
+    """
+    order = sorted(range(len(encoded)), key=lambda i: -len(encoded[i]))
+    groups: List[List[int]] = []
+    for index in order:
+        span = len(encoded[index])
+        for group in groups:
+            if (
+                len(group) < MAX_QUERIES_PER_PASS
+                and len(encoded[group[0]]) <= span * MAX_PASS_SPAN_RATIO
+            ):
+                group.append(index)
+                break
+        else:
+            groups.append([index])
+    lengths = [int(length) for length in lengths]
+    passes: List[_PassSpec] = []
+    tasks: List[WindowTask] = []
+    for pass_id, group in enumerate(groups):
+        indices = tuple(group)
+        arrays = tuple(encoded[i].as_array() for i in indices)
+        spans = tuple(int(a.size) for a in arrays)
+        pass_thresholds = tuple(int(thresholds[i]) for i in indices)
+        passes.append(
+            _PassSpec(
+                pass_id, indices, arrays, spans, pass_thresholds,
+                min(spans), max(spans),
+            )
+        )
+        if chunk_size is None:
+            chunks = [
+                [(w.reference, w.start, w.stop) for w in chunk]
+                for chunk in _windows.plan_windows(lengths, min(spans), num_workers)
+            ]
+        else:
+            chunks = [
+                [
+                    (reference, 0, _windows.num_positions(lengths[reference], min(spans)))
+                    for reference in range(start, stop)
+                    if _windows.num_positions(lengths[reference], min(spans)) > 0
+                ]
+                for start, stop in chunk_bounds(len(lengths), chunk_size)
+            ]
+        for windows in chunks:
+            tasks.append(
+                WindowTask(
+                    pass_id, tuple(windows), arrays, pass_thresholds,
+                    engine, keep_scores,
+                )
+            )
+    return passes, tasks
 
 
 # -- the session ---------------------------------------------------------------
@@ -468,7 +361,8 @@ class ScanSession:
     accepts, or a ready database.  ``workers=None`` keeps one resident
     worker per CPU; ``workers <= 1`` (or a restricted environment where
     fork / shared memory fail) runs every call in-process, with the same
-    batching, checkpointing, and report semantics.
+    batching, supervision, checkpointing and report semantics.  The pool
+    starts with the first call whose plan has more than one task.
 
     Use as a context manager, or call :meth:`close` — the shared segment
     and worker pool live until then::
@@ -494,24 +388,12 @@ class ScanSession:
         self._engine = engine
         self._num_workers = resolve_workers(workers)
         self._segment = None
-        self._context = None
-        self._workers: List[_SessionWorker] = []
-        self._next_worker_id = 0
+        self._pool: Optional[WorkerPool] = None
         self._closed = False
         #: Batch calls completed by this session.
         self.scans_completed = 0
-        #: Batch calls that found the pool and image already warm.
+        #: Batch calls that found the session already warm.
         self.pool_reuses = 0
-        #: Workers replaced over the session's lifetime (all causes).
-        self.respawns_total = 0
-        if self._num_workers > 1:
-            try:
-                self._start_pool()
-            except (ImportError, OSError, PermissionError):
-                # Restricted environments (no /dev/shm, no fork): stay
-                # serial with identical semantics.
-                self._teardown_pool()
-                self._num_workers = 1
         _obs_profile.record_scan_session_open(self._database.packed_bytes)
 
     # -- lifecycle ------------------------------------------------------------
@@ -550,158 +432,57 @@ class ScanSession:
         """Bytes of packed database image this session keeps resident."""
         return self._database.packed_bytes
 
-    def _start_pool(self) -> None:
-        import multiprocessing
+    @property
+    def respawns_total(self) -> int:
+        """Workers replaced over the session's lifetime (all causes)."""
+        return self._pool.respawns if self._pool is not None else 0
 
+    def _warm_pool(self) -> Optional[WorkerPool]:
+        """The resident pool, started or revived; ``None`` to run in-process."""
+        if self._num_workers <= 1:
+            return None
         try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._context = multiprocessing.get_context()
-        self._segment = publish_segment(self._database.buffer)
-        for _ in range(self._num_workers):
-            self._spawn_worker()
-
-    def _spawn_worker(self) -> _SessionWorker:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_session_worker_main,
-            args=(
-                child_conn,
-                self._segment.name,
-                self._database.packed_bytes,
-                self._database.lengths,
-                self._database.byte_offsets,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker = _SessionWorker(self._next_worker_id, process, parent_conn)
-        self._next_worker_id += 1
-        self._workers.append(worker)
-        return worker
+            if self._pool is None:
+                self._segment = publish_segment(self._database.buffer)
+                image = SharedImage(
+                    self._segment.name,
+                    self._database.packed_bytes,
+                    self._database.lengths,
+                    self._database.byte_offsets,
+                )
+                self._pool = WorkerPool(image, self._num_workers)
+            else:
+                self._pool.revive()
+        except (ImportError, OSError):
+            # Restricted environments (no /dev/shm, no fork): stay
+            # in-process with identical semantics.
+            self._teardown_pool()
+            self._num_workers = 1
+            return None
+        return self._pool
 
     def _teardown_pool(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._workers = []
+        if self._pool is not None:
+            self._pool.close()
         if self._segment is not None:
             retire_segment(self._segment)
             self._segment = None
 
-    def _pool_ready(self) -> bool:
-        return self._segment is not None and self._num_workers > 1
-
-    def _revive_pool(self) -> None:
-        """Replace workers that died between calls; top back up to size."""
-        for worker in list(self._workers):
-            if worker.process.is_alive():
-                continue
-            self._workers.remove(worker)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join(timeout=0.5)
-            self.respawns_total += 1
-        while len(self._workers) < self._num_workers:
-            self._spawn_worker()
-
-    def _retire_busy_workers(self) -> None:
-        """Kill workers still holding a task so stale results cannot leak.
-
-        Runs at the end of every pool-mode call: a hedged twin (or an
-        exhausted/aborted run) may leave a worker mid-task, and its late
-        reply must never be mistaken for a later call's task.  The pool is
-        topped back up so the next call still starts warm.
-        """
-        for worker in list(self._workers):
-            if worker.busy is None:
-                continue
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stubborn child
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            self._workers.remove(worker)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            self.respawns_total += 1
-        if self._segment is not None and not self._closed:
-            try:
-                while len(self._workers) < self._num_workers:
-                    self._spawn_worker()
-            except (OSError, ValueError):
-                # Next call's revive will retry; a short pool still works.
-                return
-
-    # -- planning -------------------------------------------------------------
-
     def _plan(
-        self, encoded: List[EncodedQuery], resolved: List[int]
-    ) -> Tuple[List[_PassSpec], List[_TaskSpec]]:
-        """Group queries into shared passes; split each pass into tasks.
-
-        Grouping follows the *software* batch kernel's economics, not the
-        FPGA lane budget (which admits one long query per pass): any
-        queries can share a sweep, so sort by span descending and first-fit
-        until a pass holds :data:`MAX_QUERIES_PER_PASS` queries or its span
-        spread would exceed :data:`MAX_PASS_SPAN_RATIO`.
-        """
-        order = sorted(range(len(encoded)), key=lambda i: -len(encoded[i]))
-        groups: List[List[int]] = []
-        for index in order:
-            span = len(encoded[index])
-            placed = False
-            for group in groups:
-                if (
-                    len(group) < MAX_QUERIES_PER_PASS
-                    and len(encoded[group[0]]) <= span * MAX_PASS_SPAN_RATIO
-                ):
-                    group.append(index)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([index])
-        lengths = self._database.lengths.tolist()
-        passes: List[_PassSpec] = []
-        tasks: List[_TaskSpec] = []
-        for pass_id, group in enumerate(groups):
-            indices = tuple(group)
-            arrays = tuple(encoded[i].as_array() for i in indices)
-            spans = tuple(int(a.size) for a in arrays)
-            thresholds = tuple(int(resolved[i]) for i in indices)
-            passes.append(
-                _PassSpec(
-                    pass_id, indices, arrays, spans, thresholds,
-                    min(spans), max(spans),
-                )
-            )
-            _obs_profile.record_scan_session_pass(len(group))
-            for chunk in _windows.plan_windows(
-                lengths, min(spans), self._num_workers
-            ):
-                tasks.append(
-                    _TaskSpec(
-                        len(tasks),
-                        pass_id,
-                        tuple((w.reference, w.start, w.stop) for w in chunk),
-                    )
-                )
+        self,
+        encoded: List[EncodedQuery],
+        resolved: List[int],
+        *,
+        chunk_size: Optional[int] = None,
+        keep_scores: bool = False,
+    ) -> Tuple[List[_PassSpec], List[WindowTask]]:
+        """This session's :func:`plan_batch` over the resident database."""
+        passes, tasks = plan_batch(
+            self._database.lengths, encoded, resolved, self._num_workers,
+            chunk_size=chunk_size, engine=self._engine, keep_scores=keep_scores,
+        )
+        for spec in passes:
+            _obs_profile.record_scan_session_pass(len(spec.query_indices))
         return passes, tasks
 
     # -- public API -----------------------------------------------------------
@@ -723,7 +504,9 @@ class ScanSession:
         threshold: Optional[Union[int, Sequence[Optional[int]]]] = None,
         min_identity: Optional[float] = None,
         keep_scores: bool = False,
+        chunk_size: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
+        faults: Any = None,
         checkpoint_dir: object = None,
         resume: bool = False,
         with_report: bool = False,
@@ -734,15 +517,18 @@ class ScanSession:
         """Score ``k`` queries over the resident database in shared passes.
 
         Returns one result list per query, in input order, each bit-identical
-        to a solo :func:`repro.host.scan.scan_database` of that query.
-        ``threshold`` / ``min_identity`` follow the aligner's convention and
-        are resolved per query; ``threshold`` may also be a sequence with one
-        entry per query (``None`` entries fall back to ``min_identity``), so
-        heterogeneous jobs can share one pass — the shape the front-door
-        service batcher uses.  ``policy``, ``checkpoint_dir``, ``resume``
-        and ``with_report`` mirror the supervised scan: every batch runs
-        under retry/hedge/respawn supervision and (with ``with_report``)
-        returns its :class:`~repro.host.resilience.ScanReport`.
+        to scanning that query alone.  ``threshold`` / ``min_identity``
+        follow the aligner's convention and are resolved per query;
+        ``threshold`` may also be a sequence with one entry per query
+        (``None`` entries fall back to ``min_identity``), so heterogeneous
+        jobs can share one pass — the shape the front-door service batcher
+        uses.  ``chunk_size`` switches the task plan from position-balanced
+        windows to whole-reference chunks.  ``policy`` (a
+        :class:`~repro.host.resilience.RetryPolicy`), ``faults`` (a
+        :class:`~repro.host.faults.FaultPlan` keyed on task ids),
+        ``checkpoint_dir`` and ``resume`` configure the supervisor; with
+        ``with_report`` the call also returns its
+        :class:`~repro.host.resilience.ScanReport`.
         """
         if self._closed:
             raise ScanError("scan session is closed")
@@ -754,84 +540,53 @@ class ScanSession:
         ]
         resolved = resolve_batch_thresholds(encoded, threshold, min_identity)
         reused = self.scans_completed > 0
-        passes, tasks = self._plan(encoded, resolved) if encoded else ([], [])
+        passes, tasks = self._plan(
+            encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores
+        )
         report = ScanReport(
             mode="serial",
-            workers=self._num_workers,
-            chunk_size=0,
+            workers=1,
+            chunk_size=chunk_size or 0,
             chunks_total=len(tasks),
             engine=self._engine,
             threshold=min(resolved) if resolved else 0,
         )
 
         stage_seconds: Dict[str, float] = {}
-        store: Optional[SessionCheckpointStore] = None
+        store: Optional[CheckpointStore] = None
         done: Dict[int, SessionPayload] = {}
         if checkpoint_dir is not None:
-            store = SessionCheckpointStore(checkpoint_dir)
+            store = CheckpointStore(checkpoint_dir)
             report.checkpoint_dir = str(store.directory)
             report.resumed = bool(resume)
             with _obs_profile.stage(
                 "scan.checkpoint_load", category="scan"
             ) as load_timer:
-                fingerprint = session_fingerprint(
-                    self._database, passes, tasks, self._engine, keep_scores
+                fingerprint = scan_fingerprint(
+                    self._database, tasks, self._engine, keep_scores
                 )
-                loaded = store.prepare(fingerprint, len(tasks), 0, resume)
+                loaded = store.prepare(fingerprint, len(tasks), chunk_size or 0, resume)
                 # Never trust disk blindly: checkpointed tasks must pass the
                 # same sanity check a worker result does.
                 for task_id, payload in loaded.items():
-                    task = tasks[task_id]
-                    spec = passes[task.pass_id]
-                    if (
-                        check_session_payload(
-                            payload, task.windows, spec.spans, spec.thresholds,
-                            self._database.lengths, keep_scores,
-                        )
-                        is None
-                    ):
+                    if tasks[task_id].check(self._database, payload) is None:
                         done[task_id] = payload
             stage_seconds["checkpoint_load"] = load_timer.seconds
             report.chunks_from_checkpoint = len(done)
 
         started = time.monotonic()
-        execute_timer: Optional[_obs_profile.StageTimer] = None
-        try:
-            if len(done) < len(tasks):
-                with _obs_profile.stage("scan.execute", category="scan") as timer:
-                    execute_timer = timer
-                    if self._pool_ready():
-                        report.mode = "parallel"
-                        try:
-                            self._revive_pool()
-                            self._run_pool(
-                                tasks, passes, keep_scores, policy, report,
-                                store, done,
-                            )
-                        except (ImportError, OSError, PermissionError):
-                            report.mode = "serial"
-                            self._run_in_process(
-                                tasks, passes, keep_scores, report, store, done
-                            )
-                    else:
-                        self._run_in_process(
-                            tasks, passes, keep_scores, report, store, done
-                        )
-        except _Exhausted as exhausted:
-            if not policy.degrade:
-                raise exhausted.error from None
-            report.degraded = True
-            report.degraded_reason = exhausted.reason
-            with _obs_profile.stage(
-                "scan.degraded", category="scan"
-            ) as degraded_timer:
-                self._run_in_process(
-                    tasks, passes, keep_scores, report, store, done,
-                    degraded=True,
-                )
-            stage_seconds["degraded"] = degraded_timer.seconds
-        if execute_timer is not None:
-            stage_seconds["execute"] = execute_timer.seconds
+        if len(done) < len(tasks):
+            supervisor = Supervisor(
+                self._database, dict(enumerate(tasks)), policy=policy,
+                report=report, done=done, faults=faults, store=store,
+            )
+            with _obs_profile.stage("scan.execute", category="scan") as timer:
+                pool = self._warm_pool() if len(tasks) - len(done) > 1 else None
+                if pool is not None:
+                    report.workers = pool.size
+                supervisor.run(pool)
+            stage_seconds["execute"] = timer.seconds
+            stage_seconds.update(supervisor.stage_seconds)
         report.chunks_completed = len(done)
         report.elapsed_seconds = time.monotonic() - started
 
@@ -861,332 +616,21 @@ class ScanSession:
             return results, report
         return results
 
-    # -- execution ------------------------------------------------------------
-
-    def _complete(
-        self,
-        task_id: int,
-        payload: SessionPayload,
-        store: Optional[SessionCheckpointStore],
-        done: Dict[int, SessionPayload],
-    ) -> None:
-        done[task_id] = payload
-        if store is not None:
-            store.save_chunk(task_id, payload)
-
-    def _run_in_process(
-        self,
-        tasks: Sequence[_TaskSpec],
-        passes: Sequence[_PassSpec],
-        keep_scores: bool,
-        report: ScanReport,
-        store: Optional[SessionCheckpointStore],
-        done: Dict[int, SessionPayload],
-        degraded: bool = False,
-    ) -> None:
-        """Score remaining tasks with the in-process engine.
-
-        Serves both the serial mode (``workers <= 1`` / restricted
-        environments) and the degraded completion after an exhausted pool;
-        a sanity failure here means the scan itself is broken, which is
-        fatal.
-        """
-        for task in tasks:
-            if task.task_id in done:
-                continue
-            spec = passes[task.pass_id]
-            t0 = time.monotonic()
-            payload = _score_session_windows(
-                self._database.buffer,
-                self._database.lengths,
-                self._database.byte_offsets,
-                task.windows,
-                spec.arrays,
-                spec.thresholds,
-                self._engine,
-                keep_scores,
-            )
-            error = check_session_payload(
-                payload, task.windows, spec.spans, spec.thresholds,
-                self._database.lengths, keep_scores,
-            )
-            if error is not None:
-                raise CorruptResultError(
-                    task.task_id, 0, f"in-process session scan: {error}"
-                )
-            detail = "degraded serial" if degraded else ""
-            report.record(
-                task.task_id, 0, "ok", time.monotonic() - t0, None, detail
-            )
-            if degraded:
-                report.chunks_degraded += 1
-            self._complete(task.task_id, payload, store, done)
-
-    def _run_pool(
-        self,
-        tasks: Sequence[_TaskSpec],
-        passes: Sequence[_PassSpec],
-        keep_scores: bool,
-        policy: RetryPolicy,
-        report: ScanReport,
-        store: Optional[SessionCheckpointStore],
-        done: Dict[int, SessionPayload],
-    ) -> None:
-        """Drive the resident pool through the task list under supervision.
-
-        Same event loop shape as the one-shot
-        :class:`repro.host.resilience._Supervisor` — dispatch, wait on
-        pipes + process sentinels, sweep timeouts, respawn — but the
-        workers outlive the call; only workers still holding a task at
-        exit are replaced (stale replies must never leak into a later
-        call).
-        """
-        from multiprocessing import connection
-
-        rng = random.Random(policy.seed)
-        failures: Dict[int, List[str]] = {}
-        next_attempt: Dict[int, int] = {}
-        in_flight: Dict[int, int] = {}
-        task_map = {task.task_id: task for task in tasks}
-        now = time.monotonic()
-        pending: List[Tuple[float, int]] = [
-            (now, task.task_id) for task in tasks if task.task_id not in done
-        ]
-
-        def _dispatch_to(worker: _SessionWorker, task_id: int, hedge: bool) -> None:
-            attempt = next_attempt.get(task_id, 0)
-            next_attempt[task_id] = attempt + 1
-            task = task_map[task_id]
-            spec = passes[task.pass_id]
-            t_now = time.monotonic()
-            deadline = None if policy.timeout is None else t_now + policy.timeout
-            worker.conn.send(
-                (
-                    "task", task_id, attempt, task.windows, spec.arrays,
-                    spec.thresholds, self._engine, keep_scores,
-                )
-            )
-            worker.busy = (task_id, attempt, t_now, deadline)
-            in_flight[task_id] = in_flight.get(task_id, 0) + 1
-            if hedge:
-                report.hedges += 1
-
-        def _register_failure(task_id: int, outcome: str, t_now: float) -> None:
-            outcomes = failures.setdefault(task_id, [])
-            outcomes.append(outcome)
-            if len(outcomes) > policy.max_retries:
-                raise _Exhausted(
-                    f"task {task_id} exhausted its retry budget "
-                    f"({len(outcomes)} failures: {', '.join(outcomes)})",
-                    ChunkFailedError(task_id, outcomes),
-                )
-            report.retries += 1
-            pending.append((t_now + policy.delay(len(outcomes), rng), task_id))
-
-        def _on_message(worker: _SessionWorker, message, t_now: float) -> None:
-            kind, task_id, attempt = message[0], message[1], message[2]
-            started = worker.busy[2] if worker.busy else t_now
-            elapsed = t_now - started
-            worker.busy = None
-            in_flight[task_id] = max(0, in_flight.get(task_id, 1) - 1)
-            if task_id in done:
-                report.record(
-                    task_id, attempt, "duplicate", elapsed, worker.id,
-                    "hedged twin finished first",
-                )
-                return
-            if kind == "err":
-                report.record(
-                    task_id, attempt, "raise", elapsed, worker.id, message[3]
-                )
-                _register_failure(task_id, "raise", t_now)
-                return
-            payload = message[3]
-            task = task_map[task_id]
-            spec = passes[task.pass_id]
-            error = check_session_payload(
-                payload, task.windows, spec.spans, spec.thresholds,
-                self._database.lengths, keep_scores,
-            )
-            if error is not None:
-                report.record(
-                    task_id, attempt, "corrupt", elapsed, worker.id, error
-                )
-                _register_failure(task_id, "corrupt", t_now)
-                return
-            report.record(task_id, attempt, "ok", elapsed, worker.id)
-            self._complete(task_id, payload, store, done)
-
-        def _on_death(worker: _SessionWorker, t_now: float) -> None:
-            self._workers.remove(worker)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join(timeout=0.5)
-            exitcode = worker.process.exitcode
-            if worker.busy is not None:
-                task_id, attempt, started, _deadline = worker.busy
-                in_flight[task_id] = max(0, in_flight.get(task_id, 1) - 1)
-                if task_id not in done:
-                    report.record(
-                        task_id, attempt, "crash", t_now - started, worker.id,
-                        f"exitcode {exitcode}",
-                    )
-                    _register_failure(task_id, "crash", t_now)
-            report.respawns += 1
-            self.respawns_total += 1
-            if report.respawns <= policy.max_respawns:
-                self._spawn_worker()
-
-        def _sweep_timeouts(t_now: float) -> None:
-            for worker in list(self._workers):
-                if worker.busy is None or worker.busy[3] is None:
-                    continue
-                task_id, attempt, started, deadline = worker.busy
-                if t_now <= deadline:
-                    continue
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.process.kill()
-                    worker.process.join(timeout=1.0)
-                self._workers.remove(worker)
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                in_flight[task_id] = max(0, in_flight.get(task_id, 1) - 1)
-                if task_id not in done:
-                    report.record(
-                        task_id, attempt, "timeout", t_now - started, worker.id,
-                        f"exceeded {policy.timeout:.3g}s",
-                    )
-                    _register_failure(task_id, "timeout", t_now)
-                report.respawns += 1
-                self.respawns_total += 1
-                if report.respawns <= policy.max_respawns:
-                    self._spawn_worker()
-
-        def _pick_straggler(t_now: float) -> Optional[int]:
-            oldest_task = None
-            oldest_started = None
-            for worker in self._workers:
-                if worker.busy is None:
-                    continue
-                task_id, _attempt, task_started, _deadline = worker.busy
-                if task_id in done or in_flight.get(task_id, 0) > 1:
-                    continue
-                if t_now - task_started < (policy.hedge_after or 0.0):
-                    continue
-                if oldest_started is None or task_started < oldest_started:
-                    oldest_task, oldest_started = task_id, task_started
-            return oldest_task
-
-        def _dispatch(t_now: float) -> None:
-            idle = [w for w in self._workers if w.busy is None]
-            if not idle:
-                return
-            pending.sort(key=lambda item: (item[0], item[1]))
-            for worker in idle:
-                chosen = None
-                for i, (ready_time, task_id) in enumerate(pending):
-                    if task_id in done:
-                        pending.pop(i)
-                        chosen = None
-                        break  # list mutated; re-enter on next loop iteration
-                    if ready_time <= t_now:
-                        chosen = pending.pop(i)[1]
-                        break
-                if chosen is None:
-                    continue
-                _dispatch_to(worker, chosen, hedge=False)
-            if policy.hedge_after is None or pending:
-                return
-            for worker in [w for w in self._workers if w.busy is None]:
-                straggler = _pick_straggler(t_now)
-                if straggler is None:
-                    return
-                _dispatch_to(worker, straggler, hedge=True)
-
-        def _wait_timeout(t_now: float) -> Optional[float]:
-            candidates: List[float] = []
-            for worker in self._workers:
-                if worker.busy is None:
-                    continue
-                if worker.busy[3] is not None:
-                    candidates.append(worker.busy[3])
-                if policy.hedge_after is not None:
-                    candidates.append(worker.busy[2] + policy.hedge_after)
-            if not self._workers or any(w.busy is None for w in self._workers):
-                candidates.extend(ready for ready, _ in pending)
-            if not candidates:
-                return None
-            return max(0.0, min(candidates) - t_now) + 0.005
-
-        total = len(tasks)
-        try:
-            while len(done) < total:
-                if not self._workers:
-                    raise _Exhausted(
-                        f"pool unhealthy: no workers left after "
-                        f"{report.respawns} respawns",
-                        PoolUnhealthyError(report.respawns, policy.max_respawns),
-                    )
-                t_now = time.monotonic()
-                _dispatch(t_now)
-                conn_map = {w.conn: w for w in self._workers}
-                sentinel_map = {w.process.sentinel: w for w in self._workers}
-                ready = connection.wait(
-                    list(conn_map) + list(sentinel_map),
-                    timeout=_wait_timeout(t_now),
-                )
-                t_now = time.monotonic()
-                handled = set()
-                for obj in ready:
-                    worker = conn_map.get(obj)
-                    if worker is None:
-                        worker = sentinel_map.get(obj)
-                    if worker is None or id(worker) in handled:
-                        continue
-                    handled.add(id(worker))
-                    message = None
-                    try:
-                        if worker.conn.poll():
-                            message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    if message is not None:
-                        _on_message(worker, message, t_now)
-                        # Fall through: the worker may additionally have died.
-                    if not worker.process.is_alive():
-                        _on_death(worker, t_now)
-                _sweep_timeouts(time.monotonic())
-                if report.respawns > policy.max_respawns:
-                    raise _Exhausted(
-                        f"pool unhealthy: {report.respawns} worker respawns",
-                        PoolUnhealthyError(report.respawns, policy.max_respawns),
-                    )
-        finally:
-            self._retire_busy_workers()
-
     # -- merge ----------------------------------------------------------------
 
     def _merge(
         self,
         encoded: List[EncodedQuery],
         passes: Sequence[_PassSpec],
-        tasks: Sequence[_TaskSpec],
+        tasks: Sequence[WindowTask],
         done: Dict[int, SessionPayload],
         keep_scores: bool,
     ) -> List[List[AlignmentResult]]:
         """Stitch task payloads into per-query, input-ordered results."""
         lengths = self._database.lengths.tolist()
         per_slot: Dict[Tuple[int, int], List[_windows.WindowRecord]] = {}
-        for task in tasks:
-            for slot, reference, start, hits, hit_scores, scores in done[
-                task.task_id
-            ]:
+        for task_id, task in enumerate(tasks):
+            for slot, reference, start, hits, hit_scores, scores in done[task_id]:
                 per_slot.setdefault((task.pass_id, slot), []).append(
                     (reference, start, hits, hit_scores, scores)
                 )
@@ -1208,4 +652,9 @@ class ScanSession:
                         enumerate(per_reference)
                     )
                 ]
+                if _obs_state.enabled():
+                    _obs_profile.record_scan_merge(
+                        len(per_reference),
+                        sum(positions.size for positions, *_ in per_reference),
+                    )
         return [batch for batch in results if batch is not None]

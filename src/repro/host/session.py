@@ -267,9 +267,10 @@ class FabPHost:
         objects in database order.  Use :meth:`search` when modeled kernel
         timing is needed; use this when only the hits are.
 
-        Passing ``policy`` (:class:`repro.host.resilience.RetryPolicy`),
-        ``faults``, ``checkpoint_dir``/``resume`` or ``with_report=True``
-        runs the scan under the supervised fault-tolerant runtime;
+        The scan is :func:`repro.host.scan.scan_database`, so it runs
+        under the task supervisor: ``policy``
+        (:class:`repro.host.resilience.RetryPolicy`), ``faults`` and
+        ``checkpoint_dir``/``resume`` configure it, and
         ``with_report=True`` returns ``(results, ScanReport)`` so callers
         can inspect retries, timeouts and degradations.
         """

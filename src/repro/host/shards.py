@@ -1,70 +1,77 @@
-"""Supervised multi-shard scan runtime: the cluster *model* made executable.
+"""Sharded scan runtime: the cluster *model* made executable.
 
 :mod:`repro.host.cluster` models the paper's multi-board deployment
 analytically (shard balance, straggler-bound speedup) but never runs a
 scan.  This module promotes that model to an execution path: the packed
-database is partitioned into ``S`` contiguous shards, each shard is scanned
-by its own supervised :class:`repro.host.scan_session.ScanSession` runtime
-running in a dedicated **shard runner process** (its own shared-memory
-image, warm pool, and checkpoint store), and per-shard hit lists are merged
+database is partitioned into ``S`` contiguous shards and each shard
+becomes one :class:`ShardTask` of the task supervisor in
+:mod:`repro.host.resilience`.  A shard's runner process opens that shard's
+own :class:`repro.host.scan_session.ScanSession` (with its own checkpoint
+store) and scans the whole query batch; per-shard results merge
 seam-exactly — bit-identical to a single-shard scan, because shards
 partition the reference list and results merge in global reference order.
 
-Shard-level supervision stacks on top of the worker-level supervision each
-session already provides:
+Being ordinary supervised tasks, shards get the supervisor's guarantees
+under the same :class:`~repro.host.resilience.RetryPolicy`:
 
 * **health budgets and respawn** — a shard runner that crashes, hangs past
-  its deadline, raises, or returns corrupt results is killed and respawned
-  with seeded backoff, up to :attr:`ShardPolicy.max_attempts` attempts;
-* **elastic shard resume** — with a checkpoint directory every shard owns a
-  fingerprinted :class:`~repro.host.scan_session.SessionCheckpointStore`
-  subdirectory (``shard_00/``, ``shard_01/``, …); a respawned runner
-  resumes from it and replays only the chunks its predecessor never
-  finished;
-* **hedged re-dispatch** — once every other shard is done, a straggler
-  older than :attr:`ShardPolicy.hedge_after` is speculatively re-run by a
-  spare runner (resuming from the same checkpoint); the first sane result
+  the task timeout, raises, or returns corrupt results is killed or
+  retried with seeded backoff, up to ``max_retries + 1`` attempts;
+* **elastic shard resume** — with a checkpoint directory every shard's
+  session owns a fingerprinted subdirectory (``shard_00/``, ``shard_01/``,
+  …); a retried or hedged attempt resumes from it and replays only the
+  tasks its predecessor never finished;
+* **hedged re-dispatch** — once nothing is queued, a straggler shard older
+  than ``hedge_after`` is re-run on an idle runner; the first sane result
   wins and the twin is discarded;
-* **partial-result degraded mode** — a shard that exhausts its health
-  budget is *reported*, not fatal (unless :attr:`ShardPolicy.allow_partial`
-  is off, which raises :class:`~repro.host.errors.ShardFailedError`):
-  the :class:`~repro.host.resilience.ScanReport` carries a schema-v3
+* **partial results** — a shard that exhausts its attempts is *reported*
+  dead, not fatal (unless ``degrade`` is off, which raises
+  :class:`~repro.host.errors.ShardFailedError`): the
+  :class:`~repro.host.resilience.ScanReport` carries a schema-v3
   ``shards`` section with per-shard status/attempts/resumed-chunk counts
   and the CLI exits 4 ("complete with dead shards").
 
 Every recovery path is deterministically injectable through
 :class:`repro.host.faults.ShardFaultPlan` (``shard:{i}`` crash / hang /
-raise / corrupt keyed on ``(shard, chunk, attempt)``), and observable
-through the ``fabp_shard_*`` hook family in :mod:`repro.obs.profile`.
+raise / corrupt keyed on ``(shard, chunk, attempt)``): the plan reaches the
+shard's own session through the supervisor's one fault hook, and any fault
+it fires fails the whole shard attempt.  Recovery is observable through the
+``fabp_shard_*`` hook family in :mod:`repro.obs.profile`.  Runners are
+started on each call.
 """
 
 from __future__ import annotations
 
-import os
-import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.aligner import (
-    AlignmentResult,
-    QueryLike,
-)
+from repro.core.aligner import AlignmentResult, QueryLike
 from repro.core.encoding import EncodedQuery, encode_query
-from repro.host.checkpoint import ChunkPayload
-from repro.host.errors import InjectedFaultError, ScanError, ShardFailedError
 from repro.host.faults import FaultKind, ShardFaultPlan
-from repro.host.resilience import ScanReport, ShardStatus, check_chunk_payload
-from repro.host.scan import PackedDatabase, _build_result
-from repro.host.scan_session import resolve_batch_thresholds
+from repro.host.resilience import (
+    RetryPolicy,
+    ScanReport,
+    ShardStatus,
+    Supervisor,
+    WorkerPool,
+)
+from repro.host.scan import SESSION_ENGINE, PackedDatabase, _build_result
+from repro.host.scan_session import (
+    ScanSession,
+    SessionPayload,
+    check_records,
+    resolve_batch_thresholds,
+)
+from repro.host.windows import num_positions
 from repro.obs import profile as _obs_profile
 
 __all__ = [
-    "ShardPolicy",
     "ShardSpec",
+    "ShardTask",
     "ShardedScanRuntime",
     "plan_shards",
     "shard_database",
@@ -154,278 +161,97 @@ def shard_database(database: PackedDatabase, spec: ShardSpec) -> PackedDatabase:
     )
 
 
-# -- policy --------------------------------------------------------------------
+# -- the shard task ------------------------------------------------------------
+
+#: A shard's own session gets one attempt per task: any fault inside it
+#: fails the whole shard attempt, which the shard supervisor retries.
+_ONE_ATTEMPT = RetryPolicy(max_retries=0, timeout=None, degrade=False)
+
+
+class _ShardCalls:
+    """A shard fault plan as seen from inside one shard attempt.
+
+    ``chunk`` in the plan's ``(shard, chunk, attempt)`` key counts the
+    scoring calls of the current attempt — checkpoint-restored tasks are
+    never scored, so a resumed attempt counts only the work it replays.
+    """
+
+    def __init__(self, plan: ShardFaultPlan, shard: int, attempt: int):
+        self.plan = plan
+        self.shard = shard
+        self.attempt = attempt
+        self.hang_seconds = plan.hang_seconds
+        self.calls = 0
+
+    def lookup(self, task_id: int, attempt: int) -> Optional[FaultKind]:
+        call = self.calls
+        self.calls += 1
+        return self.plan.lookup(self.shard, call, self.attempt)
 
 
 @dataclass(frozen=True)
-class ShardPolicy:
-    """Shard-level supervision knobs (all durations in seconds)."""
+class ShardTask:
+    """One shard as a supervised task: scan it with its own session.
 
-    #: Total runner attempts allowed per shard (first attempt included).
-    max_attempts: int = 3
-    #: Per-attempt wall-clock budget for one whole shard; ``None`` disables.
-    timeout: Optional[float] = None
-    #: Base backoff delay between shard respawns.
-    backoff: float = 0.05
-    #: Ceiling on the exponential backoff delay.
-    backoff_max: float = 2.0
-    #: Multiplicative jitter: the delay is scaled by ``1 + jitter * u``.
-    jitter: float = 0.25
-    #: Hedge a straggler shard once every other shard is done and it has
-    #: run longer than this; ``None`` disables hedging.
-    hedge_after: Optional[float] = None
-    #: A shard that exhausts ``max_attempts`` is reported dead and its
-    #: references omitted (CLI exit 4) instead of raising
-    #: :class:`~repro.host.errors.ShardFailedError`.
-    allow_partial: bool = True
-    #: Workers of each shard's inner :class:`ScanSession` (1 = in-runner
-    #: serial with identical checkpoint semantics — the right setting when
-    #: shard runners already saturate the cores).
-    shard_workers: int = 1
-    #: Seed of the jitter RNG — respawn schedules are reproducible.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if self.backoff < 0 or self.backoff_max < 0 or self.jitter < 0:
-            raise ValueError("backoff, backoff_max and jitter must be >= 0")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
-
-    def delay(self, failures: int, rng: random.Random) -> float:
-        """Backoff before respawn number ``failures`` (1-based), with jitter."""
-        base = min(self.backoff_max, self.backoff * (2.0 ** max(0, failures - 1)))
-        return base * (1.0 + self.jitter * rng.random())
-
-
-# -- shard fault installation (runs inside the runner process) -----------------
-
-
-def _damage_session_record(record: tuple) -> tuple:
-    """Mis-key one session record so the sanity check must reject it.
-
-    Shifting the slot key is detectable on *every* cell — including
-    zero-hit windows, where score perturbation alone would be invisible.
+    The payload is ``(records, resumed_tasks)``: one whole-reference
+    record per (reference, query) in the
+    :data:`~repro.host.scan_session.SessionRecord` format, keyed by global
+    reference index, plus how many of the session's tasks came from its
+    checkpoint.
     """
-    slot, reference, start, hits, hit_scores, scores = record
-    return (slot + 1, reference, start, hits, hit_scores, scores)
 
+    spec: ShardSpec
+    queries: Tuple[EncodedQuery, ...]
+    thresholds: Tuple[int, ...]
+    keep_scores: bool
+    engine: str
+    checkpoint_dir: Optional[str]
+    resume: bool
+    faults: Optional[ShardFaultPlan]
 
-def _install_shard_faults(
-    shard: int,
-    attempt: int,
-    plan: ShardFaultPlan,
-    parent_pid: int,
-    inline: bool,
-) -> Any:
-    """Wrap the session scoring core so this shard's faults fire on cue.
-
-    ``chunk`` in the plan's ``(shard, chunk, attempt)`` key counts scoring
-    calls within the current attempt — checkpoint-restored chunks never
-    reach the scorer, so a resumed attempt counts only the work it actually
-    replays.  Returns the original scorer for the inline path to restore.
-    """
-    from repro.host import scan_session as session_mod
-    from repro.host.resilience import _hang_sleep
-
-    inner = session_mod._score_session_windows
-    calls = {"chunk": 0}
-
-    def scorer(*args: Any, **kwargs: Any) -> Any:
-        chunk = calls["chunk"]
-        calls["chunk"] += 1
-        fault = plan.lookup(shard, chunk, attempt)
-        if fault is FaultKind.CRASH:
-            if inline:
-                raise InjectedFaultError(chunk, attempt, "crash")
-            os._exit(23)
-        if fault is FaultKind.HANG:
-            # A supervised runner is killed at the shard deadline; the
-            # sleep only bounds unsupervised (inline / kill-test) hangs.
-            _hang_sleep(plan.hang_seconds, parent_pid)
-            raise InjectedFaultError(chunk, attempt, "hang")
-        if fault is FaultKind.RAISE:
-            raise InjectedFaultError(chunk, attempt, "raise")
-        payload = inner(*args, **kwargs)
-        if fault is FaultKind.CORRUPT:
-            payload = [_damage_session_record(record) for record in payload]
-        return payload
-
-    session_mod._score_session_windows = scorer
-    return inner
-
-
-# -- the shard runner (one supervised ScanSession per process) -----------------
-
-
-def _payload_from_results(
-    results: Sequence[AlignmentResult], start: int
-) -> ChunkPayload:
-    """Re-key one query's shard-local results to global reference indices."""
-    payload: ChunkPayload = []
-    for offset, result in enumerate(results):
-        positions = np.asarray(
-            [hit.position for hit in result.hits], dtype=np.int64
-        )
-        hit_scores = np.asarray(
-            [hit.score for hit in result.hits], dtype=np.int64
-        )
-        payload.append(
-            (
-                start + offset,
-                positions,
-                hit_scores,
-                result.scores,
-                result.reference_length,
+    def run(self, database: PackedDatabase, attempt: int) -> Tuple[SessionPayload, int]:
+        faults = None
+        if self.faults is not None and self.faults.affects(self.spec.shard):
+            faults = _ShardCalls(self.faults, self.spec.shard, attempt)
+        shard = shard_database(database, self.spec)
+        with ScanSession(shard, engine=self.engine, workers=1) as session:
+            batches, report = session.scan_batch(
+                list(self.queries),
+                threshold=list(self.thresholds),
+                keep_scores=self.keep_scores,
+                policy=_ONE_ATTEMPT,
+                faults=faults,
+                checkpoint_dir=self.checkpoint_dir,
+                resume=self.resume or attempt > 0,
+                with_report=True,
             )
-        )
-    return payload
+        records: SessionPayload = []
+        for offset in range(self.spec.num_references):
+            for slot, batch in enumerate(batches):
+                result = batch[offset]
+                records.append(
+                    (
+                        slot,
+                        self.spec.start + offset,
+                        0,
+                        np.asarray([h.position for h in result.hits], dtype=np.int64),
+                        np.asarray([h.score for h in result.hits], dtype=np.int64),
+                        result.scores,
+                    )
+                )
+        return records, report.chunks_from_checkpoint
 
-
-def _scan_shard(
-    spec: ShardSpec,
-    database: PackedDatabase,
-    encoded: Sequence[EncodedQuery],
-    threshold: Optional[Union[int, Sequence[Optional[int]]]],
-    min_identity: Optional[float],
-    keep_scores: bool,
-    engine: str,
-    shard_workers: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
-) -> Tuple[List[ChunkPayload], Dict[str, Any]]:
-    """Score one shard with its own warm session; shared by runner + inline."""
-    from repro.host.scan_session import ScanSession
-
-    with ScanSession(database, engine=engine, workers=shard_workers) as session:
-        batches, report = session.scan_batch(
-            list(encoded),
-            threshold=threshold,
-            min_identity=min_identity,
-            keep_scores=keep_scores,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            with_report=True,
-        )
-    payloads = [_payload_from_results(batch, spec.start) for batch in batches]
-    summary = {
-        "chunks_total": report.chunks_total,
-        "chunks_completed": report.chunks_completed,
-        "chunks_from_checkpoint": report.chunks_from_checkpoint,
-        "retries": report.retries,
-        "degraded": report.degraded,
-        "degraded_reason": report.degraded_reason,
-    }
-    return payloads, summary
-
-
-def _shard_runner_main(
-    conn,
-    spec: ShardSpec,
-    database: PackedDatabase,
-    encoded: Sequence[EncodedQuery],
-    threshold: Optional[Union[int, Sequence[Optional[int]]]],
-    min_identity: Optional[float],
-    keep_scores: bool,
-    engine: str,
-    shard_workers: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    attempt: int,
-    fault_plan: Optional[ShardFaultPlan],
-) -> None:
-    """Entry point of one shard runner process.
-
-    The runner *is* the shard's runtime: it owns the shard's shared-memory
-    image, warm pool, and checkpoint store via its inner
-    :class:`ScanSession`, scans the whole query batch, and reports exactly
-    once — ``("ok", shard, attempt, payloads, summary)`` or
-    ``("err", shard, attempt, message)``.  Killing this process kills the
-    shard runtime; the parent respawns it with ``resume=True`` and the
-    session replays only unfinished chunks.
-    """
-    parent_pid = os.getppid()
-    if fault_plan is not None and fault_plan.affects(spec.shard):
-        _install_shard_faults(
-            spec.shard, attempt, fault_plan, parent_pid, inline=False
-        )
-    try:
-        payloads, summary = _scan_shard(
-            spec, database, encoded, threshold, min_identity, keep_scores,
-            engine, shard_workers, checkpoint_dir, resume,
-        )
-        conn.send(("ok", spec.shard, attempt, payloads, summary))
-    except ScanError as exc:
-        _send_runner_error(conn, spec.shard, attempt, exc)
-    except (ValueError, IndexError, OSError) as exc:
-        _send_runner_error(conn, spec.shard, attempt, exc)
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _send_runner_error(conn, shard: int, attempt: int, exc: Exception) -> None:
-    try:
-        conn.send(("err", shard, attempt, f"{type(exc).__name__}: {exc}"))
-    except (OSError, BrokenPipeError):
-        pass  # parent already gone; its sentinel sweep records the death
-
-
-# -- parent-side state ---------------------------------------------------------
-
-
-class _RunnerHandle:
-    """Parent-side view of one live shard runner process."""
-
-    __slots__ = ("shard", "attempt", "process", "conn", "started", "deadline", "hedge")
-
-    def __init__(self, shard, attempt, process, conn, started, deadline, hedge):
-        self.shard = shard
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
-        self.hedge = hedge
-
-
-class _ShardState:
-    """Everything the supervisor tracks about one shard."""
-
-    __slots__ = (
-        "spec", "status", "failures", "attempts", "resumed_chunks",
-        "hedges", "payloads", "first_started", "elapsed", "detail",
-    )
-
-    def __init__(self, spec: ShardSpec):
-        self.spec = spec
-        self.status = "pending"  # pending | ok | dead
-        self.failures: List[str] = []
-        self.attempts = 0
-        self.resumed_chunks = 0
-        self.hedges = 0
-        self.payloads: Optional[List[ChunkPayload]] = None
-        self.first_started: Optional[float] = None
-        self.elapsed = 0.0
-        self.detail = ""
-
-    def to_status(self) -> ShardStatus:
-        return ShardStatus(
-            shard=self.spec.shard,
-            start=self.spec.start,
-            stop=self.spec.stop,
-            nucleotides=self.spec.nucleotides,
-            status="ok" if self.status == "ok" else "dead",
-            attempts=self.attempts,
-            resumed_chunks=self.resumed_chunks,
-            hedges=self.hedges,
-            elapsed_seconds=self.elapsed,
-            detail=self.detail,
+    def check(self, database: PackedDatabase, payload: Any) -> Optional[str]:
+        if not isinstance(payload, tuple) or len(payload) != 2:
+            return "payload is not a (records, resumed) pair"
+        spans = [len(query) for query in self.queries]
+        windows = [
+            (reference, 0, num_positions(int(database.lengths[reference]), min(spans, default=1)))
+            for reference in range(self.spec.start, self.spec.stop)
+        ]
+        return check_records(
+            payload[0], windows, spans, self.thresholds,
+            database.lengths, self.keep_scores,
         )
 
 
@@ -433,19 +259,19 @@ class _ShardState:
 
 
 class ShardedScanRuntime:
-    """Scan one packed database as ``S`` supervised shard runtimes.
+    """Scan one packed database as ``S`` supervised shard tasks.
 
     ``references`` is anything :class:`PackedDatabase` accepts, or a ready
     database.  Each :meth:`scan_batch` call plans the shards once
-    (position-balanced, reference-aligned), runs one supervised shard
-    runner per shard, and merges per-shard hit lists in global reference
-    order — bit-identical to a single-shard scan of the same database.
+    (position-balanced, reference-aligned), runs one runner process per
+    shard under the task supervisor, and merges per-shard results in
+    global reference order — bit-identical to a single-shard scan.
 
         runtime = ShardedScanRuntime(references, num_shards=4)
         batches, report = runtime.scan_batch(queries, with_report=True)
         report.exit_code()  # 0 clean / 3 degraded / 4 dead shards
 
-    In restricted environments (no fork, no pipes) shards execute inline,
+    In restricted environments (no fork, no pipes) shards run in-process,
     in shard order, with the same retry/budget/partial-result semantics.
     """
 
@@ -456,11 +282,9 @@ class ShardedScanRuntime:
         num_shards: int,
         engine: Optional[str] = None,
         names: Optional[Sequence[str]] = None,
-        policy: Optional[ShardPolicy] = None,
+        policy: Optional[RetryPolicy] = None,
         faults: Optional[ShardFaultPlan] = None,
     ):
-        from repro.host.scan_session import SESSION_ENGINE
-
         self._database = (
             references
             if isinstance(references, PackedDatabase)
@@ -468,9 +292,8 @@ class ShardedScanRuntime:
         )
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        self._num_shards = num_shards
         self._engine = engine or SESSION_ENGINE
-        self._policy = policy or ShardPolicy()
+        self._policy = policy or RetryPolicy()
         self._faults = faults
         self._specs = plan_shards(self._database.lengths, num_shards)
 
@@ -490,8 +313,6 @@ class ShardedScanRuntime:
     @property
     def engine(self) -> str:
         return self._engine
-
-    # -- public API -----------------------------------------------------------
 
     def scan_batch(
         self,
@@ -517,14 +338,11 @@ class ShardedScanRuntime:
         ``with_report`` the :class:`ScanReport` (``mode="sharded"``,
         schema v3) carries the per-shard ``shards`` section.
         """
-        query_list = list(queries)
         encoded = [
             q if isinstance(q, EncodedQuery) else encode_query(q)
-            for q in query_list
+            for q in queries
         ]
         resolved = resolve_batch_thresholds(encoded, threshold, min_identity)
-        spans = [len(e) for e in encoded]
-
         report = ScanReport(
             mode="sharded",
             workers=len(self._specs),
@@ -536,35 +354,66 @@ class ShardedScanRuntime:
         if checkpoint_dir is not None:
             report.checkpoint_dir = str(checkpoint_dir)
             report.resumed = bool(resume)
-
-        states = {spec.shard: _ShardState(spec) for spec in self._specs}
-        started = time.monotonic()
-        if states:
-            try:
-                self._run_supervised(
-                    states, encoded, resolved, spans, threshold, min_identity,
-                    keep_scores, checkpoint_dir, resume, report,
-                )
-            except (ImportError, OSError, PermissionError):
-                # Restricted environments (no fork, no pipes): same
-                # budgets and partial-result semantics, inline.
-                self._run_inline(
-                    states, encoded, resolved, spans, threshold, min_identity,
-                    keep_scores, checkpoint_dir, resume, report,
-                )
-        report.chunks_completed = sum(
-            1 for state in states.values() if state.status == "ok"
+        tasks = {
+            spec.shard: ShardTask(
+                spec, tuple(encoded), tuple(resolved), keep_scores, self._engine,
+                None if checkpoint_dir is None
+                else str(Path(checkpoint_dir) / f"shard_{spec.shard:02d}"),
+                resume, self._faults,
+            )
+            for spec in self._specs
+        }
+        done: dict = {}
+        supervisor = Supervisor(
+            self._database, tasks, policy=self._policy, report=report,
+            done=done, partial=True,
+            keep_idle=self._policy.hedge_after is not None,
         )
-        report.shards = [
-            states[spec.shard].to_status() for spec in self._specs
-        ]
+        started = time.monotonic()
+        if tasks:
+            self._run(supervisor, len(tasks))
+        report.mode = "sharded"
+        report.chunks_completed = len(done)
         report.elapsed_seconds = time.monotonic() - started
+        report.shards = [
+            ShardStatus(
+                shard=spec.shard,
+                start=spec.start,
+                stop=spec.stop,
+                nucleotides=spec.nucleotides,
+                status="ok" if spec.shard in done else "dead",
+                attempts=supervisor.attempts.get(spec.shard, 0),
+                resumed_chunks=done[spec.shard][1] if spec.shard in done else 0,
+                hedges=supervisor.hedged.get(spec.shard, 0),
+                elapsed_seconds=supervisor.elapsed.get(spec.shard, 0.0),
+                detail=supervisor.dead.get(spec.shard, ""),
+            )
+            for spec in self._specs
+        ]
+        for status in report.shards:
+            if status.resumed_chunks and status.attempts > 1:
+                _obs_profile.record_shard_resume(status.resumed_chunks)
+            for _ in range(status.hedges):
+                _obs_profile.record_shard_hedge()
 
         with _obs_profile.stage("scan.merge", category="scan") as merge_timer:
-            results = self._merge(states, encoded, resolved)
+            results: List[List[AlignmentResult]] = [[] for _ in encoded]
+            for spec in self._specs:
+                records = done[spec.shard][0] if spec.shard in done else []
+                for slot, reference, _start, hits, hit_scores, scores in records:
+                    results[slot].append(
+                        _build_result(
+                            encoded[slot], self._database.names[reference],
+                            int(self._database.lengths[reference]), resolved[slot],
+                            hits, hit_scores, scores,
+                        )
+                    )
         _obs_profile.record_shard_merge(merge_timer.seconds)
         report.metrics["stage_seconds"] = {
-            "merge": round(merge_timer.seconds, 6)
+            name: round(seconds, 6)
+            for name, seconds in {
+                **supervisor.stage_seconds, "merge": merge_timer.seconds
+            }.items()
         }
         _obs_profile.record_scan_report_counters(
             report.retries, report.hedges, report.respawns, report.degraded
@@ -573,441 +422,18 @@ class ShardedScanRuntime:
             return results, report
         return results
 
-    # -- checkpoint layout ----------------------------------------------------
-
-    @staticmethod
-    def _shard_checkpoint(
-        checkpoint_dir: Optional[Union[str, Path]], shard: int
-    ) -> Optional[str]:
-        """Each shard owns a subdirectory; fingerprints stay per shard."""
-        if checkpoint_dir is None:
-            return None
-        return str(Path(checkpoint_dir) / f"shard_{shard:02d}")
-
-    # -- supervised (process-per-shard) execution ------------------------------
-
-    def _run_supervised(
-        self,
-        states: Dict[int, _ShardState],
-        encoded: List[EncodedQuery],
-        resolved: List[int],
-        spans: List[int],
-        threshold: Optional[Union[int, Sequence[Optional[int]]]],
-        min_identity: Optional[float],
-        keep_scores: bool,
-        checkpoint_dir: Optional[Union[str, Path]],
-        resume: bool,
-        report: ScanReport,
-    ) -> None:
-        import multiprocessing
-        from multiprocessing import connection
-
+    def _run(self, supervisor: Supervisor, num_runners: int) -> None:
+        """One runner process per shard, started for this call only."""
         try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-
-        policy = self._policy
-        rng = random.Random(policy.seed)
-        handles: List[_RunnerHandle] = []
-        now = time.monotonic()
-        pending: List[Tuple[float, int]] = [
-            (now, spec.shard) for spec in self._specs
-        ]
-
-        def _spawn(shard: int, hedge: bool) -> None:
-            state = states[shard]
-            attempt = state.attempts
-            state.attempts += 1
-            shard_resume = resume or attempt > 0 or hedge
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_shard_runner_main,
-                args=(
-                    child_conn,
-                    state.spec,
-                    shard_database(self._database, state.spec),
-                    encoded,
-                    threshold,
-                    min_identity,
-                    keep_scores,
-                    self._engine,
-                    policy.shard_workers,
-                    self._shard_checkpoint(checkpoint_dir, shard),
-                    shard_resume,
-                    attempt,
-                    self._faults,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            t_now = time.monotonic()
-            deadline = None if policy.timeout is None else t_now + policy.timeout
-            handles.append(
-                _RunnerHandle(shard, attempt, process, parent_conn, t_now, deadline, hedge)
-            )
-            if state.first_started is None:
-                state.first_started = t_now
-            if hedge:
-                state.hedges += 1
-                report.hedges += 1
-                _obs_profile.record_shard_hedge()
-            _obs_profile.record_shard_active(len(handles))
-
-        def _reap(handle: _RunnerHandle) -> None:
-            handles.remove(handle)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.process.join(timeout=0.5)
-            _obs_profile.record_shard_active(len(handles))
-
-        def _kill(handle: _RunnerHandle) -> None:
-            handle.process.terminate()
-            handle.process.join(timeout=1.0)
-            if handle.process.is_alive():  # pragma: no cover - stubborn child
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-            _reap(handle)
-
-        def _kill_twins(shard: int) -> None:
-            for twin in [h for h in handles if h.shard == shard]:
-                _kill(twin)
-
-        def _finish(state: _ShardState, t_now: float) -> None:
-            if state.first_started is not None:
-                state.elapsed = t_now - state.first_started
-
-        def _register_failure(shard: int, outcome: str, t_now: float) -> None:
-            state = states[shard]
-            state.failures.append(outcome)
-            if len(state.failures) >= policy.max_attempts:
-                state.detail = (
-                    f"health budget exhausted after {len(state.failures)} "
-                    f"attempts: {', '.join(state.failures)}"
-                )
-                _finish(state, t_now)
-                if policy.allow_partial:
-                    state.status = "dead"
-                    _kill_twins(shard)
-                    return
-                raise ShardFailedError(shard, state.failures)
-            report.retries += 1
-            report.respawns += 1
-            pending.append(
-                (t_now + policy.delay(len(state.failures), rng), shard)
-            )
-
-        def _accept(
-            handle: _RunnerHandle, payloads, summary, t_now: float
-        ) -> None:
-            state = states[handle.shard]
-            spec = state.spec
-            error: Optional[str] = None
-            if not isinstance(payloads, list) or len(payloads) != len(encoded):
-                error = f"expected {len(encoded)} query payloads"
-            else:
-                for q, payload in enumerate(payloads):
-                    error = check_chunk_payload(
-                        payload, spec.start, spec.stop, self._database.lengths,
-                        resolved[q], spans[q], keep_scores,
-                    )
-                    if error is not None:
-                        error = f"query {q}: {error}"
-                        break
-            elapsed = t_now - handle.started
-            if error is not None:
-                report.record(
-                    handle.shard, handle.attempt, "corrupt", elapsed, None, error
-                )
-                _register_failure(handle.shard, "corrupt", t_now)
-                return
-            state.status = "ok"
-            state.payloads = payloads
-            state.resumed_chunks = int(summary.get("chunks_from_checkpoint", 0))
-            if state.resumed_chunks and handle.attempt > 0:
-                _obs_profile.record_shard_resume(state.resumed_chunks)
-            if summary.get("degraded"):
-                report.degraded = True
-                report.degraded_reason = (
-                    f"shard {handle.shard}: "
-                    f"{summary.get('degraded_reason') or 'inner session degraded'}"
-                )
-            report.record(handle.shard, handle.attempt, "ok", elapsed, None)
-            _finish(state, t_now)
-            _kill_twins(handle.shard)
-
-        def _service(handle: _RunnerHandle, t_now: float) -> None:
-            message = None
-            try:
-                if handle.conn.poll():
-                    message = handle.conn.recv()
-            except (EOFError, OSError):
-                message = None
-            if message is not None:
-                kind = message[0]
-                state = states[handle.shard]
-                if state.status != "pending":
-                    report.record(
-                        handle.shard, handle.attempt, "duplicate",
-                        t_now - handle.started, None,
-                        "hedged twin finished first",
-                    )
-                    if handle in handles:
-                        _reap(handle)
-                    return
-                if kind == "ok":
-                    _accept(handle, message[3], message[4], t_now)
-                else:
-                    report.record(
-                        handle.shard, handle.attempt, "raise",
-                        t_now - handle.started, None, message[3],
-                    )
-                    _register_failure(handle.shard, "raise", t_now)
-                if handle in handles:
-                    _reap(handle)
-                return
-            if not handle.process.is_alive():
-                exitcode = handle.process.exitcode
-                state = states[handle.shard]
-                in_flight = sum(1 for h in handles if h.shard == handle.shard)
-                _reap(handle)
-                if state.status == "pending" and in_flight == 1:
-                    report.record(
-                        handle.shard, handle.attempt, "crash",
-                        t_now - handle.started, None, f"exitcode {exitcode}",
-                    )
-                    _register_failure(handle.shard, "crash", t_now)
-                elif state.status == "pending":
-                    report.record(
-                        handle.shard, handle.attempt, "crash",
-                        t_now - handle.started, None,
-                        f"exitcode {exitcode} (twin still running)",
-                    )
-
-        def _sweep_timeouts(t_now: float) -> None:
-            for handle in list(handles):
-                if handle.deadline is None or t_now <= handle.deadline:
-                    continue
-                state = states[handle.shard]
-                in_flight = sum(1 for h in handles if h.shard == handle.shard)
-                _kill(handle)
-                if state.status == "pending" and in_flight == 1:
-                    report.record(
-                        handle.shard, handle.attempt, "timeout",
-                        t_now - handle.started, None,
-                        f"exceeded {policy.timeout:.3g}s",
-                    )
-                    _register_failure(handle.shard, "timeout", t_now)
-
-        def _maybe_hedge(t_now: float) -> None:
-            if policy.hedge_after is None or pending:
-                return
-            stragglers = {
-                h.shard for h in handles if states[h.shard].status == "pending"
-            }
-            finished = all(
-                state.status != "pending" or state.spec.shard in stragglers
-                for state in states.values()
-            )
-            if not finished or len(stragglers) != 1:
-                return
-            for handle in list(handles):
-                shard = handle.shard
-                if states[shard].status != "pending":
-                    continue
-                if sum(1 for h in handles if h.shard == shard) > 1:
-                    continue
-                if t_now - handle.started < policy.hedge_after:
-                    continue
-                _spawn(shard, hedge=True)
-
-        def _wait_timeout(t_now: float) -> Optional[float]:
-            candidates: List[float] = []
-            for handle in handles:
-                if handle.deadline is not None:
-                    candidates.append(handle.deadline)
-                if policy.hedge_after is not None:
-                    candidates.append(handle.started + policy.hedge_after)
-            candidates.extend(ready for ready, _ in pending)
-            if not candidates:
-                return None
-            return max(0.0, min(candidates) - t_now) + 0.005
-
-        def _dispatch(t_now: float) -> None:
-            pending.sort(key=lambda item: (item[0], item[1]))
-            while pending and pending[0][0] <= t_now:
-                _, shard = pending.pop(0)
-                if states[shard].status != "pending":
-                    continue
-                _spawn(shard, hedge=False)
-
+            pool: Optional[WorkerPool] = WorkerPool(self._database, num_runners)
+        except (ImportError, OSError):
+            # Restricted environments (no fork, no pipes): shards run
+            # in-process with the same budgets and partial results.
+            pool = None
+        _obs_profile.record_shard_active(num_runners if pool is not None else 0)
         try:
-            while any(s.status == "pending" for s in states.values()):
-                t_now = time.monotonic()
-                _dispatch(t_now)
-                conn_map = {h.conn: h for h in handles}
-                sentinel_map = {h.process.sentinel: h for h in handles}
-                ready = connection.wait(
-                    list(conn_map) + list(sentinel_map),
-                    timeout=_wait_timeout(t_now),
-                )
-                t_now = time.monotonic()
-                handled = set()
-                for obj in ready:
-                    handle = conn_map.get(obj)
-                    if handle is None:
-                        handle = sentinel_map.get(obj)
-                    if handle is None or id(handle) in handled:
-                        continue
-                    handled.add(id(handle))
-                    _service(handle, t_now)
-                _sweep_timeouts(time.monotonic())
-                _maybe_hedge(time.monotonic())
+            supervisor.run(pool)
         finally:
-            for handle in list(handles):
-                _kill(handle)
-
-    # -- inline fallback -------------------------------------------------------
-
-    def _run_inline(
-        self,
-        states: Dict[int, _ShardState],
-        encoded: List[EncodedQuery],
-        resolved: List[int],
-        spans: List[int],
-        threshold: Optional[Union[int, Sequence[Optional[int]]]],
-        min_identity: Optional[float],
-        keep_scores: bool,
-        checkpoint_dir: Optional[Union[str, Path]],
-        resume: bool,
-        report: ScanReport,
-    ) -> None:
-        """Shard-by-shard in-process execution with the same semantics.
-
-        Crash faults raise (there is no runner process to sacrifice) and
-        hang faults genuinely sleep for the plan's ``hang_seconds`` —
-        mirroring :func:`repro.host.resilience._serial_supervised`.
-        """
-        from repro.host import scan_session as session_mod
-
-        policy = self._policy
-        rng = random.Random(policy.seed)
-        for spec in self._specs:
-            state = states[spec.shard]
-            if state.status != "pending":
-                continue
-            state.first_started = time.monotonic()
-            database = shard_database(self._database, spec)
-            while state.status == "pending":
-                attempt = state.attempts
-                state.attempts += 1
-                shard_resume = resume or attempt > 0
-                original = None
-                if self._faults is not None and self._faults.affects(spec.shard):
-                    original = _install_shard_faults(
-                        spec.shard, attempt, self._faults, os.getpid(),
-                        inline=True,
-                    )
-                t0 = time.monotonic()
-                try:
-                    payloads, summary = _scan_shard(
-                        spec, database, encoded, threshold, min_identity,
-                        keep_scores, self._engine, 1,
-                        self._shard_checkpoint(checkpoint_dir, spec.shard),
-                        shard_resume,
-                    )
-                except ScanError as exc:
-                    t_now = time.monotonic()
-                    report.record(
-                        spec.shard, attempt, "raise", t_now - t0, None,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    state.failures.append("raise")
-                    if len(state.failures) >= policy.max_attempts:
-                        state.detail = (
-                            f"health budget exhausted after "
-                            f"{len(state.failures)} attempts: "
-                            f"{', '.join(state.failures)}"
-                        )
-                        state.elapsed = t_now - state.first_started
-                        if policy.allow_partial:
-                            state.status = "dead"
-                            break
-                        raise ShardFailedError(spec.shard, state.failures) from exc
-                    report.retries += 1
-                    time.sleep(policy.delay(len(state.failures), rng))
-                    continue
-                finally:
-                    if original is not None:
-                        session_mod._score_session_windows = original
-                t_now = time.monotonic()
-                error: Optional[str] = None
-                for q, payload in enumerate(payloads):
-                    error = check_chunk_payload(
-                        payload, spec.start, spec.stop, self._database.lengths,
-                        resolved[q], spans[q], keep_scores,
-                    )
-                    if error is not None:
-                        error = f"query {q}: {error}"
-                        break
-                if error is not None:
-                    report.record(
-                        spec.shard, attempt, "corrupt", t_now - t0, None, error
-                    )
-                    state.failures.append("corrupt")
-                    if len(state.failures) >= policy.max_attempts:
-                        state.detail = (
-                            f"health budget exhausted after "
-                            f"{len(state.failures)} attempts: "
-                            f"{', '.join(state.failures)}"
-                        )
-                        state.elapsed = t_now - state.first_started
-                        if policy.allow_partial:
-                            state.status = "dead"
-                            break
-                        raise ShardFailedError(spec.shard, state.failures)
-                    report.retries += 1
-                    time.sleep(policy.delay(len(state.failures), rng))
-                    continue
-                state.status = "ok"
-                state.payloads = payloads
-                state.resumed_chunks = int(
-                    summary.get("chunks_from_checkpoint", 0)
-                )
-                if state.resumed_chunks and attempt > 0:
-                    _obs_profile.record_shard_resume(state.resumed_chunks)
-                report.record(spec.shard, attempt, "ok", t_now - t0, None)
-                state.elapsed = t_now - state.first_started
-
-    # -- merge -----------------------------------------------------------------
-
-    def _merge(
-        self,
-        states: Dict[int, _ShardState],
-        encoded: List[EncodedQuery],
-        resolved: List[int],
-    ) -> List[List[AlignmentResult]]:
-        """Concatenate per-shard payloads in global reference order.
-
-        Shards partition the reference list, so shard order *is* reference
-        order and the merged output is bit-identical to a single-shard
-        scan.  A dead shard contributes nothing: its references are simply
-        absent from the (partial) results.
-        """
-        results: List[List[AlignmentResult]] = [[] for _ in encoded]
-        for spec in self._specs:
-            state = states[spec.shard]
-            if state.status != "ok" or state.payloads is None:
-                continue
-            for q, payload in enumerate(state.payloads):
-                for index, positions, hit_scores, scores, length in payload:
-                    results[q].append(
-                        _build_result(
-                            encoded[q], self._database.names[index], length,
-                            resolved[q], positions, hit_scores, scores,
-                        )
-                    )
-        return results
+            if pool is not None:
+                pool.close()
+            _obs_profile.record_shard_active(0)

@@ -152,23 +152,15 @@ def run_score_benchmark(
     repeats: int = 3,
     seed: int = 2021,
     naive_position_cap: int = NAIVE_POSITION_CAP,
-    small_scan_references: int = 2,
-    small_scan_reference_length: int = 30_000,
 ) -> BenchReport:
     """Run the full benchmark; return the report (callers write/print it).
 
     Single-reference timings isolate engine throughput at ``L_q = 3 *
     residues`` elements over ``reference_length`` nucleotides; the scan
-    sweep then times the end-to-end chunked database scan (bitscore engine)
+    sweep then times the end-to-end database scan (session engine)
     at each worker count over ``scan_references x scan_reference_length``.
-    Worker counts above 1 force the parallel path (``parallel_threshold=0``)
-    so the records measure true pool cost regardless of the cutover.
-
-    A second, deliberately tiny serial/parallel pair
-    (``parallel-scan-small``, workers 1 and 2) records pool overhead at a
-    size where it dominates; together with the big pair it lets
-    :func:`repro.host.scan.derive_cutover` solve for the database size at
-    which parallelism starts paying off *on the recorded machine*.
+    Worker counts above 1 start a pool whenever the plan has more than one
+    task, so the records measure true pool cost.
     """
     from repro.host.scan import PackedDatabase, scan_database
     from repro.seq.generate import random_protein
@@ -220,8 +212,7 @@ def run_score_benchmark(
     for workers in workers_sweep:
         wall = _time(
             lambda workers=workers: scan_database(
-                encoded, database, min_identity=0.9, workers=workers,
-                parallel_threshold=0 if workers > 1 else None,
+                encoded, database, min_identity=0.9, workers=workers
             ),
             repeats,
         )
@@ -239,41 +230,6 @@ def run_score_benchmark(
         _obs_profile.record_bench_record(
             "parallel-scan", workers, scan_record.positions_per_s,
             scan_record.wall_s,
-        )
-
-    small_database = PackedDatabase.from_references(
-        [
-            _planted_reference(query, small_scan_reference_length, rng)
-            for _ in range(small_scan_references)
-        ]
-    )
-    small_positions = sum(
-        max(0, int(length) - num_elements + 1) for length in small_database.lengths
-    )
-    for workers in (1, 2):
-        wall = _time(
-            lambda workers=workers: scan_database(
-                encoded, small_database, min_identity=0.9, workers=workers,
-                parallel_threshold=0 if workers > 1 else None,
-            ),
-            repeats,
-        )
-        small_record = BenchRecord(
-            engine="parallel-scan-small",
-            L_q=num_elements,
-            L_r=int(small_database.lengths.sum()),
-            n_refs=small_database.num_references,
-            wall_s=wall,
-            positions_per_s=(
-                small_positions / wall if wall > 0 else float("inf")
-            ),
-            workers=workers,
-            repeats=repeats,
-        )
-        report.records.append(small_record)
-        _obs_profile.record_bench_record(
-            "parallel-scan-small", workers, small_record.positions_per_s,
-            small_record.wall_s,
         )
 
     _derive_speedups(report)

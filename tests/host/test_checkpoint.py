@@ -7,6 +7,7 @@ from repro.core.encoding import encode_query
 from repro.host.checkpoint import SCHEMA_VERSION, CheckpointStore, scan_fingerprint
 from repro.host.errors import CheckpointMismatchError
 from repro.host.scan import PackedDatabase
+from repro.host.scan_session import plan_batch
 
 
 @pytest.fixture
@@ -15,41 +16,45 @@ def database(rng):
     return PackedDatabase.from_references(refs)
 
 
-@pytest.fixture
-def instructions():
-    return encode_query("MKV").as_array()
+def fingerprint(database, query="MKV", threshold=5, engine="bitscore",
+                keep_scores=False, chunk_size=4):
+    """The checkpoint fingerprint of a one-query scan of ``database``."""
+    _passes, tasks = plan_batch(
+        database.lengths, [encode_query(query)], [threshold], 1,
+        chunk_size=chunk_size, engine=engine, keep_scores=keep_scores,
+    )
+    return scan_fingerprint(database, tasks, engine, keep_scores)
 
 
 def make_payload(with_scores=False):
     scores = np.arange(5, dtype=np.int64) if with_scores else None
     return [
-        (0, np.array([3, 9], dtype=np.int64), np.array([7, 8], dtype=np.int64),
-         scores, 200),
-        (1, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-         None, 300),
+        (0, 0, 0, np.array([3, 9], dtype=np.int64), np.array([7, 8], dtype=np.int64),
+         scores),
+        (0, 1, 0, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+         None),
     ]
 
 
 class TestFingerprint:
-    def test_stable_for_identical_inputs(self, database, instructions):
-        a = scan_fingerprint(database, instructions, 5, "bitscore", False, 4)
-        b = scan_fingerprint(database, instructions, 5, "bitscore", False, 4)
-        assert a == b
+    def test_stable_for_identical_inputs(self, database):
+        assert fingerprint(database) == fingerprint(database)
 
-    def test_sensitive_to_every_parameter(self, database, instructions):
-        base = scan_fingerprint(database, instructions, 5, "bitscore", False, 4)
-        assert scan_fingerprint(database, instructions, 6, "bitscore", False, 4) != base
-        assert scan_fingerprint(database, instructions, 5, "naive", False, 4) != base
-        assert scan_fingerprint(database, instructions, 5, "bitscore", True, 4) != base
-        assert scan_fingerprint(database, instructions, 5, "bitscore", False, 8) != base
-        other = encode_query("MKW").as_array()
-        assert scan_fingerprint(database, other, 5, "bitscore", False, 4) != base
+    def test_sensitive_to_every_parameter(self, database):
+        base = fingerprint(database)
+        assert fingerprint(database, threshold=6) != base
+        assert fingerprint(database, engine="naive") != base
+        assert fingerprint(database, keep_scores=True) != base
+        # The task layout is hashed, so a different chunking is a different
+        # scan even though its results would be identical.
+        assert fingerprint(database, chunk_size=1) != base
+        assert fingerprint(database, query="MKW") != base
 
-    def test_sensitive_to_database_contents(self, rng, database, instructions):
-        base = scan_fingerprint(database, instructions, 5, "bitscore", False, 4)
+    def test_sensitive_to_database_contents(self, rng, database):
+        base = fingerprint(database)
         refs = [rng.integers(0, 4, size=n, dtype=np.uint8) for n in (200, 300, 250)]
         other = PackedDatabase.from_references(refs)
-        assert scan_fingerprint(other, instructions, 5, "bitscore", False, 4) != base
+        assert fingerprint(other) != base
 
 
 class TestChunkFiles:
@@ -61,14 +66,13 @@ class TestChunkFiles:
         assert loaded is not None
         assert len(loaded) == 2
         for original, restored in zip(payload, loaded):
-            assert restored[0] == original[0]
-            np.testing.assert_array_equal(restored[1], original[1])
-            np.testing.assert_array_equal(restored[2], original[2])
-            if original[3] is None:
-                assert restored[3] is None
+            assert restored[:3] == original[:3]
+            np.testing.assert_array_equal(restored[3], original[3])
+            np.testing.assert_array_equal(restored[4], original[4])
+            if original[5] is None:
+                assert restored[5] is None
             else:
-                np.testing.assert_array_equal(restored[3], original[3])
-            assert restored[4] == original[4]
+                np.testing.assert_array_equal(restored[5], original[5])
 
     def test_missing_chunk_is_none(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

@@ -1,9 +1,11 @@
-"""Tests for the supervised fault-tolerant scan runtime.
+"""Tests for the task supervisor behind every scan runtime.
 
-The acceptance bar (ISSUE): a scan running under a seeded FaultPlan with
-crashes, hangs and corrupt results must produce bit-identical output to a
+The acceptance bar: a scan running under a seeded FaultPlan with crashes,
+hangs and corrupt results must produce bit-identical output to a
 fault-free serial scan, and a checkpointed scan must resume to identical
-results without rescoring completed chunks.
+results without rescoring completed chunks.  Supervised scans go through
+``scan_database(..., with_report=True)``; an explicit ``chunk_size`` keys
+fault plans and checkpoints on whole-reference chunks.
 """
 
 import numpy as np
@@ -17,14 +19,9 @@ from repro.host.errors import (
     ScanError,
 )
 from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
-from repro.host.resilience import (
-    RetryPolicy,
-    ScanReport,
-    check_chunk_payload,
-    corrupt_payload,
-    supervised_scan,
-)
+from repro.host.resilience import RetryPolicy, ScanReport, corrupt_records
 from repro.host.scan import PackedDatabase, scan_database
+from repro.host.scan_session import plan_batch
 
 THRESHOLD = 4
 
@@ -53,6 +50,11 @@ def baseline(query, database):
     return scan_database(query, database, threshold=THRESHOLD, workers=1)
 
 
+def supervised_scan(query, database, **kwargs):
+    """A supervised one-shot scan: ``(results, report)``."""
+    return scan_database(query, database, with_report=True, **kwargs)
+
+
 def assert_identical(results, baseline):
     assert len(results) == len(baseline)
     for ours, expected in zip(results, baseline):
@@ -63,39 +65,39 @@ def assert_identical(results, baseline):
 
 class TestSerialSupervised:
     def test_bit_identical_without_faults(self, query, database, baseline):
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST,
         )
-        assert_identical(out.results, baseline)
-        assert out.report.mode == "serial"
-        assert out.report.clean
-        assert out.report.exit_code() == 0
-        assert out.report.chunks_completed == out.report.chunks_total == 4
+        assert_identical(results, baseline)
+        assert report.mode == "serial"
+        assert report.clean
+        assert report.exit_code() == 0
+        assert report.chunks_completed == report.chunks_total == 4
 
     def test_recovers_from_raise_and_corrupt(self, query, database, baseline):
         plan = FaultPlan.parse("0:raise,2:corrupt")
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST, faults=plan,
         )
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.raised == 1
-        assert out.report.corrupt == 1
-        assert out.report.retries == 2
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.raised == 1
+        assert report.corrupt == 1
+        assert report.retries == 2
 
     def test_keep_scores_round_trip(self, query, database):
         expected = scan_database(
             query, database, threshold=THRESHOLD, workers=1, keep_scores=True
         )
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=3, policy=FAST, keep_scores=True,
             faults=FaultPlan.parse("1:corrupt"),
         )
-        assert_identical(out.results, expected)
-        for ours, reference in zip(out.results, expected):
+        assert_identical(results, expected)
+        for ours, reference in zip(results, expected):
             np.testing.assert_array_equal(ours.scores, reference.scores)
 
 
@@ -109,33 +111,33 @@ class TestParallelFaults:
         )
 
     def test_crash_is_retried(self, query, database, baseline):
-        out = self.run(query, database, FaultPlan.parse("1:crash"))
-        assert_identical(out.results, baseline)
-        assert out.report.mode == "parallel"
-        assert out.report.clean
-        assert out.report.crashes == 1
-        assert out.report.respawns >= 1
+        results, report = self.run(query, database, FaultPlan.parse("1:crash"))
+        assert_identical(results, baseline)
+        assert report.mode == "parallel"
+        assert report.clean
+        assert report.crashes == 1
+        assert report.respawns >= 1
 
     def test_hang_is_killed_and_retried(self, query, database, baseline):
         policy = RetryPolicy(
             max_retries=3, timeout=0.5, backoff=0.01, backoff_max=0.05, seed=1
         )
-        out = self.run(query, database, FaultPlan.parse("2:hang"), policy=policy)
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.timeouts == 1
+        results, report = self.run(query, database, FaultPlan.parse("2:hang"), policy=policy)
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.timeouts == 1
 
     def test_raise_is_retried(self, query, database, baseline):
-        out = self.run(query, database, FaultPlan.parse("3:raise"))
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.raised == 1
+        results, report = self.run(query, database, FaultPlan.parse("3:raise"))
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.raised == 1
 
     def test_corrupt_is_detected_and_retried(self, query, database, baseline):
-        out = self.run(query, database, FaultPlan.parse("0:corrupt"))
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.corrupt == 1
+        results, report = self.run(query, database, FaultPlan.parse("0:corrupt"))
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.corrupt == 1
 
     def test_acceptance_mixed_faults_bit_identical(self, query, database, baseline):
         """ISSUE acceptance: crash + hang + corrupt, bit-identical output."""
@@ -143,12 +145,12 @@ class TestParallelFaults:
             max_retries=3, timeout=0.5, backoff=0.01, backoff_max=0.05, seed=1
         )
         plan = FaultPlan.parse("0:crash,1:hang,3:corrupt")
-        out = self.run(query, database, plan, policy=policy)
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.crashes == 1
-        assert out.report.timeouts == 1
-        assert out.report.corrupt == 1
+        results, report = self.run(query, database, plan, policy=policy)
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.crashes == 1
+        assert report.timeouts == 1
+        assert report.corrupt == 1
 
     def test_hedged_straggler_finishes_early(self, query, database, baseline):
         # Chunk 0 hangs; with hedging the drained pool re-dispatches it to a
@@ -156,11 +158,11 @@ class TestParallelFaults:
         policy = RetryPolicy(
             max_retries=3, timeout=10.0, backoff=0.01, hedge_after=0.2, seed=1
         )
-        out = self.run(query, database, FaultPlan.parse("0:hang"), policy=policy)
-        assert_identical(out.results, baseline)
-        assert out.report.clean
-        assert out.report.hedges >= 1
-        assert out.report.elapsed_seconds < 10.0
+        results, report = self.run(query, database, FaultPlan.parse("0:hang"), policy=policy)
+        assert_identical(results, baseline)
+        assert report.clean
+        assert report.hedges >= 1
+        assert report.elapsed_seconds < 10.0
 
 
 class TestDegradation:
@@ -169,16 +171,16 @@ class TestDegradation:
         policy = RetryPolicy(
             max_retries=1, timeout=2.0, backoff=0.01, max_respawns=3, seed=1
         )
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=3, chunk_size=2, policy=policy, faults=plan,
         )
         # Degraded, but still correct: the serial fallback runs faultless.
-        assert_identical(out.results, baseline)
-        assert out.report.degraded
-        assert out.report.degraded_reason
-        assert out.report.exit_code() == 3
-        assert out.report.chunks_degraded >= 1
+        assert_identical(results, baseline)
+        assert report.degraded
+        assert report.degraded_reason
+        assert report.exit_code() == 3
+        assert report.chunks_degraded >= 1
 
     def test_no_degrade_raises_scan_error(self, query, database):
         plan = FaultPlan(specs=(FaultSpec(0, FaultKind.RAISE, attempts=ALWAYS),))
@@ -196,11 +198,11 @@ class TestDegradation:
 class TestCheckpointResume:
     def test_resume_skips_completed_chunks(self, query, database, baseline, tmp_path):
         ckpt = tmp_path / "ckpt"
-        first = supervised_scan(
+        first, _ = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST, checkpoint_dir=ckpt,
         )
-        assert_identical(first.results, baseline)
+        assert_identical(first, baseline)
         assert sorted(p.name for p in ckpt.glob("chunk_*.npz")) == [
             f"chunk_{i:06d}.npz" for i in range(4)
         ]
@@ -212,16 +214,16 @@ class TestCheckpointResume:
                 FaultSpec(i, FaultKind.CRASH, attempts=ALWAYS) for i in range(4)
             )
         )
-        second = supervised_scan(
+        second, second_report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST, faults=poison,
             checkpoint_dir=ckpt, resume=True,
         )
-        assert_identical(second.results, baseline)
-        assert second.report.clean
-        assert second.report.resumed
-        assert second.report.chunks_from_checkpoint == 4
-        assert second.report.attempts == []
+        assert_identical(second, baseline)
+        assert second_report.clean
+        assert second_report.resumed
+        assert second_report.chunks_from_checkpoint == 4
+        assert second_report.attempts == []
 
     def test_resume_refuses_different_scan(self, query, database, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -247,14 +249,14 @@ class TestCheckpointResume:
         # Truncate one chunk file as a kill-mid-write would.
         victim = ckpt / "chunk_000002.npz"
         victim.write_bytes(victim.read_bytes()[:16])
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST,
             checkpoint_dir=ckpt, resume=True,
         )
-        assert_identical(out.results, baseline)
-        assert out.report.chunks_from_checkpoint == 3
-        assert {a.chunk for a in out.report.attempts} == {2}
+        assert_identical(results, baseline)
+        assert report.chunks_from_checkpoint == 3
+        assert {a.chunk for a in report.attempts} == {2}
 
 
 class TestSharedMemoryLifecycle:
@@ -277,57 +279,42 @@ class TestSharedMemoryLifecycle:
         assert scan_mod._LIVE_SEGMENTS == {}
 
     def test_legacy_parallel_path_retires_segment(self, query, database):
-        # parallel_threshold=0 forces the parallel path deterministically
-        # (the derived cutover depends on the committed bench baseline).
-        scan_database(
-            query, database, threshold=THRESHOLD, workers=2,
-            parallel_threshold=0,
-        )
+        # A report-less scan whose plan has several tasks runs on a pool too.
+        scan_database(query, database, threshold=THRESHOLD, workers=2, chunk_size=2)
         assert scan_mod._LIVE_SEGMENTS == {}
 
 
 class TestSanityCheck:
-    def make_payload(self, query, database, start, stop, keep_scores=False):
-        from repro.host.resilience import _score_chunk_span
-
-        return _score_chunk_span(
-            database.buffer, database.lengths, database.byte_offsets,
-            query.as_array(), THRESHOLD, "bitscore", keep_scores, start, stop,
+    def make_task(self, query, database, start, stop, keep_scores=False):
+        _passes, tasks = plan_batch(
+            database.lengths, [query], [THRESHOLD], 1,
+            chunk_size=2, engine="bitscore", keep_scores=keep_scores,
         )
+        return tasks[start // 2]
 
     def test_honest_payload_passes(self, query, database):
-        payload = self.make_payload(query, database, 0, 2)
-        assert check_chunk_payload(
-            payload, 0, 2, database.lengths, THRESHOLD, len(query), False
-        ) is None
+        task = self.make_task(query, database, 0, 2)
+        assert task.check(database, task.run(database, 0)) is None
 
     def test_corruption_is_always_detected(self, query, database):
         for start, stop in ((0, 2), (2, 4), (4, 6), (6, 8)):
-            payload = corrupt_payload(
-                self.make_payload(query, database, start, stop), len(query)
-            )
-            reason = check_chunk_payload(
-                payload, start, stop, database.lengths, THRESHOLD, len(query), False
-            )
-            assert reason is not None
+            task = self.make_task(query, database, start, stop)
+            payload = corrupt_records(task.run(database, 0))
+            assert task.check(database, payload) is not None
 
     def test_wrong_record_count_detected(self, query, database):
-        payload = self.make_payload(query, database, 0, 2)[:1]
-        assert check_chunk_payload(
-            payload, 0, 2, database.lengths, THRESHOLD, len(query), False
-        ) is not None
+        task = self.make_task(query, database, 0, 2)
+        payload = task.run(database, 0)[:1]
+        assert task.check(database, payload) is not None
 
     def test_keep_scores_cross_check(self, query, database):
-        payload = self.make_payload(query, database, 0, 2, keep_scores=True)
-        assert check_chunk_payload(
-            payload, 0, 2, database.lengths, THRESHOLD, len(query), True
-        ) is None
-        index, positions, hit_scores, scores, length = payload[0]
-        tampered = [(index, positions, hit_scores + 1, scores, length)] + payload[1:]
-        if positions.size:
-            assert check_chunk_payload(
-                tampered, 0, 2, database.lengths, THRESHOLD, len(query), True
-            ) is not None
+        task = self.make_task(query, database, 0, 2, keep_scores=True)
+        payload = task.run(database, 0)
+        assert task.check(database, payload) is None
+        slot, reference, start, hits, hit_scores, scores = payload[0]
+        tampered = [(slot, reference, start, hits, hit_scores + 1, scores)] + payload[1:]
+        if hits.size:
+            assert task.check(database, tampered) is not None
 
 
 class TestPolicyAndReport:
@@ -348,12 +335,12 @@ class TestPolicyAndReport:
         assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
 
     def test_report_dict_schema(self, query, database):
-        out = supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=1, chunk_size=2, policy=FAST,
             faults=FaultPlan.parse("1:raise"),
         )
-        payload = out.report.to_dict()
+        payload = report.to_dict()
         assert payload["version"] == ScanReport.VERSION
         assert payload["clean"] is True
         assert payload["mode"] == "serial"

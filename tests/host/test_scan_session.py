@@ -88,13 +88,13 @@ class TestWarmReuse:
     def test_pool_and_image_survive_across_calls(self, queries, database):
         with ScanSession(database, workers=2) as session:
             first = session.scan_batch(queries, min_identity=0.8)
-            workers_before = [w.process.pid for w in session._workers]
+            workers_before = [w.process.pid for w in session._pool.workers]
             for _ in range(2):
                 again = session.scan_batch(queries, min_identity=0.8)
                 for got_list, want_list in zip(again, first):
                     for got, want in zip(got_list, want_list):
                         assert np.array_equal(got.hits, want.hits)
-            assert [w.process.pid for w in session._workers] == workers_before
+            assert [w.process.pid for w in session._pool.workers] == workers_before
             assert session.scans_completed == 3
             assert session.pool_reuses == 2
             assert session.respawns_total == 0
@@ -112,7 +112,7 @@ class TestWarmReuse:
     def test_dead_worker_is_replaced_between_calls(self, queries, database):
         with ScanSession(database, workers=2) as session:
             baseline = session.scan_batch(queries, min_identity=0.8)
-            victim = session._workers[0].process
+            victim = session._pool.workers[0].process
             victim.terminate()
             victim.join(timeout=2.0)
             again = session.scan_batch(queries, min_identity=0.8)
@@ -206,7 +206,7 @@ class TestLifecycle:
         session.close()
         session.close()
         assert session.closed
-        assert session._workers == []
+        assert not (session._pool and session._pool.workers)
         with pytest.raises(ScanError, match="closed"):
             session.scan_batch(queries[:1], min_identity=0.8)
 

@@ -1,4 +1,4 @@
-"""Tests for the supervised multi-shard scan runtime."""
+"""Tests for the sharded scan runtime: shards as supervised tasks."""
 
 import multiprocessing
 from dataclasses import replace
@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from repro.host.errors import ShardFailedError
 from repro.host.faults import ShardFaultPlan
-from repro.host.resilience import ScanReport, ShardStatus
+from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus
 from repro.host.scan import PackedDatabase, scan_database
 from repro.host.shards import (
-    ShardPolicy,
     ShardSpec,
     ShardedScanRuntime,
     plan_shards,
@@ -102,20 +101,21 @@ class TestShardDatabase:
 
 
 class TestShardPolicy:
+    """Shards run under the one RetryPolicy: a shard's attempt budget is
+    ``max_retries + 1`` and ``degrade`` allows partial results."""
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            ShardPolicy(max_attempts=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError, match="timeout"):
-            ShardPolicy(timeout=0.0)
+            RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError, match="backoff"):
-            ShardPolicy(backoff=-1.0)
-        with pytest.raises(ValueError, match="shard_workers"):
-            ShardPolicy(shard_workers=0)
+            RetryPolicy(backoff=-1.0)
 
     def test_delay_is_seeded_and_bounded(self):
         import random
 
-        policy = ShardPolicy(backoff=0.1, backoff_max=0.5, jitter=0.25, seed=7)
+        policy = RetryPolicy(backoff=0.1, backoff_max=0.5, jitter=0.25, seed=7)
         a = [policy.delay(n, random.Random(7)) for n in (1, 2, 3, 9)]
         b = [policy.delay(n, random.Random(7)) for n in (1, 2, 3, 9)]
         assert a == b
@@ -183,7 +183,7 @@ class TestFaultRecovery:
             references,
             num_shards=2,
             faults=ShardFaultPlan.parse(plan_text),
-            policy=ShardPolicy(max_attempts=3, backoff=0.01),
+            policy=RetryPolicy(max_retries=2, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
             [query], threshold=14, with_report=True
@@ -202,7 +202,7 @@ class TestFaultRecovery:
             references,
             num_shards=2,
             faults=ShardFaultPlan.parse("shard:0:hang", hang_seconds=60.0),
-            policy=ShardPolicy(max_attempts=3, timeout=0.6, backoff=0.01),
+            policy=RetryPolicy(max_retries=2, timeout=0.6, backoff=0.01),
         )
         _, report = runtime.scan_batch(
             [random_protein(6, rng=rng)], threshold=12, with_report=True
@@ -219,7 +219,7 @@ class TestFaultRecovery:
             references,
             num_shards=2,
             faults=ShardFaultPlan.parse("shard:0:crash:0:always"),
-            policy=ShardPolicy(max_attempts=2, backoff=0.01),
+            policy=RetryPolicy(max_retries=1, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
             [query], threshold=14, with_report=True
@@ -243,8 +243,8 @@ class TestFaultRecovery:
             make_references(rng, count=4, length=1200),
             num_shards=2,
             faults=ShardFaultPlan.parse("shard:1:raise:0:always"),
-            policy=ShardPolicy(
-                max_attempts=2, backoff=0.01, allow_partial=False
+            policy=RetryPolicy(
+                max_retries=1, backoff=0.01, degrade=False
             ),
         )
         with pytest.raises(ShardFailedError, match="shard 1 failed after 2"):
@@ -262,7 +262,7 @@ class TestCheckpointResume:
             references,
             num_shards=2,
             faults=ShardFaultPlan.parse("shard:1:crash:1:1"),
-            policy=ShardPolicy(max_attempts=3, backoff=0.01),
+            policy=RetryPolicy(max_retries=2, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
             [query],
@@ -290,8 +290,8 @@ class TestHedging:
             references,
             num_shards=2,
             faults=ShardFaultPlan.parse("shard:0:hang", hang_seconds=60.0),
-            policy=ShardPolicy(
-                max_attempts=3, timeout=None, hedge_after=0.4, backoff=0.01
+            policy=RetryPolicy(
+                max_retries=2, timeout=None, hedge_after=0.4, backoff=0.01
             ),
         )
         _, report = runtime.scan_batch(
@@ -327,7 +327,7 @@ class TestInlineFallback:
             faults=ShardFaultPlan.parse(
                 "shard:0:crash,shard:1:raise:0:always"
             ),
-            policy=ShardPolicy(max_attempts=2, backoff=0.01),
+            policy=RetryPolicy(max_retries=1, backoff=0.01),
         )
         with mock.patch.object(
             multiprocessing, "get_context", side_effect=OSError("no fork")

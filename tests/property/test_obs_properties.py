@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.encoding import encode_query
-from repro.host.resilience import RetryPolicy, supervised_scan
+from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
 
 _RNG = np.random.default_rng(0x0B5)
@@ -68,16 +68,16 @@ def test_observability_never_changes_supervised_results(query, threshold):
     encoded = encode_query(query)
     obs.disable()
     obs.reset()
-    baseline = supervised_scan(
+    baseline = scan_database(
         encoded, _DATABASE, threshold=threshold, engine="bitscore",
-        workers=1, chunk_size=2, policy=_POLICY,
+        workers=1, chunk_size=2, policy=_POLICY, with_report=True,
     )
     obs.reset()
     obs.enable()
     try:
-        instrumented = supervised_scan(
+        instrumented = scan_database(
             encoded, _DATABASE, threshold=threshold, engine="bitscore",
-            workers=1, chunk_size=2, policy=_POLICY,
+            workers=1, chunk_size=2, policy=_POLICY, with_report=True,
         )
         # The instrumented run actually recorded something...
         assert {f.name for f in obs.REGISTRY.families()} >= {
@@ -88,8 +88,8 @@ def test_observability_never_changes_supervised_results(query, threshold):
     finally:
         obs.disable()
     # ...and it changed nothing.
-    assert hits_of(instrumented.results) == hits_of(baseline.results)
-    assert instrumented.report.clean == baseline.report.clean
+    assert hits_of(instrumented[0]) == hits_of(baseline[0])
+    assert instrumented[1].clean == baseline[1].clean
     obs.reset()
 
 
@@ -101,9 +101,9 @@ def test_observability_never_changes_supervised_results(query, threshold):
 def test_disabled_layer_records_nothing(query, threshold):
     obs.disable()
     obs.reset()
-    supervised_scan(
+    scan_database(
         encode_query(query), _DATABASE, threshold=threshold, engine="bitscore",
-        workers=1, chunk_size=3, policy=_POLICY,
+        workers=1, chunk_size=3, policy=_POLICY, with_report=True,
     )
     assert obs.REGISTRY.families() == []
     assert len(obs.RECORDER) == 0

@@ -1,6 +1,6 @@
 """Property tests: fault injection never changes scan results.
 
-The supervised runtime's core guarantee is that retries, corrupt-result
+The task supervisor's core guarantee is that retries, corrupt-result
 rejection and checkpoint reuse are invisible in the output — any seeded
 FaultPlan made of recoverable faults must yield results bit-identical to a
 fault-free serial scan.
@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from repro.core.encoding import encode_query
 from repro.host.faults import FaultKind, FaultPlan, FaultSpec
-from repro.host.resilience import RetryPolicy, supervised_scan
+from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
 
-#: Serial-mode recoverable kinds (crash/hang are process-level faults that
-#: the serial path records as failures / sleeps on; raise and corrupt
+#: In-process recoverable kinds (crash/hang are process-level faults that
+#: the in-process loop records as failures / sleeps on; raise and corrupt
 #: exercise the full retry + sanity-check machinery in-process, fast).
 SERIAL_KINDS = (FaultKind.RAISE, FaultKind.CORRUPT)
 
@@ -60,15 +60,15 @@ def fault_plans(draw):
 @settings(max_examples=40, deadline=None)
 @given(plan=fault_plans())
 def test_recoverable_faults_are_invisible(plan):
-    out = supervised_scan(
+    results, report = scan_database(
         _QUERY, _DATABASE, threshold=_THRESHOLD, engine="bitscore",
-        workers=1, chunk_size=2, policy=_POLICY, faults=plan,
+        workers=1, chunk_size=2, policy=_POLICY, faults=plan, with_report=True,
     )
-    assert out.report.clean
+    assert report.clean
     # Every injected faulty attempt costs exactly one retry, no more.
-    assert out.report.retries == sum(s.attempts for s in plan.specs)
-    assert len(out.results) == len(_BASELINE)
-    for ours, expected in zip(out.results, _BASELINE):
+    assert report.retries == sum(s.attempts for s in plan.specs)
+    assert len(results) == len(_BASELINE)
+    for ours, expected in zip(results, _BASELINE):
         assert ours.reference_name == expected.reference_name
         assert ours.hits == expected.hits
 
@@ -82,10 +82,10 @@ def test_seeded_plans_are_reproducible_and_recoverable(seed):
     assert plan.specs == FaultPlan.from_seed(
         seed, 5, rate=0.4, kinds=SERIAL_KINDS, max_attempts=2
     ).specs
-    out = supervised_scan(
+    results, report = scan_database(
         _QUERY, _DATABASE, threshold=_THRESHOLD, engine="bitscore",
-        workers=1, chunk_size=2, policy=_POLICY, faults=plan,
+        workers=1, chunk_size=2, policy=_POLICY, faults=plan, with_report=True,
     )
-    assert out.report.clean
-    for ours, expected in zip(out.results, _BASELINE):
+    assert report.clean
+    for ours, expected in zip(results, _BASELINE):
         assert ours.hits == expected.hits

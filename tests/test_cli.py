@@ -52,6 +52,24 @@ class TestEncode:
             main(["encode"])
 
 
+class TestBadQueryLetters:
+    """Invalid --query letters end every subcommand with exit 2, one line."""
+
+    @pytest.mark.parametrize("command", ["encode", "search", "scan"])
+    def test_bad_letters_exit_two(self, synthetic_files, capsys, command):
+        db, _queries = synthetic_files
+        argv = [command, "--query", "MKZ1"]
+        if command != "encode":
+            argv += ["--database", str(db)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "invalid protein letters" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSearch:
     def test_finds_planted(self, synthetic_files, capsys):
         db, queries = synthetic_files
@@ -560,13 +578,28 @@ class TestScan:
 
         assert hit_rows(warm) == hit_rows(plain)
 
-    def test_session_rejects_fault_injection(self, synthetic_files, capsys):
+    def test_session_chaos_scan_keeps_fault_free_hits(self, synthetic_files, capsys):
+        """--session takes --fault-rate: recovered faults leave the hits alone."""
         db, queries = synthetic_files
+        assert self.scan(db, queries, "--session") == 0
+        clean = capsys.readouterr().out
+        # Seed 1 plans a crash on task 0 and a corrupt result on task 1.
         code = self.scan(
-            db, queries, "--session", "--inject-faults", "0:raise"
+            db, queries, "--session", "--workers", "2",
+            "--fault-rate", "0.5", "--fault-seed", "1",
+            "--chunk-timeout", "5", "--fault-hang-seconds", "5",
         )
-        assert code == 1
-        assert "fault injection" in capsys.readouterr().err
+        assert code in (0, 3)
+        chaos = capsys.readouterr().out
+        assert "retries=0" not in chaos
+
+        def hit_rows(out):
+            return [
+                line.split() for line in out.splitlines()
+                if line.strip().startswith("query_") and "hits" not in line
+            ]
+
+        assert hit_rows(chaos) == hit_rows(clean)
 
     def test_checkpoint_then_resume(self, synthetic_files, tmp_path, capsys):
         db, queries = synthetic_files
