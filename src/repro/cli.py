@@ -171,8 +171,6 @@ def cmd_search(args) -> int:
 SCAN_ENGINES = (
     "bitscore",
     "bitscore_batch",
-    "packed",
-    "diagonal",
     "vectorized",
     "naive",
 )
@@ -204,6 +202,13 @@ def _obs_finish(args, active: bool) -> None:
         obs.disable()
 
 
+def _id_range(ids: Sequence[int]) -> str:
+    """``"3-5"`` for a contiguous id list, ``"-"`` for none."""
+    if not ids:
+        return "-"
+    return str(ids[0]) if len(ids) == 1 else f"{ids[0]}-{ids[-1]}"
+
+
 def cmd_scan(args) -> int:
     """Supervised scan; exit 0 clean / 3 degraded / 4 dead shards / 1 fatal."""
     import json
@@ -216,6 +221,7 @@ def cmd_scan(args) -> int:
     from repro.host.resilience import RetryPolicy
     from repro.host.scan import PackedDatabase, resolve_workers, scan_database
     from repro.host.scan_session import plan_batch
+    from repro.host.shards import ShardedScanRuntime, plan_shards
     from repro.seq import fasta
 
     on_error = None if args.on_bad_record == "ignore" else args.on_bad_record
@@ -229,31 +235,43 @@ def cmd_scan(args) -> int:
         references = fasta.read_rna(args.database, on_error=on_error, skipped=skipped)
         database = PackedDatabase.from_references(references)
         num_workers = resolve_workers(args.workers)
-        # The planned task count per scan call: fault plans and checkpoints
-        # are keyed on task ids.
+        shard_specs = None
+        if args.shards is not None:
+            # --shards scans every query in one batch on a pool of one
+            # worker per shard.
+            shard_specs = plan_shards(database.lengths, args.shards)
+            num_workers = max(1, len(shard_specs))
+        # The planned tasks per scan call: fault plans and checkpoints are
+        # keyed on task ids.
         encoded = [encode_query(query) for query in queries]
-        calls = [encoded] if args.session else [[e] for e in encoded]
-        num_tasks = max(
-            (
-                len(
-                    plan_batch(
-                        database.lengths, call, [0] * len(call), num_workers,
-                        chunk_size=args.chunk_size,
-                    )[1]
-                )
-                for call in calls
-            ),
-            default=0,
-        )
+        one_batch = args.session or shard_specs is not None
+        calls = [encoded] if one_batch else [[e] for e in encoded]
+        plans = [
+            plan_batch(
+                database.lengths, call, [0] * len(call), num_workers,
+                chunk_size=args.chunk_size, shards=shard_specs,
+            )[1]
+            for call in calls
+        ]
+        num_tasks = max((len(tasks) for tasks in plans), default=0)
         granule = (
             f"chunks of <= {args.chunk_size} references"
             if args.chunk_size
             else "position-balanced tasks"
         )
+        owners = ""
+        if shard_specs is not None:
+            owned: Dict[int, List[int]] = {}
+            for task_id, task in enumerate(plans[0] if plans else []):
+                owned.setdefault(task.shard, []).append(task_id)
+            owners = f"; {len(shard_specs)} shards, task ids " + ", ".join(
+                f"shard {spec.shard}: {_id_range(owned.get(spec.shard, []))}"
+                for spec in shard_specs
+            )
         print(
             f"database: {database.num_references} references, "
             f"{database.total_nucleotides:,} nt in {num_tasks} {granule} "
-            f"(workers={num_workers})"
+            f"(workers={num_workers}){owners}"
         )
         if skipped:
             print(f"quarantined {len(skipped)} bad records:")
@@ -292,34 +310,15 @@ def cmd_scan(args) -> int:
         engine = args.engine
         outcomes = []
         dead_any = False
-        if args.shards is not None:
-            # S supervised shard tasks (one session each), merged
-            # seam-exactly; shard death degrades to partial results.
-            if args.session:
-                raise ValueError("--shards and --session are mutually exclusive")
-            if plan is not None:
-                raise ValueError(
-                    "--shards takes shard-scoped faults via --shard-faults, "
-                    "not --inject-faults/--fault-rate"
-                )
-            from repro.host.faults import ShardFaultPlan
-            from repro.host.shards import ShardedScanRuntime
-
-            shard_plan = None
-            if args.shard_faults:
-                shard_plan = ShardFaultPlan.parse(
-                    args.shard_faults, hang_seconds=args.fault_hang_seconds
-                )
+        if shard_specs is not None:
+            # Shards label the tasks of one supervised batch; a shard whose
+            # task exhausts its budget is dead and its references missing.
             runtime = ShardedScanRuntime(
                 database,
                 num_shards=args.shards,
                 engine=engine,
                 policy=policy,
-                faults=shard_plan,
-            )
-            print(
-                f"shards: {runtime.num_shards} supervised runtimes, "
-                f"engine={engine}"
+                faults=plan,
             )
             checkpoint_dir = (
                 pathlib.Path(args.checkpoint) if args.checkpoint else None
@@ -328,6 +327,7 @@ def cmd_scan(args) -> int:
                 queries,
                 threshold=threshold,
                 min_identity=min_identity,
+                chunk_size=args.chunk_size,
                 checkpoint_dir=checkpoint_dir,
                 resume=args.resume,
                 with_report=True,
@@ -337,8 +337,6 @@ def cmd_scan(args) -> int:
                 (query, results, report)
                 for query, results in zip(queries, batches)
             ]
-        elif args.shard_faults:
-            raise ValueError("--shard-faults requires --shards")
         elif args.session:
             # One warm runtime for the whole query stream: the packed image
             # and worker pool are set up once, queries share passes, and a
@@ -1140,21 +1138,16 @@ def build_parser() -> argparse.ArgumentParser:
                    "are grouped into shared passes, and each database "
                    "window is swept once per pass")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the database into N shards, each one "
-                   "supervised task with its own session: per-shard attempt "
-                   "budgets, elastic checkpoint resume, hedging, and "
-                   "partial results (exit 4 on dead shards)")
-    p.add_argument("--shard-faults", metavar="SPEC",
-                   help="deterministic shard fault plan, e.g. "
-                   "'shard:0:crash,shard:1:hang:1:always' "
-                   "(shard:IDX:KIND[:CHUNK[:ATTEMPTS]]); requires --shards")
+                   help="partition the database into N contiguous shards "
+                   "scanned as one batch on N workers; a shard with a task "
+                   "that exhausts its retries is dead and its references "
+                   "are missing (exit 4)")
     p.add_argument("--chunk-size", type=int, default=None,
                    help="references per task, the retry/checkpoint/fault "
                    "granule (default: position-balanced windows)")
     p.add_argument("--max-hits", type=int, default=10)
     p.add_argument("--retries", type=int, default=3,
-                   help="extra attempts per task (chunk or shard) after the "
-                   "first failure")
+                   help="extra attempts per task after the first failure")
     p.add_argument("--chunk-timeout", type=float, default=300.0,
                    help="per-task attempt timeout in seconds (0 disables)")
     p.add_argument("--backoff", type=float, default=0.05,
@@ -1184,8 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="what to do with malformed/empty/duplicate FASTA "
                    "records (default: quarantine and report)")
     p.add_argument("--inject-faults", metavar="SPEC",
-                   help="deterministic fault plan, e.g. '1:crash,4:hang,"
-                   "7:corrupt:2' (CHUNK:KIND[:ATTEMPTS])")
+                   help="deterministic fault plan keyed on task ids, e.g. "
+                   "'1:crash,4:hang,7:corrupt:2' (TASK:KIND[:ATTEMPTS])")
     p.add_argument("--fault-rate", type=float, default=0.0,
                    help="instead of --inject-faults: fault each planned task "
                    "with this probability (seeded)")
@@ -1215,8 +1208,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resident worker processes of the warm session "
                    "(default: one per CPU; 1 = serial)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="serve from N supervised shard runtimes instead of "
-                   "one session (dead shards surface as per-job exit 4)")
+                   help="serve from a sharded runtime with N shards instead "
+                   "of one resident session (dead shards surface as "
+                   "per-job exit 4)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission queue bound; a full queue answers 503")
     p.add_argument("--max-batch", type=int, default=16,

@@ -145,8 +145,6 @@ _x_bit_arrays = bitscore.x_bit_rows
 ENGINES = (
     "bitscore",
     "bitscore_batch",
-    "packed",
-    "diagonal",
     "vectorized",
     "naive",
 )
@@ -226,10 +224,6 @@ def _dispatch_scores(
         return bitscore.scores(instructions, ref_codes)
     if engine == "bitscore_batch":
         return bitscore.bitscore_batch_scores(instructions, ref_codes)
-    if engine == "packed":
-        return bitscore.packed_scores(instructions, ref_codes)
-    if engine == "diagonal":
-        return bitscore.diagonal_scores(instructions, ref_codes)
     if engine == "vectorized":
         return _vectorized_scores(instructions, ref_codes)
     if engine == "naive":

@@ -192,7 +192,7 @@ class VerticalCounter:
         return scores
 
 
-@engine_contract("packed")
+@kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
 def packed_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
     """All alignment-position scores via packed bitplanes + CSA popcount."""
     instructions = np.asarray(instructions, dtype=np.uint8)
@@ -220,7 +220,7 @@ def packed_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray
     return counter.decode(num_positions)
 
 
-@engine_contract("diagonal")
+@kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
 def diagonal_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
     """All alignment-position scores via a strided-diagonal uint8 reduction.
 
@@ -249,24 +249,13 @@ def diagonal_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarr
 
 
 @engine_contract("bitscore")
-def scores(
-    instructions: np.ndarray,
-    ref_codes: np.ndarray,
-    *,
-    method: Optional[str] = None,
-) -> np.ndarray:
+def scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
     """Bit-parallel scores with automatic path selection.
 
-    ``method`` forces ``"packed"`` or ``"diagonal"``; by default short
-    workloads (fewer than :data:`DIAGONAL_MAX_CELLS` score cells) take the
-    diagonal path and everything else the packed CSA path.
+    Short workloads (fewer than :data:`DIAGONAL_MAX_CELLS` score cells)
+    take the :func:`diagonal_scores` path and everything else the
+    :func:`packed_scores` CSA path.
     """
-    if method == "packed":
-        return packed_scores(instructions, ref_codes)
-    if method == "diagonal":
-        return diagonal_scores(instructions, ref_codes)
-    if method is not None:
-        raise ValueError(f"unknown bitscore method {method!r}")
     instructions = np.asarray(instructions, dtype=np.uint8)
     ref_codes = np.asarray(ref_codes, dtype=np.uint8)
     num_positions = ref_codes.size - instructions.size + 1

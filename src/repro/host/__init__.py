@@ -14,13 +14,7 @@ from repro.host.errors import (
     ShardFailedError,
     WorkerCrashError,
 )
-from repro.host.faults import (
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    ShardFaultPlan,
-    ShardFaultSpec,
-)
+from repro.host.faults import FaultKind, FaultPlan, FaultSpec
 from repro.host.rescore import RescoreReport, RescoredHit, rescore_hits, rescore_search_result
 from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus, Supervisor
 from repro.host.scan import PackedDatabase, scan_database
@@ -32,12 +26,7 @@ from repro.host.session import (
     NamedHit,
     PCIE_BANDWIDTH,
 )
-from repro.host.shards import (
-    ShardSpec,
-    ShardedScanRuntime,
-    plan_shards,
-    shard_database,
-)
+from repro.host.shards import ShardSpec, ShardedScanRuntime, plan_shards
 
 __all__ = [
     "CheckpointError",
@@ -66,8 +55,6 @@ __all__ = [
     "ScanReport",
     "ScanSession",
     "ShardFailedError",
-    "ShardFaultPlan",
-    "ShardFaultSpec",
     "ShardSpec",
     "ShardStatus",
     "ShardedScanRuntime",
@@ -78,5 +65,4 @@ __all__ = [
     "rescore_search_result",
     "scan_database",
     "scan_fingerprint",
-    "shard_database",
 ]

@@ -1,31 +1,27 @@
 """Deterministic fault injection for the supervised scan runtime.
 
 Fault-tolerance code that is only ever exercised by real failures is
-untested code.  A :class:`FaultPlan` makes chosen chunks of a database scan
+untested code.  A :class:`FaultPlan` makes chosen tasks of a database scan
 misbehave in fully reproducible ways so the retry/timeout/checkpoint
 machinery in :mod:`repro.host.resilience` can be driven through every
 failure path in CI:
 
-* ``crash``   — the worker process holding the chunk dies (``os._exit``);
-* ``hang``    — the worker sleeps past the per-chunk timeout and must be
+* ``crash``   — the worker process holding the task dies (``os._exit``);
+* ``hang``    — the worker sleeps past the per-task timeout and must be
   killed by the supervisor;
-* ``raise``   — the chunk raises a (typed) exception back to the driver;
-* ``corrupt`` — the chunk returns structurally plausible but wrong data
-  (out-of-range scores, perturbed lengths) that the per-chunk sanity check
-  must catch and turn into a retry.
+* ``raise``   — the task raises a (typed) exception back to the driver;
+* ``corrupt`` — the task returns structurally plausible but wrong data
+  that the per-task sanity check must catch and turn into a retry.
 
-Faults are keyed on ``(chunk index, attempt number)``: a spec with
-``attempts=N`` fires on attempts ``0 .. N-1`` and then lets the chunk
-succeed, so any plan with a finite ``attempts`` and a retry budget
-``>= attempts`` is recoverable.  Plans are value objects (picklable, so a
-forked or spawned worker can carry one) and every generated plan is a pure
-function of its seed.
-
-:class:`ShardFaultPlan` extends the same idea to the sharded runtime in
-:mod:`repro.host.shards`: faults keyed on ``(shard, chunk, attempt)``
-(CLI grammar ``shard:IDX:KIND[:CHUNK[:ATTEMPTS]]``) fire inside a chosen
-shard runner, so shard crash/hang/corrupt recovery — elastic resume,
-hedging, dead-shard degradation — is deterministically injectable too.
+Faults are keyed on ``(task id, attempt number)`` — the field is still
+called ``chunk`` — and a spec with ``attempts=N`` fires on attempts
+``0 .. N-1`` and then lets the task succeed, so any plan with a finite
+``attempts`` and a retry budget ``>= attempts`` is recoverable.  Every
+runtime uses the same plan: a sharded scan numbers its tasks shard-major,
+so a fault on one of a shard's task ids is a fault in that shard, and an
+``always`` fault there kills the shard.  Plans are value objects
+(picklable, so a forked worker can carry one) and every generated plan is
+a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -223,166 +219,4 @@ class FaultPlan:
         drop = set(chunks)
         return dataclasses.replace(
             self, specs=tuple(s for s in self.specs if s.chunk not in drop)
-        )
-
-
-# -- shard-scoped faults -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardFaultSpec:
-    """One planned misbehaviour of one shard runner.
-
-    The key is ``(shard, chunk, attempt)``: the fault fires inside shard
-    ``shard``'s runner, at its ``chunk``-th scoring call of the current
-    attempt (checkpoint-restored chunks never reach the scorer, so a
-    resumed attempt counts only the work it actually replays), on runner
-    attempts ``0 .. attempts-1``.
-    """
-
-    shard: int
-    kind: FaultKind
-    chunk: int = 0
-    attempts: int = 1
-
-    def fires(self, attempt: int) -> bool:
-        return attempt < self.attempts
-
-
-@dataclass(frozen=True)
-class ShardFaultPlan:
-    """A deterministic set of shard-runner faults.
-
-    The shard analogue of :class:`FaultPlan`, consulted by
-    :class:`repro.host.shards.ShardedScanRuntime` runners via
-    :meth:`lookup`.  Plans are value objects and survive pickling into
-    forked shard runners unchanged.
-    """
-
-    specs: Tuple[ShardFaultSpec, ...] = ()
-    #: How long a ``hang`` fault sleeps; the supervisor kills the runner at
-    #: the shard timeout, so this only bounds unsupervised hangs.
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        seen: Dict[Tuple[int, int], ShardFaultSpec] = {}
-        for spec in self.specs:
-            if spec.shard < 0:
-                raise ValueError(f"fault shard index {spec.shard} is negative")
-            if spec.chunk < 0:
-                raise ValueError(f"fault chunk index {spec.chunk} is negative")
-            key = (spec.shard, spec.chunk)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate fault spec for shard {spec.shard} "
-                    f"chunk {spec.chunk}"
-                )
-            seen[key] = spec
-
-    @classmethod
-    def parse(cls, text: str, *, hang_seconds: float = 3600.0) -> "ShardFaultPlan":
-        """Parse a CLI spec like ``"shard:0:crash,shard:1:hang:2:always"``.
-
-        Each comma-separated item is ``shard:IDX:KIND[:CHUNK[:ATTEMPTS]]``;
-        ``CHUNK`` defaults to 0 (the shard's first scored chunk) and
-        ``ATTEMPTS`` defaults to 1, accepting ``always`` for a permanent
-        fault (the way to force a dead shard).
-        """
-        specs: List[ShardFaultSpec] = []
-        for item in filter(None, (piece.strip() for piece in text.split(","))):
-            parts = item.split(":")
-            if len(parts) not in (3, 4, 5) or parts[0].lower() != "shard":
-                raise ValueError(
-                    f"bad shard fault spec {item!r}; expected "
-                    "shard:IDX:KIND[:CHUNK[:ATTEMPTS]]"
-                )
-            try:
-                shard = int(parts[1])
-            except ValueError:
-                raise ValueError(f"bad fault shard index {parts[1]!r}") from None
-            try:
-                kind = FaultKind(parts[2].lower())
-            except ValueError:
-                raise ValueError(
-                    f"unknown fault kind {parts[2]!r}; expected one of "
-                    + "/".join(k.value for k in ALL_KINDS)
-                ) from None
-            chunk = 0
-            if len(parts) >= 4:
-                try:
-                    chunk = int(parts[3])
-                except ValueError:
-                    raise ValueError(
-                        f"bad fault chunk index {parts[3]!r}"
-                    ) from None
-            attempts = 1
-            if len(parts) == 5:
-                attempts = (
-                    ALWAYS if parts[4].lower() == "always" else int(parts[4])
-                )
-            specs.append(ShardFaultSpec(shard, kind, chunk, attempts))
-        return cls(specs=tuple(specs), hang_seconds=hang_seconds)
-
-    # -- queries --------------------------------------------------------------
-
-    def lookup(self, shard: int, chunk: int, attempt: int) -> Optional[FaultKind]:
-        """The fault (if any) that fires for this shard chunk attempt."""
-        for spec in self.specs:
-            if (
-                spec.shard == shard
-                and spec.chunk == chunk
-                and spec.fires(attempt)
-            ):
-                return spec.kind
-        return None
-
-    def affects(self, shard: int) -> bool:
-        """Whether any spec targets this shard (skip installation if not)."""
-        return any(spec.shard == shard for spec in self.specs)
-
-    @property
-    def recoverable_attempts(self) -> int:
-        """Attempts needed to outlast every non-permanent fault (0 if none)."""
-        finite = [s.attempts for s in self.specs if s.attempts < ALWAYS]
-        return max(finite, default=0)
-
-    @property
-    def permanent_shards(self) -> Tuple[int, ...]:
-        """Shards that fault on every attempt (force a dead shard)."""
-        return tuple(
-            sorted({s.shard for s in self.specs if s.attempts >= ALWAYS})
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "hang_seconds": self.hang_seconds,
-            "specs": [
-                {
-                    "shard": s.shard,
-                    "kind": s.kind.value,
-                    "chunk": s.chunk,
-                    "attempts": s.attempts,
-                }
-                for s in self.specs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardFaultPlan":
-        return cls(
-            specs=tuple(
-                ShardFaultSpec(
-                    int(s["shard"]),
-                    FaultKind(s["kind"]),
-                    int(s.get("chunk", 0)),
-                    int(s.get("attempts", 1)),
-                )
-                for s in payload.get("specs", ())
-            ),
-            hang_seconds=float(payload.get("hang_seconds", 3600.0)),
         )

@@ -13,8 +13,9 @@ one :class:`Supervisor`.  A task is any picklable object with two methods:
 * ``check(database, payload)`` is a cheap structural sanity check that
   returns ``None`` for a sane payload, else a reason.
 
-A window task scores a chunk of database windows; a shard task scans one
-shard with its own session.  Whatever the task, the supervisor provides:
+A window task scores a chunk of database windows; a sharded scan labels
+each of its window tasks with the shard whose reference range it covers.
+Whatever the task, the supervisor provides:
 
 * **per-task timeout** — an attempt that runs past
   :attr:`RetryPolicy.timeout` gets its worker killed and the task retried;
@@ -34,8 +35,9 @@ shard with its own session.  Whatever the task, the supervisor provides:
 * **graceful degradation** — when a task exhausts its budget or the pool
   keeps dying, the remaining tasks finish in-process without injected
   faults and the :class:`ScanReport` marks the scan *degraded* (CLI exit
-  3).  In *partial* mode (shards) an exhausted task is instead reported
-  dead and the scan completes without it (CLI exit 4).
+  3).  In *partial* mode (sharded scans) an exhausted task is instead
+  reported dead, its shard with it, and the scan completes without that
+  shard's references (CLI exit 4).
 
 An in-process loop with the same retry semantics serves ``workers <= 1``,
 restricted environments (no fork, no ``/dev/shm``) and the degraded
@@ -87,10 +89,10 @@ __all__ = [
 class RetryPolicy:
     """Knobs of the supervisor (all durations in seconds).
 
-    The same policy governs window tasks and shard tasks.  For shards a
-    task is one whole shard: ``max_retries + 1`` is its attempt budget and
-    ``degrade`` allows partial results (an exhausted shard is reported
-    dead instead of raising :class:`~repro.host.errors.ShardFailedError`).
+    Every task gets ``max_retries + 1`` attempts.  In a sharded scan
+    ``degrade`` also allows partial results: a shard with an exhausted
+    task is reported dead instead of raising
+    :class:`~repro.host.errors.ShardFailedError`.
     """
 
     #: Extra attempts allowed per task after the first one fails.
@@ -109,8 +111,8 @@ class RetryPolicy:
     #: Worker respawns tolerated before the pool is declared unhealthy.
     max_respawns: int = 8
     #: On an unhealthy pool / exhausted task, finish in-process (reported
-    #: as *degraded*), or for shards report the shard dead, instead of
-    #: raising.
+    #: as *degraded*), or in a sharded scan report the shard dead, instead
+    #: of raising.
     degrade: bool = True
     #: Seed of the jitter RNG — backoff schedules are reproducible.
     seed: int = 0
@@ -444,11 +446,10 @@ class SharedImage:
     byte_offsets: np.ndarray
 
 
-def _worker_main(conn, image: Any) -> None:
+def _worker_main(conn, image: SharedImage) -> None:
     """The worker loop: attach the database once, run tasks until stopped.
 
-    ``image`` is a :class:`SharedImage` (attached zero-copy) or a
-    :class:`repro.host.scan.PackedDatabase` inherited across the fork.
+    ``image`` names the shared-memory database image, attached zero-copy.
     Protocol (parent -> worker): ``("task", task_id, attempt, task, fault,
     hang_seconds)`` or ``("stop",)``.  Worker -> parent: ``("ok", task_id,
     attempt, payload)`` or ``("err", task_id, attempt, message)``.  Every
@@ -462,18 +463,16 @@ def _worker_main(conn, image: Any) -> None:
     global _WORKER_PARENT
     parent_pid = os.getppid()
     _WORKER_PARENT = parent_pid
-    segment = None
-    buffer: Optional[np.ndarray] = None
-    database = image
-    if isinstance(image, SharedImage):
-        segment = shared_memory.SharedMemory(name=image.name)
-        buffer = np.frombuffer(segment.buf, dtype=np.uint8, count=image.packed_bytes)
-        database = PackedDatabase(
-            names=(),
-            lengths=image.lengths,
-            byte_offsets=image.byte_offsets,
-            buffer=buffer,
-        )
+    segment = shared_memory.SharedMemory(name=image.name)
+    buffer: Optional[np.ndarray] = np.frombuffer(
+        segment.buf, dtype=np.uint8, count=image.packed_bytes
+    )
+    database: Optional[PackedDatabase] = PackedDatabase(
+        names=(),
+        lengths=image.lengths,
+        byte_offsets=image.byte_offsets,
+        buffer=buffer,
+    )
     try:
         while True:
             message = _recv_or_orphaned(conn, parent_pid)
@@ -495,11 +494,10 @@ def _worker_main(conn, image: Any) -> None:
         # buffer pointer raises BufferError at interpreter shutdown.
         buffer = None
         database = None  # noqa: F841
-        if segment is not None:
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
+        try:
+            segment.close()
+        except (OSError, BufferError):
+            pass
 
 
 class _Worker:
@@ -524,7 +522,7 @@ class WorkerPool:
     run and :meth:`retire_busy` clears stale work after one.
     """
 
-    def __init__(self, image: Any, size: int):
+    def __init__(self, image: SharedImage, size: int):
         import multiprocessing
 
         try:
@@ -577,8 +575,12 @@ class WorkerPool:
             worker.process.join(timeout=1.0)
         self._drop(worker)
 
-    def stop(self, workers: List[_Worker]) -> None:
-        """Ask workers to exit; kill any that do not within a second."""
+    def close(self) -> None:
+        """Ask every worker to exit; kill any that do not within a second.
+
+        Idempotent.
+        """
+        workers = list(self.workers)
         for worker in workers:
             try:
                 worker.conn.send(("stop",))
@@ -590,10 +592,6 @@ class WorkerPool:
                 self.kill(worker)
             else:
                 self._drop(worker)
-
-    def close(self) -> None:
-        """Stop every worker (idempotent)."""
-        self.stop(list(self.workers))
 
     def revive(self) -> None:
         """Replace workers that died between runs; top back up to size."""
@@ -633,10 +631,9 @@ class Supervisor:
     that order); ``done`` receives each completed payload and may arrive
     pre-filled with checkpoint-restored ones.  ``faults`` is anything with
     ``lookup(task_id, attempt)`` and ``hang_seconds`` (a
-    :class:`~repro.host.faults.FaultPlan`).  ``partial=True`` reports a
-    task that exhausts its attempts as dead rather than degrading.
-    ``keep_idle=False`` stops idle workers once nothing is queued, so a
-    per-call pool frees finished runners early.
+    :class:`~repro.host.faults.FaultPlan`).  ``partial=True`` (tasks
+    carry a ``shard`` label) reports a task that exhausts its attempts as
+    dead rather than degrading.
     """
 
     def __init__(
@@ -650,7 +647,6 @@ class Supervisor:
         faults: Any = None,
         store: Any = None,
         partial: bool = False,
-        keep_idle: bool = True,
     ):
         self.database = database
         self.tasks = tasks
@@ -660,7 +656,6 @@ class Supervisor:
         self.faults = faults
         self.store = store
         self.partial = partial
-        self.keep_idle = keep_idle
         #: Dead tasks (partial mode) and why they died.
         self.dead: Dict[int, str] = {}
         #: Attempts dispatched per task (hedges included).
@@ -755,7 +750,7 @@ class Supervisor:
                     ChunkFailedError(task_id, outcomes),
                 )
             if not self.policy.degrade:
-                raise ShardFailedError(task_id, outcomes)
+                raise ShardFailedError(self.tasks[task_id].shard, outcomes)
             self.dead[task_id] = (
                 f"health budget exhausted after {len(outcomes)} attempts: "
                 f"{', '.join(outcomes)}"
@@ -825,8 +820,6 @@ class Supervisor:
                     )
                 now = time.monotonic()
                 self._dispatch(pool, now)
-                if not self.keep_idle and not self._pending:
-                    pool.stop([w for w in pool.workers if w.busy is None])
                 handles = {w.conn: w for w in pool.workers}
                 handles.update({w.process.sentinel: w for w in pool.workers})
                 ready = connection.wait(

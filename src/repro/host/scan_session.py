@@ -41,7 +41,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -60,6 +71,7 @@ from repro.host.resilience import (
     RetryPolicy,
     ScanReport,
     SharedImage,
+    ShardStatus,
     Supervisor,
     WorkerPool,
 )
@@ -74,6 +86,9 @@ from repro.host.scan import (
 )
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (shards imports us)
+    from repro.host.shards import ShardSpec
 
 #: Most queries sharing one software pass.  Bounds the per-window working
 #: set (k score vectors plus the shared shift table) and the size of a
@@ -236,6 +251,8 @@ class WindowTask:
     thresholds: Tuple[int, ...]
     engine: str
     keep_scores: bool
+    #: The shard whose reference range holds these windows (0 unsharded).
+    shard: int = 0
 
     def run(self, database: PackedDatabase, attempt: int) -> SessionPayload:
         """Score every (window, query) cell; one sweep per window.
@@ -287,6 +304,7 @@ def plan_batch(
     chunk_size: Optional[int] = None,
     engine: str = SESSION_ENGINE,
     keep_scores: bool = False,
+    shards: Optional[Sequence["ShardSpec"]] = None,
 ) -> Tuple[List[_PassSpec], List[WindowTask]]:
     """Group queries into shared passes; split each pass into tasks.
 
@@ -297,8 +315,13 @@ def plan_batch(
     would exceed :data:`MAX_PASS_SPAN_RATIO`.  Each pass then splits into
     position-balanced window chunks, or — with an explicit
     ``chunk_size`` — into whole-reference chunks, task *i* of a pass being
-    references ``[i * chunk_size, (i + 1) * chunk_size)``.  Task ids are
-    list positions.
+    references ``[i * chunk_size, (i + 1) * chunk_size)``.
+
+    ``shards`` (from :func:`repro.host.shards.plan_shards`) cuts the
+    database into contiguous reference ranges first: every range is
+    planned on its own, with its share of ``num_workers``, and its tasks
+    carry its shard label.  Task ids are list positions, shard-major, so
+    each shard owns one contiguous id range.
     """
     order = sorted(range(len(encoded)), key=lambda i: -len(encoded[i]))
     groups: List[List[int]] = []
@@ -315,40 +338,101 @@ def plan_batch(
             groups.append([index])
     lengths = [int(length) for length in lengths]
     passes: List[_PassSpec] = []
-    tasks: List[WindowTask] = []
     for pass_id, group in enumerate(groups):
         indices = tuple(group)
         arrays = tuple(encoded[i].as_array() for i in indices)
         spans = tuple(int(a.size) for a in arrays)
-        pass_thresholds = tuple(int(thresholds[i]) for i in indices)
         passes.append(
             _PassSpec(
-                pass_id, indices, arrays, spans, pass_thresholds,
+                pass_id, indices, arrays, spans,
+                tuple(int(thresholds[i]) for i in indices),
                 min(spans), max(spans),
             )
         )
-        if chunk_size is None:
-            chunks = [
-                [(w.reference, w.start, w.stop) for w in chunk]
-                for chunk in _windows.plan_windows(lengths, min(spans), num_workers)
-            ]
-        else:
-            chunks = [
-                [
-                    (reference, 0, _windows.num_positions(lengths[reference], min(spans)))
-                    for reference in range(start, stop)
-                    if _windows.num_positions(lengths[reference], min(spans)) > 0
-                ]
-                for start, stop in chunk_bounds(len(lengths), chunk_size)
-            ]
-        for windows in chunks:
-            tasks.append(
-                WindowTask(
-                    pass_id, tuple(windows), arrays, pass_thresholds,
-                    engine, keep_scores,
+    ranges = (
+        [(0, 0, len(lengths))] if shards is None
+        else [(spec.shard, spec.start, spec.stop) for spec in shards]
+    )
+    range_workers = max(1, -(-num_workers // max(1, len(ranges))))
+    tasks: List[WindowTask] = []
+    for shard, first, last in ranges:
+        for spec in passes:
+            for windows in _range_chunks(
+                lengths, first, last, spec.min_span, range_workers, chunk_size
+            ):
+                tasks.append(
+                    WindowTask(
+                        spec.pass_id, tuple(windows), spec.arrays,
+                        spec.thresholds, engine, keep_scores, shard,
+                    )
                 )
-            )
     return passes, tasks
+
+
+def _range_chunks(
+    lengths: List[int],
+    first: int,
+    last: int,
+    span: int,
+    num_workers: int,
+    chunk_size: Optional[int],
+) -> List[List[WindowSpan]]:
+    """One pass's task windows over references ``[first, last)``."""
+    if chunk_size is None:
+        return [
+            [(w.reference + first, w.start, w.stop) for w in chunk]
+            for chunk in _windows.plan_windows(lengths[first:last], span, num_workers)
+        ]
+    return [
+        [
+            (reference, 0, _windows.num_positions(lengths[reference], span))
+            for reference in range(first + start, first + stop)
+            if _windows.num_positions(lengths[reference], span) > 0
+        ]
+        for start, stop in chunk_bounds(last - first, chunk_size)
+    ]
+
+
+def _shard_statuses(
+    shards: Sequence["ShardSpec"],
+    tasks: Sequence[WindowTask],
+    supervisor: Supervisor,
+    restored: Set[int],
+) -> List[ShardStatus]:
+    """Fold per-task supervision into one schema-v3 row per shard.
+
+    A shard is dead when any of its tasks died; attempts and hedges are
+    summed over its tasks, ``resumed_chunks`` counts its tasks restored
+    from the checkpoint and ``elapsed_seconds`` is its slowest task's.
+    """
+    by_shard: Dict[int, List[int]] = {}
+    for task_id, task in enumerate(tasks):
+        by_shard.setdefault(task.shard, []).append(task_id)
+    statuses: List[ShardStatus] = []
+    for spec in shards:
+        ids = by_shard.get(spec.shard, [])
+        dead = [
+            f"task {task_id}: {supervisor.dead[task_id]}"
+            for task_id in ids
+            if task_id in supervisor.dead
+        ]
+        statuses.append(
+            ShardStatus(
+                shard=spec.shard,
+                start=spec.start,
+                stop=spec.stop,
+                nucleotides=spec.nucleotides,
+                status="dead" if dead else "ok",
+                attempts=sum(supervisor.attempts.get(i, 0) for i in ids),
+                resumed_chunks=sum(1 for i in ids if i in restored),
+                hedges=sum(supervisor.hedged.get(i, 0) for i in ids),
+                elapsed_seconds=max(
+                    (supervisor.elapsed.get(i, 0.0) for i in ids), default=0.0
+                ),
+                detail="; ".join(dead),
+            )
+        )
+    return statuses
 
 
 # -- the session ---------------------------------------------------------------
@@ -475,11 +559,13 @@ class ScanSession:
         *,
         chunk_size: Optional[int] = None,
         keep_scores: bool = False,
+        shards: Optional[Sequence["ShardSpec"]] = None,
     ) -> Tuple[List[_PassSpec], List[WindowTask]]:
         """This session's :func:`plan_batch` over the resident database."""
         passes, tasks = plan_batch(
             self._database.lengths, encoded, resolved, self._num_workers,
             chunk_size=chunk_size, engine=self._engine, keep_scores=keep_scores,
+            shards=shards,
         )
         for spec in passes:
             _obs_profile.record_scan_session_pass(len(spec.query_indices))
@@ -509,6 +595,7 @@ class ScanSession:
         faults: Any = None,
         checkpoint_dir: object = None,
         resume: bool = False,
+        shards: Optional[Sequence["ShardSpec"]] = None,
         with_report: bool = False,
     ) -> Union[
         List[List[AlignmentResult]],
@@ -529,6 +616,12 @@ class ScanSession:
         ``checkpoint_dir`` and ``resume`` configure the supervisor; with
         ``with_report`` the call also returns its
         :class:`~repro.host.resilience.ScanReport`.
+
+        ``shards`` (from :func:`repro.host.shards.plan_shards`) plans each
+        shard's reference range on its own and supervises every task in
+        *partial* mode: a shard with a task that exhausts its budget is
+        reported dead (``mode="sharded"``, one ``shards`` row each, exit
+        code 4) and its references are left out of the results.
         """
         if self._closed:
             raise ScanError("scan session is closed")
@@ -541,7 +634,8 @@ class ScanSession:
         resolved = resolve_batch_thresholds(encoded, threshold, min_identity)
         reused = self.scans_completed > 0
         passes, tasks = self._plan(
-            encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores
+            encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores,
+            shards=shards,
         )
         report = ScanReport(
             mode="serial",
@@ -573,13 +667,15 @@ class ScanSession:
                         done[task_id] = payload
             stage_seconds["checkpoint_load"] = load_timer.seconds
             report.chunks_from_checkpoint = len(done)
+        restored = set(done)
 
         started = time.monotonic()
+        supervisor = Supervisor(
+            self._database, dict(enumerate(tasks)), policy=policy,
+            report=report, done=done, faults=faults, store=store,
+            partial=shards is not None,
+        )
         if len(done) < len(tasks):
-            supervisor = Supervisor(
-                self._database, dict(enumerate(tasks)), policy=policy,
-                report=report, done=done, faults=faults, store=store,
-            )
             with _obs_profile.stage("scan.execute", category="scan") as timer:
                 pool = self._warm_pool() if len(tasks) - len(done) > 1 else None
                 if pool is not None:
@@ -589,9 +685,23 @@ class ScanSession:
             stage_seconds.update(supervisor.stage_seconds)
         report.chunks_completed = len(done)
         report.elapsed_seconds = time.monotonic() - started
+        if report.mode == "parallel":
+            report.metrics["shared_memory_bytes"] = int(
+                self._database.packed_bytes
+            )
+        live: Optional[List[int]] = None
+        if shards is not None:
+            report.mode = "sharded"
+            report.shards = _shard_statuses(shards, tasks, supervisor, restored)
+            live = [
+                reference
+                for status in report.shards
+                if status.status == "ok"
+                for reference in range(status.start, status.stop)
+            ]
 
         with _obs_profile.stage("scan.merge", category="scan") as merge_timer:
-            results = self._merge(encoded, passes, tasks, done, keep_scores)
+            results = self._merge(encoded, passes, tasks, done, keep_scores, live)
         stage_seconds["merge"] = merge_timer.seconds
         report.metrics["stage_seconds"] = {
             name: round(seconds, 6) for name, seconds in stage_seconds.items()
@@ -601,10 +711,6 @@ class ScanSession:
                 "chunks_written": store.chunks_written,
                 "bytes_written": store.bytes_written,
             }
-        if report.mode == "parallel":
-            report.metrics["shared_memory_bytes"] = int(
-                self._database.packed_bytes
-            )
         self.scans_completed += 1
         if reused:
             self.pool_reuses += 1
@@ -625,13 +731,20 @@ class ScanSession:
         tasks: Sequence[WindowTask],
         done: Dict[int, SessionPayload],
         keep_scores: bool,
+        live: Optional[Sequence[int]] = None,
     ) -> List[List[AlignmentResult]]:
-        """Stitch task payloads into per-query, input-ordered results."""
+        """Stitch task payloads into per-query, input-ordered results.
+
+        ``live`` lists the references to report (default: all of them);
+        a dead shard's references are left out.
+        """
         lengths = self._database.lengths.tolist()
+        references = range(len(lengths)) if live is None else live
         per_slot: Dict[Tuple[int, int], List[_windows.WindowRecord]] = {}
-        for task_id, task in enumerate(tasks):
-            for slot, reference, start, hits, hit_scores, scores in done[task_id]:
-                per_slot.setdefault((task.pass_id, slot), []).append(
+        for task_id, payload in done.items():
+            pass_id = tasks[task_id].pass_id
+            for slot, reference, start, hits, hit_scores, scores in payload:
+                per_slot.setdefault((pass_id, slot), []).append(
                     (reference, start, hits, hit_scores, scores)
                 )
         results: List[Optional[List[AlignmentResult]]] = [None] * len(encoded)
@@ -639,7 +752,7 @@ class ScanSession:
             for slot, query_index in enumerate(spec.query_indices):
                 records = per_slot.get((spec.pass_id, slot), [])
                 per_reference = _windows.merge_window_records(
-                    records, lengths, spec.spans[slot], keep_scores
+                    records, lengths, spec.spans[slot], keep_scores, references
                 )
                 query = encoded[query_index]
                 threshold = spec.thresholds[slot]
@@ -648,8 +761,8 @@ class ScanSession:
                         query, self._database.names[index], length, threshold,
                         positions, hit_scores, scores,
                     )
-                    for index, (positions, hit_scores, scores, length) in (
-                        enumerate(per_reference)
+                    for index, (positions, hit_scores, scores, length) in zip(
+                        references, per_reference
                     )
                 ]
                 if _obs_state.enabled():

@@ -30,7 +30,7 @@ the whole reference in one call — the invariant the regression tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,10 +172,12 @@ def merge_window_records(
     lengths: Sequence[int],
     span: int,
     keep_scores: bool,
+    references: Optional[Iterable[int]] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int]]:
     """Stitch window records back into per-reference scan results.
 
-    Returns, for every reference in input order, ``(positions, hit_scores,
+    Returns, for every reference in input order (or for each index of
+    ``references``, in that order), ``(positions, hit_scores,
     scores | None, length)`` exactly as a whole-reference scan would have
     produced them: windows are sorted by start, hit positions re-based to
     absolute coordinates, and (with ``keep_scores``) the score slices
@@ -185,7 +187,8 @@ def merge_window_records(
     for record in records:
         by_reference.setdefault(record[0], []).append(record)
     merged: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int]] = []
-    for reference, length in enumerate(lengths):
+    for reference in range(len(lengths)) if references is None else references:
+        length = lengths[reference]
         parts = sorted(by_reference.get(reference, []), key=lambda r: r[1])
         total = num_positions(length, span)
         if parts:

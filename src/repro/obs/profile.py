@@ -342,28 +342,28 @@ def record_scan_session_pass(pass_queries: int) -> None:
 
 
 def record_shard_active(count: int) -> None:
-    """Ratchet the concurrent-shard-runner high-water mark gauge."""
+    """Ratchet the high-water mark of a sharded scan's pool size."""
     if not state.enabled():
         return
     gauge = REGISTRY.gauge(
         "fabp_shard_active",
-        "Most shard runner processes live at once.",
+        "Most workers in a sharded scan's pool.",
     ).default
     gauge.track_max(count)  # type: ignore[union-attr]
 
 
 def record_shard_resume(chunks: int) -> None:
-    """One shard elastically resumed; count the chunks it did NOT replay."""
+    """One shard resumed; count its tasks restored from the checkpoint."""
     if not state.enabled():
         return
     REGISTRY.counter(
         "fabp_shard_resumes_total",
-        "Chunks restored from checkpoint by respawned shard runners.",
+        "Shard tasks restored from the checkpoint.",
     ).default.inc(chunks)
 
 
 def record_shard_hedge() -> None:
-    """One straggler shard speculatively re-dispatched to a spare runner."""
+    """One straggler shard task speculatively re-dispatched to a spare worker."""
     if not state.enabled():
         return
     REGISTRY.counter(

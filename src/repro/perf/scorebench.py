@@ -37,14 +37,10 @@ from repro.obs import profile as _obs_profile
 from repro.seq.packing import codes_from_text
 
 #: Engines timed on the single-reference workload, in report order.
-SINGLE_REFERENCE_ENGINES = ("naive", "vectorized", "diagonal", "bitscore")
+SINGLE_REFERENCE_ENGINES = ("naive", "vectorized", "bitscore")
 
 #: Positions the naive engine is allowed to score (it is pure Python).
 NAIVE_POSITION_CAP = 2_000
-
-#: Positions the diagonal engine is allowed to score on the big workload
-#: (its L_q x L_r match matrix is materialized; keep it tens of MB).
-DIAGONAL_POSITION_CAP = 100_000
 
 #: Artifact schema version (bump on incompatible field changes).
 #: v2 adds the ``batch`` field (queries scored per call) and the batched /
@@ -185,10 +181,9 @@ def run_score_benchmark(
 
     ref_codes = _planted_reference(query, reference_length, rng)
     position_caps = {
-        # Pure Python / matrix-materializing paths get truncated slices;
-        # positions/s stays the comparable metric and L_r records the truth.
+        # The pure-Python oracle gets a truncated slice; positions/s stays
+        # the comparable metric and L_r records the truth.
         "naive": naive_position_cap,
-        "diagonal": DIAGONAL_POSITION_CAP,
     }
     for engine in engines:
         cap = position_caps.get(engine)

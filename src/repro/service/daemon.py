@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union, cast
 
 from repro.core.aligner import resolve_threshold
 from repro.core.encoding import EncodedQuery, encode_query
-from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase
 from repro.host.scan_session import SESSION_ENGINE, ScanSession
 from repro.host.shards import ShardedScanRuntime
@@ -88,7 +87,6 @@ class ScanService:
         engine: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
-        shard_policy: Optional[RetryPolicy] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_batch: int = DEFAULT_MAX_BATCH,
         cache_entries: int = 256,
@@ -109,7 +107,6 @@ class ScanService:
                     self._database,
                     num_shards=shards,
                     engine=engine,
-                    policy=shard_policy,
                 )
             )
         else:

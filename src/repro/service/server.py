@@ -190,6 +190,19 @@ class _Handler(BaseHTTPRequestHandler):
                 item.get("query"), str
             ):
                 raise ValueError("each query needs a 'query' string")
+            threshold = item.get("threshold")
+            if threshold is not None and (
+                not isinstance(threshold, int) or isinstance(threshold, bool)
+            ):
+                raise ValueError("'threshold' must be an integer")
+            min_identity = item.get("min_identity")
+            if min_identity is not None and (
+                not isinstance(min_identity, (int, float))
+                or isinstance(min_identity, bool)
+            ):
+                raise ValueError("'min_identity' must be a number")
+            if item.get("name") is not None and not isinstance(item["name"], str):
+                raise ValueError("'name' must be a string")
             specs.append(item)
         return specs
 

@@ -85,6 +85,14 @@ class TestMatchBytes:
                 assert bool(rows[element_rows[i], p]) == expected
 
 
+#: ``bitscore.scores``'s two paths, called directly, and its size selection.
+SCORERS = {
+    "packed": bitscore.packed_scores,
+    "diagonal": bitscore.diagonal_scores,
+    None: bitscore.scores,
+}
+
+
 class TestEngines:
     @pytest.mark.parametrize("method", ["packed", "diagonal", None])
     def test_matches_naive_on_random_workloads(self, rng, method):
@@ -93,7 +101,7 @@ class TestEngines:
             codes = _codes(rng, int(rng.integers(30, 300)))
             encoded = encode_query(query)
             expected = alignment_scores_naive(encoded, codes)
-            got = bitscore.scores(encoded.as_array(), codes, method=method)
+            got = SCORERS[method](encoded.as_array(), codes)
             assert got.dtype == np.int32
             assert np.array_equal(got, expected)
 
@@ -103,7 +111,7 @@ class TestEngines:
             encoded = encode_query(letters)
             codes = _codes(rng, 250)
             assert np.array_equal(
-                bitscore.scores(encoded.as_array(), codes, method=method),
+                SCORERS[method](encoded.as_array(), codes),
                 alignment_scores_naive(encoded, codes),
             )
 
@@ -119,7 +127,7 @@ class TestEngines:
         pad = np.asarray([pad_instruction()], dtype=np.uint8)
         for text in ("A", "GU"):
             codes = codes_from_text(text)
-            got = bitscore.scores(pad, codes, method="packed")
+            got = bitscore.packed_scores(pad, codes)
             assert np.array_equal(got, np.ones(codes.size, dtype=np.int32))
 
     def test_empty_instruction_stream(self):
@@ -133,9 +141,10 @@ class TestEngines:
         )
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
+        # The path is chosen by size alone; no method can be forced.
+        with pytest.raises(TypeError):
             bitscore.scores(
-                encode_query("M").as_array(), codes_from_text("ACGU"), method="simd"
+                encode_query("M").as_array(), codes_from_text("ACGU"), method="packed"
             )
 
     def test_long_query_crosses_shift_words(self, rng):
@@ -151,7 +160,7 @@ class TestEngines:
 
 class TestAlignerDispatch:
     @pytest.mark.parametrize(
-        "engine", ["bitscore", "packed", "diagonal", "vectorized", "naive"]
+        "engine", ["bitscore", "vectorized", "naive"]
     )
     def test_all_engines_agree(self, rng, engine):
         query = random_protein(6, rng=rng)

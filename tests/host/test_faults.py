@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.host.faults import (
-    ALWAYS,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    ShardFaultPlan,
-    ShardFaultSpec,
-)
+from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
 
 
 class TestFaultSpec:
@@ -90,57 +83,3 @@ class TestFaultPlan:
         trimmed = plan.without_chunks([1])
         assert trimmed.lookup(1, 0) is None
         assert trimmed.lookup(3, 0) is FaultKind.HANG
-
-
-class TestShardFaultPlan:
-    def test_parse_full_grammar(self):
-        plan = ShardFaultPlan.parse("shard:0:crash,shard:1:hang:2,shard:2:corrupt:1:3")
-        assert plan.lookup(0, 0, 0) is FaultKind.CRASH
-        assert plan.lookup(0, 0, 1) is None  # ATTEMPTS defaults to 1
-        assert plan.lookup(1, 2, 0) is FaultKind.HANG
-        assert plan.lookup(1, 0, 0) is None  # wrong chunk
-        assert plan.lookup(2, 1, 2) is FaultKind.CORRUPT
-        assert plan.lookup(2, 1, 3) is None
-
-    def test_parse_always_marks_permanent_shards(self):
-        plan = ShardFaultPlan.parse("shard:1:raise:0:always,shard:0:crash")
-        assert plan.lookup(1, 0, 10_000) is FaultKind.RAISE
-        assert plan.permanent_shards == (1,)
-        assert plan.recoverable_attempts == 1
-
-    def test_affects(self):
-        plan = ShardFaultPlan.parse("shard:3:hang")
-        assert plan.affects(3)
-        assert not plan.affects(0)
-        assert not ShardFaultPlan()
-        assert plan
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="expected"):
-            ShardFaultPlan.parse("0:crash")  # missing shard: prefix
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            ShardFaultPlan.parse("shard:0:explode")
-        with pytest.raises(ValueError, match="shard index"):
-            ShardFaultPlan.parse("shard:x:crash")
-        with pytest.raises(ValueError, match="chunk index"):
-            ShardFaultPlan.parse("shard:0:crash:y")
-
-    def test_duplicate_shard_chunk_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ShardFaultPlan.parse("shard:0:crash,shard:0:hang")
-        # Same shard, different chunk is fine.
-        plan = ShardFaultPlan.parse("shard:0:crash:0,shard:0:hang:1")
-        assert plan.lookup(0, 1, 0) is FaultKind.HANG
-
-    def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            ShardFaultPlan(specs=(ShardFaultSpec(-1, FaultKind.CRASH),))
-        with pytest.raises(ValueError, match="negative"):
-            ShardFaultPlan(specs=(ShardFaultSpec(0, FaultKind.CRASH, chunk=-2),))
-
-    def test_dict_round_trip(self):
-        plan = ShardFaultPlan.parse(
-            "shard:0:crash:1:2,shard:2:hang:0:always", hang_seconds=7.5
-        )
-        clone = ShardFaultPlan.from_dict(plan.to_dict())
-        assert clone == plan

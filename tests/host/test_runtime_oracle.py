@@ -7,15 +7,19 @@ vectors via ``keep_scores=True`` and the hit lists they imply — never one
 runtime against another.
 """
 
+import os
+from multiprocessing import resource_tracker
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.aligner import resolve_threshold, scores_from_codes
 from repro.core.encoding import encode_query
-from repro.host.faults import FaultPlan, ShardFaultPlan
+from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import ScanSession
+from repro.host.scan_session import ScanSession, plan_batch
 from repro.host.shards import ShardedScanRuntime
 from repro.seq.generate import random_protein, random_rna
 
@@ -117,26 +121,158 @@ class TestScanSession:
             assert_matches_oracle(batch, expected, resolved)
 
 
+def shard_task_ids(runtime, queries, chunk_size=None):
+    """Task ids per shard for one call, as the runtime numbers them."""
+    encoded = [encode_query(query) for query in queries]
+    _passes, tasks = plan_batch(
+        runtime.database.lengths, encoded, [0] * len(encoded),
+        runtime.num_shards, chunk_size=chunk_size, shards=runtime.shard_specs,
+    )
+    owned = {}
+    for task_id, task in enumerate(tasks):
+        owned.setdefault(task.shard, []).append(task_id)
+    return owned
+
+
+def child_pids():
+    """Live children of this process, the multiprocessing tracker aside."""
+    own = os.getpid()
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == own and fields[0] != "Z":
+            pids.add(int(entry.name))
+    return pids - {tracker}
+
+
+def shm_entries():
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
+
+
 class TestShardedScanRuntime:
     @pytest.mark.parametrize(
-        "num_shards, plan",
-        [(1, None), (3, None), (3, "shard:1:crash")],
+        "num_shards, fault",
+        [
+            (1, None),
+            (3, None),
+            pytest.param(3, "crash", id="3-shard:1:crash"),
+        ],
     )
-    def test_matches_naive(self, mixed_oracle, num_shards, plan):
+    def test_matches_naive(self, mixed_oracle, num_shards, fault):
         queries = MIXED[:2]
-        runtime = ShardedScanRuntime(
-            SMALL,
-            num_shards=num_shards,
-            policy=POLICY,
-            faults=None if plan is None else ShardFaultPlan.parse(plan),
-        )
+        runtime = ShardedScanRuntime(SMALL, num_shards=num_shards, policy=POLICY)
+        if fault is not None:
+            # Shard 1's first task faults once.
+            first = shard_task_ids(runtime, queries)[1][0]
+            runtime = ShardedScanRuntime(
+                SMALL, num_shards=num_shards, policy=POLICY,
+                faults=FaultPlan.parse(f"{first}:{fault}"),
+            )
         batches, report = runtime.scan_batch(
             queries, min_identity=0.6, keep_scores=True, with_report=True
         )
         assert report.exit_code() == 0
         assert len(report.shards) == num_shards
-        if plan is not None:
-            assert report.shards[1].attempts == 2
+        if fault is not None:
+            assert report.retries == 1
+            assert report.crashes == 1
         for query, batch, expected in zip(queries, batches, mixed_oracle):
             threshold = resolve_threshold(encode_query(query), None, 0.6)
             assert_matches_oracle(batch, expected, threshold)
+
+    def test_dead_shard_omits_exactly_its_references(self, mixed_oracle):
+        queries = MIXED[:2]
+        probe = ShardedScanRuntime(SMALL, num_shards=3)
+        victim = shard_task_ids(probe, queries)[1][0]
+        runtime = ShardedScanRuntime(
+            SMALL, num_shards=3, policy=POLICY,
+            faults=FaultPlan.parse(f"{victim}:raise:always"),
+        )
+        batches, report = runtime.scan_batch(
+            queries, min_identity=0.6, keep_scores=True, with_report=True
+        )
+        assert report.exit_code() == 4
+        assert [s.status for s in report.shards] == ["ok", "dead", "ok"]
+        dead = runtime.shard_specs[1]
+        live = [
+            i for i in range(SMALL.num_references)
+            if not dead.start <= i < dead.stop
+        ]
+        for query, batch, expected in zip(queries, batches, mixed_oracle):
+            assert [r.reference_name for r in batch] == [
+                SMALL.names[i] for i in live
+            ]
+            threshold = resolve_threshold(encode_query(query), None, 0.6)
+            assert_matches_oracle(batch, [expected[i] for i in live], threshold)
+
+    def test_crashed_task_replays_alone(self, mixed_oracle):
+        # Whole-reference tasks give each shard one task per reference.
+        query = MIXED[0]
+        probe = ShardedScanRuntime(SMALL, num_shards=2)
+        owned = shard_task_ids(probe, [query], chunk_size=1)
+        assert len(owned[1]) >= 2
+        victim = owned[1][0]
+        runtime = ShardedScanRuntime(
+            SMALL, num_shards=2, policy=POLICY,
+            faults=FaultPlan.parse(f"{victim}:crash"),
+        )
+        batches, report = runtime.scan_batch(
+            [query], threshold=8, keep_scores=True, chunk_size=1,
+            with_report=True,
+        )
+        assert report.exit_code() == 0
+        assert report.mode == "sharded"
+        per_task = {}
+        for attempt in report.attempts:
+            per_task.setdefault(attempt.chunk, []).append(attempt.outcome)
+        assert per_task.pop(victim) == ["crash", "ok"]
+        assert all(outcomes == ["ok"] for outcomes in per_task.values())
+        assert report.shards[1].attempts == len(owned[1]) + 1
+        assert_matches_oracle(batches[0], mixed_oracle[0], 8)
+
+    def test_resume_restores_finished_tasks(self, mixed_oracle, tmp_path):
+        query = MIXED[0]
+        probe = ShardedScanRuntime(SMALL, num_shards=2)
+        owned = shard_task_ids(probe, [query], chunk_size=1)
+        victim = owned[1][-1]
+        dying = ShardedScanRuntime(
+            SMALL, num_shards=2, policy=POLICY,
+            faults=FaultPlan.parse(f"{victim}:raise:always"),
+        )
+        _, first = dying.scan_batch(
+            [query], threshold=8, keep_scores=True, chunk_size=1,
+            checkpoint_dir=tmp_path, with_report=True,
+        )
+        assert first.exit_code() == 4
+        batches, report = probe.scan_batch(
+            [query], threshold=8, keep_scores=True, chunk_size=1,
+            checkpoint_dir=tmp_path, resume=True, with_report=True,
+        )
+        assert report.exit_code() == 0
+        # Only the task that died is scanned again.
+        assert [a.chunk for a in report.attempts] == [victim]
+        assert report.chunks_from_checkpoint == report.chunks_total - 1
+        assert [s.resumed_chunks for s in report.shards] == [
+            len(owned[0]), len(owned[1]) - 1,
+        ]
+        assert_matches_oracle(batches[0], mixed_oracle[0], 8)
+
+    def test_call_leaves_no_process_or_segment(self, mixed_oracle):
+        children, segments = child_pids(), shm_entries()
+        runtime = ShardedScanRuntime(SMALL, num_shards=3, policy=POLICY)
+        batches, report = runtime.scan_batch(
+            MIXED[:1], threshold=8, keep_scores=True, with_report=True
+        )
+        assert report.workers == 3
+        # The runtime is still alive, and never closed.
+        assert child_pids() <= children
+        assert shm_entries() <= segments
+        assert_matches_oracle(batches[0], mixed_oracle[0], 8)

@@ -1,4 +1,4 @@
-"""Tests for the sharded scan runtime: shards as supervised tasks."""
+"""Tests for the sharded scan runtime: shards label supervised tasks."""
 
 import multiprocessing
 from dataclasses import replace
@@ -10,15 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.host.errors import ShardFailedError
-from repro.host.faults import ShardFaultPlan
+from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus
-from repro.host.scan import PackedDatabase, scan_database
-from repro.host.shards import (
-    ShardSpec,
-    ShardedScanRuntime,
-    plan_shards,
-    shard_database,
-)
+from repro.host.scan import scan_database
+from repro.host.shards import ShardedScanRuntime, plan_shards
 from repro.obs.summary import normalize_report_dict
 from repro.seq.generate import random_protein, random_rna
 
@@ -79,22 +74,6 @@ class TestPlanShards:
         for spec in specs:
             assert spec.num_references >= 1
             assert spec.nucleotides == sum(lengths[spec.start : spec.stop])
-
-
-class TestShardDatabase:
-    def test_slices_are_exact_subdatabases(self, rng):
-        references = make_references(rng, count=5, length=1000)
-        database = PackedDatabase.from_references(references)
-        for spec in plan_shards(database.lengths, 3):
-            shard = shard_database(database, spec)
-            assert shard.names == database.names[spec.start : spec.stop]
-            np.testing.assert_array_equal(
-                shard.lengths, database.lengths[spec.start : spec.stop]
-            )
-            assert int(shard.byte_offsets[0]) == 0
-            lo = int(database.byte_offsets[spec.start])
-            hi = int(database.byte_offsets[spec.stop])
-            np.testing.assert_array_equal(shard.buffer, database.buffer[lo:hi])
 
 
 # -- policy --------------------------------------------------------------------
@@ -168,21 +147,26 @@ class TestBitIdentity:
 
 
 # -- fault recovery ------------------------------------------------------------
+#
+# Six 2500-nt references in two shards and one query plan one task per
+# shard, so task id ``i`` is shard ``i``'s task.
 
 
 class TestFaultRecovery:
-    @pytest.mark.parametrize("plan_text", [
-        "shard:1:crash",
-        "shard:1:raise",
-        "shard:1:corrupt",
-    ])
-    def test_recovers_from_transient_fault(self, rng, plan_text):
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            pytest.param(kind, id=f"shard:1:{kind}")
+            for kind in ("crash", "raise", "corrupt")
+        ],
+    )
+    def test_recovers_from_transient_fault(self, rng, kind):
         references = make_references(rng)
         query = random_protein(8, rng=rng)
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse(plan_text),
+            faults=FaultPlan.parse(f"1:{kind}"),
             policy=RetryPolicy(max_retries=2, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
@@ -201,7 +185,7 @@ class TestFaultRecovery:
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse("shard:0:hang", hang_seconds=60.0),
+            faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
             policy=RetryPolicy(max_retries=2, timeout=0.6, backoff=0.01),
         )
         _, report = runtime.scan_batch(
@@ -218,7 +202,7 @@ class TestFaultRecovery:
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse("shard:0:crash:0:always"),
+            faults=FaultPlan.parse("0:crash:always"),
             policy=RetryPolicy(max_retries=1, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
@@ -242,7 +226,7 @@ class TestFaultRecovery:
         runtime = ShardedScanRuntime(
             make_references(rng, count=4, length=1200),
             num_shards=2,
-            faults=ShardFaultPlan.parse("shard:1:raise:0:always"),
+            faults=FaultPlan.parse("1:raise:always"),
             policy=RetryPolicy(
                 max_retries=1, backoff=0.01, degrade=False
             ),
@@ -253,15 +237,15 @@ class TestFaultRecovery:
 
 class TestCheckpointResume:
     def test_respawn_replays_only_unfinished_chunks(self, rng, tmp_path):
-        # 3 references x 20000 nt per shard = two session chunks: chunk 0
-        # checkpoints before the crash fires on scoring call 1, so the
-        # respawned attempt restores it and replays only chunk 1.
+        # 3 references x 20000 nt per shard = two tasks per shard (ids 0-1
+        # and 2-3).  Task 3 crashes once: only it is replayed, and every
+        # task lands in the one checkpoint store, keyed by task id.
         references = make_references(rng, count=6, length=20000)
         query = random_protein(8, rng=rng)
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse("shard:1:crash:1:1"),
+            faults=FaultPlan.parse("3:crash"),
             policy=RetryPolicy(max_retries=2, backoff=0.01),
         )
         batches, report = runtime.scan_batch(
@@ -271,9 +255,13 @@ class TestCheckpointResume:
             with_report=True,
         )
         assert report.exit_code() == 0
-        assert report.shards[1].attempts == 2
-        assert report.shards[1].resumed_chunks >= 1
-        assert (tmp_path / "shard_01").is_dir()
+        assert report.chunks_total == 4
+        assert [s.attempts for s in report.shards] == [2, 3]
+        assert sorted(a.chunk for a in report.attempts) == [0, 1, 2, 3, 3]
+        assert sorted(p.name for p in tmp_path.glob("chunk_*.npz")) == [
+            f"chunk_{i:06d}.npz" for i in range(4)
+        ]
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
         expected = scan_database(
             query, references, threshold=16, engine="bitscore_batch"
         )
@@ -282,14 +270,14 @@ class TestCheckpointResume:
 
 class TestHedging:
     def test_lone_straggler_is_hedged(self, rng):
-        # Shard 0's first attempt hangs (fault attempts=1), no timeout is
-        # set, and hedging kicks in once shard 1 finishes: the hedge twin
-        # resumes fault-free and its sane result wins.
+        # Task 0's first attempt hangs (fault attempts=1), no timeout is
+        # set, and hedging kicks in once task 1 finishes: the hedge twin
+        # runs fault-free and its sane result wins.
         references = make_references(rng, count=4, length=1200)
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse("shard:0:hang", hang_seconds=60.0),
+            faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
             policy=RetryPolicy(
                 max_retries=2, timeout=None, hedge_after=0.4, backoff=0.01
             ),
@@ -324,9 +312,7 @@ class TestInlineFallback:
         runtime = ShardedScanRuntime(
             references,
             num_shards=2,
-            faults=ShardFaultPlan.parse(
-                "shard:0:crash,shard:1:raise:0:always"
-            ),
+            faults=FaultPlan.parse("0:crash,1:raise:always"),
             policy=RetryPolicy(max_retries=1, backoff=0.01),
         )
         with mock.patch.object(
@@ -335,7 +321,7 @@ class TestInlineFallback:
             batches, report = runtime.scan_batch(
                 [random_protein(6, rng=rng)], threshold=12, with_report=True
             )
-        # Inline crash faults raise (no runner process to sacrifice):
+        # Inline crash faults raise (no worker process to sacrifice):
         # shard 0 recovers on attempt 1, shard 1 exhausts its budget.
         assert report.shards[0].status == "ok"
         assert report.shards[0].attempts == 2

@@ -1,14 +1,13 @@
-"""Kill-one-shard-runtime integration test (shard supervision, end to end).
+"""Kill-one-pool-worker integration test (sharded supervision, end to end).
 
 A sharded CLI scan is started in a subprocess with a hang injected into
-shard 1's second chunk, so the shard durably checkpoints chunk 0 and then
-stalls.  Once shard 0's runner has finished and only the hung runner is
-left, that runner is SIGKILLed from outside — the supervisor must notice
-the death, respawn the shard with ``resume=True``, replay only the
-unfinished chunk, and finish with output bit-identical to an uninterrupted
-sharded scan.  Afterwards nothing may survive: no orphaned runner
-processes and no leaked ``/dev/shm`` segments (the CLI runs under
-``FABP_SHMSAN=1``).
+task 0 — shard 0's first task, which the first pool worker always takes.
+Once every other task is durably checkpointed, only that worker still
+holds a task, and it is SIGKILLed from outside: the supervisor must notice
+the death, replay only the unfinished task on a replacement worker, and
+finish with output bit-identical to an uninterrupted sharded scan.
+Afterwards nothing may survive: no orphaned worker processes and no leaked
+``/dev/shm`` segments (the CLI runs under ``FABP_SHMSAN=1``).
 """
 
 import json
@@ -46,8 +45,7 @@ def run_cli(args, timeout=180):
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
     # 6 references x 20000 nt split into 2 shards: each shard holds 60000
-    # positions = two session chunks, so a mid-shard kill leaves exactly
-    # one durable checkpoint behind.
+    # positions = two tasks, so the scan runs tasks 0-3 on two workers.
     base = tmp_path_factory.mktemp("shard_kill")
     db = base / "db.fasta"
     queries = base / "q.fasta"
@@ -88,8 +86,8 @@ def hits_from(report_path):
 
 
 def child_pids(parent_pid):
-    """PIDs whose direct parent is ``parent_pid`` (via /proc)."""
-    pids = []
+    """``(start time, pid)`` of each live child of ``parent_pid`` (/proc)."""
+    children = []
     for entry in Path("/proc").iterdir():
         if not entry.name.isdigit():
             continue
@@ -97,11 +95,28 @@ def child_pids(parent_pid):
             stat = (entry / "stat").read_text()
         except OSError:
             continue
-        # field 4 (after the parenthesized comm, which may contain spaces)
-        ppid = int(stat.rsplit(")", 1)[1].split()[1])
-        if ppid == parent_pid:
-            pids.append(int(entry.name))
-    return pids
+        # Fields after the parenthesized comm (which may contain spaces):
+        # state, ppid, ..., starttime is the 20th.
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == parent_pid and fields[0] != "Z":
+            children.append((int(fields[19]), int(entry.name)))
+    return children
+
+
+def worker_pids(parent_pid):
+    """The scan's pool workers, oldest first: forks sharing its cmdline."""
+    try:
+        own = (Path("/proc") / str(parent_pid) / "cmdline").read_bytes()
+    except OSError:
+        return []
+    workers = []
+    for started, pid in sorted(child_pids(parent_pid)):
+        try:
+            if (Path("/proc") / str(pid) / "cmdline").read_bytes() == own:
+                workers.append(pid)
+        except OSError:
+            continue
+    return workers
 
 
 def pid_alive(pid):
@@ -128,10 +143,9 @@ def test_killed_shard_runtime_resumes_to_identical_results(workload):
     )
     assert clean.returncode == 0, clean.stderr
 
-    # Shard 1 checkpoints chunk 0, then hangs on chunk 1 of attempt 0
-    # (--chunk-timeout 0 disables the shard deadline, so only an external
-    # SIGKILL can end the stall).  The fault covers one attempt: the
-    # respawned runner is fault-free.
+    # Task 0 hangs on attempt 0 (--chunk-timeout 0 disables the task
+    # deadline, so only an external SIGKILL can end the stall).  The fault
+    # covers one attempt: the replayed task is fault-free.
     ckpt = base / "ckpt"
     resumed_report = base / "resumed.json"
     shm_before = shm_entries()
@@ -141,7 +155,7 @@ def test_killed_shard_runtime_resumes_to_identical_results(workload):
             *scan_args(
                 db, queries,
                 "--checkpoint", str(ckpt),
-                "--shard-faults", "shard:1:hang:1",
+                "--inject-faults", "0:hang",
                 "--fault-hang-seconds", "600",
                 "--chunk-timeout", "0",
                 "--report-json", str(resumed_report),
@@ -153,50 +167,51 @@ def test_killed_shard_runtime_resumes_to_identical_results(workload):
     )
     observed = set()
     try:
-        # Wait until shard 1's checkpoint is durable and shard 0's runner
-        # has exited — the lone surviving child *is* the hung shard runtime.
+        # Wait until tasks 1-3 are durable: the only busy worker left is
+        # the first one spawned, which the supervisor gave task 0.
         deadline = time.monotonic() + 90
-        marker = ckpt / "shard_01" / "chunk_000000.npz"
-        runner = None
+        markers = [ckpt / f"chunk_{task:06d}.npz" for task in (1, 2, 3)]
+        hung = None
         while time.monotonic() < deadline:
-            children = child_pids(victim.pid)
-            observed.update(children)
-            if marker.exists() and len(children) == 1:
-                runner = children[0]
+            workers = worker_pids(victim.pid)
+            observed.update(workers)
+            if all(m.exists() for m in markers) and len(workers) == 2:
+                hung = workers[0]
                 break
             if victim.poll() is not None:
                 pytest.fail(f"scan exited early with {victim.returncode}")
             time.sleep(0.05)
         else:
-            pytest.fail("hung shard runner never isolated")
-        os.kill(runner, signal.SIGKILL)
+            pytest.fail("hung pool worker never isolated")
+        assert not (ckpt / "chunk_000000.npz").exists()
+        os.kill(hung, signal.SIGKILL)
         victim.wait(timeout=120)
     finally:
         if victim.poll() is None:
             victim.kill()
         victim.wait(timeout=30)
 
-    # The supervisor must have respawned the shard and finished cleanly.
+    # The supervisor must have noticed the death and finished cleanly.
     assert victim.returncode == 0
     assert hits_from(resumed_report) == hits_from(clean_report)
 
     payload = json.loads(resumed_report.read_text())
     report = payload["queries"][0]["report"]
     assert report["version"] == 3
+    assert report["counters"]["respawns"] >= 1
     shards = {s["shard"]: s for s in report["shards"]}
-    assert shards[0]["status"] == "ok" and shards[0]["attempts"] == 1
+    assert shards[0]["status"] == "ok" and shards[0]["attempts"] == 3
     assert shards[1]["status"] == "ok" and shards[1]["attempts"] == 2
-    # The respawn restored chunk 0 from the checkpoint and replayed only
-    # the chunk its predecessor never finished.
-    assert shards[1]["resumed_chunks"] >= 1
-    outcomes = [
-        a["outcome"] for a in report["chunk_attempts"] if a["chunk"] == 1
-    ]
-    assert "crash" in outcomes and outcomes[-1] == "ok"
+    # Only the unfinished task was replayed; its siblings ran once.
+    outcomes = {}
+    for attempt in report["chunk_attempts"]:
+        outcomes.setdefault(attempt["chunk"], []).append(attempt["outcome"])
+    assert outcomes.pop(0) == ["crash", "ok"]
+    assert outcomes == {1: ["ok"], 2: ["ok"], 3: ["ok"]}
 
-    # Nothing survives the scan: every runner we ever observed is gone...
+    # Nothing survives the scan: every worker we ever observed is gone...
     for pid in observed:
-        assert not pid_alive(pid), f"shard runner {pid} outlived the scan"
+        assert not pid_alive(pid), f"pool worker {pid} outlived the scan"
     # ...and no shared-memory segment leaked past the sanitized CLI run.
     assert shm_entries() <= shm_before
 
@@ -208,7 +223,7 @@ def test_dead_shard_degrades_to_partial_results(workload):
         scan_args(
             db, queries,
             "--retries", "1",
-            "--shard-faults", "shard:0:crash:0:always",
+            "--inject-faults", "0:crash:always",
             "--report-json", str(report_path),
         )
     )

@@ -155,6 +155,29 @@ def test_usage_errors_are_400(server):
         assert "error" in body
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"threshold": "5"},
+        {"threshold": [1]},
+        {"threshold": 2.5},
+        {"threshold": True},
+        {"min_identity": "x"},
+        {"min_identity": False},
+        {"name": 7},
+    ],
+    ids=repr,
+)
+def test_badly_typed_fields_are_400(server, fields):
+    for body in (
+        {"query": "MAH", **fields},
+        {"queries": [{"query": "MAH", **fields}]},
+    ):
+        code, reply = request(server, "POST", "/scan", body)
+        assert code == 400, body
+        assert "error" in reply
+
+
 def test_unknown_routes_and_jobs_are_404(server):
     assert request(server, "GET", "/nope")[0] == 404
     assert request(server, "GET", "/jobs/job-999999")[0] == 404

@@ -75,14 +75,14 @@ class TestKC002EngineContractMissing:
         assert findings and "ghost" in findings[0].message
 
     def test_registered_engines_are_clean(self):
-        # "bitscore"/"packed" carry runtime @engine_contract declarations.
+        # "bitscore"/"naive" carry runtime @engine_contract declarations.
         good = """\
-            ENGINES = ("bitscore", "packed")
+            ENGINES = ("bitscore", "naive")
 
             def scores(instructions, ref_codes, engine="bitscore"):
                 if engine == "bitscore":
                     return None
-                if engine == "packed":
+                if engine == "naive":
                     return None
             """
         assert not findings_for(good, "KC002")
@@ -362,7 +362,7 @@ class TestProveKernels:
         assert payload["max_query_elements"] == 750
         budget = payload["lane_budget"]
         assert budget["fits"] and budget["exact"] and budget["needed_bits"] == 10
-        for name in ("bitscore", "packed", "diagonal", "vectorized", "naive"):
+        for name in ("bitscore", "bitscore_batch", "vectorized", "naive"):
             assert name in payload["engines"]
             report = payload["dtype_flow"][name]
             assert report["analyzed"] and report["clean"], report

@@ -408,8 +408,7 @@ class TestProveKernel:
         assert payload["ok"] is True
         assert payload["lane_budget"]["fits"] is True
         assert set(payload["engines"]) == {
-            "bitscore", "bitscore_batch", "packed", "diagonal", "vectorized",
-            "naive",
+            "bitscore", "bitscore_batch", "vectorized", "naive",
         }
         assert payload["budget_fits_all_accumulators"] is True
 
@@ -423,7 +422,7 @@ class TestProveKernel:
         assert main(["prove", "kernel"]) == 0
         out = capsys.readouterr().out
         assert "lane budget: popcount(750)" in out
-        for engine in ("bitscore", "packed", "diagonal", "vectorized", "naive"):
+        for engine in ("bitscore", "bitscore_batch", "vectorized", "naive"):
             assert f"engine {engine}:" in out
 
 
@@ -661,7 +660,7 @@ class TestScanShards:
         plain = capsys.readouterr().out
         assert self.scan(db, queries, "--shards", "2") == 0
         sharded = capsys.readouterr().out
-        assert "shards: 2 supervised runtimes" in sharded
+        assert "(workers=2); 2 shards, task ids shard 0: 0, shard 1: 1" in sharded
         assert "mode=sharded" in sharded
 
         def hit_rows(out):
@@ -680,7 +679,7 @@ class TestScanShards:
         code = self.scan(
             db, queries,
             "--shards", "2",
-            "--shard-faults", "shard:0:crash:0:always",
+            "--inject-faults", "0:crash:always",
             "--retries", "1",
             "--report-json", str(artifact),
         )
@@ -691,25 +690,23 @@ class TestScanShards:
         shards = payload["queries"][0]["report"]["shards"]
         assert shards[0]["status"] == "dead"
 
-    def test_shards_and_session_are_exclusive(self, synthetic_files, capsys):
+    def test_shards_with_session_scan_one_batch(self, synthetic_files, capsys):
         db, queries = synthetic_files
-        code = self.scan(db, queries, "--shards", "2", "--session")
-        assert code == 1
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert self.scan(db, queries, "--shards", "2") == 0
+        alone = capsys.readouterr().out
+        assert self.scan(db, queries, "--shards", "2", "--session") == 0
+        assert capsys.readouterr().out == alone
 
-    def test_shards_reject_chunk_fault_plans(self, synthetic_files, capsys):
+    def test_shards_take_chunk_fault_plans(self, synthetic_files, capsys):
         db, queries = synthetic_files
         code = self.scan(
-            db, queries, "--shards", "2", "--inject-faults", "0:raise"
+            db, queries, "--shards", "2", "--chunk-size", "1",
+            "--inject-faults", "0:raise",
         )
-        assert code == 1
-        assert "--shard-faults" in capsys.readouterr().err
-
-    def test_shard_faults_require_shards(self, synthetic_files, capsys):
-        db, queries = synthetic_files
-        code = self.scan(db, queries, "--shard-faults", "shard:0:crash")
-        assert code == 1
-        assert "requires --shards" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "chunks of <= 1 references" in out
+        assert "retries=1" in out
 
 
 class TestObsCli:
