@@ -11,10 +11,11 @@
   (:class:`ServiceSaturatedError` on a full queue,
   :class:`ServiceClosedError` once draining) — refusal is back-pressure,
   never silent dropping;
-* a single **batcher thread** that drains the queue, lingers briefly so
-  concurrent clients coalesce, and dispatches up to ``max_batch`` jobs as
-  one ``scan_batch`` call — heterogeneous thresholds ride the same pass
-  via the per-query threshold sequence the host runtimes accept.
+* a single **batcher thread** that takes the next job plus whatever is
+  already queued behind it, up to ``max_batch``, and dispatches them as
+  one ``scan_batch`` call — jobs that arrive while a pass runs ride the
+  next pass together, and heterogeneous thresholds share it via the
+  per-query threshold sequence the host runtimes accept.
 
 Concurrency model: many HTTP threads call :meth:`submit` / read job
 state; exactly one thread (the batcher) touches the backend runtime.
@@ -40,6 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union, cast
 
 from repro.core.aligner import resolve_threshold
+from repro.core.contracts import MAX_QUERY_ELEMENTS
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.host.scan import PackedDatabase
 from repro.host.scan_session import SESSION_ENGINE, ScanSession
@@ -90,7 +92,6 @@ class ScanService:
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_batch: int = DEFAULT_MAX_BATCH,
         cache_entries: int = 256,
-        batch_linger: float = 0.02,
         checkpoint_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if max_batch < 1:
@@ -120,7 +121,6 @@ class ScanService:
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self._max_batch = max_batch
-        self._batch_linger = batch_linger
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(
             maxsize=max_queue
         )
@@ -229,6 +229,13 @@ class ScanService:
         if self._draining.is_set() or self._closed.is_set():
             raise ServiceClosedError("service is draining; no new jobs")
         encoded = query if isinstance(query, EncodedQuery) else encode_query(query)
+        if len(encoded) == 0:
+            raise ValueError("query is empty")
+        if len(encoded) > MAX_QUERY_ELEMENTS:
+            raise ValueError(
+                f"query has {len(encoded)} elements; the proven envelope is "
+                f"MAX_QUERY_ELEMENTS = {MAX_QUERY_ELEMENTS}"
+            )
         resolved = resolve_threshold(encoded, threshold, min_identity)
         job = self._jobs.create(name or "query", encoded, resolved)
         key: CacheKey = (
@@ -260,16 +267,11 @@ class ScanService:
     # -- batcher ---------------------------------------------------------------
 
     def _collect_batch(self, first: Job) -> List[Job]:
-        """Greedily coalesce queued jobs behind ``first``, up to the cap."""
+        """``first`` plus the jobs already queued behind it, up to the cap."""
         batch = [first]
-        deadline = time.monotonic() + self._batch_linger
         while len(batch) < self._max_batch:
-            timeout = deadline - time.monotonic()
             try:
-                if timeout > 0:
-                    item = self._queue.get(timeout=timeout)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:  # shutdown sentinel: put it back for the loop

@@ -64,6 +64,9 @@ class Job:
     cached: bool = False
     degraded: bool = False
     dead_shards: int = 0
+    finished: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     def exit_code(self) -> int:
         """The job's CLI-contract exit code: 0 clean, 3 degraded, 4 dead shards."""
@@ -91,11 +94,13 @@ class Job:
         self.cached = cached
         self.state = "done"
         self.finished_at = time.time()
+        self.finished.set()
 
     def mark_failed(self, error: str) -> None:
         self.error = error
         self.state = "failed"
         self.finished_at = time.time()
+        self.finished.set()
 
     def to_dict(self, *, include_results: bool = False) -> Dict[str, Any]:
         """The job's JSON view; results ride along only when asked for."""

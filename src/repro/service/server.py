@@ -9,7 +9,8 @@ batcher thread.  The endpoint surface (documented for users in
 ========================  ====================================================
 ``POST /scan``            admit one query (or a ``queries`` list); 202 + job id
 ``GET /jobs/<id>``        job lifecycle state (no results)
-``GET /results/<id>``     200 results / 202 still pending / 500 failed
+``GET /results/<id>``     200 results / 202 still pending / 500 failed;
+                          ``?wait=S`` holds the reply up to S s for the end
 ``GET /healthz``          supervision snapshot; 503 once draining
 ``GET /metrics``          the live ``repro.obs`` registry, Prometheus text
 ========================  ====================================================
@@ -29,6 +30,7 @@ skips the wait and tears down immediately.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import socket
 import sys
@@ -36,6 +38,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro import obs as _obs
 from repro.obs import profile as _obs_profile
@@ -57,6 +60,9 @@ DEFAULT_PORT = 8765
 #: Largest accepted request body; a genome does not fit in a query.
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest ``GET /results/<id>?wait=S`` long-poll, in seconds.
+MAX_WAIT_SECONDS = 30.0
+
 #: Normalized endpoint labels for the request metrics — a fixed vocabulary
 #: so ``fabp_service_requests_total`` label cardinality stays bounded.
 _ENDPOINTS = ("scan", "jobs", "results", "healthz", "metrics")
@@ -67,11 +73,31 @@ def _endpoint_of(path: str) -> str:
     return head if head in _ENDPOINTS else "other"
 
 
+def _wait_seconds(query: str) -> float:
+    """The ``wait=S`` long-poll bound of ``GET /results/<id>``; 0 if absent."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if values is None:
+        return 0.0
+    try:
+        wait = float(values[0])
+    except ValueError:
+        wait = math.nan
+    if len(values) != 1 or not 0 < wait <= MAX_WAIT_SECONDS:
+        raise ValueError(
+            f"'wait' must be one number of seconds in (0, {MAX_WAIT_SECONDS:g}]"
+        )
+    return wait
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; ``self.server`` is the owning :class:`ScanServer`."""
 
     server_version = "fabp-service/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection: a reply's header and body writes
+    # leave at once instead of the body waiting for the client's delayed
+    # ACK of the headers (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -127,6 +153,8 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError(f"invalid JSON body: {error}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON body: nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("JSON body must be an object")
         return payload
@@ -209,7 +237,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         started = time.perf_counter()
         endpoint = _endpoint_of(self.path)
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
+        path, _, query = self.path.partition("?")
+        parts = [p for p in path.split("/") if p]
         if parts == ["metrics"]:
             self._reply_bytes(
                 200,
@@ -225,8 +254,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(code, stats, started=started, endpoint=endpoint)
             return
         if len(parts) == 2 and parts[0] in ("jobs", "results"):
+            try:
+                wait = _wait_seconds(query) if parts[0] == "results" else 0.0
+            except ValueError as error:
+                self._reply(
+                    400, {"error": str(error)},
+                    started=started, endpoint=endpoint,
+                )
+                return
             self._job_view(
-                parts[0], parts[1], started=started, endpoint=endpoint
+                parts[0], parts[1], wait, started=started, endpoint=endpoint
             )
             return
         self._reply(
@@ -235,7 +272,13 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _job_view(
-        self, kind: str, job_id: str, *, started: float, endpoint: str
+        self,
+        kind: str,
+        job_id: str,
+        wait: float,
+        *,
+        started: float,
+        endpoint: str,
     ) -> None:
         job = self.service.jobs.get(job_id)
         if job is None:
@@ -244,6 +287,8 @@ class _Handler(BaseHTTPRequestHandler):
                 started=started, endpoint=endpoint,
             )
             return
+        if wait:
+            job.finished.wait(wait)
         if kind == "jobs":
             self._reply(
                 200, job.to_dict(), started=started, endpoint=endpoint

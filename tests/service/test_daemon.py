@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.contracts import MAX_QUERY_ELEMENTS
 from repro.core.encoding import encode_query
 from repro.host.scan import PackedDatabase, scan_database
 from repro.service import (
@@ -154,6 +155,55 @@ def test_saturation_refuses_instead_of_dropping(workload):
     finally:
         Gated.gate.set()
         service.close()
+
+
+def test_jobs_queued_during_a_pass_share_the_next_pass(workload):
+    """With no linger, jobs that queue behind a running pass still coalesce."""
+    queries, packed = workload
+
+    class Gated(ScanService):
+        """Block the first pass so three more jobs queue behind it."""
+
+        gate = threading.Event()
+        entered = threading.Event()
+        batches = []
+
+        def _execute(self, batch):
+            self.batches.append([job.id for job in batch])
+            self.entered.set()
+            self.gate.wait(timeout=30)
+            super()._execute(batch)
+
+    service = Gated(packed, workers=1)
+    try:
+        first = service.submit(queries[0], min_identity=0.9)
+        assert Gated.entered.wait(timeout=30)
+        queued = [service.submit(q, min_identity=0.9) for q in queries[1:4]]
+        Gated.gate.set()
+        for job in [first, *queued]:
+            wait_done(job)
+        assert service.batches_dispatched == 2
+        assert Gated.batches == [[first.id], [job.id for job in queued]]
+        for query, job in zip(queries, [first, *queued]):
+            assert job.state == "done", job.error
+            solo = scan_database(
+                encode_query(query), packed, min_identity=0.9, workers=1
+            )
+            assert hit_view(job.results) == hit_view(solo)
+    finally:
+        Gated.gate.set()
+        service.close()
+
+
+def test_query_envelope_enforced_at_submit(workload):
+    _, packed = workload
+    with ScanService(packed, workers=1) as service:
+        with pytest.raises(ValueError, match="MAX_QUERY_ELEMENTS = 750"):
+            service.submit("M" * 251, threshold=1)  # 753 elements
+        with pytest.raises(ValueError, match="empty"):
+            service.submit("", threshold=0)
+        job = wait_done(service.submit("M" * 250, min_identity=0.9))
+        assert job.state == "done" and len(job.query) == MAX_QUERY_ELEMENTS
 
 
 def test_drain_finishes_queued_work_then_refuses(workload):

@@ -1,6 +1,9 @@
 """HTTP surface tests: in-process server, concurrent clients, status map."""
 
+import contextlib
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -24,11 +27,10 @@ _DB = build_database(
 PACKED = PackedDatabase.from_references(_DB.references)
 
 
-@pytest.fixture()
-def server():
+@contextlib.contextmanager
+def serving(service):
     obs.reset()
     obs.enable()
-    service = ScanService(PACKED, workers=1)
     srv = ScanServer.ephemeral(service)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -41,6 +43,34 @@ def server():
         thread.join(timeout=10)
         obs.disable()
         obs.reset()
+
+
+@pytest.fixture()
+def server():
+    with serving(ScanService(PACKED, workers=1)) as srv:
+        yield srv
+
+
+class GatedService(ScanService):
+    """A service whose batcher holds every pass until ``gate`` is set."""
+
+    def __init__(self, *args, **kwargs):
+        self.gate = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def _execute(self, batch):
+        self.gate.wait(timeout=30)
+        super()._execute(batch)
+
+
+@pytest.fixture()
+def gated_server():
+    service = GatedService(PACKED, workers=1)
+    with serving(service) as srv:
+        try:
+            yield srv
+        finally:
+            service.gate.set()  # let the pass end so shutdown need not wait
 
 
 def request(server, method, path, body=None):
@@ -147,6 +177,7 @@ def test_usage_errors_are_400(server):
         None,  # empty body
         {"threshold": 5},  # no query
         {"query": 7},  # not a string
+        {"query": ""},  # no elements to score
         {"queries": []},  # empty list
         {"query": "MFR", "threshold": 5, "min_identity": 0.9},  # both knobs
     ):
@@ -207,3 +238,93 @@ def test_healthz_reports_serving_then_draining(server):
     # Draining also refuses admission with a retriable 503.
     code, body = request(server, "POST", "/scan", {"query": QUERIES[0]})
     assert code == 503 and body["retriable"] is True
+
+
+def test_keep_alive_replies_do_not_wait_for_delayed_acks(server):
+    """Every reply leaves at once: well under the ~40 ms delayed-ACK timer.
+
+    With Nagle on, a reply's body write waits for the client's delayed
+    ACK of its header write, so each keep-alive request costs ~44 ms.
+    """
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+
+    def timed(method, path, body=None):
+        began = time.perf_counter()
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        return response.status, payload, time.perf_counter() - began
+
+    try:
+        healthz = [timed("GET", "/healthz")[2] for _ in range(20)]
+        post_ms, results_ms = [], []
+        for _ in range(5):
+            code, body, seconds = timed(
+                "POST",
+                "/scan",
+                json.dumps({"query": QUERIES[0], "min_identity": 0.9}),
+            )
+            assert code == 202
+            post_ms.append(seconds)
+            assert server.service.jobs.get(body["id"]).finished.wait(30)
+            code, _, seconds = timed("GET", f"/results/{body['id']}")
+            assert code == 200
+            results_ms.append(seconds)
+    finally:
+        conn.close()
+    for samples in (healthz, post_ms, results_ms):
+        assert statistics.median(samples) < 0.010, samples
+
+
+def test_long_poll_answers_when_the_job_finishes(gated_server):
+    code, body = request(
+        gated_server, "POST", "/scan", {"query": QUERIES[1], "min_identity": 0.9}
+    )
+    assert code == 202
+    release = threading.Timer(0.3, gated_server.service.gate.set)
+    began = time.monotonic()
+    release.start()
+    try:
+        code, done = request(
+            gated_server, "GET", f"/results/{body['id']}?wait=20"
+        )
+    finally:
+        release.cancel()
+    elapsed = time.monotonic() - began
+    assert code == 200 and done["results"] == expected_hits(QUERIES[1])
+    assert 0.3 <= elapsed < 10.0
+
+
+def test_long_poll_of_a_pending_job_is_202_after_wait(gated_server):
+    code, body = request(
+        gated_server, "POST", "/scan", {"query": QUERIES[2], "min_identity": 0.9}
+    )
+    assert code == 202
+    began = time.monotonic()
+    code, pending = request(
+        gated_server, "GET", f"/results/{body['id']}?wait=0.3"
+    )
+    assert code == 202 and pending["state"] in ("queued", "running")
+    assert time.monotonic() - began >= 0.3
+
+
+@pytest.mark.parametrize(
+    "wait", ["0", "-1", "30.5", "abc", "nan", "inf", "", "1&wait=2"]
+)
+def test_bad_wait_is_400(server, wait):
+    code, body = request(server, "POST", "/scan", {"query": QUERIES[0]})
+    assert code == 202
+    code, reply = request(server, "GET", f"/results/{body['id']}?wait={wait}")
+    assert code == 400 and "wait" in reply["error"]
+
+
+def test_query_envelope_is_enforced_over_http(server):
+    over, at_limit = "M" * 251, "M" * 250  # 753 and 750 elements
+    for body in ({"query": over}, {"queries": [{"query": over}]}):
+        code, reply = request(server, "POST", "/scan", body)
+        assert code == 400 and "750" in reply["error"], body
+    for body in ({"query": at_limit}, {"queries": [at_limit]}):
+        code, reply = request(server, "POST", "/scan", body)
+        assert code == 202, reply
+        assert reply["jobs"][0]["query_elements"] == 750
