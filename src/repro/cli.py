@@ -215,6 +215,7 @@ def cmd_scan(args) -> int:
     import pathlib
 
     from repro.analysis.report import text_table
+    from repro.core.contracts import check_query_elements
     from repro.core.encoding import encode_query
     from repro.host.errors import ScanError
     from repro.host.faults import FaultPlan
@@ -226,6 +227,13 @@ def cmd_scan(args) -> int:
 
     on_error = None if args.on_bad_record == "ignore" else args.on_bad_record
     queries = _load_queries(args)
+    encoded = [encode_query(query) for query in queries]
+    for query, elements in zip(queries, encoded):
+        try:
+            check_query_elements(len(elements))
+        except ValueError as exc:
+            print(f"error: {query.name or 'query'}: {exc}", file=sys.stderr)
+            return 2
     obs_active = _obs_begin(args)
     payload: Dict[str, object] = {"version": 1, "queries": []}
     degraded_any = False
@@ -243,7 +251,6 @@ def cmd_scan(args) -> int:
             num_workers = max(1, len(shard_specs))
         # The planned tasks per scan call: fault plans and checkpoints are
         # keyed on task ids.
-        encoded = [encode_query(query) for query in queries]
         one_batch = args.session or shard_specs is not None
         calls = [encoded] if one_batch else [[e] for e in encoded]
         plans = [

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import backtranslate as bt
 from repro.core import bitscore
 from repro.core import comparator as cmp
-from repro.core.contracts import engine_contract
+from repro.core.contracts import check_query_elements, engine_contract
 from repro.core.encoding import EncodedQuery, encode_pattern, encode_query
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
@@ -107,6 +107,8 @@ def _coerce_query(query: QueryLike) -> EncodedQuery:
 def _reference_codes(reference: ReferenceLike) -> Tuple[np.ndarray, str]:
     if isinstance(reference, np.ndarray):
         return np.asarray(reference, dtype=np.uint8), ""
+    if isinstance(reference, str):
+        return packing.codes_from_text(reference), ""
     rna = as_rna(reference)
     return packing.codes_from_text(rna.letters), rna.name
 
@@ -462,8 +464,11 @@ def search_database(
     ``workers > 1`` the scan fans out over a process pool via
     :func:`repro.host.scan.scan_database` (chunked shared-memory scan with
     an ordered merge); ``chunk_size`` tunes references per work item.
+    A query that is empty or longer than
+    :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` raises ``ValueError``.
     """
     encoded = _coerce_query(query)
+    check_query_elements(len(encoded))
     resolved = resolve_threshold(encoded, threshold, min_identity)
     if workers > 1:
         # Local import: repro.host sits above repro.core in the layering.

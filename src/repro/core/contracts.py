@@ -40,6 +40,24 @@ import numpy as np
 #: so every accumulator dtype must hold [0, MAX_QUERY_ELEMENTS].
 MAX_QUERY_ELEMENTS = 750
 
+
+def check_query_elements(num_elements: int) -> None:
+    """Refuse a query with no elements or more than :data:`MAX_QUERY_ELEMENTS`.
+
+    Raises ``ValueError``.  Every database scan (``search_database``,
+    ``ScanSession.scan_batch`` and so ``scan_database`` and the sharded
+    runtime, ``ScanService.submit`` and ``fabp-repro scan``) calls it before
+    scoring, so none scores a query outside the proven lane budget.
+    """
+    if num_elements == 0:
+        raise ValueError("query is empty")
+    if num_elements > MAX_QUERY_ELEMENTS:
+        raise ValueError(
+            f"query has {num_elements} elements; the proven envelope is "
+            f"MAX_QUERY_ELEMENTS = {MAX_QUERY_ELEMENTS}"
+        )
+
+
 _F = TypeVar("_F", bound=Callable[..., object])
 
 

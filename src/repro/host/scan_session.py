@@ -63,6 +63,7 @@ from repro.core.aligner import (
     resolve_threshold,
     scores_batch_from_codes,
 )
+from repro.core.contracts import check_query_elements
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.host import windows as _windows
 from repro.host.checkpoint import CheckpointStore, scan_fingerprint
@@ -622,6 +623,10 @@ class ScanSession:
         *partial* mode: a shard with a task that exhausts its budget is
         reported dead (``mode="sharded"``, one ``shards`` row each, exit
         code 4) and its references are left out of the results.
+
+        A query that is empty or encodes to more than
+        :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` elements raises
+        ``ValueError`` before anything is scored.
         """
         if self._closed:
             raise ScanError("scan session is closed")
@@ -631,6 +636,8 @@ class ScanSession:
             q if isinstance(q, EncodedQuery) else encode_query(q)
             for q in query_list
         ]
+        for query in encoded:
+            check_query_elements(len(query))
         resolved = resolve_batch_thresholds(encoded, threshold, min_identity)
         reused = self.scans_completed > 0
         passes, tasks = self._plan(

@@ -13,7 +13,7 @@ can never drift between modules.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 #: RNA nucleotide letters in FabP bit order (index == 2-bit code).
 RNA_NUCLEOTIDES: Tuple[str, ...] = ("A", "C", "G", "U")
@@ -47,24 +47,43 @@ THREE_LETTER = {
 
 ONE_LETTER = {three: one for one, three in THREE_LETTER.items()}
 
-_RNA_SET = frozenset(RNA_NUCLEOTIDES)
-_DNA_SET = frozenset(DNA_NUCLEOTIDES)
-_AA_SET = frozenset(AMINO_ACIDS_WITH_STOP)
+#: Letters a nucleotide string may hold: RNA's four plus DNA's ``T``.
+NUCLEOTIDE_LETTERS = "".join(sorted(set(RNA_NUCLEOTIDES + DNA_NUCLEOTIDES)))
+
+
+def _deleting(letters: Iterable[str]) -> Dict[int, None]:
+    """A ``str.translate`` table that deletes exactly ``letters``."""
+    return str.maketrans("", "", "".join(letters))
+
+
+# Each check is one C-level ``str.translate`` pass: deleting the alphabet
+# leaves exactly the characters outside it.
+_RNA_DELETE = _deleting(RNA_NUCLEOTIDES)
+_DNA_DELETE = _deleting(DNA_NUCLEOTIDES)
+_AA_DELETE = _deleting(AMINO_ACIDS_WITH_STOP)
+_NUCLEOTIDE_DELETE = _deleting(NUCLEOTIDE_LETTERS)
 
 
 def is_rna(text: str) -> bool:
     """Return True if every character of ``text`` is an RNA nucleotide."""
-    return all(ch in _RNA_SET for ch in text)
+    return not text.translate(_RNA_DELETE)
 
 
 def is_dna(text: str) -> bool:
     """Return True if every character of ``text`` is a DNA nucleotide."""
-    return all(ch in _DNA_SET for ch in text)
+    return not text.translate(_DNA_DELETE)
 
 
 def is_protein(text: str) -> bool:
     """Return True if every character is an amino acid or the stop symbol."""
-    return all(ch in _AA_SET for ch in text)
+    return not text.translate(_AA_DELETE)
+
+
+def is_rna_or_dna(text: str) -> bool:
+    """``is_rna(text) or is_dna(text)`` in one pass (plus two ``T``/``U`` finds)."""
+    return not text.translate(_NUCLEOTIDE_DELETE) and not (
+        "T" in text and "U" in text
+    )
 
 
 def dna_to_rna(text: str) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.seq import alphabet
-from repro.seq.sequence import RnaSequence
+from repro.seq.sequence import RnaSequence, nucleotide_error
 
 #: Nucleotides carried by one 512-bit AXI beat (one memory channel).
 NUCLEOTIDES_PER_BEAT = 256
@@ -25,22 +25,30 @@ NUCLEOTIDES_PER_BEAT = 256
 #: Bytes per AXI beat (512 bits).
 BYTES_PER_BEAT = 64
 
-_RNA_LOOKUP = np.full(128, 255, dtype=np.uint8)
-for _letter, _code in alphabet.RNA_CODE.items():
-    _RNA_LOOKUP[ord(_letter)] = _code
-for _letter, _code in alphabet.DNA_CODE.items():
-    _RNA_LOOKUP[ord(_letter)] = _code
+# Byte -> FabP code, a ``bytes.translate`` table; 255 marks a byte that is
+# not a nucleotide letter.
+_CODES = {**alphabet.DNA_CODE, **alphabet.RNA_CODE}
+_CODE_TABLE = bytes(_CODES.get(chr(byte), 255) for byte in range(256))
 
 _RNA_LETTERS = np.frombuffer("".join(alphabet.RNA_NUCLEOTIDES).encode(), dtype=np.uint8)
 
 
 def codes_from_text(text: str) -> np.ndarray:
-    """Vectorized conversion of an RNA/DNA string to a uint8 code array."""
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    codes = _RNA_LOOKUP[raw]
-    if codes.max(initial=0) == 255:
-        bad = sorted({chr(c) for c in raw[codes == 255]})
-        raise ValueError(f"non-nucleotide characters in sequence: {bad!r}")
+    """Check and encode an RNA or DNA string in one lookup-table pass.
+
+    Returns the uint8 code array.  Text that is not all RNA or all DNA
+    letters (a character outside ``ACGTU``, non-ASCII text, or both ``T``
+    and ``U``) raises :class:`~repro.seq.sequence.SequenceError` naming the
+    bad letters.
+    """
+    if not text.isascii():
+        raise nucleotide_error(text)
+    # One C pass over one byte per letter; a bytearray keeps codes writable.
+    codes = np.frombuffer(
+        bytearray(text, "ascii").translate(_CODE_TABLE), dtype=np.uint8
+    )
+    if codes.max(initial=0) == 255 or ("T" in text and "U" in text):
+        raise nucleotide_error(text)
     return codes
 
 

@@ -32,11 +32,19 @@ class _BaseSequence:
 
     def __post_init__(self) -> None:
         if not self._validator(self.letters):
-            bad = sorted({ch for ch in self.letters if not self._validator(ch)})
+            bad = sorted(ch for ch in set(self.letters) if not self._validator(ch))
             raise SequenceError(
                 f"invalid {self._kind} letters {bad!r} in sequence "
                 f"{self.name or '<unnamed>'}"
             )
+
+    @classmethod
+    def _unchecked(cls, letters: str, name: str = ""):
+        """Wrap letters already known to be in the alphabet, skipping the check."""
+        sequence = object.__new__(cls)
+        object.__setattr__(sequence, "letters", letters)
+        object.__setattr__(sequence, "name", name)
+        return sequence
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -47,7 +55,7 @@ class _BaseSequence:
     def __getitem__(self, index):
         piece = self.letters[index]
         if isinstance(index, slice):
-            return type(self)(piece, name=self.name)
+            return self._unchecked(piece, self.name)
         return piece
 
     def __str__(self) -> str:
@@ -68,12 +76,12 @@ class DnaSequence(_BaseSequence):
 
     def to_rna(self) -> "RnaSequence":
         """Transcribe to RNA (T -> U)."""
-        return RnaSequence(alphabet.dna_to_rna(self.letters), name=self.name)
+        return RnaSequence._unchecked(alphabet.dna_to_rna(self.letters), self.name)
 
     def reverse_complement(self) -> "DnaSequence":
         """Return the reverse-complement strand."""
-        return DnaSequence(
-            alphabet.reverse_complement_dna(self.letters), name=self.name
+        return self._unchecked(
+            alphabet.reverse_complement_dna(self.letters), self.name
         )
 
 
@@ -86,12 +94,12 @@ class RnaSequence(_BaseSequence):
 
     def to_dna(self) -> DnaSequence:
         """Reverse-transcribe to DNA (U -> T)."""
-        return DnaSequence(alphabet.rna_to_dna(self.letters), name=self.name)
+        return DnaSequence._unchecked(alphabet.rna_to_dna(self.letters), self.name)
 
     def reverse_complement(self) -> "RnaSequence":
         """Return the reverse-complement strand."""
-        return RnaSequence(
-            alphabet.reverse_complement_rna(self.letters), name=self.name
+        return self._unchecked(
+            alphabet.reverse_complement_rna(self.letters), self.name
         )
 
     def codes(self):
@@ -114,20 +122,30 @@ class ProteinSequence(_BaseSequence):
 def as_rna(sequence) -> RnaSequence:
     """Coerce a DNA/RNA sequence or plain string into :class:`RnaSequence`.
 
-    DNA input is transcribed; strings are classified by content, preferring
-    RNA when ambiguous (a string without T/U is valid for both).
+    DNA input is transcribed.  A string is checked once: it must be all RNA
+    or all DNA letters, else :func:`nucleotide_error` is raised.
     """
     if isinstance(sequence, RnaSequence):
         return sequence
     if isinstance(sequence, DnaSequence):
         return sequence.to_rna()
     if isinstance(sequence, str):
-        if alphabet.is_rna(sequence):
-            return RnaSequence(sequence)
-        if alphabet.is_dna(sequence):
-            return DnaSequence(sequence).to_rna()
-        raise SequenceError(f"string is neither RNA nor DNA: {sequence[:40]!r}")
+        if not alphabet.is_rna_or_dna(sequence):
+            raise nucleotide_error(sequence)
+        return RnaSequence._unchecked(alphabet.dna_to_rna(sequence))
     raise TypeError(f"cannot interpret {type(sequence).__name__} as RNA")
+
+
+def nucleotide_error(text: str) -> SequenceError:
+    """The error for ``text`` that is neither all RNA nor all DNA letters.
+
+    It names the characters outside ``ACGTU`` or, when there are none, the
+    ``T`` and ``U`` the string mixes.
+    """
+    bad = sorted(set(text) - set(alphabet.NUCLEOTIDE_LETTERS))
+    if bad:
+        return SequenceError(f"non-nucleotide characters in sequence: {bad!r}")
+    return SequenceError("sequence mixes DNA and RNA letters: ['T', 'U']")
 
 
 def as_protein(sequence) -> ProteinSequence:

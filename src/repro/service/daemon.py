@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union, cast
 
 from repro.core.aligner import resolve_threshold
-from repro.core.contracts import MAX_QUERY_ELEMENTS
+from repro.core.contracts import check_query_elements
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.host.scan import PackedDatabase
 from repro.host.scan_session import SESSION_ENGINE, ScanSession
@@ -133,6 +133,7 @@ class ScanService:
         self._idle.set()
         self._started_at = time.time()
         self.batches_dispatched = 0
+        self.jobs_submitted = 0
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_cached = 0
@@ -198,6 +199,7 @@ class ScanService:
             "uptime_seconds": time.time() - self._started_at,
             "queue_depth": self._queue.qsize(),
             "jobs": self._jobs.counts(),
+            "submitted": self.jobs_submitted,
             "batches_dispatched": self.batches_dispatched,
             "cache": self._cache.stats(),
             "backend": backend,
@@ -210,6 +212,22 @@ class ScanService:
         }
 
     # -- admission -------------------------------------------------------------
+
+    def check(
+        self,
+        query: Union[str, EncodedQuery],
+        *,
+        threshold: Optional[int] = None,
+        min_identity: Optional[float] = None,
+    ) -> Tuple[EncodedQuery, int]:
+        """Encode a query and resolve its threshold without admitting it.
+
+        Raises ``ValueError`` (or an encoding error) on a malformed request,
+        so a caller can check every query of a request before admitting one.
+        """
+        encoded = query if isinstance(query, EncodedQuery) else encode_query(query)
+        check_query_elements(len(encoded))
+        return encoded, resolve_threshold(encoded, threshold, min_identity)
 
     def submit(
         self,
@@ -228,15 +246,9 @@ class ScanService:
         """
         if self._draining.is_set() or self._closed.is_set():
             raise ServiceClosedError("service is draining; no new jobs")
-        encoded = query if isinstance(query, EncodedQuery) else encode_query(query)
-        if len(encoded) == 0:
-            raise ValueError("query is empty")
-        if len(encoded) > MAX_QUERY_ELEMENTS:
-            raise ValueError(
-                f"query has {len(encoded)} elements; the proven envelope is "
-                f"MAX_QUERY_ELEMENTS = {MAX_QUERY_ELEMENTS}"
-            )
-        resolved = resolve_threshold(encoded, threshold, min_identity)
+        encoded, resolved = self.check(
+            query, threshold=threshold, min_identity=min_identity
+        )
         job = self._jobs.create(name or "query", encoded, resolved)
         key: CacheKey = (
             query_fingerprint(encoded),
@@ -249,6 +261,7 @@ class ScanService:
         if cached is not None:
             job.mark_done(cached, cached=True)
             with self._lock:
+                self.jobs_submitted += 1
                 self.jobs_cached += 1
             _obs_profile.record_service_job("cached")
             return job
@@ -261,6 +274,8 @@ class ScanService:
             raise ServiceSaturatedError(
                 f"admission queue full ({self._queue.maxsize} jobs)"
             ) from None
+        with self._lock:
+            self.jobs_submitted += 1
         _obs_profile.record_service_queue_depth(self._queue.qsize())
         return job
 

@@ -47,6 +47,7 @@ from repro.service.daemon import (
     ServiceClosedError,
     ServiceSaturatedError,
 )
+from repro.service.jobs import Job
 
 __all__ = [
     "DEFAULT_HOST",
@@ -170,27 +171,42 @@ class _Handler(BaseHTTPRequestHandler):
                 started=started, endpoint=endpoint,
             )
             return
+        # Check every query before admitting any, so a 400 admits nothing.
         try:
             payload = self._read_json_body()
-            specs = self._scan_specs(payload)
-            jobs = [
-                self.service.submit(
-                    spec["query"],
-                    name=spec.get("name"),
-                    threshold=spec.get("threshold"),
-                    min_identity=spec.get("min_identity"),
+            checked = [
+                (
+                    spec.get("name"),
+                    *self.service.check(
+                        spec["query"],
+                        threshold=spec.get("threshold"),
+                        min_identity=spec.get("min_identity"),
+                    ),
                 )
-                for spec in specs
+                for spec in self._scan_specs(payload)
             ]
-        except (ServiceClosedError, ServiceSaturatedError) as error:
-            self._reply(
-                503, {"error": str(error), "retriable": True},
-                started=started, endpoint=endpoint,
-            )
-            return
         except ValueError as error:
             self._reply(
                 400, {"error": str(error)}, started=started, endpoint=endpoint
+            )
+            return
+        jobs: List[Job] = []
+        try:
+            for name, encoded, threshold in checked:
+                jobs.append(
+                    self.service.submit(encoded, name=name, threshold=threshold)
+                )
+        except (ServiceClosedError, ServiceSaturatedError) as error:
+            # Jobs admitted before the queue filled still run: name them.
+            self._reply(
+                503,
+                {
+                    "error": str(error),
+                    "retriable": True,
+                    "admitted": [job.id for job in jobs],
+                },
+                started=started,
+                endpoint=endpoint,
             )
             return
         body: Dict[str, Any] = {"jobs": [job.to_dict() for job in jobs]}

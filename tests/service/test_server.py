@@ -56,9 +56,11 @@ class GatedService(ScanService):
 
     def __init__(self, *args, **kwargs):
         self.gate = threading.Event()
+        self.entered = threading.Event()  # a pass has reached the gate
         super().__init__(*args, **kwargs)
 
     def _execute(self, batch):
+        self.entered.set()
         self.gate.wait(timeout=30)
         super()._execute(batch)
 
@@ -317,6 +319,42 @@ def test_bad_wait_is_400(server, wait):
     assert code == 202
     code, reply = request(server, "GET", f"/results/{body['id']}?wait={wait}")
     assert code == 400 and "wait" in reply["error"]
+
+
+def test_batched_post_admits_all_queries_or_none(server):
+    before = server.service.stats()["submitted"]
+    code, reply = request(
+        server, "POST", "/scan", {"queries": ["MAH", "M" * 251, "MFR"]}
+    )
+    assert code == 400 and "750" in reply["error"]
+    assert server.service.stats()["submitted"] == before
+    assert sum(server.service.jobs.counts().values()) == 0
+    code, reply = request(server, "POST", "/scan", {"queries": ["MAH", "MFR"]})
+    assert code == 202 and len(reply["jobs"]) == 2
+    assert server.service.stats()["submitted"] == before + 2
+
+
+def test_full_queue_part_way_names_the_admitted_jobs():
+    service = GatedService(PACKED, workers=1, max_queue=2)
+    with serving(service) as srv:
+        try:
+            code, first = request(srv, "POST", "/scan", {"query": QUERIES[0]})
+            assert code == 202
+            # The batcher holds the first job at the gate, so exactly two
+            # queue slots are free.
+            assert service.entered.wait(10)
+            code, reply = request(
+                srv, "POST", "/scan", {"queries": QUERIES + ["MAH"]}
+            )
+            assert code == 503 and reply["retriable"] is True
+            assert len(reply["admitted"]) == 2
+            for job_id in reply["admitted"]:
+                assert srv.service.jobs.get(job_id).state == "queued"
+        finally:
+            service.gate.set()
+        for job_id in [first["id"], *reply["admitted"]]:
+            code, done = poll_results(srv, job_id)
+            assert code == 200
 
 
 def test_query_envelope_is_enforced_over_http(server):

@@ -1,7 +1,8 @@
 """Fuzz ``POST /scan`` bodies: every one gets 202 or a 400 with an error.
 
 A malformed body must never cost a 500, a dropped connection or a hang:
-the handler answers usage errors itself, whatever the JSON holds.
+the handler answers usage errors itself, whatever the JSON holds.  A 400
+admits nothing, even when some queries of a batched body were valid.
 """
 
 import http.client
@@ -99,6 +100,7 @@ def server():
 @given(body=bodies)
 def test_post_scan_is_202_or_400(server, body):
     host, port = server.address
+    submitted = server.service.stats()["submitted"]
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
         conn.request(
@@ -114,6 +116,7 @@ def test_post_scan_is_202_or_400(server, body):
     assert response.status in (202, 400), (body, response.status, reply)
     if response.status == 400:
         assert isinstance(reply.get("error"), str), reply
+        assert server.service.stats()["submitted"] == submitted, (body, reply)
     else:
         assert reply["jobs"], reply
 

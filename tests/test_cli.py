@@ -70,6 +70,26 @@ class TestBadQueryLetters:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestScanQueryEnvelope:
+    """``scan`` refuses a query over 750 elements with exit 2, one line."""
+
+    @pytest.mark.parametrize("flags", [[], ["--session"], ["--shards", "2"]])
+    def test_251_residues_exit_two(self, synthetic_files, capsys, flags):
+        db, _queries = synthetic_files
+        argv = ["scan", "--query", "M" * 251, "--database", str(db), *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: query_0: query has 753 elements")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "database:" not in captured.out  # refused before any scan
+
+    def test_250_residues_are_scanned(self, synthetic_files, capsys):
+        db, _queries = synthetic_files
+        argv = ["scan", "--query", "M" * 250, "--database", str(db), "--workers", "1"]
+        assert main(argv) == 0
+        assert "query_0: 0 hits" in capsys.readouterr().out
+
+
 class TestSearch:
     def test_finds_planted(self, synthetic_files, capsys):
         db, queries = synthetic_files
