@@ -278,6 +278,8 @@ class FabPKernel:
     def _codes(reference) -> np.ndarray:
         if isinstance(reference, np.ndarray):
             return np.asarray(reference, dtype=np.uint8)
+        if isinstance(reference, str):
+            return packing.codes_from_text(reference)
         return packing.codes_from_text(as_rna(reference).letters)
 
     def _emit_hits(

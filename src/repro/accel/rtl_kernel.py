@@ -256,6 +256,8 @@ class RtlKernel:
         """
         if isinstance(reference, np.ndarray):
             codes = np.asarray(reference, dtype=np.uint8)
+        elif isinstance(reference, str):
+            codes = packing.codes_from_text(reference)
         else:
             codes = packing.codes_from_text(as_rna(reference).letters)
         num_elements = len(self.encoded)

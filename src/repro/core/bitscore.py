@@ -33,15 +33,21 @@ winner by workload size.
 
 Both paths are bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
 (enforced by the property-test suite in ``tests/property``).
+
+The batched sweep :func:`scores_batch` runs the same datapath compiled
+(``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever a C
+compiler was found, and its NumPy body everywhere else.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import comparator as cmp
+from repro.core import native
 from repro.core.contracts import MAX_QUERY_ELEMENTS, engine_contract, kernel_summary
 
 #: Bits per SWAR word (the software "beat" width).
@@ -447,37 +453,13 @@ def _decode_planes(planes: List[np.ndarray], num_positions: int) -> np.ndarray:
     ).astype(np.int32)
 
 
-@kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
-def scores_batch(
-    instruction_batch: Sequence[np.ndarray], ref_codes: np.ndarray
-) -> List[np.ndarray]:
-    """Score ``k`` queries against one reference in a single sweep.
-
-    The software analogue of ``k`` comparator arrays on one reference
-    stream (§III-C): the comparator tables, match bitplanes and packed
-    rows are computed **once** for the union of the batch's distinct
-    instructions, then every query folds zero-copy views of the shared
-    rows.  Each result is bit-identical to
-    :func:`packed_scores(instruction_batch[q], ref_codes)`; queries may
-    have ragged lengths.
-    """
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    arrays = [
-        np.asarray(instructions, dtype=np.uint8).ravel()
-        for instructions in instruction_batch
-    ]
-    results: List[Optional[np.ndarray]] = [None] * len(arrays)
-    active: List[int] = []
-    for q, instructions in enumerate(arrays):
-        num_positions = ref_codes.size - instructions.size + 1
-        if num_positions <= 0:
-            results[q] = np.zeros(0, dtype=np.int32)
-        elif instructions.size == 0:
-            results[q] = np.zeros(num_positions, dtype=np.int32)
-        else:
-            active.append(q)
-    if not active:
-        return [result for result in results if result is not None]
+def _numpy_batch(
+    arrays: List[np.ndarray],
+    active: List[int],
+    ref_codes: np.ndarray,
+    results: List[Optional[np.ndarray]],
+) -> None:
+    """The NumPy body of :func:`scores_batch`: fills ``results[q]`` for ``active``."""
     # Shared precompute: one comparator evaluation over the reference for
     # the union of distinct instructions across the whole batch.
     rows, concat_rows = match_bytes(
@@ -527,6 +509,127 @@ def scores_batch(
             tuple(buffer[:num_words] for buffer in scratch),
         )
         results[q] = _decode_planes(counter.planes, num_positions)
+
+
+# --------------------------------------------------------------------------
+# Compiled batch kernel (repro/core/scan_kernel.c), built on first use.
+#
+# The same datapath as the NumPy body with the counters kept in registers:
+# one C pass turns the reference codes into the shared match bitplanes, and
+# one C call per query folds its rows tile by tile through a Harley-Seal
+# block into vertical counter planes and writes int32 scores.  Resolved once
+# at import, so forked pool workers inherit the loaded library; when no
+# compiler is found or the build fails, ``_NATIVE`` is None and the NumPy
+# body runs.
+# --------------------------------------------------------------------------
+
+_NATIVE: Optional[ctypes.CDLL] = native.load()
+
+
+def batch_kernel() -> str:
+    """The body :func:`scores_batch` runs in this process: ``native`` or ``numpy``."""
+    return "numpy" if _NATIVE is None else "native"
+
+
+def _context_masks() -> np.ndarray:
+    """Truth mask of every 6-bit instruction over its comparator context.
+
+    Bit ``c`` of ``masks[instruction]`` is the comparator output when the
+    context ``code | prev1 << 2 | prev2 << 4`` equals ``c``: the mux LUT
+    picks X from the instruction's ``b3`` or a look-back bit, then the
+    comparison LUT (:func:`repro.core.comparator.instruction_tables`).
+    """
+    instructions = np.arange(64, dtype=np.uint8)
+    tables, configs = cmp.instruction_tables(instructions)
+    context = np.arange(64)
+    code, prev1, prev2 = context & 3, (context >> 2) & 3, (context >> 4) & 3
+    sources = np.stack([np.zeros_like(context), (prev1 >> 1) & 1, prev2 & 1, (prev2 >> 1) & 1])
+    x = sources[configs]
+    self_x = configs == 0
+    x[self_x] = ((instructions[self_x] >> 3) & 1)[:, None]
+    bits = tables[instructions[:, None], x, code]
+    return np.packbits(bits, axis=1, bitorder="little").view(_WORD_DTYPE).ravel()
+
+
+_CONTEXT_MASKS = _context_masks()
+
+
+def _native_batch(
+    library: ctypes.CDLL,
+    arrays: List[np.ndarray],
+    active: List[int],
+    ref_codes: np.ndarray,
+    results: List[Optional[np.ndarray]],
+) -> None:
+    """The compiled body of :func:`scores_batch`; same contract as :func:`_numpy_batch`."""
+    distinct, concat_rows = np.unique(
+        np.concatenate([arrays[q] for q in active]), return_inverse=True
+    )
+    element_rows = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
+    tile = native.TILE_WORDS
+    # Every tile of every query reads at most this many words of a plane.
+    plane_words = 1 + max(
+        -(-(ref_codes.size - arrays[q].size + 1) // (WORD_BITS * tile)) * tile
+        + (arrays[q].size - 1) // WORD_BITS
+        for q in active
+    )
+    # Bits 6-7 of an instruction byte select nothing, as in match_bytes.
+    masks = np.ascontiguousarray(_CONTEXT_MASKS[distinct & 63])
+    planes = np.empty((distinct.size, plane_words), dtype=_WORD_DTYPE)
+    codes = np.ascontiguousarray(ref_codes)
+    library.fabp_build_planes(
+        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
+        planes.ctypes.data, plane_words,
+    )
+    offset = 0
+    for q in active:
+        size = arrays[q].size
+        rows = element_rows[offset : offset + size]
+        offset += size
+        scores = np.empty(ref_codes.size - size + 1, dtype=np.int32)
+        library.fabp_fold(
+            planes.ctypes.data, plane_words, rows.ctypes.data, size,
+            scores.size, scores.ctypes.data,
+        )
+        results[q] = scores
+
+
+@kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
+def scores_batch(
+    instruction_batch: Sequence[np.ndarray], ref_codes: np.ndarray
+) -> List[np.ndarray]:
+    """Score ``k`` queries against one reference in a single sweep.
+
+    The software analogue of ``k`` comparator arrays on one reference
+    stream (§III-C): the comparator tables, match bitplanes and packed
+    rows are computed **once** for the union of the batch's distinct
+    instructions, then every query folds zero-copy views of the shared
+    rows.  Each result is bit-identical to
+    :func:`packed_scores(instruction_batch[q], ref_codes)`; queries may
+    have ragged lengths.  The compiled kernel runs when it was built;
+    otherwise, or for codes outside ``0..3``, the NumPy body does.
+    """
+    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
+    arrays = [
+        np.asarray(instructions, dtype=np.uint8).ravel()
+        for instructions in instruction_batch
+    ]
+    results: List[Optional[np.ndarray]] = [None] * len(arrays)
+    active: List[int] = []
+    for q, instructions in enumerate(arrays):
+        num_positions = ref_codes.size - instructions.size + 1
+        if num_positions <= 0:
+            results[q] = np.zeros(0, dtype=np.int32)
+        elif instructions.size == 0:
+            results[q] = np.zeros(num_positions, dtype=np.int32)
+        else:
+            active.append(q)
+    if active:
+        library = _NATIVE
+        if library is not None and ref_codes.max() <= 3:
+            _native_batch(library, arrays, active, ref_codes, results)
+        else:
+            _numpy_batch(arrays, active, ref_codes, results)
     return [result for result in results if result is not None]
 
 

@@ -118,13 +118,15 @@ class FabPHost:
 
     def add_reference(self, reference, name: str = "") -> DatabaseEntry:
         """Pack one reference into DRAM (striped to the emptiest channel)."""
-        rna = as_rna(reference) if not isinstance(reference, np.ndarray) else None
-        if rna is not None:
-            codes = packing.codes_from_text(rna.letters)
-            name = name or rna.name or f"ref_{len(self._entries)}"
-        else:
+        if isinstance(reference, np.ndarray):
             codes = np.asarray(reference, dtype=np.uint8)
-            name = name or f"ref_{len(self._entries)}"
+        elif isinstance(reference, str):
+            codes = packing.codes_from_text(reference)
+        else:
+            rna = as_rna(reference)
+            codes = packing.codes_from_text(rna.letters)
+            name = name or rna.name
+        name = name or f"ref_{len(self._entries)}"
         channel = int(np.argmin(self._channel_bytes))
         entry = DatabaseEntry(name=name, codes=codes, channel=channel)
         self._channel_bytes[channel] += entry.packed_bytes

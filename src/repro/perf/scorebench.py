@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.aligner import DEFAULT_ENGINE, scores_from_codes
+from repro.core.bitscore import batch_kernel
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.obs import profile as _obs_profile
 from repro.seq.packing import codes_from_text
@@ -176,6 +177,7 @@ def run_score_benchmark(
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "numpy": np.__version__,
+            "batch_kernel": batch_kernel(),
         }
     )
 
@@ -306,6 +308,7 @@ def run_batch_benchmark(
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "numpy": np.__version__,
+            "batch_kernel": batch_kernel(),
         }
     )
 
@@ -468,6 +471,8 @@ def format_report(report: BenchReport) -> str:
         title="Score-engine benchmark",
     )
     lines = [table]
+    if "batch_kernel" in report.meta:
+        lines.append(f"batch kernel: {report.meta['batch_kernel']}")
     if report.speedups:
         lines.append("")
         for key, value in sorted(report.speedups.items()):

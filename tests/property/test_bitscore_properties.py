@@ -7,7 +7,10 @@ instruction streams (Leu/Arg/Ser/Stop), and references shorter than the
 3-nt look-back window.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,20 @@ rna_strings = st.text(
 #: References shorter than the 3-nt look-back window (the boundary reads
 #: nucleotide A, matching the hardware stream-buffer reset).
 tiny_rna = st.text(alphabet=sorted(alphabet.RNA_NUCLEOTIDES), min_size=1, max_size=2)
+
+
+#: The bodies of ``bitscore.scores_batch``: the compiled kernel (where it
+#: was built) and the NumPy body every host without a compiler runs.
+BATCH_KERNELS = ("native", "numpy")
+
+
+@contextlib.contextmanager
+def batch_kernel(kernel):
+    """Run the block on one body of ``scores_batch``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "numpy":
+            patch.setattr(bitscore, "_NATIVE", None)
+        yield
 
 
 def _assert_all_engines_agree(protein, reference):
@@ -97,7 +114,10 @@ class TestEngineEquivalence:
 
 
 class TestBatchEquivalence:
-    """One shared sweep over k queries == k independent sweeps, bit for bit."""
+    """One shared sweep over k queries == k independent sweeps, bit for bit.
+
+    Every example runs on each body of ``scores_batch`` in turn.
+    """
 
     @given(
         batch=st.lists(proteins, min_size=1, max_size=6),
@@ -110,12 +130,14 @@ class TestBatchEquivalence:
         arrays = [encode_query(p).as_array() for p in batch]
         codes = codes_from_text(reference)
         solo = [scores_from_codes(a, codes, "bitscore") for a in arrays]
-        for engine in ("bitscore_batch", "bitscore", "vectorized"):
-            shared = scores_batch_from_codes(arrays, codes, engine)
-            assert len(shared) == len(solo)
-            for got, want in zip(shared, solo):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want), engine
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                for engine in ("bitscore_batch", "bitscore", "vectorized"):
+                    shared = scores_batch_from_codes(arrays, codes, engine)
+                    assert len(shared) == len(solo)
+                    for got, want in zip(shared, solo):
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (kernel, engine)
 
     @given(protein=type_iii_proteins, reference=rna_strings)
     @settings(max_examples=25, deadline=None)
@@ -125,8 +147,10 @@ class TestBatchEquivalence:
         array = encode_query(protein).as_array()
         codes = codes_from_text(reference)
         want = scores_from_codes(array, codes, "bitscore")
-        (got,) = scores_batch_from_codes([array], codes, "bitscore_batch")
-        assert np.array_equal(got, want)
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                (got,) = scores_batch_from_codes([array], codes, "bitscore_batch")
+            assert np.array_equal(got, want), kernel
 
     @given(
         protein=proteins,
@@ -140,6 +164,8 @@ class TestBatchEquivalence:
 
         arrays = [encode_query(protein).as_array() for _ in range(copies)]
         codes = codes_from_text(reference)
-        shared = scores_batch_from_codes(arrays, codes, "bitscore_batch")
-        for got in shared[1:]:
-            assert np.array_equal(got, shared[0])
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                shared = scores_batch_from_codes(arrays, codes, "bitscore_batch")
+            for got in shared[1:]:
+                assert np.array_equal(got, shared[0]), kernel
