@@ -27,6 +27,14 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BENCH_scoring.jso
 #: Required same-run advantage of bitscore over the naive Python path.
 MIN_NAIVE_SPEEDUP = 5.0
 
+#: Least two-worker scan throughput, as a share of one worker's, on the
+#: quick report (4 x 80 knt x 50 aa: about 2-3 ms of scoring per call).
+#: Forking a worker pool and publishing the image on every call read 0.106
+#: here; two scoring threads in one process read 0.62-0.68 on a 2-CPU host.
+#: Scaling past 1 needs more work per call than the quick size gives, so
+#: this gate catches fork-per-call coming back, not a scaling target.
+MIN_SCAN_SCALING_W2 = 0.5
+
 #: Allowed slowdown vs the committed baseline before the guard trips.
 #: Wide on purpose: CI machines differ; this catches order-of-magnitude
 #: regressions (e.g. the packed path silently falling back to Python).
@@ -64,6 +72,14 @@ def test_bitscore_beats_vectorized(quick_report):
     """The fast path must actually be the fast path on its home workload."""
     speedup = quick_report.speedups.get("bitscore_vs_vectorized", 0.0)
     assert speedup > 1.0, f"bitscore slower than vectorized ({speedup:.2f}x)"
+
+
+def test_two_workers_do_not_pay_a_pool_per_call(quick_report):
+    scaling = quick_report.speedups.get("scan_scaling_w2", 0.0)
+    assert scaling >= MIN_SCAN_SCALING_W2, (
+        f"a two-worker scan runs at {scaling:.3f}x one worker "
+        f"(required >= {MIN_SCAN_SCALING_W2}x)"
+    )
 
 
 def test_against_committed_baseline(quick_report):

@@ -245,8 +245,8 @@ def cmd_scan(args) -> int:
         num_workers = resolve_workers(args.workers)
         shard_specs = None
         if args.shards is not None:
-            # --shards scans every query in one batch on a pool of one
-            # worker per shard.
+            # --shards scans every query in one batch with one worker
+            # thread per shard.
             shard_specs = plan_shards(database.lengths, args.shards)
             num_workers = max(1, len(shard_specs))
         # The planned tasks per scan call: fault plans and checkpoints are
@@ -346,7 +346,7 @@ def cmd_scan(args) -> int:
             ]
         elif args.session:
             # One warm runtime for the whole query stream: the packed image
-            # and worker pool are set up once, queries share passes, and a
+            # is set up once, queries share passes, and a
             # single batch report covers every query.
             from repro.host.scan_session import ScanSession
 
@@ -1138,10 +1138,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=SCAN_ENGINES, default="bitscore_batch",
                    help="scoring engine (default: bitscore_batch)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: one per CPU; 1 = serial)")
+                   help="worker threads (default: one per CPU; 1 = serial)")
     p.add_argument("--session", action="store_true",
                    help="scan all queries through one warm ScanSession: the "
-                   "database image and worker pool are set up once, queries "
+                   "database image is packed once, queries "
                    "are grouped into shared passes, and each database "
                    "window is swept once per pass")
     p.add_argument("--shards", type=int, default=None, metavar="N",
@@ -1163,12 +1163,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-dispatch straggler tasks older than this many "
                    "seconds once the queue drains")
     p.add_argument("--max-respawns", type=int, default=8,
-                   help="worker respawns tolerated before the pool is "
-                   "declared unhealthy")
+                   help="lost workers (crashed or timed-out attempts) "
+                   "tolerated before the scan is declared unhealthy")
     p.add_argument("--no-degrade", action="store_true",
                    help="raise instead of finishing in-process (or, with "
-                   "--shards, reporting the shard dead) when the pool is "
-                   "unhealthy or a task exhausts its retries")
+                   "--shards, reporting the shard dead) when the workers "
+                   "are unhealthy or a task exhausts its retries")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the backoff-jitter RNG")
     p.add_argument("--checkpoint", metavar="DIR",
@@ -1193,8 +1193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-attempts", type=int, default=1,
                    help="max leading faulty attempts per chosen task")
     p.add_argument("--fault-hang-seconds", type=float, default=3600.0,
-                   help="how long an injected hang sleeps (in-process "
-                   "hangs are not supervised)")
+                   help="how long an injected hang waits (a supervised "
+                   "hang ends at --chunk-timeout; in-process hangs are not "
+                   "supervised)")
     add_obs_args(p)
     p.set_defaults(func=cmd_scan)
 
@@ -1212,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=SCAN_ENGINES, default=None,
                    help="scoring engine (default: bitscore_batch)")
     p.add_argument("--workers", type=int, default=None,
-                   help="resident worker processes of the warm session "
+                   help="worker threads of the warm session "
                    "(default: one per CPU; 1 = serial)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="serve from a sharded runtime with N shards instead "
@@ -1297,7 +1298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="score-engine benchmark: naive vs vectorized vs bitscore vs "
-        "the chunked multi-process database scan",
+        "the chunked multi-threaded database scan",
     )
     p.add_argument("--quick", action="store_true",
                    help="CI-sized workload (seconds, not minutes)")
@@ -1420,8 +1421,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if os.environ.get("FABP_SHMSAN") == "1":
         # Arm the shared-memory sanitizer for this process (and, with
-        # FABP_SHMSAN_LOG, its event trail) — how the kill-mid-chunk
-        # integration test audits a dying scan's /dev/shm hygiene.
+        # FABP_SHMSAN_LOG, its event trail) — how the subprocess
+        # integration tests audit a scan's /dev/shm hygiene.
         from repro.statics import shmsan
 
         if not shmsan.is_installed():

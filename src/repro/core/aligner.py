@@ -461,9 +461,10 @@ def search_database(
 
     The query is encoded and the threshold resolved exactly once, and
     pre-packed code arrays are accepted without re-parsing.  With
-    ``workers > 1`` the scan fans out over a process pool via
-    :func:`repro.host.scan.scan_database` (chunked shared-memory scan with
-    an ordered merge); ``chunk_size`` tunes references per work item.
+    ``workers > 1`` the scan fans out over worker threads via
+    :func:`repro.host.scan.scan_database` (windowed scan of one packed
+    image with an ordered merge); ``chunk_size`` tunes references per
+    work item.
     A query that is empty or longer than
     :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` raises ``ValueError``.
     """

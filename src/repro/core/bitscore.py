@@ -518,7 +518,8 @@ def _numpy_batch(
 # one C pass turns the reference codes into the shared match bitplanes, and
 # one C call per query folds its rows tile by tile through a Harley-Seal
 # block into vertical counter planes and writes int32 scores.  Resolved once
-# at import, so forked pool workers inherit the loaded library; when no
+# at import; every call allocates its own planes and scores, and ctypes
+# releases the GIL for the call, so worker threads can fold at once.  When no
 # compiler is found or the build fails, ``_NATIVE`` is None and the NumPy
 # body runs.
 # --------------------------------------------------------------------------
@@ -554,6 +555,24 @@ def _context_masks() -> np.ndarray:
 _CONTEXT_MASKS = _context_masks()
 
 
+def _native_planes(
+    library: ctypes.CDLL,
+    distinct: np.ndarray,
+    ref_codes: np.ndarray,
+    plane_words: int,
+) -> np.ndarray:
+    """``plane_words`` packed match words of each instruction byte in ``distinct``."""
+    # Bits 6-7 of an instruction byte select nothing, as in match_bytes.
+    masks = np.ascontiguousarray(_CONTEXT_MASKS[distinct & 63])
+    planes = np.empty((distinct.size, plane_words), dtype=_WORD_DTYPE)
+    codes = np.ascontiguousarray(ref_codes)
+    library.fabp_build_planes(
+        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
+        planes.ctypes.data, plane_words,
+    )
+    return planes
+
+
 def _native_batch(
     library: ctypes.CDLL,
     arrays: List[np.ndarray],
@@ -573,14 +592,7 @@ def _native_batch(
         + (arrays[q].size - 1) // WORD_BITS
         for q in active
     )
-    # Bits 6-7 of an instruction byte select nothing, as in match_bytes.
-    masks = np.ascontiguousarray(_CONTEXT_MASKS[distinct & 63])
-    planes = np.empty((distinct.size, plane_words), dtype=_WORD_DTYPE)
-    codes = np.ascontiguousarray(ref_codes)
-    library.fabp_build_planes(
-        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
-        planes.ctypes.data, plane_words,
-    )
+    planes = _native_planes(library, distinct, ref_codes, plane_words)
     offset = 0
     for q in active:
         size = arrays[q].size

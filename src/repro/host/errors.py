@@ -20,8 +20,8 @@ The hierarchy:
   * :class:`ShardFailedError` — a shard of the sharded runtime exhausted
     its health budget while partial results were disabled
     (``RetryPolicy(degrade=False)``).
-  * :class:`PoolUnhealthyError` — the worker pool kept dying (respawn
-    budget exhausted) and degradation was disabled.
+  * :class:`PoolUnhealthyError` — scan workers kept crashing or timing
+    out (respawn budget exhausted) and degradation was disabled.
   * :class:`CheckpointError` — checkpoint store problems.
 
     * :class:`CheckpointMismatchError` — ``--resume`` against a manifest
@@ -101,13 +101,13 @@ class ShardFailedError(ScanError):
 
 
 class PoolUnhealthyError(ScanError):
-    """The worker pool kept dying and degradation was disabled."""
+    """Scan workers kept crashing or timing out and degradation was disabled."""
 
     def __init__(self, respawns: int, budget: int):
         self.respawns = respawns
         self.budget = budget
         super().__init__(
-            f"worker pool unhealthy: {respawns} respawns exceeded budget {budget}"
+            f"scan workers unhealthy: {respawns} respawns exceeded budget {budget}"
         )
 
 

@@ -6,9 +6,10 @@ misbehave in fully reproducible ways so the retry/timeout/checkpoint
 machinery in :mod:`repro.host.resilience` can be driven through every
 failure path in CI:
 
-* ``crash``   — the worker process holding the task dies (``os._exit``);
-* ``hang``    — the worker sleeps past the per-task timeout and must be
-  killed by the supervisor;
+* ``crash``   — the worker holding the task is lost: the attempt raises
+  and the supervisor counts a respawn;
+* ``hang``    — the worker waits past the per-task timeout and must be
+  cancelled by the supervisor;
 * ``raise``   — the task raises a (typed) exception back to the driver;
 * ``corrupt`` — the task returns structurally plausible but wrong data
   that the per-task sanity check must catch and turn into a retry.
@@ -19,9 +20,9 @@ called ``chunk`` — and a spec with ``attempts=N`` fires on attempts
 ``attempts`` and a retry budget ``>= attempts`` is recoverable.  Every
 runtime uses the same plan: a sharded scan numbers its tasks shard-major,
 so a fault on one of a shard's task ids is a fault in that shard, and an
-``always`` fault there kills the shard.  Plans are value objects
-(picklable, so a forked worker can carry one) and every generated plan is
-a pure function of its seed.
+``always`` fault there kills the shard.  Plans are immutable value
+objects, safe to read from every worker thread, and every generated plan
+is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -77,15 +78,15 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic set of per-chunk faults.
 
-    The plan is consulted by workers (and the serial fallback) via
-    :meth:`lookup`; two plans built from the same arguments are equal, and
-    a plan survives pickling into worker processes unchanged.
+    The supervisor consults the plan via :meth:`lookup` before each
+    attempt; two plans built from the same arguments are equal, and a
+    plan survives pickling unchanged.
     """
 
     specs: Tuple[FaultSpec, ...] = ()
     seed: Optional[int] = None
-    #: How long a ``hang`` fault sleeps; the supervisor kills the worker at
-    #: the policy timeout, so this only bounds unsupervised (serial) hangs.
+    #: How long a ``hang`` fault waits; the supervisor cancels it at the
+    #: policy timeout, so this only bounds unsupervised (serial) hangs.
     hang_seconds: float = 3600.0
 
     def __post_init__(self) -> None:

@@ -5,59 +5,64 @@ this module is that control loop in software.  Every scan path in
 :mod:`repro.host` — the one-shot :func:`repro.host.scan.scan_database`,
 the warm :class:`repro.host.scan_session.ScanSession` and the sharded
 :class:`repro.host.shards.ShardedScanRuntime` — hands a list of *tasks* to
-one :class:`Supervisor`.  A task is any picklable object with two methods:
+one :class:`Supervisor`.  A task is any object with two methods:
 
 * ``run(database, attempt)`` computes the task's payload against a
-  :class:`repro.host.scan.PackedDatabase`, in a worker process or
-  in-process;
+  :class:`repro.host.scan.PackedDatabase`;
 * ``check(database, payload)`` is a cheap structural sanity check that
   returns ``None`` for a sane payload, else a reason.
 
 A window task scores a chunk of database windows; a sharded scan labels
 each of its window tasks with the shard whose reference range it covers.
-Whatever the task, the supervisor provides:
+Attempts run on a thread executor: ``workers`` slots in this process, all
+reading the one in-process database image, as the paper's kernel
+instances share one DRAM image.  The compiled kernel drops the GIL for
+its calls, so the slots score in parallel.  Whatever the task, the
+supervisor provides:
 
 * **per-task timeout** — an attempt that runs past
-  :attr:`RetryPolicy.timeout` gets its worker killed and the task retried;
+  :attr:`RetryPolicy.timeout` is cancelled and marked lost (a thread
+  cannot be killed; its late payload is discarded), its slot gets a new
+  thread and the task is retried;
 * **bounded retries with seeded exponential backoff + jitter** — every
   failed attempt (crash, hang, raise, corrupt) requeues the task until
   :attr:`RetryPolicy.max_retries` is exhausted;
-* **dead-worker detection and replacement** — worker deaths are observed
-  via their process sentinels and the pool is topped back up, within the
-  :attr:`RetryPolicy.max_respawns` budget;
+* **lost-worker accounting** — an attempt that crashes or times out
+  counts as a respawn, within the :attr:`RetryPolicy.max_respawns`
+  budget;
 * **hedged re-dispatch** — once the queue drains, stragglers older than
-  :attr:`RetryPolicy.hedge_after` are re-issued to idle workers; the first
+  :attr:`RetryPolicy.hedge_after` are re-issued to idle slots; the first
   sane result wins and duplicates are discarded;
 * **per-task sanity checking** — a payload that fails ``check`` is never
   merged, it is retried;
 * **durable checkpointing** — with a checkpoint store, every completed
   task is persisted immediately;
-* **graceful degradation** — when a task exhausts its budget or the pool
-  keeps dying, the remaining tasks finish in-process without injected
-  faults and the :class:`ScanReport` marks the scan *degraded* (CLI exit
-  3).  In *partial* mode (sharded scans) an exhausted task is instead
-  reported dead, its shard with it, and the scan completes without that
-  shard's references (CLI exit 4).
+* **graceful degradation** — when a task exhausts its budget or the
+  respawn budget trips, the remaining tasks finish in-process without
+  injected faults and the :class:`ScanReport` marks the scan *degraded*
+  (CLI exit 3).  In *partial* mode (sharded scans) an exhausted task is
+  instead reported dead, its shard with it, and the scan completes
+  without that shard's references (CLI exit 4).
 
-An in-process loop with the same retry semantics serves ``workers <= 1``,
-restricted environments (no fork, no ``/dev/shm``) and the degraded
-completion.  Faults from a :class:`repro.host.faults.FaultPlan` enter
-through one hook, :func:`run_attempt`, in both modes.
+An in-process loop with the same retry semantics serves ``workers <= 1``
+and the degraded completion.  Faults from a
+:class:`repro.host.faults.FaultPlan` enter through one hook,
+:func:`run_attempt`, in both modes.  When :meth:`Supervisor.run` returns
+or raises, every thread it started has been cancelled and joined.
 
 Determinism: payloads are merged by task id, so retry order, hedging and
-worker scheduling cannot change the output — any recoverable fault plan
+thread scheduling cannot change the output — any recoverable fault plan
 yields results bit-identical to a fault-free scan.
 """
 
 from __future__ import annotations
 
-import os
+import queue
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.host.errors import (
     ChunkFailedError,
@@ -73,10 +78,8 @@ __all__ = [
     "RetryPolicy",
     "ChunkAttempt",
     "ScanReport",
-    "SharedImage",
     "ShardStatus",
     "Supervisor",
-    "WorkerPool",
     "corrupt_records",
     "run_attempt",
 ]
@@ -108,9 +111,10 @@ class RetryPolicy:
     #: Re-dispatch stragglers older than this once the queue drains;
     #: ``None`` disables hedging.
     hedge_after: Optional[float] = None
-    #: Worker respawns tolerated before the pool is declared unhealthy.
+    #: Lost workers (crashed or timed-out attempts) tolerated per call
+    #: before the executor is declared unhealthy.
     max_respawns: int = 8
-    #: On an unhealthy pool / exhausted task, finish in-process (reported
+    #: On an unhealthy executor / exhausted task, finish in-process (reported
     #: as *degraded*), or in a sharded scan report the shard dead, instead
     #: of raising.
     degrade: bool = True
@@ -213,8 +217,8 @@ class ScanReport:
     Serialized by :meth:`to_dict` / written by ``fabp-repro scan
     --report-json``; the full schema is documented in
     ``docs/robustness.md`` and ``docs/observability.md``.  Schema v2 added
-    the ``metrics`` section (stage wall-times, checkpoint volume, shared
-    memory footprint); schema v3 adds the ``shards`` section filled by
+    the ``metrics`` section (stage wall-times and checkpoint volume);
+    schema v3 adds the ``shards`` section filled by
     :class:`repro.host.shards.ShardedScanRuntime` (empty for single-shard
     scans) and the exit code 4 = "complete with dead shards".  Older
     reports remain readable through
@@ -243,8 +247,8 @@ class ScanReport:
     checkpoint_dir: Optional[str] = None
     resumed: bool = False
     attempts: List[ChunkAttempt] = field(default_factory=list)
-    #: Profiling section (new in v2): ``stage_seconds``, ``checkpoint``
-    #: volume and ``shared_memory_bytes``.
+    #: Profiling section (new in v2): ``stage_seconds`` and
+    #: ``checkpoint`` volume.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Per-shard section (new in v3): filled by the sharded runtime, empty
     #: for single-shard scans.
@@ -348,13 +352,6 @@ class ScanReport:
 
 # -- the fault hook ------------------------------------------------------------
 
-#: The supervisor's pid when this process is a supervised worker, else
-#: ``None``.  A crash fault can only kill a process that has a supervisor.
-_WORKER_PARENT: Optional[int] = None
-
-#: How often an idle worker re-checks that its supervisor is still alive.
-_ORPHAN_POLL_SECONDS = 1.0
-
 
 def corrupt_records(payload: List[tuple]) -> List[tuple]:
     """Mis-key every record so the sanity check must reject it.
@@ -373,24 +370,20 @@ def run_attempt(
     database: Any,
     fault: Optional[FaultKind] = None,
     hang_seconds: float = 0.0,
+    cancel: Optional[threading.Event] = None,
 ) -> Any:
     """One attempt at one task, with its planned fault (if any) injected.
 
-    The single fault hook of every runtime.  ``crash`` kills a supervised
-    worker outright; in-process there is no worker to sacrifice, so it
-    raises.  ``hang`` sleeps: a supervised worker is killed at the task
-    timeout (the sleep still notices an orphaning), while in-process the
-    sleep is real — exactly what the kill-and-resume scenario exploits.
-    ``raise`` raises and ``corrupt`` damages the payload so the sanity
-    check must catch it.
+    The single fault hook of every runtime.  ``crash``, ``hang`` and
+    ``raise`` end in :class:`~repro.host.errors.InjectedFaultError`;
+    ``hang`` first waits ``hang_seconds`` on ``cancel``, which the thread
+    executor sets once the attempt is timed out or no longer needed.
+    In-process nothing sets it, so the hang is real — exactly what the
+    kill-and-resume scenario exploits.  ``corrupt`` damages the payload
+    so the sanity check must catch it.
     """
-    if fault is FaultKind.CRASH and _WORKER_PARENT is not None:
-        os._exit(17)
     if fault is FaultKind.HANG:
-        if _WORKER_PARENT is not None:
-            _hang_sleep(hang_seconds, _WORKER_PARENT)
-        else:
-            time.sleep(hang_seconds)
+        (cancel or threading.Event()).wait(hang_seconds)
     if fault in (FaultKind.CRASH, FaultKind.HANG, FaultKind.RAISE):
         raise InjectedFaultError(task_id, attempt, fault.value)
     payload = task.run(database, attempt)
@@ -399,229 +392,36 @@ def run_attempt(
     return payload
 
 
-def _recv_or_orphaned(conn, parent_pid: int):
-    """Receive the next message, or raise ``EOFError`` if the parent died.
-
-    Under the fork start method every worker inherits the parent-side pipe
-    ends of its earlier-spawned siblings, so a supervisor killed by a
-    signal does not reliably surface as pipe EOF — a sibling still holds a
-    write end open and a blocking ``recv`` would wait forever.  Poll with
-    a bounded timeout and watch for re-parenting instead: once
-    ``getppid`` no longer names the supervisor, treat it exactly like EOF
-    so the worker exits rather than outliving a SIGKILLed parent.
-    """
-    while not conn.poll(_ORPHAN_POLL_SECONDS):
-        if os.getppid() != parent_pid:
-            raise EOFError("supervisor died; worker orphaned")
-    return conn.recv()
-
-
-def _hang_sleep(seconds: float, parent_pid: int) -> None:
-    """Injected-hang sleep that still notices a dead supervisor.
-
-    The hang models a stuck worker from the *supervisor's* point of view
-    (the task times out either way), so slicing the sleep changes nothing
-    it tests — but it lets an orphaned hung worker exit within one slice
-    instead of finishing a multi-minute nap first.
-    """
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        if os.getppid() != parent_pid:
-            raise EOFError("supervisor died; worker orphaned")
-        remaining = deadline - time.monotonic()
-        # statics: ignore[RC005] injected fault: the hang IS the test
-        time.sleep(min(_ORPHAN_POLL_SECONDS, max(0.0, remaining)))
-
-
-# -- worker processes ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedImage:
-    """A packed database published in shared memory, as workers attach it."""
-
-    name: str
-    packed_bytes: int
-    lengths: np.ndarray
-    byte_offsets: np.ndarray
-
-
-def _worker_main(conn, image: SharedImage) -> None:
-    """The worker loop: attach the database once, run tasks until stopped.
-
-    ``image`` names the shared-memory database image, attached zero-copy.
-    Protocol (parent -> worker): ``("task", task_id, attempt, task, fault,
-    hang_seconds)`` or ``("stop",)``.  Worker -> parent: ``("ok", task_id,
-    attempt, payload)`` or ``("err", task_id, attempt, message)``.  Every
-    task message is self-contained, so a respawned or hedged worker needs
-    no per-run installation step.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.host.scan import PackedDatabase
-
-    global _WORKER_PARENT
-    parent_pid = os.getppid()
-    _WORKER_PARENT = parent_pid
-    segment = shared_memory.SharedMemory(name=image.name)
-    buffer: Optional[np.ndarray] = np.frombuffer(
-        segment.buf, dtype=np.uint8, count=image.packed_bytes
-    )
-    database: Optional[PackedDatabase] = PackedDatabase(
-        names=(),
-        lengths=image.lengths,
-        byte_offsets=image.byte_offsets,
-        buffer=buffer,
-    )
-    try:
-        while True:
-            message = _recv_or_orphaned(conn, parent_pid)
-            if message[0] == "stop":
-                break
-            _, task_id, attempt, task, fault, hang_seconds = message
-            try:
-                payload = run_attempt(
-                    task, task_id, attempt, database, fault, hang_seconds
-                )
-            except (ScanError, ValueError, IndexError, OSError) as exc:
-                conn.send(("err", task_id, attempt, f"{type(exc).__name__}: {exc}"))
-                continue
-            conn.send(("ok", task_id, attempt, payload))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        # Drop the numpy views first: closing a segment with an exported
-        # buffer pointer raises BufferError at interpreter shutdown.
-        buffer = None
-        database = None  # noqa: F841
-        try:
-            segment.close()
-        except (OSError, BufferError):
-            pass
-
-
-class _Worker:
-    """Parent-side view of one worker process."""
-
-    __slots__ = ("id", "process", "conn", "busy")
-
-    def __init__(self, worker_id: int, process, conn):
-        self.id = worker_id
-        self.process = process
-        self.conn = conn
-        #: ``None`` when idle, else ``(task_id, attempt, started, deadline)``.
-        self.busy: Optional[Tuple[int, int, float, Optional[float]]] = None
-
-
-class WorkerPool:
-    """Worker processes owned directly over duplex pipes.
-
-    Every worker attaches ``image`` at spawn (see :func:`_worker_main`).
-    A pool may outlive one supervisor run — a :class:`ScanSession` keeps
-    its pool resident across calls — so :meth:`revive` tops it up before a
-    run and :meth:`retire_busy` clears stale work after one.
-    """
-
-    def __init__(self, image: SharedImage, size: int):
-        import multiprocessing
-
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._context = multiprocessing.get_context()
-        self.image = image
-        self.size = size
-        self.workers: List[_Worker] = []
-        #: Workers replaced over the pool's lifetime (all causes).
-        self.respawns = 0
-        self._next_id = 0
-        try:
-            for _ in range(size):
-                self.spawn()
-        except BaseException:
-            self.close()
-            raise
-
-    def spawn(self) -> _Worker:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main, args=(child_conn, self.image), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        worker = _Worker(self._next_id, process, parent_conn)
-        self._next_id += 1
-        self.workers.append(worker)
-        return worker
-
-    def _drop(self, worker: _Worker) -> None:
-        self.workers.remove(worker)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def reap(self, worker: _Worker) -> None:
-        """Drop a worker that has exited."""
-        worker.process.join(timeout=0.5)
-        self._drop(worker)
-
-    def kill(self, worker: _Worker) -> None:
-        """Terminate a worker — there is no way to abort a task in place."""
-        worker.process.terminate()
-        worker.process.join(timeout=1.0)
-        if worker.process.is_alive():  # pragma: no cover - stubborn child
-            worker.process.kill()
-            worker.process.join(timeout=1.0)
-        self._drop(worker)
-
-    def close(self) -> None:
-        """Ask every worker to exit; kill any that do not within a second.
-
-        Idempotent.
-        """
-        workers = list(self.workers)
-        for worker in workers:
-            try:
-                worker.conn.send(("stop",))
-            except OSError:
-                pass
-        for worker in workers:
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                self.kill(worker)
-            else:
-                self._drop(worker)
-
-    def revive(self) -> None:
-        """Replace workers that died between runs; top back up to size."""
-        for worker in [w for w in self.workers if not w.process.is_alive()]:
-            self.reap(worker)
-            self.respawns += 1
-        while len(self.workers) < self.size:
-            self.spawn()
-
-    def retire_busy(self) -> None:
-        """Kill workers still holding a task so stale replies cannot leak.
-
-        A hedged twin, or an exhausted or aborted run, may leave a worker
-        mid-task; its late reply must never be mistaken for a later run's.
-        """
-        for worker in [w for w in self.workers if w.busy is not None]:
-            self.kill(worker)
-            self.respawns += 1
+def _failure_outcome(error: ScanError) -> str:
+    """The report outcome of an attempt that raised ``error``."""
+    if isinstance(error, InjectedFaultError):
+        return {"crash": "crash", "hang": "hang-timeout"}.get(error.kind, "raise")
+    return "raise"
 
 
 # -- the supervisor ------------------------------------------------------------
 
 
 class _Exhausted(Exception):
-    """Internal: a task ran out of retries or the pool is unhealthy."""
+    """Internal: a task ran out of retries or the executor is unhealthy."""
 
     def __init__(self, reason: str, error: Exception):
         self.reason = reason
         self.error = error
         super().__init__(reason)
+
+
+@dataclass(eq=False)
+class _Attempt:
+    """One attempt in flight on a slot of the thread executor."""
+
+    slot: int
+    task_id: int
+    attempt: int
+    started: float
+    deadline: Optional[float]
+    #: Set when the attempt timed out, its task completed, or the run ended.
+    cancel: threading.Event = field(default_factory=threading.Event)
 
 
 class Supervisor:
@@ -669,28 +469,28 @@ class Supervisor:
         self._rng = random.Random(policy.seed)
         self._failures: Dict[int, List[str]] = {}
         self._first_dispatch: Dict[int, float] = {}
-        self._in_flight: Dict[int, int] = {}
         #: ``(ready_time, task_id)`` items awaiting dispatch.
         self._pending: List[Tuple[float, int]] = []
         self._degraded = False
+        #: The thread executor: the attempt each slot runs, the inbox of
+        #: each slot's thread, every thread started and the queue the
+        #: threads post outcomes to.
+        self._slots: List[Optional[_Attempt]] = []
+        self._inboxes: List[Optional["queue.SimpleQueue[Any]"]] = []
+        self._threads: List[threading.Thread] = []
+        self._outbox: "queue.Queue[Tuple[_Attempt, str, Any]]" = queue.Queue()
 
     def _open(self, task_id: int) -> bool:
         return task_id not in self.done and task_id not in self.dead
 
-    def run(self, pool: Optional[WorkerPool]) -> None:
-        """Finish every open task; ``pool=None`` runs them in-process."""
+    def run(self, workers: int) -> None:
+        """Finish every open task on ``workers`` threads (``<= 1``: in-process)."""
         try:
-            if pool is None:
+            if workers <= 1:
                 self._run_in_process()
             else:
                 self.report.mode = "parallel"
-                try:
-                    self._run_pool(pool)
-                except (ImportError, OSError):
-                    # Restricted environments (pipes or fork failing
-                    # mid-run): the in-process loop gives the same results.
-                    self.report.mode = "serial"
-                    self._run_in_process()
+                self._run_threads(workers)
         except _Exhausted as exhausted:
             if not self.policy.degrade:
                 raise exhausted.error from None
@@ -765,10 +565,10 @@ class Supervisor:
     # -- in-process -----------------------------------------------------------
 
     def _run_in_process(self) -> None:
-        """Same retry semantics, no pool to kill.
+        """Same retry semantics, one attempt at a time on this thread.
 
-        Serves serial mode, restricted environments and the degraded
-        completion (which runs without injected faults).
+        Serves serial mode and the degraded completion (which runs
+        without injected faults).
         """
         hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
         for task_id, task in self.tasks.items():
@@ -784,13 +584,8 @@ class Supervisor:
                     )
                 except ScanError as exc:
                     now = time.monotonic()
-                    outcome = "raise"
-                    if isinstance(exc, InjectedFaultError):
-                        outcome = {"crash": "crash", "hang": "hang-timeout"}.get(
-                            exc.kind, "raise"
-                        )
                     delay = self._fail(
-                        task_id, attempt, outcome, now - t0, None,
+                        task_id, attempt, _failure_outcome(exc), now - t0, None,
                         f"{type(exc).__name__}: {exc}", now,
                     )
                 else:
@@ -801,173 +596,196 @@ class Supervisor:
                 if delay:
                     time.sleep(delay)
 
-    # -- pool -----------------------------------------------------------------
+    # -- thread executor ------------------------------------------------------
 
-    def _run_pool(self, pool: WorkerPool) -> None:
-        from multiprocessing import connection
+    def _run_threads(self, width: int) -> None:
+        """Run attempts on ``width`` slots, each served by one thread.
 
+        A slot's thread takes its attempts from the slot's inbox, reads
+        the one in-process database and posts ``(attempt, outcome,
+        payload or detail)`` to the outbox; only this thread touches the
+        supervisor's state.  A slot whose attempt crashed or timed out
+        has lost its worker: that thread is told to stop, the slot gets a
+        new one and a respawn is counted.  On the way out, every attempt
+        is cancelled and every thread this run started is stopped and
+        joined.
+        """
+        self._slots = [None] * width
+        self._inboxes = [None] * width
+        self._threads = []
+        self._outbox = queue.Queue()
         now = time.monotonic()
         self._pending = [(now, t) for t in self.tasks if self._open(t)]
         try:
             while len(self.done) + len(self.dead) < len(self.tasks):
-                if not pool.workers:
-                    raise _Exhausted(
-                        f"pool unhealthy: no workers left after "
-                        f"{self.report.respawns} respawns",
-                        PoolUnhealthyError(
-                            self.report.respawns, self.policy.max_respawns
-                        ),
+                self._dispatch(time.monotonic())
+                try:
+                    message = self._outbox.get(
+                        timeout=self._wait_timeout(time.monotonic())
                     )
-                now = time.monotonic()
-                self._dispatch(pool, now)
-                handles = {w.conn: w for w in pool.workers}
-                handles.update({w.process.sentinel: w for w in pool.workers})
-                ready = connection.wait(
-                    list(handles), timeout=self._wait_timeout(pool, now)
-                )
-                now = time.monotonic()
-                for worker in {id(handles[h]): handles[h] for h in ready}.values():
-                    if worker in pool.workers:
-                        self._service(pool, worker, now)
-                self._sweep_timeouts(pool, time.monotonic())
+                    while True:
+                        self._on_result(*message, time.monotonic())
+                        message = self._outbox.get_nowait()
+                except queue.Empty:
+                    pass
+                self._sweep_timeouts(time.monotonic())
                 if self.report.respawns > self.policy.max_respawns:
                     raise _Exhausted(
-                        f"pool unhealthy: {self.report.respawns} worker respawns",
+                        f"executor unhealthy: {self.report.respawns} worker respawns",
                         PoolUnhealthyError(
                             self.report.respawns, self.policy.max_respawns
                         ),
                     )
         finally:
-            pool.retire_busy()
+            for attempt in self._slots:
+                if attempt is not None:
+                    attempt.cancel.set()
+            for slot in range(width):
+                self._retire(slot)
+            for thread in self._threads:
+                thread.join()
 
-    def _send(self, worker: _Worker, task_id: int, now: float, hedge: bool) -> None:
-        attempt = self._take_attempt(task_id, now)
-        fault = self.faults.lookup(task_id, attempt) if self.faults else None
+    def _slot_main(self, inbox: "queue.SimpleQueue[Any]") -> None:
+        """A slot thread: run the attempts it is handed until told to stop."""
+        while True:
+            item = inbox.get()
+            if item is None:
+                return
+            self._attempt_main(*item)
+
+    def _attempt_main(self, attempt: _Attempt, fault: Optional[FaultKind]) -> None:
+        """Run one attempt and always post its outcome."""
         hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
-        worker.conn.send(
-            ("task", task_id, attempt, self.tasks[task_id], fault, hang_seconds)
-        )
+        try:
+            payload = run_attempt(
+                self.tasks[attempt.task_id], attempt.task_id, attempt.attempt,
+                self.database, fault, hang_seconds, attempt.cancel,
+            )
+        except ScanError as exc:
+            self._outbox.put(
+                (attempt, _failure_outcome(exc), f"{type(exc).__name__}: {exc}")
+            )
+        except Exception as exc:
+            # A thread boundary: an unexpected error must still reach the
+            # supervisor, which records it as a lost worker.
+            self._outbox.put((attempt, "crash", f"{type(exc).__name__}: {exc}"))
+        else:
+            self._outbox.put((attempt, "ok", payload))
+
+    def _start(self, slot: int, task_id: int, now: float, hedge: bool) -> None:
+        number = self._take_attempt(task_id, now)
+        fault = self.faults.lookup(task_id, number) if self.faults else None
         deadline = None if self.policy.timeout is None else now + self.policy.timeout
-        worker.busy = (task_id, attempt, now, deadline)
-        self._in_flight[task_id] = self._in_flight.get(task_id, 0) + 1
+        attempt = _Attempt(slot, task_id, number, now, deadline)
+        inbox = self._inboxes[slot]
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            thread = threading.Thread(
+                target=self._slot_main, args=(inbox,),
+                name=f"fabp-scan-{slot}", daemon=True,
+            )
+            thread.start()
+            self._inboxes[slot] = inbox
+            self._threads.append(thread)
+        inbox.put((attempt, fault))
+        self._slots[slot] = attempt
         if hedge:
             self.report.hedges += 1
             self.hedged[task_id] = self.hedged.get(task_id, 0) + 1
 
-    def _dispatch(self, pool: WorkerPool, now: float) -> None:
+    def _retire(self, slot: int) -> None:
+        """Tell the slot's thread to stop once its attempt ends."""
+        inbox = self._inboxes[slot]
+        if inbox is not None:
+            inbox.put(None)
+            self._inboxes[slot] = None
+
+    def _idle_slots(self) -> List[int]:
+        return [slot for slot, attempt in enumerate(self._slots) if attempt is None]
+
+    def _dispatch(self, now: float) -> None:
         self._pending = sorted(p for p in self._pending if self._open(p[1]))
-        for worker in [w for w in pool.workers if w.busy is None]:
+        for slot in self._idle_slots():
             if not self._pending or self._pending[0][0] > now:
                 break
-            self._send(worker, self._pending.pop(0)[1], now, hedge=False)
+            self._start(slot, self._pending.pop(0)[1], now, hedge=False)
         # Hedging: queue drained, idle capacity, stragglers in flight.
         if self.policy.hedge_after is None or self._pending:
             return
-        for worker in [w for w in pool.workers if w.busy is None]:
-            straggler = self._straggler(pool, now)
+        for slot in self._idle_slots():
+            straggler = self._straggler(now)
             if straggler is None:
                 return
-            self._send(worker, straggler, now, hedge=True)
+            self._start(slot, straggler, now, hedge=True)
 
-    def _straggler(self, pool: WorkerPool, now: float) -> Optional[int]:
+    def _straggler(self, now: float) -> Optional[int]:
         """The oldest lone in-flight task past the hedge threshold."""
-        oldest: Optional[Tuple[float, int]] = None
-        for worker in pool.workers:
-            if worker.busy is None:
+        running = [attempt for attempt in self._slots if attempt is not None]
+        oldest: Optional[_Attempt] = None
+        for attempt in running:
+            if sum(other.task_id == attempt.task_id for other in running) > 1:
                 continue
-            task_id, _attempt, started, _deadline = worker.busy
-            if not self._open(task_id) or self._in_flight.get(task_id, 0) > 1:
+            if not self._open(attempt.task_id):
                 continue
-            if now - started < (self.policy.hedge_after or 0.0):
+            if now - attempt.started < (self.policy.hedge_after or 0.0):
                 continue
-            if oldest is None or started < oldest[0]:
-                oldest = (started, task_id)
-        return None if oldest is None else oldest[1]
+            if oldest is None or attempt.started < oldest.started:
+                oldest = attempt
+        return None if oldest is None else oldest.task_id
 
-    def _wait_timeout(self, pool: WorkerPool, now: float) -> Optional[float]:
+    def _wait_timeout(self, now: float) -> Optional[float]:
         candidates: List[float] = []
-        for worker in pool.workers:
-            if worker.busy is None:
+        for attempt in self._slots:
+            if attempt is None:
                 continue
-            _task_id, _attempt, started, deadline = worker.busy
-            if deadline is not None:
-                candidates.append(deadline)
+            if attempt.deadline is not None:
+                candidates.append(attempt.deadline)
             if self.policy.hedge_after is not None:
-                candidates.append(started + self.policy.hedge_after)
-        if any(w.busy is None for w in pool.workers):
+                candidates.append(attempt.started + self.policy.hedge_after)
+        if self._idle_slots():
             candidates.extend(ready for ready, _ in self._pending)
         if not candidates:
             return None
         return max(0.0, min(candidates) - now) + 0.005
 
-    def _service(self, pool: WorkerPool, worker: _Worker, now: float) -> None:
-        message = None
-        try:
-            if worker.conn.poll():
-                message = worker.conn.recv()
-        except (EOFError, OSError):
-            message = None
-        if message is not None:
-            self._on_message(worker, message, now)
-            # Fall through: the worker may additionally have died.
-        if not worker.process.is_alive():
-            self._on_death(pool, worker, now)
-
-    def _settle(self, worker: _Worker, task_id: int, now: float) -> float:
-        """Free the worker's slot for ``task_id``; return the attempt's age."""
-        started = worker.busy[2] if worker.busy else now
-        worker.busy = None
-        self._in_flight[task_id] = max(0, self._in_flight.get(task_id, 1) - 1)
-        return now - started
-
-    def _on_message(self, worker: _Worker, message, now: float) -> None:
-        kind, task_id, attempt = message[0], message[1], message[2]
-        seconds = self._settle(worker, task_id, now)
+    def _on_result(
+        self, attempt: _Attempt, outcome: str, value: Any, now: float
+    ) -> None:
+        if self._slots[attempt.slot] is not attempt:
+            return  # timed out earlier: the late payload is discarded
+        self._slots[attempt.slot] = None
+        task_id, seconds = attempt.task_id, now - attempt.started
         if not self._open(task_id):
             self.report.record(
-                task_id, attempt, "duplicate", seconds, worker.id,
+                task_id, attempt.attempt, "duplicate", seconds, attempt.slot,
                 "hedged twin finished first",
             )
-        elif kind == "err":
-            self._fail(task_id, attempt, "raise", seconds, worker.id, message[3], now)
-        else:
-            self._accept(task_id, attempt, message[3], seconds, worker.id, now)
-
-    def _lose(self, pool: WorkerPool, worker: _Worker, kill: bool) -> None:
-        """Remove a dead or hung worker; replace it within the budget."""
-        if kill:
-            pool.kill(worker)
-        else:
-            pool.reap(worker)
-        pool.respawns += 1
-        self.report.respawns += 1
-        if self.report.respawns <= self.policy.max_respawns:
-            pool.spawn()
-
-    def _on_death(self, pool: WorkerPool, worker: _Worker, now: float) -> None:
-        busy = worker.busy
-        self._lose(pool, worker, kill=False)
-        if busy is None:
             return
-        task_id, attempt = busy[0], busy[1]
-        seconds = self._settle(worker, task_id, now)
-        if self._open(task_id):
-            self._fail(
-                task_id, attempt, "crash", seconds, worker.id,
-                f"exitcode {worker.process.exitcode}", now,
-            )
+        if outcome == "ok":
+            self._accept(task_id, attempt.attempt, value, seconds, attempt.slot, now)
+            if not self._open(task_id):
+                for twin in self._slots:
+                    if twin is not None and twin.task_id == task_id:
+                        twin.cancel.set()
+            return
+        if outcome == "crash":
+            self._retire(attempt.slot)
+            self.report.respawns += 1
+        self._fail(task_id, attempt.attempt, outcome, seconds, attempt.slot, value, now)
 
-    def _sweep_timeouts(self, pool: WorkerPool, now: float) -> None:
-        for worker in list(pool.workers):
-            if worker.busy is None:
+    def _sweep_timeouts(self, now: float) -> None:
+        for slot, attempt in enumerate(self._slots):
+            if attempt is None or attempt.deadline is None or now <= attempt.deadline:
                 continue
-            task_id, attempt, _started, deadline = worker.busy
-            if deadline is None or now <= deadline:
-                continue
-            self._lose(pool, worker, kill=True)
-            seconds = self._settle(worker, task_id, now)
-            if self._open(task_id):
+            # A thread cannot be killed: cancel its attempt, mark it lost
+            # and give the slot a new thread on the next dispatch.
+            attempt.cancel.set()
+            self._slots[slot] = None
+            self._retire(slot)
+            self.report.respawns += 1
+            if self._open(attempt.task_id):
                 self._fail(
-                    task_id, attempt, "timeout", seconds, worker.id,
+                    attempt.task_id, attempt.attempt, "timeout",
+                    now - attempt.started, slot,
                     f"exceeded {self.policy.timeout:.3g}s", now,
                 )

@@ -2,15 +2,15 @@
 
 The paper's host program keeps the database resident in FPGA DRAM as a dense
 2-bit array and streams it through parallel kernel instances; the software
-counterpart is one packed buffer in POSIX shared memory scanned by a pool of
-worker processes:
+counterpart is one packed in-process buffer read by every worker thread:
 
 * :class:`PackedDatabase` packs every reference once (2 bits/nt, the FabP
   DRAM layout from :mod:`repro.seq.packing`) into a single byte buffer with
   an offset table — the in-memory database image;
-* :func:`publish_segment` / :func:`retire_segment` own that image's
-  ``/dev/shm`` lifecycle, with ``atexit`` and SIGTERM sweeps so a crashed
-  scan never leaks a segment;
+* :func:`publish_segment` / :func:`retire_segment` copy that image into
+  ``/dev/shm`` for a caller that needs it in another process, with
+  ``atexit`` and SIGTERM sweeps so a crashed caller never leaks a segment
+  (no scan path publishes one);
 * :func:`scan_database` is a one-shot
   :class:`repro.host.scan_session.ScanSession`: it opens a session over
   the references, scans one query under the task supervisor of
@@ -53,7 +53,7 @@ class PackedDatabase:
 
     ``buffer[byte_offsets[i] : byte_offsets[i + 1]]`` is reference ``i``
     packed at 2 bits per nucleotide; ``lengths[i]`` its nucleotide count.
-    This is the image :func:`scan_database` publishes in shared memory.
+    This is the image every scan worker thread reads.
     """
 
     names: Tuple[str, ...]
@@ -309,9 +309,9 @@ def scan_database(
     ``references`` is any iterable the aligner accepts (strings, sequence
     objects, pre-packed 2-bit code arrays) or a ready
     :class:`PackedDatabase`.  Results come back in input order regardless
-    of which worker finished first.  ``workers=None`` uses every CPU;
-    ``workers <= 1`` scans in-process.  The pool starts only when the
-    plan has more than one task.
+    of which worker finished first.  ``workers=None`` scores on one thread
+    per CPU; ``workers <= 1``, or a plan with a single task, scans on the
+    calling thread.
 
     Tasks are position-balanced reference *windows*
     (:mod:`repro.host.windows`), so a single long reference parallelizes
@@ -325,8 +325,8 @@ def scan_database(
     ``docs/robustness.md``): ``policy`` (a
     :class:`~repro.host.resilience.RetryPolicy`), ``faults`` (a
     :class:`~repro.host.faults.FaultPlan`), ``checkpoint_dir`` and
-    ``resume`` configure per-task timeout/retry/backoff, dead-worker
-    replacement and durable checkpointing.  With ``with_report=True`` the
+    ``resume`` configure per-task timeout/retry/backoff, lost-worker
+    accounting and durable checkpointing.  With ``with_report=True`` the
     return value is ``(results, ScanReport)``.
     """
     from repro.host.scan_session import ScanSession

@@ -5,11 +5,11 @@ searches; :class:`ScanSession` is the software counterpart, and the one
 runtime every scan path goes through (:func:`repro.host.scan.scan_database`
 is a session opened for a single call):
 
-* the database is packed once, at session open; the first call whose plan
-  has more than one task publishes it in shared memory and starts the
-  worker pool, and both then stay resident until :meth:`ScanSession.close`;
+* the database is packed once, at session open, into one in-process
+  buffer that stays resident until :meth:`ScanSession.close`;
 * every :meth:`ScanSession.scan` / :meth:`ScanSession.scan_batch` call
-  reuses the warm pool — no fork, no image copy, no re-pack;
+  scores against that buffer on ``workers`` threads — no fork, no image
+  copy, no re-pack;
 * a batch of *k* queries is grouped into shared passes (the software
   analogue of the paper's multi-channel extension — unlike the FPGA lane
   budget of :mod:`repro.accel.multi_query`, the software kernel lets any
@@ -19,14 +19,14 @@ is a session opened for a single call):
   (the default ``bitscore_batch`` engine additionally shares the
   comparator bitplanes across the batch);
 * each pass becomes :class:`WindowTask` work items run by the
-  :class:`repro.host.resilience.Supervisor` — per-task timeout, bounded
-  retries with backoff, dead-worker replacement, hedged stragglers,
-  per-task sanity checks, fault injection, durable checkpointing, graceful
-  degradation — and each batch returns a
+  :class:`repro.host.resilience.Supervisor` on its thread executor —
+  per-task timeout, bounded retries with backoff, lost-worker
+  accounting, hedged stragglers, per-task sanity checks, fault injection,
+  durable checkpointing, graceful degradation — and each batch returns a
   :class:`repro.host.resilience.ScanReport` on request;
-* :meth:`ScanSession.close` (or the context manager) tears everything
-  down; the segment is registered with the :mod:`repro.host.scan` cleanup
-  sweeps, so even a crashed session cannot leak ``/dev/shm``.
+* every call joins the threads it started before it returns, so a
+  session holds no thread between calls and :meth:`ScanSession.close`
+  only marks it closed.
 
 Work is split into the position-balanced windows of
 :mod:`repro.host.windows` (or, with an explicit ``chunk_size``, into
@@ -71,19 +71,15 @@ from repro.host.errors import ScanError
 from repro.host.resilience import (
     RetryPolicy,
     ScanReport,
-    SharedImage,
     ShardStatus,
     Supervisor,
-    WorkerPool,
 )
 from repro.host.scan import (
     SESSION_ENGINE,
     PackedDatabase,
     _build_result,
     chunk_bounds,
-    publish_segment,
     resolve_workers,
-    retire_segment,
 )
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
@@ -243,7 +239,7 @@ class WindowTask:
     """One supervised work item: a chunk of windows of one pass.
 
     Self-contained — it carries its pass's queries, thresholds and engine
-    — so a resident worker can run it with nothing installed per call.
+    — so any worker thread can run it with nothing installed per call.
     """
 
     pass_id: int
@@ -443,14 +439,14 @@ class ScanSession:
     """A warm scan runtime over one packed database.
 
     ``references`` is anything :class:`repro.host.scan.PackedDatabase`
-    accepts, or a ready database.  ``workers=None`` keeps one resident
-    worker per CPU; ``workers <= 1`` (or a restricted environment where
-    fork / shared memory fail) runs every call in-process, with the same
-    batching, supervision, checkpointing and report semantics.  The pool
-    starts with the first call whose plan has more than one task.
+    accepts, or a ready database.  ``workers=None`` scores on one thread
+    per CPU; ``workers <= 1`` runs every call on the calling thread, with
+    the same batching, supervision, checkpointing and report semantics.
+    A call whose plan has a single open task also runs on the calling
+    thread.
 
-    Use as a context manager, or call :meth:`close` — the shared segment
-    and worker pool live until then::
+    Use as a context manager, or call :meth:`close`; a closed session
+    refuses further scans::
 
         with ScanSession(references, workers=4) as session:
             for batch in query_stream:
@@ -472,9 +468,8 @@ class ScanSession:
         )
         self._engine = engine
         self._num_workers = resolve_workers(workers)
-        self._segment = None
-        self._pool: Optional[WorkerPool] = None
         self._closed = False
+        self._respawns = 0
         #: Batch calls completed by this session.
         self.scans_completed = 0
         #: Batch calls that found the session already warm.
@@ -490,11 +485,8 @@ class ScanSession:
         self.close()
 
     def close(self) -> None:
-        """Stop the workers and retire the shared segment (idempotent)."""
-        if self._closed:
-            return
+        """Refuse further scans (idempotent); no call leaves a thread behind."""
         self._closed = True
-        self._teardown_pool()
 
     @property
     def closed(self) -> bool:
@@ -519,39 +511,8 @@ class ScanSession:
 
     @property
     def respawns_total(self) -> int:
-        """Workers replaced over the session's lifetime (all causes)."""
-        return self._pool.respawns if self._pool is not None else 0
-
-    def _warm_pool(self) -> Optional[WorkerPool]:
-        """The resident pool, started or revived; ``None`` to run in-process."""
-        if self._num_workers <= 1:
-            return None
-        try:
-            if self._pool is None:
-                self._segment = publish_segment(self._database.buffer)
-                image = SharedImage(
-                    self._segment.name,
-                    self._database.packed_bytes,
-                    self._database.lengths,
-                    self._database.byte_offsets,
-                )
-                self._pool = WorkerPool(image, self._num_workers)
-            else:
-                self._pool.revive()
-        except (ImportError, OSError):
-            # Restricted environments (no /dev/shm, no fork): stay
-            # in-process with identical semantics.
-            self._teardown_pool()
-            self._num_workers = 1
-            return None
-        return self._pool
-
-    def _teardown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-        if self._segment is not None:
-            retire_segment(self._segment)
-            self._segment = None
+        """Lost workers (crashed or timed-out attempts) over the session's lifetime."""
+        return self._respawns
 
     def _plan(
         self,
@@ -684,18 +645,16 @@ class ScanSession:
         )
         if len(done) < len(tasks):
             with _obs_profile.stage("scan.execute", category="scan") as timer:
-                pool = self._warm_pool() if len(tasks) - len(done) > 1 else None
-                if pool is not None:
-                    report.workers = pool.size
-                supervisor.run(pool)
+                workers = self._num_workers if len(tasks) - len(done) > 1 else 1
+                report.workers = workers
+                try:
+                    supervisor.run(workers)
+                finally:
+                    self._respawns += report.respawns
             stage_seconds["execute"] = timer.seconds
             stage_seconds.update(supervisor.stage_seconds)
         report.chunks_completed = len(done)
         report.elapsed_seconds = time.monotonic() - started
-        if report.mode == "parallel":
-            report.metrics["shared_memory_bytes"] = int(
-                self._database.packed_bytes
-            )
         live: Optional[List[int]] = None
         if shards is not None:
             report.mode = "sharded"

@@ -263,8 +263,8 @@ class FabPHost:
     ):
         """Software fast-path scan of the resident database (no cycle model).
 
-        Runs the bit-parallel scoring engine — optionally across a process
-        pool — over every reference already packed into this host, and
+        Runs the bit-parallel scoring engine — optionally on several worker
+        threads — over every reference already packed into this host, and
         returns per-reference :class:`repro.core.aligner.AlignmentResult`
         objects in database order.  Use :meth:`search` when modeled kernel
         timing is needed; use this when only the hits are.

@@ -6,7 +6,7 @@ scan.  This module promotes that model to an execution path: the packed
 database is partitioned into ``S`` contiguous, nucleotide-balanced shards
 (:func:`plan_shards`), and a shard is a *label* on the scan's own tasks.
 Each :meth:`ShardedScanRuntime.scan_batch` call opens one
-:class:`repro.host.scan_session.ScanSession` with a pool of ``S`` workers,
+:class:`repro.host.scan_session.ScanSession` with ``S`` worker threads,
 plans the usual position-balanced windows inside every shard's reference
 range (task ids shard-major, so a shard owns one contiguous id range) and
 runs them all under the one :class:`~repro.host.resilience.Supervisor`.
@@ -18,14 +18,14 @@ The supervisor's guarantees hold per task, under the same
 (:class:`repro.host.faults.FaultPlan`, keyed on task ids) and checkpoint
 store (one file per task) as every other scan:
 
-* **health budgets and respawn** — a worker that crashes, hangs past the
-  task timeout, raises, or returns corrupt results is killed or its task
-  retried with seeded backoff, up to ``max_retries + 1`` attempts; a
-  retried task replays only itself;
+* **health budgets and respawn** — an attempt that crashes, hangs past
+  the task timeout, raises, or returns corrupt results is retried with
+  seeded backoff, up to ``max_retries + 1`` attempts; a retried task
+  replays only itself;
 * **checkpoint resume** — with a checkpoint directory every finished task
   is persisted, and ``resume=True`` restores them and scans only the rest;
 * **hedged re-dispatch** — once nothing is queued, a straggler task older
-  than ``hedge_after`` is re-run on an idle worker; the first sane result
+  than ``hedge_after`` is re-run on an idle worker thread; the first sane result
   wins and the twin is discarded;
 * **partial results** — a shard with a task that exhausts its attempts is
   *reported* dead, not fatal (unless ``degrade`` is off, which raises
@@ -35,7 +35,8 @@ store (one file per task) as every other scan:
   and the CLI exits 4 ("complete with dead shards").
 
 Recovery is observable through the ``fabp_shard_*`` hook family in
-:mod:`repro.obs.profile`.  The pool is started and stopped on each call.
+:mod:`repro.obs.profile`.  Every call joins its worker threads before
+it returns.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class ShardedScanRuntime:
     ``references`` is anything :class:`PackedDatabase` accepts, or a ready
     database.  The shards are planned once (position-balanced,
     reference-aligned); each :meth:`scan_batch` call runs every shard's
-    tasks on one per-call pool of ``S`` workers and merges in global
+    tasks on ``S`` worker threads and merges in global
     reference order — bit-identical to a single-shard scan.
 
         runtime = ShardedScanRuntime(references, num_shards=4)
@@ -137,9 +138,7 @@ class ShardedScanRuntime:
         report.exit_code()  # 0 clean / 3 degraded / 4 dead shards
 
     ``faults`` is a :class:`~repro.host.faults.FaultPlan` keyed on the
-    call's task ids.  In restricted environments (no fork, no shared
-    memory) the tasks run in-process with the same retry, budget and
-    partial-result semantics.
+    call's task ids.
     """
 
     def __init__(

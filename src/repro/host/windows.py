@@ -55,8 +55,8 @@ LOOKBACK = 2
 #: ``span - 1`` halo re-scored at every seam outweigh the balance win.
 MIN_WINDOW_POSITIONS = 1 << 15
 
-#: Target chunks per worker.  More than one chunk per worker lets the pool
-#: rebalance when windows finish at different speeds.
+#: Target chunks per worker.  More than one chunk per worker lets the
+#: workers rebalance when windows finish at different speeds.
 OVERSUBSCRIPTION = 4
 
 

@@ -6,11 +6,9 @@ recorder.  Observability is **off by default**: all existing callers run
 unmodified with no measurable overhead, and enabling it never changes any
 scan result (property-tested in ``tests/property/test_obs_properties.py``).
 
-``enable()``/``disable()`` flip the process-local switch; worker processes
-forked *after* ``enable()`` inherit it (their in-process metrics die with
-them — per-chunk accounting flows back through the supervisor's
-:class:`~repro.host.resilience.ScanReport` instead, which is why the
-supervised runtime records attempt timings on the parent side).
+``enable()``/``disable()`` flip the process-local switch, which the
+scan's worker threads share; the supervisor still records per-attempt
+timings itself, into its :class:`~repro.host.resilience.ScanReport`.
 """
 
 from __future__ import annotations

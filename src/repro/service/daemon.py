@@ -4,7 +4,7 @@
 (:mod:`repro.service.server`) delegates to.  It owns
 
 * one warm backend — a :class:`repro.host.scan_session.ScanSession`
-  (packed image published once, persistent supervised worker pool) or,
+  (packed image resident once, supervised worker threads per pass) or,
   with ``shards >= 1``, a :class:`repro.host.shards.ShardedScanRuntime`;
 * a bounded admission queue; :meth:`submit` either answers from the LRU
   result cache immediately, enqueues a job, or refuses
@@ -19,8 +19,8 @@
 
 Concurrency model: many HTTP threads call :meth:`submit` / read job
 state; exactly one thread (the batcher) touches the backend runtime.
-The session is therefore never shared across threads — the same
-discipline its worker-pool protocol requires — and every shared
+The session is therefore never called from two threads at once — each
+call runs its own supervisor — and every shared
 structure here (queue, job store, cache, counters) is individually
 locked.
 

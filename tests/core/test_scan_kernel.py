@@ -59,6 +59,30 @@ class TestNativeKernel:
         batch = [rng.permutation(64).astype(np.uint8) for _ in range(3)]
         _assert_batch_is_naive(batch, codes)
 
+    def test_every_plane_is_match_bytes(self):
+        """All 256 instruction bytes over all 64 contexts, bit for bit.
+
+        Position ``3c + 2`` of the reference sees context ``c = code |
+        prev1 << 2 | prev2 << 4``; every other position (the first two read
+        look-back as A) is checked too.  This pins ``_CONTEXT_MASKS`` to
+        ``comparator.instruction_tables`` through ``match_bytes``.
+        """
+        contexts = np.arange(64)
+        codes = np.stack(
+            [(contexts >> 4) & 3, (contexts >> 2) & 3, contexts & 3], axis=1
+        ).ravel().astype(np.uint8)
+        instructions = np.arange(256, dtype=np.uint8)
+        plane_words = -(-codes.size // bitscore.WORD_BITS)
+        planes = bitscore._native_planes(
+            bitscore._NATIVE, instructions, codes, plane_words
+        )
+        bits = np.unpackbits(
+            planes.view(np.uint8), axis=1, bitorder="little", count=codes.size
+        )
+        rows, element_rows = bitscore.match_bytes(instructions, codes)
+        assert np.array_equal(element_rows, np.arange(256))
+        assert np.array_equal(bits, rows)
+
     def test_instruction_bits_above_six_select_nothing(self, rng, monkeypatch):
         """Raw bytes past 63 score as their low six bits, as in the NumPy body."""
         codes = rng.integers(0, 4, 700).astype(np.uint8)

@@ -8,6 +8,11 @@ results without rescoring completed chunks.  Supervised scans go through
 fault plans and checkpoints on whole-reference chunks.
 """
 
+import os
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +26,7 @@ from repro.host.errors import (
 from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
 from repro.host.resilience import RetryPolicy, ScanReport, corrupt_records
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import plan_batch
+from repro.host.scan_session import ScanSession, plan_batch
 
 THRESHOLD = 4
 
@@ -102,7 +107,7 @@ class TestSerialSupervised:
 
 
 class TestParallelFaults:
-    """One test per injected fault kind, against real worker processes."""
+    """One test per injected fault kind, on the thread executor."""
 
     def run(self, query, database, plan, policy=FAST, workers=3):
         return supervised_scan(
@@ -153,8 +158,8 @@ class TestParallelFaults:
         assert report.corrupt == 1
 
     def test_hedged_straggler_finishes_early(self, query, database, baseline):
-        # Chunk 0 hangs; with hedging the drained pool re-dispatches it to a
-        # healthy worker long before the 10 s kill deadline.
+        # Chunk 0 hangs; with hedging the drained executor re-dispatches it
+        # to an idle slot long before the 10 s deadline.
         policy = RetryPolicy(
             max_retries=3, timeout=10.0, backoff=0.01, hedge_after=0.2, seed=1
         )
@@ -259,16 +264,61 @@ class TestCheckpointResume:
         assert {a.chunk for a in report.attempts} == {2}
 
 
+def child_pids():
+    """Live children of this process (the stdlib shm tracker aside)."""
+    from multiprocessing import resource_tracker
+
+    own = os.getpid()
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == own and fields[0] != "Z":
+            pids.add(int(entry.name))
+    return pids - {tracker}
+
+
+def shm_entries():
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
+
+
 class TestSharedMemoryLifecycle:
-    def test_no_segment_leaks_after_faulty_parallel_scans(self, query, database):
+    """Nothing a scan starts outlives it.
+
+    Scans publish no ``/dev/shm`` segment and start no process; their
+    workers are threads, and every call joins the ones it started.
+    """
+
+    @pytest.fixture
+    def snapshot(self):
+        return threading.enumerate(), child_pids(), shm_entries()
+
+    def assert_nothing_left(self, snapshot):
+        threads, children, segments = snapshot
+        assert threading.enumerate() == threads
+        assert child_pids() <= children
+        assert shm_entries() <= segments
+        assert scan_mod._LIVE_SEGMENTS == {}
+
+    def test_no_segment_leaks_after_faulty_parallel_scans(
+        self, query, database, baseline, snapshot
+    ):
         plan = FaultPlan.parse("0:crash,2:raise")
-        supervised_scan(
+        results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=3, chunk_size=2, policy=FAST, faults=plan,
         )
-        assert scan_mod._LIVE_SEGMENTS == {}
+        assert_identical(results, baseline)
+        assert report.mode == "parallel"
+        self.assert_nothing_left(snapshot)
 
-    def test_no_segment_leaks_when_scan_raises(self, query, database):
+    def test_no_segment_leaks_when_scan_raises(self, query, database, snapshot):
         plan = FaultPlan(specs=(FaultSpec(0, FaultKind.RAISE, attempts=ALWAYS),))
         policy = RetryPolicy(max_retries=0, backoff=0.0, degrade=False, seed=1)
         with pytest.raises(ScanError):
@@ -276,12 +326,72 @@ class TestSharedMemoryLifecycle:
                 query, database, threshold=THRESHOLD, engine="bitscore",
                 workers=2, chunk_size=2, policy=policy, faults=plan,
             )
-        assert scan_mod._LIVE_SEGMENTS == {}
+        self.assert_nothing_left(snapshot)
 
-    def test_legacy_parallel_path_retires_segment(self, query, database):
-        # A report-less scan whose plan has several tasks runs on a pool too.
-        scan_database(query, database, threshold=THRESHOLD, workers=2, chunk_size=2)
-        assert scan_mod._LIVE_SEGMENTS == {}
+    def test_report_less_scan_leaves_no_segment(
+        self, query, database, baseline, snapshot
+    ):
+        results = scan_database(
+            query, database, threshold=THRESHOLD, workers=2, chunk_size=2
+        )
+        assert_identical(results, baseline)
+        self.assert_nothing_left(snapshot)
+
+    @pytest.mark.parametrize(
+        "plan, policy, outcome",
+        [
+            pytest.param(
+                "0:hang",
+                RetryPolicy(max_retries=2, timeout=0.3, backoff=0.01, seed=1),
+                "timeout",
+                id="hang-then-timeout",
+            ),
+            pytest.param(
+                "0:hang",
+                RetryPolicy(
+                    max_retries=2, timeout=None, hedge_after=0.2, backoff=0.01,
+                    seed=1,
+                ),
+                "hedge",
+                id="hedged-straggler",
+            ),
+            pytest.param(
+                "0:hang:always,1:crash:always",
+                RetryPolicy(
+                    max_retries=1, timeout=0.3, backoff=0.01, degrade=False,
+                    seed=1,
+                ),
+                "raise",
+                id="exhausted-no-degrade",
+            ),
+        ],
+    )
+    def test_session_joins_every_thread(
+        self, query, database, baseline, snapshot, plan, policy, outcome
+    ):
+        """A hung attempt is cancelled and joined, however the call ends."""
+        faults = FaultPlan.parse(plan, hang_seconds=60.0)
+        started = time.monotonic()
+        with ScanSession(database, engine="bitscore", workers=2) as session:
+            if outcome == "raise":
+                with pytest.raises(ScanError):
+                    session.scan(
+                        query, threshold=THRESHOLD, chunk_size=2,
+                        policy=policy, faults=faults,
+                    )
+            else:
+                results, report = session.scan(
+                    query, threshold=THRESHOLD, chunk_size=2, policy=policy,
+                    faults=faults, with_report=True,
+                )
+                assert_identical(results, baseline)
+                assert report.clean
+                if outcome == "timeout":
+                    assert report.timeouts == 1 and report.respawns == 1
+                else:
+                    assert report.hedges == 1 and report.timeouts == 0
+            self.assert_nothing_left(snapshot)
+        assert time.monotonic() - started < 30.0
 
 
 class TestSanityCheck:

@@ -1,11 +1,14 @@
 """ScanSession: warm reuse, batching, supervision, checkpoint, teardown.
 
 The acceptance bar mirrors the rest of the host suite: whatever the warm
-runtime does internally — shared passes, windowed tasks, worker pools —
+runtime does internally — shared passes, windowed tasks, worker threads —
 its results must be bit-identical to :func:`repro.host.scan.scan_database`
-run per query, and nothing may leak (``/dev/shm`` segments, workers,
+run per query, and nothing may leak (``/dev/shm`` segments, threads,
 stale replies) across calls or after close.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from repro.core.encoding import encode_query
 from repro.host import scan as scan_mod
 from repro.host import scan_session as session_mod
 from repro.host.errors import CheckpointMismatchError, ScanError
+from repro.host.faults import FaultPlan
+from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
 from repro.host.scan_session import (
     MAX_PASS_SPAN_RATIO,
@@ -86,15 +91,17 @@ class TestBitIdentity:
 
 class TestWarmReuse:
     def test_pool_and_image_survive_across_calls(self, queries, database):
+        """Every call reads the one resident image; none leaves a thread."""
+        threads = threading.enumerate()
         with ScanSession(database, workers=2) as session:
             first = session.scan_batch(queries, min_identity=0.8)
-            workers_before = [w.process.pid for w in session._pool.workers]
             for _ in range(2):
                 again = session.scan_batch(queries, min_identity=0.8)
                 for got_list, want_list in zip(again, first):
                     for got, want in zip(got_list, want_list):
                         assert np.array_equal(got.hits, want.hits)
-            assert [w.process.pid for w in session._pool.workers] == workers_before
+                assert threading.enumerate() == threads
+            assert session.database.buffer is database.buffer
             assert session.scans_completed == 3
             assert session.pool_reuses == 2
             assert session.respawns_total == 0
@@ -110,17 +117,42 @@ class TestWarmReuse:
             assert report.chunks_completed == report.chunks_total > 0
 
     def test_dead_worker_is_replaced_between_calls(self, queries, database):
+        """A crashed attempt is a respawn; the next call runs at full width."""
+        policy = RetryPolicy(backoff=0.01, seed=1)
         with ScanSession(database, workers=2) as session:
             baseline = session.scan_batch(queries, min_identity=0.8)
-            victim = session._pool.workers[0].process
-            victim.terminate()
-            victim.join(timeout=2.0)
-            again = session.scan_batch(queries, min_identity=0.8)
+            session.scan_batch(
+                queries, min_identity=0.8, policy=policy,
+                faults=FaultPlan.parse("0:crash"),
+            )
+            assert session.respawns_total == 1
+            again, report = session.scan_batch(
+                queries, min_identity=0.8, with_report=True
+            )
             for got_list, want_list in zip(again, baseline):
                 for got, want in zip(got_list, want_list):
                     assert np.array_equal(got.hits, want.hits)
-            assert session.respawns_total >= 1
+            assert report.clean and report.respawns == 0
+            assert report.mode == "parallel" and report.workers == 2
+            assert session.respawns_total == 1
             assert session.num_workers == 2
+
+    def test_oversubscribed_threads_match_serial(self, queries, database):
+        """More worker threads than cores, switching often: still bit-identical."""
+        with ScanSession(database, workers=1) as serial:
+            want = serial.scan_batch(queries, min_identity=0.8, keep_scores=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ScanSession(database, workers=8) as session:
+                got, report = session.scan_batch(
+                    queries, min_identity=0.8, keep_scores=True, chunk_size=1,
+                    with_report=True,
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.mode == "parallel" and report.clean
+        assert_matches_solo(got, want)
 
 
 class TestPassPlanning:
@@ -206,7 +238,6 @@ class TestLifecycle:
         session.close()
         session.close()
         assert session.closed
-        assert not (session._pool and session._pool.workers)
         with pytest.raises(ScanError, match="closed"):
             session.scan_batch(queries[:1], min_identity=0.8)
 

@@ -1,8 +1,6 @@
 """Tests for the sharded scan runtime: shards label supervised tasks."""
 
-import multiprocessing
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,22 +289,6 @@ class TestHedging:
 
 
 class TestInlineFallback:
-    def test_fork_failure_falls_back_inline(self, rng):
-        references = make_references(rng, count=4, length=1200)
-        query = random_protein(6, rng=rng)
-        runtime = ShardedScanRuntime(references, num_shards=2)
-        with mock.patch.object(
-            multiprocessing, "get_context", side_effect=OSError("no fork")
-        ):
-            batches, report = runtime.scan_batch(
-                [query], threshold=12, with_report=True
-            )
-        assert report.exit_code() == 0
-        expected = scan_database(
-            query, references, threshold=12, engine="bitscore_batch"
-        )
-        assert hit_tuples(batches[0]) == hit_tuples(expected)
-
     def test_inline_retries_and_partial_semantics(self, rng):
         references = make_references(rng, count=4, length=1200)
         runtime = ShardedScanRuntime(
@@ -315,16 +297,15 @@ class TestInlineFallback:
             faults=FaultPlan.parse("0:crash,1:raise:always"),
             policy=RetryPolicy(max_retries=1, backoff=0.01),
         )
-        with mock.patch.object(
-            multiprocessing, "get_context", side_effect=OSError("no fork")
-        ):
-            batches, report = runtime.scan_batch(
-                [random_protein(6, rng=rng)], threshold=12, with_report=True
-            )
-        # Inline crash faults raise (no worker process to sacrifice):
-        # shard 0 recovers on attempt 1, shard 1 exhausts its budget.
+        batches, report = runtime.scan_batch(
+            [random_protein(6, rng=rng)], threshold=12, with_report=True
+        )
+        # A crash fault raises in its worker thread and counts as a
+        # respawn: shard 0 recovers on attempt 1, shard 1 exhausts its
+        # budget.
         assert report.shards[0].status == "ok"
         assert report.shards[0].attempts == 2
+        assert report.respawns == 1
         assert report.shards[1].status == "dead"
         assert report.exit_code() == 4
 

@@ -3,7 +3,7 @@
 A real daemon subprocess is booted under ``FABP_SHMSAN=1``, a scan is
 submitted and read back over HTTP, then SIGTERM is sent.  The daemon must
 finish queued work, report a drained summary, exit with the worst job
-outcome (0 here), and leave nothing behind: no orphaned worker processes
+outcome (0 here), and leave nothing behind: no orphaned child processes
 and no leaked ``/dev/shm`` segments.
 """
 
@@ -178,7 +178,7 @@ def test_serve_drains_cleanly_on_sigterm(workload):
     assert "fabp_service_jobs_total" in families
     assert "fabp_service_requests_total" in families
 
-    # Nothing survives: no orphaned pool workers, no /dev/shm leaks.
+    # Nothing survives: no orphaned child processes, no /dev/shm leaks.
     for pid in observed:
-        assert not pid_alive(pid), f"worker {pid} outlived the daemon"
+        assert not pid_alive(pid), f"child {pid} outlived the daemon"
     assert shm_entries() <= shm_before

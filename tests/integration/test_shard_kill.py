@@ -1,13 +1,13 @@
-"""Kill-one-pool-worker integration test (sharded supervision, end to end).
+"""Kill-the-scan integration test (sharded supervision, end to end).
 
 A sharded CLI scan is started in a subprocess with a hang injected into
-task 0 — shard 0's first task, which the first pool worker always takes.
-Once every other task is durably checkpointed, only that worker still
-holds a task, and it is SIGKILLed from outside: the supervisor must notice
-the death, replay only the unfinished task on a replacement worker, and
-finish with output bit-identical to an uninterrupted sharded scan.
-Afterwards nothing may survive: no orphaned worker processes and no leaked
-``/dev/shm`` segments (the CLI runs under ``FABP_SHMSAN=1``).
+task 0 — shard 0's first task — and ``--chunk-timeout 0``, so nothing
+inside the scan can end the stall.  Once tasks 1-3 are durably
+checkpointed the whole scan process is SIGKILLed, then resumed from the
+checkpoint: only task 0 may run again, and the output must be
+bit-identical to an uninterrupted sharded scan.  The scan's workers are
+threads, so the kill leaves nothing behind: no child or orphaned process
+and no ``/dev/shm`` segment (the CLI runs under ``FABP_SHMSAN=1``).
 """
 
 import json
@@ -45,7 +45,7 @@ def run_cli(args, timeout=180):
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
     # 6 references x 20000 nt split into 2 shards: each shard holds 60000
-    # positions = two tasks, so the scan runs tasks 0-3 on two workers.
+    # positions = two tasks, so the scan runs tasks 0-3 on two threads.
     base = tmp_path_factory.mktemp("shard_kill")
     db = base / "db.fasta"
     queries = base / "q.fasta"
@@ -70,23 +70,21 @@ def scan_args(db, queries, *extra):
         "scan",
         "--query-file", str(queries),
         "--database", str(db),
-        "--min-identity", "0.9",
+        "--min-identity", "0.6",
         "--shards", "2",
         "--backoff", "0.01",
         *extra,
     ]
 
 
-def hits_from(report_path):
-    payload = json.loads(Path(report_path).read_text())
-    return [
-        (q["query"], q["num_hits"], q["report"]["clean"])
-        for q in payload["queries"]
-    ]
+def hit_table(stdout):
+    """The printed hit rows: everything after the first blank line."""
+    rows = stdout.split("\n\n", 1)[1].splitlines()
+    return [row for row in rows if row.strip() and not row.startswith("wrote ")]
 
 
 def child_pids(parent_pid):
-    """``(start time, pid)`` of each live child of ``parent_pid`` (/proc)."""
+    """Live children of ``parent_pid`` (/proc)."""
     children = []
     for entry in Path("/proc").iterdir():
         if not entry.name.isdigit():
@@ -96,37 +94,25 @@ def child_pids(parent_pid):
         except OSError:
             continue
         # Fields after the parenthesized comm (which may contain spaces):
-        # state, ppid, ..., starttime is the 20th.
+        # state, ppid, ...
         fields = stat.rsplit(")", 1)[1].split()
         if int(fields[1]) == parent_pid and fields[0] != "Z":
-            children.append((int(fields[19]), int(entry.name)))
+            children.append(int(entry.name))
     return children
 
 
-def worker_pids(parent_pid):
-    """The scan's pool workers, oldest first: forks sharing its cmdline."""
-    try:
-        own = (Path("/proc") / str(parent_pid) / "cmdline").read_bytes()
-    except OSError:
-        return []
-    workers = []
-    for started, pid in sorted(child_pids(parent_pid)):
+def scan_pids(marker):
+    """Live processes whose command line mentions ``marker``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
         try:
-            if (Path("/proc") / str(pid) / "cmdline").read_bytes() == own:
-                workers.append(pid)
+            if marker.encode() in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
         except OSError:
             continue
-    return workers
-
-
-def pid_alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+    return pids
 
 
 def shm_entries():
@@ -137,17 +123,14 @@ def shm_entries():
 
 def test_killed_shard_runtime_resumes_to_identical_results(workload):
     base, db, queries = workload
-    clean_report = base / "clean.json"
-    clean = run_cli(
-        scan_args(db, queries, "--report-json", str(clean_report))
-    )
+    clean = run_cli(scan_args(db, queries, "--max-hits", "100000"))
     assert clean.returncode == 0, clean.stderr
+    expected = hit_table(clean.stdout)
+    assert len(expected) > 100, "too few hits for a bit-identity check"
 
     # Task 0 hangs on attempt 0 (--chunk-timeout 0 disables the task
-    # deadline, so only an external SIGKILL can end the stall).  The fault
-    # covers one attempt: the replayed task is fault-free.
+    # deadline, so only an external SIGKILL can end the stall).
     ckpt = base / "ckpt"
-    resumed_report = base / "resumed.json"
     shm_before = shm_entries()
     victim = subprocess.Popen(
         [
@@ -158,61 +141,60 @@ def test_killed_shard_runtime_resumes_to_identical_results(workload):
                 "--inject-faults", "0:hang",
                 "--fault-hang-seconds", "600",
                 "--chunk-timeout", "0",
-                "--report-json", str(resumed_report),
             ),
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=cli_env(),
     )
-    observed = set()
+    children = set()
     try:
-        # Wait until tasks 1-3 are durable: the only busy worker left is
-        # the first one spawned, which the supervisor gave task 0.
         deadline = time.monotonic() + 90
         markers = [ckpt / f"chunk_{task:06d}.npz" for task in (1, 2, 3)]
-        hung = None
-        while time.monotonic() < deadline:
-            workers = worker_pids(victim.pid)
-            observed.update(workers)
-            if all(m.exists() for m in markers) and len(workers) == 2:
-                hung = workers[0]
-                break
+        while not all(m.exists() for m in markers):
+            children.update(child_pids(victim.pid))
             if victim.poll() is not None:
                 pytest.fail(f"scan exited early with {victim.returncode}")
+            if time.monotonic() > deadline:
+                pytest.fail("tasks 1-3 never reached the checkpoint")
             time.sleep(0.05)
-        else:
-            pytest.fail("hung pool worker never isolated")
+        children.update(child_pids(victim.pid))
         assert not (ckpt / "chunk_000000.npz").exists()
-        os.kill(hung, signal.SIGKILL)
-        victim.wait(timeout=120)
+        victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=30)
     finally:
         if victim.poll() is None:
             victim.kill()
         victim.wait(timeout=30)
+    assert victim.returncode == -signal.SIGKILL
 
-    # The supervisor must have noticed the death and finished cleanly.
-    assert victim.returncode == 0
-    assert hits_from(resumed_report) == hits_from(clean_report)
+    # Nothing survives the kill: the scan's workers were threads.
+    assert not children, f"the scan started child processes: {children}"
+    assert not scan_pids(str(db)), "a process of the killed scan survived"
+    assert shm_entries() <= shm_before
 
-    payload = json.loads(resumed_report.read_text())
-    report = payload["queries"][0]["report"]
+    resumed_report = base / "resumed.json"
+    resumed = run_cli(
+        scan_args(
+            db, queries,
+            "--checkpoint", str(ckpt),
+            "--resume",
+            "--max-hits", "100000",
+            "--report-json", str(resumed_report),
+        )
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert hit_table(resumed.stdout) == expected
+
+    report = json.loads(resumed_report.read_text())["queries"][0]["report"]
     assert report["version"] == 3
-    assert report["counters"]["respawns"] >= 1
-    shards = {s["shard"]: s for s in report["shards"]}
-    assert shards[0]["status"] == "ok" and shards[0]["attempts"] == 3
-    assert shards[1]["status"] == "ok" and shards[1]["attempts"] == 2
-    # Only the unfinished task was replayed; its siblings ran once.
-    outcomes = {}
-    for attempt in report["chunk_attempts"]:
-        outcomes.setdefault(attempt["chunk"], []).append(attempt["outcome"])
-    assert outcomes.pop(0) == ["crash", "ok"]
-    assert outcomes == {1: ["ok"], 2: ["ok"], 3: ["ok"]}
-
-    # Nothing survives the scan: every worker we ever observed is gone...
-    for pid in observed:
-        assert not pid_alive(pid), f"pool worker {pid} outlived the scan"
-    # ...and no shared-memory segment leaked past the sanitized CLI run.
+    assert report["clean"] is True
+    assert report["chunks"]["from_checkpoint"] == 3
+    assert sum(s["resumed_chunks"] for s in report["shards"]) == 3
+    # Only the unfinished task was replayed.
+    assert [(a["chunk"], a["outcome"]) for a in report["chunk_attempts"]] == [
+        (0, "ok")
+    ]
     assert shm_entries() <= shm_before
 
 

@@ -8,6 +8,7 @@ instruction streams (Leu/Arg/Ser/Stop), and references shorter than the
 """
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core.aligner import (
 )
 from repro.core.encoding import encode_query
 from repro.seq import alphabet
+from repro.seq.generate import random_protein
 from repro.seq.packing import codes_from_text
 
 proteins = st.text(
@@ -169,3 +171,48 @@ class TestBatchEquivalence:
                 shared = scores_batch_from_codes(arrays, codes, "bitscore_batch")
             for got in shared[1:]:
                 assert np.array_equal(got, shared[0]), kernel
+
+
+class TestConcurrentBatches:
+    """Scan worker threads call ``scores_batch`` at the same time."""
+
+    #: Calls each thread makes once both have started.
+    ROUNDS = 20
+
+    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
+    def test_two_threads_match_serial_calls(self, kernel):
+        rng = np.random.default_rng(2021)
+        jobs = [
+            (
+                [encode_query(random_protein(aa, rng=rng)).as_array() for aa in sizes],
+                rng.integers(0, 4, length).astype(np.uint8),
+            )
+            for sizes, length in (((250, 80, 17), 40_000), ((120, 33), 25_000))
+        ]
+        results = [None] * len(jobs)
+        with batch_kernel(kernel):
+            serial = [bitscore.scores_batch(batch, codes) for batch, codes in jobs]
+            barrier = threading.Barrier(len(jobs))
+
+            def work(index):
+                batch, codes = jobs[index]
+                barrier.wait(timeout=30)
+                results[index] = [
+                    bitscore.scores_batch(batch, codes) for _ in range(self.ROUNDS)
+                ]
+
+            threads = [
+                threading.Thread(target=work, args=(index,))
+                for index in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        for rounds, want in zip(results, serial):
+            assert rounds is not None, "a scoring thread raised"
+            for got in rounds:
+                assert len(got) == len(want)
+                for scores, expected in zip(got, want):
+                    assert np.array_equal(scores, expected), kernel

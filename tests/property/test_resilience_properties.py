@@ -15,9 +15,9 @@ from repro.host.faults import FaultKind, FaultPlan, FaultSpec
 from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
 
-#: In-process recoverable kinds (crash/hang are process-level faults that
-#: the in-process loop records as failures / sleeps on; raise and corrupt
-#: exercise the full retry + sanity-check machinery in-process, fast).
+#: In-process recoverable kinds (an in-process hang really waits, so it is
+#: left out; raise and corrupt exercise the full retry + sanity-check
+#: machinery in-process, fast).
 SERIAL_KINDS = (FaultKind.RAISE, FaultKind.CORRUPT)
 
 _RNG = np.random.default_rng(0xFAB9)
