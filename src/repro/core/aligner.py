@@ -5,10 +5,12 @@ FabP slides the encoded query over the reference and, for each of the
 (substitution-only scoring; no indels).  This module computes exactly the
 scores the hardware produces, through several interchangeable engines:
 
-* ``engine="bitscore"`` (default) — the bit-parallel SWAR engine of
-  :mod:`repro.core.bitscore`: packed match bitplanes summed by a carry-save
-  vertical-counter popcount, the software analog of the hardware's Pop36
-  tree, with a strided-diagonal fallback for short references;
+* ``engine="bitscore"`` (default) and its alias ``"bitscore_batch"`` —
+  the bit-parallel SWAR engine of :mod:`repro.core.bitscore`: packed match
+  bitplanes summed by a carry-save vertical-counter popcount, the software
+  analog of the hardware's Pop36 tree.  One query is a batch of one through
+  :func:`repro.core.bitscore.scores_batch` (compiled where a C compiler was
+  found); a batch shares one sweep of the reference;
 * ``engine="vectorized"`` — per-element numpy table gathers (the previous
   default, kept as an independent mid-speed implementation);
 * ``engine="naive"`` — straight-line Python, used as a cross-check oracle
@@ -222,10 +224,8 @@ def scores_from_codes(
 def _dispatch_scores(
     instructions: np.ndarray, ref_codes: np.ndarray, engine: str
 ) -> np.ndarray:
-    if engine == "bitscore":
+    if engine == "bitscore" or engine == "bitscore_batch":
         return bitscore.scores(instructions, ref_codes)
-    if engine == "bitscore_batch":
-        return bitscore.bitscore_batch_scores(instructions, ref_codes)
     if engine == "vectorized":
         return _vectorized_scores(instructions, ref_codes)
     if engine == "naive":
@@ -240,15 +240,15 @@ def scores_batch_from_codes(
 ) -> List[np.ndarray]:
     """Dispatch batched scoring of many instruction arrays over one reference.
 
-    The ``bitscore_batch`` engine shares one comparator/packing pass over
-    the reference across the whole batch (one sweep, ``k`` scores — the
+    Both bitscore names share one comparator/packing pass over the
+    reference across the whole batch (one sweep, ``k`` scores — the
     software analogue of ``k`` comparator arrays); every other engine is
     applied per query, so results are engine-for-engine bit-identical to
     :func:`scores_from_codes` in all cases.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine != "bitscore_batch":
+    if engine not in ("bitscore", "bitscore_batch"):
         return [
             scores_from_codes(instructions, ref_codes, engine)
             for instructions in instruction_batch
@@ -290,9 +290,9 @@ def alignment_scores_batch(
     """Scores of every query in a batch against one reference.
 
     Input order is preserved and a batch of one is bit-identical to
-    :func:`alignment_scores` for every engine.  With
-    ``engine="bitscore_batch"`` the whole batch shares a single sweep of
-    the reference (match bitplanes computed and packed once).
+    :func:`alignment_scores` for every engine.  With the default engine
+    the whole batch shares a single sweep of the reference (match
+    bitplanes computed and packed once).
     """
     encoded = [_coerce_query(query) for query in queries]
     ref_codes, _ = _reference_codes(reference)

@@ -25,18 +25,16 @@ the bits (§III-C/D).  The software counterpart of that datapath is SWAR
    3:2 compressor step (``ones = a ^ b``, ``twos = a & b``) to halve
    low-plane traffic, mirroring the hardware's 6:3 compression stage.
 
-For short references the fixed cost of packing dominates, so
-:func:`diagonal_scores` provides a strided-diagonal uint8 path: the
-per-element match matrix is viewed along alignment diagonals with stride
-tricks and summed by a single einsum reduction.  :func:`scores` picks the
-winner by workload size.
-
-Both paths are bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
-(enforced by the property-test suite in ``tests/property``).
-
-The batched sweep :func:`scores_batch` runs the same datapath compiled
+The batched sweep :func:`scores_batch` runs this datapath compiled
 (``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever a C
-compiler was found, and its NumPy body everywhere else.
+compiler was found, and its NumPy body everywhere else.  The ``bitscore``
+engine, :func:`scores`, is a batch of one through it: every caller, one
+query or many, scores on the same path.  :func:`packed_scores` is the same
+datapath one query at a time in NumPy, kept as the sequential side of the
+batch-amortization benchmark.
+
+Every path is bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
+(enforced by the property-test suite in ``tests/property``).
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ from repro.core.contracts import MAX_QUERY_ELEMENTS, engine_contract, kernel_sum
 
 #: Bits per SWAR word (the software "beat" width).
 WORD_BITS = 64
-
-#: Below this many score cells (positions x elements) the strided-diagonal
-#: uint8 path beats the packed path (packing overhead is not amortized).
-DIAGONAL_MAX_CELLS = 1 << 21
 
 #: Ceiling on the batched shift-residue table (bytes).  Below it, every
 #: (distinct instruction, shift residue) pair is precomputed once and each
@@ -224,52 +218,6 @@ def packed_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray
         i = num_elements - 1
         counter.add(shifted_row(planes[element_rows[i]], i, num_words))
     return counter.decode(num_positions)
-
-
-@kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
-def diagonal_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
-    """All alignment-position scores via a strided-diagonal uint8 reduction.
-
-    Builds the per-element match matrix ``M[i, p]`` and sums its alignment
-    diagonals ``score[k] = sum_i M[i, k + i]`` through a zero-copy stride
-    view — element ``[k, i]`` lives at byte offset ``k*s_p + i*(s_e + s_p)``
-    — reduced by one einsum.  Wins when ``positions * elements`` is small.
-    """
-    instructions = np.asarray(instructions, dtype=np.uint8)
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    num_elements = instructions.size
-    num_positions = ref_codes.size - num_elements + 1
-    if num_positions <= 0:
-        return np.zeros(0, dtype=np.int32)
-    if num_elements == 0:
-        return np.zeros(num_positions, dtype=np.int32)
-    rows, element_rows = match_bytes(instructions, ref_codes)
-    matrix = np.ascontiguousarray(rows[element_rows])
-    stride_e, stride_p = matrix.strides
-    diagonals = np.lib.stride_tricks.as_strided(
-        matrix,
-        shape=(num_positions, num_elements),
-        strides=(stride_p, stride_e + stride_p),
-    )
-    return np.einsum("ki->k", diagonals, dtype=np.int32, casting="unsafe")
-
-
-@engine_contract("bitscore")
-def scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
-    """Bit-parallel scores with automatic path selection.
-
-    Short workloads (fewer than :data:`DIAGONAL_MAX_CELLS` score cells)
-    take the :func:`diagonal_scores` path and everything else the
-    :func:`packed_scores` CSA path.
-    """
-    instructions = np.asarray(instructions, dtype=np.uint8)
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    num_positions = ref_codes.size - instructions.size + 1
-    if num_positions <= 0:
-        return np.zeros(0, dtype=np.int32)
-    if num_positions * max(instructions.size, 1) <= DIAGONAL_MAX_CELLS:
-        return diagonal_scores(instructions, ref_codes)
-    return packed_scores(instructions, ref_codes)
 
 
 # --------------------------------------------------------------------------
@@ -645,14 +593,12 @@ def scores_batch(
     return [result for result in results if result is not None]
 
 
+@engine_contract("bitscore")
 @engine_contract("bitscore_batch")
-def bitscore_batch_scores(
-    instructions: np.ndarray, ref_codes: np.ndarray
-) -> np.ndarray:
-    """Single-query entry point of the batched kernel.
+def scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
+    """Bit-parallel scores of one query: a batch of one through :func:`scores_batch`.
 
-    The ``bitscore_batch`` engine: a batch of one through
-    :func:`scores_batch`, so the engine-equivalence property tests pin the
-    batched datapath to every other engine bit for bit.
+    Both engine names resolve here.  ``bitscore_batch`` is the name the scan
+    runtimes record; ``bitscore`` is the default of the single-query API.
     """
     return scores_batch([instructions], ref_codes)[0]

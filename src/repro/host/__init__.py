@@ -6,13 +6,10 @@ from repro.host.errors import (
     CheckpointError,
     CheckpointMismatchError,
     ChunkFailedError,
-    ChunkTimeoutError,
-    CorruptResultError,
     InjectedFaultError,
     PoolUnhealthyError,
     ScanError,
     ShardFailedError,
-    WorkerCrashError,
 )
 from repro.host.faults import FaultKind, FaultPlan, FaultSpec
 from repro.host.rescore import RescoreReport, RescoredHit, rescore_hits, rescore_search_result
@@ -33,9 +30,7 @@ __all__ = [
     "CheckpointMismatchError",
     "CheckpointStore",
     "ChunkFailedError",
-    "ChunkTimeoutError",
     "ClusterSearchResult",
-    "CorruptResultError",
     "DatabaseEntry",
     "FabPCluster",
     "FabPHost",
@@ -59,7 +54,6 @@ __all__ = [
     "ShardStatus",
     "ShardedScanRuntime",
     "Supervisor",
-    "WorkerCrashError",
     "plan_shards",
     "rescore_hits",
     "rescore_search_result",

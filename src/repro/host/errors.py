@@ -9,12 +9,6 @@ The hierarchy:
 
 * :class:`ScanError` — base class; anything fatal the scanner raises.
 
-  * :class:`ChunkTimeoutError` — one chunk attempt exceeded the per-chunk
-    timeout (only surfaces when retries are exhausted).
-  * :class:`WorkerCrashError` — a worker process died (non-zero exit /
-    signal) while holding a chunk.
-  * :class:`CorruptResultError` — a chunk result failed the per-chunk
-    sanity check (out-of-range scores, wrong lengths, unordered hits).
   * :class:`ChunkFailedError` — a chunk exhausted its retry budget; the
     ``attempts`` attribute carries the per-attempt outcomes.
   * :class:`ShardFailedError` — a shard of the sharded runtime exhausted
@@ -35,45 +29,11 @@ The hierarchy:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class ScanError(RuntimeError):
     """Base class for every fatal scan-runtime failure."""
-
-
-class ChunkTimeoutError(ScanError):
-    """A chunk attempt ran past the configured per-chunk timeout."""
-
-    def __init__(self, chunk: int, attempt: int, timeout: float):
-        self.chunk = chunk
-        self.attempt = attempt
-        self.timeout = timeout
-        super().__init__(
-            f"chunk {chunk} attempt {attempt} exceeded {timeout:.3g}s timeout"
-        )
-
-
-class WorkerCrashError(ScanError):
-    """A worker process died while a chunk was in flight."""
-
-    def __init__(self, chunk: int, attempt: int, exitcode: Optional[int]):
-        self.chunk = chunk
-        self.attempt = attempt
-        self.exitcode = exitcode
-        super().__init__(
-            f"worker died (exitcode {exitcode}) on chunk {chunk} attempt {attempt}"
-        )
-
-
-class CorruptResultError(ScanError):
-    """A chunk result failed the cheap per-chunk sanity check."""
-
-    def __init__(self, chunk: int, attempt: int, reason: str):
-        self.chunk = chunk
-        self.attempt = attempt
-        self.reason = reason
-        super().__init__(f"chunk {chunk} attempt {attempt} corrupt: {reason}")
 
 
 class ChunkFailedError(ScanError):

@@ -271,19 +271,24 @@ def run_batch_benchmark(
     Two record families, same schema as :func:`run_score_benchmark`:
 
     * ``bitscore-sequential`` vs ``bitscore_batch`` at each ``k`` in
-      ``batch_sizes`` — k independent bitscore sweeps against one shared
-      sweep that scores all k queries per reference pass.  Both sides
-      report *aggregate* positions/s (``k x positions / wall``), so the
-      ratio is the amortization factor of sharing the database stream.
+      ``batch_sizes`` — k independent NumPy :func:`packed_scores` sweeps
+      against one shared ``scores_batch`` sweep that scores all k queries
+      per reference pass.  Both sides report *aggregate* positions/s
+      (``k x positions / wall``), so the ratio is the amortization factor
+      of sharing the database stream (plus, where the kernel was built,
+      of compiling it).  ``bitscore-batch-of-one`` times k batches of one
+      through ``scores_batch`` at the largest ``k`` only: the same body on
+      both sides, so its ratio is the sharing alone.
     * ``scan-session-cold`` vs ``scan-session-warm`` — a full
       pack + session-open + scan + close cycle per call, against repeated
       ``scan_batch`` calls on an already-warm :class:`ScanSession` whose
       worker pool and shared database image persist across calls.
 
-    Derived speedups: ``batch_amortization_k{k}`` per batch size and
-    ``session_warm_speedup``.
+    Derived speedups: ``batch_amortization_k{k}`` per batch size,
+    ``batch_amortization_native_k{max k}`` and ``session_warm_speedup``.
     """
     from repro.core.aligner import scores_batch_from_codes
+    from repro.core.bitscore import packed_scores
     from repro.host.scan_session import ScanSession
     from repro.seq.generate import random_protein, random_rna
 
@@ -315,9 +320,7 @@ def run_batch_benchmark(
     for k in batch_sizes:
         subset = arrays[:k]
         wall_seq = _time(
-            lambda subset=subset: [
-                scores_from_codes(a, ref_codes, "bitscore") for a in subset
-            ],
+            lambda subset=subset: [packed_scores(a, ref_codes) for a in subset],
             repeats,
         )
         wall_batch = _time(
@@ -326,10 +329,18 @@ def run_batch_benchmark(
             ),
             repeats,
         )
-        for engine, wall in (
-            ("bitscore-sequential", wall_seq),
-            ("bitscore_batch", wall_batch),
-        ):
+        walls = [("bitscore-sequential", wall_seq), ("bitscore_batch", wall_batch)]
+        if k == max_k:
+            walls.append((
+                "bitscore-batch-of-one",
+                _time(
+                    lambda subset=subset: [
+                        scores_from_codes(a, ref_codes, "bitscore") for a in subset
+                    ],
+                    repeats,
+                ),
+            ))
+        for engine, wall in walls:
             record = BenchRecord(
                 engine=engine,
                 L_q=num_elements,
@@ -396,19 +407,23 @@ def run_batch_benchmark(
 
 def _derive_batch_speedups(report: BenchReport) -> None:
     """Amortization per batch size plus the warm-session ratio."""
-    sequential = {
-        r.batch: r.positions_per_s
-        for r in report.records
-        if r.engine == "bitscore-sequential"
-    }
-    for record in report.records:
-        if record.engine != "bitscore_batch":
-            continue
-        baseline = sequential.get(record.batch)
-        if baseline:
-            report.speedups[f"batch_amortization_k{record.batch}"] = (
-                record.positions_per_s / baseline
-            )
+    for sequential_engine, key in (
+        ("bitscore-sequential", "batch_amortization_k{}"),
+        ("bitscore-batch-of-one", "batch_amortization_native_k{}"),
+    ):
+        sequential = {
+            r.batch: r.positions_per_s
+            for r in report.records
+            if r.engine == sequential_engine
+        }
+        for record in report.records:
+            if record.engine != "bitscore_batch":
+                continue
+            baseline = sequential.get(record.batch)
+            if baseline:
+                report.speedups[key.format(record.batch)] = (
+                    record.positions_per_s / baseline
+                )
     cold = next(
         (r for r in report.records if r.engine == "scan-session-cold"), None
     )

@@ -180,23 +180,13 @@ class DtypeFlow:
     """Abstract interpreter over one function body (or expression).
 
     ``loop_bound`` is the widening multiplier for augmented accumulation
-    inside loops — the engine contract's ``max_elements``.  ``summaries``
-    maps bare callee names to declared return envelopes; it defaults to
-    the repo-wide :data:`HELPER_SUMMARIES` and callers may layer extra
-    entries (e.g. sibling engine contracts) on top.
+    inside loops — the engine contract's ``max_elements``.  Calls resolve
+    by their bare callee name against :data:`HELPER_SUMMARIES`, the
+    ``@kernel_summary`` return envelopes declared across the repo.
     """
 
-    def __init__(
-        self,
-        *,
-        loop_bound: int = 1,
-        summaries: Optional[Mapping[str, Tuple[Summary, ...]]] = None,
-    ) -> None:
+    def __init__(self, *, loop_bound: int = 1) -> None:
         self.loop_bound = loop_bound
-        merged: Dict[str, Tuple[Summary, ...]] = dict(HELPER_SUMMARIES)
-        if summaries:
-            merged.update(summaries)
-        self.summaries = merged
         self.events: List[DtypeEvent] = []
         self.returns: List[Tuple[AbstractValue, int]] = []
         self._loop_depth = 0
@@ -347,10 +337,10 @@ class DtypeFlow:
         for keyword in node.keywords:
             if keyword.arg == "dtype":
                 dtype_kw = self._dtype_from_node(keyword.value)
-        if tail in self.summaries:
+        if tail in HELPER_SUMMARIES:
             return tuple(
                 AbstractValue(_canonical(name), lo, hi)
-                for name, lo, hi in self.summaries[tail]
+                for name, lo, hi in HELPER_SUMMARIES[tail]
             )
         if tail in _ZERO_FILLED:
             dtype = dtype_kw or "float64"
@@ -617,7 +607,6 @@ def analyze_engine_function(
     inputs: Mapping[str, Summary],
     accumulator: str,
     max_elements: int,
-    extra_summaries: Optional[Mapping[str, Tuple[Summary, ...]]] = None,
 ) -> FunctionAnalysis:
     """Run the dtype flow over one engine function against its contract.
 
@@ -630,7 +619,7 @@ def analyze_engine_function(
     env: Dict[str, AbstractValue] = {}
     for name, (dtype, lo, hi) in inputs.items():
         env[name] = AbstractValue(_canonical(dtype), lo, hi)
-    flow = DtypeFlow(loop_bound=max_elements, summaries=extra_summaries)
+    flow = DtypeFlow(loop_bound=max_elements)
     flow.run(func.body, env)
     analysis = FunctionAnalysis(function=func.name)
     analysis.events.extend(flow.events)

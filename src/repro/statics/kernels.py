@@ -62,11 +62,7 @@ from repro.statics.discovery import (
     iter_functions,
     module_from_source,
 )
-from repro.statics.dtypeflow import (
-    FunctionAnalysis,
-    Summary,
-    analyze_engine_function,
-)
+from repro.statics.dtypeflow import FunctionAnalysis, analyze_engine_function
 from repro.statics.registry import STATIC_RULES
 
 #: Rule ids registered by this family (exported for docs/tests).
@@ -190,21 +186,6 @@ def _contracted_functions(
             yield func, info
 
 
-def _sibling_summaries() -> Dict[str, Tuple[Summary, ...]]:
-    """Every contracted engine, as a callable summary for the dtype flow.
-
-    Lets ``scores`` (the auto-selecting engine) resolve its calls to
-    ``packed_scores``/``diagonal_scores`` to the sibling's declared
-    envelope instead of giving up.
-    """
-    return {
-        contract.function.split(".")[-1]: (
-            (contract.accumulator, 0, contract.max_elements),
-        )
-        for contract in ENGINE_CONTRACTS.values()
-    }
-
-
 def _analyze(func: ast.FunctionDef, info: Dict[str, object]) -> FunctionAnalysis:
     inputs = info["inputs"]
     assert isinstance(inputs, dict)
@@ -213,7 +194,6 @@ def _analyze(func: ast.FunctionDef, info: Dict[str, object]) -> FunctionAnalysis
         inputs=inputs,
         accumulator=str(info["accumulator"]),
         max_elements=int(info["max_elements"]),  # type: ignore[arg-type]
-        extra_summaries=_sibling_summaries(),
     )
 
 

@@ -85,16 +85,16 @@ class TestMatchBytes:
                 assert bool(rows[element_rows[i], p]) == expected
 
 
-#: ``bitscore.scores``'s two paths, called directly, and its size selection.
+#: The NumPy sequential path and the engine (a batch of one through
+#: ``scores_batch``).
 SCORERS = {
     "packed": bitscore.packed_scores,
-    "diagonal": bitscore.diagonal_scores,
     None: bitscore.scores,
 }
 
 
 class TestEngines:
-    @pytest.mark.parametrize("method", ["packed", "diagonal", None])
+    @pytest.mark.parametrize("method", ["packed", None])
     def test_matches_naive_on_random_workloads(self, rng, method):
         for _ in range(6):
             query = random_protein(int(rng.integers(1, 10)), rng=rng)
@@ -105,7 +105,7 @@ class TestEngines:
             assert got.dtype == np.int32
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("method", ["packed", "diagonal"])
+    @pytest.mark.parametrize("method", ["packed", None])
     def test_type_iii_heavy_queries(self, rng, method):
         for letters in ("LRSLRS*", "LLLLLLLL", "RRRR", "***"):
             encoded = encode_query(letters)
@@ -120,7 +120,6 @@ class TestEngines:
         codes = codes_from_text("ACGU")
         assert bitscore.scores(encoded.as_array(), codes).size == 0
         assert bitscore.packed_scores(encoded.as_array(), codes).size == 0
-        assert bitscore.diagonal_scores(encoded.as_array(), codes).size == 0
 
     def test_reference_shorter_than_lookback(self):
         # 1- and 2-nt references exercise the missing-lookback edge.
@@ -137,11 +136,11 @@ class TestEngines:
             bitscore.packed_scores(empty, codes), np.zeros(6, dtype=np.int32)
         )
         assert np.array_equal(
-            bitscore.diagonal_scores(empty, codes), np.zeros(6, dtype=np.int32)
+            bitscore.scores(empty, codes), np.zeros(6, dtype=np.int32)
         )
 
     def test_unknown_method_rejected(self):
-        # The path is chosen by size alone; no method can be forced.
+        # There is one path; no method can be forced.
         with pytest.raises(TypeError):
             bitscore.scores(
                 encode_query("M").as_array(), codes_from_text("ACGU"), method="packed"

@@ -59,16 +59,21 @@ def _assert_all_engines_agree(protein, reference):
     codes = codes_from_text(reference)
     oracle = alignment_scores_naive(encoded, codes)
     packed = bitscore.packed_scores(encoded.as_array(), codes)
-    diagonal = bitscore.diagonal_scores(encoded.as_array(), codes)
     vectorized = alignment_scores(encoded, codes, engine="vectorized")
-    auto = alignment_scores(encoded, codes)  # default = bitscore
     assert np.array_equal(packed, oracle)
-    assert np.array_equal(diagonal, oracle)
     assert np.array_equal(vectorized, oracle)
-    assert np.array_equal(auto, oracle)
+    for kernel in BATCH_KERNELS:
+        with batch_kernel(kernel):
+            auto = alignment_scores(encoded, codes)  # default = bitscore
+        assert np.array_equal(auto, oracle), kernel
 
 
 class TestEngineEquivalence:
+    """Every engine equals ``naive``.
+
+    The default engine runs on each body of ``scores_batch`` in turn.
+    """
+
     @given(protein=proteins, reference=rna_strings)
     @settings(max_examples=40, deadline=None)
     def test_random_queries_and_references(self, protein, reference):
@@ -101,18 +106,21 @@ class TestEngineEquivalence:
         codes = codes_from_text(reference)
         assert alignment_scores_naive(encoded, codes).size == 0
         assert bitscore.packed_scores(encoded.as_array(), codes).size == 0
-        assert bitscore.diagonal_scores(encoded.as_array(), codes).size == 0
-        assert alignment_scores(encoded, codes).size == 0
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                assert alignment_scores(encoded, codes).size == 0, kernel
 
     @given(protein=proteins, reference=rna_strings)
     @settings(max_examples=20, deadline=None)
     def test_search_database_engine_consistency(self, protein, reference):
         """Hits are identical whichever engine the search routes through."""
-        default = search_database(protein, [reference], min_identity=0.3)
         naive = search_database(
             protein, [reference], min_identity=0.3, engine="naive"
         )
-        assert [r.hits for r in default] == [r.hits for r in naive]
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                default = search_database(protein, [reference], min_identity=0.3)
+            assert [r.hits for r in default] == [r.hits for r in naive], kernel
 
 
 class TestBatchEquivalence:
@@ -127,11 +135,12 @@ class TestBatchEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_ragged_batch_matches_per_query_sweeps(self, batch, reference):
-        from repro.core.aligner import scores_batch_from_codes, scores_from_codes
+        from repro.core.aligner import scores_batch_from_codes
 
         arrays = [encode_query(p).as_array() for p in batch]
         codes = codes_from_text(reference)
-        solo = [scores_from_codes(a, codes, "bitscore") for a in arrays]
+        # One query at a time, outside scores_batch.
+        solo = [bitscore.packed_scores(a, codes) for a in arrays]
         for kernel in BATCH_KERNELS:
             with batch_kernel(kernel):
                 for engine in ("bitscore_batch", "bitscore", "vectorized"):
@@ -144,11 +153,11 @@ class TestBatchEquivalence:
     @given(protein=type_iii_proteins, reference=rna_strings)
     @settings(max_examples=25, deadline=None)
     def test_batch_of_one_is_the_plain_sweep(self, protein, reference):
-        from repro.core.aligner import scores_batch_from_codes, scores_from_codes
+        from repro.core.aligner import scores_batch_from_codes
 
         array = encode_query(protein).as_array()
         codes = codes_from_text(reference)
-        want = scores_from_codes(array, codes, "bitscore")
+        want = bitscore.packed_scores(array, codes)
         for kernel in BATCH_KERNELS:
             with batch_kernel(kernel):
                 (got,) = scores_batch_from_codes([array], codes, "bitscore_batch")
