@@ -10,7 +10,9 @@ scores the hardware produces, through several interchangeable engines:
   bitplanes summed by a carry-save vertical-counter popcount, the software
   analog of the hardware's Pop36 tree.  One query is a batch of one through
   :func:`repro.core.bitscore.scores_batch` (compiled where a C compiler was
-  found); a batch shares one sweep of the reference;
+  found); a batch shares one sweep of the reference, and
+  :func:`hits_batch_from_codes` — what ``align`` and every scan call —
+  thresholds inside the compiled fold;
 * ``engine="vectorized"`` — per-element numpy table gathers (the previous
   default, kept as an independent mid-speed implementation);
 * ``engine="naive"`` — straight-line Python, used as a cross-check oracle
@@ -26,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -244,25 +246,101 @@ def scores_batch_from_codes(
     reference across the whole batch (one sweep, ``k`` scores — the
     software analogue of ``k`` comparator arrays); every other engine is
     applied per query, so results are engine-for-engine bit-identical to
-    :func:`scores_from_codes` in all cases.
+    :func:`scores_from_codes` in all cases.  With observability enabled
+    the batch records one score call.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine not in ("bitscore", "bitscore_batch"):
-        return [
-            scores_from_codes(instructions, ref_codes, engine)
-            for instructions in instruction_batch
-        ]
     if not _obs_state.enabled():
-        return bitscore.scores_batch(instruction_batch, ref_codes)
+        return _dispatch_batch(instruction_batch, ref_codes, engine)
     start = time.perf_counter()
-    batch = bitscore.scores_batch(instruction_batch, ref_codes)
+    batch = _dispatch_batch(instruction_batch, ref_codes, engine)
     _obs_profile.record_score_call(
         engine,
         time.perf_counter() - start,
         sum(int(scores.size) for scores in batch),
     )
     return batch
+
+
+def _dispatch_batch(
+    instruction_batch: Sequence[np.ndarray], ref_codes: np.ndarray, engine: str
+) -> List[np.ndarray]:
+    if engine == "bitscore" or engine == "bitscore_batch":
+        return bitscore.scores_batch(instruction_batch, ref_codes)
+    return [_dispatch_scores(array, ref_codes, engine) for array in instruction_batch]
+
+
+def hits_batch_from_codes(
+    instruction_batch: Sequence[np.ndarray],
+    ref_codes: np.ndarray,
+    thresholds: Sequence[int],
+    engine: str = DEFAULT_ENGINE,
+    *,
+    start: int = 0,
+    stop: Optional[int] = None,
+    keep_scores: bool = False,
+) -> List[bitscore.QueryHits]:
+    """Score a batch of queries over one reference and keep what passes.
+
+    The one place a scan thresholds — the software counterpart of the
+    comparators behind the FPGA's Pop36 counters.  Query ``q`` keeps the
+    alignment positions ``[start, min(stop, L_r - L_q + 1))``; its result
+    is the kept positions scoring at least ``thresholds[q]`` (as offsets
+    from ``start``), their scores, and — with ``keep_scores`` — the kept
+    score slice.  On the bitscore engines the compiled kernel thresholds
+    inside its fold and writes no per-position score unless asked; the
+    NumPy body and every other engine score here and keep the positions
+    ``np.nonzero`` finds.  With observability enabled each call records
+    its engine, wall time and positions kept (not hits).
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if start < 0:
+        raise ValueError(f"start {start} is negative")
+    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
+    arrays = [
+        np.asarray(instructions, dtype=np.uint8).ravel()
+        for instructions in instruction_batch
+    ]
+    bounds: List[Tuple[int, int]] = []
+    for array in arrays:
+        hi = ref_codes.size - array.size + 1
+        if stop is not None:
+            hi = min(hi, stop)
+        hi = max(0, hi)
+        bounds.append((min(start, hi), hi))
+    if not _obs_state.enabled():
+        return _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+    began = time.perf_counter()
+    hits = _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+    _obs_profile.record_score_call(
+        engine, time.perf_counter() - began, sum(hi - lo for lo, hi in bounds)
+    )
+    return hits
+
+
+def _threshold_batch(
+    arrays: List[np.ndarray],
+    ref_codes: np.ndarray,
+    thresholds: Sequence[int],
+    bounds: List[Tuple[int, int]],
+    keep_scores: bool,
+    engine: str,
+) -> List[bitscore.QueryHits]:
+    if engine in ("bitscore", "bitscore_batch"):
+        fused = bitscore.hits_batch(
+            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores
+        )
+        if fused is not None:
+            return fused
+    hits: List[bitscore.QueryHits] = []
+    batch = _dispatch_batch(arrays, ref_codes, engine)
+    for scores, threshold, (lo, hi) in zip(batch, thresholds, bounds):
+        kept = scores[lo:hi]
+        positions = np.nonzero(kept >= threshold)[0].astype(np.int64, copy=False)
+        hits.append((positions, kept[positions], kept if keep_scores else None))
+    return hits
 
 
 def alignment_scores(
@@ -386,22 +464,23 @@ def align_prepared(
     keep_scores: bool = False,
     engine: str = DEFAULT_ENGINE,
 ) -> AlignmentResult:
-    """Score + threshold with everything pre-resolved (the scan hot loop).
+    """Score + threshold with everything pre-resolved.
 
     Callers that already hold an :class:`EncodedQuery`, a 2-bit code array
-    and an absolute threshold (database scanners, workers) come in here and
-    skip re-coercion entirely.
+    and an absolute threshold come in here and skip re-coercion entirely;
+    the query is a batch of one through :func:`hits_batch_from_codes`.
     """
-    scores = scores_from_codes(encoded.as_array(), ref_codes, engine)
-    positions = np.nonzero(scores >= resolved_threshold)[0]
-    hits = tuple(Hit(int(p), int(scores[p])) for p in positions)
+    ((positions, hit_scores, scores),) = hits_batch_from_codes(
+        [encoded.as_array()], ref_codes, [resolved_threshold], engine,
+        keep_scores=keep_scores,
+    )
     return AlignmentResult(
         query=encoded,
         reference_name=reference_name,
         reference_length=int(ref_codes.size),
         threshold=resolved_threshold,
-        hits=hits,
-        scores=scores if keep_scores else None,
+        hits=tuple(Hit(int(p), int(h)) for p, h in zip(positions, hit_scores)),
+        scores=scores,
     )
 
 

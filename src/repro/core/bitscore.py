@@ -25,13 +25,23 @@ the bits (§III-C/D).  The software counterpart of that datapath is SWAR
    3:2 compressor step (``ones = a ^ b``, ``twos = a & b``) to halve
    low-plane traffic, mirroring the hardware's 6:3 compression stage.
 
+3. **Threshold comparators.**  The FPGA writes back only the positions
+   whose count clears the threshold.  :func:`hits_batch` does the same in
+   the compiled fold: the counter planes are compared with the threshold
+   bit-sliced, only 16-position groups holding a hit are decoded, and the
+   passing ``(position, score)`` pairs are all it returns — no int32
+   score per position is written unless the caller keeps the scores.
+
 The batched sweep :func:`scores_batch` runs this datapath compiled
 (``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever a C
 compiler was found, and its NumPy body everywhere else.  The ``bitscore``
 engine, :func:`scores`, is a batch of one through it: every caller, one
-query or many, scores on the same path.  :func:`packed_scores` is the same
-datapath one query at a time in NumPy, kept as the sequential side of the
-batch-amortization benchmark.
+query or many, scores on the same path.  Scans and ``align`` threshold
+through :func:`repro.core.aligner.hits_batch_from_codes`, which calls
+:func:`hits_batch` where the kernel was built and thresholds
+:func:`scores_batch` output itself elsewhere.  :func:`packed_scores` is
+the same datapath one query at a time in NumPy, kept as the sequential
+side of the batch-amortization benchmark.
 
 Every path is bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
 (enforced by the property-test suite in ``tests/property``).
@@ -465,14 +475,20 @@ def _numpy_batch(
 # The same datapath as the NumPy body with the counters kept in registers:
 # one C pass turns the reference codes into the shared match bitplanes, and
 # one C call per query folds its rows tile by tile through a Harley-Seal
-# block into vertical counter planes and writes int32 scores.  Resolved once
-# at import; every call allocates its own planes and scores, and ctypes
-# releases the GIL for the call, so worker threads can fold at once.  When no
-# compiler is found or the build fails, ``_NATIVE`` is None and the NumPy
-# body runs.
+# block into vertical counter planes, compares them with the threshold and
+# writes only the passing positions (and, when asked, every int32 score).
+# Resolved once at import; every call allocates its own planes and output
+# buffers, and ctypes releases the GIL for the call, so worker threads can
+# fold at once.  When no compiler is found or the build fails, ``_NATIVE``
+# is None and the NumPy body runs.
 # --------------------------------------------------------------------------
 
 _NATIVE: Optional[ctypes.CDLL] = native.load()
+
+#: One query's thresholded scan: hit positions (int64) and their scores
+#: (int32), positions counted from the first kept position, plus the kept
+#: int32 score slice when one was asked for.
+QueryHits = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def batch_kernel() -> str:
@@ -521,37 +537,95 @@ def _native_planes(
     return planes
 
 
-def _native_batch(
+def _native_fold(
     library: ctypes.CDLL,
-    arrays: List[np.ndarray],
-    active: List[int],
+    arrays: Sequence[np.ndarray],
     ref_codes: np.ndarray,
-    results: List[Optional[np.ndarray]],
-) -> None:
-    """The compiled body of :func:`scores_batch`; same contract as :func:`_numpy_batch`."""
-    distinct, concat_rows = np.unique(
-        np.concatenate([arrays[q] for q in active]), return_inverse=True
-    )
+    bounds: Sequence[Tuple[int, int]],
+    thresholds: Optional[Sequence[int]],
+    keep_scores: bool,
+) -> List[QueryHits]:
+    """Fold query ``q`` over alignment positions ``bounds[q]`` in the compiled kernel.
+
+    With ``thresholds`` the kernel returns each query's hits; without, it
+    returns none and ignores the threshold.  The score slice is written
+    only with ``keep_scores``.  An empty bound folds nothing.
+    """
+    distinct, concat_rows = np.unique(np.concatenate(arrays), return_inverse=True)
     element_rows = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
-    tile = native.TILE_WORDS
-    # Every tile of every query reads at most this many words of a plane.
-    plane_words = 1 + max(
-        -(-(ref_codes.size - arrays[q].size + 1) // (WORD_BITS * tile)) * tile
-        + (arrays[q].size - 1) // WORD_BITS
-        for q in active
-    )
+    # Query q's tiles cover words lo // 64 up to its last position's word,
+    # rounded up to whole tiles, and element i reads i // 64 + 1 words past
+    # a tile's start: the planes hold every word any fold reads.
+    plane_words = 1
+    for array, (lo, hi) in zip(arrays, bounds):
+        first, last = lo // WORD_BITS, -(-hi // WORD_BITS)
+        tiles = -(-(last - first) // native.TILE_WORDS)
+        reach = first + tiles * native.TILE_WORDS + (array.size - 1) // WORD_BITS + 1
+        plane_words = max(plane_words, reach)
     planes = _native_planes(library, distinct, ref_codes, plane_words)
+    results: List[QueryHits] = []
     offset = 0
-    for q in active:
-        size = arrays[q].size
-        rows = element_rows[offset : offset + size]
-        offset += size
-        scores = np.empty(ref_codes.size - size + 1, dtype=np.int32)
-        library.fabp_fold(
-            planes.ctypes.data, plane_words, rows.ctypes.data, size,
-            scores.size, scores.ctypes.data,
+    for q, array in enumerate(arrays):
+        rows = element_rows[offset : offset + array.size]
+        offset += array.size
+        lo, hi = bounds[q]
+        room = hi - lo if thresholds is not None else 0
+        positions = np.empty(room, dtype=np.int64)
+        hit_scores = np.empty(room, dtype=np.int32)
+        scores = np.empty(hi - lo, dtype=np.int32) if keep_scores else None
+        found = library.fabp_fold(
+            planes.ctypes.data, plane_words, rows.ctypes.data, array.size,
+            lo, hi, 0 if thresholds is None else int(thresholds[q]),
+            positions.ctypes.data if room else None,
+            hit_scores.ctypes.data if room else None,
+            None if scores is None else scores.ctypes.data,
         )
-        results[q] = scores
+        if found < room:  # release the unused room
+            positions, hit_scores = positions[:found].copy(), hit_scores[:found].copy()
+        results.append((positions, hit_scores, scores))
+    return results
+
+
+def hits_batch(
+    instruction_batch: Sequence[np.ndarray],
+    ref_codes: np.ndarray,
+    thresholds: Sequence[int],
+    bounds: Sequence[Tuple[int, int]],
+    *,
+    keep_scores: bool = False,
+) -> Optional[List[QueryHits]]:
+    """Threshold ``k`` queries inside the compiled fold, in one sweep.
+
+    Query ``q`` is scored at alignment positions ``bounds[q] = (lo, hi)``
+    (``0 <= lo <= hi <= L_r - L_q + 1``); its result lists the positions
+    ``p`` whose score is at least ``thresholds[q]`` as ``p - lo``, their
+    scores, and — with ``keep_scores`` — the scores of all of
+    ``[lo, hi)``.  No per-position score is written otherwise.  ``None``
+    when the compiled kernel cannot run here (it was not built, or a code
+    is outside ``0..3``): the caller scores with :func:`scores_batch` and
+    thresholds the scores itself
+    (:func:`repro.core.aligner.hits_batch_from_codes`).
+    """
+    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
+    library = _NATIVE
+    if library is None or (ref_codes.size and ref_codes.max() > 3):
+        return None
+    arrays = [
+        np.asarray(instructions, dtype=np.uint8).ravel()
+        for instructions in instruction_batch
+    ]
+    for array, (lo, hi) in zip(arrays, bounds):
+        # The planes are sized from the bounds: a negative lo would read
+        # before them, a hi past the last position would score past the
+        # reference.
+        if not 0 <= lo <= hi <= max(0, ref_codes.size - array.size + 1):
+            raise ValueError(
+                f"bounds [{lo}, {hi}) outside the {array.size}-element "
+                f"query's positions on {ref_codes.size} nt"
+            )
+    if not arrays:
+        return []
+    return _native_fold(library, arrays, ref_codes, bounds, thresholds, keep_scores)
 
 
 @kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
@@ -587,7 +661,13 @@ def scores_batch(
     if active:
         library = _NATIVE
         if library is not None and ref_codes.max() <= 3:
-            _native_batch(library, arrays, active, ref_codes, results)
+            folded = _native_fold(
+                library, [arrays[q] for q in active], ref_codes,
+                [(0, ref_codes.size - arrays[q].size + 1) for q in active],
+                None, keep_scores=True,
+            )
+            for q, (_, _, scores) in zip(active, folded):
+                results[q] = scores
         else:
             _numpy_batch(arrays, active, ref_codes, results)
     return [result for result in results if result is not None]

@@ -106,6 +106,8 @@ def load() -> Optional[ctypes.CDLL]:
     pointer, size = ctypes.c_void_p, ctypes.c_int64
     library.fabp_build_planes.argtypes = [pointer, size, pointer, size, pointer, size]
     library.fabp_build_planes.restype = None
-    library.fabp_fold.argtypes = [pointer, size, pointer, size, size, pointer]
-    library.fabp_fold.restype = None
+    library.fabp_fold.argtypes = [
+        pointer, size, pointer, size, size, size, size, pointer, pointer, pointer
+    ]
+    library.fabp_fold.restype = size
     return library

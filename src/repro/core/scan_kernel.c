@@ -1,23 +1,34 @@
-/* Compiled batch scan kernel behind repro.core.bitscore.scores_batch.
+/* Compiled batch scan kernel behind repro.core.bitscore.
  *
  * The software form of FabP's datapath (one one-bit comparator per query
- * element feeding a carry-save Pop36 tree), with the counters kept in
- * registers instead of streamed through memory:
+ * element feeding a carry-save Pop36 tree, then a threshold comparator),
+ * with the counters kept in registers instead of streamed through memory:
  *
  *   fabp_build_planes  reference codes -> one packed match bitplane per
  *                      distinct instruction (bit p%64 of word p/64 is
  *                      position p).  Each instruction is a 64-bit truth
  *                      mask over the context code | prev1<<2 | prev2<<4;
  *                      look-back before the reference start reads as A.
- *   fabp_fold          one query: walks TILE_WORDS-word tiles of alignment
- *                      positions, funnel-shifts element i's plane by i bits,
- *                      folds 8 rows at a time through a Harley-Seal CSA
- *                      block into vertical counter planes and decodes int32
- *                      scores.
+ *   fabp_fold          one query over alignment positions [lo, hi): walks
+ *                      TILE_WORDS-word tiles, funnel-shifts element i's
+ *                      plane by i bits, folds 8 rows at a time through a
+ *                      Harley-Seal CSA block into vertical counter planes,
+ *                      then compares the counter planes with the threshold
+ *                      bit-sliced, 64 positions per word.  Only a 16-lane
+ *                      group with a lane at or above the threshold is
+ *                      decoded to int32, and each passing position p is
+ *                      appended as (p - lo, score) to the hit buffers; the
+ *                      count of hits is returned.
+ *
+ * fabp_fold's outputs are optional and relative to lo: hit_positions and
+ * hit_scores (both NULL, or both with room for hi - lo entries, which
+ * bounds the hits) and scores (NULL, or room for hi - lo entries: the full
+ * int32 score of every position in [lo, hi)).  With no hit buffers the
+ * threshold is ignored; with no outputs at all nothing is folded.
  *
  * The caller sizes every plane to at least
- * roundup(words, TILE_WORDS) + (elements - 1) / 64 + 1 words for each
- * query it folds, so no tile reads past the end of a plane.
+ * lo/64 + roundup((hi + 63)/64 - lo/64, TILE_WORDS) + (elements - 1)/64 + 1
+ * words for each query it folds, so no tile reads past the end of a plane.
  * TILE_WORDS is set on the compiler command line.
  */
 #include <stdint.h>
@@ -136,16 +147,50 @@ static inline void ripple(tile_t *high, int levels, tile_t carry)
 /* Sixteen int32 lanes; lane j of a decode step is position 16g + j. */
 typedef uint32_t lanes_t __attribute__((vector_size(64)));
 
-void fabp_fold(const uint64_t *planes, int64_t plane_words,
-               const int32_t *element_planes, int64_t num_elements,
-               int64_t num_positions, int32_t *scores)
+/* The counts of word t's positions 16g..16g+15, one per lane. */
+static inline lanes_t decode_group(const tile_t *level, int levels, int t, int g)
 {
     const lanes_t lane = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+    lanes_t count = {0};
+    for (int l = 0; l < levels; l++) {
+        uint32_t bits = (uint32_t)(level[l][t] >> 16 * g) & 0xFFFF;
+        count |= (((lanes_t){0} + bits) >> lane & 1) << l;
+    }
+    return count;
+}
+
+/* The positions whose count is at least `threshold`, as a bit mask: the
+ * counter planes are compared most significant bit first, carrying
+ * "greater so far" and "equal so far" words.  Needs
+ * 0 < threshold < 2**levels. */
+static inline tile_t at_least(const tile_t *level, int levels, int64_t threshold)
+{
+    tile_t greater = {0}, equal = ~(tile_t){0};
+    for (int l = levels - 1; l >= 0; l--) {
+        if (threshold >> l & 1) {
+            equal &= level[l];
+        } else {
+            greater |= equal & level[l];
+            equal &= ~level[l];
+        }
+    }
+    return greater | equal;
+}
+
+int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
+                  const int32_t *element_planes, int64_t num_elements,
+                  int64_t lo, int64_t hi, int64_t threshold,
+                  int64_t *hit_positions, int32_t *hit_scores, int32_t *scores)
+{
     int levels = 3; /* ones, twos, fours, then one plane per further bit */
     while (levels < 32 && (1LL << levels) <= num_elements)
         levels++;
-    int64_t num_words = (num_positions + 63) / 64;
-    for (int64_t w0 = 0; w0 < num_words; w0 += T) {
+    /* A count never exceeds num_elements < 2**levels. */
+    int want_hits = hit_positions != NULL && threshold <= num_elements;
+    if ((!want_hits && scores == NULL) || hi <= lo)
+        return 0;
+    int64_t found = 0;
+    for (int64_t w0 = lo / 64; w0 < (hi + 63) / 64; w0 += T) {
         tile_t ones = {0}, twos = {0}, fours = {0}, carry;
         tile_t level[32];
         tile_t *high = level + 3;
@@ -178,18 +223,39 @@ void fabp_fold(const uint64_t *planes, int64_t plane_words,
         level[0] = ones;
         level[1] = twos;
         level[2] = fours;
-        int32_t tile[T * 64];
-        for (int t = 0; t < T; t++)
+        tile_t pass = {0};
+        if (want_hits)
+            pass = threshold <= 0 ? ~(tile_t){0} : at_least(level, levels, threshold);
+        for (int t = 0; t < T && 64 * (w0 + t) < hi; t++) {
+            int64_t base = 64 * (w0 + t);
+            uint64_t hit = pass[t];
+            if (base < lo)
+                hit &= ~0ULL << (lo - base);
+            if (hi - base < 64)
+                hit &= (1ULL << (hi - base)) - 1;
             for (int g = 0; g < 4; g++) {
-                lanes_t count = {0};
-                for (int l = 0; l < levels; l++) {
-                    uint32_t bits = (uint32_t)(level[l][t] >> 16 * g) & 0xFFFF;
-                    count |= (((lanes_t){0} + bits) >> lane & 1) << l;
+                uint32_t lanes = (uint32_t)(hit >> 16 * g) & 0xFFFF;
+                if (lanes == 0 && scores == NULL)
+                    continue;
+                int32_t count[16];
+                lanes_t decoded = decode_group(level, levels, t, g);
+                memcpy(count, &decoded, sizeof count);
+                int64_t first = base + 16 * g;
+                if (scores != NULL) {
+                    int64_t from = first < lo ? lo : first;
+                    int64_t to = first + 16 < hi ? first + 16 : hi;
+                    if (to > from)
+                        memcpy(scores + (from - lo), count + (from - first),
+                               sizeof(int32_t) * (size_t)(to - from));
                 }
-                memcpy(tile + 64 * t + 16 * g, &count, sizeof count);
+                for (; lanes != 0; lanes &= lanes - 1) {
+                    int j = __builtin_ctz(lanes);
+                    hit_positions[found] = first + j - lo;
+                    hit_scores[found] = count[j];
+                    found++;
+                }
             }
-        int64_t count = num_positions - 64 * w0;
-        memcpy(scores + 64 * w0, tile,
-               sizeof(int32_t) * (size_t)(count < T * 64 ? count : T * 64));
+        }
     }
+    return found;
 }

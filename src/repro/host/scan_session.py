@@ -17,7 +17,10 @@ is a session opened for a single call):
   and a span-spread bound) and each database window is swept **once per
   pass**, scoring all co-resident queries against the same unpacked slice
   (the default ``bitscore_batch`` engine additionally shares the
-  comparator bitplanes across the batch);
+  comparator bitplanes across the batch, and its compiled kernel
+  thresholds inside the fold: a window yields each query's hit list from
+  :func:`repro.core.aligner.hits_batch_from_codes`, and a score per
+  position only under ``keep_scores``);
 * each pass becomes :class:`WindowTask` work items run by the
   :class:`repro.host.resilience.Supervisor` on its thread executor —
   per-task timeout, bounded retries with backoff, lost-worker
@@ -60,8 +63,8 @@ from repro.core.aligner import (
     AlignmentResult,
     QueryLike,
     ReferenceLike,
+    hits_batch_from_codes,
     resolve_threshold,
-    scores_batch_from_codes,
 )
 from repro.core.contracts import check_query_elements
 from repro.core.encoding import EncodedQuery, encode_query
@@ -259,30 +262,22 @@ class WindowTask:
         trailing positions are clipped to their own position count, so
         every kept slice matches a solo scan of that query bit for bit.
         """
-        spans = [int(a.size) for a in self.arrays]
-        max_span = max(spans)
+        max_span = max(int(a.size) for a in self.arrays)
         payload: SessionPayload = []
         for reference, start, stop in self.windows:
-            length = int(database.lengths[reference])
             codes, lookback = _windows.window_codes(
                 database.buffer, int(database.byte_offsets[reference]),
-                length, start, stop, max_span,
+                int(database.lengths[reference]), start, stop, max_span,
             )
-            scores_list = scores_batch_from_codes(list(self.arrays), codes, self.engine)
-            for slot, scores in enumerate(scores_list):
-                stop_q = min(stop, _windows.num_positions(length, spans[slot]))
-                wanted = scores[lookback : lookback + max(0, stop_q - start)]
-                hits_local = np.nonzero(wanted >= self.thresholds[slot])[0]
-                payload.append(
-                    (
-                        slot,
-                        reference,
-                        start,
-                        hits_local.astype(np.int64),
-                        wanted[hits_local],
-                        wanted if self.keep_scores else None,
-                    )
-                )
+            # Code position lookback is alignment position start; each
+            # query's positions end at stop or at its own last position.
+            hits = hits_batch_from_codes(
+                self.arrays, codes, self.thresholds, self.engine,
+                start=lookback, stop=lookback + stop - start,
+                keep_scores=self.keep_scores,
+            )
+            for slot, (positions, hit_scores, scores) in enumerate(hits):
+                payload.append((slot, reference, start, positions, hit_scores, scores))
         return payload
 
     def check(self, database: PackedDatabase, payload: Any) -> Optional[str]:

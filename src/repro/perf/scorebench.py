@@ -281,8 +281,9 @@ def run_batch_benchmark(
       both sides, so its ratio is the sharing alone.
     * ``scan-session-cold`` vs ``scan-session-warm`` — a full
       pack + session-open + scan + close cycle per call, against repeated
-      ``scan_batch`` calls on an already-warm :class:`ScanSession` whose
-      worker pool and shared database image persist across calls.
+      ``scan_batch`` calls on an already-open :class:`ScanSession`.  Both
+      score on per-call threads, so the only work a warm session saves is
+      one pack of the references.
 
     Derived speedups: ``batch_amortization_k{k}`` per batch size,
     ``batch_amortization_native_k{max k}`` and ``session_warm_speedup``.
@@ -373,7 +374,7 @@ def run_batch_benchmark(
     wall_cold = _time(_cold_cycle, repeats)
     session = ScanSession(references, workers=session_workers)
     try:
-        session.scan_batch(encoded, min_identity=0.9)  # warm the pool
+        session.scan_batch(encoded, min_identity=0.9)  # untimed first call
         wall_warm = _time(
             lambda: session.scan_batch(encoded, min_identity=0.9), repeats
         )

@@ -119,12 +119,15 @@ def _resolve_int(node: ast.expr) -> Optional[int]:
     return None
 
 
-def _contract_from_decorator(func: ast.AST) -> Optional[Dict[str, object]]:
-    """The engine contract a function *declares in source*, resolved.
+def _contracts_from_decorators(func: ast.AST) -> Iterator[Dict[str, object]]:
+    """Every engine contract a function *declares in source*, resolved.
 
-    Resolution order per field: explicit AST keyword first (keeps fixture
-    tests hermetic), then the runtime :data:`ENGINE_CONTRACTS` entry for
-    the declared engine name, then the contract-layer defaults.
+    One entry per ``@engine_contract`` decorator, in source order: a
+    function registered under two engine names is checked against both
+    declarations.  Resolution order per field: explicit AST keyword first
+    (keeps fixture tests hermetic), then the runtime
+    :data:`ENGINE_CONTRACTS` entry for the declared engine name, then the
+    contract-layer defaults.
     """
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
     for decorator in func.decorator_list:
@@ -158,7 +161,7 @@ def _contract_from_decorator(func: ast.AST) -> Optional[Dict[str, object]]:
                     deterministic = bool(keyword.value.value)
         runtime = ENGINE_CONTRACTS.get(engine) if engine else None
         inputs_source = runtime.inputs if runtime is not None else DEFAULT_INPUTS
-        return {
+        yield {
             "engine": engine,
             "accumulator": accumulator
             or (runtime.accumulator if runtime else "int32"),
@@ -173,17 +176,31 @@ def _contract_from_decorator(func: ast.AST) -> Optional[Dict[str, object]]:
                 for arg, spec in inputs_source.items()
             },
         }
-    return None
 
 
 def _contracted_functions(
     module: SourceModule,
 ) -> Iterator[Tuple[ast.FunctionDef, Dict[str, object]]]:
+    """``(function, contract)`` for every ``@engine_contract`` in ``module``."""
     for func in iter_functions(module.tree):
-        info = _contract_from_decorator(func)
-        if info is not None:
+        for info in _contracts_from_decorators(func):
             assert isinstance(func, ast.FunctionDef)
             yield func, info
+
+
+def _contracted_defs(module: SourceModule) -> Iterator[ast.FunctionDef]:
+    """Each contracted function once, for the checks no declaration changes."""
+    seen: Set[int] = set()
+    for func, _info in _contracted_functions(module):
+        if id(func) not in seen:
+            seen.add(id(func))
+            yield func
+
+
+def _engine_label(func: ast.FunctionDef, info: Dict[str, object]) -> str:
+    """``'scores' as 'bitscore_batch'``: which declaration a finding is about."""
+    engine = info["engine"]
+    return f"{func.name!r} as {engine!r}" if engine else repr(func.name)
 
 
 def _analyze(func: ast.FunctionDef, info: Dict[str, object]) -> FunctionAnalysis:
@@ -317,7 +334,7 @@ def _unparseable_dtypes(contract: EngineContract) -> List[str]:
     ),
 )
 def check_signature(rule: Rule, module: SourceModule) -> Iterator[Finding]:
-    for func, _info in _contracted_functions(module):
+    for func in _contracted_defs(module):
         args = func.args
         positional = [a.arg for a in list(args.posonlyargs) + list(args.args)]
         if positional != ["instructions", "ref_codes"]:
@@ -366,7 +383,7 @@ def check_overflow(rule: Rule, module: SourceModule) -> Iterator[Finding]:
                 continue
             yield rule.finding(
                 _line_location(module, event.line),
-                f"engine {func.name!r}: {event.message}",
+                f"engine {_engine_label(func, info)}: {event.message}",
                 suggested_fix="widen the accumulator dtype or tighten the "
                 "contract's max_elements",
                 data={"kind": event.kind},
@@ -393,7 +410,7 @@ def check_envelope(rule: Rule, module: SourceModule) -> Iterator[Finding]:
                 continue
             yield rule.finding(
                 _line_location(module, event.line),
-                f"engine {func.name!r}: {event.message}",
+                f"engine {_engine_label(func, info)}: {event.message}",
                 suggested_fix="cast explicitly to the declared dtype at the "
                 "boundary",
                 data={"kind": event.kind},
@@ -465,7 +482,7 @@ def _module_mutables(module: SourceModule) -> Set[str]:
 )
 def check_global_state(rule: Rule, module: SourceModule) -> Iterator[Finding]:
     mutables = _module_mutables(module)
-    for func, _info in _contracted_functions(module):
+    for func in _contracted_defs(module):
         locals_ = _local_names(func)
         for node in ast.walk(func):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -531,8 +548,8 @@ _NONDETERMINISTIC_TAILS = frozenset(
     ),
 )
 def check_deterministic(rule: Rule, module: SourceModule) -> Iterator[Finding]:
-    for func, info in _contracted_functions(module):
-        if not info["deterministic"]:
+    for func in _contracted_defs(module):
+        if not any(info["deterministic"] for info in _contracts_from_decorators(func)):
             continue
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
@@ -694,7 +711,7 @@ def _dtypeflow_report(contract: EngineContract) -> Dict[str, object]:
         }
     attach_parents(module.tree)
     for func, info in _contracted_functions(module):
-        if func.name != function_tail:
+        if func.name != function_tail or info["engine"] != contract.engine:
             continue
         analysis = _analyze(func, info)
         return {

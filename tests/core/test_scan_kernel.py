@@ -127,6 +127,16 @@ class TestNativeKernel:
             assert np.array_equal(got, want)
 
 
+@requires_native
+@pytest.mark.parametrize("bounds", [(-1, 10), (5, 4), (0, 52)])
+def test_hits_batch_refuses_bounds_outside_the_positions(bounds):
+    """The kernel reads planes sized from the bounds: bad ones never reach it."""
+    instructions = encode_query("MK").as_array()  # 6 elements: 51 positions
+    codes = np.zeros(56, dtype=np.uint8)
+    with pytest.raises(ValueError, match="outside"):
+        bitscore.hits_batch([instructions], codes, [1], [bounds])
+
+
 def test_codes_outside_the_alphabet_take_the_numpy_body():
     """The NumPy body's IndexError, never a read outside the truth masks."""
     instructions = encode_query("MK").as_array()

@@ -19,12 +19,15 @@ from repro.core import bitscore
 from repro.core.aligner import (
     alignment_scores,
     alignment_scores_naive,
+    hits_batch_from_codes,
+    scores_from_codes,
     search_database,
 )
 from repro.core.encoding import encode_query
 from repro.seq import alphabet
 from repro.seq.generate import random_protein
 from repro.seq.packing import codes_from_text
+from repro.workloads.builder import encode_protein_as_rna
 
 proteins = st.text(
     alphabet=sorted(alphabet.AMINO_ACIDS_WITH_STOP), min_size=1, max_size=12
@@ -180,6 +183,100 @@ class TestBatchEquivalence:
                 shared = scores_batch_from_codes(arrays, codes, "bitscore_batch")
             for got in shared[1:]:
                 assert np.array_equal(got, shared[0]), kernel
+
+
+#: Thresholds relative to a query's span: every position a hit (the hit
+#: buffers fill up), the lowest non-trivial cut, a middle cut, only perfect
+#: matches, and none at all.
+THRESHOLD_KINDS = ("zero", "one", "middle", "span", "past-span")
+
+
+def _threshold(kind, span):
+    return {
+        "zero": 0, "one": 1, "middle": span // 2, "span": span, "past-span": span + 1
+    }[kind]
+
+
+def _assert_hits_are_naive(arrays, codes, thresholds, start, stop, keep_scores):
+    """``hits_batch_from_codes`` == ``np.nonzero(naive >= t)`` over ``[lo, hi)``."""
+    for kernel in BATCH_KERNELS:
+        with batch_kernel(kernel):
+            got = hits_batch_from_codes(
+                arrays, codes, thresholds, "bitscore_batch",
+                start=start, stop=stop, keep_scores=keep_scores,
+            )
+        assert len(got) == len(arrays)
+        for array, threshold, (positions, hit_scores, scores) in zip(
+            arrays, thresholds, got
+        ):
+            naive = scores_from_codes(array, codes, "naive")
+            hi = max(0, min(stop, naive.size))
+            lo = min(start, hi)
+            kept = naive[lo:hi]
+            want = np.nonzero(kept >= threshold)[0]
+            where = (kernel, array.size, threshold, lo, hi)
+            assert positions.dtype == np.int64 and hit_scores.dtype == np.int32, where
+            assert np.array_equal(positions, want), where
+            assert np.array_equal(hit_scores, kept[want]), where
+            if threshold <= 0:
+                assert positions.size == hi - lo, where
+            if keep_scores:
+                assert scores.dtype == np.int32, where
+                assert np.array_equal(scores, kept), where
+            else:
+                assert scores is None, where
+
+
+class TestFusedThreshold:
+    """The thresholded scan keeps exactly the naive oracle's hits in its window.
+
+    Every example runs on each body of ``scores_batch`` in turn: the
+    compiled kernel thresholds inside its fold, the NumPy body scores and
+    thresholds in ``hits_batch_from_codes``.
+    """
+
+    @given(
+        batch=st.lists(proteins, min_size=1, max_size=4),
+        reference=st.text(
+            alphabet=sorted(alphabet.RNA_NUCLEOTIDES), min_size=1, max_size=1200
+        ),
+        kinds=st.lists(st.sampled_from(THRESHOLD_KINDS), min_size=4, max_size=4),
+        lookback=st.integers(min_value=0, max_value=2),
+        count=st.integers(min_value=0, max_value=1200),
+        keep_scores=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_windows_and_thresholds(
+        self, batch, reference, kinds, lookback, count, keep_scores
+    ):
+        arrays = [encode_query(p).as_array() for p in batch]
+        thresholds = [_threshold(k, a.size) for k, a in zip(kinds, arrays)]
+        _assert_hits_are_naive(
+            arrays, codes_from_text(reference), thresholds,
+            lookback, lookback + count, keep_scores,
+        )
+
+    @pytest.mark.parametrize("lookback", [0, 1, 2])
+    @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+    def test_ragged_window_clips_shorter_queries(self, rng, lookback, kind):
+        """A window sized for the longest query: shorter ones keep ``count``."""
+        proteins = [random_protein(aa, rng=rng) for aa in (120, 41, 10, 1)]
+        # No Ser: its back-translation can miss a pattern, and the "span"
+        # threshold needs one perfect hit to keep.
+        proteins[1] = "".join(rng.choice(list("ACDEFGHIKLMNPQRTVWY"), 41))
+        arrays = [encode_query(protein).as_array() for protein in proteins]
+        count = 700  # spans a 512-position tile edge
+        max_span = max(a.size for a in arrays)
+        codes = rng.integers(0, 4, lookback + count + max_span - 1).astype(np.uint8)
+        # Plant one query so the "span" threshold has hits to keep.
+        planted = encode_protein_as_rna(proteins[1], rng=rng).letters
+        codes[lookback + 600 : lookback + 600 + len(planted)] = codes_from_text(planted)
+        assert scores_from_codes(arrays[1], codes, "naive")[lookback + 600] == arrays[1].size
+        thresholds = [_threshold(kind, a.size) for a in arrays]
+        for keep_scores in (False, True):
+            _assert_hits_are_naive(
+                arrays, codes, thresholds, lookback, lookback + count, keep_scores
+            )
 
 
 class TestConcurrentBatches:

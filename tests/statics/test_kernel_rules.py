@@ -377,3 +377,59 @@ class TestProveKernels:
             f["rule"] == "KC004"
             for f in verdict["injected_overflow"]["findings"]
         )
+
+
+class TestStackedContracts:
+    """A function registered under two engine names is checked as both."""
+
+    SOURCE = """\
+        import numpy as np
+
+        from repro.core.contracts import engine_contract
+
+
+        @engine_contract("kc-stacked-wide")
+        @engine_contract("kc-stacked-narrow", accumulator="int8")
+        def scores(instructions, ref_codes):
+            return np.zeros(ref_codes.size, dtype=np.int32)
+        """
+
+    def _write(self, tmp_path):
+        package = tmp_path / "stacked"
+        package.mkdir()
+        path = package / "kc_stacked_fixture.py"
+        path.write_text(textwrap.dedent(self.SOURCE))
+        return package, path
+
+    def test_check_strict_flags_the_second_declaration(self, tmp_path, capsys):
+        from repro.cli import main
+
+        package, _ = self._write(tmp_path)
+        assert main(["check", "--strict", "--root", str(package)]) == 1
+        out = capsys.readouterr().out
+        flagged = [line for line in out.splitlines() if "KC005" in line]
+        assert flagged and all("kc-stacked-narrow" in line for line in flagged)
+        assert "kc-stacked-wide" not in out
+
+    def test_prove_kernel_refutes_the_second_dtype_flow(self, tmp_path, monkeypatch):
+        import importlib.util
+        import sys
+
+        from repro.core.contracts import ENGINE_CONTRACTS
+
+        _, path = self._write(tmp_path)
+        # Registered for this test only: undo removes every key added here.
+        for engine in ("kc-stacked-wide", "kc-stacked-narrow"):
+            monkeypatch.setitem(ENGINE_CONTRACTS, engine, None)
+        spec = importlib.util.spec_from_file_location("kc_stacked_fixture", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "kc_stacked_fixture", module)
+        spec.loader.exec_module(module)
+
+        payload = prove_kernels()
+        narrow = payload["dtype_flow"]["kc-stacked-narrow"]
+        wide = payload["dtype_flow"]["kc-stacked-wide"]
+        assert narrow["analyzed"] and not narrow["clean"]
+        assert any(e["kind"] == "return-dtype" for e in narrow["events"])
+        assert wide["analyzed"] and wide["clean"]
+        assert payload["dtype_flow_clean"] is False and payload["ok"] is False
