@@ -142,14 +142,20 @@ class EncodedQuery:
     """A back-translated, encoded protein query ready for alignment.
 
     ``instructions`` holds one 6-bit value per back-translated nucleotide
-    position (three per residue), in query order.  This is exactly the bit
-    stream the paper stores in the FPGA's distributed memory.
+    position (three per residue), in query order, one byte each.  This is
+    exactly the bit stream the paper stores in the FPGA's distributed
+    memory.  The constructor takes any iterable of ints and stores it as
+    ``bytes``.
     """
 
     protein: ProteinSequence
-    instructions: Tuple[int, ...]
+    instructions: bytes
 
     def __post_init__(self) -> None:
+        if not isinstance(self.instructions, bytes):
+            # map(int, ...) so that a NumPy array of any dtype is read by
+            # value, not through its buffer.
+            object.__setattr__(self, "instructions", bytes(map(int, self.instructions)))
         if len(self.instructions) != 3 * len(self.protein):
             raise EncodingError(
                 f"query of {len(self.protein)} residues must encode to "
@@ -165,8 +171,8 @@ class EncodedQuery:
         return len(self.protein)
 
     def as_array(self) -> np.ndarray:
-        """Instructions as a uint8 numpy array (for the vectorized aligner)."""
-        return np.asarray(self.instructions, dtype=np.uint8)
+        """Instructions as a read-only uint8 view (for the vectorized aligner)."""
+        return np.frombuffer(self.instructions, dtype=np.uint8)
 
     def storage_bits(self) -> int:
         """Bits of FPGA distributed memory the encoded query occupies."""
@@ -183,17 +189,27 @@ def encode_pattern(pattern: bt.CodonPattern) -> Tuple[int, int, int]:
     return (encode_element(first), encode_element(second), encode_element(third))
 
 
+#: Each residue's three instructions, from its paper-mode codon pattern.
+_RESIDUE_INSTRUCTIONS = {
+    residue: bytes(encode_pattern(pattern))
+    for residue, pattern in bt.BACK_TRANSLATION_TABLE.items()
+}
+
+
 def encode_query(protein: Union[ProteinSequence, str]) -> EncodedQuery:
     """Back-translate and encode a protein query (paper mode).
 
     This is the host-side preprocessing step of the paper's pipeline: the
     result is what gets DMA-ed into the FPGA's flip-flop-based query memory.
+    Each residue is one lookup of its instruction triple, which
+    :func:`encode_pattern` derived from ``BACK_TRANSLATION_TABLE``.
     """
     sequence = as_protein(protein)
-    instructions: List[int] = []
-    for pattern in bt.back_translate(sequence):
-        instructions.extend(encode_pattern(pattern))
-    return EncodedQuery(sequence, tuple(instructions))
+    try:
+        instructions = b"".join(map(_RESIDUE_INSTRUCTIONS.__getitem__, sequence.letters))
+    except KeyError as exc:
+        raise KeyError(f"no back-translation pattern for residue {exc}") from None
+    return EncodedQuery(sequence, instructions)
 
 
 def encode_patterns(patterns: Iterable[bt.CodonPattern]) -> Tuple[int, ...]:

@@ -30,6 +30,16 @@
  * lo/64 + roundup((hi + 63)/64 - lo/64, TILE_WORDS) + (elements - 1)/64 + 1
  * words for each query it folds, so no tile reads past the end of a plane.
  * TILE_WORDS is set on the compiler command line.
+ *
+ * Counter depth.  An n-element query's counts lie in [0, n], so
+ * max(3, n.bit_length()) counter planes hold every count: ones, twos and
+ * fours from the Harley-Seal block, then one plane per further bit.  The
+ * fold body is instantiated once for each depth 3-10 (n < 1024, which
+ * covers every query up to the 750-element budget), so those counter
+ * planes live in registers and the carry ripple unrolls; one instance
+ * with a run-time depth serves n >= 1024.  The element loop is unrolled
+ * by 64 so that every funnel shift of a full 64-element stretch has a
+ * constant count; the 8-row and 1-row tails take run-time shifts.
  */
 #include <stdint.h>
 #include <string.h>
@@ -42,6 +52,13 @@
 #endif
 
 #define T TILE_WORDS
+
+/* Counter planes: ones, twos and fours at least, at most one per bit of
+ * an int32 count (see the header for the depths with their own fold). */
+#define MIN_LEVELS 3
+#define MAX_LEVELS 32
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 /* Full adder over 64 lanes: a + b + c = l + 2h.  l is written last, so it
  * may alias a. */
@@ -78,10 +95,13 @@ static inline void pack_codes(const uint8_t *codes, int64_t count,
 
 /* Build planes a tile at a time.  The context bits of T words of positions
  * are bit-sliced into six words each (s0, s1: code; s2, s3: the code one
- * position back; s4, s5: two back), the 64 minterms of those six bits are
- * formed once, and each plane ORs the minterms its truth mask selects.
- * Bits past the reference end are left as they fall: no alignment
- * position reads them. */
+ * position back; s4, s5: two back).  Minterm v of those six bits is
+ * low[v & 7] & high[v >> 3], the product of a minterm of s0-s2 and one of
+ * s3-s5, and each plane ORs the minterms its truth mask selects.  The 64
+ * minterms partition the positions, so a mask selecting more than 32 is
+ * built as the complement of the OR of the ones it leaves out: no plane
+ * ORs more than 32 terms.  Bits past the reference end are left as they
+ * fall: no alignment position reads them. */
 void fabp_build_planes(const uint8_t *codes, int64_t num_codes,
                        const uint64_t *masks, int64_t num_masks,
                        uint64_t *planes, int64_t plane_words)
@@ -105,18 +125,24 @@ void fabp_build_planes(const uint8_t *codes, int64_t num_codes,
             prev_lo = lo;
             prev_hi = hi;
         }
-        tile_t s[6], minterm[64];
+        tile_t s[6], low[8], high[8];
         memcpy(s, sliced, sizeof s);
-        for (int v = 0; v < 64; v++) {
-            tile_t term = ~(tile_t){0};
-            for (int k = 0; k < 6; k++)
-                term &= (v >> k) & 1 ? s[k] : ~s[k];
-            minterm[v] = term;
+        for (int v = 0; v < 8; v++) {
+            low[v] = (v & 1 ? s[0] : ~s[0]) & (v & 2 ? s[1] : ~s[1])
+                   & (v & 4 ? s[2] : ~s[2]);
+            high[v] = (v & 1 ? s[3] : ~s[3]) & (v & 2 ? s[4] : ~s[4])
+                    & (v & 4 ? s[5] : ~s[5]);
         }
         for (int64_t j = 0; j < num_masks; j++) {
+            int complement = __builtin_popcountll(masks[j]) > 32;
             tile_t word = {0};
-            for (int v = 0; v < 64; v++)
-                word |= minterm[v] & ((tile_t){0} - ((masks[j] >> v) & 1));
+            for (uint64_t pick = complement ? ~masks[j] : masks[j]; pick != 0;
+                 pick &= pick - 1) {
+                int v = __builtin_ctzll(pick);
+                word |= low[v & 7] & high[v >> 3];
+            }
+            if (complement)
+                word = ~word;
             uint64_t out[T];
             memcpy(out, &word, sizeof out);
             for (int t = 0; t < T && w0 + t < plane_words; t++)
@@ -126,7 +152,7 @@ void fabp_build_planes(const uint8_t *codes, int64_t num_codes,
 }
 
 /* T words of `plane` starting at bit 64*word + shift (a funnel shift). */
-static inline tile_t load_row(const uint64_t *plane, int64_t word, unsigned shift)
+ALWAYS_INLINE tile_t load_row(const uint64_t *plane, int64_t word, unsigned shift)
 {
     tile_t lo, hi;
     memcpy(&lo, plane + word, sizeof lo);
@@ -134,14 +160,33 @@ static inline tile_t load_row(const uint64_t *plane, int64_t word, unsigned shif
     return (lo >> shift) | ((hi << 1) << (63 - shift));
 }
 
-/* Add `carry` at weight 8 into the counter planes above `fours`. */
-static inline void ripple(tile_t *high, int levels, tile_t carry)
+/* Add `carry` at weight 2**from into the counter planes. */
+ALWAYS_INLINE void ripple(tile_t *level, int from, int levels, tile_t carry)
 {
-    for (int l = 0; l < levels; l++) {
-        tile_t next = high[l] & carry;
-        high[l] ^= carry;
+    for (int l = from; l < levels; l++) {
+        tile_t next = level[l] & carry;
+        level[l] ^= carry;
         carry = next;
     }
+}
+
+/* Fold the rows of elements[0..8) into the counter planes: element k's
+ * plane is read from word `word`, shifted by shift + k <= 63 bits. */
+ALWAYS_INLINE void fold8(tile_t *level, int levels, const uint64_t *planes,
+                         int64_t plane_words, const int32_t *elements,
+                         int64_t word, unsigned shift)
+{
+    tile_t r[8], carry, twos_a, twos_b, fours_a, fours_b;
+    for (int k = 0; k < 8; k++)
+        r[k] = load_row(planes + elements[k] * plane_words, word, shift + k);
+    CSA(twos_a, level[0], level[0], r[0], r[1]);
+    CSA(twos_b, level[0], level[0], r[2], r[3]);
+    CSA(fours_a, level[1], level[1], twos_a, twos_b);
+    CSA(twos_a, level[0], level[0], r[4], r[5]);
+    CSA(twos_b, level[0], level[0], r[6], r[7]);
+    CSA(fours_b, level[1], level[1], twos_a, twos_b);
+    CSA(carry, level[2], level[2], fours_a, fours_b);
+    ripple(level, MIN_LEVELS, levels, carry);
 }
 
 /* Sixteen int32 lanes; lane j of a decode step is position 16g + j. */
@@ -177,85 +222,117 @@ static inline tile_t at_least(const tile_t *level, int levels, int64_t threshold
     return greater | equal;
 }
 
+/* Compare one folded tile (words w0.. of positions) with the threshold and
+ * write its hits and, when asked, its scores; returns the new hit count. */
+static inline int64_t emit_tile(const tile_t *level, int levels, int64_t w0,
+                                int64_t lo, int64_t hi, int64_t threshold,
+                                int want_hits, int64_t found,
+                                int64_t *hit_positions, int32_t *hit_scores,
+                                int32_t *scores)
+{
+    tile_t pass = {0};
+    if (want_hits)
+        pass = threshold <= 0 ? ~(tile_t){0} : at_least(level, levels, threshold);
+    for (int t = 0; t < T && 64 * (w0 + t) < hi; t++) {
+        int64_t base = 64 * (w0 + t);
+        uint64_t hit = pass[t];
+        if (base < lo)
+            hit &= ~0ULL << (lo - base);
+        if (hi - base < 64)
+            hit &= (1ULL << (hi - base)) - 1;
+        for (int g = 0; g < 4; g++) {
+            uint32_t lanes = (uint32_t)(hit >> 16 * g) & 0xFFFF;
+            if (lanes == 0 && scores == NULL)
+                continue;
+            int32_t count[16];
+            lanes_t decoded = decode_group(level, levels, t, g);
+            memcpy(count, &decoded, sizeof count);
+            int64_t first = base + 16 * g;
+            if (scores != NULL) {
+                int64_t from = first < lo ? lo : first;
+                int64_t to = first + 16 < hi ? first + 16 : hi;
+                if (to > from)
+                    memcpy(scores + (from - lo), count + (from - first),
+                           sizeof(int32_t) * (size_t)(to - from));
+            }
+            for (; lanes != 0; lanes &= lanes - 1) {
+                int j = __builtin_ctz(lanes);
+                hit_positions[found] = first + j - lo;
+                hit_scores[found] = count[j];
+                found++;
+            }
+        }
+    }
+    return found;
+}
+
+/* The fold at one counter depth.  Inlined with a constant `levels`, the
+ * counter planes are scalars the compiler keeps in registers. */
+ALWAYS_INLINE int64_t fold_at_depth(const int levels, const uint64_t *planes,
+                                    int64_t plane_words,
+                                    const int32_t *element_planes,
+                                    int64_t num_elements, int64_t lo, int64_t hi,
+                                    int64_t threshold, int want_hits,
+                                    int64_t *hit_positions, int32_t *hit_scores,
+                                    int32_t *scores)
+{
+    int64_t found = 0;
+    for (int64_t w0 = lo / 64; w0 < (hi + 63) / 64; w0 += T) {
+        tile_t level[MAX_LEVELS];
+        for (int l = 0; l < levels; l++)
+            level[l] = (tile_t){0};
+        int64_t i = 0;
+        for (; i + 64 <= num_elements; i += 64) {
+            const int32_t *e = element_planes + i;
+            int64_t word = w0 + i / 64;
+            fold8(level, levels, planes, plane_words, e, word, 0);
+            fold8(level, levels, planes, plane_words, e + 8, word, 8);
+            fold8(level, levels, planes, plane_words, e + 16, word, 16);
+            fold8(level, levels, planes, plane_words, e + 24, word, 24);
+            fold8(level, levels, planes, plane_words, e + 32, word, 32);
+            fold8(level, levels, planes, plane_words, e + 40, word, 40);
+            fold8(level, levels, planes, plane_words, e + 48, word, 48);
+            fold8(level, levels, planes, plane_words, e + 56, word, 56);
+        }
+        for (; i + 8 <= num_elements; i += 8)
+            fold8(level, levels, planes, plane_words, element_planes + i,
+                  w0 + i / 64, (unsigned)(i % 64));
+        for (; i < num_elements; i++)
+            ripple(level, 0, levels,
+                   load_row(planes + element_planes[i] * plane_words,
+                            w0 + i / 64, (unsigned)(i % 64)));
+        found = emit_tile(level, levels, w0, lo, hi, threshold, want_hits,
+                          found, hit_positions, hit_scores, scores);
+    }
+    return found;
+}
+
 int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
                   const int32_t *element_planes, int64_t num_elements,
                   int64_t lo, int64_t hi, int64_t threshold,
                   int64_t *hit_positions, int32_t *hit_scores, int32_t *scores)
 {
-    int levels = 3; /* ones, twos, fours, then one plane per further bit */
-    while (levels < 32 && (1LL << levels) <= num_elements)
+    int levels = MIN_LEVELS;
+    while (levels < MAX_LEVELS && (1LL << levels) <= num_elements)
         levels++;
     /* A count never exceeds num_elements < 2**levels. */
     int want_hits = hit_positions != NULL && threshold <= num_elements;
     if ((!want_hits && scores == NULL) || hi <= lo)
         return 0;
-    int64_t found = 0;
-    for (int64_t w0 = lo / 64; w0 < (hi + 63) / 64; w0 += T) {
-        tile_t ones = {0}, twos = {0}, fours = {0}, carry;
-        tile_t level[32];
-        tile_t *high = level + 3;
-        for (int l = 3; l < levels; l++)
-            level[l] = (tile_t){0};
-        int64_t i = 0;
-        for (; i + 8 <= num_elements; i += 8) {
-            tile_t r[8], twos_a, twos_b, fours_a, fours_b;
-            for (int k = 0; k < 8; k++)
-                r[k] = load_row(planes + element_planes[i + k] * plane_words,
-                                w0 + (i + k) / 64, (unsigned)((i + k) % 64));
-            CSA(twos_a, ones, ones, r[0], r[1]);
-            CSA(twos_b, ones, ones, r[2], r[3]);
-            CSA(fours_a, twos, twos, twos_a, twos_b);
-            CSA(twos_a, ones, ones, r[4], r[5]);
-            CSA(twos_b, ones, ones, r[6], r[7]);
-            CSA(fours_b, twos, twos, twos_a, twos_b);
-            CSA(carry, fours, fours, fours_a, fours_b);
-            ripple(high, levels - 3, carry);
-        }
-        for (; i < num_elements; i++) {
-            tile_t c = load_row(planes + element_planes[i] * plane_words,
-                                w0 + i / 64, (unsigned)(i % 64));
-            tile_t next;
-            next = ones & c; ones ^= c; c = next;
-            next = twos & c; twos ^= c; c = next;
-            carry = fours & c; fours ^= c;
-            ripple(high, levels - 3, carry);
-        }
-        level[0] = ones;
-        level[1] = twos;
-        level[2] = fours;
-        tile_t pass = {0};
-        if (want_hits)
-            pass = threshold <= 0 ? ~(tile_t){0} : at_least(level, levels, threshold);
-        for (int t = 0; t < T && 64 * (w0 + t) < hi; t++) {
-            int64_t base = 64 * (w0 + t);
-            uint64_t hit = pass[t];
-            if (base < lo)
-                hit &= ~0ULL << (lo - base);
-            if (hi - base < 64)
-                hit &= (1ULL << (hi - base)) - 1;
-            for (int g = 0; g < 4; g++) {
-                uint32_t lanes = (uint32_t)(hit >> 16 * g) & 0xFFFF;
-                if (lanes == 0 && scores == NULL)
-                    continue;
-                int32_t count[16];
-                lanes_t decoded = decode_group(level, levels, t, g);
-                memcpy(count, &decoded, sizeof count);
-                int64_t first = base + 16 * g;
-                if (scores != NULL) {
-                    int64_t from = first < lo ? lo : first;
-                    int64_t to = first + 16 < hi ? first + 16 : hi;
-                    if (to > from)
-                        memcpy(scores + (from - lo), count + (from - first),
-                               sizeof(int32_t) * (size_t)(to - from));
-                }
-                for (; lanes != 0; lanes &= lanes - 1) {
-                    int j = __builtin_ctz(lanes);
-                    hit_positions[found] = first + j - lo;
-                    hit_scores[found] = count[j];
-                    found++;
-                }
-            }
-        }
+#define FOLD(depth)                                                          \
+    fold_at_depth(depth, planes, plane_words, element_planes, num_elements, \
+                  lo, hi, threshold, want_hits, hit_positions, hit_scores,  \
+                  scores)
+    switch (levels) {
+    case 3: return FOLD(3);
+    case 4: return FOLD(4);
+    case 5: return FOLD(5);
+    case 6: return FOLD(6);
+    case 7: return FOLD(7);
+    case 8: return FOLD(8);
+    case 9: return FOLD(9);
+    case 10: return FOLD(10);
+    default: return FOLD(levels);
     }
-    return found;
+#undef FOLD
 }

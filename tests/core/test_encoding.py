@@ -131,6 +131,31 @@ class TestEncodedQuery:
         with pytest.raises(enc.EncodingError):
             enc.EncodedQuery(ProteinSequence("MF"), (0, 0, 0))
 
+    def test_instructions_are_stored_as_bytes(self):
+        from repro.seq.sequence import ProteinSequence
+
+        encoded = enc.encode_query("MFW")
+        for given in (tuple(encoded.instructions), encoded.as_array().astype(np.int64)):
+            rebuilt = enc.EncodedQuery(ProteinSequence("MFW"), given)
+            assert isinstance(rebuilt.instructions, bytes)
+            assert rebuilt == encoded
+        assert len(encoded.instructions) == 9
+        view = encoded.as_array()
+        assert not view.flags.writeable
+        assert view.tobytes() == encoded.instructions
+
+    @pytest.mark.parametrize("residue", sorted(bt.BACK_TRANSLATION_TABLE))
+    def test_every_residue_encodes_to_its_pattern(self, residue):
+        encoded = enc.encode_query(residue)
+        assert tuple(encoded.instructions) == enc.encode_pattern(bt.back_translate(residue)[0])
+
+    def test_residue_without_a_pattern_raises_key_error(self):
+        from repro.seq.sequence import ProteinSequence
+
+        # The alphabet check rejects 'Z'; an unchecked sequence reaches the table.
+        with pytest.raises(KeyError, match="no back-translation pattern for residue 'Z'"):
+            enc.encode_query(ProteinSequence._unchecked("MZK"))
+
     def test_paper_met_encoding(self):
         # Met = AUG: three Type I instructions.
         encoded = enc.encode_query("M")

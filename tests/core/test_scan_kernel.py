@@ -4,8 +4,10 @@
 and its NumPy body otherwise.  The edge cases here sit where the C code
 could go wrong: word and tile edges (a tile is 8 words, 512 positions),
 references shorter than the look-back window, dependent-only queries,
-ragged batches that size the shared planes, and counters wider than the
-750-element budget.
+ragged batches that size the shared planes, counters wider than the
+750-element budget, the fold's 8-row block and 64-element unroll, the
+change from fixed-depth fold instances to the run-time-depth one at 1,024
+elements, and the plane build's direct and complemented minterm sums.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from repro.core import bitscore, native
 from repro.core.aligner import scores_batch_from_codes, scores_from_codes
-from repro.core.encoding import encode_query
+from repro.core.encoding import encode_query, pad_instruction
 from repro.seq.generate import random_protein
 from repro.seq.packing import codes_from_text
 from repro.workloads.builder import encode_protein_as_rna
@@ -25,6 +27,24 @@ requires_native = pytest.mark.skipif(
 
 def _naive(instructions, codes):
     return scores_from_codes(instructions, codes, "naive")
+
+
+def _naive_prefix_scores(instructions, codes):
+    """``naive`` scores of every prefix ``instructions[:n]``, ``n >= 1``.
+
+    Row ``v`` of ``matches`` is the ``naive`` score of the one-element query
+    ``[v]``: instruction ``v``'s comparator output at each position.  The
+    score of element count ``n`` at position ``p`` is the sum of element
+    ``i``'s output at ``p + i`` over ``i < n``, accumulated one element at a
+    time, so each count costs one vector add instead of a ``naive`` run.
+    """
+    matches = np.stack([_naive(np.array([v], dtype=np.uint8), codes) for v in range(64)])
+    total = np.zeros(codes.size, dtype=np.int32)
+    prefix = {}
+    for n, instruction in enumerate(instructions, start=1):
+        total[: codes.size - n + 1] += matches[instruction, n - 1 :]
+        prefix[n] = total[: codes.size - n + 1].copy()
+    return prefix
 
 
 def _assert_batch_is_naive(batch, codes):
@@ -125,6 +145,81 @@ class TestNativeKernel:
         monkeypatch.setattr(bitscore, "_NATIVE", None)
         for got, want in zip(native_scores, bitscore.scores_batch(batch, codes)):
             assert np.array_equal(got, want)
+
+
+@requires_native
+class TestFoldBoundaries:
+    """Fused hits and kept scores against ``naive`` at every fold boundary.
+
+    Counts 1-130 cross the 8-row block and the 64-element unroll twice;
+    511-513 cross counter depth 9 -> 10, and 1,023-1,025 cross 10 -> 11,
+    where the last two counts run the run-time-depth fold.  Positions span
+    several 512-position tiles, and one batch member keeps a slice whose
+    ends are not word-aligned.
+    """
+
+    INSTRUCTIONS = np.random.default_rng(25).integers(0, 64, 1025).astype(np.uint8)
+    CODES = np.random.default_rng(26).integers(0, 4, 1025 + 599).astype(np.uint8)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return _naive_prefix_scores(self.INSTRUCTIONS, self.CODES)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [range(1, 131), range(511, 514), range(1023, 1026)],
+        ids=["1-130", "511-513", "1023-1025"],
+    )
+    def test_hits_and_kept_scores_match_naive(self, oracle, counts):
+        for n in counts:
+            want = oracle[n]
+            positions = want.size
+            # Five thresholds over every position (span n: a perfect match;
+            # n + 1: none), then threshold 1 over a slice off word edges.
+            thresholds = [0, 1, int(np.median(want)), n, n + 1, 1]
+            bounds = [(0, positions)] * 5 + [(37, positions - 70)]
+            results = bitscore.hits_batch(
+                [self.INSTRUCTIONS[:n]] * len(thresholds), self.CODES,
+                thresholds, bounds, keep_scores=True,
+            )
+            for threshold, (lo, hi), (hits, hit_scores, kept) in zip(
+                thresholds, bounds, results
+            ):
+                window = want[lo:hi]
+                (expected,) = np.nonzero(window >= threshold)
+                assert np.array_equal(hits, expected), (n, threshold, lo)
+                assert np.array_equal(hit_scores, window[expected]), (n, threshold)
+                assert np.array_equal(kept, window), (n, lo, hi)
+
+
+@requires_native
+def test_plane_build_direct_and_complemented_minterm_sums(rng):
+    """Masks selecting 0, 1, 32, 33, 63 and 64 of the 64 contexts.
+
+    Up to 32 selected minterms are ORed directly; past 32 the plane is the
+    complement of the OR of the unselected ones.  The last mask is the
+    all-match ``D`` instruction's.
+    """
+    selections = [0, 1, 32, 33, 63, 64]
+    masks = [sum(1 << int(v) for v in rng.permutation(64)[:count]) for count in selections]
+    d_mask = int(bitscore._CONTEXT_MASKS[pad_instruction()])
+    assert d_mask == (1 << 64) - 1
+    masks = np.array(masks + [d_mask], dtype=np.uint64)
+    codes = rng.integers(0, 4, 1300).astype(np.uint8)
+    plane_words = -(-codes.size // bitscore.WORD_BITS)
+    planes = np.empty((masks.size, plane_words), dtype=np.uint64)
+    bitscore._NATIVE.fabp_build_planes(
+        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
+        planes.ctypes.data, plane_words,
+    )
+    # Look-back before the reference start reads as A (code 0).
+    padded = np.concatenate([np.zeros(2, dtype=np.uint8), codes]).astype(np.int64)
+    contexts = (padded[2:] | padded[1:-1] << 2 | padded[:-2] << 4).astype(np.uint64)
+    want = (masks[:, None] >> contexts) & np.uint64(1)
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little", count=codes.size)
+    for count, mask, got, expected in zip(selections + [64], masks, bits, want):
+        assert bin(int(mask)).count("1") == count
+        assert np.array_equal(got, expected), count
 
 
 @requires_native

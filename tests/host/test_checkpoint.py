@@ -56,6 +56,20 @@ class TestFingerprint:
         other = PackedDatabase.from_references(refs)
         assert fingerprint(other) != base
 
+    def test_pinned_digest(self):
+        """A change to how queries are stored must not move the digest:
+        existing checkpoint directories stay resumable."""
+        database = PackedDatabase.from_references(
+            [(np.arange(n) * 7 % 4).astype(np.uint8) for n in (200, 300)]
+        )
+        _passes, tasks = plan_batch(
+            database.lengths, [encode_query("MKVLAWRS*")], [20], 1,
+            chunk_size=1, engine="bitscore_batch", keep_scores=False,
+        )
+        assert scan_fingerprint(database, tasks, "bitscore_batch", False) == (
+            "bdeabd7ffce90aa11e8cadd7f7d836584848e068903bb65c47f6ee12e4e24959"
+        )
+
 
 class TestChunkFiles:
     def test_save_load_round_trip(self, tmp_path):

@@ -75,6 +75,13 @@ def test_query_fingerprint_tracks_instructions():
     assert len(a1) == 64  # sha256 hex
 
 
+def test_query_fingerprint_is_pinned():
+    """Cache keys must not move with how a query's instructions are stored."""
+    assert query_fingerprint(encode_query("MKVLAWRS*")) == (
+        "8096d658a7e76fec38893d6f7fb94658a3a81229b003b9055331084826e67241"
+    )
+
+
 def _packed(texts, names=None):
     return PackedDatabase.from_references(texts, names)
 
