@@ -26,7 +26,7 @@ module on randomized inputs, so every representation agrees.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,6 +54,38 @@ QueryLike = Union[EncodedQuery, ProteinSequence, str]
 ReferenceLike = Union[str, DnaSequence, RnaSequence, np.ndarray]
 
 
+def _slotted(cls: type) -> type:
+    """Frozen dataclass ``cls`` rebuilt with ``__slots__`` and no ``__dict__``.
+
+    What ``dataclass(frozen=True, slots=True)`` does from Python 3.10,
+    written out for 3.9: the class is recreated with one slot per field
+    (the field defaults already live in the generated ``__init__``).
+    Pickling and copying set the slots through ``object.__setattr__``, as
+    the frozen ``__setattr__`` refuses.  Equality, hashing and ``str()``
+    are the dataclass's own.  Scans build one result per query and
+    reference and one hit per passing position, and callers keep them.
+    """
+    names = tuple(f.name for f in fields(cls))
+    body = {
+        key: value
+        for key, value in cls.__dict__.items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    body["__slots__"] = names
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    body["__getstate__"] = __getstate__
+    body["__setstate__"] = __setstate__
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+@_slotted
 @dataclass(frozen=True)
 class Hit:
     """One alignment position whose score cleared the threshold."""
@@ -65,6 +97,7 @@ class Hit:
         return f"pos={self.position} score={self.score}"
 
 
+@_slotted
 @dataclass(frozen=True)
 class AlignmentResult:
     """Result of aligning one encoded query against one reference."""
@@ -280,6 +313,7 @@ def hits_batch_from_codes(
     start: int = 0,
     stop: Optional[int] = None,
     keep_scores: bool = False,
+    prepared: Optional[bitscore.PreparedBatch] = None,
 ) -> List[bitscore.QueryHits]:
     """Score a batch of queries over one reference and keep what passes.
 
@@ -291,8 +325,11 @@ def hits_batch_from_codes(
     score slice.  On the bitscore engines the compiled kernel thresholds
     inside its fold and writes no per-position score unless asked; the
     NumPy body and every other engine score here and keep the positions
-    ``np.nonzero`` finds.  With observability enabled each call records
-    its engine, wall time and positions kept (not hits).
+    ``np.nonzero`` finds.  ``prepared`` is
+    :func:`repro.core.bitscore.prepare_batch` of the batch, for callers
+    that fold the same queries over many references.  With observability
+    enabled each call records its engine, wall time and positions kept
+    (not hits).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -311,9 +348,13 @@ def hits_batch_from_codes(
         hi = max(0, hi)
         bounds.append((min(start, hi), hi))
     if not _obs_state.enabled():
-        return _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+        return _threshold_batch(
+            arrays, ref_codes, thresholds, bounds, keep_scores, engine, prepared
+        )
     began = time.perf_counter()
-    hits = _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+    hits = _threshold_batch(
+        arrays, ref_codes, thresholds, bounds, keep_scores, engine, prepared
+    )
     _obs_profile.record_score_call(
         engine, time.perf_counter() - began, sum(hi - lo for lo, hi in bounds)
     )
@@ -327,10 +368,12 @@ def _threshold_batch(
     bounds: List[Tuple[int, int]],
     keep_scores: bool,
     engine: str,
+    prepared: Optional[bitscore.PreparedBatch],
 ) -> List[bitscore.QueryHits]:
     if engine in ("bitscore", "bitscore_batch"):
         fused = bitscore.hits_batch(
-            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores
+            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores,
+            prepared=prepared,
         )
         if fused is not None:
             return fused

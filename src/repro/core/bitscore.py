@@ -50,13 +50,15 @@ Every path is bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
 from __future__ import annotations
 
 import ctypes
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import comparator as cmp
 from repro.core import native
 from repro.core.contracts import MAX_QUERY_ELEMENTS, engine_contract, kernel_summary
+from repro.obs import profile as _obs_profile
+from repro.obs import state as _obs_state
 
 #: Bits per SWAR word (the software "beat" width).
 WORD_BITS = 64
@@ -537,6 +539,28 @@ def _native_planes(
     return planes
 
 
+class PreparedBatch(NamedTuple):
+    """A batch's distinct instruction bytes and each query's plane rows.
+
+    ``rows[q][i]`` is the index in ``distinct`` of query ``q``'s element
+    ``i`` (int32).  Every window of a scan pass folds the same queries, so
+    :func:`repro.host.scan_session.plan_batch` prepares them once per pass
+    and hands the result to :func:`hits_batch` for each window.
+    """
+
+    distinct: np.ndarray
+    rows: Tuple[np.ndarray, ...]
+
+
+def prepare_batch(instruction_batch: Sequence[np.ndarray]) -> PreparedBatch:
+    """The :class:`PreparedBatch` of ``instruction_batch`` (at least one query)."""
+    arrays = [np.asarray(a, dtype=np.uint8).ravel() for a in instruction_batch]
+    distinct, concat_rows = np.unique(np.concatenate(arrays), return_inverse=True)
+    element_rows = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
+    ends = np.cumsum([array.size for array in arrays])
+    return PreparedBatch(distinct, tuple(np.split(element_rows, ends[:-1])))
+
+
 def _native_fold(
     library: ctypes.CDLL,
     arrays: Sequence[np.ndarray],
@@ -544,30 +568,31 @@ def _native_fold(
     bounds: Sequence[Tuple[int, int]],
     thresholds: Optional[Sequence[int]],
     keep_scores: bool,
+    prepared: Optional[PreparedBatch] = None,
 ) -> List[QueryHits]:
     """Fold query ``q`` over alignment positions ``bounds[q]`` in the compiled kernel.
 
     With ``thresholds`` the kernel returns each query's hits; without, it
     returns none and ignores the threshold.  The score slice is written
-    only with ``keep_scores``.  An empty bound folds nothing.
+    only with ``keep_scores``.  An empty bound folds nothing.  With
+    observability enabled the call records how many of its element rows
+    the kernel folded and how many the threshold let it skip.
     """
-    distinct, concat_rows = np.unique(np.concatenate(arrays), return_inverse=True)
-    element_rows = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
+    distinct, element_rows = prepared or prepare_batch(arrays)
     # Query q's tiles cover words lo // 64 up to its last position's word,
     # rounded up to whole tiles, and element i reads i // 64 + 1 words past
     # a tile's start: the planes hold every word any fold reads.
     plane_words = 1
+    tiles = []
     for array, (lo, hi) in zip(arrays, bounds):
         first, last = lo // WORD_BITS, -(-hi // WORD_BITS)
-        tiles = -(-(last - first) // native.TILE_WORDS)
-        reach = first + tiles * native.TILE_WORDS + (array.size - 1) // WORD_BITS + 1
+        tiles.append(-(-(last - first) // native.TILE_WORDS))
+        reach = first + tiles[-1] * native.TILE_WORDS + (array.size - 1) // WORD_BITS + 1
         plane_words = max(plane_words, reach)
     planes = _native_planes(library, distinct, ref_codes, plane_words)
+    folded = np.zeros(1, dtype=np.int64) if _obs_state.enabled() else None
     results: List[QueryHits] = []
-    offset = 0
-    for q, array in enumerate(arrays):
-        rows = element_rows[offset : offset + array.size]
-        offset += array.size
+    for q, (array, rows) in enumerate(zip(arrays, element_rows)):
         lo, hi = bounds[q]
         room = hi - lo if thresholds is not None else 0
         positions = np.empty(room, dtype=np.int64)
@@ -579,10 +604,18 @@ def _native_fold(
             positions.ctypes.data if room else None,
             hit_scores.ctypes.data if room else None,
             None if scores is None else scores.ctypes.data,
+            None if folded is None else folded.ctypes.data,
         )
         if found < room:  # release the unused room
             positions, hit_scores = positions[:found].copy(), hit_scores[:found].copy()
         results.append((positions, hit_scores, scores))
+    if folded is not None:
+        nominal = sum(
+            count * array.size
+            for count, array, (lo, hi) in zip(tiles, arrays, bounds)
+            if hi > lo
+        )
+        _obs_profile.record_fold_rows(int(folded[0]), nominal)
     return results
 
 
@@ -593,6 +626,7 @@ def hits_batch(
     bounds: Sequence[Tuple[int, int]],
     *,
     keep_scores: bool = False,
+    prepared: Optional[PreparedBatch] = None,
 ) -> Optional[List[QueryHits]]:
     """Threshold ``k`` queries inside the compiled fold, in one sweep.
 
@@ -600,10 +634,13 @@ def hits_batch(
     (``0 <= lo <= hi <= L_r - L_q + 1``); its result lists the positions
     ``p`` whose score is at least ``thresholds[q]`` as ``p - lo``, their
     scores, and — with ``keep_scores`` — the scores of all of
-    ``[lo, hi)``.  No per-position score is written otherwise.  ``None``
-    when the compiled kernel cannot run here (it was not built, or a code
-    is outside ``0..3``): the caller scores with :func:`scores_batch` and
-    thresholds the scores itself
+    ``[lo, hi)``.  No per-position score is written otherwise, and the
+    fold abandons each 512-position tile once no position in it can still
+    reach the threshold.  ``prepared`` is
+    :func:`prepare_batch(instruction_batch) <prepare_batch>`, when the
+    caller already has it.  ``None`` when the compiled kernel cannot run
+    here (it was not built, or a code is outside ``0..3``): the caller
+    scores with :func:`scores_batch` and thresholds the scores itself
     (:func:`repro.core.aligner.hits_batch_from_codes`).
     """
     ref_codes = np.asarray(ref_codes, dtype=np.uint8)
@@ -625,7 +662,9 @@ def hits_batch(
             )
     if not arrays:
         return []
-    return _native_fold(library, arrays, ref_codes, bounds, thresholds, keep_scores)
+    return _native_fold(
+        library, arrays, ref_codes, bounds, thresholds, keep_scores, prepared
+    )
 
 
 @kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))

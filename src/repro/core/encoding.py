@@ -38,6 +38,7 @@ every consumer derives from this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -202,9 +203,28 @@ def encode_query(protein: Union[ProteinSequence, str]) -> EncodedQuery:
     This is the host-side preprocessing step of the paper's pipeline: the
     result is what gets DMA-ed into the FPGA's flip-flop-based query memory.
     Each residue is one lookup of its instruction triple, which
-    :func:`encode_pattern` derived from ``BACK_TRANSLATION_TABLE``.
+    :func:`encode_pattern` derived from ``BACK_TRANSLATION_TABLE``.  A
+    query given as text is encoded once per distinct text while it stays
+    among the :data:`ENCODE_CACHE_SIZE` most recent: a session asked for
+    the same query again shares one immutable :class:`EncodedQuery`.
     """
-    sequence = as_protein(protein)
+    if isinstance(protein, str):
+        return _encode_text(protein)
+    return _encode(as_protein(protein))
+
+
+#: Distinct query texts :func:`encode_query` keeps encoded.  Bounded, so a
+#: long-lived service asked for ever new queries holds at most this many
+#: (under 2 KB each at the 250-residue budget).
+ENCODE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=ENCODE_CACHE_SIZE)
+def _encode_text(text: str) -> EncodedQuery:
+    return _encode(ProteinSequence(text))
+
+
+def _encode(sequence: ProteinSequence) -> EncodedQuery:
     try:
         instructions = b"".join(map(_RESIDUE_INSTRUCTIONS.__getitem__, sequence.letters))
     except KeyError as exc:

@@ -107,7 +107,8 @@ def load() -> Optional[ctypes.CDLL]:
     library.fabp_build_planes.argtypes = [pointer, size, pointer, size, pointer, size]
     library.fabp_build_planes.restype = None
     library.fabp_fold.argtypes = [
-        pointer, size, pointer, size, size, size, size, pointer, pointer, pointer
+        pointer, size, pointer, size, size, size, size, pointer, pointer, pointer,
+        pointer,
     ]
     library.fabp_fold.restype = size
     return library

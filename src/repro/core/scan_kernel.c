@@ -40,6 +40,22 @@
  * with a run-time depth serves n >= 1024.  The element loop is unrolled
  * by 64 so that every funnel shift of a full 64-element stretch has a
  * constant count; the 8-row and 1-row tails take run-time shifts.
+ *
+ * Abandoning a tile.  A fold that writes hits and no scores, with a
+ * threshold t > 0, stops folding a tile once no position in it can pass.
+ * After i of the n elements, a position's count c only grows by the
+ * matches of the n - i elements left, at most one each, so its final
+ * count is at most c + (n - i).  If every count in the tile is below
+ * t - (n - i), every final count is below t: the tile has no hit, and it
+ * emits nothing.  A position that passes has c >= t - (n - i) at every i,
+ * so it is never dropped; t - (n - i) <= t <= n < 2**levels keeps the
+ * comparison exact (at_least), and it is made only while t - (n - i) > 0.
+ * The check runs after each 64-element stretch and after each 8-row block
+ * of the tail, where the counter planes are whole; counts of positions
+ * outside [lo, hi) take part too, which can only keep a tile longer.  The
+ * scores fold (scores != NULL) and threshold 0 fold every element.
+ * fabp_fold adds the element rows it folded, summed over tiles, to
+ * *rows_folded when that is not NULL.
  */
 #include <stdint.h>
 #include <string.h>
@@ -266,23 +282,41 @@ static inline int64_t emit_tile(const tile_t *level, int levels, int64_t w0,
     return found;
 }
 
+/* Whether no position of the tile can still reach `threshold` when the
+ * elements left to fold can add at most `remaining` to any count (see the
+ * header).  Needs threshold < 2**levels; never true while threshold -
+ * remaining <= 0, which keeps at_least inside its precondition. */
+ALWAYS_INLINE int out_of_reach(const tile_t *level, int levels,
+                               int64_t threshold, int64_t remaining)
+{
+    if (threshold - remaining <= 0)
+        return 0;
+    tile_t reach = at_least(level, levels, threshold - remaining);
+    uint64_t any = 0;
+    for (int t = 0; t < T; t++)
+        any |= reach[t];
+    return any == 0;
+}
+
 /* The fold at one counter depth.  Inlined with a constant `levels`, the
- * counter planes are scalars the compiler keeps in registers. */
+ * counter planes are scalars the compiler keeps in registers.  With
+ * `prune`, a tile the threshold rules out is abandoned (see the header). */
 ALWAYS_INLINE int64_t fold_at_depth(const int levels, const uint64_t *planes,
                                     int64_t plane_words,
                                     const int32_t *element_planes,
                                     int64_t num_elements, int64_t lo, int64_t hi,
-                                    int64_t threshold, int want_hits,
+                                    int64_t threshold, int want_hits, int prune,
                                     int64_t *hit_positions, int32_t *hit_scores,
-                                    int32_t *scores)
+                                    int32_t *scores, int64_t *rows_folded)
 {
-    int64_t found = 0;
+    int64_t found = 0, rows = 0;
     for (int64_t w0 = lo / 64; w0 < (hi + 63) / 64; w0 += T) {
         tile_t level[MAX_LEVELS];
         for (int l = 0; l < levels; l++)
             level[l] = (tile_t){0};
         int64_t i = 0;
-        for (; i + 64 <= num_elements; i += 64) {
+        int abandoned = 0;
+        for (; i + 64 <= num_elements && !abandoned; i += 64) {
             const int32_t *e = element_planes + i;
             int64_t word = w0 + i / 64;
             fold8(level, levels, planes, plane_words, e, word, 0);
@@ -293,24 +327,35 @@ ALWAYS_INLINE int64_t fold_at_depth(const int levels, const uint64_t *planes,
             fold8(level, levels, planes, plane_words, e + 40, word, 40);
             fold8(level, levels, planes, plane_words, e + 48, word, 48);
             fold8(level, levels, planes, plane_words, e + 56, word, 56);
+            abandoned = prune && out_of_reach(level, levels, threshold,
+                                              num_elements - i - 64);
         }
-        for (; i + 8 <= num_elements; i += 8)
+        for (; i + 8 <= num_elements && !abandoned; i += 8) {
             fold8(level, levels, planes, plane_words, element_planes + i,
                   w0 + i / 64, (unsigned)(i % 64));
-        for (; i < num_elements; i++)
-            ripple(level, 0, levels,
-                   load_row(planes + element_planes[i] * plane_words,
-                            w0 + i / 64, (unsigned)(i % 64)));
-        found = emit_tile(level, levels, w0, lo, hi, threshold, want_hits,
-                          found, hit_positions, hit_scores, scores);
+            abandoned = prune && out_of_reach(level, levels, threshold,
+                                              num_elements - i - 8);
+        }
+        if (!abandoned) {
+            for (; i < num_elements; i++)
+                ripple(level, 0, levels,
+                       load_row(planes + element_planes[i] * plane_words,
+                                w0 + i / 64, (unsigned)(i % 64)));
+            found = emit_tile(level, levels, w0, lo, hi, threshold, want_hits,
+                              found, hit_positions, hit_scores, scores);
+        }
+        rows += i;
     }
+    if (rows_folded != NULL)
+        *rows_folded += rows;
     return found;
 }
 
 int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
                   const int32_t *element_planes, int64_t num_elements,
                   int64_t lo, int64_t hi, int64_t threshold,
-                  int64_t *hit_positions, int32_t *hit_scores, int32_t *scores)
+                  int64_t *hit_positions, int32_t *hit_scores, int32_t *scores,
+                  int64_t *rows_folded)
 {
     int levels = MIN_LEVELS;
     while (levels < MAX_LEVELS && (1LL << levels) <= num_elements)
@@ -319,10 +364,12 @@ int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
     int want_hits = hit_positions != NULL && threshold <= num_elements;
     if ((!want_hits && scores == NULL) || hi <= lo)
         return 0;
+    /* Only a fold that writes no scores may leave a count unfinished. */
+    int prune = want_hits && scores == NULL && threshold > 0;
 #define FOLD(depth)                                                          \
     fold_at_depth(depth, planes, plane_words, element_planes, num_elements, \
-                  lo, hi, threshold, want_hits, hit_positions, hit_scores,  \
-                  scores)
+                  lo, hi, threshold, want_hits, prune, hit_positions,       \
+                  hit_scores, scores, rows_folded)
     switch (levels) {
     case 3: return FOLD(3);
     case 4: return FOLD(4);

@@ -43,7 +43,7 @@ co-resident query has at least those positions) and scored with the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -59,6 +59,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core import bitscore
 from repro.core.aligner import (
     AlignmentResult,
     QueryLike,
@@ -253,6 +254,8 @@ class WindowTask:
     keep_scores: bool
     #: The shard whose reference range holds these windows (0 unsharded).
     shard: int = 0
+    #: ``bitscore.prepare_batch(arrays)``, shared by every task of the pass.
+    prepared: Optional[bitscore.PreparedBatch] = field(default=None, compare=False)
 
     def run(self, database: PackedDatabase, attempt: int) -> SessionPayload:
         """Score every (window, query) cell; one sweep per window.
@@ -274,7 +277,7 @@ class WindowTask:
             hits = hits_batch_from_codes(
                 self.arrays, codes, self.thresholds, self.engine,
                 start=lookback, stop=lookback + stop - start,
-                keep_scores=self.keep_scores,
+                keep_scores=self.keep_scores, prepared=self.prepared,
             )
             for slot, (positions, hit_scores, scores) in enumerate(hits):
                 payload.append((slot, reference, start, positions, hit_scores, scores))
@@ -347,6 +350,8 @@ def plan_batch(
     )
     range_workers = max(1, -(-num_workers // max(1, len(ranges))))
     tasks: List[WindowTask] = []
+    # Every window of a pass folds the same queries: prepare them once.
+    prepared = [bitscore.prepare_batch(spec.arrays) for spec in passes]
     for shard, first, last in ranges:
         for spec in passes:
             for windows in _range_chunks(
@@ -356,6 +361,7 @@ def plan_batch(
                     WindowTask(
                         spec.pass_id, tuple(windows), spec.arrays,
                         spec.thresholds, engine, keep_scores, shard,
+                        prepared[spec.pass_id],
                     )
                 )
     return passes, tasks
@@ -461,6 +467,8 @@ class ScanSession:
             if isinstance(references, PackedDatabase)
             else PackedDatabase.from_references(references, names)
         )
+        # One int per reference, shared by every result this session builds.
+        self._lengths = self._database.lengths.tolist()
         self._engine = engine
         self._num_workers = resolve_workers(workers)
         self._closed = False
@@ -699,7 +707,7 @@ class ScanSession:
         ``live`` lists the references to report (default: all of them);
         a dead shard's references are left out.
         """
-        lengths = self._database.lengths.tolist()
+        lengths = self._lengths
         references = range(len(lengths)) if live is None else live
         per_slot: Dict[Tuple[int, int], List[_windows.WindowRecord]] = {}
         for task_id, payload in done.items():

@@ -38,7 +38,8 @@ from repro.seq import packing
 
 __all__ = [
     "LOOKBACK",
-    "MIN_WINDOW_POSITIONS",
+    "MIN_CHUNK_CELLS",
+    "min_chunk_positions",
     "OVERSUBSCRIPTION",
     "Window",
     "num_positions",
@@ -51,9 +52,12 @@ __all__ = [
 #: (``x_bit_rows`` resolves wildcard codes from the two previous bases).
 LOOKBACK = 2
 
-#: Floor on window size: below this the per-call numpy overhead and the
-#: ``span - 1`` halo re-scored at every seam outweigh the balance win.
-MIN_WINDOW_POSITIONS = 1 << 15
+#: Floor on a chunk's work, in alignment cells (positions x query span).
+#: Each window and each task costs a fixed amount of Python and thread
+#: hand-off around its kernel calls; below this floor that cost and the
+#: ``span - 1`` halo re-scored at every seam outweigh the balance win, so
+#: a small scan is cut into fewer, larger chunks than there are workers.
+MIN_CHUNK_CELLS = 1 << 25
 
 #: Target chunks per worker.  More than one chunk per worker lets the
 #: workers rebalance when windows finish at different speeds.
@@ -78,6 +82,15 @@ def num_positions(length: int, span: int) -> int:
     return max(0, int(length) - int(span) + 1)
 
 
+def min_chunk_positions(span: int) -> int:
+    """Fewest positions a chunk of a ``span``-element query is planned with.
+
+    :data:`MIN_CHUNK_CELLS` of work, and never less than ``4 * (span - 1)``
+    so the per-seam halo stays a small fraction of it.
+    """
+    return max(-(-MIN_CHUNK_CELLS // max(1, span)), 4 * (span - 1))
+
+
 def plan_windows(
     lengths: Sequence[int],
     span: int,
@@ -89,21 +102,22 @@ def plan_windows(
 
     Returns a list of chunks; each chunk is a list of :class:`Window`
     covering roughly ``total_positions / (num_workers * OVERSUBSCRIPTION)``
-    positions (never less than :data:`MIN_WINDOW_POSITIONS`, and never
-    less than ``4 * (span - 1)`` so the per-seam halo stays a small
-    fraction of the work).  References with zero positions (shorter than
-    the query) yield no windows — the driver synthesizes their empty
-    results.  Windows within a chunk and chunks themselves are emitted in
-    (reference, start) order, so the merge is deterministic.
+    positions, never less than :func:`min_chunk_positions`.  A tail shorter
+    than a quarter of that floor joins the window before it.  References
+    with zero positions (shorter than the query) yield no windows — the
+    merge synthesizes their empty results.  Windows within a chunk and
+    chunks themselves are emitted in (reference, start) order, so the
+    merge is deterministic.
     """
     if span < 1:
         raise ValueError("span must be >= 1")
     total = sum(num_positions(length, span) for length in lengths)
     if total <= 0:
         return []
+    floor = min_chunk_positions(span)
     if target_positions is None:
         per_chunk = -(-total // max(1, num_workers * OVERSUBSCRIPTION))
-        target_positions = max(MIN_WINDOW_POSITIONS, 4 * (span - 1), per_chunk)
+        target_positions = max(floor, per_chunk)
     target = max(1, int(target_positions))
 
     chunks: List[List[Window]] = []
@@ -115,7 +129,7 @@ def plan_windows(
         while remaining > 0:
             take = min(remaining, room)
             # Absorb a sliver tail rather than leave a tiny trailing window.
-            if 0 < remaining - take < max(1, MIN_WINDOW_POSITIONS // 4) <= room:
+            if 0 < remaining - take < max(1, floor // 4) <= room:
                 take = remaining
             current.append(Window(reference, start, start + take))
             start += take

@@ -15,6 +15,7 @@ name                                    kind       labels
 ``fabp_score_calls_total``              counter    ``engine``
 ``fabp_score_seconds``                  histogram  ``engine``
 ``fabp_score_positions_total``          counter    ``engine``
+``fabp_fold_rows_total``                counter    ``outcome``
 ``fabp_stage_seconds``                  histogram  ``stage``
 ``fabp_scan_references_total``          counter    —
 ``fabp_scan_hits_total``                counter    —
@@ -69,6 +70,7 @@ __all__ = [
     "StageTimer",
     "stage",
     "record_score_call",
+    "record_fold_rows",
     "record_scan_merge",
     "record_scan_attempt",
     "record_scan_report_counters",
@@ -102,6 +104,7 @@ HOOK_CATALOGUE = frozenset(
         "fabp_score_calls_total",
         "fabp_score_seconds",
         "fabp_score_positions_total",
+        "fabp_fold_rows_total",
         "fabp_stage_seconds",
         "fabp_scan_references_total",
         "fabp_scan_hits_total",
@@ -211,6 +214,25 @@ def record_score_call(engine: str, seconds: float, positions: int) -> None:
         "Alignment positions scored.",
         ("engine",),
     ).labels(engine=engine).inc(positions)
+
+
+def record_fold_rows(folded: int, nominal: int) -> None:
+    """One compiled fold call: element rows folded out of ``nominal``.
+
+    A row is one query element over one 512-position tile; a hits-only
+    fold skips the rows after the point where no position of the tile can
+    reach the threshold, so ``folded / nominal`` is the share of the
+    nominal cells the kernel really scored.
+    """
+    if not state.enabled():
+        return
+    family = REGISTRY.counter(
+        "fabp_fold_rows_total",
+        "Compiled-fold element rows (one element over one tile), by outcome.",
+        ("outcome",),
+    )
+    family.labels(outcome="folded").inc(folded)
+    family.labels(outcome="skipped").inc(nominal - folded)
 
 
 def record_scan_merge(references: int, hits: int) -> None:

@@ -132,6 +132,28 @@ class TestThreshold:
             resolve_threshold(encoded, min_identity=1.5)
 
 
+class TestResultObjects:
+    """Scans keep one result per query and reference: no per-instance dict."""
+
+    def test_slotted_results_behave_as_frozen_dataclasses(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        result = align("MKV", "AUGAAAGUU" * 3, threshold=6)
+        hit = result.hits[0]
+        for obj in (hit, result):
+            assert not hasattr(obj, "__dict__")
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            assert copy.copy(obj) == obj
+            assert dataclasses.is_dataclass(obj)
+        assert hash(hit) == hash(Hit(hit.position, hit.score))
+        assert str(hit) == f"pos={hit.position} score={hit.score}"
+        assert dataclasses.replace(hit, score=1) == Hit(hit.position, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.score = 0
+
+
 class TestAlign:
     def test_planted_hit_found(self, rng):
         query = random_protein(12, rng=rng)

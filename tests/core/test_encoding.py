@@ -131,6 +131,16 @@ class TestEncodedQuery:
         with pytest.raises(enc.EncodingError):
             enc.EncodedQuery(ProteinSequence("MF"), (0, 0, 0))
 
+    def test_repeated_text_shares_one_encoding(self):
+        from repro.seq.sequence import ProteinSequence
+
+        assert enc.encode_query("MKVLAW") is enc.encode_query("MKVLAW")
+        named = enc.encode_query(ProteinSequence("MKVLAW", name="q1"))
+        assert named.protein.name == "q1"
+        assert named == enc.encode_query("MKVLAW")
+        with pytest.raises(KeyError, match="no back-translation pattern"):
+            enc._encode(ProteinSequence._unchecked("MJ"))
+
     def test_instructions_are_stored_as_bytes(self):
         from repro.seq.sequence import ProteinSequence
 

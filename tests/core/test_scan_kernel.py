@@ -7,7 +7,8 @@ references shorter than the look-back window, dependent-only queries,
 ragged batches that size the shared planes, counters wider than the
 750-element budget, the fold's 8-row block and 64-element unroll, the
 change from fixed-depth fold instances to the run-time-depth one at 1,024
-elements, and the plane build's direct and complemented minterm sums.
+elements, the plane build's direct and complemented minterm sums, and the
+bound that lets a hits-only fold abandon a tile.
 """
 
 import numpy as np
@@ -190,6 +191,150 @@ class TestFoldBoundaries:
                 assert np.array_equal(hits, expected), (n, threshold, lo)
                 assert np.array_equal(hit_scores, window[expected]), (n, threshold)
                 assert np.array_equal(kept, window), (n, lo, hi)
+
+
+#: One instruction per code that matches exactly that nucleotide, whatever
+#: precedes it: a query of them matches the reference it was copied from.
+EXACT = np.array([0, 8, 4, 12], dtype=np.uint8)
+
+
+def _naive_by_element(instructions, codes):
+    """``naive`` scores summed from one-element ``naive`` runs, one per element."""
+    rows = {int(v): _naive(np.array([v], dtype=np.uint8), codes) for v in set(instructions)}
+    count = codes.size - instructions.size + 1
+    total = np.zeros(count, dtype=np.int32)
+    for i, v in enumerate(instructions.tolist()):
+        total += rows[v][i : i + count]
+    return total
+
+
+def _plant(codes, query, position, matches):
+    """Copy ``query``'s codes to ``position`` with ``matches[i]`` saying
+    whether element ``i`` matches there (a mismatch is the next code)."""
+    for i, (code, match) in enumerate(zip(query.tolist(), matches)):
+        codes[position + i] = code if match else (code + 1) % 4
+
+
+@pytest.fixture
+def fold_rows():
+    """``hits_batch`` with observability on; returns the call's results and
+    its folded and nominal element rows (one element over one tile)."""
+    from repro import obs
+    from repro.obs import REGISTRY
+
+    def run(*args, **kwargs):
+        obs.reset()
+        obs.enable()
+        try:
+            results = bitscore.hits_batch(*args, **kwargs)
+            (family,) = [f for f in REGISTRY.families() if f.name == "fabp_fold_rows_total"]
+            folded = family.labels(outcome="folded").value
+            return results, folded, folded + family.labels(outcome="skipped").value
+        finally:
+            obs.disable()
+            obs.reset()
+
+    return run
+
+
+@requires_native
+class TestAbandonedTiles:
+    """A hits-only fold stops a tile once the bound ``t - (n - i)`` rules it out.
+
+    The bound is checked after each 64-element stretch and each 8-row tail
+    block.  A planted position whose matches all sit in the last elements
+    has exactly ``t - (n - i)`` at every check, so a bound one element or
+    one stretch too strict drops its hit; a position one short of the bound
+    at the first check must not keep its tile, so a bound too loose folds
+    rows it should have skipped.
+    """
+
+    #: Counter depth 3 (n < 8: single rows only, never abandoned), 4-10,
+    #: and the run-time depth past 1,023.
+    COUNTS = [5, 8, 20, 40, 100, 200, 300, 750, 1030]
+
+    @staticmethod
+    def _case(n, seed, positions=6 * 512 - 3):
+        rng = np.random.default_rng(seed)
+        query = rng.integers(0, 4, n).astype(np.uint8)
+        codes = rng.integers(0, 4, positions + n - 1).astype(np.uint8)
+        return query, codes
+
+    @pytest.mark.parametrize(
+        "n, late", [(n, late) for n in COUNTS for late in (0, 1, 3, 30) if late < n]
+    )
+    def test_matches_in_the_last_elements_keep_their_tile(self, n, late):
+        """Threshold ``n - late``; the hit at 1,100 matches only its last
+        ``n - late`` elements, the one at 2,300 (tile 4) all but its first."""
+        query, codes = self._case(n, seed=n * 31 + late)
+        threshold = n - late
+        _plant(codes, query, 1100, [i >= late for i in range(n)])
+        _plant(codes, query, 2300, [i > 0 for i in range(n)])
+        instructions = EXACT[query]
+        want = _naive_by_element(instructions, codes)
+        assert want[1100] == threshold
+        ((positions, hit_scores, _),) = bitscore.hits_batch(
+            [instructions], codes, [threshold], [(0, want.size)]
+        )
+        (expected,) = np.nonzero(want >= threshold)
+        assert 1100 in expected.tolist()
+        assert np.array_equal(positions, expected)
+        assert np.array_equal(hit_scores, want[expected])
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_tiles_out_of_reach_stop_at_the_first_check(self, n, fold_rows):
+        """Threshold ``n`` (perfect matches only).  Tile 1 holds a position
+        matching the first ``c - 1`` of the ``c`` elements before the first
+        check and tile 4 a perfect match: every tile but tile 4 stops at the
+        first check, tile 4 folds all ``n`` rows."""
+        query, codes = self._case(n, seed=n)
+        check = 64 if n >= 64 else (8 if n >= 8 else n)
+        _plant(codes, query, 700, [i != check - 1 for i in range(n)])
+        _plant(codes, query, 2300, [True] * n)
+        instructions = EXACT[query]
+        want = _naive_by_element(instructions, codes)
+        assert want[700] == n - 1 and want[2300] == n
+        ((positions, hit_scores, _),), folded, nominal = fold_rows(
+            [instructions], codes, [n], [(0, want.size)]
+        )
+        (expected,) = np.nonzero(want >= n)
+        assert np.array_equal(positions, expected)
+        assert np.array_equal(hit_scores, want[expected])
+        tiles = -(-want.size // 512)
+        assert nominal == tiles * n
+        assert folded == (tiles - 1) * check + n
+
+    def test_kept_scores_and_threshold_zero_fold_everything(self, fold_rows):
+        query, codes = self._case(300, seed=3)
+        instructions = EXACT[query]
+        count = codes.size - query.size + 1
+        for threshold, keep in ((300, True), (0, False)):
+            _, folded, nominal = fold_rows(
+                [instructions], codes, [threshold], [(0, count)], keep_scores=keep
+            )
+            assert folded == nominal == 6 * 300
+
+    @pytest.mark.parametrize(
+        "bounds", [(0, 1), (37, 1900), (511, 513), (512, 1024), (1099, 1101), (1101, 3069)]
+    )
+    def test_ragged_bounds(self, bounds):
+        """Perfect matches at 511, 1,100 and 1,900, thresholds at and one
+        below the span; bounds that start and end inside words and tiles."""
+        n = 200
+        query, codes = self._case(n, seed=5)
+        for position in (511, 1100, 1900):
+            _plant(codes, query, position, [True] * n)
+        instructions = EXACT[query]
+        want = _naive_by_element(instructions, codes)
+        lo, hi = bounds
+        thresholds = [n, n - 1, n // 2]
+        results = bitscore.hits_batch(
+            [instructions] * 3, codes, thresholds, [bounds] * 3
+        )
+        for threshold, (positions, hit_scores, _) in zip(thresholds, results):
+            (expected,) = np.nonzero(want[lo:hi] >= threshold)
+            assert np.array_equal(positions, expected), (bounds, threshold)
+            assert np.array_equal(hit_scores, want[lo:hi][expected])
 
 
 @requires_native

@@ -20,6 +20,7 @@ from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
 from repro.host.scan_session import ScanSession, plan_batch
+from repro.host import windows
 from repro.host.shards import ShardedScanRuntime
 from repro.seq.generate import random_protein, random_rna
 
@@ -66,6 +67,15 @@ def assert_matches_oracle(results, expected_scores, threshold):
             (int(p), int(scores[p])) for p in np.nonzero(scores >= threshold)[0]
         ]
         assert [(hit.position, hit.score) for hit in result.hits] == wanted
+
+
+@pytest.fixture(autouse=True)
+def small_chunk_floor(monkeypatch):
+    """Plan these databases, small enough for a ``naive`` oracle, into
+    several tasks with seams inside a reference, as a large scan is
+    planned: a 1 M-cell floor is 43,691 positions of an 8-residue query
+    (the planner's own floor is 2**25 cells, about 1.4 M positions)."""
+    monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 20)
 
 
 @pytest.fixture(scope="module")

@@ -174,6 +174,19 @@ class TestPassPlanning:
             for spec in passes:
                 assert spec.max_span <= spec.min_span * MAX_PASS_SPAN_RATIO
 
+    def test_each_pass_prepares_its_queries_once(self, database):
+        encoded = [
+            encode_query(random_protein(n, rng=RNG)) for n in (200, 10, 190, 12)
+        ]
+        with ScanSession(database, workers=1) as session:
+            passes, tasks = session._plan(encoded, [10] * len(encoded), chunk_size=1)
+        assert len(passes) == 2 and len(tasks) == 2 * database.num_references
+        for spec in passes:
+            mine = [t.prepared for t in tasks if t.pass_id == spec.pass_id]
+            assert all(prepared is mine[0] for prepared in mine)
+            for array, rows in zip(spec.arrays, mine[0].rows):
+                assert np.array_equal(mine[0].distinct[rows], array)
+
     def test_pass_size_is_capped(self, database):
         encoded = [
             encode_query(random_protein(20, rng=RNG))

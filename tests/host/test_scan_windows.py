@@ -53,22 +53,43 @@ class TestPlanWindows:
     def test_sliver_tails_are_absorbed(self):
         # One reference slightly over the target must not leave a tiny
         # trailing window (the halo would dominate it).
+        floor = windows.min_chunk_positions(90)
         chunks = windows.plan_windows(
-            [windows.MIN_WINDOW_POSITIONS + 10 + 89], 90, 1,
-            target_positions=windows.MIN_WINDOW_POSITIONS,
+            [floor + 10 + 89], 90, 1, target_positions=floor
         )
         all_windows = [w for chunk in chunks for w in chunk]
         assert len(all_windows) == 1
 
     def test_balance_beats_reference_chunking(self):
-        # The motivating workload: one long reference among short ones.
-        lengths = [400_000, 10_000, 10_000, 10_000]
+        # The motivating workload: one long reference among short ones,
+        # with enough work (387 M cells) that splitting it pays.
+        lengths = [4_000_000, 100_000, 100_000, 100_000]
         chunks = windows.plan_windows(lengths, 90, 4)
         loads = sorted(
             sum(w.positions for w in chunk) for chunk in chunks
         )
         assert len(chunks) > len(lengths) - 1
         assert loads[-1] < windows.num_positions(lengths[0], 90)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_small_scans_keep_a_floor_of_work_per_chunk(self, workers):
+        """4 x 80 knt with a 150-element query is 48 M cells: two chunks at
+        any worker count, each but the last with MIN_CHUNK_CELLS of work."""
+        span = 150
+        chunks = windows.plan_windows([80_000] * 4, span, workers)
+        cells = [span * sum(w.positions for w in chunk) for chunk in chunks]
+        assert len(chunks) == 2
+        assert all(c >= windows.MIN_CHUNK_CELLS for c in cells[:-1])
+
+    def test_large_scans_plan_by_workers_not_the_floor(self):
+        """16 x 256 knt with a 750-element query: the floor (44,740
+        positions) is below a worker's share, so each of 2 workers gets
+        OVERSUBSCRIPTION chunks of whole references."""
+        assert windows.min_chunk_positions(750) == 44_740
+        chunks = windows.plan_windows([256_000] * 16, 750, 2)
+        assert len(chunks) == 2 * windows.OVERSUBSCRIPTION
+        assert all(len(chunk) == 2 for chunk in chunks)
+        assert all(w.start == 0 for chunk in chunks for w in chunk)
 
 
 class TestWindowedScanBitIdentity:

@@ -11,6 +11,7 @@ from repro.host.errors import ShardFailedError
 from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus
 from repro.host.scan import scan_database
+from repro.host import windows
 from repro.host.shards import ShardedScanRuntime, plan_shards
 from repro.obs.summary import normalize_report_dict
 from repro.seq.generate import random_protein, random_rna
@@ -234,10 +235,12 @@ class TestFaultRecovery:
 
 
 class TestCheckpointResume:
-    def test_respawn_replays_only_unfinished_chunks(self, rng, tmp_path):
+    def test_respawn_replays_only_unfinished_chunks(self, rng, tmp_path, monkeypatch):
         # 3 references x 20000 nt per shard = two tasks per shard (ids 0-1
-        # and 2-3).  Task 3 crashes once: only it is replayed, and every
+        # and 2-3) under a 1 M-cell floor (43,691 positions of a 24-element
+        # query).  Task 3 crashes once: only it is replayed, and every
         # task lands in the one checkpoint store, keyed by task id.
+        monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 20)
         references = make_references(rng, count=6, length=20000)
         query = random_protein(8, rng=rng)
         runtime = ShardedScanRuntime(

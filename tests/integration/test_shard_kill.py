@@ -44,8 +44,10 @@ def run_cli(args, timeout=180):
 
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
-    # 6 references x 20000 nt split into 2 shards: each shard holds 60000
-    # positions = two tasks, so the scan runs tasks 0-3 on two threads.
+    # 6 references x 300000 nt split into 2 shards: each shard holds about
+    # 900000 positions of a 60-element query, two tasks of at least the
+    # 2**25-cell floor (559,241 positions), so the scan runs tasks 0-3 on
+    # two threads.
     base = tmp_path_factory.mktemp("shard_kill")
     db = base / "db.fasta"
     queries = base / "q.fasta"
@@ -55,7 +57,7 @@ def workload(tmp_path_factory):
             "--queries", "1",
             "--length", "20",
             "--references", "6",
-            "--reference-length", "20000",
+            "--reference-length", "300000",
             "--seed", "11",
             "--out-db", str(db),
             "--out-queries", str(queries),

@@ -279,6 +279,78 @@ class TestFusedThreshold:
             )
 
 
+def _naive_by_element(instructions, codes):
+    """``naive`` scores summed from one-element ``naive`` runs, one per element."""
+    rows = {
+        v: scores_from_codes(np.array([v], dtype=np.uint8), codes, "naive")
+        for v in set(instructions.tolist())
+    }
+    count = codes.size - instructions.size + 1
+    total = np.zeros(count, dtype=np.int32)
+    for i, v in enumerate(instructions.tolist()):
+        total += rows[v][i : i + count]
+    return total
+
+
+@pytest.mark.skipif(bitscore._NATIVE is None, reason="the compiled kernel is not available")
+class TestAbandonedTiles:
+    """A hits-only fold abandons the tiles no position of which can pass;
+    its hits still equal ``naive`` at every threshold near the top scores.
+
+    Queries of 1-1,100 elements cover every counter depth, over up to six
+    512-position tiles.  Most elements
+    match one nucleotide exactly and a few are drawn from a small random
+    palette of instructions; up to three copies of the query, some with
+    mismatches, are planted in ``[lo, hi)`` so the top of its score
+    distribution is high and the tiles without a copy fall out of reach.
+    Thresholds sit at the 50, 90, 99 and 100 % quantiles of the scores in
+    ``[lo, hi)``, and one either side.
+    """
+
+    EXACT = np.array([0, 8, 4, 12], dtype=np.uint8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        plants=st.integers(0, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_quantile_thresholds_match_naive(self, seed, plants):
+        rng = np.random.default_rng(seed)
+        # As many draws at each counter depth (log-uniform), up to 6 tiles.
+        elements = int(2 ** rng.uniform(0, np.log2(1101)))
+        positions = int(rng.integers(1, 3001))
+        query = rng.integers(0, 4, elements).astype(np.uint8)
+        instructions = self.EXACT[query]
+        palette = rng.integers(0, 64, 3).astype(np.uint8)
+        mixed = rng.random(elements) < 0.1
+        instructions[mixed] = rng.choice(palette, int(mixed.sum()))
+        codes = rng.integers(0, 4, positions + elements - 1).astype(np.uint8)
+        lo, hi = sorted(int(bound) for bound in rng.integers(0, positions + 1, 2))
+        for _ in range(plants if hi > lo else 0):
+            at = int(rng.integers(lo, hi))
+            stretch = codes[at : at + elements]
+            stretch[:] = query
+            flips = rng.integers(0, elements, int(rng.integers(0, 4)))
+            stretch[flips] = (stretch[flips] + 1) % 4
+        want = _naive_by_element(instructions, codes)
+        window = want[lo:hi] if hi > lo else want
+        thresholds = [
+            max(0, int(np.quantile(window, q)) + step)
+            for q in (0.5, 0.9, 0.99, 1.0)
+            for step in (-1, 0, 1)
+        ]
+        results = bitscore.hits_batch(
+            [instructions] * len(thresholds), codes, thresholds,
+            [(lo, hi)] * len(thresholds),
+        )
+        for threshold, (got, got_scores, kept) in zip(thresholds, results):
+            (expected,) = np.nonzero(want[lo:hi] >= threshold)
+            where = (elements, positions, lo, hi, threshold)
+            assert np.array_equal(got, expected), where
+            assert np.array_equal(got_scores, want[lo:hi][expected]), where
+            assert kept is None
+
+
 class TestConcurrentBatches:
     """Scan worker threads call ``scores_batch`` at the same time."""
 
