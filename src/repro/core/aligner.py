@@ -313,7 +313,6 @@ def hits_batch_from_codes(
     start: int = 0,
     stop: Optional[int] = None,
     keep_scores: bool = False,
-    prepared: Optional[bitscore.PreparedBatch] = None,
 ) -> List[bitscore.QueryHits]:
     """Score a batch of queries over one reference and keep what passes.
 
@@ -325,11 +324,8 @@ def hits_batch_from_codes(
     score slice.  On the bitscore engines the compiled kernel thresholds
     inside its fold and writes no per-position score unless asked; the
     NumPy body and every other engine score here and keep the positions
-    ``np.nonzero`` finds.  ``prepared`` is
-    :func:`repro.core.bitscore.prepare_batch` of the batch, for callers
-    that fold the same queries over many references.  With observability
-    enabled each call records its engine, wall time and positions kept
-    (not hits).
+    ``np.nonzero`` finds.  With observability enabled each call records
+    its engine, wall time and positions kept (not hits).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -348,13 +344,9 @@ def hits_batch_from_codes(
         hi = max(0, hi)
         bounds.append((min(start, hi), hi))
     if not _obs_state.enabled():
-        return _threshold_batch(
-            arrays, ref_codes, thresholds, bounds, keep_scores, engine, prepared
-        )
+        return _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
     began = time.perf_counter()
-    hits = _threshold_batch(
-        arrays, ref_codes, thresholds, bounds, keep_scores, engine, prepared
-    )
+    hits = _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
     _obs_profile.record_score_call(
         engine, time.perf_counter() - began, sum(hi - lo for lo, hi in bounds)
     )
@@ -368,12 +360,10 @@ def _threshold_batch(
     bounds: List[Tuple[int, int]],
     keep_scores: bool,
     engine: str,
-    prepared: Optional[bitscore.PreparedBatch],
 ) -> List[bitscore.QueryHits]:
     if engine in ("bitscore", "bitscore_batch"):
         fused = bitscore.hits_batch(
-            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores,
-            prepared=prepared,
+            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores
         )
         if fused is not None:
             return fused

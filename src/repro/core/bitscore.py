@@ -36,7 +36,10 @@ The batched sweep :func:`scores_batch` runs this datapath compiled
 (``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever a C
 compiler was found, and its NumPy body everywhere else.  The ``bitscore``
 engine, :func:`scores`, is a batch of one through it: every caller, one
-query or many, scores on the same path.  Scans and ``align`` threshold
+query or many, scores on the same path.  The compiled path has one entry
+point, :func:`scan_windows`: a scan task hands it windows of the packed
+2-bit database image, and :func:`hits_batch` and :func:`scores_batch`
+pack their reference codes and hand it one window.  ``align`` thresholds
 through :func:`repro.core.aligner.hits_batch_from_codes`, which calls
 :func:`hits_batch` where the kernel was built and thresholds
 :func:`scores_batch` output itself elsewhere.  :func:`packed_scores` is
@@ -58,7 +61,7 @@ from repro.core import comparator as cmp
 from repro.core import native
 from repro.core.contracts import MAX_QUERY_ELEMENTS, engine_contract, kernel_summary
 from repro.obs import profile as _obs_profile
-from repro.obs import state as _obs_state
+from repro.seq import packing
 
 #: Bits per SWAR word (the software "beat" width).
 WORD_BITS = 64
@@ -474,15 +477,15 @@ def _numpy_batch(
 # --------------------------------------------------------------------------
 # Compiled batch kernel (repro/core/scan_kernel.c), built on first use.
 #
-# The same datapath as the NumPy body with the counters kept in registers:
-# one C pass turns the reference codes into the shared match bitplanes, and
-# one C call per query folds its rows tile by tile through a Harley-Seal
-# block into vertical counter planes, compares them with the threshold and
-# writes only the passing positions (and, when asked, every int32 score).
-# Resolved once at import; every call allocates its own planes and output
-# buffers, and ctypes releases the GIL for the call, so worker threads can
-# fold at once.  When no compiler is found or the build fails, ``_NATIVE``
-# is None and the NumPy body runs.
+# The same datapath as the NumPy body with the counters kept in registers,
+# one C call per scan task: ``fabp_scan_task`` reads the 2-bit database
+# image, builds each window's shared match bitplanes one L2-sized block of
+# positions at a time, folds every query of the batch over the block
+# through a Harley-Seal block into vertical counter planes, compares them
+# with the threshold and writes only the passing positions (and, when
+# asked, every int32 score).  ctypes releases the GIL for the call, so
+# worker threads fold at once.  When no compiler is found or the build
+# fails, ``_NATIVE`` is None and the NumPy body runs.
 # --------------------------------------------------------------------------
 
 _NATIVE: Optional[ctypes.CDLL] = native.load()
@@ -491,6 +494,11 @@ _NATIVE: Optional[ctypes.CDLL] = native.load()
 #: (int32), positions counted from the first kept position, plus the kept
 #: int32 score slice when one was asked for.
 QueryHits = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+#: Hit entries each query's row starts with in a task call: two tiles'
+#: worth.  A tile writes at most ``64 * TILE_WORDS`` hits; the kernel stops
+#: before a tile that might not fit, and the row grows and the call resumes.
+HIT_ROOM = 2 * WORD_BITS * native.TILE_WORDS
 
 
 def batch_kernel() -> str:
@@ -521,102 +529,131 @@ def _context_masks() -> np.ndarray:
 _CONTEXT_MASKS = _context_masks()
 
 
-def _native_planes(
-    library: ctypes.CDLL,
-    distinct: np.ndarray,
-    ref_codes: np.ndarray,
-    plane_words: int,
-) -> np.ndarray:
-    """``plane_words`` packed match words of each instruction byte in ``distinct``."""
-    # Bits 6-7 of an instruction byte select nothing, as in match_bytes.
-    masks = np.ascontiguousarray(_CONTEXT_MASKS[distinct & 63])
-    planes = np.empty((distinct.size, plane_words), dtype=_WORD_DTYPE)
-    codes = np.ascontiguousarray(ref_codes)
-    library.fabp_build_planes(
-        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
-        planes.ctypes.data, plane_words,
-    )
-    return planes
-
-
 class PreparedBatch(NamedTuple):
     """A batch's distinct instruction bytes and each query's plane rows.
 
     ``rows[q][i]`` is the index in ``distinct`` of query ``q``'s element
-    ``i`` (int32).  Every window of a scan pass folds the same queries, so
-    :func:`repro.host.scan_session.plan_batch` prepares them once per pass
-    and hands the result to :func:`hits_batch` for each window.
+    ``i`` (int32); ``masks`` holds each distinct byte's context truth mask,
+    ``elements`` every query's rows end to end and ``spans`` the queries'
+    element counts, as the kernel reads them.  Every window of a scan pass
+    folds the same queries, so :func:`repro.host.scan_session.plan_batch`
+    prepares them once per pass and hands the result to every task.
     """
 
     distinct: np.ndarray
     rows: Tuple[np.ndarray, ...]
+    masks: np.ndarray
+    elements: np.ndarray
+    spans: np.ndarray
 
 
 def prepare_batch(instruction_batch: Sequence[np.ndarray]) -> PreparedBatch:
     """The :class:`PreparedBatch` of ``instruction_batch`` (at least one query)."""
     arrays = [np.asarray(a, dtype=np.uint8).ravel() for a in instruction_batch]
     distinct, concat_rows = np.unique(np.concatenate(arrays), return_inverse=True)
-    element_rows = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
-    ends = np.cumsum([array.size for array in arrays])
-    return PreparedBatch(distinct, tuple(np.split(element_rows, ends[:-1])))
+    elements = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
+    spans = np.array([array.size for array in arrays], dtype=np.int64)
+    return PreparedBatch(
+        distinct,
+        tuple(np.split(elements, np.cumsum(spans)[:-1])),
+        # Bits 6-7 of an instruction byte select nothing, as in match_bytes.
+        np.ascontiguousarray(_CONTEXT_MASKS[distinct & 63]),
+        elements,
+        spans,
+    )
 
 
-def _native_fold(
-    library: ctypes.CDLL,
-    arrays: Sequence[np.ndarray],
-    ref_codes: np.ndarray,
-    bounds: Sequence[Tuple[int, int]],
+def scan_windows(
+    image: np.ndarray,
+    windows: Sequence[Tuple[int, int, int, int]],
+    prepared: PreparedBatch,
     thresholds: Optional[Sequence[int]],
     keep_scores: bool,
-    prepared: Optional[PreparedBatch] = None,
-) -> List[QueryHits]:
-    """Fold query ``q`` over alignment positions ``bounds[q]`` in the compiled kernel.
+) -> Tuple[List[QueryHits], int]:
+    """Score a batch over windows of a packed 2-bit image in one kernel call.
 
-    With ``thresholds`` the kernel returns each query's hits; without, it
-    returns none and ignores the threshold.  The score slice is written
-    only with ``keep_scores``.  An empty bound folds nothing.  With
-    observability enabled the call records how many of its element rows
-    the kernel folded and how many the threshold let it skip.
+    ``image`` is packed as :func:`repro.seq.packing.pack` packs it, one
+    reference after another from byte offsets; each window is ``(byte
+    offset, length, start, stop)``, and query ``q`` of span ``s`` is scored
+    at its alignment positions ``[start, min(stop, length - s + 1))``.
+    Returns one :class:`QueryHits` per (window, query), window-major, with
+    hit positions counted from ``start``, and the number of positions
+    scored.  Without ``thresholds`` no hits are written (the score slices
+    only, with ``keep_scores``).  The compiled kernel must be loaded.  Its
+    element rows folded and skipped go to observability, when enabled.
     """
-    distinct, element_rows = prepared or prepare_batch(arrays)
-    # Query q's tiles cover words lo // 64 up to its last position's word,
-    # rounded up to whole tiles, and element i reads i // 64 + 1 words past
-    # a tile's start: the planes hold every word any fold reads.
-    plane_words = 1
-    tiles = []
-    for array, (lo, hi) in zip(arrays, bounds):
-        first, last = lo // WORD_BITS, -(-hi // WORD_BITS)
-        tiles.append(-(-(last - first) // native.TILE_WORDS))
-        reach = first + tiles[-1] * native.TILE_WORDS + (array.size - 1) // WORD_BITS + 1
-        plane_words = max(plane_words, reach)
-    planes = _native_planes(library, distinct, ref_codes, plane_words)
-    folded = np.zeros(1, dtype=np.int64) if _obs_state.enabled() else None
-    results: List[QueryHits] = []
-    for q, (array, rows) in enumerate(zip(arrays, element_rows)):
-        lo, hi = bounds[q]
-        room = hi - lo if thresholds is not None else 0
-        positions = np.empty(room, dtype=np.int64)
-        hit_scores = np.empty(room, dtype=np.int32)
-        scores = np.empty(hi - lo, dtype=np.int32) if keep_scores else None
-        found = library.fabp_fold(
-            planes.ctypes.data, plane_words, rows.ctypes.data, array.size,
-            lo, hi, 0 if thresholds is None else int(thresholds[q]),
+    library = _NATIVE
+    if library is None:
+        raise RuntimeError("scan_windows needs the compiled kernel")
+    k = int(prepared.spans.size)
+    image = np.ascontiguousarray(image, dtype=np.uint8)
+    rows = np.ascontiguousarray(windows, dtype=np.int64).reshape(-1, 4)
+    num_windows = rows.shape[0]
+    # The kernel reads from each byte offset up to the reference's or the
+    # image's end, whichever comes first, and from each start onwards.
+    if num_windows and rows.min() < 0:
+        raise ValueError("scan windows need non-negative offsets, lengths and bounds")
+    if thresholds is None:
+        limits, room = prepared.spans + 1, 0
+    else:
+        limits, room = np.asarray(thresholds, dtype=np.int64), HIT_ROOM
+    counts = np.zeros(num_windows * k, dtype=np.int64)
+    state = np.zeros(7 + k, dtype=np.int64)
+    state[3] = -1
+    positions = np.empty((k, room), dtype=np.int64)
+    hit_scores = np.empty((k, room), dtype=np.int32)
+    scores: Optional[np.ndarray] = None
+    if keep_scores:
+        # Cell (j, q) keeps [start, min(stop, length - span + 1)).
+        stops = np.minimum(rows[:, 3:], rows[:, 1:2] - prepared.spans + 1)
+        sizes = np.maximum(0, stops - rows[:, 2:3]).ravel()
+        score_at = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        scores = np.empty(score_at[-1], dtype=np.int32)
+    while True:
+        status = library.fabp_scan_task(
+            image.ctypes.data, image.size, rows.ctypes.data, num_windows,
+            prepared.masks.ctypes.data, prepared.masks.size,
+            prepared.elements.ctypes.data, prepared.spans.ctypes.data,
+            limits.ctypes.data, k, counts.ctypes.data,
             positions.ctypes.data if room else None,
-            hit_scores.ctypes.data if room else None,
-            None if scores is None else scores.ctypes.data,
-            None if folded is None else folded.ctypes.data,
+            hit_scores.ctypes.data if room else None, room,
+            None if scores is None else scores.ctypes.data, state.ctypes.data,
         )
-        if found < room:  # release the unused room
-            positions, hit_scores = positions[:found].copy(), hit_scores[:found].copy()
-        results.append((positions, hit_scores, scores))
-    if folded is not None:
-        nominal = sum(
-            count * array.size
-            for count, array, (lo, hi) in zip(tiles, arrays, bounds)
-            if hi > lo
-        )
-        _obs_profile.record_fold_rows(int(folded[0]), nominal)
-    return results
+        if status == 0:
+            break
+        if status < 0:
+            raise MemoryError("scan kernel could not allocate its planes")
+        # A hit row is full: grow every row, keep what they hold, resume.
+        room *= 4
+        positions = _grown(positions, room)
+        hit_scores = _grown(hit_scores, room)
+    _obs_profile.record_fold_rows(int(state[4]), int(state[5]))
+    fills = state[7:].tolist()
+    kept = [
+        (positions[q, : fills[q]].copy(), hit_scores[q, : fills[q]].copy())
+        for q in range(k)
+    ]
+    # Row q holds query q's hits window after window: cell (j, q) is
+    # [hits_at[j][q], hits_at[j + 1][q]) of it.
+    hits_at = [[0] * k] + counts.reshape(num_windows, k).cumsum(axis=0).tolist()
+    cells: List[QueryHits] = []
+    for j in range(num_windows):
+        for q in range(k):
+            first, last = hits_at[j][q], hits_at[j + 1][q]
+            cell = j * k + q
+            cells.append((
+                kept[q][0][first:last],
+                kept[q][1][first:last],
+                None if scores is None else scores[score_at[cell] : score_at[cell + 1]],
+            ))
+    return cells, int(state[6])
+
+
+def _grown(rows: np.ndarray, room: int) -> np.ndarray:
+    """``rows`` widened to ``room`` columns, its columns kept."""
+    grown = np.empty((rows.shape[0], room), dtype=rows.dtype)
+    grown[:, : rows.shape[1]] = rows
+    return grown
 
 
 def hits_batch(
@@ -626,7 +663,6 @@ def hits_batch(
     bounds: Sequence[Tuple[int, int]],
     *,
     keep_scores: bool = False,
-    prepared: Optional[PreparedBatch] = None,
 ) -> Optional[List[QueryHits]]:
     """Threshold ``k`` queries inside the compiled fold, in one sweep.
 
@@ -636,35 +672,68 @@ def hits_batch(
     scores, and — with ``keep_scores`` — the scores of all of
     ``[lo, hi)``.  No per-position score is written otherwise, and the
     fold abandons each 512-position tile once no position in it can still
-    reach the threshold.  ``prepared`` is
-    :func:`prepare_batch(instruction_batch) <prepare_batch>`, when the
-    caller already has it.  ``None`` when the compiled kernel cannot run
-    here (it was not built, or a code is outside ``0..3``): the caller
-    scores with :func:`scores_batch` and thresholds the scores itself
+    reach the threshold.  The reference is packed to 2 bits and scored
+    through :func:`scan_windows`, one call per distinct bound (one call
+    when every query keeps the positions it has from a common start).
+    ``None`` when the compiled kernel cannot run here (it was not built,
+    or a code is outside ``0..3``): the caller scores with
+    :func:`scores_batch` and thresholds the scores itself
     (:func:`repro.core.aligner.hits_batch_from_codes`).
     """
     ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    library = _NATIVE
-    if library is None or (ref_codes.size and ref_codes.max() > 3):
+    if _NATIVE is None or (ref_codes.size and ref_codes.max() > 3):
         return None
     arrays = [
         np.asarray(instructions, dtype=np.uint8).ravel()
         for instructions in instruction_batch
     ]
+    length = ref_codes.size
     for array, (lo, hi) in zip(arrays, bounds):
-        # The planes are sized from the bounds: a negative lo would read
-        # before them, a hi past the last position would score past the
-        # reference.
-        if not 0 <= lo <= hi <= max(0, ref_codes.size - array.size + 1):
+        # A negative lo would score before the reference, a hi past the
+        # last position would score past it.
+        if not 0 <= lo <= hi <= max(0, length - array.size + 1):
             raise ValueError(
                 f"bounds [{lo}, {hi}) outside the {array.size}-element "
-                f"query's positions on {ref_codes.size} nt"
+                f"query's positions on {length} nt"
             )
     if not arrays:
         return []
-    return _native_fold(
-        library, arrays, ref_codes, bounds, thresholds, keep_scores, prepared
-    )
+    return _scan_codes(arrays, ref_codes, thresholds, bounds, keep_scores)
+
+
+def _scan_codes(
+    arrays: List[np.ndarray],
+    ref_codes: np.ndarray,
+    thresholds: Optional[Sequence[int]],
+    bounds: Sequence[Tuple[int, int]],
+    keep_scores: bool,
+) -> List[QueryHits]:
+    """:func:`hits_batch` over valid bounds (no hits without ``thresholds``)."""
+    length = ref_codes.size
+    results: List[Optional[QueryHits]] = [None] * len(arrays)
+    # A window (0, length, lo, stop) keeps [lo, min(stop, positions)): one
+    # window serves every query whose bound it reproduces.
+    groups: dict = {}
+    for q, (array, (lo, hi)) in enumerate(zip(arrays, bounds)):
+        if lo >= hi:
+            empty = np.zeros(0, dtype=np.int32)
+            results[q] = (
+                np.zeros(0, dtype=np.int64), empty, empty.copy() if keep_scores else None
+            )
+            continue
+        stop = hi if hi < length - array.size + 1 else length + 1
+        groups.setdefault((lo, stop), []).append(q)
+    image = packing.pack(ref_codes)
+    for (lo, stop), members in groups.items():
+        cells, _ = scan_windows(
+            image, [(0, length, lo, stop)],
+            prepare_batch([arrays[q] for q in members]),
+            None if thresholds is None else [thresholds[q] for q in members],
+            keep_scores,
+        )
+        for q, cell in zip(members, cells):
+            results[q] = cell
+    return results  # type: ignore[return-value]
 
 
 @kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
@@ -698,12 +767,11 @@ def scores_batch(
         else:
             active.append(q)
     if active:
-        library = _NATIVE
-        if library is not None and ref_codes.max() <= 3:
-            folded = _native_fold(
-                library, [arrays[q] for q in active], ref_codes,
+        if _NATIVE is not None and ref_codes.max() <= 3:
+            folded = _scan_codes(
+                [arrays[q] for q in active], ref_codes, None,
                 [(0, ref_codes.size - arrays[q].size + 1) for q in active],
-                None, keep_scores=True,
+                True,
             )
             for q, (_, _, scores) in zip(active, folded):
                 results[q] = scores

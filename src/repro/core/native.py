@@ -24,12 +24,22 @@ from pathlib import Path
 from typing import Optional
 
 #: Words of alignment positions one kernel tile holds in registers
-#: (512 positions).  Python sizes the plane buffers from it.
+#: (512 positions).  A tile writes at most this many words' hits, which
+#: bounds the hit room a fold needs.
 TILE_WORDS = 8
+
+#: Words of alignment positions per plane block of a scan task (32,768
+#: positions): the kernel builds one block's match planes from the image
+#: and folds every query of the task over them before building the next,
+#: so a pass's planes (about 4 KiB per distinct instruction) stay in L2.
+BLOCK_WORDS = 512
 
 SOURCE = Path(__file__).with_name("scan_kernel.c")
 
-FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", f"-DTILE_WORDS={TILE_WORDS}")
+FLAGS = (
+    "-O3", "-march=native", "-fPIC", "-shared",
+    f"-DTILE_WORDS={TILE_WORDS}", f"-DBLOCK_WORDS={BLOCK_WORDS}",
+)
 
 #: Longest a build may take before it counts as failed.
 BUILD_TIMEOUT_SECONDS = 120.0
@@ -104,11 +114,13 @@ def load() -> Optional[ctypes.CDLL]:
     except OSError:
         return None
     pointer, size = ctypes.c_void_p, ctypes.c_int64
-    library.fabp_build_planes.argtypes = [pointer, size, pointer, size, pointer, size]
-    library.fabp_build_planes.restype = None
-    library.fabp_fold.argtypes = [
-        pointer, size, pointer, size, size, size, size, pointer, pointer, pointer,
-        pointer,
+    library.fabp_build_planes.argtypes = [
+        pointer, size, size, pointer, size, pointer, size,
     ]
-    library.fabp_fold.restype = size
+    library.fabp_build_planes.restype = None
+    library.fabp_scan_task.argtypes = [
+        pointer, size, pointer, size, pointer, size, pointer, pointer, pointer,
+        size, pointer, pointer, pointer, size, pointer, pointer,
+    ]
+    library.fabp_scan_task.restype = size
     return library

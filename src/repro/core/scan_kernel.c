@@ -2,34 +2,56 @@
  *
  * The software form of FabP's datapath (one one-bit comparator per query
  * element feeding a carry-save Pop36 tree, then a threshold comparator),
- * with the counters kept in registers instead of streamed through memory:
+ * with the counters kept in registers instead of streamed through memory,
+ * fed straight from the 2-bit database image as the FPGA's comparators are
+ * fed straight from its DRAM beats:
  *
- *   fabp_build_planes  reference codes -> one packed match bitplane per
- *                      distinct instruction (bit p%64 of word p/64 is
- *                      position p).  Each instruction is a 64-bit truth
- *                      mask over the context code | prev1<<2 | prev2<<4;
- *                      look-back before the reference start reads as A.
- *   fabp_fold          one query over alignment positions [lo, hi): walks
- *                      TILE_WORDS-word tiles, funnel-shifts element i's
- *                      plane by i bits, folds 8 rows at a time through a
- *                      Harley-Seal CSA block into vertical counter planes,
- *                      then compares the counter planes with the threshold
- *                      bit-sliced, 64 positions per word.  Only a 16-lane
- *                      group with a lane at or above the threshold is
- *                      decoded to int32, and each passing position p is
- *                      appended as (p - lo, score) to the hit buffers; the
- *                      count of hits is returned.
+ *   fabp_scan_task     one supervised scan task: k queries over a list of
+ *                      windows of the packed image.  Each window is cut
+ *                      into blocks of BLOCK_WORDS words of alignment
+ *                      positions; a block's match planes are built from the
+ *                      image (small enough to stay in L2) and all k queries
+ *                      are folded over them before the next block is built.
+ *   fabp_build_planes  2-bit reference codes -> one packed match bitplane
+ *                      per distinct instruction (bit p%64 of word p/64 is
+ *                      position x0 + p).  Each instruction is a 64-bit
+ *                      truth mask over the context code | prev1<<2 |
+ *                      prev2<<4; look-back before the reference start reads
+ *                      as A.
  *
- * fabp_fold's outputs are optional and relative to lo: hit_positions and
- * hit_scores (both NULL, or both with room for hi - lo entries, which
- * bounds the hits) and scores (NULL, or room for hi - lo entries: the full
- * int32 score of every position in [lo, hi)).  With no hit buffers the
- * threshold is ignored; with no outputs at all nothing is folded.
+ * The fold walks TILE_WORDS-word tiles, funnel-shifts element i's plane by
+ * i bits, folds 8 rows at a time through a Harley-Seal CSA block into
+ * vertical counter planes, then compares the counter planes with the
+ * threshold bit-sliced, 64 positions per word.  Only a 16-lane group with a
+ * lane at or above the threshold is decoded to int32, and each passing
+ * position is appended with its score to the query's hit row.
  *
- * The caller sizes every plane to at least
- * lo/64 + roundup((hi + 63)/64 - lo/64, TILE_WORDS) + (elements - 1)/64 + 1
- * words for each query it folds, so no tile reads past the end of a plane.
- * TILE_WORDS is set on the compiler command line.
+ * The image.  Reference r's codes are packed four to a byte, code x in
+ * bits 2(x%4) of byte x/4 from its byte offset; a window row is (byte
+ * offset, length in nt, start, stop).  Query q of span s scores the window's
+ * alignment positions [start, min(stop, length - s + 1)).  A block's plane
+ * words start at a multiple of 64 nt, so each word is 16 whole bytes of
+ * the image: two loads and a bit de-interleave, with no unpacked code
+ * array.  Bytes past the reference (or the image) read as 0; no alignment
+ * position reads a code past its reference.
+ *
+ * The outputs.  counts[j*k + q] is the hit count of window j, query q.  The
+ * hits of query q go to row q of hit_positions / hit_scores (`room` entries
+ * a row), window after window, so a cell's hits are contiguous; positions
+ * count from the window's start.  scores (NULL, or room for every cell's
+ * positions, cell after cell in the same window-major, query-minor order)
+ * receives every int32 score.  With no hit rows, or a threshold above the
+ * span, a query writes no hits.
+ *
+ * Bounded hit room.  A tile writes at most 64 * TILE_WORDS hits, so a fold
+ * stops before a tile when its row has less room than that left, and the
+ * task returns 1 with its place in `state`; the caller grows the rows
+ * (keeping what they hold) and calls again with the same state, which
+ * resumes at that tile.  state[0..3] is (window, block, query, tile word;
+ * -1 when not resuming), state[4] and state[5] accumulate the element rows
+ * folded and the nominal rows (one element over one tile), state[6] the
+ * positions scored, and state[7 + q] the fill of hit row q.  A fresh call
+ * passes zeros with state[3] = -1 and zeroed counts.
  *
  * Counter depth.  An n-element query's counts lie in [0, n], so
  * max(3, n.bit_length()) counter planes hold every count: ones, twos and
@@ -52,19 +74,21 @@
  * comparison exact (at_least), and it is made only while t - (n - i) > 0.
  * The check runs after each 64-element stretch and after each 8-row block
  * of the tail, where the counter planes are whole; counts of positions
- * outside [lo, hi) take part too, which can only keep a tile longer.  The
+ * outside the cell take part too, which can only keep a tile longer.  The
  * scores fold (scores != NULL) and threshold 0 fold every element.
- * fabp_fold adds the element rows it folded, summed over tiles, to
- * *rows_folded when that is not NULL.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "the plane layout and code packing assume a little-endian host"
 #endif
-#ifndef TILE_WORDS
-#error "compile with -DTILE_WORDS=<words per tile>"
+#if !defined(TILE_WORDS) || !defined(BLOCK_WORDS)
+#error "compile with -DTILE_WORDS=<words per tile> -DBLOCK_WORDS=<words per block>"
+#endif
+#if BLOCK_WORDS % TILE_WORDS != 0
+#error "a block holds whole tiles"
 #endif
 
 #define T TILE_WORDS
@@ -88,50 +112,53 @@
 /* One tile of T words: a GCC/Clang vector, one AVX-512 register at T=8. */
 typedef uint64_t tile_t __attribute__((vector_size(8 * T)));
 
-/* Bit 0 and bit 1 of `count` <= 64 codes as two words (bit b is code b). */
-static inline void pack_codes(const uint8_t *codes, int64_t count,
-                              uint64_t *lo, uint64_t *hi)
+/* Bits 0, 2, ..., 62 of v as bits 0..31. */
+static inline uint64_t even_bits(uint64_t v)
 {
-    const uint64_t byte_lsb = 0x0101010101010101ULL;
-    const uint64_t gather = 0x0102040810204080ULL; /* byte g -> bit 56+g */
-    if (count == 64) {
-        for (int g = 0; g < 8; g++) {
-            uint64_t x;
-            memcpy(&x, codes + 8 * g, sizeof x);
-            *lo |= ((x & byte_lsb) * gather >> 56) << 8 * g;
-            *hi |= ((x >> 1 & byte_lsb) * gather >> 56) << 8 * g;
-        }
-        return;
-    }
-    for (int b = 0; b < count; b++) {
-        *lo |= (uint64_t)(codes[b] & 1) << b;
-        *hi |= (uint64_t)(codes[b] >> 1) << b;
-    }
+    v &= 0x5555555555555555ULL;
+    v = (v | v >> 1) & 0x3333333333333333ULL;
+    v = (v | v >> 2) & 0x0F0F0F0F0F0F0F0FULL;
+    v = (v | v >> 4) & 0x00FF00FF00FF00FFULL;
+    v = (v | v >> 8) & 0x0000FFFF0000FFFFULL;
+    return (v | v >> 16) & 0x00000000FFFFFFFFULL;
 }
 
-/* Build planes a tile at a time.  The context bits of T words of positions
- * are bit-sliced into six words each (s0, s1: code; s2, s3: the code one
- * position back; s4, s5: two back).  Minterm v of those six bits is
- * low[v & 7] & high[v >> 3], the product of a minterm of s0-s2 and one of
- * s3-s5, and each plane ORs the minterms its truth mask selects.  The 64
- * minterms partition the positions, so a mask selecting more than 32 is
- * built as the complement of the OR of the ones it leaves out: no plane
- * ORs more than 32 terms.  Bits past the reference end are left as they
- * fall: no alignment position reads them. */
-void fabp_build_planes(const uint8_t *codes, int64_t num_codes,
+/* Bit 0 and bit 1 of codes x..x+63 of a packed reference of `nbytes` bytes
+ * (x a multiple of 64, so 16 whole bytes), as two words: bit b is code
+ * x + b.  Bytes at or past nbytes read as 0. */
+static inline void load_codes(const uint8_t *ref, int64_t nbytes, int64_t x,
+                              uint64_t *lo, uint64_t *hi)
+{
+    uint64_t w[2] = {0, 0};
+    int64_t byte = x / 4;
+    if (byte + 16 <= nbytes)
+        memcpy(w, ref + byte, 16);
+    else if (byte < nbytes)
+        memcpy(w, ref + byte, (size_t)(nbytes - byte));
+    *lo = even_bits(w[0]) | even_bits(w[1]) << 32;
+    *hi = even_bits(w[0] >> 1) | even_bits(w[1] >> 1) << 32;
+}
+
+/* Build planes a tile at a time from codes x0.. of a packed reference.  The
+ * context bits of T words of positions are bit-sliced into six words each
+ * (s0, s1: code; s2, s3: the code one position back; s4, s5: two back).
+ * Minterm v of those six bits is low[v & 7] & high[v >> 3], the product of
+ * a minterm of s0-s2 and one of s3-s5, and each plane ORs the minterms its
+ * truth mask selects.  The 64 minterms partition the positions, so a mask
+ * selecting more than 32 is built as the complement of the OR of the ones
+ * it leaves out: no plane ORs more than 32 terms.  x0 is a multiple of 64. */
+void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
                        const uint64_t *masks, int64_t num_masks,
                        uint64_t *planes, int64_t plane_words)
 {
     uint64_t prev_lo = 0, prev_hi = 0;
+    if (x0 >= 64)
+        load_codes(ref, nbytes, x0 - 64, &prev_lo, &prev_hi);
     for (int64_t w0 = 0; w0 < plane_words; w0 += T) {
         uint64_t sliced[6][T];
         for (int t = 0; t < T; t++) {
-            int64_t base = 64 * (w0 + t);
-            int64_t count = num_codes - base;
-            count = count < 0 ? 0 : (count > 64 ? 64 : count);
-            uint64_t lo = 0, hi = 0;
-            if (count > 0)
-                pack_codes(codes + base, count, &lo, &hi);
+            uint64_t lo, hi;
+            load_codes(ref, nbytes, x0 + 64 * (w0 + t), &lo, &hi);
             sliced[0][t] = lo;
             sliced[1][t] = hi;
             sliced[2][t] = lo << 1 | prev_lo >> 63;
@@ -238,17 +265,32 @@ static inline tile_t at_least(const tile_t *level, int levels, int64_t threshold
     return greater | equal;
 }
 
+/* What one fold reads and writes: planes of one block, one query's element
+ * rows, its positions [lo, hi) in the block, and where its hits and scores
+ * go.  A hit at block position p is written as p + delta; scores[p - lo]
+ * receives the score of p. */
+struct fold_job {
+    const uint64_t *planes;
+    int64_t plane_words;
+    const int32_t *elements;
+    int64_t num_elements;
+    int64_t lo, hi, threshold, delta;
+    int want_hits, prune;
+    int64_t *hit_positions;
+    int32_t *hit_scores;
+    int32_t *scores;
+};
+
 /* Compare one folded tile (words w0.. of positions) with the threshold and
  * write its hits and, when asked, its scores; returns the new hit count. */
 static inline int64_t emit_tile(const tile_t *level, int levels, int64_t w0,
-                                int64_t lo, int64_t hi, int64_t threshold,
-                                int want_hits, int64_t found,
-                                int64_t *hit_positions, int32_t *hit_scores,
-                                int32_t *scores)
+                                const struct fold_job *job, int64_t found)
 {
+    int64_t lo = job->lo, hi = job->hi;
     tile_t pass = {0};
-    if (want_hits)
-        pass = threshold <= 0 ? ~(tile_t){0} : at_least(level, levels, threshold);
+    if (job->want_hits)
+        pass = job->threshold <= 0 ? ~(tile_t){0}
+                                   : at_least(level, levels, job->threshold);
     for (int t = 0; t < T && 64 * (w0 + t) < hi; t++) {
         int64_t base = 64 * (w0 + t);
         uint64_t hit = pass[t];
@@ -258,23 +300,23 @@ static inline int64_t emit_tile(const tile_t *level, int levels, int64_t w0,
             hit &= (1ULL << (hi - base)) - 1;
         for (int g = 0; g < 4; g++) {
             uint32_t lanes = (uint32_t)(hit >> 16 * g) & 0xFFFF;
-            if (lanes == 0 && scores == NULL)
+            if (lanes == 0 && job->scores == NULL)
                 continue;
             int32_t count[16];
             lanes_t decoded = decode_group(level, levels, t, g);
             memcpy(count, &decoded, sizeof count);
             int64_t first = base + 16 * g;
-            if (scores != NULL) {
+            if (job->scores != NULL) {
                 int64_t from = first < lo ? lo : first;
                 int64_t to = first + 16 < hi ? first + 16 : hi;
                 if (to > from)
-                    memcpy(scores + (from - lo), count + (from - first),
+                    memcpy(job->scores + (from - lo), count + (from - first),
                            sizeof(int32_t) * (size_t)(to - from));
             }
             for (; lanes != 0; lanes &= lanes - 1) {
                 int j = __builtin_ctz(lanes);
-                hit_positions[found] = first + j - lo;
-                hit_scores[found] = count[j];
+                job->hit_positions[found] = first + j + job->delta;
+                job->hit_scores[found] = count[j];
                 found++;
             }
         }
@@ -298,25 +340,33 @@ ALWAYS_INLINE int out_of_reach(const tile_t *level, int levels,
     return any == 0;
 }
 
-/* The fold at one counter depth.  Inlined with a constant `levels`, the
- * counter planes are scalars the compiler keeps in registers.  With
- * `prune`, a tile the threshold rules out is abandoned (see the header). */
-ALWAYS_INLINE int64_t fold_at_depth(const int levels, const uint64_t *planes,
-                                    int64_t plane_words,
-                                    const int32_t *element_planes,
-                                    int64_t num_elements, int64_t lo, int64_t hi,
-                                    int64_t threshold, int want_hits, int prune,
-                                    int64_t *hit_positions, int32_t *hit_scores,
-                                    int32_t *scores, int64_t *rows_folded)
+/* The fold at one counter depth, over the tiles from word `begin`.
+ * Inlined with a constant `levels`, the counter planes are scalars the
+ * compiler keeps in registers.  With `prune`, a tile the threshold rules
+ * out is abandoned (see the header).  A fold writing hits stops before a
+ * tile once fewer than a tile's positions of `room` are left, and sets
+ * *stopped to that tile's word (else -1).  Adds the element rows folded and
+ * the nominal rows to *rows. */
+ALWAYS_INLINE int64_t fold_at_depth(const int levels, const struct fold_job *job,
+                                    int64_t begin, int64_t room,
+                                    int64_t *stopped, int64_t rows[2])
 {
-    int64_t found = 0, rows = 0;
-    for (int64_t w0 = lo / 64; w0 < (hi + 63) / 64; w0 += T) {
+    const uint64_t *planes = job->planes;
+    const int64_t plane_words = job->plane_words, n = job->num_elements;
+    const int32_t *element_planes = job->elements;
+    int64_t found = 0;
+    *stopped = -1;
+    for (int64_t w0 = begin; w0 < (job->hi + 63) / 64; w0 += T) {
+        if (job->want_hits && room - found < 64 * T) {
+            *stopped = w0;
+            break;
+        }
         tile_t level[MAX_LEVELS];
         for (int l = 0; l < levels; l++)
             level[l] = (tile_t){0};
         int64_t i = 0;
         int abandoned = 0;
-        for (; i + 64 <= num_elements && !abandoned; i += 64) {
+        for (; i + 64 <= n && !abandoned; i += 64) {
             const int32_t *e = element_planes + i;
             int64_t word = w0 + i / 64;
             fold8(level, levels, planes, plane_words, e, word, 0);
@@ -327,49 +377,35 @@ ALWAYS_INLINE int64_t fold_at_depth(const int levels, const uint64_t *planes,
             fold8(level, levels, planes, plane_words, e + 40, word, 40);
             fold8(level, levels, planes, plane_words, e + 48, word, 48);
             fold8(level, levels, planes, plane_words, e + 56, word, 56);
-            abandoned = prune && out_of_reach(level, levels, threshold,
-                                              num_elements - i - 64);
+            abandoned = job->prune && out_of_reach(level, levels, job->threshold,
+                                                   n - i - 64);
         }
-        for (; i + 8 <= num_elements && !abandoned; i += 8) {
+        for (; i + 8 <= n && !abandoned; i += 8) {
             fold8(level, levels, planes, plane_words, element_planes + i,
                   w0 + i / 64, (unsigned)(i % 64));
-            abandoned = prune && out_of_reach(level, levels, threshold,
-                                              num_elements - i - 8);
+            abandoned = job->prune && out_of_reach(level, levels, job->threshold,
+                                                   n - i - 8);
         }
         if (!abandoned) {
-            for (; i < num_elements; i++)
+            for (; i < n; i++)
                 ripple(level, 0, levels,
                        load_row(planes + element_planes[i] * plane_words,
                                 w0 + i / 64, (unsigned)(i % 64)));
-            found = emit_tile(level, levels, w0, lo, hi, threshold, want_hits,
-                              found, hit_positions, hit_scores, scores);
+            found = emit_tile(level, levels, w0, job, found);
         }
-        rows += i;
+        rows[0] += i;
+        rows[1] += n;
     }
-    if (rows_folded != NULL)
-        *rows_folded += rows;
     return found;
 }
 
-int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
-                  const int32_t *element_planes, int64_t num_elements,
-                  int64_t lo, int64_t hi, int64_t threshold,
-                  int64_t *hit_positions, int32_t *hit_scores, int32_t *scores,
-                  int64_t *rows_folded)
+static int64_t fold(const struct fold_job *job, int64_t begin, int64_t room,
+                    int64_t *stopped, int64_t rows[2])
 {
     int levels = MIN_LEVELS;
-    while (levels < MAX_LEVELS && (1LL << levels) <= num_elements)
+    while (levels < MAX_LEVELS && (1LL << levels) <= job->num_elements)
         levels++;
-    /* A count never exceeds num_elements < 2**levels. */
-    int want_hits = hit_positions != NULL && threshold <= num_elements;
-    if ((!want_hits && scores == NULL) || hi <= lo)
-        return 0;
-    /* Only a fold that writes no scores may leave a count unfinished. */
-    int prune = want_hits && scores == NULL && threshold > 0;
-#define FOLD(depth)                                                          \
-    fold_at_depth(depth, planes, plane_words, element_planes, num_elements, \
-                  lo, hi, threshold, want_hits, prune, hit_positions,       \
-                  hit_scores, scores, rows_folded)
+#define FOLD(depth) fold_at_depth(depth, job, begin, room, stopped, rows)
     switch (levels) {
     case 3: return FOLD(3);
     case 4: return FOLD(4);
@@ -382,4 +418,116 @@ int64_t fabp_fold(const uint64_t *planes, int64_t plane_words,
     default: return FOLD(levels);
     }
 #undef FOLD
+}
+
+/* Last alignment position (exclusive) of a span-element query in a window. */
+static inline int64_t cell_stop(const int64_t *window, int64_t span)
+{
+    int64_t last = window[1] - span + 1;
+    return window[3] < last ? window[3] : last;
+}
+
+int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
+                       const int64_t *windows, int64_t num_windows,
+                       const uint64_t *masks, int64_t num_masks,
+                       const int32_t *elements, const int64_t *spans,
+                       const int64_t *thresholds, int64_t num_queries,
+                       int64_t *counts, int64_t *hit_positions,
+                       int32_t *hit_scores, int64_t room, int32_t *scores,
+                       int64_t *state)
+{
+    const int64_t block = 64 * (int64_t)BLOCK_WORDS;
+    int64_t max_span = 1;
+    for (int64_t q = 0; q < num_queries; q++)
+        max_span = spans[q] > max_span ? spans[q] : max_span;
+    /* A tile starting at the block's last tile reads (n - 1)/64 + 1 words
+     * past the block's end. */
+    const int64_t plane_words = BLOCK_WORDS + (max_span - 1) / 64 + 1;
+    const int64_t num_planes = num_masks > 0 ? num_masks : 1;
+    uint64_t *planes = malloc(sizeof(uint64_t) * (size_t)(plane_words * num_planes));
+    if (planes == NULL)
+        return -1;
+    int64_t *fills = state + 7;
+    /* Cell scores go after every earlier window's. */
+    int64_t score_base = 0;
+    for (int64_t j = 0; j < state[0]; j++)
+        for (int64_t q = 0; q < num_queries; q++) {
+            int64_t size = cell_stop(windows + 4 * j, spans[q]) - windows[4 * j + 2];
+            score_base += size > 0 ? size : 0;
+        }
+    for (int64_t j = state[0]; j < num_windows; j++) {
+        const int64_t *window = windows + 4 * j;
+        const int64_t start = window[2];
+        int64_t nbytes = (window[1] + 3) / 4;
+        if (nbytes > image_bytes - window[0])
+            nbytes = image_bytes - window[0];
+        int64_t top = start;
+        for (int64_t q = 0; q < num_queries; q++) {
+            int64_t stop = cell_stop(window, spans[q]);
+            top = stop > top ? stop : top;
+        }
+        const int64_t origin = start - start % 64;
+        for (int64_t b = state[1]; origin + b * block < top; b++) {
+            const int64_t x0 = origin + b * block;
+            fabp_build_planes(image + window[0], nbytes, x0, masks, num_masks,
+                              planes, plane_words);
+            int64_t cell_scores = score_base, offset = 0;
+            for (int64_t q = 0; q < num_queries; q++) {
+                const int64_t span = spans[q], stop = cell_stop(window, span);
+                const int64_t lo = (start > x0 ? start : x0) - x0;
+                const int64_t hi = (stop < x0 + block ? stop : x0 + block) - x0;
+                const int32_t *rows_q = elements + offset;
+                int32_t *cell = scores == NULL ? NULL : scores + cell_scores;
+                int64_t *fill = fills + q;
+                offset += span;
+                cell_scores += stop > start ? stop - start : 0;
+                if (q < state[2] || hi <= lo)
+                    continue;
+                int want_hits = hit_positions != NULL && thresholds[q] <= span;
+                struct fold_job job = {
+                    .planes = planes,
+                    .plane_words = plane_words,
+                    .elements = rows_q,
+                    .num_elements = span,
+                    .lo = lo,
+                    .hi = hi,
+                    .threshold = thresholds[q],
+                    .delta = x0 - start,
+                    .want_hits = want_hits,
+                    /* Only a fold that writes no scores may leave a count
+                     * unfinished. */
+                    .prune = want_hits && scores == NULL && thresholds[q] > 0,
+                    .hit_positions = want_hits ? hit_positions + q * room + *fill : NULL,
+                    .hit_scores = want_hits ? hit_scores + q * room + *fill : NULL,
+                    .scores = cell == NULL ? NULL : cell + (x0 + lo - start),
+                };
+                int64_t stopped;
+                int64_t found = fold(&job, state[3] >= 0 ? state[3] : lo / 64,
+                                     room - *fill, &stopped, state + 4);
+                state[3] = -1;
+                *fill += found;
+                counts[j * num_queries + q] += found;
+                if (stopped >= 0) {
+                    state[0] = j;
+                    state[1] = b;
+                    state[2] = q;
+                    state[3] = stopped;
+                    free(planes);
+                    return 1;
+                }
+            }
+            state[2] = 0;
+        }
+        state[1] = 0;
+        for (int64_t q = 0; q < num_queries; q++) {
+            int64_t size = cell_stop(window, spans[q]) - start;
+            if (size > 0) {
+                score_base += size;
+                state[6] += size;
+            }
+        }
+    }
+    state[0] = num_windows;
+    free(planes);
+    return 0;
 }

@@ -47,8 +47,12 @@ supervisor provides:
 An in-process loop with the same retry semantics serves ``workers <= 1``
 and the degraded completion.  Faults from a
 :class:`repro.host.faults.FaultPlan` enter through one hook,
-:func:`run_attempt`, in both modes.  When :meth:`Supervisor.run` returns
-or raises, every thread it started has been cancelled and joined.
+:func:`run_attempt`, in both modes.  The slot threads are a
+:class:`SlotThreads`, which a warm session keeps across its calls.  When
+:meth:`Supervisor.run` returns or raises, no attempt of it is running:
+every in-flight attempt has been cancelled, and every thread that served a
+lost or unfinished attempt has been retired and joined; only idle slot
+threads of a caller's :class:`SlotThreads` stay, for the next call.
 
 Determinism: payloads are merged by task id, so retry order, hedging and
 thread scheduling cannot change the output — any recoverable fault plan
@@ -62,7 +66,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.host.errors import (
     ChunkFailedError,
@@ -79,6 +83,7 @@ __all__ = [
     "ChunkAttempt",
     "ScanReport",
     "ShardStatus",
+    "SlotThreads",
     "Supervisor",
     "corrupt_records",
     "run_attempt",
@@ -399,6 +404,80 @@ def _failure_outcome(error: ScanError) -> str:
     return "raise"
 
 
+# -- slot threads --------------------------------------------------------------
+
+
+def _slot_main(inbox: "queue.SimpleQueue[Optional[Callable[[], None]]]") -> None:
+    """A slot thread: run the items it is handed until told to stop."""
+    while True:
+        item = inbox.get()
+        if item is None:
+            return
+        item()
+        # An attempt holds its supervisor and payload: drop it before the
+        # thread waits, possibly across calls, for the next one.
+        del item
+
+
+class SlotThreads:
+    """The threads that serve a supervisor's slots, one per slot.
+
+    Slot ``i``'s thread runs the callables :meth:`submit` hands it, one at
+    a time.  A :class:`repro.host.scan_session.ScanSession` keeps one
+    across its calls, so a warm call starts no thread.  :meth:`retire`
+    tells a slot's thread to stop once its current item ends (a crashed or
+    timed-out attempt cannot be killed) and the next :meth:`submit` to
+    that slot starts a new thread; :meth:`join_retired` joins the retired
+    threads, and :meth:`close` retires every slot and, unless told not to,
+    joins every thread.  Only one supervisor may use it at a time.
+    """
+
+    def __init__(self) -> None:
+        self._inboxes: Dict[int, "queue.SimpleQueue[Any]"] = {}
+        self._threads: Dict[int, threading.Thread] = {}
+        self._retired: List[threading.Thread] = []
+
+    def start(self, slots: int) -> None:
+        """Give slots ``0 .. slots - 1`` a thread each, if they have none."""
+        for slot in range(slots):
+            self._inbox(slot)
+
+    def submit(self, slot: int, item: Callable[[], None]) -> None:
+        self._inbox(slot).put(item)
+
+    def _inbox(self, slot: int) -> "queue.SimpleQueue[Any]":
+        inbox = self._inboxes.get(slot)
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            thread = threading.Thread(
+                target=_slot_main, args=(inbox,),
+                name=f"fabp-scan-{slot}", daemon=True,
+            )
+            thread.start()
+            self._inboxes[slot] = inbox
+            self._threads[slot] = thread
+        return inbox
+
+    def retire(self, slot: int) -> None:
+        """Tell the slot's thread to stop once its current item ends."""
+        inbox = self._inboxes.pop(slot, None)
+        if inbox is not None:
+            inbox.put(None)
+            self._retired.append(self._threads.pop(slot))
+
+    def join_retired(self) -> None:
+        for thread in self._retired:
+            thread.join()
+        self._retired = []
+
+    def close(self, join: bool = True) -> None:
+        """Retire every slot (idempotent); with ``join``, wait for every thread."""
+        for slot in list(self._inboxes):
+            self.retire(slot)
+        if join:
+            self.join_retired()
+
+
 # -- the supervisor ------------------------------------------------------------
 
 
@@ -472,25 +551,27 @@ class Supervisor:
         #: ``(ready_time, task_id)`` items awaiting dispatch.
         self._pending: List[Tuple[float, int]] = []
         self._degraded = False
-        #: The thread executor: the attempt each slot runs, the inbox of
-        #: each slot's thread, every thread started and the queue the
-        #: threads post outcomes to.
+        #: The thread executor: the attempt each slot runs, the threads
+        #: serving the slots and the queue the threads post outcomes to.
         self._slots: List[Optional[_Attempt]] = []
-        self._inboxes: List[Optional["queue.SimpleQueue[Any]"]] = []
-        self._threads: List[threading.Thread] = []
+        self._executor = SlotThreads()
         self._outbox: "queue.Queue[Tuple[_Attempt, str, Any]]" = queue.Queue()
 
     def _open(self, task_id: int) -> bool:
         return task_id not in self.done and task_id not in self.dead
 
-    def run(self, workers: int) -> None:
-        """Finish every open task on ``workers`` threads (``<= 1``: in-process)."""
+    def run(self, workers: int, threads: Optional[SlotThreads] = None) -> None:
+        """Finish every open task on ``workers`` threads (``<= 1``: in-process).
+
+        ``threads`` serves the slots and keeps its idle threads afterwards;
+        without it the run starts its own threads and joins them all.
+        """
         try:
             if workers <= 1:
                 self._run_in_process()
             else:
                 self.report.mode = "parallel"
-                self._run_threads(workers)
+                self._run_threads(workers, threads)
         except _Exhausted as exhausted:
             if not self.policy.degrade:
                 raise exhausted.error from None
@@ -598,24 +679,27 @@ class Supervisor:
 
     # -- thread executor ------------------------------------------------------
 
-    def _run_threads(self, width: int) -> None:
+    def _run_threads(self, width: int, threads: Optional[SlotThreads]) -> None:
         """Run attempts on ``width`` slots, each served by one thread.
 
-        A slot's thread takes its attempts from the slot's inbox, reads
-        the one in-process database and posts ``(attempt, outcome,
-        payload or detail)`` to the outbox; only this thread touches the
-        supervisor's state.  A slot whose attempt crashed or timed out
-        has lost its worker: that thread is told to stop, the slot gets a
-        new one and a respawn is counted.  On the way out, every attempt
-        is cancelled and every thread this run started is stopped and
-        joined.
+        A slot's thread runs the attempts it is handed, reads the one
+        in-process database and posts ``(attempt, outcome, payload or
+        detail)`` to the outbox; only this thread touches the supervisor's
+        state.  A slot whose attempt crashed or timed out has lost its
+        worker: that thread is retired, the slot gets a new one and a
+        respawn is counted.  On the way out, every attempt in flight is
+        cancelled, its thread retired, and every retired thread joined;
+        the threads of a :class:`SlotThreads` this run did not start stay
+        for the next run, the others are joined too.
         """
         self._slots = [None] * width
-        self._inboxes = [None] * width
-        self._threads = []
+        self._executor = threads or SlotThreads()
         self._outbox = queue.Queue()
         now = time.monotonic()
         self._pending = [(now, t) for t in self.tasks if self._open(t)]
+        # Start the threads before the first attempt runs: a thread started
+        # while another slot's attempt runs waited for that attempt to end.
+        self._executor.start(min(width, len(self._pending)))
         try:
             while len(self.done) + len(self.dead) < len(self.tasks):
                 self._dispatch(time.monotonic())
@@ -637,21 +721,14 @@ class Supervisor:
                         ),
                     )
         finally:
-            for attempt in self._slots:
+            for slot, attempt in enumerate(self._slots):
                 if attempt is not None:
                     attempt.cancel.set()
-            for slot in range(width):
-                self._retire(slot)
-            for thread in self._threads:
-                thread.join()
-
-    def _slot_main(self, inbox: "queue.SimpleQueue[Any]") -> None:
-        """A slot thread: run the attempts it is handed until told to stop."""
-        while True:
-            item = inbox.get()
-            if item is None:
-                return
-            self._attempt_main(*item)
+                    self._executor.retire(slot)
+            if threads is None:
+                self._executor.close()
+            else:
+                self._executor.join_retired()
 
     def _attempt_main(self, attempt: _Attempt, fault: Optional[FaultKind]) -> None:
         """Run one attempt and always post its outcome."""
@@ -677,28 +754,11 @@ class Supervisor:
         fault = self.faults.lookup(task_id, number) if self.faults else None
         deadline = None if self.policy.timeout is None else now + self.policy.timeout
         attempt = _Attempt(slot, task_id, number, now, deadline)
-        inbox = self._inboxes[slot]
-        if inbox is None:
-            inbox = queue.SimpleQueue()
-            thread = threading.Thread(
-                target=self._slot_main, args=(inbox,),
-                name=f"fabp-scan-{slot}", daemon=True,
-            )
-            thread.start()
-            self._inboxes[slot] = inbox
-            self._threads.append(thread)
-        inbox.put((attempt, fault))
+        self._executor.submit(slot, lambda: self._attempt_main(attempt, fault))
         self._slots[slot] = attempt
         if hedge:
             self.report.hedges += 1
             self.hedged[task_id] = self.hedged.get(task_id, 0) + 1
-
-    def _retire(self, slot: int) -> None:
-        """Tell the slot's thread to stop once its attempt ends."""
-        inbox = self._inboxes[slot]
-        if inbox is not None:
-            inbox.put(None)
-            self._inboxes[slot] = None
 
     def _idle_slots(self) -> List[int]:
         return [slot for slot, attempt in enumerate(self._slots) if attempt is None]
@@ -769,7 +829,7 @@ class Supervisor:
                         twin.cancel.set()
             return
         if outcome == "crash":
-            self._retire(attempt.slot)
+            self._executor.retire(attempt.slot)
             self.report.respawns += 1
         self._fail(task_id, attempt.attempt, outcome, seconds, attempt.slot, value, now)
 
@@ -781,7 +841,7 @@ class Supervisor:
             # and give the slot a new thread on the next dispatch.
             attempt.cancel.set()
             self._slots[slot] = None
-            self._retire(slot)
+            self._executor.retire(slot)
             self.report.respawns += 1
             if self._open(attempt.task_id):
                 self._fail(

@@ -27,9 +27,11 @@ is a session opened for a single call):
   accounting, hedged stragglers, per-task sanity checks, fault injection,
   durable checkpointing, graceful degradation — and each batch returns a
   :class:`repro.host.resilience.ScanReport` on request;
-* every call joins the threads it started before it returns, so a
-  session holds no thread between calls and :meth:`ScanSession.close`
-  only marks it closed.
+* the worker threads outlive the call: a session keeps one thread per
+  slot (a :class:`repro.host.resilience.SlotThreads`) across its calls, so
+  a warm call starts none, and :meth:`ScanSession.close` joins them.  A
+  crashed or timed-out attempt's thread is still retired and replaced,
+  and every call joins the threads it retired before it returns.
 
 Work is split into the position-balanced windows of
 :mod:`repro.host.windows` (or, with an explicit ``chunk_size``, into
@@ -42,7 +44,9 @@ co-resident query has at least those positions) and scored with the
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -76,6 +80,7 @@ from repro.host.resilience import (
     RetryPolicy,
     ScanReport,
     ShardStatus,
+    SlotThreads,
     Supervisor,
 )
 from repro.host.scan import (
@@ -101,6 +106,9 @@ MAX_QUERIES_PER_PASS = 16
 #: the longest member's halo; a wide spread would waste halo work and pad
 #: the batch kernel's planes, so mixed batches split instead.
 MAX_PASS_SPAN_RATIO = 2.0
+
+#: Engines whose tasks run in one call of the compiled kernel, when built.
+_NATIVE_ENGINES = ("bitscore", "bitscore_batch")
 
 __all__ = [
     "SESSION_ENGINE",
@@ -258,13 +266,18 @@ class WindowTask:
     prepared: Optional[bitscore.PreparedBatch] = field(default=None, compare=False)
 
     def run(self, database: PackedDatabase, attempt: int) -> SessionPayload:
-        """Score every (window, query) cell; one sweep per window.
+        """Score every (window, query) cell.
 
-        Each window is unpacked once with the *longest* query's forward
-        halo and swept once for the whole pass; shorter queries' extra
-        trailing positions are clipped to their own position count, so
-        every kept slice matches a solo scan of that query bit for bit.
+        On the bitscore engines with the compiled kernel this is one
+        GIL-free call, :func:`repro.core.bitscore.scan_windows`, reading
+        the 2-bit image directly.  Elsewhere each window is unpacked once
+        with the *longest* query's forward halo and swept once for the
+        whole pass; shorter queries' extra trailing positions are clipped
+        to their own position count, so every kept slice matches a solo
+        scan of that query bit for bit.
         """
+        if self.engine in _NATIVE_ENGINES and bitscore.batch_kernel() == "native":
+            return self._run_native(database)
         max_span = max(int(a.size) for a in self.arrays)
         payload: SessionPayload = []
         for reference, start, stop in self.windows:
@@ -277,11 +290,30 @@ class WindowTask:
             hits = hits_batch_from_codes(
                 self.arrays, codes, self.thresholds, self.engine,
                 start=lookback, stop=lookback + stop - start,
-                keep_scores=self.keep_scores, prepared=self.prepared,
+                keep_scores=self.keep_scores,
             )
             for slot, (positions, hit_scores, scores) in enumerate(hits):
                 payload.append((slot, reference, start, positions, hit_scores, scores))
         return payload
+
+    def _run_native(self, database: PackedDatabase) -> SessionPayload:
+        offsets, lengths = database.byte_offsets, database.lengths
+        began = time.perf_counter()
+        cells, positions = bitscore.scan_windows(
+            database.buffer,
+            [(offsets[r], lengths[r], start, stop) for r, start, stop in self.windows],
+            self.prepared or bitscore.prepare_batch(self.arrays),
+            self.thresholds, self.keep_scores,
+        )
+        _obs_profile.record_score_call(
+            self.engine, time.perf_counter() - began, positions
+        )
+        k = len(self.arrays)
+        return [
+            (slot, reference, start) + cells[j * k + slot]
+            for j, (reference, start, _) in enumerate(self.windows)
+            for slot in range(k)
+        ]
 
     def check(self, database: PackedDatabase, payload: Any) -> Optional[str]:
         return check_records(
@@ -444,10 +476,12 @@ class ScanSession:
     per CPU; ``workers <= 1`` runs every call on the calling thread, with
     the same batching, supervision, checkpointing and report semantics.
     A call whose plan has a single open task also runs on the calling
-    thread.
+    thread.  The worker threads start on the first call that needs them
+    and serve every later one; a call made while another is running on
+    the same session gets threads of its own for its duration.
 
-    Use as a context manager, or call :meth:`close`; a closed session
-    refuses further scans::
+    Use as a context manager, or call :meth:`close`, which joins the
+    worker threads; a closed session refuses further scans::
 
         with ScanSession(references, workers=4) as session:
             for batch in query_stream:
@@ -472,6 +506,10 @@ class ScanSession:
         self._engine = engine
         self._num_workers = resolve_workers(workers)
         self._closed = False
+        self._threads = SlotThreads()
+        self._threads_busy = threading.Lock()
+        # A session dropped unclosed still lets its idle threads go.
+        self._release = weakref.finalize(self, self._threads.close, False)
         self._respawns = 0
         #: Batch calls completed by this session.
         self.scans_completed = 0
@@ -488,8 +526,11 @@ class ScanSession:
         self.close()
 
     def close(self) -> None:
-        """Refuse further scans (idempotent); no call leaves a thread behind."""
+        """Refuse further scans and join the worker threads (idempotent)."""
         self._closed = True
+        with self._threads_busy:
+            self._threads.close()
+        self._release.detach()
 
     @property
     def closed(self) -> bool:
@@ -650,9 +691,12 @@ class ScanSession:
             with _obs_profile.stage("scan.execute", category="scan") as timer:
                 workers = self._num_workers if len(tasks) - len(done) > 1 else 1
                 report.workers = workers
+                warm = self._threads_busy.acquire(blocking=False)
                 try:
-                    supervisor.run(workers)
+                    supervisor.run(workers, self._threads if warm else None)
                 finally:
+                    if warm:
+                        self._threads_busy.release()
                     self._respawns += report.respawns
             stage_seconds["execute"] = timer.seconds
             stage_seconds.update(supervisor.stage_seconds)

@@ -18,6 +18,7 @@ from repro.core import bitscore, native
 from repro.core.aligner import scores_batch_from_codes, scores_from_codes
 from repro.core.encoding import encode_query, pad_instruction
 from repro.seq.generate import random_protein
+from repro.seq import packing
 from repro.seq.packing import codes_from_text
 from repro.workloads.builder import encode_protein_as_rna
 
@@ -46,6 +47,18 @@ def _naive_prefix_scores(instructions, codes):
         total[: codes.size - n + 1] += matches[instruction, n - 1 :]
         prefix[n] = total[: codes.size - n + 1].copy()
     return prefix
+
+
+def _build_planes(masks, codes, plane_words):
+    """``fabp_build_planes`` over ``codes`` packed to 2 bits, from position 0."""
+    packed = packing.pack(codes)
+    masks = np.ascontiguousarray(masks, dtype=np.uint64)
+    planes = np.empty((masks.size, plane_words), dtype=np.uint64)
+    bitscore._NATIVE.fabp_build_planes(
+        packed.ctypes.data, packed.size, 0, masks.ctypes.data, masks.size,
+        planes.ctypes.data, plane_words,
+    )
+    return planes
 
 
 def _assert_batch_is_naive(batch, codes):
@@ -94,8 +107,8 @@ class TestNativeKernel:
         ).ravel().astype(np.uint8)
         instructions = np.arange(256, dtype=np.uint8)
         plane_words = -(-codes.size // bitscore.WORD_BITS)
-        planes = bitscore._native_planes(
-            bitscore._NATIVE, instructions, codes, plane_words
+        planes = _build_planes(
+            bitscore._CONTEXT_MASKS[instructions & 63], codes, plane_words
         )
         bits = np.unpackbits(
             planes.view(np.uint8), axis=1, bitorder="little", count=codes.size
@@ -351,12 +364,7 @@ def test_plane_build_direct_and_complemented_minterm_sums(rng):
     assert d_mask == (1 << 64) - 1
     masks = np.array(masks + [d_mask], dtype=np.uint64)
     codes = rng.integers(0, 4, 1300).astype(np.uint8)
-    plane_words = -(-codes.size // bitscore.WORD_BITS)
-    planes = np.empty((masks.size, plane_words), dtype=np.uint64)
-    bitscore._NATIVE.fabp_build_planes(
-        codes.ctypes.data, codes.size, masks.ctypes.data, masks.size,
-        planes.ctypes.data, plane_words,
-    )
+    planes = _build_planes(masks, codes, -(-codes.size // bitscore.WORD_BITS))
     # Look-back before the reference start reads as A (code 0).
     padded = np.concatenate([np.zeros(2, dtype=np.uint8), codes]).astype(np.int64)
     contexts = (padded[2:] | padded[1:-1] << 2 | padded[:-2] << 4).astype(np.uint64)
@@ -415,3 +423,257 @@ class TestFallback:
         assert native.library_path(b"/* edited */") != built
         monkeypatch.setattr(native, "_cpu_flags", lambda: "another cpu")
         assert native.library_path(native.SOURCE.read_bytes()) != built
+
+
+# -- the task entry point ------------------------------------------------------
+
+#: Block length in alignment positions: the kernel builds one block's planes
+#: at a time, so a seam sits every BLOCK positions from a window's origin.
+BLOCK = native.BLOCK_WORDS * bitscore.WORD_BITS
+
+
+def _palette():
+    """The four exact matchers plus one instruction reading each look-back
+    source (prev1 high bit, prev2 low bit, prev2 high bit) and the last."""
+    from repro.core import comparator
+
+    _, configs = comparator.instruction_tables(np.arange(64, dtype=np.uint8))
+    picks = [int(np.flatnonzero(configs == config)[3]) for config in (1, 2, 3)]
+    return np.array([*EXACT, *picks, 63], dtype=np.uint8)
+
+
+PALETTE = _palette()
+
+
+class _Reference:
+    """One reference with the ``naive`` score of each palette instruction at
+    every position, so any palette query's ``naive`` scores are a sum."""
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.rows = {
+            int(v): _naive(np.array([v], dtype=np.uint8), codes) for v in PALETTE
+        }
+
+    def scores(self, instructions):
+        count = max(0, self.codes.size - instructions.size + 1)
+        total = np.zeros(count, dtype=np.int32)
+        for i, v in enumerate(instructions.tolist()):
+            total += self.rows[v][i : i + count]
+        return total
+
+
+def _image(references):
+    """References packed one after another from byte offsets, as
+    ``PackedDatabase`` packs them."""
+    packed = [packing.pack(reference.codes) for reference in references]
+    offsets = np.cumsum([0] + [p.size for p in packed])
+    return np.concatenate(packed), offsets
+
+
+def _assert_task_is_naive(references, windows, batch, thresholds, keep_scores):
+    """One ``scan_windows`` call over ``windows`` = (reference, start, stop)
+    rows equals ``naive``, cell by cell; returns the cells."""
+    image, offsets = _image(references)
+    rows = [
+        (int(offsets[r]), references[r].codes.size, start, stop)
+        for r, start, stop in windows
+    ]
+    cells, positions = bitscore.scan_windows(
+        image, rows, bitscore.prepare_batch(batch), thresholds, keep_scores
+    )
+    assert len(cells) == len(windows) * len(batch)
+    total = 0
+    for j, (r, start, stop) in enumerate(windows):
+        for q, (instructions, threshold) in enumerate(zip(batch, thresholds)):
+            want = references[r].scores(instructions)[start:stop]
+            total += want.size
+            hits, hit_scores, kept = cells[j * len(batch) + q]
+            (expected,) = np.nonzero(want >= threshold)
+            where = (r, start, stop, q, threshold)
+            assert hits.dtype == np.int64 and hit_scores.dtype == np.int32
+            assert np.array_equal(hits, expected), where
+            assert np.array_equal(hit_scores, want[expected]), where
+            if keep_scores:
+                assert np.array_equal(kept, want), where
+            else:
+                assert kept is None
+    assert positions == total
+    return cells
+
+
+def _palette_query(rng, span):
+    return rng.choice(PALETTE, span).astype(np.uint8)
+
+
+@requires_native
+class TestScanTask:
+    """``fabp_scan_task`` (through ``bitscore.scan_windows``) against ``naive``.
+
+    It reads 2-bit codes straight from the packed image: windows start at
+    every phase of a byte and of a 64-nt word, references end inside a
+    byte, planes are built a block at a time with a halo of the longest
+    query's span, and hit rows start small and grow.
+    """
+
+    @pytest.fixture(scope="class")
+    def short(self):
+        rng = np.random.default_rng(27)
+        lengths = [0, 1, 2, 3, 5, 29, 30, 31, 63, 64, 65, 127, 130, 514, 1027]
+        return [_Reference(rng.integers(0, 4, n).astype(np.uint8)) for n in lengths]
+
+    @pytest.fixture(scope="class")
+    def long(self):
+        """Two block seams, with a 40-element query planted across the seams
+        of windows whose origin is 0 or 64 (positions B and 2B, + 64)."""
+        rng = np.random.default_rng(28)
+        codes = rng.integers(0, 4, 2 * BLOCK + 700).astype(np.uint8)
+        query = rng.integers(0, 4, 40).astype(np.uint8)
+        for seam in self.SEAMS:
+            for at in (seam - 20, seam + 200):
+                codes[at : at + query.size] = query
+        return _Reference(codes), EXACT[query]
+
+    #: Where the planted copies cross a seam: at seam - 20 of these.
+    SEAMS = (BLOCK, BLOCK + 64, 2 * BLOCK, 2 * BLOCK + 64)
+
+    @pytest.mark.parametrize("keep_scores", [False, True])
+    def test_every_start_phase_and_ragged_reference_ends(self, short, keep_scores):
+        """Starts 0-8 and 60-68 (every nt % 4, both sides of a word edge),
+        stops inside and past the positions, references ending at every
+        byte phase and shorter than the span, all in one task."""
+        rng = np.random.default_rng(29)
+        batch = [_palette_query(rng, span) for span in (1, 7, 30)]
+        windows = [
+            (r, start, start + extent)
+            for r, reference in enumerate(short)
+            for start in (*range(9), *range(60, 69))
+            for extent in (1, 50, 2000)
+            if start <= reference.codes.size
+        ]
+        _assert_task_is_naive(short, windows, batch, [0, 2, 12], keep_scores)
+
+    @pytest.mark.parametrize(
+        "start", [0, 1, 2, 3, 5, 63, 64, 65, 67, BLOCK - 1, BLOCK, BLOCK + 1]
+    )
+    def test_block_seams_keep_hits_and_scores(self, long, start):
+        """Windows whose block seams fall at every offset of a word; the
+        planted copies across the seams are hits at threshold span, and the
+        kept scores of every position around them equal ``naive``."""
+        reference, planted = long
+        rng = np.random.default_rng(start)
+        batch = [planted, _palette_query(rng, 100), _palette_query(rng, 1)]
+        stop = reference.codes.size
+        windows = [(0, start, stop), (0, start, BLOCK + 1), (0, start, 2 * BLOCK - 1)]
+        windows = [w for w in windows if w[2] > w[1]]
+        cells = _assert_task_is_naive(
+            [reference], windows, batch, [40, 60, 1], keep_scores=True
+        )
+        # Blocks start at the window's start rounded down to a word.
+        origin = start - start % 64
+        hits = (cells[0][0] + start).tolist()
+        for seam in (origin + BLOCK, origin + 2 * BLOCK):
+            if seam in self.SEAMS and seam - 20 >= start:
+                assert seam - 20 in hits
+        _assert_task_is_naive([reference], windows, batch, [40, 60, 1], False)
+
+    @pytest.mark.parametrize("threshold", [0, 1])
+    def test_every_position_a_hit_grows_the_rows(self, long, threshold):
+        """At threshold 0 every position is a hit (65k a query, from rows of
+        HIT_ROOM entries); threshold 1 nearly so.  Also with rows of one
+        tile, so the task resumes before nearly every tile."""
+        reference, planted = long
+        rng = np.random.default_rng(threshold)
+        batch = [planted, _palette_query(rng, 9), _palette_query(rng, 200)]
+        windows = [(0, 3, BLOCK + 5), (0, BLOCK + 5, 2 * BLOCK + 640)]
+        _assert_task_is_naive([reference], windows, batch, [threshold] * 3, False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitscore, "HIT_ROOM", 64 * native.TILE_WORDS)
+            _assert_task_is_naive(
+                [reference], windows[:1], batch, [threshold] * 3, False
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_ragged_spans_over_many_references(self, short, k):
+        rng = np.random.default_rng(k)
+        batch = [_palette_query(rng, int(rng.integers(1, 120))) for _ in range(k)]
+        thresholds = [int(rng.integers(0, batch[q].size + 2)) for q in range(k)]
+        windows = []
+        for r, reference in enumerate(short):
+            cuts = sorted(rng.integers(0, reference.codes.size + 1, 2).tolist())
+            edges = [0, *cuts, reference.codes.size]
+            windows += [(r, a, b) for a, b in zip(edges, edges[1:]) if b > a]
+        for keep_scores in (False, True):
+            _assert_task_is_naive(short, windows, batch, thresholds, keep_scores)
+
+    def test_scores_only_without_thresholds(self, short):
+        rng = np.random.default_rng(30)
+        batch = [_palette_query(rng, span) for span in (3, 64, 65)]
+        image, offsets = _image(short)
+        windows = [(int(offsets[r]), ref.codes.size, 0, ref.codes.size)
+                   for r, ref in enumerate(short)]
+        cells, _ = bitscore.scan_windows(
+            image, windows, bitscore.prepare_batch(batch), None, True
+        )
+        for j, reference in enumerate(short):
+            for q, instructions in enumerate(batch):
+                hits, hit_scores, kept = cells[j * len(batch) + q]
+                assert hits.size == hit_scores.size == 0
+                assert np.array_equal(kept, reference.scores(instructions))
+
+
+@requires_native
+@pytest.mark.parametrize("window", [(-1, 40, 0, 10), (0, 40, -3, 10), (0, -1, 0, 10)])
+def test_scan_windows_refuses_negative_windows(window):
+    """The kernel reads the image from each offset and start: bad rows never reach it."""
+    image = packing.pack(np.zeros(40, dtype=np.uint8))
+    prepared = bitscore.prepare_batch([encode_query("MK").as_array()])
+    with pytest.raises(ValueError, match="non-negative"):
+        bitscore.scan_windows(image, [window], prepared, [1], False)
+
+
+@requires_native
+def test_task_observes_the_same_call_with_observability_on(monkeypatch):
+    """One kernel call per task whether observability is on or off, the
+    same payload, and the counters the call returns recorded."""
+    from repro import obs
+    from repro.host.scan import PackedDatabase
+    from repro.host.scan_session import plan_batch
+    from repro.obs import REGISTRY
+
+    rng = np.random.default_rng(31)
+    references = [rng.integers(0, 4, n).astype(np.uint8) for n in (5000, 70_000, 9)]
+    database = PackedDatabase.from_references(references)
+    queries = [encode_query(random_protein(aa, rng=rng)) for aa in (40, 30)]
+    _, tasks = plan_batch(database.lengths, queries, [60, 45], 2, chunk_size=2)
+    calls = []
+    real = bitscore.scan_windows
+    monkeypatch.setattr(
+        bitscore, "scan_windows",
+        lambda *args: calls.append(args[1]) or real(*args),
+    )
+    off = [task.run(database, 0) for task in tasks]
+    assert len(calls) == len(tasks)
+    obs.reset()
+    obs.enable()
+    try:
+        on = [task.run(database, 0) for task in tasks]
+        families = {f.name: f for f in REGISTRY.families()}
+        score_calls = families["fabp_score_calls_total"].labels(engine="bitscore_batch")
+        positions = families["fabp_score_positions_total"].labels(engine="bitscore_batch")
+        folded = families["fabp_fold_rows_total"].labels(outcome="folded").value
+        assert score_calls.value == len(tasks)
+        assert positions.value == sum(
+            max(0, min(stop, int(database.lengths[r]) - len(q) + 1) - start)
+            for task in tasks for r, start, stop in task.windows for q in queries
+        )
+        assert folded > 0
+    finally:
+        obs.disable()
+        obs.reset()
+    assert len(calls) == 2 * len(tasks)
+    for got, want in zip(on, off):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a[:3] == b[:3]
+            assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])

@@ -91,20 +91,24 @@ class TestBitIdentity:
 
 class TestWarmReuse:
     def test_pool_and_image_survive_across_calls(self, queries, database):
-        """Every call reads the one resident image; none leaves a thread."""
+        """Every call reads the one resident image and reuses the worker
+        threads of the first; closing the session joins them."""
         threads = threading.enumerate()
         with ScanSession(database, workers=2) as session:
             first = session.scan_batch(queries, min_identity=0.8)
+            workers = [t for t in threading.enumerate() if t not in threads]
+            assert len(workers) == 2
             for _ in range(2):
                 again = session.scan_batch(queries, min_identity=0.8)
                 for got_list, want_list in zip(again, first):
                     for got, want in zip(got_list, want_list):
                         assert np.array_equal(got.hits, want.hits)
-                assert threading.enumerate() == threads
+                assert threading.enumerate() == threads + workers
             assert session.database.buffer is database.buffer
             assert session.scans_completed == 3
             assert session.pool_reuses == 2
             assert session.respawns_total == 0
+        assert threading.enumerate() == threads
 
     def test_report_is_clean_and_warm(self, queries, database):
         with ScanSession(database, workers=2) as session:
@@ -145,14 +149,51 @@ class TestWarmReuse:
         sys.setswitchinterval(1e-5)
         try:
             with ScanSession(database, workers=8) as session:
-                got, report = session.scan_batch(
-                    queries, min_identity=0.8, keep_scores=True, chunk_size=1,
-                    with_report=True,
-                )
+                for _ in range(3):  # the same eight threads serve every call
+                    got, report = session.scan_batch(
+                        queries, min_identity=0.8, keep_scores=True, chunk_size=1,
+                        with_report=True,
+                    )
+                    assert report.mode == "parallel" and report.clean
+                    assert_matches_solo(got, want)
         finally:
             sys.setswitchinterval(interval)
-        assert report.mode == "parallel" and report.clean
-        assert_matches_solo(got, want)
+
+    def test_concurrent_calls_on_one_session(self, queries, database):
+        """Two callers at once: one call runs on the session's threads, the
+        other on threads of its own; every result is still bit-identical
+        and closing the session leaves no thread."""
+        with ScanSession(database, workers=1) as serial:
+            want = serial.scan_batch(queries, min_identity=0.8, keep_scores=True)
+        threads = threading.enumerate()
+        results = [[], []]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ScanSession(database, workers=3) as session:
+
+                def call(index):
+                    for _ in range(3):
+                        results[index].append(
+                            session.scan_batch(
+                                queries, min_identity=0.8, keep_scores=True,
+                                chunk_size=1,
+                            )
+                        )
+
+                callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == threads
+        for calls in results:
+            assert len(calls) == 3
+            for got in calls:
+                assert_matches_solo(got, want)
 
 
 class TestPassPlanning:
@@ -253,6 +294,21 @@ class TestLifecycle:
         assert session.closed
         with pytest.raises(ScanError, match="closed"):
             session.scan_batch(queries[:1], min_identity=0.8)
+
+    def test_unclosed_session_lets_its_threads_go(self, queries, database):
+        """A session dropped without close() still stops its idle threads."""
+        import gc
+
+        threads = threading.enumerate()
+        session = ScanSession(database, workers=2)
+        session.scan_batch(queries, min_identity=0.8)
+        workers = [t for t in threading.enumerate() if t not in threads]
+        assert len(workers) == 2
+        del session
+        gc.collect()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_no_segment_leaks_after_close(self, queries, database):
         with ScanSession(database, workers=2) as session:

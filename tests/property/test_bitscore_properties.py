@@ -8,12 +8,19 @@ instruction streams (Leu/Arg/Ser/Stop), and references shorter than the
 """
 
 import contextlib
+import functools
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.core.test_scan_kernel import (
+    BLOCK,
+    PALETTE,
+    _assert_task_is_naive,
+    _Reference,
+)
 
 from repro.core import bitscore
 from repro.core.aligner import (
@@ -349,6 +356,67 @@ class TestAbandonedTiles:
             assert np.array_equal(got, expected), where
             assert np.array_equal(got_scores, want[lo:hi][expected]), where
             assert kept is None
+
+
+@functools.lru_cache(maxsize=1)
+def _long_reference():
+    """A reference two block seams long, with its palette rows from ``naive``."""
+    rng = np.random.default_rng(2027)
+    return _Reference(rng.integers(0, 4, 2 * BLOCK + 300).astype(np.uint8))
+
+
+@pytest.mark.skipif(bitscore._NATIVE is None, reason="the compiled kernel is not available")
+class TestScanTask:
+    """One task call over many windows of many references equals ``naive``.
+
+    Up to sixteen ragged queries drawn from a palette that reads every
+    look-back source; references from empty to a few hundred nt, plus (in
+    some examples) one with two block seams; windows at random starts and
+    stops, some within a few positions of a seam; thresholds of 0 and 1
+    (hits everywhere, so the hit rows grow) or near the scores' top.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 16),
+        with_long=st.booleans(),
+        keep_scores=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_windows_match_naive(self, seed, k, with_long, keep_scores):
+        rng = np.random.default_rng(seed)
+        references = [
+            _Reference(rng.integers(0, 4, int(rng.integers(0, 400))).astype(np.uint8))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        if with_long:
+            references.insert(int(rng.integers(0, len(references) + 1)), _long_reference())
+        batch = [
+            rng.choice(PALETTE, int(2 ** rng.uniform(0, np.log2(200)))).astype(np.uint8)
+            for _ in range(k)
+        ]
+        windows = []
+        for r, reference in enumerate(references):
+            length = reference.codes.size
+            for _ in range(int(rng.integers(1, 4))):
+                if length > BLOCK and rng.random() < 0.5:
+                    seam = BLOCK * int(rng.integers(1, 3))
+                    start = max(0, seam - int(rng.integers(0, 300)))
+                else:
+                    start = int(rng.integers(0, length + 1))
+                windows.append((r, start, start + int(rng.integers(1, length + 2))))
+        thresholds = []
+        for instructions in batch:
+            kind = rng.integers(0, 3)
+            if kind == 2:
+                top = max(
+                    (int(ref.scores(instructions).max(initial=0)) for ref in references),
+                    default=0,
+                )
+                thresholds.append(max(0, top + int(rng.integers(-2, 2))))
+            else:
+                thresholds.append(int(kind))
+        _assert_task_is_naive(references, windows, batch, thresholds, keep_scores)
 
 
 class TestConcurrentBatches:
