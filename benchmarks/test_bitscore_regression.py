@@ -6,8 +6,9 @@ the same machine, same run — and compares against the committed baseline
 artifact with generous tolerance (machine-to-machine wall-clock varies;
 catastrophic regressions do not hide inside a 50x band).
 
-The fresh report is written to ``benchmarks/out/BENCH_scoring.json`` (the
-same artifact ``fabp-repro bench`` produces and CI uploads).
+The fresh report is written to a temporary directory, never over the
+committed ``benchmarks/out/BENCH_scoring.json``: that file is the
+``fabp-repro bench --quick --batch`` artifact, batch section included.
 """
 
 import json
@@ -42,9 +43,9 @@ BASELINE_SLOWDOWN_LIMIT = 50.0
 
 
 @pytest.fixture(scope="module")
-def quick_report(artifact_dir):
+def quick_report(tmp_path_factory):
     report = quick_benchmark()
-    path = report.write(artifact_dir / "BENCH_scoring.json")
+    path = report.write(tmp_path_factory.mktemp("bench") / "BENCH_scoring.json")
     print(f"\n{format_report(report)}\n[written to {path}]")
     return report
 

@@ -221,8 +221,8 @@ def cmd_scan(args) -> int:
     from repro.host.faults import FaultPlan
     from repro.host.resilience import RetryPolicy
     from repro.host.scan import PackedDatabase, resolve_workers, scan_database
-    from repro.host.scan_session import plan_batch
-    from repro.host.shards import ShardedScanRuntime, plan_shards
+    from repro.host.scan_session import ScanSession, plan_batch
+    from repro.host.shards import plan_shards
     from repro.seq import fasta
 
     on_error = None if args.on_bad_record == "ignore" else args.on_bad_record
@@ -236,7 +236,7 @@ def cmd_scan(args) -> int:
             return 2
     obs_active = _obs_begin(args)
     payload: Dict[str, object] = {"version": 1, "queries": []}
-    degraded_any = False
+    degraded_any = dead_any = False
     rows: List[list] = []
     try:
         skipped: List[fasta.SkippedRecord] = []
@@ -316,44 +316,18 @@ def cmd_scan(args) -> int:
         min_identity = None if threshold is not None else args.min_identity
         engine = args.engine
         outcomes = []
-        dead_any = False
-        if shard_specs is not None:
-            # Shards label the tasks of one supervised batch; a shard whose
-            # task exhausts its budget is dead and its references missing.
-            runtime = ShardedScanRuntime(
-                database,
-                num_shards=args.shards,
-                engine=engine,
-                policy=policy,
-                faults=plan,
-            )
-            checkpoint_dir = (
-                pathlib.Path(args.checkpoint) if args.checkpoint else None
-            )
-            batches, report = runtime.scan_batch(
-                queries,
-                threshold=threshold,
-                min_identity=min_identity,
-                chunk_size=args.chunk_size,
-                checkpoint_dir=checkpoint_dir,
-                resume=args.resume,
-                with_report=True,
-            )
-            dead_any = report.dead_shards > 0
-            outcomes = [
-                (query, results, report)
-                for query, results in zip(queries, batches)
-            ]
-        elif args.session:
+        if one_batch:
             # One warm runtime for the whole query stream: the packed image
-            # is set up once, queries share passes, and a
-            # single batch report covers every query.
-            from repro.host.scan_session import ScanSession
-
+            # is set up once, queries share passes, and a single batch
+            # report covers every query.  With --shards the tasks carry
+            # shard labels; a shard whose task exhausts its budget is dead
+            # and its references missing.
             checkpoint_dir = (
                 pathlib.Path(args.checkpoint) if args.checkpoint else None
             )
-            with ScanSession(database, engine=engine, workers=args.workers) as warm:
+            with ScanSession(
+                database, engine=engine, workers=args.workers, shards=args.shards
+            ) as warm:
                 print(
                     f"session: {warm.resident_bytes:,} resident bytes, "
                     f"{warm.num_workers} workers, engine={engine}"
@@ -407,6 +381,7 @@ def cmd_scan(args) -> int:
             for reference, position, score in hits[: args.max_hits]:
                 rows.append([query.name or "query", reference, position, score])
             degraded_any = degraded_any or report.degraded
+            dead_any = dead_any or report.dead_shards > 0
             print(f"{query.name or 'query'}: {len(hits)} hits; {report.summary()}")
             if report.degraded:
                 print(f"  DEGRADED: {report.degraded_reason}")
@@ -1145,8 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "are grouped into shared passes, and each database "
                    "window is swept once per pass")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the database into N contiguous shards "
-                   "scanned as one batch on N workers; a shard with a task "
+                   help="scan through one ScanSession whose database is "
+                   "partitioned into N contiguous shards, as one batch on N "
+                   "workers (--workers is ignored); a shard with a task "
                    "that exhausts its retries is dead and its references "
                    "are missing (exit 4)")
     p.add_argument("--chunk-size", type=int, default=None,
@@ -1216,9 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads of the warm session "
                    "(default: one per CPU; 1 = serial)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="serve from a sharded runtime with N shards instead "
-                   "of one resident session (dead shards surface as "
-                   "per-job exit 4)")
+                   help="open the resident session with N shards, one "
+                   "worker each (dead shards surface as per-job exit 4)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission queue bound; a full queue answers 503")
     p.add_argument("--max-batch", type=int, default=16,

@@ -15,7 +15,7 @@ from repro.host.faults import FaultKind, FaultPlan, FaultSpec
 from repro.host.rescore import RescoreReport, RescoredHit, rescore_hits, rescore_search_result
 from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus, Supervisor
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import ScanSession
+from repro.host.scan_session import ScanSession, ShardedScanRuntime
 from repro.host.session import (
     DatabaseEntry,
     FabPHost,
@@ -23,7 +23,7 @@ from repro.host.session import (
     NamedHit,
     PCIE_BANDWIDTH,
 )
-from repro.host.shards import ShardSpec, ShardedScanRuntime, plan_shards
+from repro.host.shards import ShardSpec, plan_shards
 
 __all__ = [
     "CheckpointError",

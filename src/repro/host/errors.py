@@ -11,7 +11,7 @@ The hierarchy:
 
   * :class:`ChunkFailedError` — a chunk exhausted its retry budget; the
     ``attempts`` attribute carries the per-attempt outcomes.
-  * :class:`ShardFailedError` — a shard of the sharded runtime exhausted
+  * :class:`ShardFailedError` — a shard of a sharded scan exhausted
     its health budget while partial results were disabled
     (``RetryPolicy(degrade=False)``).
   * :class:`PoolUnhealthyError` — scan workers kept crashing or timing

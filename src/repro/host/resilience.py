@@ -1,11 +1,13 @@
-"""The task supervisor every scan runtime runs on.
+"""The task supervisor every scan runs on.
 
 The paper's host program controls its kernel instances from one place;
 this module is that control loop in software.  Every scan path in
-:mod:`repro.host` — the one-shot :func:`repro.host.scan.scan_database`,
-the warm :class:`repro.host.scan_session.ScanSession` and the sharded
-:class:`repro.host.shards.ShardedScanRuntime` — hands a list of *tasks* to
-one :class:`Supervisor`.  A task is any object with two methods:
+:mod:`repro.host` goes through one runtime,
+:class:`repro.host.scan_session.ScanSession` — the one-shot
+:func:`repro.host.scan.scan_database` is a session opened for one call,
+and a sharded scan is a session opened with ``shards=`` — and every
+session call hands a list of *tasks* to one :class:`Supervisor`.  A task
+is any object with two methods:
 
 * ``run(database, attempt)`` computes the task's payload against a
   :class:`repro.host.scan.PackedDatabase`;
@@ -223,9 +225,10 @@ class ScanReport:
     --report-json``; the full schema is documented in
     ``docs/robustness.md`` and ``docs/observability.md``.  Schema v2 added
     the ``metrics`` section (stage wall-times and checkpoint volume);
-    schema v3 adds the ``shards`` section filled by
-    :class:`repro.host.shards.ShardedScanRuntime` (empty for single-shard
-    scans) and the exit code 4 = "complete with dead shards".  Older
+    schema v3 adds the ``shards`` section filled by a sharded
+    :class:`repro.host.scan_session.ScanSession` (one opened with
+    ``shards=``; empty for unsharded scans) and the exit code 4 =
+    "complete with dead shards".  Older
     reports remain readable through
     :func:`repro.obs.summary.normalize_report_dict`.
     """
@@ -255,8 +258,8 @@ class ScanReport:
     #: Profiling section (new in v2): ``stage_seconds`` and
     #: ``checkpoint`` volume.
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Per-shard section (new in v3): filled by the sharded runtime, empty
-    #: for single-shard scans.
+    #: Per-shard section (new in v3): filled by a sharded session, empty
+    #: for unsharded scans.
     shards: List[ShardStatus] = field(default_factory=list)
 
     #: Report schema version (bump on breaking changes).

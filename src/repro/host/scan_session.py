@@ -3,7 +3,8 @@
 The paper's host keeps the database resident in FPGA DRAM across
 searches; :class:`ScanSession` is the software counterpart, and the one
 runtime every scan path goes through (:func:`repro.host.scan.scan_database`
-is a session opened for a single call):
+is a session opened for a single call, and a sharded scan is a session
+opened with ``shards=``):
 
 * the database is packed once, at session open, into one in-process
   buffer that stays resident until :meth:`ScanSession.close`;
@@ -49,7 +50,6 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -90,11 +90,9 @@ from repro.host.scan import (
     chunk_bounds,
     resolve_workers,
 )
+from repro.host.shards import ShardSpec, plan_shards
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (shards imports us)
-    from repro.host.shards import ShardSpec
 
 #: Most queries sharing one software pass.  Bounds the per-window working
 #: set (k score vectors plus the shared shift table) and the size of a
@@ -115,6 +113,7 @@ __all__ = [
     "ScanSession",
     "SessionRecord",
     "SessionPayload",
+    "ShardedScanRuntime",
     "WindowTask",
     "check_records",
     "plan_batch",
@@ -331,7 +330,7 @@ def plan_batch(
     chunk_size: Optional[int] = None,
     engine: str = SESSION_ENGINE,
     keep_scores: bool = False,
-    shards: Optional[Sequence["ShardSpec"]] = None,
+    shards: Optional[Sequence[ShardSpec]] = None,
 ) -> Tuple[List[_PassSpec], List[WindowTask]]:
     """Group queries into shared passes; split each pass into tasks.
 
@@ -424,7 +423,7 @@ def _range_chunks(
 
 
 def _shard_statuses(
-    shards: Sequence["ShardSpec"],
+    shards: Sequence[ShardSpec],
     tasks: Sequence[WindowTask],
     supervisor: Supervisor,
     restored: Set[int],
@@ -480,6 +479,14 @@ class ScanSession:
     and serve every later one; a call made while another is running on
     the same session gets threads of its own for its duration.
 
+    ``shards=S`` makes it a sharded session: :func:`repro.host.shards.plan_shards`
+    cuts the database into ``S`` contiguous, nucleotide-balanced reference
+    ranges once, at open, and every call plans each range on its own, runs
+    on one thread per shard (``workers`` is ignored) and supervises its
+    tasks in *partial* mode: a shard with a task that exhausts its budget
+    is reported dead (``mode="sharded"``, one ``shards`` report row each,
+    exit code 4) and its references are left out of the results.
+
     Use as a context manager, or call :meth:`close`, which joins the
     worker threads; a closed session refuses further scans::
 
@@ -492,9 +499,10 @@ class ScanSession:
         self,
         references: Union[PackedDatabase, Iterable[ReferenceLike]],
         *,
-        engine: str = SESSION_ENGINE,
+        engine: Optional[str] = None,
         workers: Optional[int] = None,
         names: Optional[Sequence[str]] = None,
+        shards: Optional[int] = None,
     ):
         self._database = (
             references
@@ -503,8 +511,14 @@ class ScanSession:
         )
         # One int per reference, shared by every result this session builds.
         self._lengths = self._database.lengths.tolist()
-        self._engine = engine
-        self._num_workers = resolve_workers(workers)
+        self._engine = engine or SESSION_ENGINE
+        self._shards: Optional[Tuple[ShardSpec, ...]] = (
+            None if shards is None else tuple(plan_shards(self._lengths, shards))
+        )
+        self._num_workers = (
+            resolve_workers(workers) if self._shards is None
+            else max(1, len(self._shards))
+        )
         self._closed = False
         self._threads = SlotThreads()
         self._threads_busy = threading.Lock()
@@ -549,6 +563,15 @@ class ScanSession:
         return self._num_workers
 
     @property
+    def num_shards(self) -> Optional[int]:
+        """Planned shards (at most one per reference); ``None`` unsharded."""
+        return None if self._shards is None else len(self._shards)
+
+    @property
+    def shard_specs(self) -> Optional[Tuple[ShardSpec, ...]]:
+        return self._shards
+
+    @property
     def resident_bytes(self) -> int:
         """Bytes of packed database image this session keeps resident."""
         return self._database.packed_bytes
@@ -565,13 +588,12 @@ class ScanSession:
         *,
         chunk_size: Optional[int] = None,
         keep_scores: bool = False,
-        shards: Optional[Sequence["ShardSpec"]] = None,
     ) -> Tuple[List[_PassSpec], List[WindowTask]]:
         """This session's :func:`plan_batch` over the resident database."""
         passes, tasks = plan_batch(
             self._database.lengths, encoded, resolved, self._num_workers,
             chunk_size=chunk_size, engine=self._engine, keep_scores=keep_scores,
-            shards=shards,
+            shards=self._shards,
         )
         for spec in passes:
             _obs_profile.record_scan_session_pass(len(spec.query_indices))
@@ -601,7 +623,6 @@ class ScanSession:
         faults: Any = None,
         checkpoint_dir: object = None,
         resume: bool = False,
-        shards: Optional[Sequence["ShardSpec"]] = None,
         with_report: bool = False,
     ) -> Union[
         List[List[AlignmentResult]],
@@ -621,13 +642,8 @@ class ScanSession:
         :class:`~repro.host.faults.FaultPlan` keyed on task ids),
         ``checkpoint_dir`` and ``resume`` configure the supervisor; with
         ``with_report`` the call also returns its
-        :class:`~repro.host.resilience.ScanReport`.
-
-        ``shards`` (from :func:`repro.host.shards.plan_shards`) plans each
-        shard's reference range on its own and supervises every task in
-        *partial* mode: a shard with a task that exhausts its budget is
-        reported dead (``mode="sharded"``, one ``shards`` row each, exit
-        code 4) and its references are left out of the results.
+        :class:`~repro.host.resilience.ScanReport`.  On a sharded session
+        the report also has one ``shards`` row per shard.
 
         A query that is empty or encodes to more than
         :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` elements raises
@@ -647,7 +663,6 @@ class ScanSession:
         reused = self.scans_completed > 0
         passes, tasks = self._plan(
             encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores,
-            shards=shards,
         )
         report = ScanReport(
             mode="serial",
@@ -685,7 +700,7 @@ class ScanSession:
         supervisor = Supervisor(
             self._database, dict(enumerate(tasks)), policy=policy,
             report=report, done=done, faults=faults, store=store,
-            partial=shards is not None,
+            partial=self._shards is not None,
         )
         if len(done) < len(tasks):
             with _obs_profile.stage("scan.execute", category="scan") as timer:
@@ -703,9 +718,11 @@ class ScanSession:
         report.chunks_completed = len(done)
         report.elapsed_seconds = time.monotonic() - started
         live: Optional[List[int]] = None
-        if shards is not None:
+        if self._shards is not None:
             report.mode = "sharded"
-            report.shards = _shard_statuses(shards, tasks, supervisor, restored)
+            report.shards = _shard_statuses(
+                self._shards, tasks, supervisor, restored
+            )
             live = [
                 reference
                 for status in report.shards
@@ -716,6 +733,14 @@ class ScanSession:
         with _obs_profile.stage("scan.merge", category="scan") as merge_timer:
             results = self._merge(encoded, passes, tasks, done, keep_scores, live)
         stage_seconds["merge"] = merge_timer.seconds
+        if self._shards is not None:
+            _obs_profile.record_shard_active(report.workers)
+            for status in report.shards:
+                if status.resumed_chunks:
+                    _obs_profile.record_shard_resume(status.resumed_chunks)
+                for _ in range(status.hedges):
+                    _obs_profile.record_shard_hedge()
+            _obs_profile.record_shard_merge(merge_timer.seconds)
         report.metrics["stage_seconds"] = {
             name: round(seconds, 6) for name, seconds in stage_seconds.items()
         }
@@ -784,3 +809,17 @@ class ScanSession:
                         sum(positions.size for positions, *_ in per_reference),
                     )
         return [batch for batch in results if batch is not None]
+
+
+class ShardedScanRuntime(ScanSession):
+    """``ScanSession(references, shards=num_shards)`` under its former name.
+
+    It exists only because perfbench's ``sharded-batch`` probe opens it by
+    this name; everything else opens a sharded ``ScanSession``.
+    """
+
+    def __init__(
+        self, references: Any, *, num_shards: int,
+        engine: Optional[str] = None, names: Optional[Sequence[str]] = None,
+    ):
+        super().__init__(references, engine=engine, names=names, shards=num_shards)

@@ -3,9 +3,9 @@
 :class:`ScanService` is the long-lived core the HTTP front door
 (:mod:`repro.service.server`) delegates to.  It owns
 
-* one warm backend — a :class:`repro.host.scan_session.ScanSession`
-  (packed image resident once, supervised worker threads per pass) or,
-  with ``shards >= 1``, a :class:`repro.host.shards.ShardedScanRuntime`;
+* one warm backend, a :class:`repro.host.scan_session.ScanSession`
+  (packed image resident once, supervised worker threads per pass),
+  opened with ``shards=`` for a sharded scan;
 * a bounded admission queue; :meth:`submit` either answers from the LRU
   result cache immediately, enqueues a job, or refuses
   (:class:`ServiceSaturatedError` on a full queue,
@@ -44,8 +44,7 @@ from repro.core.aligner import resolve_threshold
 from repro.core.contracts import check_query_elements
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.host.scan import PackedDatabase
-from repro.host.scan_session import SESSION_ENGINE, ScanSession
-from repro.host.shards import ShardedScanRuntime
+from repro.host.scan_session import ScanSession
 from repro.obs import profile as _obs_profile
 from repro.service.cache import (
     CacheKey,
@@ -101,21 +100,9 @@ class ScanService:
             if isinstance(references, PackedDatabase)
             else PackedDatabase.from_references(references)
         )
-        self._shards = shards
-        if shards is not None:
-            self._runtime: Union[ScanSession, ShardedScanRuntime] = (
-                ShardedScanRuntime(
-                    self._database,
-                    num_shards=shards,
-                    engine=engine,
-                )
-            )
-        else:
-            self._runtime = ScanSession(
-                self._database,
-                engine=engine or SESSION_ENGINE,
-                workers=workers,
-            )
+        self._runtime = ScanSession(
+            self._database, engine=engine, workers=workers, shards=shards
+        )
         self._db_fingerprint = database_fingerprint(self._database)
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -183,17 +170,18 @@ class ScanService:
             state = "draining"
         else:
             state = "serving"
-        backend: Dict[str, Any] = {"engine": self.engine}
-        if isinstance(self._runtime, ShardedScanRuntime):
-            backend["mode"] = "sharded"
-            backend["num_shards"] = self._runtime.num_shards
-        else:
-            backend["mode"] = "session"
-            backend["workers"] = self._runtime.num_workers
-            backend["resident_bytes"] = self._runtime.resident_bytes
-            backend["scans_completed"] = self._runtime.scans_completed
-            backend["pool_reuses"] = self._runtime.pool_reuses
-            backend["respawns_total"] = self._runtime.respawns_total
+        runtime = self._runtime
+        backend: Dict[str, Any] = {
+            "engine": runtime.engine,
+            "mode": "session" if runtime.num_shards is None else "sharded",
+            "workers": runtime.num_workers,
+            "resident_bytes": runtime.resident_bytes,
+            "scans_completed": runtime.scans_completed,
+            "pool_reuses": runtime.pool_reuses,
+            "respawns_total": runtime.respawns_total,
+        }
+        if runtime.num_shards is not None:
+            backend["num_shards"] = runtime.num_shards
         return {
             "state": state,
             "uptime_seconds": time.time() - self._started_at,
@@ -410,9 +398,7 @@ class ScanService:
         self._closed.set()
         self._queue.put(None)  # wake the batcher so it can exit
         self._batcher.join(timeout=10.0)
-        runtime = self._runtime
-        if isinstance(runtime, ScanSession):
-            runtime.close()
+        self._runtime.close()
 
     def __enter__(self) -> "ScanService":
         return self

@@ -14,7 +14,6 @@ from repro.core.contracts import MAX_QUERY_ELEMENTS
 from repro.core.encoding import encode_query
 from repro.host.scan import PackedDatabase, scan_database
 from repro.host.scan_session import ScanSession
-from repro.host.shards import ShardedScanRuntime
 from repro.seq.generate import random_rna
 
 rng = np.random.default_rng(19)
@@ -32,9 +31,8 @@ def _oneshot(query):
 
 
 def _sharded(query):
-    return ShardedScanRuntime(DB, num_shards=2).scan_batch(
-        [query], min_identity=0.9
-    )[0]
+    with ScanSession(DB, shards=2) as session:
+        return session.scan_batch([query], min_identity=0.9)[0]
 
 
 def _serial(query):

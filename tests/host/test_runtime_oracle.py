@@ -1,6 +1,6 @@
 """Every scan runtime against the one oracle: the ``naive`` engine.
 
-The one-shot scan, the warm session and the sharded runtime all run on the
+The one-shot scan, the warm session and the sharded session all run on the
 same task supervisor.  Each is checked here against the paper's
 instruction semantics (``naive``) at every alignment position — score
 vectors via ``keep_scores=True`` and the hit lists they imply — never one
@@ -19,9 +19,8 @@ from repro.core.encoding import encode_query
 from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import ScanSession, plan_batch
+from repro.host.scan_session import ScanSession, ShardedScanRuntime, plan_batch
 from repro.host import windows
-from repro.host.shards import ShardedScanRuntime
 from repro.seq.generate import random_protein, random_rna
 
 RNG = np.random.default_rng(0x0AC1E)
@@ -131,12 +130,12 @@ class TestScanSession:
             assert_matches_oracle(batch, expected, resolved)
 
 
-def shard_task_ids(runtime, queries, chunk_size=None):
-    """Task ids per shard for one call, as the runtime numbers them."""
+def shard_task_ids(session, queries, chunk_size=None):
+    """Task ids per shard for one call, as the session numbers them."""
     encoded = [encode_query(query) for query in queries]
     _passes, tasks = plan_batch(
-        runtime.database.lengths, encoded, [0] * len(encoded),
-        runtime.num_shards, chunk_size=chunk_size, shards=runtime.shard_specs,
+        session.database.lengths, encoded, [0] * len(encoded),
+        session.num_shards, chunk_size=chunk_size, shards=session.shard_specs,
     )
     owned = {}
     for task_id, task in enumerate(tasks):
@@ -167,28 +166,40 @@ def shm_entries():
     return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
 
 
+def sharded_session(num_shards):
+    return ScanSession(SMALL, shards=num_shards)
+
+
+def sharded_shim(num_shards):
+    """The old constructor name, with the arguments perfbench passes."""
+    return ShardedScanRuntime(
+        [SMALL.reference_codes(i) for i in range(SMALL.num_references)],
+        num_shards=num_shards, names=list(SMALL.names),
+    )
+
+
 class TestShardedScanRuntime:
     @pytest.mark.parametrize(
-        "num_shards, fault",
+        "num_shards, fault, open_sharded",
         [
-            (1, None),
-            (3, None),
-            pytest.param(3, "crash", id="3-shard:1:crash"),
+            pytest.param(1, None, sharded_session, id="1-None"),
+            pytest.param(3, None, sharded_session, id="3-None"),
+            pytest.param(3, "crash", sharded_session, id="3-shard:1:crash"),
+            pytest.param(3, None, sharded_shim, id="3-ShardedScanRuntime"),
         ],
     )
-    def test_matches_naive(self, mixed_oracle, num_shards, fault):
+    def test_matches_naive(self, mixed_oracle, num_shards, fault, open_sharded):
         queries = MIXED[:2]
-        runtime = ShardedScanRuntime(SMALL, num_shards=num_shards, policy=POLICY)
-        if fault is not None:
-            # Shard 1's first task faults once.
-            first = shard_task_ids(runtime, queries)[1][0]
-            runtime = ShardedScanRuntime(
-                SMALL, num_shards=num_shards, policy=POLICY,
-                faults=FaultPlan.parse(f"{first}:{fault}"),
+        plan = None
+        with open_sharded(num_shards) as session:
+            if fault is not None:
+                # Shard 1's first task faults once.
+                first = shard_task_ids(session, queries)[1][0]
+                plan = FaultPlan.parse(f"{first}:{fault}")
+            batches, report = session.scan_batch(
+                queries, min_identity=0.6, keep_scores=True, policy=POLICY,
+                faults=plan, with_report=True,
             )
-        batches, report = runtime.scan_batch(
-            queries, min_identity=0.6, keep_scores=True, with_report=True
-        )
         assert report.exit_code() == 0
         assert len(report.shards) == num_shards
         if fault is not None:
@@ -200,18 +211,16 @@ class TestShardedScanRuntime:
 
     def test_dead_shard_omits_exactly_its_references(self, mixed_oracle):
         queries = MIXED[:2]
-        probe = ShardedScanRuntime(SMALL, num_shards=3)
-        victim = shard_task_ids(probe, queries)[1][0]
-        runtime = ShardedScanRuntime(
-            SMALL, num_shards=3, policy=POLICY,
-            faults=FaultPlan.parse(f"{victim}:raise:always"),
-        )
-        batches, report = runtime.scan_batch(
-            queries, min_identity=0.6, keep_scores=True, with_report=True
-        )
+        with ScanSession(SMALL, shards=3) as session:
+            victim = shard_task_ids(session, queries)[1][0]
+            batches, report = session.scan_batch(
+                queries, min_identity=0.6, keep_scores=True, policy=POLICY,
+                faults=FaultPlan.parse(f"{victim}:raise:always"),
+                with_report=True,
+            )
         assert report.exit_code() == 4
         assert [s.status for s in report.shards] == ["ok", "dead", "ok"]
-        dead = runtime.shard_specs[1]
+        dead = session.shard_specs[1]
         live = [
             i for i in range(SMALL.num_references)
             if not dead.start <= i < dead.stop
@@ -226,18 +235,15 @@ class TestShardedScanRuntime:
     def test_crashed_task_replays_alone(self, mixed_oracle):
         # Whole-reference tasks give each shard one task per reference.
         query = MIXED[0]
-        probe = ShardedScanRuntime(SMALL, num_shards=2)
-        owned = shard_task_ids(probe, [query], chunk_size=1)
-        assert len(owned[1]) >= 2
-        victim = owned[1][0]
-        runtime = ShardedScanRuntime(
-            SMALL, num_shards=2, policy=POLICY,
-            faults=FaultPlan.parse(f"{victim}:crash"),
-        )
-        batches, report = runtime.scan_batch(
-            [query], threshold=8, keep_scores=True, chunk_size=1,
-            with_report=True,
-        )
+        with ScanSession(SMALL, shards=2) as session:
+            owned = shard_task_ids(session, [query], chunk_size=1)
+            assert len(owned[1]) >= 2
+            victim = owned[1][0]
+            batches, report = session.scan_batch(
+                [query], threshold=8, keep_scores=True, chunk_size=1,
+                policy=POLICY, faults=FaultPlan.parse(f"{victim}:crash"),
+                with_report=True,
+            )
         assert report.exit_code() == 0
         assert report.mode == "sharded"
         per_task = {}
@@ -250,22 +256,19 @@ class TestShardedScanRuntime:
 
     def test_resume_restores_finished_tasks(self, mixed_oracle, tmp_path):
         query = MIXED[0]
-        probe = ShardedScanRuntime(SMALL, num_shards=2)
-        owned = shard_task_ids(probe, [query], chunk_size=1)
-        victim = owned[1][-1]
-        dying = ShardedScanRuntime(
-            SMALL, num_shards=2, policy=POLICY,
-            faults=FaultPlan.parse(f"{victim}:raise:always"),
-        )
-        _, first = dying.scan_batch(
-            [query], threshold=8, keep_scores=True, chunk_size=1,
-            checkpoint_dir=tmp_path, with_report=True,
-        )
-        assert first.exit_code() == 4
-        batches, report = probe.scan_batch(
-            [query], threshold=8, keep_scores=True, chunk_size=1,
-            checkpoint_dir=tmp_path, resume=True, with_report=True,
-        )
+        with ScanSession(SMALL, shards=2) as session:
+            owned = shard_task_ids(session, [query], chunk_size=1)
+            victim = owned[1][-1]
+            _, first = session.scan_batch(
+                [query], threshold=8, keep_scores=True, chunk_size=1,
+                policy=POLICY, faults=FaultPlan.parse(f"{victim}:raise:always"),
+                checkpoint_dir=tmp_path, with_report=True,
+            )
+            assert first.exit_code() == 4
+            batches, report = session.scan_batch(
+                [query], threshold=8, keep_scores=True, chunk_size=1,
+                checkpoint_dir=tmp_path, resume=True, with_report=True,
+            )
         assert report.exit_code() == 0
         # Only the task that died is scanned again.
         assert [a.chunk for a in report.attempts] == [victim]
@@ -277,12 +280,13 @@ class TestShardedScanRuntime:
 
     def test_call_leaves_no_process_or_segment(self, mixed_oracle):
         children, segments = child_pids(), shm_entries()
-        runtime = ShardedScanRuntime(SMALL, num_shards=3, policy=POLICY)
-        batches, report = runtime.scan_batch(
-            MIXED[:1], threshold=8, keep_scores=True, with_report=True
-        )
-        assert report.workers == 3
-        # The runtime is still alive, and never closed.
-        assert child_pids() <= children
-        assert shm_entries() <= segments
+        with ScanSession(SMALL, shards=3) as session:
+            batches, report = session.scan_batch(
+                MIXED[:1], threshold=8, keep_scores=True, policy=POLICY,
+                with_report=True,
+            )
+            assert report.workers == 3
+            # The session is still open.
+            assert child_pids() <= children
+            assert shm_entries() <= segments
         assert_matches_oracle(batches[0], mixed_oracle[0], 8)

@@ -1,5 +1,6 @@
-"""Tests for the sharded scan runtime: shards label supervised tasks."""
+"""Tests for sharded scans: a ``ScanSession(shards=)`` labels supervised tasks."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from repro.host.errors import ShardFailedError
 from repro.host.faults import FaultPlan
 from repro.host.resilience import RetryPolicy, ScanReport, ShardStatus
 from repro.host.scan import scan_database
+from repro.host.scan_session import ScanSession
 from repro.host import windows
-from repro.host.shards import ShardedScanRuntime, plan_shards
+from repro.host.shards import plan_shards
 from repro.obs.summary import normalize_report_dict
 from repro.seq.generate import random_protein, random_rna
 
@@ -58,6 +60,8 @@ class TestPlanShards:
         assert plan_shards([], 4) == []
         with pytest.raises(ValueError, match=">= 1"):
             plan_shards([100], 0)
+        with pytest.raises(ValueError, match=">= 1"):
+            ScanSession([], shards=0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -109,10 +113,10 @@ class TestBitIdentity:
     def test_matches_single_shard_scan(self, rng, num_shards):
         references = make_references(rng)
         queries = [random_protein(8, rng=rng), random_protein(6, rng=rng)]
-        runtime = ShardedScanRuntime(references, num_shards=num_shards)
-        batches, report = runtime.scan_batch(
-            queries, threshold=14, with_report=True
-        )
+        with ScanSession(references, shards=num_shards) as session:
+            batches, report = session.scan_batch(
+                queries, threshold=14, with_report=True
+            )
         assert report.exit_code() == 0
         assert report.mode == "sharded"
         assert all(s.status == "ok" for s in report.shards)
@@ -125,8 +129,8 @@ class TestBitIdentity:
     def test_keep_scores_bit_identical(self, rng):
         references = make_references(rng, count=4, length=1200)
         query = random_protein(7, rng=rng)
-        runtime = ShardedScanRuntime(references, num_shards=2)
-        (batch,) = runtime.scan_batch([query], threshold=12, keep_scores=True)
+        with ScanSession(references, shards=2) as session:
+            (batch,) = session.scan_batch([query], threshold=12, keep_scores=True)
         expected = scan_database(
             query, references, threshold=12,
             engine="bitscore_batch", keep_scores=True,
@@ -136,10 +140,11 @@ class TestBitIdentity:
             np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_empty_database_is_clean(self, rng):
-        runtime = ShardedScanRuntime([], num_shards=4)
-        batches, report = runtime.scan_batch(
-            [random_protein(5, rng=rng)], threshold=10, with_report=True
-        )
+        with ScanSession([], shards=4) as session:
+            assert session.num_shards == 0
+            batches, report = session.scan_batch(
+                [random_protein(5, rng=rng)], threshold=10, with_report=True
+            )
         assert batches == [[]]
         assert report.exit_code() == 0
         assert report.shards == []
@@ -149,6 +154,12 @@ class TestBitIdentity:
 #
 # Six 2500-nt references in two shards and one query plan one task per
 # shard, so task id ``i`` is shard ``i``'s task.
+
+
+def sharded_scan(references, queries, **kwargs):
+    """One call on a two-shard session, closed before it returns."""
+    with ScanSession(references, shards=2) as session:
+        return session.scan_batch(queries, **kwargs)
 
 
 class TestFaultRecovery:
@@ -162,14 +173,10 @@ class TestFaultRecovery:
     def test_recovers_from_transient_fault(self, rng, kind):
         references = make_references(rng)
         query = random_protein(8, rng=rng)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
+        batches, report = sharded_scan(
+            references, [query], threshold=14, with_report=True,
             faults=FaultPlan.parse(f"1:{kind}"),
             policy=RetryPolicy(max_retries=2, backoff=0.01),
-        )
-        batches, report = runtime.scan_batch(
-            [query], threshold=14, with_report=True
         )
         assert report.exit_code() == 0
         assert report.shards[1].attempts == 2
@@ -181,14 +188,11 @@ class TestFaultRecovery:
 
     def test_hang_killed_at_deadline_then_respawned(self, rng):
         references = make_references(rng, count=4, length=1200)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
+        _, report = sharded_scan(
+            references, [random_protein(6, rng=rng)], threshold=12,
+            with_report=True,
             faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
             policy=RetryPolicy(max_retries=2, timeout=0.6, backoff=0.01),
-        )
-        _, report = runtime.scan_batch(
-            [random_protein(6, rng=rng)], threshold=12, with_report=True
         )
         assert report.exit_code() == 0
         assert report.shards[0].attempts == 2
@@ -198,15 +202,12 @@ class TestFaultRecovery:
     def test_permanent_fault_kills_shard_but_scan_completes(self, rng):
         references = make_references(rng)
         query = random_protein(8, rng=rng)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
-            faults=FaultPlan.parse("0:crash:always"),
-            policy=RetryPolicy(max_retries=1, backoff=0.01),
-        )
-        batches, report = runtime.scan_batch(
-            [query], threshold=14, with_report=True
-        )
+        with ScanSession(references, shards=2) as session:
+            batches, report = session.scan_batch(
+                [query], threshold=14, with_report=True,
+                faults=FaultPlan.parse("0:crash:always"),
+                policy=RetryPolicy(max_retries=1, backoff=0.01),
+            )
         assert report.exit_code() == 4
         assert report.dead_shards == 1
         dead = report.shards[0]
@@ -214,7 +215,7 @@ class TestFaultRecovery:
         assert dead.attempts == 2
         assert "health budget exhausted" in dead.detail
         # The surviving shard's references are still scanned, seam-exact.
-        spec = runtime.shard_specs[1]
+        spec = session.shard_specs[1]
         expected = scan_database(
             query, references[spec.start : spec.stop],
             threshold=14, engine="bitscore_batch",
@@ -222,16 +223,13 @@ class TestFaultRecovery:
         assert hit_tuples(batches[0]) == hit_tuples(expected)
 
     def test_allow_partial_off_raises(self, rng):
-        runtime = ShardedScanRuntime(
-            make_references(rng, count=4, length=1200),
-            num_shards=2,
-            faults=FaultPlan.parse("1:raise:always"),
-            policy=RetryPolicy(
-                max_retries=1, backoff=0.01, degrade=False
-            ),
-        )
         with pytest.raises(ShardFailedError, match="shard 1 failed after 2"):
-            runtime.scan_batch([random_protein(6, rng=rng)], threshold=12)
+            sharded_scan(
+                make_references(rng, count=4, length=1200),
+                [random_protein(6, rng=rng)], threshold=12,
+                faults=FaultPlan.parse("1:raise:always"),
+                policy=RetryPolicy(max_retries=1, backoff=0.01, degrade=False),
+            )
 
 
 class TestCheckpointResume:
@@ -243,17 +241,11 @@ class TestCheckpointResume:
         monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 20)
         references = make_references(rng, count=6, length=20000)
         query = random_protein(8, rng=rng)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
+        batches, report = sharded_scan(
+            references, [query], threshold=16, checkpoint_dir=tmp_path,
+            with_report=True,
             faults=FaultPlan.parse("3:crash"),
             policy=RetryPolicy(max_retries=2, backoff=0.01),
-        )
-        batches, report = runtime.scan_batch(
-            [query],
-            threshold=16,
-            checkpoint_dir=tmp_path,
-            with_report=True,
         )
         assert report.exit_code() == 0
         assert report.chunks_total == 4
@@ -274,17 +266,13 @@ class TestHedging:
         # Task 0's first attempt hangs (fault attempts=1), no timeout is
         # set, and hedging kicks in once task 1 finishes: the hedge twin
         # runs fault-free and its sane result wins.
-        references = make_references(rng, count=4, length=1200)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
+        _, report = sharded_scan(
+            make_references(rng, count=4, length=1200),
+            [random_protein(6, rng=rng)], threshold=12, with_report=True,
             faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
             policy=RetryPolicy(
                 max_retries=2, timeout=None, hedge_after=0.4, backoff=0.01
             ),
-        )
-        _, report = runtime.scan_batch(
-            [random_protein(6, rng=rng)], threshold=12, with_report=True
         )
         assert report.exit_code() == 0
         assert report.shards[0].hedges == 1
@@ -293,15 +281,11 @@ class TestHedging:
 
 class TestInlineFallback:
     def test_inline_retries_and_partial_semantics(self, rng):
-        references = make_references(rng, count=4, length=1200)
-        runtime = ShardedScanRuntime(
-            references,
-            num_shards=2,
+        _, report = sharded_scan(
+            make_references(rng, count=4, length=1200),
+            [random_protein(6, rng=rng)], threshold=12, with_report=True,
             faults=FaultPlan.parse("0:crash,1:raise:always"),
             policy=RetryPolicy(max_retries=1, backoff=0.01),
-        )
-        batches, report = runtime.scan_batch(
-            [random_protein(6, rng=rng)], threshold=12, with_report=True
         )
         # A crash fault raises in its worker thread and counts as a
         # respawn: shard 0 recovers on attempt 1, shard 1 exhausts its
@@ -313,16 +297,56 @@ class TestInlineFallback:
         assert report.exit_code() == 4
 
 
+# -- thread lifecycle ----------------------------------------------------------
+
+
+def scan_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("fabp-scan-")]
+
+
+class TestThreadLifecycle:
+    """A sharded session keeps one slot thread per shard across its calls."""
+
+    def test_warm_call_starts_no_thread_and_close_joins(self, rng):
+        before = scan_threads()
+        queries = [random_protein(6, rng=rng)]
+        with ScanSession(make_references(rng), shards=3) as session:
+            session.scan_batch(queries, threshold=12)
+            slots = [t for t in scan_threads() if t not in before]
+            assert len(slots) == 3
+            _, report = session.scan_batch(queries, threshold=12, with_report=True)
+            assert report.workers == 3
+            assert [t for t in scan_threads() if t not in before] == slots
+        assert not any(t.is_alive() for t in slots)
+        assert scan_threads() == before
+
+    def test_crashed_attempt_thread_is_joined_before_return(self, rng):
+        before = scan_threads()
+        queries = [random_protein(6, rng=rng)]
+        with ScanSession(make_references(rng), shards=3) as session:
+            session.scan_batch(queries, threshold=12)
+            slots = [t for t in scan_threads() if t not in before]
+            _, report = session.scan_batch(
+                queries, threshold=12, with_report=True,
+                faults=FaultPlan.parse("1:crash"),
+                policy=RetryPolicy(max_retries=2, backoff=0.01),
+            )
+            assert report.respawns == 1 and report.exit_code() == 0
+            # The crashed attempt's thread was retired and joined; the other
+            # slots kept theirs, and no slot has more than one thread.
+            assert len([t for t in slots if not t.is_alive()]) == 1
+            assert len([t for t in scan_threads() if t not in before]) <= 3
+        assert scan_threads() == before
+
+
 # -- report schema -------------------------------------------------------------
 
 
 class TestShardReport:
     def test_report_round_trips_through_v3_schema(self, rng):
-        runtime = ShardedScanRuntime(
-            make_references(rng, count=4, length=1200), num_shards=2
-        )
-        _, report = runtime.scan_batch(
-            [random_protein(6, rng=rng)], threshold=12, with_report=True
+        _, report = sharded_scan(
+            make_references(rng, count=4, length=1200),
+            [random_protein(6, rng=rng)], threshold=12, with_report=True,
         )
         payload = report.to_dict()
         assert payload["version"] == 3

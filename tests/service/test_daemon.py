@@ -231,6 +231,7 @@ def test_stats_shape(workload):
         stats = service.stats()
         assert stats["state"] == "serving"
         assert stats["backend"]["mode"] == "session"
+        assert "num_shards" not in stats["backend"]
         assert stats["backend"]["engine"] == "bitscore_batch"
         assert stats["database"]["references"] == packed.num_references
         assert stats["cache"]["max_entries"] == 8
@@ -244,6 +245,11 @@ def test_sharded_backend(workload):
         assert service.stats()["backend"] == {
             "engine": "bitscore_batch",
             "mode": "sharded",
+            "workers": 2,
+            "resident_bytes": packed.packed_bytes,
+            "scans_completed": 0,
+            "pool_reuses": 0,
+            "respawns_total": 0,
             "num_shards": 2,
         }
         job = wait_done(service.submit(queries[0], min_identity=0.9), timeout=120)
@@ -252,6 +258,7 @@ def test_sharded_backend(workload):
             encode_query(queries[0]), packed, min_identity=0.9, workers=1
         )
         assert hit_view(job.results) == hit_view(solo)
+        assert service.stats()["backend"]["scans_completed"] == 1
 
 
 def test_checkpointed_batches_resume(workload, tmp_path):
