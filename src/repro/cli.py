@@ -220,9 +220,8 @@ def cmd_scan(args) -> int:
     from repro.host.errors import ScanError
     from repro.host.faults import FaultPlan
     from repro.host.resilience import RetryPolicy
-    from repro.host.scan import PackedDatabase, resolve_workers, scan_database
-    from repro.host.scan_session import ScanSession, plan_batch
-    from repro.host.shards import plan_shards
+    from repro.host.scan import PackedDatabase
+    from repro.host.scan_session import ScanSession
     from repro.seq import fasta
 
     on_error = None if args.on_bad_record == "ignore" else args.on_bad_record
@@ -238,27 +237,25 @@ def cmd_scan(args) -> int:
     payload: Dict[str, object] = {"version": 1, "queries": []}
     degraded_any = dead_any = False
     rows: List[list] = []
+    session = None
     try:
         skipped: List[fasta.SkippedRecord] = []
         references = fasta.read_rna(args.database, on_error=on_error, skipped=skipped)
         database = PackedDatabase.from_references(references)
-        num_workers = resolve_workers(args.workers)
-        shard_specs = None
-        if args.shards is not None:
-            # --shards scans every query in one batch with one worker
-            # thread per shard.
-            shard_specs = plan_shards(database.lengths, args.shards)
-            num_workers = max(1, len(shard_specs))
-        # The planned tasks per scan call: fault plans and checkpoints are
-        # keyed on task ids.
+        # Every call runs on this one session; with --shards it is sharded
+        # and scans every query in one batch with one worker thread per
+        # shard.
+        session = ScanSession(
+            database, engine=args.engine, workers=args.workers, shards=args.shards
+        )
+        shard_specs = session.shard_specs
+        num_workers = session.num_workers
+        # The session's own plan of each call: fault plans and checkpoints
+        # are keyed on task ids.
         one_batch = args.session or shard_specs is not None
         calls = [encoded] if one_batch else [[e] for e in encoded]
         plans = [
-            plan_batch(
-                database.lengths, call, [0] * len(call), num_workers,
-                chunk_size=args.chunk_size, shards=shard_specs,
-            )[1]
-            for call in calls
+            session.plan_tasks(call, chunk_size=args.chunk_size) for call in calls
         ]
         num_tasks = max((len(tasks) for tasks in plans), default=0)
         granule = (
@@ -325,24 +322,21 @@ def cmd_scan(args) -> int:
             checkpoint_dir = (
                 pathlib.Path(args.checkpoint) if args.checkpoint else None
             )
-            with ScanSession(
-                database, engine=engine, workers=args.workers, shards=args.shards
-            ) as warm:
-                print(
-                    f"session: {warm.resident_bytes:,} resident bytes, "
-                    f"{warm.num_workers} workers, engine={engine}"
-                )
-                batches, report = warm.scan_batch(
-                    queries,
-                    threshold=threshold,
-                    min_identity=min_identity,
-                    chunk_size=args.chunk_size,
-                    policy=policy,
-                    faults=plan,
-                    checkpoint_dir=checkpoint_dir,
-                    resume=args.resume,
-                    with_report=True,
-                )
+            print(
+                f"session: {session.resident_bytes:,} resident bytes, "
+                f"{num_workers} workers, engine={engine}"
+            )
+            batches, report = session.scan_batch(
+                queries,
+                threshold=threshold,
+                min_identity=min_identity,
+                chunk_size=args.chunk_size,
+                policy=policy,
+                faults=plan,
+                checkpoint_dir=checkpoint_dir,
+                resume=args.resume,
+                with_report=True,
+            )
             outcomes = [
                 (query, results, report)
                 for query, results in zip(queries, batches)
@@ -354,13 +348,10 @@ def cmd_scan(args) -> int:
                     checkpoint_dir = pathlib.Path(args.checkpoint)
                     if len(queries) > 1:
                         checkpoint_dir = checkpoint_dir / f"q{index:03d}"
-                results, report = scan_database(
+                results, report = session.scan(
                     query,
-                    database,
                     threshold=threshold,
                     min_identity=min_identity,
-                    engine=engine,
-                    workers=args.workers,
                     chunk_size=args.chunk_size,
                     policy=policy,
                     faults=plan,
@@ -403,6 +394,9 @@ def cmd_scan(args) -> int:
         print(f"fatal: {exc}", file=sys.stderr)
         _obs_finish(args, obs_active)
         return 1
+    finally:
+        if session is not None:
+            session.close()
     if rows:
         print()
         print(text_table(["query", "reference", "position", "score"], rows))

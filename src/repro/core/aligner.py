@@ -55,15 +55,16 @@ ReferenceLike = Union[str, DnaSequence, RnaSequence, np.ndarray]
 
 
 def _slotted(cls: type) -> type:
-    """Frozen dataclass ``cls`` rebuilt with ``__slots__`` and no ``__dict__``.
+    """Dataclass ``cls`` rebuilt with ``__slots__`` and no ``__dict__``.
 
-    What ``dataclass(frozen=True, slots=True)`` does from Python 3.10,
-    written out for 3.9: the class is recreated with one slot per field
-    (the field defaults already live in the generated ``__init__``).
-    Pickling and copying set the slots through ``object.__setattr__``, as
-    the frozen ``__setattr__`` refuses.  Equality, hashing and ``str()``
-    are the dataclass's own.  Scans build one result per query and
-    reference and one hit per passing position, and callers keep them.
+    What ``dataclass(slots=True)`` does from Python 3.10, written out for
+    3.9: the class is recreated with one slot per field (the field
+    defaults already live in the generated ``__init__``).  Pickling and
+    copying set the slots through ``object.__setattr__``, past a frozen
+    class's refusing ``__setattr__``.  Equality, hashing and ``str()`` are
+    the dataclass's own.  Scans build one result per query and reference,
+    one hit per passing position and one report per call, and callers
+    keep them.
     """
     names = tuple(f.name for f in fields(cls))
     body = {

@@ -146,7 +146,16 @@ static inline void load_codes(const uint8_t *ref, int64_t nbytes, int64_t x,
  * a minterm of s0-s2 and one of s3-s5, and each plane ORs the minterms its
  * truth mask selects.  The 64 minterms partition the positions, so a mask
  * selecting more than 32 is built as the complement of the OR of the ones
- * it leaves out: no plane ORs more than 32 terms.  x0 is a multiple of 64. */
+ * it leaves out: no plane ORs more than 32 terms.
+ *
+ * A mask that ignores the look-back (each of its 16 nibbles, one per
+ * prev1 | prev2 << 2, is the same) is a function of the code alone:
+ * mask == (mask & 0xF) * 0x1111111111111111.  Its plane is the OR of the
+ * code minterms of s0, s1 its nibble selects, or the complement of the OR
+ * of those it leaves out when it selects more than two: at most two ORs,
+ * where the sum over the 64 context minterms takes 16 to 32 terms.  Most
+ * instructions of an encoded query (every fixed base of a codon) are of
+ * this kind.  x0 is a multiple of 64. */
 void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
                        const uint64_t *masks, int64_t num_masks,
                        uint64_t *planes, int64_t plane_words)
@@ -168,7 +177,7 @@ void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
             prev_lo = lo;
             prev_hi = hi;
         }
-        tile_t s[6], low[8], high[8];
+        tile_t s[6], low[8], high[8], code[4];
         memcpy(s, sliced, sizeof s);
         for (int v = 0; v < 8; v++) {
             low[v] = (v & 1 ? s[0] : ~s[0]) & (v & 2 ? s[1] : ~s[1])
@@ -176,13 +185,24 @@ void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
             high[v] = (v & 1 ? s[3] : ~s[3]) & (v & 2 ? s[4] : ~s[4])
                     & (v & 4 ? s[5] : ~s[5]);
         }
+        for (int v = 0; v < 4; v++)
+            code[v] = (v & 1 ? s[0] : ~s[0]) & (v & 2 ? s[1] : ~s[1]);
         for (int64_t j = 0; j < num_masks; j++) {
-            int complement = __builtin_popcountll(masks[j]) > 32;
+            const uint64_t mask = masks[j], nibble = mask & 0xF;
             tile_t word = {0};
-            for (uint64_t pick = complement ? ~masks[j] : masks[j]; pick != 0;
-                 pick &= pick - 1) {
-                int v = __builtin_ctzll(pick);
-                word |= low[v & 7] & high[v >> 3];
+            int complement;
+            if (mask == nibble * 0x1111111111111111ULL) {
+                complement = __builtin_popcountll(nibble) > 2;
+                for (uint64_t pick = complement ? ~nibble & 0xF : nibble;
+                     pick != 0; pick &= pick - 1)
+                    word |= code[__builtin_ctzll(pick)];
+            } else {
+                complement = __builtin_popcountll(mask) > 32;
+                for (uint64_t pick = complement ? ~mask : mask; pick != 0;
+                     pick &= pick - 1) {
+                    int v = __builtin_ctzll(pick);
+                    word |= low[v & 7] & high[v >> 3];
+                }
             }
             if (complement)
                 word = ~word;

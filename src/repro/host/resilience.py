@@ -70,6 +70,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.aligner import _slotted
 from repro.host.errors import (
     ChunkFailedError,
     InjectedFaultError,
@@ -145,6 +146,7 @@ class RetryPolicy:
 # -- report --------------------------------------------------------------------
 
 
+@_slotted
 @dataclass
 class ChunkAttempt:
     """One attempt at one task, as recorded in the :class:`ScanReport`."""
@@ -217,6 +219,7 @@ class ShardStatus:
         )
 
 
+@_slotted
 @dataclass
 class ScanReport:
     """Machine-readable account of a supervised scan (schema v3).

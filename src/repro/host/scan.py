@@ -26,6 +26,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -96,6 +97,12 @@ class PackedDatabase:
             byte_offsets=byte_offsets,
             buffer=buffer,
         )
+
+    @cached_property
+    def length_list(self) -> List[int]:
+        """``lengths`` as Python ints, built once per database: every
+        session over it, and every result they build, shares them."""
+        return self.lengths.tolist()
 
     @property
     def num_references(self) -> int:

@@ -339,7 +339,8 @@ def plan_batch(
     can share a sweep, so sort by span descending and first-fit until a
     pass holds :data:`MAX_QUERIES_PER_PASS` queries or its span spread
     would exceed :data:`MAX_PASS_SPAN_RATIO`.  Each pass then splits into
-    position-balanced window chunks, or — with an explicit
+    position-balanced window chunks, as many as its cells pay for
+    (:func:`repro.host.windows.num_chunks`), or — with an explicit
     ``chunk_size`` — into whole-reference chunks, task *i* of a pass being
     references ``[i * chunk_size, (i + 1) * chunk_size)``.
 
@@ -386,7 +387,7 @@ def plan_batch(
     for shard, first, last in ranges:
         for spec in passes:
             for windows in _range_chunks(
-                lengths, first, last, spec.min_span, range_workers, chunk_size
+                lengths, first, last, spec, range_workers, chunk_size
             ):
                 tasks.append(
                     WindowTask(
@@ -402,15 +403,23 @@ def _range_chunks(
     lengths: List[int],
     first: int,
     last: int,
-    span: int,
+    spec: _PassSpec,
     num_workers: int,
     chunk_size: Optional[int],
 ) -> List[List[WindowSpan]]:
-    """One pass's task windows over references ``[first, last)``."""
+    """One pass's task windows over references ``[first, last)``.
+
+    Windows are planned on the shortest member's positions and sized by
+    the pass's cells: each position is folded once per member.
+    """
+    span = spec.min_span
     if chunk_size is None:
         return [
             [(w.reference + first, w.start, w.stop) for w in chunk]
-            for chunk in _windows.plan_windows(lengths[first:last], span, num_workers)
+            for chunk in _windows.plan_windows(
+                lengths[first:last], span, num_workers,
+                cells_per_position=sum(spec.spans),
+            )
         ]
     return [
         [
@@ -509,8 +518,7 @@ class ScanSession:
             if isinstance(references, PackedDatabase)
             else PackedDatabase.from_references(references, names)
         )
-        # One int per reference, shared by every result this session builds.
-        self._lengths = self._database.lengths.tolist()
+        self._lengths = self._database.length_list
         self._engine = engine or SESSION_ENGINE
         self._shards: Optional[Tuple[ShardSpec, ...]] = (
             None if shards is None else tuple(plan_shards(self._lengths, shards))
@@ -581,6 +589,21 @@ class ScanSession:
         """Lost workers (crashed or timed-out attempts) over the session's lifetime."""
         return self._respawns
 
+    def _encode(
+        self,
+        queries: Iterable[QueryLike],
+        threshold: Optional[Union[int, Sequence[Optional[int]]]],
+        min_identity: Optional[float],
+    ) -> Tuple[List[EncodedQuery], List[int]]:
+        """Encode and check ``queries``; resolve one threshold each."""
+        encoded = [
+            q if isinstance(q, EncodedQuery) else encode_query(q)
+            for q in queries
+        ]
+        for query in encoded:
+            check_query_elements(len(query))
+        return encoded, resolve_batch_thresholds(encoded, threshold, min_identity)
+
     def _plan(
         self,
         encoded: List[EncodedQuery],
@@ -590,16 +613,25 @@ class ScanSession:
         keep_scores: bool = False,
     ) -> Tuple[List[_PassSpec], List[WindowTask]]:
         """This session's :func:`plan_batch` over the resident database."""
-        passes, tasks = plan_batch(
-            self._database.lengths, encoded, resolved, self._num_workers,
+        return plan_batch(
+            self._lengths, encoded, resolved, self._num_workers,
             chunk_size=chunk_size, engine=self._engine, keep_scores=keep_scores,
             shards=self._shards,
         )
-        for spec in passes:
-            _obs_profile.record_scan_session_pass(len(spec.query_indices))
-        return passes, tasks
 
     # -- public API -----------------------------------------------------------
+
+    def plan_tasks(
+        self, queries: Iterable[QueryLike], *, chunk_size: Optional[int] = None
+    ) -> List[WindowTask]:
+        """The tasks a :meth:`scan_batch` call over ``queries`` runs, by task id.
+
+        Thresholds and ``keep_scores`` do not change the windows, ids or
+        shard labels, which are what fault plans and checkpoints are keyed
+        on; the tasks carry the default threshold.  Nothing is scored.
+        """
+        encoded, resolved = self._encode(queries, None, None)
+        return self._plan(encoded, resolved, chunk_size=chunk_size)[1]
 
     def scan(
         self, query: QueryLike, **kwargs
@@ -651,19 +683,14 @@ class ScanSession:
         """
         if self._closed:
             raise ScanError("scan session is closed")
-        query_list = list(queries)
         policy = policy or RetryPolicy()
-        encoded = [
-            q if isinstance(q, EncodedQuery) else encode_query(q)
-            for q in query_list
-        ]
-        for query in encoded:
-            check_query_elements(len(query))
-        resolved = resolve_batch_thresholds(encoded, threshold, min_identity)
-        reused = self.scans_completed > 0
+        encoded, resolved = self._encode(queries, threshold, min_identity)
         passes, tasks = self._plan(
-            encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores,
+            encoded, resolved, chunk_size=chunk_size, keep_scores=keep_scores
         )
+        for spec in passes:
+            _obs_profile.record_scan_session_pass(len(spec.query_indices))
+        reused = self.scans_completed > 0
         report = ScanReport(
             mode="serial",
             workers=1,
@@ -752,7 +779,7 @@ class ScanSession:
         self.scans_completed += 1
         if reused:
             self.pool_reuses += 1
-        _obs_profile.record_scan_session_batch(len(query_list), reused)
+        _obs_profile.record_scan_session_batch(len(encoded), reused)
         _obs_profile.record_scan_report_counters(
             report.retries, report.hedges, report.respawns, report.degraded
         )

@@ -66,11 +66,11 @@ class ShardSpec:
 def plan_shards(lengths: Sequence[int], num_shards: int) -> List[ShardSpec]:
     """Partition references into contiguous, nucleotide-balanced shards.
 
-    The same greedy position-balancing idea as
-    :func:`repro.host.windows.plan_windows`, applied at shard granularity:
-    walk the reference list accumulating nucleotides toward an adaptive
-    target (``remaining / shards_left``), cutting where adding the next
-    reference would overshoot more than stopping undershoots.  Shards are
+    Balanced like :func:`repro.host.windows.plan_windows`, but greedily and
+    at shard granularity: walk the reference list accumulating
+    nucleotides toward an adaptive target (``remaining / shards_left``),
+    cutting where adding the next reference would overshoot more than
+    stopping undershoots.  Shards are
     reference-aligned (a reference never straddles two shards, so a
     shard's windows are planned exactly as a scan of its references alone
     would plan them) and ``num_shards`` is clamped to the reference count.

@@ -8,6 +8,15 @@ only ~1.3x.  This module splits work by *alignment positions* instead:
 every reference is cut into windows of roughly equal position count, and
 windows — not references — are what gets distributed.
 
+How many chunks a pass gets is set by the work it carries, not only by
+the worker count: a chunk is one supervised task, one round trip to a
+worker thread and one kernel call, so a pass is cut into at most
+``workers * OVERSUBSCRIPTION`` chunks and never into more than hold
+:data:`MIN_CHUNK_CELLS` cells each (positions times the sum of the pass's
+query spans).  A count of at least ``workers`` is a multiple of it, so no
+worker runs a lone extra round; a small scan is a single chunk and runs
+on the calling thread.
+
 Correctness of splitting is subtle because the comparator is contextual:
 the match bit at position ``p`` reads ``Ref[p]``, ``Ref[p-1]`` and
 ``Ref[p-2]`` (the ``x_bit_rows`` look-back that resolves R/Y/N wildcard
@@ -40,6 +49,7 @@ __all__ = [
     "LOOKBACK",
     "MIN_CHUNK_CELLS",
     "min_chunk_positions",
+    "num_chunks",
     "OVERSUBSCRIPTION",
     "Window",
     "num_positions",
@@ -52,14 +62,18 @@ __all__ = [
 #: (``x_bit_rows`` resolves wildcard codes from the two previous bases).
 LOOKBACK = 2
 
-#: Floor on a chunk's work, in alignment cells (positions x query span).
-#: Each window and each task costs a fixed amount of Python and thread
-#: hand-off around its kernel calls; below this floor that cost and the
-#: ``span - 1`` halo re-scored at every seam outweigh the balance win, so
-#: a small scan is cut into fewer, larger chunks than there are workers.
-MIN_CHUNK_CELLS = 1 << 25
+#: Floor on a task's work, in alignment cells: positions times the sum of
+#: the spans of the queries its pass folds, which is what one
+#: ``fabp_scan_task`` call folds.  Every task costs a round trip between
+#: the supervisor and a worker thread, and every seam re-scores a
+#: ``span - 1`` halo; a task of less work than this pays more for those
+#: than the balance across workers wins back.  Measured on a 2-vCPU host:
+#: one 250-aa query over 4 x 256 knt (766 M cells) at two workers took
+#: 2.9 ms a call in 8 tasks (the former 2**25 floor) and 2.0 ms in 2
+#: (docs/performance.md).
+MIN_CHUNK_CELLS = 1 << 28
 
-#: Target chunks per worker.  More than one chunk per worker lets the
+#: Most tasks per worker.  More than one task per worker lets the
 #: workers rebalance when windows finish at different speeds.
 OVERSUBSCRIPTION = 4
 
@@ -82,13 +96,35 @@ def num_positions(length: int, span: int) -> int:
     return max(0, int(length) - int(span) + 1)
 
 
-def min_chunk_positions(span: int) -> int:
+def min_chunk_positions(span: int, cells_per_position: Optional[int] = None) -> int:
     """Fewest positions a chunk of a ``span``-element query is planned with.
 
-    :data:`MIN_CHUNK_CELLS` of work, and never less than ``4 * (span - 1)``
-    so the per-seam halo stays a small fraction of it.
+    :data:`MIN_CHUNK_CELLS` of work at ``cells_per_position`` cells a
+    position (default ``span``: a pass of one query), and never less than
+    ``4 * (span - 1)`` so the per-seam halo stays a small fraction of it.
     """
-    return max(-(-MIN_CHUNK_CELLS // max(1, span)), 4 * (span - 1))
+    weight = max(1, span if cells_per_position is None else cells_per_position)
+    return max(-(-MIN_CHUNK_CELLS // weight), 4 * (span - 1), 1)
+
+
+def num_chunks(
+    total_positions: int,
+    span: int,
+    num_workers: int,
+    cells_per_position: Optional[int] = None,
+) -> int:
+    """How many chunks a pass of ``total_positions`` positions is cut into.
+
+    ``num_workers * OVERSUBSCRIPTION`` at most, and no more than carry
+    :func:`min_chunk_positions` each (the pass's cells over
+    :data:`MIN_CHUNK_CELLS`, in whole positions); at least one.  A count
+    of at least ``num_workers`` is rounded down to a multiple of it, so
+    every worker runs the same number of rounds.
+    """
+    workers = max(1, int(num_workers))
+    floor = min_chunk_positions(span, cells_per_position)
+    count = max(1, min(workers * OVERSUBSCRIPTION, int(total_positions) // floor))
+    return count - count % workers if count >= workers else count
 
 
 def plan_windows(
@@ -96,51 +132,54 @@ def plan_windows(
     span: int,
     num_workers: int,
     *,
+    cells_per_position: Optional[int] = None,
     target_positions: Optional[int] = None,
 ) -> List[List[Window]]:
     """Split a database into chunks of windows balanced by position count.
 
-    Returns a list of chunks; each chunk is a list of :class:`Window`
-    covering roughly ``total_positions / (num_workers * OVERSUBSCRIPTION)``
-    positions, never less than :func:`min_chunk_positions`.  A tail shorter
-    than a quarter of that floor joins the window before it.  References
-    with zero positions (shorter than the query) yield no windows — the
-    merge synthesizes their empty results.  Windows within a chunk and
-    chunks themselves are emitted in (reference, start) order, so the
-    merge is deterministic.
+    The database's alignment positions, reference after reference, are cut
+    into :func:`num_chunks` chunks whose sizes differ by at most one
+    position, so each carries at least :func:`min_chunk_positions` unless
+    the pass is too small for more than one.
+    ``cells_per_position`` is the sum of the spans a pass folds (default
+    ``span``).  An explicit ``target_positions`` cuts chunks of exactly
+    that many positions instead, the last one shorter.  References with
+    zero positions (shorter than the query) yield no windows — the merge
+    synthesizes their empty results.  Windows within a chunk and chunks
+    themselves are emitted in (reference, start) order, so the merge is
+    deterministic.
     """
     if span < 1:
         raise ValueError("span must be >= 1")
     total = sum(num_positions(length, span) for length in lengths)
     if total <= 0:
         return []
-    floor = min_chunk_positions(span)
     if target_positions is None:
-        per_chunk = -(-total // max(1, num_workers * OVERSUBSCRIPTION))
-        target_positions = max(floor, per_chunk)
-    target = max(1, int(target_positions))
+        count = num_chunks(total, span, num_workers, cells_per_position)
+        sizes = [(c + 1) * total // count - c * total // count for c in range(count)]
+    else:
+        target = max(1, int(target_positions))
+        sizes = [target] * (total // target)
+        if total % target:
+            sizes.append(total % target)
 
     chunks: List[List[Window]] = []
     current: List[Window] = []
-    room = target
+    pending = iter(sizes)
+    room = next(pending)
     for reference, length in enumerate(lengths):
         remaining = num_positions(length, span)
         start = 0
         while remaining > 0:
             take = min(remaining, room)
-            # Absorb a sliver tail rather than leave a tiny trailing window.
-            if 0 < remaining - take < max(1, floor // 4) <= room:
-                take = remaining
             current.append(Window(reference, start, start + take))
             start += take
             remaining -= take
             room -= take
-            if room <= 0:
+            if room == 0:
                 chunks.append(current)
                 current = []
-                room = target
-    if current:
-        chunks.append(current)
+                room = next(pending, 0)
     return chunks
 
 

@@ -7,8 +7,9 @@ references shorter than the look-back window, dependent-only queries,
 ragged batches that size the shared planes, counters wider than the
 750-element budget, the fold's 8-row block and 64-element unroll, the
 change from fixed-depth fold instances to the run-time-depth one at 1,024
-elements, the plane build's direct and complemented minterm sums, and the
-bound that lets a hits-only fold abandon a tile.
+elements, the plane build's direct and complemented minterm sums (over the
+context, and over the code alone for masks that ignore the look-back),
+and the bound that lets a hits-only fold abandon a tile.
 """
 
 import numpy as np
@@ -49,13 +50,14 @@ def _naive_prefix_scores(instructions, codes):
     return prefix
 
 
-def _build_planes(masks, codes, plane_words):
-    """``fabp_build_planes`` over ``codes`` packed to 2 bits, from position 0."""
+def _build_planes(masks, codes, plane_words, x0=0):
+    """``fabp_build_planes`` over ``codes`` packed to 2 bits, from position
+    ``x0`` (a multiple of 64)."""
     packed = packing.pack(codes)
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
     planes = np.empty((masks.size, plane_words), dtype=np.uint64)
     bitscore._NATIVE.fabp_build_planes(
-        packed.ctypes.data, packed.size, 0, masks.ctypes.data, masks.size,
+        packed.ctypes.data, packed.size, x0, masks.ctypes.data, masks.size,
         planes.ctypes.data, plane_words,
     )
     return planes
@@ -373,6 +375,38 @@ def test_plane_build_direct_and_complemented_minterm_sums(rng):
     for count, mask, got, expected in zip(selections + [64], masks, bits, want):
         assert bin(int(mask)).count("1") == count
         assert np.array_equal(got, expected), count
+
+
+#: Each of the 16 context nibbles of a code-only mask is its low nibble.
+_CODE_ONLY = np.uint64(0x1111111111111111)
+
+
+@requires_native
+@pytest.mark.parametrize("x0", [64, 32_768])
+def test_plane_build_mixes_code_only_and_look_back_masks(rng, x0):
+    """Planes from ``x0`` on, where the look-back reads real codes.
+
+    Masks that ignore the look-back are built from the code minterms
+    alone, the rest from the context minterms.  Every instruction's mask
+    (22 of the 64 ignore the look-back) is checked against
+    ``match_bytes``, and every code-only mask, selecting 0 to 4 codes,
+    against its truth table.
+    """
+    instructions = np.arange(64, dtype=np.uint8)
+    masks = bitscore._CONTEXT_MASKS[instructions]
+    assert int(np.count_nonzero(masks == (masks & np.uint64(0xF)) * _CODE_ONLY)) == 22
+    code_only = np.arange(16, dtype=np.uint64) * _CODE_ONLY
+    codes = rng.integers(0, 4, x0 + 1_300).astype(np.uint8)
+    count = codes.size - x0
+    planes = _build_planes(
+        np.concatenate([masks, code_only]), codes, -(-count // bitscore.WORD_BITS), x0
+    )
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little", count=count)
+    rows, element_rows = bitscore.match_bytes(instructions, codes)
+    assert np.array_equal(element_rows, np.arange(64))
+    assert np.array_equal(bits[:64], rows[:, x0:])
+    want = (np.arange(16)[:, None] >> codes[None, x0:]) & 1
+    assert np.array_equal(bits[64:], want)
 
 
 @requires_native

@@ -72,9 +72,10 @@ def assert_matches_oracle(results, expected_scores, threshold):
 def small_chunk_floor(monkeypatch):
     """Plan these databases, small enough for a ``naive`` oracle, into
     several tasks with seams inside a reference, as a large scan is
-    planned: a 1 M-cell floor is 43,691 positions of an 8-residue query
-    (the planner's own floor is 2**25 cells, about 1.4 M positions)."""
-    monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 20)
+    planned: a 512 K-cell floor is 21,846 positions of an 8-residue query,
+    so ``BIG`` (85,931 positions) is three tasks (the planner's own floor
+    is 2**28 cells, about 11 M positions)."""
+    monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 19)
 
 
 @pytest.fixture(scope="module")

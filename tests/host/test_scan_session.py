@@ -240,6 +240,36 @@ class TestPassPlanning:
             assert covered == list(range(len(encoded)))
 
 
+    @pytest.mark.parametrize(
+        "references, k, fewest, most", [(4, 1, 1, 2), (16, 8, 8, 8)]
+    )
+    def test_benchmark_shapes_plan_by_their_cells(self, references, k, fewest, most):
+        """Two workers over the perfbench shapes: one 250-aa query over
+        4 x 256 knt (766 M cells) is at most 2 tasks, a pass of eight over
+        16 x 256 knt (24.5 G cells, each position folded once per query)
+        is 8."""
+        encoded = [encode_query(random_protein(250, rng=RNG)) for _ in range(k)]
+        passes, tasks = session_mod.plan_batch(
+            [256_000] * references, encoded, [675] * k, 2
+        )
+        assert len(passes) == 1
+        assert fewest <= len(tasks) <= most
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_plan_tasks_is_the_plan_a_call_runs(
+        self, queries, database, monkeypatch, shards
+    ):
+        monkeypatch.setattr(session_mod._windows, "MIN_CHUNK_CELLS", 1 << 16)
+        with ScanSession(database, workers=2, shards=shards) as session:
+            tasks = session.plan_tasks(queries, chunk_size=None)
+            _, report = session.scan_batch(queries, with_report=True)
+        assert len(tasks) == report.chunks_total > 2
+        assert sorted({a.chunk for a in report.attempts}) == list(range(len(tasks)))
+        if shards:
+            assert [t.shard for t in tasks] == sorted(t.shard for t in tasks)
+            assert {t.shard for t in tasks} == {0, 1}
+
+
 class TestCheckpoint:
     def test_resume_skips_completed_tasks(self, queries, database, tmp_path):
         with ScanSession(database, workers=1) as session:

@@ -6,8 +6,12 @@ whole reference in one call — including the ``x_bit_rows`` look-back
 context at every seam and the ``keep_scores`` reconstruction.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aligner import scores_from_codes
 from repro.core.encoding import encode_query
@@ -50,19 +54,11 @@ class TestPlanWindows:
         with pytest.raises(ValueError):
             windows.plan_windows([100], 0, 1)
 
-    def test_sliver_tails_are_absorbed(self):
-        # One reference slightly over the target must not leave a tiny
-        # trailing window (the halo would dominate it).
-        floor = windows.min_chunk_positions(90)
-        chunks = windows.plan_windows(
-            [floor + 10 + 89], 90, 1, target_positions=floor
-        )
-        all_windows = [w for chunk in chunks for w in chunk]
-        assert len(all_windows) == 1
-
-    def test_balance_beats_reference_chunking(self):
+    def test_balance_beats_reference_chunking(self, monkeypatch):
         # The motivating workload: one long reference among short ones,
-        # with enough work (387 M cells) that splitting it pays.
+        # with enough work (387 M cells over a 32 M-cell floor) that
+        # splitting it pays.
+        monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 25)
         lengths = [4_000_000, 100_000, 100_000, 100_000]
         chunks = windows.plan_windows(lengths, 90, 4)
         loads = sorted(
@@ -73,23 +69,78 @@ class TestPlanWindows:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_small_scans_keep_a_floor_of_work_per_chunk(self, workers):
-        """4 x 80 knt with a 150-element query is 48 M cells: two chunks at
-        any worker count, each but the last with MIN_CHUNK_CELLS of work."""
-        span = 150
-        chunks = windows.plan_windows([80_000] * 4, span, workers)
-        cells = [span * sum(w.positions for w in chunk) for chunk in chunks]
-        assert len(chunks) == 2
-        assert all(c >= windows.MIN_CHUNK_CELLS for c in cells[:-1])
+        """4 x 80 knt with a 150-element query is 48 M cells, under
+        MIN_CHUNK_CELLS: one chunk at any worker count, which runs on the
+        calling thread."""
+        chunks = windows.plan_windows([80_000] * 4, 150, workers)
+        assert len(chunks) == 1
+        assert [(w.start, w.stop) for w in chunks[0]] == [(0, 79_851)] * 4
 
     def test_large_scans_plan_by_workers_not_the_floor(self):
-        """16 x 256 knt with a 750-element query: the floor (44,740
+        """16 x 256 knt with a 750-element query: the floor (357,914
         positions) is below a worker's share, so each of 2 workers gets
         OVERSUBSCRIPTION chunks of whole references."""
-        assert windows.min_chunk_positions(750) == 44_740
+        assert windows.min_chunk_positions(750) == 357_914
         chunks = windows.plan_windows([256_000] * 16, 750, 2)
         assert len(chunks) == 2 * windows.OVERSUBSCRIPTION
         assert all(len(chunk) == 2 for chunk in chunks)
         assert all(w.start == 0 for chunk in chunks for w in chunk)
+
+    @pytest.mark.parametrize(
+        "total, workers, expected",
+        [(0, 2, 1), (1, 2, 1), (2, 2, 2), (3, 2, 2), (5, 4, 4), (7, 4, 4),
+         (9, 4, 8), (100, 2, 8), (100, 3, 12), (3, 1, 3)],
+    )
+    def test_chunk_count_rounds_down_to_whole_rounds(
+        self, monkeypatch, total, workers, expected
+    ):
+        """Counted in floors of 10 positions: at most workers x
+        OVERSUBSCRIPTION, a multiple of workers once it reaches them."""
+        monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 100)
+        assert windows.num_chunks(10 * total, 2, workers, cells_per_position=10) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 5_000), min_size=1, max_size=8),
+        span=st.integers(1, 60),
+        members=st.integers(1, 4),
+        workers=st.integers(1, 6),
+        min_cells=st.integers(1, 200_000),
+    )
+    def test_plan_properties(self, lengths, span, members, workers, min_cells):
+        """Windows cover every position once, in (reference, start) order;
+        the chunk count is a multiple of the workers once it reaches them;
+        every chunk but the last carries MIN_CHUNK_CELLS of pass cells."""
+        weight = span * members
+        with mock.patch.object(windows, "MIN_CHUNK_CELLS", min_cells):
+            chunks = windows.plan_windows(
+                lengths, span, workers, cells_per_position=weight
+            )
+        flat = [(w.reference, w.start, w.stop) for chunk in chunks for w in chunk]
+        want = []
+        for reference, length in enumerate(lengths):
+            positions = windows.num_positions(length, span)
+            if positions:
+                want.append((reference, 0, positions))
+        # Merging the windows of each reference gives back its positions.
+        merged = []
+        for reference, start, stop in flat:
+            assert start < stop
+            if merged and merged[-1][0] == reference:
+                assert merged[-1][2] == start
+                merged[-1] = (reference, merged[-1][1], stop)
+            else:
+                merged.append((reference, start, stop))
+        assert merged == want
+        if not want:
+            assert chunks == []
+            return
+        assert all(chunk for chunk in chunks)
+        if len(chunks) >= workers:
+            assert len(chunks) % workers == 0
+        assert len(chunks) <= workers * windows.OVERSUBSCRIPTION
+        cells = [weight * sum(w.positions for w in chunk) for chunk in chunks]
+        assert all(c >= min_cells for c in cells[:-1])
 
 
 class TestWindowedScanBitIdentity:

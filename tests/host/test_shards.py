@@ -235,10 +235,10 @@ class TestFaultRecovery:
 class TestCheckpointResume:
     def test_respawn_replays_only_unfinished_chunks(self, rng, tmp_path, monkeypatch):
         # 3 references x 20000 nt per shard = two tasks per shard (ids 0-1
-        # and 2-3) under a 1 M-cell floor (43,691 positions of a 24-element
-        # query).  Task 3 crashes once: only it is replayed, and every
-        # task lands in the one checkpoint store, keyed by task id.
-        monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 20)
+        # and 2-3) under a 512 K-cell floor (21,846 positions of a
+        # 24-element query).  Task 3 crashes once: only it is replayed, and
+        # every task lands in the one checkpoint store, keyed by task id.
+        monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 19)
         references = make_references(rng, count=6, length=20000)
         query = random_protein(8, rng=rng)
         batches, report = sharded_scan(

@@ -45,9 +45,9 @@ def run_cli(args, timeout=180):
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
     # 6 references x 300000 nt split into 2 shards: each shard holds about
-    # 900000 positions of a 60-element query, two tasks of at least the
-    # 2**25-cell floor (559,241 positions), so the scan runs tasks 0-3 on
-    # two threads.
+    # 900000 positions of a 750-element query, two tasks of at least the
+    # 2**28-cell floor (357,914 positions), so the scan runs tasks 0-3 on
+    # two threads.  At 47 % identity the query has about 5,000 hits.
     base = tmp_path_factory.mktemp("shard_kill")
     db = base / "db.fasta"
     queries = base / "q.fasta"
@@ -55,7 +55,7 @@ def workload(tmp_path_factory):
         [
             "generate",
             "--queries", "1",
-            "--length", "20",
+            "--length", "250",
             "--references", "6",
             "--reference-length", "300000",
             "--seed", "11",
@@ -72,7 +72,7 @@ def scan_args(db, queries, *extra):
         "scan",
         "--query-file", str(queries),
         "--database", str(db),
-        "--min-identity", "0.6",
+        "--min-identity", "0.47",
         "--shards", "2",
         "--backoff", "0.01",
         *extra,
