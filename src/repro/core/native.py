@@ -115,7 +115,7 @@ def load() -> Optional[ctypes.CDLL]:
         return None
     pointer, size = ctypes.c_void_p, ctypes.c_int64
     library.fabp_build_planes.argtypes = [
-        pointer, size, size, pointer, size, pointer, size,
+        pointer, size, size, pointer, size, pointer, size, size,
     ]
     library.fabp_build_planes.restype = None
     library.fabp_scan_task.argtypes = [

@@ -10,8 +10,9 @@
  *                      windows of the packed image.  Each window is cut
  *                      into blocks of BLOCK_WORDS words of alignment
  *                      positions; a block's match planes are built from the
- *                      image (small enough to stay in L2) and all k queries
- *                      are folded over them before the next block is built.
+ *                      image (small enough to stay in L2), up to the words
+ *                      its folds read, and all k queries are folded over
+ *                      them before the next block is built.
  *   fabp_build_planes  2-bit reference codes -> one packed match bitplane
  *                      per distinct instruction (bit p%64 of word p/64 is
  *                      position x0 + p).  Each instruction is a 64-bit
@@ -20,11 +21,27 @@
  *                      as A.
  *
  * The fold walks TILE_WORDS-word tiles, funnel-shifts element i's plane by
- * i bits, folds 8 rows at a time through a Harley-Seal CSA block into
- * vertical counter planes, then compares the counter planes with the
- * threshold bit-sliced, 64 positions per word.  Only a 16-lane group with a
- * lane at or above the threshold is decoded to int32, and each passing
- * position is appended with its score to the query's hit row.
+ * i bits, folds 8 rows at a time (in the fold order below) through a
+ * Harley-Seal CSA block into vertical counter planes, then compares the
+ * counter planes with the threshold bit-sliced, 64 positions per word.
+ * Only a 16-lane group with a lane at or above the threshold is decoded to
+ * int32, and each passing position is appended with its score to the
+ * query's hit row.
+ *
+ * Fold order.  Slot p of a query's fold folds element pi(p), not element
+ * p, where pi(p) = p (mod 64): within each residue class mod 64 the
+ * elements go in ascending popcount of their truth mask (the number of
+ * contexts that match), ties by index.  Element pi(p)'s plane is read from
+ * word pi(p)/64 of the tile, shifted by pi(p) % 64 = p % 64 bits, so a
+ * slot's shift is the same whichever element it holds, and every shift of
+ * the unrolled stretch stays a constant.  A task call builds one int32
+ * fold table per query: entry p is plane index * plane_words + pi(p)/64,
+ * the offset of the word element pi(p) reads at tile word 0.  It takes
+ * O(n): a counting sort of the elements over the weights 0-64, then each
+ * element dealt to the next free slot of its class.  A count is a sum, so
+ * the order leaves every score as it was; folding the elements that match
+ * least first keeps the partial counts of positions that will not pass
+ * low, so the bound below rules their tile out sooner.
  *
  * The image.  Reference r's codes are packed four to a byte, code x in
  * bits 2(x%4) of byte x/4 from its byte offset; a window row is (byte
@@ -65,12 +82,13 @@
  *
  * Abandoning a tile.  A fold that writes hits and no scores, with a
  * threshold t > 0, stops folding a tile once no position in it can pass.
- * After i of the n elements, a position's count c only grows by the
- * matches of the n - i elements left, at most one each, so its final
- * count is at most c + (n - i).  If every count in the tile is below
- * t - (n - i), every final count is below t: the tile has no hit, and it
- * emits nothing.  A position that passes has c >= t - (n - i) at every i,
- * so it is never dropped; t - (n - i) <= t <= n < 2**levels keeps the
+ * After the first i elements in fold order, a position's count c only
+ * grows by the matches of the n - i elements not yet folded, at most one
+ * each whichever they are, so its final count is at most c + (n - i).  If
+ * every count in the tile is below t - (n - i), every final count is below
+ * t: the tile has no hit, and it emits nothing.  A position that passes
+ * has c >= t - (n - i) after every i elements, in any order, so it is
+ * never dropped; t - (n - i) <= t <= n < 2**levels keeps the
  * comparison exact (at_least), and it is made only while t - (n - i) > 0.
  * The check runs after each 64-element stretch and after each 8-row block
  * of the tail, where the counter planes are whole; counts of positions
@@ -155,15 +173,17 @@ static inline void load_codes(const uint8_t *ref, int64_t nbytes, int64_t x,
  * of those it leaves out when it selects more than two: at most two ORs,
  * where the sum over the 64 context minterms takes 16 to 32 terms.  Most
  * instructions of an encoded query (every fixed base of a codon) are of
- * this kind.  x0 is a multiple of 64. */
+ * this kind.  x0 is a multiple of 64.  Plane j starts at word
+ * j * plane_words, and only its first `words` (<= plane_words) are
+ * written. */
 void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
                        const uint64_t *masks, int64_t num_masks,
-                       uint64_t *planes, int64_t plane_words)
+                       uint64_t *planes, int64_t plane_words, int64_t words)
 {
     uint64_t prev_lo = 0, prev_hi = 0;
     if (x0 >= 64)
         load_codes(ref, nbytes, x0 - 64, &prev_lo, &prev_hi);
-    for (int64_t w0 = 0; w0 < plane_words; w0 += T) {
+    for (int64_t w0 = 0; w0 < words; w0 += T) {
         uint64_t sliced[6][T];
         for (int t = 0; t < T; t++) {
             uint64_t lo, hi;
@@ -208,7 +228,7 @@ void fabp_build_planes(const uint8_t *ref, int64_t nbytes, int64_t x0,
                 word = ~word;
             uint64_t out[T];
             memcpy(out, &word, sizeof out);
-            for (int t = 0; t < T && w0 + t < plane_words; t++)
+            for (int t = 0; t < T && w0 + t < words; t++)
                 planes[j * plane_words + w0 + t] = out[t];
         }
     }
@@ -233,15 +253,15 @@ ALWAYS_INLINE void ripple(tile_t *level, int from, int levels, tile_t carry)
     }
 }
 
-/* Fold the rows of elements[0..8) into the counter planes: element k's
- * plane is read from word `word`, shifted by shift + k <= 63 bits. */
+/* Fold the slots table[0..8) of a fold table into the counter planes: slot
+ * k's plane word is read from tile word w0, shifted by shift + k <= 63
+ * bits. */
 ALWAYS_INLINE void fold8(tile_t *level, int levels, const uint64_t *planes,
-                         int64_t plane_words, const int32_t *elements,
-                         int64_t word, unsigned shift)
+                         const int32_t *table, int64_t w0, unsigned shift)
 {
     tile_t r[8], carry, twos_a, twos_b, fours_a, fours_b;
     for (int k = 0; k < 8; k++)
-        r[k] = load_row(planes + elements[k] * plane_words, word, shift + k);
+        r[k] = load_row(planes + table[k], w0, shift + k);
     CSA(twos_a, level[0], level[0], r[0], r[1]);
     CSA(twos_b, level[0], level[0], r[2], r[3]);
     CSA(fours_a, level[1], level[1], twos_a, twos_b);
@@ -285,14 +305,13 @@ static inline tile_t at_least(const tile_t *level, int levels, int64_t threshold
     return greater | equal;
 }
 
-/* What one fold reads and writes: planes of one block, one query's element
- * rows, its positions [lo, hi) in the block, and where its hits and scores
+/* What one fold reads and writes: planes of one block, one query's fold
+ * table, its positions [lo, hi) in the block, and where its hits and scores
  * go.  A hit at block position p is written as p + delta; scores[p - lo]
  * receives the score of p. */
 struct fold_job {
     const uint64_t *planes;
-    int64_t plane_words;
-    const int32_t *elements;
+    const int32_t *table;
     int64_t num_elements;
     int64_t lo, hi, threshold, delta;
     int want_hits, prune;
@@ -372,8 +391,8 @@ ALWAYS_INLINE int64_t fold_at_depth(const int levels, const struct fold_job *job
                                     int64_t *stopped, int64_t rows[2])
 {
     const uint64_t *planes = job->planes;
-    const int64_t plane_words = job->plane_words, n = job->num_elements;
-    const int32_t *element_planes = job->elements;
+    const int64_t n = job->num_elements;
+    const int32_t *table = job->table;
     int64_t found = 0;
     *stopped = -1;
     for (int64_t w0 = begin; w0 < (job->hi + 63) / 64; w0 += T) {
@@ -387,30 +406,27 @@ ALWAYS_INLINE int64_t fold_at_depth(const int levels, const struct fold_job *job
         int64_t i = 0;
         int abandoned = 0;
         for (; i + 64 <= n && !abandoned; i += 64) {
-            const int32_t *e = element_planes + i;
-            int64_t word = w0 + i / 64;
-            fold8(level, levels, planes, plane_words, e, word, 0);
-            fold8(level, levels, planes, plane_words, e + 8, word, 8);
-            fold8(level, levels, planes, plane_words, e + 16, word, 16);
-            fold8(level, levels, planes, plane_words, e + 24, word, 24);
-            fold8(level, levels, planes, plane_words, e + 32, word, 32);
-            fold8(level, levels, planes, plane_words, e + 40, word, 40);
-            fold8(level, levels, planes, plane_words, e + 48, word, 48);
-            fold8(level, levels, planes, plane_words, e + 56, word, 56);
+            const int32_t *e = table + i;
+            fold8(level, levels, planes, e, w0, 0);
+            fold8(level, levels, planes, e + 8, w0, 8);
+            fold8(level, levels, planes, e + 16, w0, 16);
+            fold8(level, levels, planes, e + 24, w0, 24);
+            fold8(level, levels, planes, e + 32, w0, 32);
+            fold8(level, levels, planes, e + 40, w0, 40);
+            fold8(level, levels, planes, e + 48, w0, 48);
+            fold8(level, levels, planes, e + 56, w0, 56);
             abandoned = job->prune && out_of_reach(level, levels, job->threshold,
                                                    n - i - 64);
         }
         for (; i + 8 <= n && !abandoned; i += 8) {
-            fold8(level, levels, planes, plane_words, element_planes + i,
-                  w0 + i / 64, (unsigned)(i % 64));
+            fold8(level, levels, planes, table + i, w0, (unsigned)(i % 64));
             abandoned = job->prune && out_of_reach(level, levels, job->threshold,
                                                    n - i - 8);
         }
         if (!abandoned) {
             for (; i < n; i++)
                 ripple(level, 0, levels,
-                       load_row(planes + element_planes[i] * plane_words,
-                                w0 + i / 64, (unsigned)(i % 64)));
+                       load_row(planes + table[i], w0, (unsigned)(i % 64)));
             found = emit_tile(level, levels, w0, job, found);
         }
         rows[0] += i;
@@ -447,6 +463,35 @@ static inline int64_t cell_stop(const int64_t *window, int64_t span)
     return window[3] < last ? window[3] : last;
 }
 
+/* Every query's fold table, end to end in query order (see Fold order):
+ * entry p of query q's table, which starts at the sum of the spans before
+ * q, is its slot p's plane index * plane_words + pi(p)/64.  `sorted` has
+ * room for the longest span. */
+static void fold_tables(const uint64_t *masks, const int32_t *elements,
+                        const int64_t *spans, int64_t num_queries,
+                        int64_t plane_words, int32_t *tables, int32_t *sorted)
+{
+    int32_t *table = tables;
+    for (int64_t q = 0; q < num_queries; q++) {
+        const int64_t n = spans[q];
+        const int32_t *rows = elements + (table - tables);
+        /* Counting sort by weight, stable: at[w] is where weight w starts. */
+        int64_t at[66] = {0}, next[64] = {0};
+        for (int64_t i = 0; i < n; i++)
+            at[__builtin_popcountll(masks[rows[i]]) + 1]++;
+        for (int w = 0; w < 65; w++)
+            at[w + 1] += at[w];
+        for (int64_t i = 0; i < n; i++)
+            sorted[at[__builtin_popcountll(masks[rows[i]])]++] = (int32_t)i;
+        /* Deal: each element takes the next slot of its residue class. */
+        for (int64_t s = 0; s < n; s++) {
+            const int64_t e = sorted[s], r = e % 64;
+            table[r + 64 * next[r]++] = (int32_t)(rows[e] * plane_words + e / 64);
+        }
+        table += n;
+    }
+}
+
 int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
                        const int64_t *windows, int64_t num_windows,
                        const uint64_t *masks, int64_t num_masks,
@@ -457,16 +502,27 @@ int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
                        int64_t *state)
 {
     const int64_t block = 64 * (int64_t)BLOCK_WORDS;
-    int64_t max_span = 1;
-    for (int64_t q = 0; q < num_queries; q++)
+    int64_t max_span = 1, total_span = 0;
+    for (int64_t q = 0; q < num_queries; q++) {
         max_span = spans[q] > max_span ? spans[q] : max_span;
+        total_span += spans[q];
+    }
     /* A tile starting at the block's last tile reads (n - 1)/64 + 1 words
      * past the block's end. */
     const int64_t plane_words = BLOCK_WORDS + (max_span - 1) / 64 + 1;
     const int64_t num_planes = num_masks > 0 ? num_masks : 1;
-    uint64_t *planes = malloc(sizeof(uint64_t) * (size_t)(plane_words * num_planes));
+    /* A fold-table entry is below num_planes * plane_words. */
+    if (num_planes * plane_words > INT32_MAX)
+        return -1;
+    /* One allocation: a block's planes, then the fold tables and the room
+     * their sort works in. */
+    uint64_t *planes = malloc(sizeof(uint64_t) * (size_t)(plane_words * num_planes)
+                              + sizeof(int32_t) * (size_t)(total_span + max_span));
     if (planes == NULL)
         return -1;
+    int32_t *tables = (int32_t *)(planes + plane_words * num_planes);
+    fold_tables(masks, elements, spans, num_queries, plane_words, tables,
+                tables + total_span);
     int64_t *fills = state + 7;
     /* Cell scores go after every earlier window's. */
     int64_t score_base = 0;
@@ -489,14 +545,20 @@ int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
         const int64_t origin = start - start % 64;
         for (int64_t b = state[1]; origin + b * block < top; b++) {
             const int64_t x0 = origin + b * block;
+            /* The folds start at tile word 0 (lo < 64) and read their tiles
+             * up to the last cell's end in the block, plus the halo. */
+            const int64_t end = (top < x0 + block ? top : x0 + block) - x0;
+            const int64_t words = (end + 64 * T - 1) / (64 * T) * T
+                                + (max_span - 1) / 64 + 1;
             fabp_build_planes(image + window[0], nbytes, x0, masks, num_masks,
-                              planes, plane_words);
+                              planes, plane_words,
+                              words < plane_words ? words : plane_words);
             int64_t cell_scores = score_base, offset = 0;
             for (int64_t q = 0; q < num_queries; q++) {
                 const int64_t span = spans[q], stop = cell_stop(window, span);
                 const int64_t lo = (start > x0 ? start : x0) - x0;
                 const int64_t hi = (stop < x0 + block ? stop : x0 + block) - x0;
-                const int32_t *rows_q = elements + offset;
+                const int32_t *table = tables + offset;
                 int32_t *cell = scores == NULL ? NULL : scores + cell_scores;
                 int64_t *fill = fills + q;
                 offset += span;
@@ -506,8 +568,7 @@ int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
                 int want_hits = hit_positions != NULL && thresholds[q] <= span;
                 struct fold_job job = {
                     .planes = planes,
-                    .plane_words = plane_words,
-                    .elements = rows_q,
+                    .table = table,
                     .num_elements = span,
                     .lo = lo,
                     .hi = hi,

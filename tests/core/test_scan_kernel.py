@@ -9,7 +9,9 @@ ragged batches that size the shared planes, counters wider than the
 change from fixed-depth fold instances to the run-time-depth one at 1,024
 elements, the plane build's direct and complemented minterm sums (over the
 context, and over the code alone for masks that ignore the look-back),
-and the bound that lets a hits-only fold abandon a tile.
+builds cut short to the words a block's folds read, the bound that lets a
+hits-only fold abandon a tile, and the fold order (each residue class mod
+64 lightest element first) that lets it abandon sooner.
 """
 
 import numpy as np
@@ -50,15 +52,16 @@ def _naive_prefix_scores(instructions, codes):
     return prefix
 
 
-def _build_planes(masks, codes, plane_words, x0=0):
+def _build_planes(masks, codes, plane_words, x0=0, words=None, fill=0):
     """``fabp_build_planes`` over ``codes`` packed to 2 bits, from position
-    ``x0`` (a multiple of 64)."""
+    ``x0`` (a multiple of 64): the first ``words`` (default all) of each
+    ``plane_words``-word plane, the rest left at ``fill``."""
     packed = packing.pack(codes)
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    planes = np.empty((masks.size, plane_words), dtype=np.uint64)
+    planes = np.full((masks.size, plane_words), fill, dtype=np.uint64)
     bitscore._NATIVE.fabp_build_planes(
         packed.ctypes.data, packed.size, x0, masks.ctypes.data, masks.size,
-        planes.ctypes.data, plane_words,
+        planes.ctypes.data, plane_words, plane_words if words is None else words,
     )
     return planes
 
@@ -352,6 +355,241 @@ class TestAbandonedTiles:
             assert np.array_equal(hit_scores, want[lo:hi][expected])
 
 
+#: The 22 instructions that ignore the look-back, with the codes they match
+#: (bit c of the nibble: code c); each code matched weighs 16 contexts.
+CODE_ONLY = {
+    v: mask & 0xF
+    for v, mask in enumerate(bitscore._CONTEXT_MASKS[:64].tolist())
+    if mask == (mask & 0xF) * 0x1111111111111111
+}
+#: The code-only instructions a position can mismatch: weights 16, 32, 48.
+SELECTIVE = np.array([v for v, nibble in CODE_ONLY.items() if nibble != 0xF], dtype=np.uint8)
+#: The code-only instructions of weight 64, which match every context.
+ALWAYS = np.array([v for v, nibble in CODE_ONLY.items() if nibble == 0xF], dtype=np.uint8)
+
+
+def _fold_order(instructions):
+    """The kernel's fold order: slot ``p`` folds element ``order[p]``.
+
+    ``order[p] % 64 == p % 64``; within each residue class the elements go
+    by weight (contexts matched: the popcount of the truth mask), lightest
+    first, ties by index.
+    """
+    masks = bitscore._CONTEXT_MASKS[np.asarray(instructions) & 63]
+    weights = np.array([bin(int(m)).count("1") for m in masks.tolist()])
+    order = np.arange(len(instructions))
+    for r in range(min(64, len(instructions))):
+        members = order[r::64]
+        order[r::64] = members[np.lexsort((members, weights[members]))]
+    return order
+
+
+def _checks(n):
+    """Element counts after which a hits-only fold checks the bound: each
+    64-element stretch, then each 8-row block of the tail."""
+    stretches = list(range(64, n + 1, 64))
+    return stretches + list(range(64 * (n // 64) + 8, n + 1, 8))
+
+
+def _modelled_rows(instructions, codes, threshold, order, tile=512):
+    """Element rows a hits-only fold of code-only ``instructions`` over all of
+    ``codes`` folds when it folds slot ``p`` as element ``order[p]``.
+
+    Every position of a tile takes part in the bound, those past the last
+    alignment position too: codes past the reference read as A (code 0).
+    """
+    n = len(instructions)
+    positions = codes.size - n + 1
+    tiles = -(-positions // tile)
+    padded = np.zeros(tiles * tile + n, dtype=np.int64)
+    padded[: codes.size] = codes
+    nibbles = np.array([CODE_ONLY[int(v)] for v in instructions])
+    folded = 0
+    for t in range(tiles):
+        window = np.lib.stride_tricks.sliding_window_view(
+            padded[t * tile : (t + 1) * tile + n - 1], n
+        )  # [position, element] -> code
+        matches = (nibbles[None, :] >> window) & 1
+        partial = np.cumsum(matches[:, order], axis=1)
+        rows = n
+        for i in _checks(n):
+            bound = threshold - (n - i)
+            if bound > 0 and partial[:, i - 1].max() < bound:
+                rows = i
+                break
+        folded += rows
+    return folded
+
+
+def _plant_codes(codes, instructions, position, matches):
+    """Write codes at ``position`` so that code-only element ``i`` matches
+    exactly where ``matches[i]``: its lowest matching code, or its lowest
+    other code."""
+    for i, (v, match) in enumerate(zip(instructions.tolist(), matches)):
+        nibble = CODE_ONLY[v]
+        codes[position + i] = min(c for c in range(4) if (nibble >> c & 1) == match)
+
+
+@requires_native
+class TestFoldOrder:
+    """The fold runs each residue class mod 64 lightest element first.
+
+    Queries mix instructions of weights 16 to 64, so the fold order is not
+    the query order.  Hits at the bound must survive in that order, the
+    rows folded must be those of that order (a query whose selective
+    elements sit at its end is ruled out after the first stretch, where
+    the query order could not abandon before its end), and scores are the
+    same sums in any order.  Counts 5-65 cross the single-element classes
+    (n <= 64, where the order is the identity) into the first class of two;
+    150 and 750 (n % 64 = 46) have ragged classes; 1,023-1,030 run the
+    run-time-depth fold.
+    """
+
+    COUNTS = [5, 63, 64, 65, 150, 750, *range(1023, 1031)]
+
+    @staticmethod
+    def _case(n, seed, positions=6 * 512 - 3):
+        rng = np.random.default_rng(seed)
+        instructions = rng.choice(SELECTIVE, n).astype(np.uint8)
+        codes = rng.integers(0, 4, positions + n - 1).astype(np.uint8)
+        return instructions, codes
+
+    @pytest.mark.parametrize(
+        "n, first", [(n, m) for n in COUNTS for m in (1, 3, 30, 100) if m < n]
+    )
+    def test_mismatches_in_the_first_folded_elements_keep_their_tile(
+        self, n, first, fold_rows
+    ):
+        """Threshold ``n - first``.  The position at 1,100 mismatches the
+        ``first`` elements folded first, so after ``i`` slots it has
+        ``i - first``: exactly the bound ``t - (n - i)`` at every check.
+        The one at 2,300 mismatches only the element folded last.  The rows
+        folded are those a model of the fold in this order folds."""
+        instructions, codes = self._case(n, seed=n * 37 + first)
+        order = _fold_order(instructions)
+        assert sorted(order.tolist()) == list(range(n))
+        assert all(order % 64 == np.arange(n) % 64)
+        threshold = n - first
+        early = np.zeros(n, dtype=bool)
+        early[order[:first]] = True
+        _plant_codes(codes, instructions, 1100, ~early)
+        _plant_codes(codes, instructions, 2300, np.arange(n) != order[-1])
+        want = _naive_by_element(instructions, codes)
+        assert want[1100] == threshold and want[2300] == n - 1
+        # At the bound at every check the fold makes (in fold order).
+        matched = np.cumsum(~early[order])
+        for i in _checks(n):
+            if threshold - (n - i) > 0:
+                assert matched[i - 1] == threshold - (n - i)
+        ((positions, hit_scores, _),), folded, _ = fold_rows(
+            [instructions], codes, [threshold], [(0, want.size)]
+        )
+        (expected,) = np.nonzero(want >= threshold)
+        assert {1100, 2300} <= set(expected.tolist())
+        assert np.array_equal(positions, expected)
+        assert np.array_equal(hit_scores, want[expected])
+        assert folded == _modelled_rows(instructions, codes, threshold, order)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_selective_elements_at_the_end_stop_at_the_first_check(self, n, fold_rows):
+        """The first ``n - 64`` elements match every context, the last 64
+        (or all ``n``) weigh 16-48; threshold ``n``.  In query order every
+        count equals the bound until the selective elements start, so no
+        tile could stop before them; in fold order they come first.  Tile
+        0 holds a position mismatching only the element folded just before
+        the first check, tile 2 one mismatching only the element folded just
+        after it, tile 4 a perfect match (each copy in a tile of its own).
+        A second query of the batch puts its selective elements first; the
+        rows of both are counted against a model of the fold."""
+        rng = np.random.default_rng(n)
+        selective = min(n, 64)
+        late = np.concatenate([
+            rng.choice(ALWAYS, n - selective), rng.choice(SELECTIVE, selective)
+        ]).astype(np.uint8)
+        early = late[::-1].copy()
+        codes = rng.integers(0, 4, 6 * 512 - 3 + n - 1).astype(np.uint8)
+        order = _fold_order(late)
+        check = _checks(n)[0] if n >= 8 else n
+        _plant_codes(codes, late, 100, np.arange(n) != order[check - 1])
+        # Tile 2's copy needs an element after the first check to mismatch.
+        after = check < n and int(late[order[check]]) not in ALWAYS
+        if after:
+            _plant_codes(codes, late, 1200, np.arange(n) != order[check])
+        _plant_codes(codes, late, 2300, np.ones(n, dtype=bool))
+        batch = [late, early]
+        want = [_naive_by_element(instructions, codes) for instructions in batch]
+        assert want[0][100] == n - 1 and want[0][2300] == n
+        results, folded, nominal = fold_rows(batch, codes, [n, n], [(0, want[0].size)] * 2)
+        for (positions, hit_scores, _), scores in zip(results, want):
+            (expected,) = np.nonzero(scores >= n)
+            assert np.array_equal(positions, expected)
+            assert np.array_equal(hit_scores, scores[expected])
+        tiles = -(-want[0].size // 512)
+        assert nominal == 2 * tiles * n
+        rows = [_modelled_rows(q, codes, n, _fold_order(q)) for q in batch]
+        assert folded == sum(rows)
+        if n >= 64:
+            # Every tile stops at the first check but tile 2 (at the next
+            # one, when it holds a copy) and tile 4 (folded whole).
+            second = [i for i in _checks(n) if i > check][0] if after else check
+            assert rows[0] == (tiles - 2) * check + second + n
+        if n - selective >= 64:
+            in_query_order = _modelled_rows(late, codes, n, np.arange(n))
+            assert in_query_order >= tiles * (n - selective) > rows[0]
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_kept_scores_and_threshold_zero_match_naive(self, n, fold_rows):
+        """Instructions of every weight, look-back ones included;
+        thresholds 0, 1, the median, the top and one above it over
+        every position, and a slice off word edges; then threshold 0 alone,
+        which folds every row."""
+        rng = np.random.default_rng(1000 + n)
+        instructions = rng.integers(0, 64, n).astype(np.uint8)
+        codes = rng.integers(0, 4, 3 * 512 + 5 + n - 1).astype(np.uint8)
+        want = _naive_by_element(instructions, codes)
+        top = int(want.max())
+        thresholds = [0, 1, int(np.median(want)), top, top + 1, top]
+        bounds = [(0, want.size)] * 5 + [(37, want.size - 70)]
+        results = bitscore.hits_batch(
+            [instructions] * len(thresholds), codes, thresholds, bounds, keep_scores=True
+        )
+        for threshold, (lo, hi), (hits, hit_scores, kept) in zip(thresholds, bounds, results):
+            window = want[lo:hi]
+            (expected,) = np.nonzero(window >= threshold)
+            assert np.array_equal(hits, expected), (n, threshold, lo)
+            assert np.array_equal(hit_scores, window[expected]), (n, threshold)
+            assert np.array_equal(kept, window), (n, lo, hi)
+        ((hits, hit_scores, _),), folded, nominal = fold_rows(
+            [instructions], codes, [0], [(0, want.size)]
+        )
+        assert np.array_equal(hits, np.arange(want.size))
+        assert np.array_equal(hit_scores, want)
+        assert folded == nominal == 4 * n
+
+    def test_mixed_batch_of_encoded_queries(self):
+        """Back-translated queries (fixed bases, wobble positions and
+        look-back elements) of ragged lengths in one call, with planted
+        copies, at 90 % identity and at the top score."""
+        rng = np.random.default_rng(33)
+        proteins = [random_protein(aa, rng=rng) for aa in (250, 90, 17)]
+        batch = [encode_query(p).as_array() for p in proteins]
+        codes = rng.integers(0, 4, 4_000).astype(np.uint8)
+        for protein, at in zip(proteins, (200, 1900, 3500)):
+            rna = codes_from_text(encode_protein_as_rna(protein, rng=rng).letters)
+            codes[at : at + rna.size] = rna
+        wants = [_naive_by_element(q, codes) for q in batch]
+        thresholds = [-(-9 * q.size // 10) for q in batch]
+        thresholds += [int(w.max()) for w in wants]
+        spans = [q.size for q in batch] * 2
+        bounds = [(0, codes.size - s + 1) for s in spans]
+        results = bitscore.hits_batch(batch * 2, codes, thresholds, bounds)
+        for (hits, hit_scores, _), want, threshold in zip(results, wants * 2, thresholds):
+            (expected,) = np.nonzero(want >= threshold)
+            assert expected.size > 0
+            assert np.array_equal(hits, expected)
+            assert np.array_equal(hit_scores, want[expected])
+
+
 @requires_native
 def test_plane_build_direct_and_complemented_minterm_sums(rng):
     """Masks selecting 0, 1, 32, 33, 63 and 64 of the 64 contexts.
@@ -407,6 +645,22 @@ def test_plane_build_mixes_code_only_and_look_back_masks(rng, x0):
     assert np.array_equal(bits[:64], rows[:, x0:])
     want = (np.arange(16)[:, None] >> codes[None, x0:]) & 1
     assert np.array_equal(bits[64:], want)
+
+
+@requires_native
+@pytest.mark.parametrize("words", [1, 7, 8, 9, 100, 529])
+def test_plane_build_writes_only_the_words_asked_for(rng, words):
+    """A short build is the prefix of the full one and leaves the rest of
+    each plane as it was: a task builds a block only up to the words its
+    folds read."""
+    masks = bitscore._CONTEXT_MASKS[np.arange(64)]
+    plane_words = 529
+    codes = rng.integers(0, 4, 64 + 64 * plane_words).astype(np.uint8)
+    sentinel = 0x5A5A5A5A5A5A5A5A
+    full = _build_planes(masks, codes, plane_words, x0=64)
+    short = _build_planes(masks, codes, plane_words, x0=64, words=words, fill=sentinel)
+    assert np.array_equal(short[:, :words], full[:, :words])
+    assert (short[:, words:] == sentinel).all()
 
 
 @requires_native
@@ -639,6 +893,28 @@ class TestScanTask:
             windows += [(r, a, b) for a, b in zip(edges, edges[1:]) if b > a]
         for keep_scores in (False, True):
             _assert_task_is_naive(short, windows, batch, thresholds, keep_scores)
+
+    def test_short_windows_after_full_blocks(self, long):
+        """Windows of 1-1,025 positions, ending on and off tile edges and a
+        few positions past a seam, after a window of whole blocks in the same
+        task: each block is built only up to its last cell's tiles plus the
+        longest span's halo, and the words past them still hold the last
+        block's planes.  A 750-element query reads twelve halo words."""
+        reference, planted = long
+        rng = np.random.default_rng(34)
+        batch = [planted, _palette_query(rng, 750), _palette_query(rng, 65)]
+        windows = [(0, 0, reference.codes.size)]
+        for start in (0, 3, 64, 700, BLOCK - 20, BLOCK + 64, 2 * BLOCK - 512):
+            for extent in (1, 63, 64, 65, 511, 512, 513, 1025):
+                windows.append((0, start, start + extent))
+        windows += [(0, seam - 20, seam + extent) for seam in self.SEAMS for extent in (1, 40)]
+        cells = _assert_task_is_naive(
+            [reference], windows, batch, [40, 700, 50], keep_scores=True
+        )
+        _assert_task_is_naive([reference], windows, batch, [40, 700, 50], False)
+        # The copies planted across the seams are hits of their own windows.
+        for j, (_, start, _) in enumerate(windows[-8:], start=len(windows) - 8):
+            assert 0 in cells[j * len(batch)][0].tolist(), start
 
     def test_scores_only_without_thresholds(self, short):
         rng = np.random.default_rng(30)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests.core.test_scan_kernel import (
     BLOCK,
+    CODE_ONLY,
     PALETTE,
     _assert_task_is_naive,
     _Reference,
@@ -356,6 +357,73 @@ class TestAbandonedTiles:
             assert np.array_equal(got, expected), where
             assert np.array_equal(got_scores, want[lo:hi][expected]), where
             assert kept is None
+
+
+@pytest.mark.skipif(bitscore._NATIVE is None, reason="the compiled kernel is not available")
+class TestFoldOrder:
+    """Hits-only folds of queries of mixed selectivity equal ``naive``.
+
+    The fold runs each residue class of a query's elements mod 64 lightest
+    first (fewest contexts matched), so these queries mix instructions of
+    every weight, 16 to 64, look-back ones included, in random proportions:
+    their fold order is not the query order.  1-1,100 elements, up to six
+    512-position tiles, ragged bounds, up to three near-copies planted in
+    them (code-only elements match, the others take a random code), and
+    thresholds at the 50, 90, 99 and 100 % quantiles of the scores in the
+    bounds and one either side; one threshold also keeps every score.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        plants=st.integers(0, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_quantile_thresholds_match_naive(self, seed, plants):
+        rng = np.random.default_rng(seed)
+        elements = int(2 ** rng.uniform(0, np.log2(1101)))
+        positions = int(rng.integers(1, 3001))
+        # Code-only instructions (weights 16-64) and all 64, mixed.
+        code_only = np.array(sorted(CODE_ONLY), dtype=np.uint8)
+        instructions = rng.choice(code_only, elements).astype(np.uint8)
+        anything = rng.random(elements) < rng.uniform(0, 1)
+        instructions[anything] = rng.integers(0, 64, int(anything.sum()))
+        codes = rng.integers(0, 4, positions + elements - 1).astype(np.uint8)
+        copy = np.array([
+            min(c for c in range(4) if CODE_ONLY[v] >> c & 1) if v in CODE_ONLY
+            else int(rng.integers(0, 4))
+            for v in instructions.tolist()
+        ], dtype=np.uint8)
+        lo, hi = sorted(int(bound) for bound in rng.integers(0, positions + 1, 2))
+        for _ in range(plants if hi > lo else 0):
+            at = int(rng.integers(lo, hi))
+            stretch = codes[at : at + elements]
+            stretch[:] = copy
+            flips = rng.integers(0, elements, int(rng.integers(0, 4)))
+            stretch[flips] = (stretch[flips] + 1) % 4
+        want = _naive_by_element(instructions, codes)
+        window = want[lo:hi] if hi > lo else want
+        thresholds = [
+            max(0, int(np.quantile(window, q)) + step)
+            for q in (0.5, 0.9, 0.99, 1.0)
+            for step in (-1, 0, 1)
+        ]
+        results = bitscore.hits_batch(
+            [instructions] * len(thresholds), codes, thresholds,
+            [(lo, hi)] * len(thresholds),
+        )
+        for threshold, (got, got_scores, kept) in zip(thresholds, results):
+            (expected,) = np.nonzero(want[lo:hi] >= threshold)
+            where = (elements, positions, lo, hi, threshold)
+            assert np.array_equal(got, expected), where
+            assert np.array_equal(got_scores, want[lo:hi][expected]), where
+            assert kept is None
+        threshold = thresholds[int(rng.integers(0, len(thresholds)))]
+        ((got, got_scores, kept),) = bitscore.hits_batch(
+            [instructions], codes, [threshold], [(lo, hi)], keep_scores=True
+        )
+        (expected,) = np.nonzero(want[lo:hi] >= threshold)
+        assert np.array_equal(got, expected) and np.array_equal(kept, want[lo:hi])
+        assert np.array_equal(got_scores, want[lo:hi][expected])
 
 
 @functools.lru_cache(maxsize=1)
