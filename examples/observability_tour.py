@@ -42,7 +42,7 @@ def run_scan(encoded, database):
         threshold=int(0.6 * len(encoded)),
         workers=2,
         chunk_size=2,
-        policy=RetryPolicy(seed=0),
+        policy=RetryPolicy(),
         with_report=True,
     )
 

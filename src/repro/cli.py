@@ -5,7 +5,7 @@ Subcommands:
 * ``encode``    — back-translate and encode protein queries (FASTA or inline)
 * ``search``    — align queries against a reference database (FASTA)
 * ``scan``      — fault-tolerant software scan of a FASTA database through
-  the supervised runtime: retries/timeouts/backoff, checkpoint/resume,
+  the supervised runtime: retries/timeouts, checkpoint/resume,
   deterministic fault injection, machine-readable ``ScanReport``
 * ``serve``     — front-door scan daemon over one resident warm runtime:
   HTTP job admission (``POST /scan``), batched passes, LRU result cache,
@@ -289,11 +289,8 @@ def cmd_scan(args) -> int:
         policy = RetryPolicy(
             max_retries=args.retries,
             timeout=args.chunk_timeout if args.chunk_timeout > 0 else None,
-            backoff=args.backoff,
-            hedge_after=args.hedge_after,
             max_respawns=args.max_respawns,
             degrade=not args.no_degrade,
-            seed=args.seed,
         )
         plan = None
         if args.inject_faults:
@@ -1127,11 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra attempts per task after the first failure")
     p.add_argument("--chunk-timeout", type=float, default=300.0,
                    help="per-task attempt timeout in seconds (0 disables)")
-    p.add_argument("--backoff", type=float, default=0.05,
-                   help="base retry backoff in seconds (doubles per failure)")
-    p.add_argument("--hedge-after", type=float, default=None,
-                   help="re-dispatch straggler tasks older than this many "
-                   "seconds once the queue drains")
     p.add_argument("--max-respawns", type=int, default=8,
                    help="lost workers (crashed or timed-out attempts) "
                    "tolerated before the scan is declared unhealthy")
@@ -1139,8 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raise instead of finishing in-process (or, with "
                    "--shards, reporting the shard dead) when the workers "
                    "are unhealthy or a task exhausts its retries")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the backoff-jitter RNG")
     p.add_argument("--checkpoint", metavar="DIR",
                    help="persist completed tasks here (manifest + one .npz "
                    "per task) so a killed scan can --resume")

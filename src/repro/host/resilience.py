@@ -16,55 +16,54 @@ is any object with two methods:
 
 A window task scores a chunk of database windows; a sharded scan labels
 each of its window tasks with the shard whose reference range it covers.
-Attempts run on a thread executor: ``workers`` slots in this process, all
-reading the one in-process database image, as the paper's kernel
-instances share one DRAM image.  The compiled kernel drops the GIL for
-its calls, so the slots score in parallel.  Whatever the task, the
-supervisor provides:
+Attempts run in this process, all reading the one in-process database
+image, as the paper's kernel instances share one DRAM image.  At width
+``workers >= 2`` each slot is served by a thread of a :class:`SlotThreads`
+(the compiled kernel drops the GIL for its calls, so the slots score in
+parallel); at width 1 each attempt runs at once on the calling thread.
+One attempt loop drives both.  Whatever the task, the supervisor provides:
 
-* **per-task timeout** — an attempt that runs past
+* **per-task timeout** — a threaded attempt that runs past
   :attr:`RetryPolicy.timeout` is cancelled and marked lost (a thread
   cannot be killed; its late payload is discarded), its slot gets a new
-  thread and the task is retried;
-* **bounded retries with seeded exponential backoff + jitter** — every
-  failed attempt (crash, hang, raise, corrupt) requeues the task until
-  :attr:`RetryPolicy.max_retries` is exhausted;
-* **lost-worker accounting** — an attempt that crashes or times out
-  counts as a respawn, within the :attr:`RetryPolicy.max_respawns`
-  budget;
-* **hedged re-dispatch** — once the queue drains, stragglers older than
-  :attr:`RetryPolicy.hedge_after` are re-issued to idle slots; the first
-  sane result wins and duplicates are discarded;
+  thread and the task is retried.  A width-1 attempt has no deadline: a
+  caller cannot time itself out;
+* **bounded retries** — every failed attempt (crash, hang, raise,
+  corrupt) requeues the task, at once, until
+  :attr:`RetryPolicy.max_retries` is exhausted.  An exception that is not
+  a :class:`~repro.host.errors.ScanError` is a ``crash`` at every width,
+  and the caller's final error, if any, chains the last one;
+* **lost-worker accounting** — a threaded attempt that crashes or times
+  out loses its thread and counts as a respawn, within the
+  :attr:`RetryPolicy.max_respawns` budget (the calling thread is never
+  lost);
 * **per-task sanity checking** — a payload that fails ``check`` is never
   merged, it is retried;
 * **durable checkpointing** — with a checkpoint store, every completed
   task is persisted immediately;
 * **graceful degradation** — when a task exhausts its budget or the
-  respawn budget trips, the remaining tasks finish in-process without
-  injected faults and the :class:`ScanReport` marks the scan *degraded*
-  (CLI exit 3).  In *partial* mode (sharded scans) an exhausted task is
-  instead reported dead, its shard with it, and the scan completes
-  without that shard's references (CLI exit 4).
+  respawn budget trips, the remaining tasks finish on the calling thread
+  without injected faults and the :class:`ScanReport` marks the scan
+  *degraded* (CLI exit 3).  In *partial* mode (sharded scans) an
+  exhausted task is instead reported dead, its shard with it, and the
+  scan completes without that shard's references (CLI exit 4).
 
-An in-process loop with the same retry semantics serves ``workers <= 1``
-and the degraded completion.  Faults from a
-:class:`repro.host.faults.FaultPlan` enter through one hook,
-:func:`run_attempt`, in both modes.  The slot threads are a
-:class:`SlotThreads`, which a warm session keeps across its calls.  When
-:meth:`Supervisor.run` returns or raises, no attempt of it is running:
-every in-flight attempt has been cancelled, and every thread that served a
-lost or unfinished attempt has been retired and joined; only idle slot
-threads of a caller's :class:`SlotThreads` stay, for the next call.
+Faults from a :class:`repro.host.faults.FaultPlan` enter through one hook,
+:func:`run_attempt`.  When :meth:`Supervisor.run` returns or raises, no
+attempt of it is running: every in-flight attempt has been cancelled, and
+every thread that served a lost or unfinished attempt has been retired and
+joined; only idle slot threads of a caller's :class:`SlotThreads` stay,
+for the next call.
 
-Determinism: payloads are merged by task id, so retry order, hedging and
-thread scheduling cannot change the output — any recoverable fault plan
-yields results bit-identical to a fault-free scan.
+Determinism: payloads are merged by task id, so retry order and thread
+scheduling cannot change the output — any recoverable fault plan yields
+results bit-identical to a fault-free scan.
 """
 
 from __future__ import annotations
 
+import heapq
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -98,7 +97,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs of the supervisor (all durations in seconds).
+    """Knobs of the supervisor (durations in seconds).
 
     Every task gets ``max_retries + 1`` attempts.  In a sharded scan
     ``degrade`` also allows partial results: a shard with an exhausted
@@ -108,39 +107,24 @@ class RetryPolicy:
 
     #: Extra attempts allowed per task after the first one fails.
     max_retries: int = 3
-    #: Per-attempt wall-clock budget; ``None`` disables timeouts.
+    #: Per-attempt wall-clock budget of a threaded attempt; ``None``
+    #: disables timeouts.
     timeout: Optional[float] = 300.0
-    #: Base backoff delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
-    backoff: float = 0.05
-    #: Ceiling on the exponential backoff delay.
-    backoff_max: float = 2.0
-    #: Multiplicative jitter: the delay is scaled by ``1 + jitter * u``.
-    jitter: float = 0.25
-    #: Re-dispatch stragglers older than this once the queue drains;
-    #: ``None`` disables hedging.
-    hedge_after: Optional[float] = None
-    #: Lost workers (crashed or timed-out attempts) tolerated per call
-    #: before the executor is declared unhealthy.
+    #: Lost workers (crashed or timed-out threaded attempts) tolerated per
+    #: call before the executor is declared unhealthy.
     max_respawns: int = 8
     #: On an unhealthy executor / exhausted task, finish in-process (reported
     #: as *degraded*), or in a sharded scan report the shard dead, instead
     #: of raising.
     degrade: bool = True
-    #: Seed of the jitter RNG — backoff schedules are reproducible.
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.max_respawns < 0:
+            raise ValueError("max_respawns must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
-        if self.backoff < 0 or self.backoff_max < 0 or self.jitter < 0:
-            raise ValueError("backoff, backoff_max and jitter must be >= 0")
-
-    def delay(self, failures: int, rng: random.Random) -> float:
-        """Backoff before retry number ``failures`` (1-based), with jitter."""
-        base = min(self.backoff_max, self.backoff * (2.0 ** max(0, failures - 1)))
-        return base * (1.0 + self.jitter * rng.random())
 
 
 # -- report --------------------------------------------------------------------
@@ -153,7 +137,7 @@ class ChunkAttempt:
 
     chunk: int
     attempt: int
-    outcome: str  # ok | crash | hang-timeout | timeout | raise | corrupt | duplicate
+    outcome: str  # ok | crash | hang-timeout | timeout | raise | corrupt
     seconds: float
     worker: Optional[int] = None
     detail: str = ""
@@ -183,6 +167,7 @@ class ShardStatus:
     status: str = "ok"  # ok | dead
     attempts: int = 0
     resumed_chunks: int = 0
+    #: Always 0: nothing hedges any more; the schema-v3 key stays.
     hedges: int = 0
     elapsed_seconds: float = 0.0
     detail: str = ""
@@ -248,6 +233,7 @@ class ScanReport:
     crashes: int = 0
     raised: int = 0
     corrupt: int = 0
+    #: Always 0: nothing hedges any more; the schema-v3 key stays.
     hedges: int = 0
     respawns: int = 0
     degraded: bool = False
@@ -353,8 +339,7 @@ class ScanReport:
             f"{self.chunks_completed}/{self.chunks_total} chunks "
             f"({self.chunks_from_checkpoint} from checkpoint) [{state}] "
             f"retries={self.retries} timeouts={self.timeouts} "
-            f"crashes={self.crashes} corrupt={self.corrupt} "
-            f"hedges={self.hedges} mode={self.mode}"
+            f"crashes={self.crashes} corrupt={self.corrupt} mode={self.mode}"
         )
         if self.shards:
             line += f" shards={len(self.shards)} dead={self.dead_shards}"
@@ -387,9 +372,9 @@ def run_attempt(
 
     The single fault hook of every runtime.  ``crash``, ``hang`` and
     ``raise`` end in :class:`~repro.host.errors.InjectedFaultError`;
-    ``hang`` first waits ``hang_seconds`` on ``cancel``, which the thread
-    executor sets once the attempt is timed out or no longer needed.
-    In-process nothing sets it, so the hang is real — exactly what the
+    ``hang`` first waits ``hang_seconds`` on ``cancel``, which the
+    supervisor sets once a threaded attempt is timed out or the run ends.
+    At width 1 nothing sets it, so the hang is real — exactly what the
     kill-and-resume scenario exploits.  ``corrupt`` damages the payload
     so the sanity check must catch it.
     """
@@ -464,12 +449,17 @@ class SlotThreads:
             self._threads[slot] = thread
         return inbox
 
-    def retire(self, slot: int) -> None:
-        """Tell the slot's thread to stop once its current item ends."""
+    def retire(self, slot: int) -> bool:
+        """Tell the slot's thread to stop once its current item ends.
+
+        Returns whether the slot had a thread to retire.
+        """
         inbox = self._inboxes.pop(slot, None)
-        if inbox is not None:
-            inbox.put(None)
-            self._retired.append(self._threads.pop(slot))
+        if inbox is None:
+            return False
+        inbox.put(None)
+        self._retired.append(self._threads.pop(slot))
+        return True
 
     def join_retired(self) -> None:
         for thread in self._retired:
@@ -484,36 +474,56 @@ class SlotThreads:
             self.join_retired()
 
 
+class _CallingThread:
+    """The width-1 executor: each attempt runs at once on the calling thread.
+
+    It starts no thread and hands nothing between threads.  An attempt is
+    over before the loop sweeps its deadline — a caller cannot time
+    itself out — and the calling thread is never lost, so there is
+    nothing to retire.
+    """
+
+    def submit(self, slot: int, item: Callable[[], None]) -> None:
+        item()
+
+    def retire(self, slot: int) -> bool:
+        return False
+
+
 # -- the supervisor ------------------------------------------------------------
 
 
 class _Exhausted(Exception):
     """Internal: a task ran out of retries or the executor is unhealthy."""
 
-    def __init__(self, reason: str, error: Exception):
+    def __init__(
+        self, reason: str, error: Exception, cause: Optional[BaseException] = None
+    ):
         self.reason = reason
         self.error = error
+        #: The exception of the last failed attempt, chained onto ``error``.
+        self.cause = cause
         super().__init__(reason)
 
 
 @dataclass(eq=False)
 class _Attempt:
-    """One attempt in flight on a slot of the thread executor."""
+    """One attempt in flight on a slot."""
 
     slot: int
     task_id: int
     attempt: int
     started: float
     deadline: Optional[float]
-    #: Set when the attempt timed out, its task completed, or the run ended.
+    #: Set when the attempt timed out or the run ended.
     cancel: threading.Event = field(default_factory=threading.Event)
 
 
 class Supervisor:
     """Drive tasks to completion under one :class:`RetryPolicy`.
 
-    ``tasks`` maps task ids to tasks (the in-process loop runs them in
-    that order); ``done`` receives each completed payload and may arrive
+    ``tasks`` maps task ids to tasks (open ones are dispatched lowest id
+    first); ``done`` receives each completed payload and may arrive
     pre-filled with checkpoint-restored ones.  ``faults`` is anything with
     ``lookup(task_id, attempt)`` and ``hang_seconds`` (a
     :class:`~repro.host.faults.FaultPlan`).  ``partial=True`` (tasks
@@ -543,169 +553,84 @@ class Supervisor:
         self.partial = partial
         #: Dead tasks (partial mode) and why they died.
         self.dead: Dict[int, str] = {}
-        #: Attempts dispatched per task (hedges included).
+        #: Attempts dispatched per task.
         self.attempts: Dict[int, int] = {}
-        #: Hedged re-dispatches per task.
-        self.hedged: Dict[int, int] = {}
         #: Seconds from a task's first dispatch until it completed or died.
         self.elapsed: Dict[int, float] = {}
         #: Extra stage wall-times (``degraded``) for the report's metrics.
         self.stage_seconds: Dict[str, float] = {}
-        self._rng = random.Random(policy.seed)
+        self._hang_seconds = float(getattr(faults, "hang_seconds", 0.0))
         self._failures: Dict[int, List[str]] = {}
         self._first_dispatch: Dict[int, float] = {}
-        #: ``(ready_time, task_id)`` items awaiting dispatch.
-        self._pending: List[Tuple[float, int]] = []
         self._degraded = False
-        #: The thread executor: the attempt each slot runs, the threads
-        #: serving the slots and the queue the threads post outcomes to.
+        #: The loop's state: a heap of task ids awaiting dispatch, the
+        #: attempt each slot runs, the executor serving the slots and the
+        #: outbox attempts post outcomes to.
+        self._pending: List[int] = []
         self._slots: List[Optional[_Attempt]] = []
-        self._executor = SlotThreads()
-        self._outbox: "queue.Queue[Tuple[_Attempt, str, Any]]" = queue.Queue()
+        self._executor: Any = _CallingThread()
+        self._outbox: "queue.SimpleQueue[Tuple[_Attempt, str, Any]]" = (
+            queue.SimpleQueue()
+        )
 
     def _open(self, task_id: int) -> bool:
         return task_id not in self.done and task_id not in self.dead
 
     def run(self, workers: int, threads: Optional[SlotThreads] = None) -> None:
-        """Finish every open task on ``workers`` threads (``<= 1``: in-process).
+        """Finish every open task on ``workers`` slots (``<= 1``: the caller).
 
         ``threads`` serves the slots and keeps its idle threads afterwards;
         without it the run starts its own threads and joins them all.
         """
         try:
             if workers <= 1:
-                self._run_in_process()
+                self._loop(_CallingThread(), 1)
             else:
                 self.report.mode = "parallel"
-                self._run_threads(workers, threads)
+                executor = threads or SlotThreads()
+                # Start the threads before the first attempt runs: a thread
+                # started while another slot's attempt runs waited for that
+                # attempt to end.
+                executor.start(min(workers, len(self.tasks) - len(self.done)))
+                try:
+                    self._loop(executor, workers)
+                finally:
+                    if threads is None:
+                        executor.close()
+                    else:
+                        executor.join_retired()
         except _Exhausted as exhausted:
             if not self.policy.degrade:
-                raise exhausted.error from None
+                raise exhausted.error from exhausted.cause
             self.report.degraded = True
             self.report.degraded_reason = exhausted.reason
             self._degraded = True
             with _obs_profile.stage("scan.degraded", category="scan") as timer:
                 try:
-                    self._run_in_process()
+                    self._loop(_CallingThread(), 1)
                 except _Exhausted as again:
-                    raise again.error from None
+                    raise again.error from again.cause
             self.stage_seconds["degraded"] = timer.seconds
 
-    # -- outcomes -------------------------------------------------------------
+    # -- the attempt loop -----------------------------------------------------
 
-    def _take_attempt(self, task_id: int, now: float) -> int:
-        attempt = self.attempts.get(task_id, 0)
-        self.attempts[task_id] = attempt + 1
-        self._first_dispatch.setdefault(task_id, now)
-        return attempt
+    def _loop(self, executor: Any, width: int) -> None:
+        """Finish every open task on ``width`` slots of ``executor``.
 
-    def _accept(
-        self, task_id: int, attempt: int, payload: Any, seconds: float,
-        worker: Optional[int], now: float,
-    ) -> Optional[float]:
-        """Check a payload; complete the task or fail the attempt."""
-        error = self.tasks[task_id].check(self.database, payload)
-        if error is not None:
-            return self._fail(task_id, attempt, "corrupt", seconds, worker, error, now)
-        detail = "degraded serial" if self._degraded else ""
-        self.report.record(task_id, attempt, "ok", seconds, worker, detail)
-        if self._degraded:
-            self.report.chunks_degraded += 1
-        self.done[task_id] = payload
-        self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
-        if self.store is not None:
-            self.store.save_chunk(task_id, payload)
-        return None
-
-    def _fail(
-        self, task_id: int, attempt: int, outcome: str, seconds: float,
-        worker: Optional[int], detail: str, now: float,
-    ) -> Optional[float]:
-        """Record a failed attempt; queue the retry and return its backoff.
-
-        Returns ``None`` when the task just died (partial mode); raises
-        when it exhausted its budget otherwise.
+        Each round dispatches open task ids, lowest first, to idle slots;
+        handles every outcome posted to the outbox; sweeps deadlines; and
+        checks the respawn budget.  Only this thread touches the
+        supervisor's state.  A slot's attempt posts ``(attempt, outcome,
+        payload or exception)``; a :class:`SlotThreads` slot whose attempt
+        crashed or timed out has lost its thread, which is retired: the
+        slot gets a new one and a respawn is counted.  On the way out,
+        every attempt in flight is cancelled and its thread retired.
         """
-        self.report.record(task_id, attempt, outcome, seconds, worker, detail)
-        outcomes = self._failures.setdefault(task_id, [])
-        outcomes.append(outcome)
-        if len(outcomes) > self.policy.max_retries:
-            summary = f"{len(outcomes)} failures: {', '.join(outcomes)}"
-            if not self.partial:
-                raise _Exhausted(
-                    f"task {task_id} exhausted its retry budget ({summary})",
-                    ChunkFailedError(task_id, outcomes),
-                )
-            if not self.policy.degrade:
-                raise ShardFailedError(self.tasks[task_id].shard, outcomes)
-            self.dead[task_id] = (
-                f"health budget exhausted after {len(outcomes)} attempts: "
-                f"{', '.join(outcomes)}"
-            )
-            self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
-            return None
-        self.report.retries += 1
-        delay = self.policy.delay(len(outcomes), self._rng)
-        self._pending.append((now + delay, task_id))
-        return delay
-
-    # -- in-process -----------------------------------------------------------
-
-    def _run_in_process(self) -> None:
-        """Same retry semantics, one attempt at a time on this thread.
-
-        Serves serial mode and the degraded completion (which runs
-        without injected faults).
-        """
-        hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
-        for task_id, task in self.tasks.items():
-            while self._open(task_id):
-                t0 = time.monotonic()
-                attempt = self._take_attempt(task_id, t0)
-                fault = None
-                if self.faults is not None and not self._degraded:
-                    fault = self.faults.lookup(task_id, attempt)
-                try:
-                    payload = run_attempt(
-                        task, task_id, attempt, self.database, fault, hang_seconds
-                    )
-                except ScanError as exc:
-                    now = time.monotonic()
-                    delay = self._fail(
-                        task_id, attempt, _failure_outcome(exc), now - t0, None,
-                        f"{type(exc).__name__}: {exc}", now,
-                    )
-                else:
-                    now = time.monotonic()
-                    delay = self._accept(
-                        task_id, attempt, payload, now - t0, None, now
-                    )
-                if delay:
-                    time.sleep(delay)
-
-    # -- thread executor ------------------------------------------------------
-
-    def _run_threads(self, width: int, threads: Optional[SlotThreads]) -> None:
-        """Run attempts on ``width`` slots, each served by one thread.
-
-        A slot's thread runs the attempts it is handed, reads the one
-        in-process database and posts ``(attempt, outcome, payload or
-        detail)`` to the outbox; only this thread touches the supervisor's
-        state.  A slot whose attempt crashed or timed out has lost its
-        worker: that thread is retired, the slot gets a new one and a
-        respawn is counted.  On the way out, every attempt in flight is
-        cancelled, its thread retired, and every retired thread joined;
-        the threads of a :class:`SlotThreads` this run did not start stay
-        for the next run, the others are joined too.
-        """
+        self._executor = executor
         self._slots = [None] * width
-        self._executor = threads or SlotThreads()
-        self._outbox = queue.Queue()
-        now = time.monotonic()
-        self._pending = [(now, t) for t in self.tasks if self._open(t)]
-        # Start the threads before the first attempt runs: a thread started
-        # while another slot's attempt runs waited for that attempt to end.
-        self._executor.start(min(width, len(self._pending)))
+        self._pending = sorted(t for t in self.tasks if self._open(t))
+        # A fresh outbox: a lost attempt of an earlier loop may have posted.
+        self._outbox = queue.SimpleQueue()
         try:
             while len(self.done) + len(self.dead) < len(self.tasks):
                 self._dispatch(time.monotonic())
@@ -719,7 +644,11 @@ class Supervisor:
                 except queue.Empty:
                     pass
                 self._sweep_timeouts(time.monotonic())
-                if self.report.respawns > self.policy.max_respawns:
+                # The degraded completion runs on past a tripped budget.
+                if (
+                    self.report.respawns > self.policy.max_respawns
+                    and not self._degraded
+                ):
                     raise _Exhausted(
                         f"executor unhealthy: {self.report.respawns} worker respawns",
                         PoolUnhealthyError(
@@ -730,89 +659,50 @@ class Supervisor:
             for slot, attempt in enumerate(self._slots):
                 if attempt is not None:
                     attempt.cancel.set()
-                    self._executor.retire(slot)
-            if threads is None:
-                self._executor.close()
-            else:
-                self._executor.join_retired()
+                    executor.retire(slot)
 
-    def _attempt_main(self, attempt: _Attempt, fault: Optional[FaultKind]) -> None:
-        """Run one attempt and always post its outcome."""
-        hang_seconds = float(getattr(self.faults, "hang_seconds", 0.0))
-        try:
-            payload = run_attempt(
-                self.tasks[attempt.task_id], attempt.task_id, attempt.attempt,
-                self.database, fault, hang_seconds, attempt.cancel,
-            )
-        except ScanError as exc:
-            self._outbox.put(
-                (attempt, _failure_outcome(exc), f"{type(exc).__name__}: {exc}")
-            )
-        except Exception as exc:
-            # A thread boundary: an unexpected error must still reach the
-            # supervisor, which records it as a lost worker.
-            self._outbox.put((attempt, "crash", f"{type(exc).__name__}: {exc}"))
-        else:
-            self._outbox.put((attempt, "ok", payload))
+    def _dispatch(self, now: float) -> None:
+        for slot, running in enumerate(self._slots):
+            if running is None and self._pending:
+                self._start(slot, heapq.heappop(self._pending), now)
 
-    def _start(self, slot: int, task_id: int, now: float, hedge: bool) -> None:
-        number = self._take_attempt(task_id, now)
-        fault = self.faults.lookup(task_id, number) if self.faults else None
+    def _start(self, slot: int, task_id: int, now: float) -> None:
+        number = self.attempts.get(task_id, 0)
+        self.attempts[task_id] = number + 1
+        self._first_dispatch.setdefault(task_id, now)
+        fault = None
+        if self.faults is not None and not self._degraded:
+            fault = self.faults.lookup(task_id, number)
         deadline = None if self.policy.timeout is None else now + self.policy.timeout
         attempt = _Attempt(slot, task_id, number, now, deadline)
         self._executor.submit(slot, lambda: self._attempt_main(attempt, fault))
         self._slots[slot] = attempt
-        if hedge:
-            self.report.hedges += 1
-            self.hedged[task_id] = self.hedged.get(task_id, 0) + 1
 
-    def _idle_slots(self) -> List[int]:
-        return [slot for slot, attempt in enumerate(self._slots) if attempt is None]
-
-    def _dispatch(self, now: float) -> None:
-        self._pending = sorted(p for p in self._pending if self._open(p[1]))
-        for slot in self._idle_slots():
-            if not self._pending or self._pending[0][0] > now:
-                break
-            self._start(slot, self._pending.pop(0)[1], now, hedge=False)
-        # Hedging: queue drained, idle capacity, stragglers in flight.
-        if self.policy.hedge_after is None or self._pending:
-            return
-        for slot in self._idle_slots():
-            straggler = self._straggler(now)
-            if straggler is None:
-                return
-            self._start(slot, straggler, now, hedge=True)
-
-    def _straggler(self, now: float) -> Optional[int]:
-        """The oldest lone in-flight task past the hedge threshold."""
-        running = [attempt for attempt in self._slots if attempt is not None]
-        oldest: Optional[_Attempt] = None
-        for attempt in running:
-            if sum(other.task_id == attempt.task_id for other in running) > 1:
-                continue
-            if not self._open(attempt.task_id):
-                continue
-            if now - attempt.started < (self.policy.hedge_after or 0.0):
-                continue
-            if oldest is None or attempt.started < oldest.started:
-                oldest = attempt
-        return None if oldest is None else oldest.task_id
+    def _attempt_main(self, attempt: _Attempt, fault: Optional[FaultKind]) -> None:
+        """Run one attempt and always post its outcome."""
+        try:
+            payload = run_attempt(
+                self.tasks[attempt.task_id], attempt.task_id, attempt.attempt,
+                self.database, fault, self._hang_seconds, attempt.cancel,
+            )
+        except ScanError as exc:
+            self._outbox.put((attempt, _failure_outcome(exc), exc))
+        except Exception as exc:
+            # Anything else (a MemoryError, a bug) is a crash at every
+            # width: recorded, retried, and chained onto the final error.
+            self._outbox.put((attempt, "crash", exc))
+        else:
+            self._outbox.put((attempt, "ok", payload))
 
     def _wait_timeout(self, now: float) -> Optional[float]:
-        candidates: List[float] = []
-        for attempt in self._slots:
-            if attempt is None:
-                continue
-            if attempt.deadline is not None:
-                candidates.append(attempt.deadline)
-            if self.policy.hedge_after is not None:
-                candidates.append(attempt.started + self.policy.hedge_after)
-        if self._idle_slots():
-            candidates.extend(ready for ready, _ in self._pending)
-        if not candidates:
+        deadlines = [
+            attempt.deadline
+            for attempt in self._slots
+            if attempt is not None and attempt.deadline is not None
+        ]
+        if not deadlines:
             return None
-        return max(0.0, min(candidates) - now) + 0.005
+        return max(0.0, min(deadlines) - now) + 0.005
 
     def _on_result(
         self, attempt: _Attempt, outcome: str, value: Any, now: float
@@ -821,23 +711,15 @@ class Supervisor:
             return  # timed out earlier: the late payload is discarded
         self._slots[attempt.slot] = None
         task_id, seconds = attempt.task_id, now - attempt.started
-        if not self._open(task_id):
-            self.report.record(
-                task_id, attempt.attempt, "duplicate", seconds, attempt.slot,
-                "hedged twin finished first",
-            )
-            return
         if outcome == "ok":
             self._accept(task_id, attempt.attempt, value, seconds, attempt.slot, now)
-            if not self._open(task_id):
-                for twin in self._slots:
-                    if twin is not None and twin.task_id == task_id:
-                        twin.cancel.set()
             return
         if outcome == "crash":
-            self._executor.retire(attempt.slot)
-            self.report.respawns += 1
-        self._fail(task_id, attempt.attempt, outcome, seconds, attempt.slot, value, now)
+            self._lose_worker(attempt.slot)
+        self._fail(
+            task_id, attempt.attempt, outcome, seconds, attempt.slot,
+            f"{type(value).__name__}: {value}", now, value,
+        )
 
     def _sweep_timeouts(self, now: float) -> None:
         for slot, attempt in enumerate(self._slots):
@@ -847,11 +729,65 @@ class Supervisor:
             # and give the slot a new thread on the next dispatch.
             attempt.cancel.set()
             self._slots[slot] = None
-            self._executor.retire(slot)
+            self._lose_worker(slot)
+            self._fail(
+                attempt.task_id, attempt.attempt, "timeout",
+                now - attempt.started, slot, f"exceeded {self.policy.timeout:.3g}s", now,
+            )
+
+    def _lose_worker(self, slot: int) -> None:
+        """Retire the slot's thread; a lost thread counts as a respawn."""
+        if self._executor.retire(slot):
             self.report.respawns += 1
-            if self._open(attempt.task_id):
-                self._fail(
-                    attempt.task_id, attempt.attempt, "timeout",
-                    now - attempt.started, slot,
-                    f"exceeded {self.policy.timeout:.3g}s", now,
+
+    # -- outcomes -------------------------------------------------------------
+
+    def _accept(
+        self, task_id: int, attempt: int, payload: Any, seconds: float,
+        worker: int, now: float,
+    ) -> None:
+        """Check a payload; complete the task or fail the attempt."""
+        error = self.tasks[task_id].check(self.database, payload)
+        if error is not None:
+            self._fail(task_id, attempt, "corrupt", seconds, worker, error, now)
+            return
+        detail = "degraded serial" if self._degraded else ""
+        self.report.record(task_id, attempt, "ok", seconds, worker, detail)
+        if self._degraded:
+            self.report.chunks_degraded += 1
+        self.done[task_id] = payload
+        self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
+        if self.store is not None:
+            self.store.save_chunk(task_id, payload)
+
+    def _fail(
+        self, task_id: int, attempt: int, outcome: str, seconds: float,
+        worker: int, detail: str, now: float,
+        cause: Optional[BaseException] = None,
+    ) -> None:
+        """Record a failed attempt and requeue its task.
+
+        A task past its budget dies (partial mode) or raises, chaining
+        ``cause``, the attempt's exception.
+        """
+        self.report.record(task_id, attempt, outcome, seconds, worker, detail)
+        outcomes = self._failures.setdefault(task_id, [])
+        outcomes.append(outcome)
+        if len(outcomes) > self.policy.max_retries:
+            summary = f"{len(outcomes)} failures: {', '.join(outcomes)}"
+            if not self.partial:
+                raise _Exhausted(
+                    f"task {task_id} exhausted its retry budget ({summary})",
+                    ChunkFailedError(task_id, outcomes),
+                    cause,
                 )
+            if not self.policy.degrade:
+                raise ShardFailedError(self.tasks[task_id].shard, outcomes) from cause
+            self.dead[task_id] = (
+                f"health budget exhausted after {len(outcomes)} attempts: "
+                f"{', '.join(outcomes)}"
+            )
+            self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
+            return
+        self.report.retries += 1
+        heapq.heappush(self._pending, task_id)

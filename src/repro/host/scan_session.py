@@ -23,10 +23,8 @@ opened with ``shards=``):
   :func:`repro.core.aligner.hits_batch_from_codes`, and a score per
   position only under ``keep_scores``);
 * each pass becomes :class:`WindowTask` work items run by the
-  :class:`repro.host.resilience.Supervisor` on its thread executor —
-  per-task timeout, bounded retries with backoff, lost-worker
-  accounting, hedged stragglers, per-task sanity checks, fault injection,
-  durable checkpointing, graceful degradation — and each batch returns a
+  :class:`repro.host.resilience.Supervisor` (its guarantees are listed
+  in :mod:`repro.host.resilience`), and each batch returns a
   :class:`repro.host.resilience.ScanReport` on request;
 * the worker threads outlive the call: a session keeps one thread per
   slot (a :class:`repro.host.resilience.SlotThreads`) across its calls, so
@@ -439,8 +437,8 @@ def _shard_statuses(
 ) -> List[ShardStatus]:
     """Fold per-task supervision into one schema-v3 row per shard.
 
-    A shard is dead when any of its tasks died; attempts and hedges are
-    summed over its tasks, ``resumed_chunks`` counts its tasks restored
+    A shard is dead when any of its tasks died; attempts are summed over
+    its tasks, ``resumed_chunks`` counts its tasks restored
     from the checkpoint and ``elapsed_seconds`` is its slowest task's.
     """
     by_shard: Dict[int, List[int]] = {}
@@ -463,7 +461,6 @@ def _shard_statuses(
                 status="dead" if dead else "ok",
                 attempts=sum(supervisor.attempts.get(i, 0) for i in ids),
                 resumed_chunks=sum(1 for i in ids if i in restored),
-                hedges=sum(supervisor.hedged.get(i, 0) for i in ids),
                 elapsed_seconds=max(
                     (supervisor.elapsed.get(i, 0.0) for i in ids), default=0.0
                 ),
@@ -765,8 +762,6 @@ class ScanSession:
             for status in report.shards:
                 if status.resumed_chunks:
                     _obs_profile.record_shard_resume(status.resumed_chunks)
-                for _ in range(status.hedges):
-                    _obs_profile.record_shard_hedge()
             _obs_profile.record_shard_merge(merge_timer.seconds)
         report.metrics["stage_seconds"] = {
             name: round(seconds, 6) for name, seconds in stage_seconds.items()
@@ -781,7 +776,7 @@ class ScanSession:
             self.pool_reuses += 1
         _obs_profile.record_scan_session_batch(len(encoded), reused)
         _obs_profile.record_scan_report_counters(
-            report.retries, report.hedges, report.respawns, report.degraded
+            report.retries, report.respawns, report.degraded
         )
         if with_report:
             return results, report

@@ -13,26 +13,17 @@ contiguous id range) and runs them all under the one
 :class:`~repro.host.resilience.Supervisor`.  Results merge in global
 reference order — bit-identical to an unsharded scan.
 
-The supervisor's guarantees hold per task, under the same
+Every task runs under the same
 :class:`~repro.host.resilience.RetryPolicy`, fault plan
 (:class:`repro.host.faults.FaultPlan`, keyed on task ids) and checkpoint
-store (one file per task) as every other scan:
-
-* **health budgets and respawn** — an attempt that crashes, hangs past
-  the task timeout, raises, or returns corrupt results is retried with
-  seeded backoff, up to ``max_retries + 1`` attempts; a retried task
-  replays only itself;
-* **checkpoint resume** — with a checkpoint directory every finished task
-  is persisted, and ``resume=True`` restores them and scans only the rest;
-* **hedged re-dispatch** — once nothing is queued, a straggler task older
-  than ``hedge_after`` is re-run on an idle worker thread; the first sane result
-  wins and the twin is discarded;
-* **partial results** — a shard with a task that exhausts its attempts is
-  *reported* dead, not fatal (unless ``degrade`` is off, which raises
-  :class:`~repro.host.errors.ShardFailedError`): its references are left
-  out, the :class:`~repro.host.resilience.ScanReport` carries a schema-v3
-  ``shards`` section with per-shard status/attempts/resumed-task counts,
-  and the CLI exits 4 ("complete with dead shards").
+store (one file per task) as every other scan; the supervisor's
+guarantees are listed in :mod:`repro.host.resilience`.  The one that is
+particular to shards is *partial results*: a shard with a task that
+exhausts its attempts is reported dead, not fatal (unless ``degrade`` is
+off, which raises :class:`~repro.host.errors.ShardFailedError`), its
+references are left out, the
+:class:`~repro.host.resilience.ScanReport` carries a schema-v3 ``shards``
+section, and the CLI exits 4 ("complete with dead shards").
 
 Recovery is observable through the ``fabp_shard_*`` hook family in
 :mod:`repro.obs.profile`.

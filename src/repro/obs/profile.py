@@ -22,7 +22,6 @@ name                                    kind       labels
 ``fabp_scan_chunk_attempts_total``      counter    ``outcome``
 ``fabp_chunk_attempt_seconds``          histogram  ``outcome``
 ``fabp_scan_retries_total``             counter    —
-``fabp_scan_hedges_total``              counter    —
 ``fabp_scan_respawns_total``            counter    —
 ``fabp_scan_degraded_total``            counter    —
 ``fabp_checkpoint_chunks_total``        counter    —
@@ -34,7 +33,6 @@ name                                    kind       labels
 ``fabp_scan_session_pass_queries``      histogram  —
 ``fabp_shard_active``                   gauge      — (high-water mark)
 ``fabp_shard_resumes_total``            counter    —
-``fabp_shard_hedges_total``             counter    —
 ``fabp_shard_merge_seconds``            histogram  —
 ``fabp_encoding_cache_hits``            gauge      —
 ``fabp_encoding_cache_misses``          gauge      —
@@ -82,7 +80,6 @@ __all__ = [
     "record_scan_session_pass",
     "record_shard_active",
     "record_shard_resume",
-    "record_shard_hedge",
     "record_shard_merge",
     "record_kernel_run",
     "record_schedule_plan",
@@ -111,7 +108,6 @@ HOOK_CATALOGUE = frozenset(
         "fabp_scan_chunk_attempts_total",
         "fabp_chunk_attempt_seconds",
         "fabp_scan_retries_total",
-        "fabp_scan_hedges_total",
         "fabp_scan_respawns_total",
         "fabp_scan_degraded_total",
         "fabp_checkpoint_chunks_total",
@@ -123,7 +119,6 @@ HOOK_CATALOGUE = frozenset(
         "fabp_scan_session_pass_queries",
         "fabp_shard_active",
         "fabp_shard_resumes_total",
-        "fabp_shard_hedges_total",
         "fabp_shard_merge_seconds",
         "fabp_encoding_cache_hits",
         "fabp_encoding_cache_misses",
@@ -280,7 +275,7 @@ def record_scan_attempt(
 
 
 def record_scan_report_counters(
-    retries: int, hedges: int, respawns: int, degraded: bool
+    retries: int, respawns: int, degraded: bool
 ) -> None:
     """Fold one finished scan's resilience counters into the registry."""
     if not state.enabled():
@@ -288,9 +283,6 @@ def record_scan_report_counters(
     REGISTRY.counter("fabp_scan_retries_total", "Chunk retries.").default.inc(
         retries
     )
-    REGISTRY.counter(
-        "fabp_scan_hedges_total", "Hedged straggler re-dispatches."
-    ).default.inc(hedges)
     REGISTRY.counter(
         "fabp_scan_respawns_total", "Dead workers replaced."
     ).default.inc(respawns)
@@ -382,15 +374,6 @@ def record_shard_resume(chunks: int) -> None:
         "fabp_shard_resumes_total",
         "Shard tasks restored from the checkpoint.",
     ).default.inc(chunks)
-
-
-def record_shard_hedge() -> None:
-    """One straggler shard task speculatively re-dispatched to a spare worker."""
-    if not state.enabled():
-        return
-    REGISTRY.counter(
-        "fabp_shard_hedges_total", "Hedged shard re-dispatches."
-    ).default.inc()
 
 
 def record_shard_merge(seconds: float) -> None:

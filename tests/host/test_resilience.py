@@ -26,12 +26,12 @@ from repro.host.errors import (
 from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
 from repro.host.resilience import RetryPolicy, ScanReport, corrupt_records
 from repro.host.scan import PackedDatabase, scan_database
-from repro.host.scan_session import ScanSession, plan_batch
+from repro.host.scan_session import ScanSession, WindowTask, plan_batch
 
 THRESHOLD = 4
 
-#: A policy tuned for tests: fast backoff, short timeouts.
-FAST = RetryPolicy(max_retries=3, timeout=2.0, backoff=0.01, backoff_max=0.05, seed=1)
+#: A policy tuned for tests: short timeouts.
+FAST = RetryPolicy(max_retries=3, timeout=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +124,7 @@ class TestParallelFaults:
         assert report.respawns >= 1
 
     def test_hang_is_killed_and_retried(self, query, database, baseline):
-        policy = RetryPolicy(
-            max_retries=3, timeout=0.5, backoff=0.01, backoff_max=0.05, seed=1
-        )
+        policy = RetryPolicy(max_retries=3, timeout=0.5)
         results, report = self.run(query, database, FaultPlan.parse("2:hang"), policy=policy)
         assert_identical(results, baseline)
         assert report.clean
@@ -146,9 +144,7 @@ class TestParallelFaults:
 
     def test_acceptance_mixed_faults_bit_identical(self, query, database, baseline):
         """ISSUE acceptance: crash + hang + corrupt, bit-identical output."""
-        policy = RetryPolicy(
-            max_retries=3, timeout=0.5, backoff=0.01, backoff_max=0.05, seed=1
-        )
+        policy = RetryPolicy(max_retries=3, timeout=0.5)
         plan = FaultPlan.parse("0:crash,1:hang,3:corrupt")
         results, report = self.run(query, database, plan, policy=policy)
         assert_identical(results, baseline)
@@ -157,25 +153,11 @@ class TestParallelFaults:
         assert report.timeouts == 1
         assert report.corrupt == 1
 
-    def test_hedged_straggler_finishes_early(self, query, database, baseline):
-        # Chunk 0 hangs; with hedging the drained executor re-dispatches it
-        # to an idle slot long before the 10 s deadline.
-        policy = RetryPolicy(
-            max_retries=3, timeout=10.0, backoff=0.01, hedge_after=0.2, seed=1
-        )
-        results, report = self.run(query, database, FaultPlan.parse("0:hang"), policy=policy)
-        assert_identical(results, baseline)
-        assert report.clean
-        assert report.hedges >= 1
-        assert report.elapsed_seconds < 10.0
-
 
 class TestDegradation:
     def test_permanent_crash_degrades_to_serial(self, query, database, baseline):
         plan = FaultPlan(specs=(FaultSpec(1, FaultKind.CRASH, attempts=ALWAYS),))
-        policy = RetryPolicy(
-            max_retries=1, timeout=2.0, backoff=0.01, max_respawns=3, seed=1
-        )
+        policy = RetryPolicy(max_retries=1, timeout=2.0, max_respawns=3)
         results, report = supervised_scan(
             query, database, threshold=THRESHOLD, engine="bitscore",
             workers=3, chunk_size=2, policy=policy, faults=plan,
@@ -189,7 +171,7 @@ class TestDegradation:
 
     def test_no_degrade_raises_scan_error(self, query, database):
         plan = FaultPlan(specs=(FaultSpec(0, FaultKind.RAISE, attempts=ALWAYS),))
-        policy = RetryPolicy(max_retries=1, backoff=0.01, degrade=False, seed=1)
+        policy = RetryPolicy(max_retries=1, degrade=False)
         with pytest.raises(ChunkFailedError):
             supervised_scan(
                 query, database, threshold=THRESHOLD, engine="bitscore",
@@ -327,7 +309,7 @@ class TestSharedMemoryLifecycle:
 
     def test_no_segment_leaks_when_scan_raises(self, query, database, snapshot):
         plan = FaultPlan(specs=(FaultSpec(0, FaultKind.RAISE, attempts=ALWAYS),))
-        policy = RetryPolicy(max_retries=0, backoff=0.0, degrade=False, seed=1)
+        policy = RetryPolicy(max_retries=0, degrade=False)
         with pytest.raises(ScanError):
             supervised_scan(
                 query, database, threshold=THRESHOLD, engine="bitscore",
@@ -349,25 +331,13 @@ class TestSharedMemoryLifecycle:
         [
             pytest.param(
                 "0:hang",
-                RetryPolicy(max_retries=2, timeout=0.3, backoff=0.01, seed=1),
+                RetryPolicy(max_retries=2, timeout=0.3),
                 "timeout",
                 id="hang-then-timeout",
             ),
             pytest.param(
-                "0:hang",
-                RetryPolicy(
-                    max_retries=2, timeout=None, hedge_after=0.2, backoff=0.01,
-                    seed=1,
-                ),
-                "hedge",
-                id="hedged-straggler",
-            ),
-            pytest.param(
                 "0:hang:always,1:crash:always",
-                RetryPolicy(
-                    max_retries=1, timeout=0.3, backoff=0.01, degrade=False,
-                    seed=1,
-                ),
+                RetryPolicy(max_retries=1, timeout=0.3, degrade=False),
                 "raise",
                 id="exhausted-no-degrade",
             ),
@@ -394,14 +364,142 @@ class TestSharedMemoryLifecycle:
                 )
                 assert_identical(results, baseline)
                 assert report.clean
-                if outcome == "timeout":
-                    assert report.timeouts == 1 and report.respawns == 1
-                else:
-                    assert report.hedges == 1 and report.timeouts == 0
+                assert report.timeouts == 1 and report.respawns == 1
             # The hung attempt's thread is joined; the two slots keep theirs.
             self.assert_nothing_left(snapshot, slots=2)
         self.assert_nothing_left(snapshot)
         assert time.monotonic() - started < 30.0
+
+
+class TestOneLoop:
+    """Width 1, width >= 2 and the degraded completion share one loop."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Wrap ``WindowTask.run``: log each call's thread, and raise
+        ``MemoryError`` on the attempts of the task over reference 2 that
+        ``fail`` names (``"first"`` or ``"always"``)."""
+        log = {"threads": [], "fail": None}
+        real = WindowTask.run
+
+        def run(task, database, attempt):
+            log["threads"].append(threading.get_ident())
+            if task.windows[0][0] == 2 and (
+                log["fail"] == "always" or (log["fail"] == "first" and attempt == 0)
+            ):
+                raise MemoryError("no room for planes")
+            return real(task, database, attempt)
+
+        monkeypatch.setattr(WindowTask, "run", run)
+        return log
+
+    def scan(self, query, database, workers, **kwargs):
+        return supervised_scan(
+            query, database, threshold=THRESHOLD, engine="bitscore",
+            workers=workers, chunk_size=2, **kwargs,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_transient_exception_recovers_at_every_width(
+        self, query, database, baseline, runs, workers
+    ):
+        runs["fail"] = "first"
+        results, report = self.scan(query, database, workers, policy=FAST)
+        assert_identical(results, baseline)
+        assert report.clean
+        assert (report.crashes, report.retries) == (1, 1)
+        crash = next(a for a in report.attempts if a.outcome == "crash")
+        assert (crash.chunk, crash.attempt) == (1, 0)
+        assert crash.detail.startswith("MemoryError")
+        # Only a slot thread can be lost; the calling thread never is.
+        assert report.respawns == (1 if workers > 1 else 0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exhausted_exception_is_chained(self, query, database, runs, workers):
+        runs["fail"] = "always"
+        policy = RetryPolicy(max_retries=1, timeout=2.0, degrade=False)
+        with pytest.raises(ChunkFailedError) as caught:
+            self.scan(query, database, workers, policy=policy)
+        assert isinstance(caught.value.__cause__, MemoryError)
+
+    def test_width_one_and_degraded_run_on_the_caller(
+        self, query, database, baseline, runs, monkeypatch
+    ):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        plan = FaultPlan(specs=(FaultSpec(1, FaultKind.CRASH, attempts=ALWAYS),))
+        results, report = self.scan(
+            query, database, 1, policy=RetryPolicy(max_retries=1), faults=plan
+        )
+        assert_identical(results, baseline)
+        assert report.degraded and report.chunks_degraded == 3
+        assert runs["threads"] == [threading.get_ident()] * 4
+        assert started == []
+
+    def test_degraded_completion_runs_on_the_caller(
+        self, query, database, baseline, runs
+    ):
+        plan = FaultPlan(specs=(FaultSpec(1, FaultKind.CRASH, attempts=ALWAYS),))
+        policy = RetryPolicy(max_retries=1, timeout=2.0)
+        results, report = self.scan(query, database, 3, policy=policy, faults=plan)
+        assert_identical(results, baseline)
+        assert report.degraded and report.chunks_degraded >= 1
+        degraded = runs["threads"][-report.chunks_degraded:]
+        assert degraded == [threading.get_ident()] * report.chunks_degraded
+
+    def test_width_one_hang_waits_its_hang_seconds(self, query, database, baseline):
+        # The policy's timeout is shorter than the hang, but a caller
+        # cannot time itself out: the hang ends on its own.
+        faults = FaultPlan.parse("1:hang", hang_seconds=0.4)
+        began = time.monotonic()
+        results, report = self.scan(
+            query, database, 1, policy=RetryPolicy(max_retries=3, timeout=0.05),
+            faults=faults,
+        )
+        assert time.monotonic() - began >= 0.4
+        assert_identical(results, baseline)
+        assert report.clean
+        assert [a.outcome for a in report.attempts if a.chunk == 1] == [
+            "hang-timeout", "ok",
+        ]
+        assert (report.timeouts, report.respawns) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "spec, retries, counters",
+        [
+            ("0:crash", 3, dict(attempts=5, retries=1, crashes=1)),
+            ("1:hang", 3, dict(attempts=5, retries=1, timeouts=1)),
+            ("2:raise", 3, dict(attempts=5, retries=1, raises=1)),
+            ("3:corrupt", 3, dict(attempts=5, retries=1, corrupt=1)),
+            (
+                "0:crash,1:hang,2:raise,3:corrupt:2", 3,
+                dict(attempts=9, retries=5, timeouts=1, crashes=1, raises=1, corrupt=2),
+            ),
+            ("1:crash:always", 1, dict(attempts=6, retries=1, crashes=2)),
+            ("2:raise:always,0:hang:always", 1, dict(attempts=6, retries=1, timeouts=2)),
+        ],
+    )
+    def test_width_one_counters_per_fault_kind(
+        self, query, database, baseline, spec, retries, counters
+    ):
+        """The counters a width-1 scan reported before it shared the loop."""
+        _, report = self.scan(
+            query, database, 1, policy=RetryPolicy(max_retries=retries),
+            faults=FaultPlan.parse(spec, hang_seconds=0.05),
+        )
+        expected = dict(
+            attempts=0, retries=0, timeouts=0, crashes=0, raises=0, corrupt=0,
+            hedges=0, respawns=0,
+        )
+        expected.update(counters)
+        assert report.to_dict()["counters"] == expected
+        assert report.degraded == spec.endswith("always")
 
 
 class TestSanityCheck:
@@ -444,15 +542,7 @@ class TestPolicyAndReport:
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff=-1.0)
-
-    def test_backoff_grows_and_caps(self):
-        import random
-
-        policy = RetryPolicy(backoff=0.1, backoff_max=0.4, jitter=0.0)
-        rng = random.Random(0)
-        delays = [policy.delay(n, rng) for n in (1, 2, 3, 4, 5)]
-        assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
+            RetryPolicy(max_respawns=-1)
 
     def test_report_dict_schema(self, query, database):
         results, report = supervised_scan(

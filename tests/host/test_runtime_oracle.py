@@ -26,7 +26,7 @@ from repro.seq.generate import random_protein, random_rna
 RNG = np.random.default_rng(0x0AC1E)
 
 #: Fast retries; hangs are short so in-process ones cost little.
-POLICY = RetryPolicy(max_retries=3, timeout=5.0, backoff=0.01, backoff_max=0.02, seed=3)
+POLICY = RetryPolicy(max_retries=3, timeout=5.0)
 
 
 def make_database(lengths):

@@ -122,7 +122,7 @@ class TestWarmReuse:
 
     def test_dead_worker_is_replaced_between_calls(self, queries, database):
         """A crashed attempt is a respawn; the next call runs at full width."""
-        policy = RetryPolicy(backoff=0.01, seed=1)
+        policy = RetryPolicy()
         with ScanSession(database, workers=2) as session:
             baseline = session.scan_batch(queries, min_identity=0.8)
             session.scan_batch(

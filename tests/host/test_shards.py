@@ -91,18 +91,8 @@ class TestShardPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError, match="timeout"):
             RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            RetryPolicy(backoff=-1.0)
-
-    def test_delay_is_seeded_and_bounded(self):
-        import random
-
-        policy = RetryPolicy(backoff=0.1, backoff_max=0.5, jitter=0.25, seed=7)
-        a = [policy.delay(n, random.Random(7)) for n in (1, 2, 3, 9)]
-        b = [policy.delay(n, random.Random(7)) for n in (1, 2, 3, 9)]
-        assert a == b
-        assert all(d <= 0.5 * 1.25 for d in a)
-        assert a[0] < a[1] < a[2]
+        with pytest.raises(ValueError, match="max_respawns"):
+            RetryPolicy(max_respawns=-1)
 
 
 # -- bit-identity --------------------------------------------------------------
@@ -176,7 +166,7 @@ class TestFaultRecovery:
         batches, report = sharded_scan(
             references, [query], threshold=14, with_report=True,
             faults=FaultPlan.parse(f"1:{kind}"),
-            policy=RetryPolicy(max_retries=2, backoff=0.01),
+            policy=RetryPolicy(max_retries=2),
         )
         assert report.exit_code() == 0
         assert report.shards[1].attempts == 2
@@ -192,7 +182,7 @@ class TestFaultRecovery:
             references, [random_protein(6, rng=rng)], threshold=12,
             with_report=True,
             faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
-            policy=RetryPolicy(max_retries=2, timeout=0.6, backoff=0.01),
+            policy=RetryPolicy(max_retries=2, timeout=0.6),
         )
         assert report.exit_code() == 0
         assert report.shards[0].attempts == 2
@@ -206,7 +196,7 @@ class TestFaultRecovery:
             batches, report = session.scan_batch(
                 [query], threshold=14, with_report=True,
                 faults=FaultPlan.parse("0:crash:always"),
-                policy=RetryPolicy(max_retries=1, backoff=0.01),
+                policy=RetryPolicy(max_retries=1),
             )
         assert report.exit_code() == 4
         assert report.dead_shards == 1
@@ -228,7 +218,7 @@ class TestFaultRecovery:
                 make_references(rng, count=4, length=1200),
                 [random_protein(6, rng=rng)], threshold=12,
                 faults=FaultPlan.parse("1:raise:always"),
-                policy=RetryPolicy(max_retries=1, backoff=0.01, degrade=False),
+                policy=RetryPolicy(max_retries=1, degrade=False),
             )
 
 
@@ -245,7 +235,7 @@ class TestCheckpointResume:
             references, [query], threshold=16, checkpoint_dir=tmp_path,
             with_report=True,
             faults=FaultPlan.parse("3:crash"),
-            policy=RetryPolicy(max_retries=2, backoff=0.01),
+            policy=RetryPolicy(max_retries=2),
         )
         assert report.exit_code() == 0
         assert report.chunks_total == 4
@@ -261,31 +251,13 @@ class TestCheckpointResume:
         assert hit_tuples(batches[0]) == hit_tuples(expected)
 
 
-class TestHedging:
-    def test_lone_straggler_is_hedged(self, rng):
-        # Task 0's first attempt hangs (fault attempts=1), no timeout is
-        # set, and hedging kicks in once task 1 finishes: the hedge twin
-        # runs fault-free and its sane result wins.
-        _, report = sharded_scan(
-            make_references(rng, count=4, length=1200),
-            [random_protein(6, rng=rng)], threshold=12, with_report=True,
-            faults=FaultPlan.parse("0:hang", hang_seconds=60.0),
-            policy=RetryPolicy(
-                max_retries=2, timeout=None, hedge_after=0.4, backoff=0.01
-            ),
-        )
-        assert report.exit_code() == 0
-        assert report.shards[0].hedges == 1
-        assert report.hedges == 1
-
-
 class TestInlineFallback:
     def test_inline_retries_and_partial_semantics(self, rng):
         _, report = sharded_scan(
             make_references(rng, count=4, length=1200),
             [random_protein(6, rng=rng)], threshold=12, with_report=True,
             faults=FaultPlan.parse("0:crash,1:raise:always"),
-            policy=RetryPolicy(max_retries=1, backoff=0.01),
+            policy=RetryPolicy(max_retries=1),
         )
         # A crash fault raises in its worker thread and counts as a
         # respawn: shard 0 recovers on attempt 1, shard 1 exhausts its
@@ -329,7 +301,7 @@ class TestThreadLifecycle:
             _, report = session.scan_batch(
                 queries, threshold=12, with_report=True,
                 faults=FaultPlan.parse("1:crash"),
-                policy=RetryPolicy(max_retries=2, backoff=0.01),
+                policy=RetryPolicy(max_retries=2),
             )
             assert report.respawns == 1 and report.exit_code() == 0
             # The crashed attempt's thread was retired and joined; the other

@@ -61,7 +61,6 @@ def scan_args(db, queries, *extra):
         "--min-identity", "0.9",
         "--workers", "1",
         "--chunk-size", "1",
-        "--backoff", "0.01",
         *extra,
     ]
 

@@ -74,7 +74,6 @@ def scan_args(db, queries, *extra):
         "--database", str(db),
         "--min-identity", "0.47",
         "--shards", "2",
-        "--backoff", "0.01",
         *extra,
     ]
 

@@ -91,13 +91,12 @@ class TestScanHooks:
 
     def test_report_counters_and_degraded_flag(self):
         state.enable()
-        profile.record_scan_report_counters(2, 1, 0, degraded=False)
+        profile.record_scan_report_counters(2, 0, degraded=False)
         assert counter_value("fabp_scan_retries_total") == 2
-        assert counter_value("fabp_scan_hedges_total") == 1
         assert counter_value("fabp_scan_respawns_total") == 0
         names = {f.name for f in REGISTRY.families()}
         assert "fabp_scan_degraded_total" not in names
-        profile.record_scan_report_counters(0, 0, 0, degraded=True)
+        profile.record_scan_report_counters(0, 0, degraded=True)
         assert counter_value("fabp_scan_degraded_total") == 1
 
     def test_checkpoint_accounting(self):
@@ -163,7 +162,7 @@ class TestDisabledHooksAreNoops:
         profile.record_score_call("bitscore", 0.1, 10)
         profile.record_scan_merge(1, 1)
         profile.record_scan_attempt(0, 1, "ok", 0.1)
-        profile.record_scan_report_counters(1, 1, 1, degraded=True)
+        profile.record_scan_report_counters(1, 1, degraded=True)
         profile.record_checkpoint_chunk(10)
         profile.record_shm_bytes(10)
         profile.record_schedule_plan(2)

@@ -22,9 +22,7 @@ _REFS = [
 ]
 _DATABASE = PackedDatabase.from_references(_REFS)
 
-_POLICY = RetryPolicy(
-    max_retries=2, timeout=None, backoff=0.0, backoff_max=0.0, jitter=0.0, seed=0
-)
+_POLICY = RetryPolicy(max_retries=2, timeout=None)
 
 AMINO = "ACDEFGHIKLMNPQRSTVWY"
 

@@ -30,10 +30,7 @@ _QUERY = encode_query("MKV")
 _THRESHOLD = 4
 _BASELINE = scan_database(_QUERY, _DATABASE, threshold=_THRESHOLD, workers=1)
 
-#: Zero-delay policy: property tests sweep many plans, backoff would stall.
-_POLICY = RetryPolicy(
-    max_retries=3, timeout=None, backoff=0.0, backoff_max=0.0, jitter=0.0, seed=0
-)
+_POLICY = RetryPolicy(max_retries=3, timeout=None)
 
 
 @st.composite

@@ -512,7 +512,6 @@ class TestScan:
                 "--min-identity", "0.9",
                 "--workers", "1",
                 "--chunk-size", "1",
-                "--backoff", "0.01",
                 *extra,
             ]
         )
@@ -557,6 +556,14 @@ class TestScan:
         code = self.scan("/no/such/file.fasta", queries)
         assert code == 1
         assert "fatal:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--retries", "max_retries"), ("--max-respawns", "max_respawns")]
+    )
+    def test_negative_budget_is_fatal(self, synthetic_files, capsys, flag, field):
+        db, queries = synthetic_files
+        assert self.scan(db, queries, "--workers", "2", flag, "-1") == 1
+        assert f"fatal: {field} must be >= 0" in capsys.readouterr().err
 
     def test_report_json_artifact(self, synthetic_files, tmp_path, capsys):
         import json
@@ -669,7 +676,6 @@ class TestScanShards:
                 "--query-file", str(queries),
                 "--database", str(db),
                 "--min-identity", "0.9",
-                "--backoff", "0.01",
                 *extra,
             ]
         )
