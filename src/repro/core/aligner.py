@@ -393,26 +393,6 @@ def alignment_scores(
     return scores_from_codes(encoded.as_array(), ref_codes, engine)
 
 
-def alignment_scores_batch(
-    queries: Iterable[QueryLike],
-    reference: ReferenceLike,
-    *,
-    engine: str = DEFAULT_ENGINE,
-) -> List[np.ndarray]:
-    """Scores of every query in a batch against one reference.
-
-    Input order is preserved and a batch of one is bit-identical to
-    :func:`alignment_scores` for every engine.  With the default engine
-    the whole batch shares a single sweep of the reference (match
-    bitplanes computed and packed once).
-    """
-    encoded = [_coerce_query(query) for query in queries]
-    ref_codes, _ = _reference_codes(reference)
-    return scores_batch_from_codes(
-        [query.as_array() for query in encoded], ref_codes, engine
-    )
-
-
 def alignment_scores_naive(query: QueryLike, reference: ReferenceLike) -> np.ndarray:
     """Reference implementation with explicit loops (test oracle)."""
     encoded = _coerce_query(query)

@@ -495,6 +495,21 @@ _NATIVE: Optional[ctypes.CDLL] = native.load()
 #: int32 score slice when one was asked for.
 QueryHits = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
+
+class ScanRows(NamedTuple):
+    """One scan task's output, shaped as the kernel writes it.
+
+    ``counts[j, q]`` (int64) is query ``q``'s hit count in window ``j``.
+    Row ``q`` of ``positions`` (int64, from each window's start),
+    ``hit_scores`` and kept ``scores`` (int32) runs window after window.
+    """
+
+    counts: np.ndarray
+    positions: Tuple[np.ndarray, ...]
+    hit_scores: Tuple[np.ndarray, ...]
+    scores: Optional[Tuple[np.ndarray, ...]]
+
+
 #: Hit entries each query's row starts with in a task call: two tiles'
 #: worth.  A tile writes at most ``64 * TILE_WORDS`` hits; the kernel stops
 #: before a tile that might not fit, and the row grows and the call resumes.
@@ -569,16 +584,15 @@ def scan_windows(
     prepared: PreparedBatch,
     thresholds: Optional[Sequence[int]],
     keep_scores: bool,
-) -> Tuple[List[QueryHits], int]:
+) -> Tuple[ScanRows, int]:
     """Score a batch over windows of a packed 2-bit image in one kernel call.
 
     ``image`` is packed as :func:`repro.seq.packing.pack` packs it, one
     reference after another from byte offsets; each window is ``(byte
     offset, length, start, stop)``, and query ``q`` of span ``s`` is scored
     at its alignment positions ``[start, min(stop, length - s + 1))``.
-    Returns one :class:`QueryHits` per (window, query), window-major, with
-    hit positions counted from ``start``, and the number of positions
-    scored.  Without ``thresholds`` no hits are written (the score slices
+    Returns the call's :class:`ScanRows` and the number of positions
+    scored.  Without ``thresholds`` no hits are written (the score rows
     only, with ``keep_scores``).  The compiled kernel must be loaded.  Its
     element rows folded and skipped go to observability, when enabled.
     """
@@ -629,24 +643,19 @@ def scan_windows(
         hit_scores = _grown(hit_scores, room)
     _obs_profile.record_fold_rows(int(state[4]), int(state[5]))
     fills = state[7:].tolist()
-    kept = [
-        (positions[q, : fills[q]].copy(), hit_scores[q, : fills[q]].copy())
-        for q in range(k)
-    ]
-    # Row q holds query q's hits window after window: cell (j, q) is
-    # [hits_at[j][q], hits_at[j + 1][q]) of it.
-    hits_at = [[0] * k] + counts.reshape(num_windows, k).cumsum(axis=0).tolist()
-    cells: List[QueryHits] = []
-    for j in range(num_windows):
-        for q in range(k):
-            first, last = hits_at[j][q], hits_at[j + 1][q]
-            cell = j * k + q
-            cells.append((
-                kept[q][0][first:last],
-                kept[q][1][first:last],
-                None if scores is None else scores[score_at[cell] : score_at[cell + 1]],
-            ))
-    return cells, int(state[6])
+    kept: Optional[Tuple[np.ndarray, ...]] = None
+    if scores is not None:
+        # The kernel writes the scores cell after cell, cell (j, q) being
+        # query q's window j: gather each query's cells into its row.
+        cells = np.split(scores, score_at[1:-1])
+        kept = tuple(np.concatenate([scores[:0], *cells[q::k]]) for q in range(k))
+    rows = ScanRows(
+        counts.reshape(num_windows, k),
+        tuple(positions[q, : fills[q]].copy() for q in range(k)),
+        tuple(hit_scores[q, : fills[q]].copy() for q in range(k)),
+        kept,
+    )
+    return rows, int(state[6])
 
 
 def _grown(rows: np.ndarray, room: int) -> np.ndarray:
@@ -725,13 +734,14 @@ def _scan_codes(
         groups.setdefault((lo, stop), []).append(q)
     image = packing.pack(ref_codes)
     for (lo, stop), members in groups.items():
-        cells, _ = scan_windows(
+        rows, _ = scan_windows(
             image, [(0, length, lo, stop)],
             prepare_batch([arrays[q] for q in members]),
             None if thresholds is None else [thresholds[q] for q in members],
             keep_scores,
         )
-        for q, cell in zip(members, cells):
+        scores = rows.scores or (None,) * len(members)
+        for q, cell in zip(members, zip(rows.positions, rows.hit_scores, scores)):
             results[q] = cell
     return results  # type: ignore[return-value]
 

@@ -10,13 +10,12 @@ checkpoint directory as soon as the task passes its sanity check:
   ``keep_scores``, task/window layout).  ``--resume`` refuses to reuse
   checkpoints whose fingerprint or schema does not match the current scan
   (:class:`repro.host.errors.CheckpointMismatchError`).
-* ``chunk_NNNNNN.npz`` — one file per completed task holding its records
-  (the :data:`repro.host.scan_session.SessionRecord` format): a ``meta``
-  table of (query slot, reference, window start, has-scores flag) plus
-  hit positions, hit scores and optional score slices keyed by record
-  position.  Files are written to a temp name and ``os.replace``\\ d so a
-  kill mid-write can never leave a half-task that resumes wrong —
-  unreadable files are simply rescanned.
+* ``chunk_NNNNNN.npz`` — one file per completed task holding the named
+  arrays its task serializes its payload to
+  (:meth:`repro.host.scan_session.WindowTask.to_arrays`; the store does
+  not interpret them).  Files are written to a temp name, fsynced and
+  ``os.replace``\\ d so a kill mid-write can never leave a half-task that
+  resumes wrong — unreadable files are simply rescanned.
 
 Resuming loads every valid task file, skips those tasks entirely (no
 rescoring), and scans only what is missing.
@@ -29,7 +28,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,14 +36,13 @@ from repro.host.errors import CheckpointError, CheckpointMismatchError
 from repro.obs import profile as _obs_profile
 
 #: Bump when the on-disk layout changes; old checkpoints are refused.
-#: Version 2: one record format for every runtime (the meta-table layout).
+#: Version 2: one chunk layout for every runtime (the meta-table layout).
 SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: One task's records: ``(query_slot, reference, start, hits, hit_scores,
-#: scores | None)`` tuples, exactly as the scoring tasks produce them.
-ChunkPayload = List[Tuple[int, int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]]
+#: One task's chunk file: named arrays, as its task serialized them.
+ChunkArrays = Dict[str, np.ndarray]
 
 
 def scan_fingerprint(
@@ -124,7 +122,7 @@ class CheckpointStore:
 
     def prepare(
         self, fingerprint: str, num_chunks: int, chunk_size: int, resume: bool
-    ) -> Dict[int, ChunkPayload]:
+    ) -> Dict[int, ChunkArrays]:
         """Initialize the store; return already-completed chunks when resuming.
 
         * ``resume=True`` with a matching manifest loads every valid chunk
@@ -157,20 +155,8 @@ class CheckpointStore:
 
     # -- chunk files ----------------------------------------------------------
 
-    def save_chunk(self, chunk: int, payload: ChunkPayload) -> None:
-        """Atomically persist one completed task's records."""
-        meta = np.asarray(
-            [[rec[0], rec[1], rec[2], 0 if rec[5] is None else 1] for rec in payload],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        arrays: Dict[str, np.ndarray] = {"meta": meta}
-        for i, (_slot, _reference, _start, hits, hit_scores, scores) in enumerate(
-            payload
-        ):
-            arrays[f"pos_{i}"] = hits
-            arrays[f"hs_{i}"] = hit_scores
-            if scores is not None:
-                arrays[f"sc_{i}"] = scores
+    def save_chunk(self, chunk: int, arrays: ChunkArrays) -> None:
+        """Atomically persist one completed task's arrays."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.chunk_path(chunk)
         tmp = path.with_suffix(".npz.tmp")
@@ -187,37 +173,18 @@ class CheckpointStore:
         self.bytes_written += num_bytes
         _obs_profile.record_checkpoint_chunk(num_bytes)
 
-    def load_chunk(self, chunk: int) -> Optional[ChunkPayload]:
+    def load_chunk(self, chunk: int) -> Optional[ChunkArrays]:
         """Load one task file; ``None`` if missing or unreadable."""
         path = self.chunk_path(chunk)
         if not path.exists():
             return None
         try:
             with np.load(path) as data:
-                payload: ChunkPayload = []
-                for i, (slot, reference, start, has_scores) in enumerate(
-                    data["meta"].tolist()
-                ):
-                    scores = data[f"sc_{i}"] if has_scores else None
-                    payload.append(
-                        (
-                            int(slot),
-                            int(reference),
-                            int(start),
-                            data[f"pos_{i}"],
-                            data[f"hs_{i}"],
-                            scores,
-                        )
-                    )
-                return payload
+                return {name: data[name] for name in data.files}
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             # A kill mid-write or disk corruption: rescan this task.
             return None
 
-    def load_chunks(self, num_chunks: int) -> Dict[int, ChunkPayload]:
-        done: Dict[int, ChunkPayload] = {}
-        for chunk in range(num_chunks):
-            payload = self.load_chunk(chunk)
-            if payload is not None:
-                done[chunk] = payload
-        return done
+    def load_chunks(self, num_chunks: int) -> Dict[int, ChunkArrays]:
+        loaded = {chunk: self.load_chunk(chunk) for chunk in range(num_chunks)}
+        return {chunk: arrays for chunk, arrays in loaded.items() if arrays is not None}

@@ -23,8 +23,9 @@ The hierarchy:
       database/query/threshold/engine configuration.
 
   * :class:`InjectedFaultError` — a deterministic fault from a
-    :class:`repro.host.faults.FaultPlan` fired (raise-kind faults, and
-    crash/hang kinds when running without a worker pool to kill).
+    :class:`repro.host.faults.FaultPlan` fired (crash, hang and raise
+    faults alike: an attempt runs on a thread of the scan process, and a
+    thread cannot be killed).
 """
 
 from __future__ import annotations

@@ -6,13 +6,15 @@ this module is that control loop in software.  Every scan path in
 :class:`repro.host.scan_session.ScanSession` — the one-shot
 :func:`repro.host.scan.scan_database` is a session opened for one call,
 and a sharded scan is a session opened with ``shards=`` — and every
-session call hands a list of *tasks* to one :class:`Supervisor`.  A task
-is any object with two methods:
+session call hands a list of *tasks* to one :class:`Supervisor`, which
+never looks inside a payload.  A task is any object with four methods:
 
 * ``run(database, attempt)`` computes the task's payload against a
   :class:`repro.host.scan.PackedDatabase`;
 * ``check(database, payload)`` is a cheap structural sanity check that
-  returns ``None`` for a sane payload, else a reason.
+  returns ``None`` for a sane payload, else a reason;
+* ``corrupt(payload)`` damages a payload so ``check`` must reject it;
+* ``to_arrays(database, payload)`` gives the arrays a checkpoint stores.
 
 A window task scores a chunk of database windows; a sharded scan labels
 each of its window tasks with the shard whose reference range it covers.
@@ -87,7 +89,6 @@ __all__ = [
     "ShardStatus",
     "SlotThreads",
     "Supervisor",
-    "corrupt_records",
     "run_attempt",
 ]
 
@@ -349,16 +350,6 @@ class ScanReport:
 # -- the fault hook ------------------------------------------------------------
 
 
-def corrupt_records(payload: List[tuple]) -> List[tuple]:
-    """Mis-key every record so the sanity check must reject it.
-
-    Shifting the query-slot key is detectable on *every* record —
-    including zero-hit windows, where damaging scores alone would be
-    invisible.
-    """
-    return [(record[0] + 1,) + tuple(record[1:]) for record in payload]
-
-
 def run_attempt(
     task: Any,
     task_id: int,
@@ -375,8 +366,8 @@ def run_attempt(
     ``hang`` first waits ``hang_seconds`` on ``cancel``, which the
     supervisor sets once a threaded attempt is timed out or the run ends.
     At width 1 nothing sets it, so the hang is real — exactly what the
-    kill-and-resume scenario exploits.  ``corrupt`` damages the payload
-    so the sanity check must catch it.
+    kill-and-resume scenario exploits.  ``corrupt`` has the task damage
+    its payload so the sanity check must catch it.
     """
     if fault is FaultKind.HANG:
         (cancel or threading.Event()).wait(hang_seconds)
@@ -384,7 +375,7 @@ def run_attempt(
         raise InjectedFaultError(task_id, attempt, fault.value)
     payload = task.run(database, attempt)
     if fault is FaultKind.CORRUPT:
-        payload = corrupt_records(payload)
+        payload = task.corrupt(payload)
     return payload
 
 
@@ -758,7 +749,9 @@ class Supervisor:
         self.done[task_id] = payload
         self.elapsed[task_id] = now - self._first_dispatch.get(task_id, now)
         if self.store is not None:
-            self.store.save_chunk(task_id, payload)
+            self.store.save_chunk(
+                task_id, self.tasks[task_id].to_arrays(self.database, payload)
+            )
 
     def _fail(
         self, task_id: int, attempt: int, outcome: str, seconds: float,

@@ -332,7 +332,7 @@ def scan_database(
     ``docs/robustness.md``): ``policy`` (a
     :class:`~repro.host.resilience.RetryPolicy`), ``faults`` (a
     :class:`~repro.host.faults.FaultPlan`), ``checkpoint_dir`` and
-    ``resume`` configure per-task timeout/retry/backoff, lost-worker
+    ``resume`` configure per-task timeouts and retries, lost-worker
     accounting and durable checkpointing.  With ``with_report=True`` the
     return value is ``(results, ScanReport)``.
     """

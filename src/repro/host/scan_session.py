@@ -19,9 +19,8 @@ opened with ``shards=``):
   pass**, scoring all co-resident queries against the same unpacked slice
   (the default ``bitscore_batch`` engine additionally shares the
   comparator bitplanes across the batch, and its compiled kernel
-  thresholds inside the fold: a window yields each query's hit list from
-  :func:`repro.core.aligner.hits_batch_from_codes`, and a score per
-  position only under ``keep_scores``);
+  thresholds inside the fold: a task yields one row of hits per query,
+  and a score per position only under ``keep_scores``);
 * each pass becomes :class:`WindowTask` work items run by the
   :class:`repro.host.resilience.Supervisor` (its guarantees are listed
   in :mod:`repro.host.resilience`), and each batch returns a
@@ -109,11 +108,8 @@ _NATIVE_ENGINES = ("bitscore", "bitscore_batch")
 __all__ = [
     "SESSION_ENGINE",
     "ScanSession",
-    "SessionRecord",
-    "SessionPayload",
     "ShardedScanRuntime",
     "WindowTask",
-    "check_records",
     "plan_batch",
     "resolve_batch_thresholds",
 ]
@@ -146,15 +142,6 @@ def resolve_batch_thresholds(
     return [resolve_threshold(e, threshold, min_identity) for e in encoded]
 
 
-#: One scored (window x query) cell: ``(query_slot, reference, start,
-#: hit_positions_local, hit_scores, scores_slice | None)``.  ``query_slot``
-#: is the query's index *within its pass*; hit positions are local to the
-#: window.  A task payload lists every window's cells query-major within
-#: the window: record ``j * k + slot`` belongs to window ``j``, slot
-#: ``slot``.  This is also the one checkpoint record format.
-SessionRecord = Tuple[int, int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]
-SessionPayload = List[SessionRecord]
-
 #: ``(reference, start, stop)``: alignment positions ``[start, stop)``.
 WindowSpan = Tuple[int, int, int]
 
@@ -172,83 +159,13 @@ class _PassSpec:
     max_span: int
 
 
-def check_records(
-    payload: SessionPayload,
-    window_list: Sequence[WindowSpan],
-    spans: Sequence[int],
-    thresholds: Sequence[int],
-    lengths: np.ndarray,
-    keep_scores: bool,
-) -> Optional[str]:
-    """Cheap structural validation of one task's records.
-
-    Returns ``None`` when the payload is sane, else a human-readable
-    reason.  This is what turns a corrupt worker result (or a torn
-    checkpoint file) into a retry instead of silently wrong output: every
-    invariant checked here is one the honest scoring code upholds by
-    construction.
-    """
-    k = len(spans)
-    if not isinstance(payload, list):
-        return f"payload is {type(payload).__name__}, expected a record list"
-    if len(payload) != len(window_list) * k:
-        return f"expected {len(window_list) * k} records, got {len(payload)}"
-    for j, (reference, start, stop) in enumerate(window_list):
-        length = int(lengths[reference])
-        for slot in range(k):
-            record = payload[j * k + slot]
-            where = f"window {j} slot {slot}"
-            if not isinstance(record, tuple) or len(record) != 6:
-                return f"{where}: not a 6-tuple"
-            rec_slot, rec_reference, rec_start, hits, hit_scores, scores = record
-            if (rec_slot, rec_reference, rec_start) != (slot, reference, start):
-                return f"{where}: record keyed ({rec_slot}, {rec_reference}, {rec_start})"
-            stop_q = min(stop, _windows.num_positions(length, spans[slot]))
-            count = max(0, stop_q - start)
-            if not isinstance(hits, np.ndarray) or hits.ndim != 1:
-                return f"{where}: hit positions is not a 1-D array"
-            if not isinstance(hit_scores, np.ndarray) or hit_scores.shape != hits.shape:
-                return f"{where}: hit_scores shape mismatch"
-            if hits.size:
-                if hits.dtype.kind not in "iu" or hit_scores.dtype.kind not in "iu":
-                    return f"{where}: non-integer hit arrays"
-                if int(hits.min()) < 0 or int(hits.max()) >= count:
-                    return f"{where}: hit position out of range"
-                if hits.size > 1 and not bool(np.all(np.diff(hits) > 0)):
-                    return f"{where}: hit positions not strictly increasing"
-                if (
-                    int(hit_scores.min()) < thresholds[slot]
-                    or int(hit_scores.max()) > spans[slot]
-                ):
-                    return (
-                        f"{where}: hit score outside "
-                        f"[{thresholds[slot]}, {spans[slot]}]"
-                    )
-            if keep_scores:
-                if not isinstance(scores, np.ndarray) or scores.ndim != 1:
-                    return f"{where}: missing score slice"
-                if scores.size != count:
-                    return f"{where}: score slice size {scores.size} != {count}"
-                if scores.size and (
-                    int(scores.min()) < 0 or int(scores.max()) > spans[slot]
-                ):
-                    return f"{where}: score outside [0, {spans[slot]}]"
-                recomputed = np.nonzero(scores >= thresholds[slot])[0]
-                if not np.array_equal(recomputed, hits):
-                    return f"{where}: hits disagree with score slice"
-                if not np.array_equal(scores[hits], hit_scores):
-                    return f"{where}: hit scores disagree with score slice"
-            elif scores is not None:
-                return f"{where}: unexpected score slice"
-    return None
-
-
 @dataclass(frozen=True)
 class WindowTask:
     """One supervised work item: a chunk of windows of one pass.
 
     Self-contained — it carries its pass's queries, thresholds and engine
     — so any worker thread can run it with nothing installed per call.
+    Only the task reads its payload, a :class:`repro.core.bitscore.ScanRows`.
     """
 
     pass_id: int
@@ -262,7 +179,7 @@ class WindowTask:
     #: ``bitscore.prepare_batch(arrays)``, shared by every task of the pass.
     prepared: Optional[bitscore.PreparedBatch] = field(default=None, compare=False)
 
-    def run(self, database: PackedDatabase, attempt: int) -> SessionPayload:
+    def run(self, database: PackedDatabase, attempt: int) -> bitscore.ScanRows:
         """Score every (window, query) cell.
 
         On the bitscore engines with the compiled kernel this is one
@@ -276,7 +193,7 @@ class WindowTask:
         if self.engine in _NATIVE_ENGINES and bitscore.batch_kernel() == "native":
             return self._run_native(database)
         max_span = max(int(a.size) for a in self.arrays)
-        payload: SessionPayload = []
+        parts = []
         for reference, start, stop in self.windows:
             codes, lookback = _windows.window_codes(
                 database.buffer, int(database.byte_offsets[reference]),
@@ -284,19 +201,17 @@ class WindowTask:
             )
             # Code position lookback is alignment position start; each
             # query's positions end at stop or at its own last position.
-            hits = hits_batch_from_codes(
+            parts.append(_window_rows(hits_batch_from_codes(
                 self.arrays, codes, self.thresholds, self.engine,
                 start=lookback, stop=lookback + stop - start,
                 keep_scores=self.keep_scores,
-            )
-            for slot, (positions, hit_scores, scores) in enumerate(hits):
-                payload.append((slot, reference, start, positions, hit_scores, scores))
-        return payload
+            )))
+        return _join(parts, len(self.arrays), self.keep_scores)
 
-    def _run_native(self, database: PackedDatabase) -> SessionPayload:
+    def _run_native(self, database: PackedDatabase) -> bitscore.ScanRows:
         offsets, lengths = database.byte_offsets, database.lengths
         began = time.perf_counter()
-        cells, positions = bitscore.scan_windows(
+        rows, positions = bitscore.scan_windows(
             database.buffer,
             [(offsets[r], lengths[r], start, stop) for r, start, stop in self.windows],
             self.prepared or bitscore.prepare_batch(self.arrays),
@@ -305,18 +220,161 @@ class WindowTask:
         _obs_profile.record_score_call(
             self.engine, time.perf_counter() - began, positions
         )
-        k = len(self.arrays)
-        return [
-            (slot, reference, start) + cells[j * k + slot]
-            for j, (reference, start, _) in enumerate(self.windows)
-            for slot in range(k)
+        return rows
+
+    def _sizes(self, database: PackedDatabase) -> np.ndarray:
+        """Positions each query keeps in each window: ``(k, windows)``."""
+        lengths = database.length_list
+        sizes = [
+            max(0, min(stop, _windows.num_positions(lengths[reference], a.size)) - start)
+            for a in self.arrays
+            for reference, start, stop in self.windows
         ]
+        return np.array(sizes, dtype=np.int64).reshape(len(self.arrays), -1)
 
     def check(self, database: PackedDatabase, payload: Any) -> Optional[str]:
-        return check_records(
-            payload, self.windows, [int(a.size) for a in self.arrays],
-            self.thresholds, database.lengths, self.keep_scores,
+        """Why ``payload`` is not a sane result of this task, or ``None``.
+
+        This turns a corrupt worker result (or a torn checkpoint file) into
+        a retry instead of silently wrong output: every invariant checked
+        is one the honest scoring code upholds by construction.
+        """
+        if not isinstance(payload, bitscore.ScanRows):
+            return f"payload is {type(payload).__name__}, expected ScanRows"
+        windows, k = len(self.windows), len(self.arrays)
+        counts = payload.counts
+        if getattr(counts, "shape", None) != (windows, k) or counts.dtype.kind not in "iu":
+            return f"hit counts are not a {windows} x {k} integer matrix"
+        if len(payload.positions) != k or len(payload.hit_scores) != k:
+            return f"expected hit rows for {k} queries"
+        if not self.keep_scores:
+            if payload.scores is not None:
+                return "unexpected score rows"
+        elif payload.scores is None or len(payload.scores) != k:
+            return f"missing score rows for {k} queries"
+        totals = counts.sum(axis=0).tolist()
+        rows = zip(payload.positions, payload.hit_scores, self.thresholds, self.arrays)
+        for q, (row, row_scores, threshold, array) in enumerate(rows):
+            if not isinstance(row, np.ndarray) or row.ndim != 1:
+                return f"query slot {q}: hit positions is not a 1-D array"
+            if not isinstance(row_scores, np.ndarray) or row_scores.shape != row.shape:
+                return f"query slot {q}: hit_scores shape mismatch"
+            if totals[q] != row.size:
+                return f"query slot {q}: hit counts sum to {totals[q]}, the row holds {row.size}"
+            if not row.size:
+                continue
+            if row.dtype.kind not in "iu" or row_scores.dtype.kind not in "iu":
+                return f"query slot {q}: non-integer hit arrays"
+            if row_scores.min() < threshold or row_scores.max() > array.size:
+                return f"query slot {q}: hit score outside [{threshold}, {array.size}]"
+        if counts.size and counts.min() < 0:
+            return "negative hit count"
+        if not (sum(totals) or self.keep_scores):
+            return None
+        # Every query's rows end to end: cell (q, j) is query q's window j,
+        # and its positions are [ends - sizes, ends) of the joined score rows.
+        sizes = self._sizes(database)
+        cells, ends = counts.T.ravel(), sizes.cumsum()
+        hits = np.concatenate(payload.positions).astype(np.int64, copy=False)
+        at = hits + (ends - sizes.ravel()).repeat(cells)
+        if hits.size:
+            if hits.min() < 0 or (at >= ends.repeat(cells)).any():
+                return "hit position out of range"
+            # Cells follow one another, so hits rise within each cell iff
+            # their joined positions rise.
+            if (at[1:] <= at[:-1]).any():
+                return "hit positions not strictly increasing"
+        if not self.keep_scores:
+            return None
+        kept = sizes.sum(axis=1).tolist()
+        for q, (row, array) in enumerate(zip(payload.scores, self.arrays)):
+            if not isinstance(row, np.ndarray) or row.ndim != 1:
+                return f"query slot {q}: missing score row"
+            if row.size != kept[q]:
+                return f"query slot {q}: score row size {row.size} != {kept[q]}"
+            if row.size and (row.min() < 0 or row.max() > array.size):
+                return f"query slot {q}: score outside [0, {array.size}]"
+        scores = np.concatenate(payload.scores)
+        if not np.array_equal(np.flatnonzero(scores >= np.repeat(self.thresholds, kept)), at):
+            return "hits disagree with score rows"
+        if not np.array_equal(scores[at], np.concatenate(payload.hit_scores)):
+            return "hit scores disagree with score rows"
+        return None
+
+    def corrupt(self, payload: bitscore.ScanRows) -> bitscore.ScanRows:
+        """``payload`` damaged so that :meth:`check` must reject it: every
+        window counts one hit more than the rows hold, which shows even
+        on a task without a hit."""
+        return payload._replace(counts=payload.counts + 1)
+
+    def _meta(self) -> np.ndarray:
+        """A chunk file's ``meta`` table: one row per (window, query) cell."""
+        k = len(self.arrays)
+        cells = np.repeat(np.asarray(self.windows, np.int64).reshape(-1, 3), k, axis=0)
+        cells[:, 2] = int(self.keep_scores)
+        return np.column_stack([np.tile(np.arange(k), len(self.windows)), cells])
+
+    def to_arrays(
+        self, database: PackedDatabase, payload: bitscore.ScanRows
+    ) -> Dict[str, np.ndarray]:
+        """The payload as the arrays of a schema-2 checkpoint chunk file.
+
+        Cell ``i = j * k + slot`` is window ``j`` of query ``slot``: row ``i``
+        of the ``meta`` table is ``(slot, reference, start, has scores)``,
+        and ``pos_i``, ``hs_i`` and ``sc_i`` its hits, hit scores and kept
+        scores.
+        """
+        k, counts = len(self.arrays), payload.counts
+        arrays = {"meta": self._meta()}
+        rows = [("pos", payload.positions, counts), ("hs", payload.hit_scores, counts)]
+        if payload.scores is not None:
+            rows.append(("sc", payload.scores, self._sizes(database).T))
+        for name, per_slot, sizes in rows:
+            for slot, row in enumerate(per_slot):
+                for j, cell in enumerate(np.split(row, np.cumsum(sizes[:-1, slot]))):
+                    arrays[f"{name}_{j * k + slot}"] = cell
+        return arrays
+
+    def from_arrays(self, arrays: Dict[str, np.ndarray]) -> Optional[bitscore.ScanRows]:
+        """The payload :meth:`to_arrays` wrote; ``None`` if the arrays are
+        not a chunk file of this task's windows."""
+        k = len(self.arrays)
+        try:
+            if not np.array_equal(arrays["meta"], self._meta()):
+                return None
+            cells = [
+                (arrays[f"pos_{i}"], arrays[f"hs_{i}"], arrays.get(f"sc_{i}"))
+                for i in range(len(self.windows) * k)
+            ]
+            parts = [_window_rows(cells[j : j + k]) for j in range(0, len(cells), k)]
+            return _join(parts, k, self.keep_scores)
+        except (KeyError, ValueError):
+            return None
+
+
+def _window_rows(hits: Sequence[bitscore.QueryHits]) -> bitscore.ScanRows:
+    """One window's per-query hit lists as rows."""
+    positions, hit_scores, scores = zip(*hits)
+    counts = np.array([[row.size for row in positions]], dtype=np.int64)
+    return bitscore.ScanRows(counts, positions, hit_scores, scores)
+
+
+def _join(
+    parts: Sequence[bitscore.ScanRows], k: int, keep_scores: bool
+) -> bitscore.ScanRows:
+    """Rows of ``k`` queries over consecutive windows, as one payload."""
+
+    def rows(field: str, dtype: type) -> Tuple[np.ndarray, ...]:
+        return tuple(
+            np.concatenate([np.zeros(0, dtype)] + [getattr(p, field)[q] for p in parts])
+            for q in range(k)
         )
+
+    return bitscore.ScanRows(
+        np.concatenate([np.zeros((0, k), np.int64)] + [p.counts for p in parts]),
+        rows("positions", np.int64), rows("hit_scores", np.int32),
+        rows("scores", np.int32) if keep_scores else None,
+    )
 
 
 def plan_batch(
@@ -699,7 +757,7 @@ class ScanSession:
 
         stage_seconds: Dict[str, float] = {}
         store: Optional[CheckpointStore] = None
-        done: Dict[int, SessionPayload] = {}
+        done: Dict[int, bitscore.ScanRows] = {}
         if checkpoint_dir is not None:
             store = CheckpointStore(checkpoint_dir)
             report.checkpoint_dir = str(store.directory)
@@ -713,8 +771,12 @@ class ScanSession:
                 loaded = store.prepare(fingerprint, len(tasks), chunk_size or 0, resume)
                 # Never trust disk blindly: checkpointed tasks must pass the
                 # same sanity check a worker result does.
-                for task_id, payload in loaded.items():
-                    if tasks[task_id].check(self._database, payload) is None:
+                for task_id, arrays in loaded.items():
+                    payload = tasks[task_id].from_arrays(arrays)
+                    if (
+                        payload is not None
+                        and tasks[task_id].check(self._database, payload) is None
+                    ):
                         done[task_id] = payload
             stage_seconds["checkpoint_load"] = load_timer.seconds
             report.chunks_from_checkpoint = len(done)
@@ -762,7 +824,6 @@ class ScanSession:
             for status in report.shards:
                 if status.resumed_chunks:
                     _obs_profile.record_shard_resume(status.resumed_chunks)
-            _obs_profile.record_shard_merge(merge_timer.seconds)
         report.metrics["stage_seconds"] = {
             name: round(seconds, 6) for name, seconds in stage_seconds.items()
         }
@@ -789,37 +850,33 @@ class ScanSession:
         encoded: List[EncodedQuery],
         passes: Sequence[_PassSpec],
         tasks: Sequence[WindowTask],
-        done: Dict[int, SessionPayload],
+        done: Dict[int, bitscore.ScanRows],
         keep_scores: bool,
         live: Optional[Sequence[int]] = None,
     ) -> List[List[AlignmentResult]]:
         """Stitch task payloads into per-query, input-ordered results.
 
-        ``live`` lists the references to report (default: all of them);
-        a dead shard's references are left out.
+        A pass's task ids run in (reference, start) order, so its payloads
+        join in that order.  ``live`` lists the references to report
+        (default: all of them); a dead shard's references are left out.
         """
         lengths = self._lengths
         references = range(len(lengths)) if live is None else live
-        per_slot: Dict[Tuple[int, int], List[_windows.WindowRecord]] = {}
-        for task_id, payload in done.items():
-            pass_id = tasks[task_id].pass_id
-            for slot, reference, start, hits, hit_scores, scores in payload:
-                per_slot.setdefault((pass_id, slot), []).append(
-                    (reference, start, hits, hit_scores, scores)
-                )
         results: List[Optional[List[AlignmentResult]]] = [None] * len(encoded)
         for spec in passes:
+            ids = [task_id for task_id in sorted(done) if tasks[task_id].pass_id == spec.pass_id]
+            windows = [window for task_id in ids for window in tasks[task_id].windows]
+            rows = _join([done[task_id] for task_id in ids], len(spec.spans), keep_scores)
             for slot, query_index in enumerate(spec.query_indices):
-                records = per_slot.get((spec.pass_id, slot), [])
-                per_reference = _windows.merge_window_records(
-                    records, lengths, spec.spans[slot], keep_scores, references
+                per_reference = _windows.split_rows(
+                    windows, rows.counts[:, slot], rows.positions[slot],
+                    rows.hit_scores[slot], rows.scores[slot] if rows.scores else None,
+                    lengths, spec.spans[slot], references,
                 )
-                query = encoded[query_index]
-                threshold = spec.thresholds[slot]
                 results[query_index] = [
                     _build_result(
-                        query, self._database.names[index], length, threshold,
-                        positions, hit_scores, scores,
+                        encoded[query_index], self._database.names[index], length,
+                        spec.thresholds[slot], positions, hit_scores, scores,
                     )
                     for index, (positions, hit_scores, scores, length) in zip(
                         references, per_reference

@@ -39,7 +39,7 @@ the whole reference in one call — the invariant the regression tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ __all__ = [
     "num_positions",
     "plan_windows",
     "window_codes",
-    "merge_window_records",
+    "split_rows",
 ]
 
 #: Nucleotides of context *behind* a window start the comparator may read
@@ -214,54 +214,42 @@ def window_codes(
     return codes, lookback
 
 
-#: One scored window: ``(reference, start, hit_positions_local, hit_scores,
-#: scores_slice | None)``.  Hit positions are local to the window; the merge
-#: re-bases them by ``start``.
-WindowRecord = Tuple[int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]
-
-
-def merge_window_records(
-    records: Sequence[WindowRecord],
-    lengths: Sequence[int],
-    span: int,
-    keep_scores: bool,
-    references: Optional[Iterable[int]] = None,
+def split_rows(
+    windows: Sequence[Tuple[int, int, int]], counts: np.ndarray, positions: np.ndarray,
+    hit_scores: np.ndarray, scores: Optional[np.ndarray], lengths: Sequence[int], span: int,
+    references: Sequence[int],
 ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int]]:
-    """Stitch window records back into per-reference scan results.
+    """Split one query's rows over ``windows`` into per-reference results.
 
-    Returns, for every reference in input order (or for each index of
-    ``references``, in that order), ``(positions, hit_scores,
-    scores | None, length)`` exactly as a whole-reference scan would have
-    produced them: windows are sorted by start, hit positions re-based to
-    absolute coordinates, and (with ``keep_scores``) the score slices
-    concatenated into the full per-position vector.
+    ``windows`` are ``(reference, start, stop)`` rows in (reference, start)
+    order, ``counts`` their hit counts; the rows hold the query's hits
+    (positions counted from their window's start) and ``scores | None``
+    window after window.  Returns ``(positions, hit_scores, scores | None,
+    length)`` for each of ``references`` exactly as a whole-reference scan
+    would: positions absolute and, with scores, the full score vector.
     """
-    by_reference: Dict[int, List[WindowRecord]] = {}
-    for record in records:
-        by_reference.setdefault(record[0], []).append(record)
+    # ranges[reference]: its [first, end) hits and [first, end) scores in the rows.
+    ranges: Dict[int, List[int]] = {}
+    hit = score = 0
+    for (reference, start, stop), count in zip(windows, np.asarray(counts).tolist()):
+        kept = max(0, min(stop, num_positions(lengths[reference], span)) - start)
+        bounds = ranges.setdefault(reference, [hit, hit, score, score])
+        hit, score = hit + count, score + kept
+        bounds[1], bounds[3] = hit, score
+    if positions.size:
+        positions = positions + np.repeat([start for _, start, _ in windows], counts)
     merged: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int]] = []
-    for reference in range(len(lengths)) if references is None else references:
-        length = lengths[reference]
-        parts = sorted(by_reference.get(reference, []), key=lambda r: r[1])
-        total = num_positions(length, span)
-        if parts:
-            positions = np.concatenate(
-                [r[2].astype(np.int64) + r[1] for r in parts]
-            )
-            hit_scores = np.concatenate([r[3] for r in parts])
-        else:
-            positions = np.zeros(0, dtype=np.int64)
-            hit_scores = np.zeros(0, dtype=np.int32)
-        scores: Optional[np.ndarray] = None
-        if keep_scores:
-            if parts:
-                scores = np.concatenate([r[4] for r in parts])
-            else:
-                scores = np.zeros(0, dtype=np.int32)
-            if scores.size != total:
+    for reference in references:
+        hit, hit_end, score, score_end = ranges.get(reference, (0, 0, 0, 0))
+        length = int(lengths[reference])
+        kept_scores: Optional[np.ndarray] = None
+        if scores is not None:
+            kept_scores = scores[score:score_end]
+            total = num_positions(length, span)
+            if kept_scores.size != total:
                 raise ValueError(
                     f"reference {reference}: merged scores cover "
-                    f"{scores.size} of {total} positions"
+                    f"{kept_scores.size} of {total} positions"
                 )
-        merged.append((positions, hit_scores, scores, int(length)))
+        merged.append((positions[hit:hit_end], hit_scores[hit:hit_end], kept_scores, length))
     return merged

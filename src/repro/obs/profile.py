@@ -33,7 +33,6 @@ name                                    kind       labels
 ``fabp_scan_session_pass_queries``      histogram  —
 ``fabp_shard_active``                   gauge      — (high-water mark)
 ``fabp_shard_resumes_total``            counter    —
-``fabp_shard_merge_seconds``            histogram  —
 ``fabp_encoding_cache_hits``            gauge      —
 ``fabp_encoding_cache_misses``          gauge      —
 ``fabp_encoding_cache_entries``         gauge      —
@@ -80,7 +79,6 @@ __all__ = [
     "record_scan_session_pass",
     "record_shard_active",
     "record_shard_resume",
-    "record_shard_merge",
     "record_kernel_run",
     "record_schedule_plan",
     "record_bench_record",
@@ -119,7 +117,6 @@ HOOK_CATALOGUE = frozenset(
         "fabp_scan_session_pass_queries",
         "fabp_shard_active",
         "fabp_shard_resumes_total",
-        "fabp_shard_merge_seconds",
         "fabp_encoding_cache_hits",
         "fabp_encoding_cache_misses",
         "fabp_encoding_cache_entries",
@@ -328,8 +325,8 @@ def record_scan_session_open(resident_bytes: int) -> None:
 def record_scan_session_batch(batch_size: int, reused: bool) -> None:
     """One ``scan``/``scan_batch`` call served by a session.
 
-    ``reused`` is true when the session's packed image and worker pool were
-    already warm from a previous call — the amortization the session exists
+    ``reused`` is true when the session's packed image and worker threads
+    were already warm from a previous call — the amortization the session exists
     to provide.
     """
     if not state.enabled():
@@ -356,12 +353,12 @@ def record_scan_session_pass(pass_queries: int) -> None:
 
 
 def record_shard_active(count: int) -> None:
-    """Ratchet the high-water mark of a sharded scan's pool size."""
+    """Ratchet the high-water mark of a sharded scan's worker threads."""
     if not state.enabled():
         return
     gauge = REGISTRY.gauge(
         "fabp_shard_active",
-        "Most workers in a sharded scan's pool.",
+        "Most worker threads of a sharded scan.",
     ).default
     gauge.track_max(count)  # type: ignore[union-attr]
 
@@ -374,16 +371,6 @@ def record_shard_resume(chunks: int) -> None:
         "fabp_shard_resumes_total",
         "Shard tasks restored from the checkpoint.",
     ).default.inc(chunks)
-
-
-def record_shard_merge(seconds: float) -> None:
-    """Wall time of one seam-exact merge of per-shard hit lists."""
-    if not state.enabled():
-        return
-    REGISTRY.histogram(
-        "fabp_shard_merge_seconds",
-        "Wall time merging per-shard hit lists.",
-    ).default.observe(seconds)
 
 
 def record_encoding_cache(hits: int, misses: int, entries: int) -> None:

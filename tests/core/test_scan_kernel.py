@@ -761,22 +761,36 @@ def _image(references):
 
 def _assert_task_is_naive(references, windows, batch, thresholds, keep_scores):
     """One ``scan_windows`` call over ``windows`` = (reference, start, stop)
-    rows equals ``naive``, cell by cell; returns the cells."""
+    rows equals ``naive``, cell by cell; returns the cells, window-major,
+    as ``(hits, hit_scores, kept scores | None)`` cut from the rows."""
     image, offsets = _image(references)
-    rows = [
+    spans = [
         (int(offsets[r]), references[r].codes.size, start, stop)
         for r, start, stop in windows
     ]
-    cells, positions = bitscore.scan_windows(
-        image, rows, bitscore.prepare_batch(batch), thresholds, keep_scores
+    rows, positions = bitscore.scan_windows(
+        image, spans, bitscore.prepare_batch(batch), thresholds, keep_scores
     )
-    assert len(cells) == len(windows) * len(batch)
+    k = len(batch)
+    assert rows.counts.shape == (len(windows), k) and rows.counts.dtype == np.int64
+    assert len(rows.positions) == len(rows.hit_scores) == k
+    if not keep_scores:
+        assert rows.scores is None
+    hit_at, score_at = [0] * k, [0] * k
+    cells = []
     total = 0
     for j, (r, start, stop) in enumerate(windows):
         for q, (instructions, threshold) in enumerate(zip(batch, thresholds)):
             want = references[r].scores(instructions)[start:stop]
             total += want.size
-            hits, hit_scores, kept = cells[j * len(batch) + q]
+            hits = slice(hit_at[q], hit_at[q] + int(rows.counts[j, q]))
+            hit_at[q] = hits.stop
+            cell = (rows.positions[q][hits], rows.hit_scores[q][hits], None)
+            if keep_scores:
+                cell = cell[:2] + (rows.scores[q][score_at[q] : score_at[q] + want.size],)
+                score_at[q] += want.size
+            cells.append(cell)
+            hits, hit_scores, kept = cell
             (expected,) = np.nonzero(want >= threshold)
             where = (r, start, stop, q, threshold)
             assert hits.dtype == np.int64 and hit_scores.dtype == np.int32
@@ -784,8 +798,10 @@ def _assert_task_is_naive(references, windows, batch, thresholds, keep_scores):
             assert np.array_equal(hit_scores, want[expected]), where
             if keep_scores:
                 assert np.array_equal(kept, want), where
-            else:
-                assert kept is None
+    # Every row holds exactly its query's cells.
+    assert hit_at == [row.size for row in rows.positions]
+    if keep_scores:
+        assert score_at == [row.size for row in rows.scores]
     assert positions == total
     return cells
 
@@ -922,14 +938,15 @@ class TestScanTask:
         image, offsets = _image(short)
         windows = [(int(offsets[r]), ref.codes.size, 0, ref.codes.size)
                    for r, ref in enumerate(short)]
-        cells, _ = bitscore.scan_windows(
+        rows, _ = bitscore.scan_windows(
             image, windows, bitscore.prepare_batch(batch), None, True
         )
-        for j, reference in enumerate(short):
-            for q, instructions in enumerate(batch):
-                hits, hit_scores, kept = cells[j * len(batch) + q]
-                assert hits.size == hit_scores.size == 0
-                assert np.array_equal(kept, reference.scores(instructions))
+        assert not rows.counts.any()
+        for q, instructions in enumerate(batch):
+            assert rows.positions[q].size == rows.hit_scores[q].size == 0
+            # Query q's row is its scores over every reference, one after another.
+            want = [reference.scores(instructions) for reference in short]
+            assert np.array_equal(rows.scores[q], np.concatenate(want))
 
 
 @requires_native
@@ -983,7 +1000,8 @@ def test_task_observes_the_same_call_with_observability_on(monkeypatch):
         obs.reset()
     assert len(calls) == 2 * len(tasks)
     for got, want in zip(on, off):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a[:3] == b[:3]
-            assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])
+        assert np.array_equal(got.counts, want.counts)
+        for field in ("positions", "hit_scores"):
+            rows = zip(getattr(got, field), getattr(want, field))
+            assert all(np.array_equal(a, b) for a, b in rows)
+        assert got.scores is None and want.scores is None

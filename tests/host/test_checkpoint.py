@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.aligner import scores_from_codes
 from repro.core.encoding import encode_query
 from repro.host.checkpoint import SCHEMA_VERSION, CheckpointStore, scan_fingerprint
 from repro.host.errors import CheckpointMismatchError
+from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
 from repro.host.scan import PackedDatabase
-from repro.host.scan_session import plan_batch
+from repro.host.scan_session import ScanSession, plan_batch
 
 
 @pytest.fixture
@@ -27,13 +29,17 @@ def fingerprint(database, query="MKV", threshold=5, engine="bitscore",
 
 
 def make_payload(with_scores=False):
-    scores = np.arange(5, dtype=np.int64) if with_scores else None
-    return [
-        (0, 0, 0, np.array([3, 9], dtype=np.int64), np.array([7, 8], dtype=np.int64),
-         scores),
-        (0, 1, 0, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-         None),
-    ]
+    """A two-cell chunk file's arrays, in the schema-2 layout."""
+    arrays = {
+        "meta": np.array([[0, 0, 0, int(with_scores)], [0, 1, 0, 0]], dtype=np.int64),
+        "pos_0": np.array([3, 9], dtype=np.int64),
+        "hs_0": np.array([7, 8], dtype=np.int64),
+        "pos_1": np.array([], dtype=np.int64),
+        "hs_1": np.array([], dtype=np.int64),
+    }
+    if with_scores:
+        arrays["sc_0"] = np.arange(5, dtype=np.int64)
+    return arrays
 
 
 class TestFingerprint:
@@ -78,15 +84,10 @@ class TestChunkFiles:
         store.save_chunk(2, payload)
         loaded = store.load_chunk(2)
         assert loaded is not None
-        assert len(loaded) == 2
-        for original, restored in zip(payload, loaded):
-            assert restored[:3] == original[:3]
-            np.testing.assert_array_equal(restored[3], original[3])
-            np.testing.assert_array_equal(restored[4], original[4])
-            if original[5] is None:
-                assert restored[5] is None
-            else:
-                np.testing.assert_array_equal(restored[5], original[5])
+        assert sorted(loaded) == sorted(payload)
+        for name, array in payload.items():
+            assert loaded[name].dtype == array.dtype
+            np.testing.assert_array_equal(loaded[name], array)
 
     def test_missing_chunk_is_none(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -147,3 +148,80 @@ class TestPrepare:
         store.prepare(self.FP, 4, 2, resume=False)
         with pytest.raises(CheckpointMismatchError):
             store.prepare(self.FP, 8, 1, resume=True)
+
+
+class TestSchemaTwoFiles:
+    """Chunk files in the schema-2 layout, written without the scan code:
+    a ``meta`` table of ``(slot, reference, window start, has scores)`` rows,
+    one per (window, query slot) cell ``i = window * k + slot``, and the
+    cell's window-local hit positions ``pos_i``, hit scores ``hs_i`` and kept
+    scores ``sc_i``."""
+
+    QUERIES = ("MKVLA", "WRSTC")
+    THRESHOLD = 9
+
+    def scan(self, database, directory, **kwargs):
+        with ScanSession(database, workers=1) as session:
+            return session.scan_batch(
+                list(self.QUERIES), threshold=self.THRESHOLD, keep_scores=True,
+                chunk_size=1, checkpoint_dir=directory, with_report=True, **kwargs
+            )
+
+    def write_by_hand(self, database, store, task_id, task):
+        k = len(task.arrays)
+        arrays = {"meta": []}
+        for j, (reference, start, stop) in enumerate(task.windows):
+            codes = database.reference_codes(reference)
+            for slot, array in enumerate(task.arrays):
+                scores = scores_from_codes(array, codes, "naive")[start:stop]
+                (hits,) = np.nonzero(scores >= self.THRESHOLD)
+                i = j * k + slot
+                arrays["meta"].append([slot, reference, start, 1])
+                arrays[f"pos_{i}"] = hits.astype(np.int64)
+                arrays[f"hs_{i}"] = scores[hits].astype(np.int32)
+                arrays[f"sc_{i}"] = scores.astype(np.int32)
+        arrays["meta"] = np.array(arrays["meta"], dtype=np.int64)
+        store.chunk_path(task_id).unlink()
+        with open(store.chunk_path(task_id), "wb") as handle:
+            np.savez(handle, **arrays)
+
+    def assert_same(self, got, want):
+        for ours, theirs in zip(got, want):
+            for a, b in zip(ours, theirs):
+                assert a.hits == b.hits
+                assert np.array_equal(a.scores, b.scores)
+
+    def test_hand_written_files_resume_bit_identically(self, database, tmp_path):
+        directory = tmp_path / "ckpt"
+        want, _ = self.scan(database, directory)
+        store = CheckpointStore(directory)
+        with ScanSession(database, workers=1) as session:
+            # The windows and slots of the scan's tasks (their thresholds
+            # are the default one, not the scan's).
+            tasks = session.plan_tasks(list(self.QUERIES), chunk_size=1)
+        assert len(tasks) == 3 and all(len(task.arrays) == 2 for task in tasks)
+        for task_id, task in enumerate(tasks):
+            self.write_by_hand(database, store, task_id, task)
+        # Every attempt crashes: only the files can produce a result.
+        poison = FaultPlan(
+            specs=tuple(FaultSpec(i, FaultKind.CRASH, attempts=ALWAYS) for i in range(3))
+        )
+        got, report = self.scan(database, directory, resume=True, faults=poison)
+        assert report.chunks_from_checkpoint == 3 and report.attempts == []
+        self.assert_same(got, want)
+
+    def test_file_of_other_windows_is_rescanned(self, database, tmp_path):
+        directory = tmp_path / "ckpt"
+        want, _ = self.scan(database, directory)
+        store = CheckpointStore(directory)
+        arrays = store.load_chunk(1)
+        # The same cells, keyed on window start 1: not this task's windows.
+        arrays["meta"][:, 2] = 1
+        store.save_chunk(1, arrays)
+        got, report = self.scan(database, directory, resume=True)
+        assert report.chunks_from_checkpoint == 2
+        assert {attempt.chunk for attempt in report.attempts} == {1}
+        self.assert_same(got, want)
+
+    def test_schema_stays_two(self):
+        assert SCHEMA_VERSION == 2

@@ -9,6 +9,7 @@ fault plans and checkpoints on whole-reference chunks.
 """
 
 import os
+import re
 import threading
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from repro.host.errors import (
     ScanError,
 )
 from repro.host.faults import ALWAYS, FaultKind, FaultPlan, FaultSpec
-from repro.host.resilience import RetryPolicy, ScanReport, corrupt_records
+from repro.host.resilience import RetryPolicy, ScanReport
 from repro.host.scan import PackedDatabase, scan_database
 from repro.host.scan_session import ScanSession, WindowTask, plan_batch
 
@@ -502,10 +503,149 @@ class TestOneLoop:
         assert report.degraded == spec.endswith("always")
 
 
+def _slot0(payload, **rows):
+    """``payload`` (a one-query task's) with query slot 0's rows replaced."""
+    return payload._replace(**{name: (row,) for name, row in rows.items()})
+
+
+def _edit(row, index, value):
+    """A copy of ``row`` with ``row[index] = value``."""
+    row = row.copy()
+    row[index] = value
+    return row
+
+
+def _swap_first_hits(p, t, span):
+    assert p.counts[0, 0] >= 2
+    return _slot0(p, positions=_edit(p.positions[0], [0, 1], p.positions[0][[1, 0]]))
+
+
+def _off_hit(p, t, value):
+    """The score row with its first non-hit position scoring ``value``."""
+    (misses,) = np.nonzero(p.scores[0] < t)
+    return _slot0(p, scores=_edit(p.scores[0], misses[0], value))
+
+
+def _hit_rescored(p, t, span):
+    """The score row with the first hit's score changed, still a hit."""
+    at, score = p.positions[0][0], p.hit_scores[0][0]
+    return _slot0(p, scores=_edit(p.scores[0], at, t if score != t else span))
+
+
+#: ``(keep_scores, damage(payload, threshold, span), reason pattern)``: one
+#: case per rejection reason of ``WindowTask.check``, each damaging an
+#: honest payload in the one way that reason names.
+SANITY_CASES = [
+    pytest.param(
+        False, lambda p, t, s: list(p),
+        r"^payload is list, expected ScanRows$", id="not-rows",
+    ),
+    pytest.param(
+        False, lambda p, t, s: p._replace(counts=p.counts[:1]),
+        r"^hit counts are not a 2 x 1 integer matrix$", id="counts-shape",
+    ),
+    pytest.param(
+        False, lambda p, t, s: p._replace(counts=p.counts.astype(float)),
+        r"^hit counts are not a 2 x 1 integer matrix$", id="counts-dtype",
+    ),
+    pytest.param(
+        False, lambda p, t, s: p._replace(positions=()),
+        r"^expected hit rows for 1 queries$", id="hit-rows",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, positions=p.positions[0][None]),
+        r"^query slot 0: hit positions is not a 1-D array$", id="positions-2d",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, hit_scores=p.hit_scores[0][1:]),
+        r"^query slot 0: hit_scores shape mismatch$", id="hit-scores-shape",
+    ),
+    pytest.param(
+        False,
+        lambda p, t, s: _slot0(
+            p, positions=p.positions[0][1:], hit_scores=p.hit_scores[0][1:]
+        ),
+        r"^query slot 0: hit counts sum to \d+, the row holds \d+$", id="wrong-count",
+    ),
+    pytest.param(
+        False, lambda p, t, s: p._replace(counts=_edit(p.counts, (0, 0), -1)),
+        r"^query slot 0: hit counts sum to", id="count-below-row",
+    ),
+    pytest.param(
+        False,
+        lambda p, t, s: p._replace(counts=np.array([[-1], [p.counts.sum() + 1]])),
+        r"^negative hit count$", id="negative-count",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, positions=p.positions[0].astype(float)),
+        r"^query slot 0: non-integer hit arrays$", id="non-integer",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, positions=_edit(p.positions[0], -1, 10**6)),
+        r"^hit position out of range$", id="position-past-window",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, positions=_edit(p.positions[0], 0, -1)),
+        r"^hit position out of range$", id="negative-position",
+    ),
+    pytest.param(
+        False, _swap_first_hits,
+        r"^hit positions not strictly increasing$", id="not-increasing",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, hit_scores=_edit(p.hit_scores[0], 0, t - 1)),
+        r"^query slot 0: hit score outside \[4, 9\]$", id="hit-score-below-threshold",
+    ),
+    pytest.param(
+        False, lambda p, t, s: _slot0(p, hit_scores=_edit(p.hit_scores[0], 0, s + 1)),
+        r"^query slot 0: hit score outside \[4, 9\]$", id="hit-score-above-span",
+    ),
+    pytest.param(
+        False, lambda p, t, s: p._replace(scores=(np.zeros(p.counts.sum(), np.int32),)),
+        r"^unexpected score rows$", id="scores-without-keep",
+    ),
+    pytest.param(
+        True, lambda p, t, s: p._replace(scores=None),
+        r"^missing score rows for 1 queries$", id="no-score-rows",
+    ),
+    pytest.param(
+        True, lambda p, t, s: _slot0(p, scores=None),
+        r"^query slot 0: missing score row$", id="no-score-row",
+    ),
+    pytest.param(
+        True, lambda p, t, s: _slot0(p, scores=p.scores[0][None]),
+        r"^query slot 0: missing score row$", id="score-row-2d",
+    ),
+    pytest.param(
+        True, lambda p, t, s: _slot0(p, scores=p.scores[0][:-1]),
+        r"^query slot 0: score row size \d+ != \d+$", id="score-row-size",
+    ),
+    pytest.param(
+        True, lambda p, t, s: _off_hit(p, t, -1),
+        r"^query slot 0: score outside \[0, 9\]$", id="score-negative",
+    ),
+    pytest.param(
+        True,
+        lambda p, t, s: _slot0(p, scores=_edit(p.scores[0], p.positions[0][0], s + 1)),
+        r"^query slot 0: score outside \[0, 9\]$", id="score-above-span",
+    ),
+    pytest.param(
+        True, lambda p, t, s: _off_hit(p, t, s),
+        r"^hits disagree with score rows$", id="hits-disagree",
+    ),
+    pytest.param(
+        True, _hit_rescored,
+        r"^hit scores disagree with score rows$", id="hit-scores-disagree",
+    ),
+]
+
+
 class TestSanityCheck:
-    def make_task(self, query, database, start, stop, keep_scores=False):
+    def make_task(
+        self, query, database, start, stop, keep_scores=False, threshold=THRESHOLD
+    ):
         _passes, tasks = plan_batch(
-            database.lengths, [query], [THRESHOLD], 1,
+            database.lengths, [query], [threshold], 1,
             chunk_size=2, engine="bitscore", keep_scores=keep_scores,
         )
         return tasks[start // 2]
@@ -517,22 +657,55 @@ class TestSanityCheck:
     def test_corruption_is_always_detected(self, query, database):
         for start, stop in ((0, 2), (2, 4), (4, 6), (6, 8)):
             task = self.make_task(query, database, start, stop)
-            payload = corrupt_records(task.run(database, 0))
+            payload = task.corrupt(task.run(database, 0))
             assert task.check(database, payload) is not None
+
+    @pytest.mark.parametrize("keep_scores", [False, True])
+    def test_corruption_is_detected_without_hits(self, query, database, keep_scores):
+        """A threshold past the span leaves every window without a hit."""
+        span = len(query)
+        task = self.make_task(query, database, 0, 2, keep_scores, threshold=span + 1)
+        payload = task.run(database, 0)
+        assert not payload.counts.any()
+        assert task.check(database, payload) is None
+        reason = task.check(database, task.corrupt(payload))
+        assert reason is not None and "hit counts sum to" in reason
 
     def test_wrong_record_count_detected(self, query, database):
         task = self.make_task(query, database, 0, 2)
-        payload = task.run(database, 0)[:1]
+        payload = task.run(database, 0)
+        payload = payload._replace(counts=payload.counts[:1])
         assert task.check(database, payload) is not None
 
     def test_keep_scores_cross_check(self, query, database):
         task = self.make_task(query, database, 0, 2, keep_scores=True)
         payload = task.run(database, 0)
         assert task.check(database, payload) is None
-        slot, reference, start, hits, hit_scores, scores = payload[0]
-        tampered = [(slot, reference, start, hits, hit_scores + 1, scores)] + payload[1:]
-        if hits.size:
+        tampered = payload._replace(hit_scores=(payload.hit_scores[0] + 1,))
+        if payload.positions[0].size:
             assert task.check(database, tampered) is not None
+
+    def test_rows_of_two_queries(self, query, database):
+        _passes, tasks = plan_batch(
+            database.lengths, [query, encode_query("MKW")], [THRESHOLD] * 2, 1,
+            chunk_size=2, engine="bitscore", keep_scores=True,
+        )
+        payload = tasks[0].run(database, 0)
+        assert payload.counts.shape == (2, 2)
+        assert tasks[0].check(database, payload) is None
+        swapped = payload._replace(
+            positions=payload.positions[::-1], hit_scores=payload.hit_scores[::-1]
+        )
+        assert tasks[0].check(database, swapped) is not None
+
+    @pytest.mark.parametrize("keep_scores, damage, reason", SANITY_CASES)
+    def test_each_reason_is_caught(self, query, database, keep_scores, damage, reason):
+        task = self.make_task(query, database, 0, 2, keep_scores)
+        payload = task.run(database, 0)
+        assert task.check(database, payload) is None
+        damaged = damage(payload, THRESHOLD, len(query))
+        found = task.check(database, damaged)
+        assert found is not None and re.search(reason, found), found
 
 
 class TestPolicyAndReport:

@@ -159,7 +159,7 @@ class TestWindowedScanBitIdentity:
         chunks = windows.plan_windows([length], span, 2, target_positions=777)
         all_windows = [w for chunk in chunks for w in chunk]
         assert len(all_windows) > 10  # the seam case, many times over
-        records = []
+        cells = []
         for w in all_windows:
             codes, lookback = windows.window_codes(
                 database.buffer, int(database.byte_offsets[0]), length,
@@ -168,15 +168,54 @@ class TestWindowedScanBitIdentity:
             scores = scores_from_codes(encoded, codes)
             kept = scores[lookback : lookback + w.positions]
             hits = np.nonzero(kept >= span)[0]
-            records.append(
-                (w.reference, w.start, hits.astype(np.int64), kept[hits], kept)
-            )
-        merged = windows.merge_window_records(records, [length], span, True)
+            cells.append((hits.astype(np.int64), kept[hits], kept))
+        # One query's rows over the windows, window after window, as a
+        # scan task returns them and the session merge joins them.
+        merged = windows.split_rows(
+            [(w.reference, w.start, w.stop) for w in all_windows],
+            [hits.size for hits, _, _ in cells],
+            *(np.concatenate(row) for row in zip(*cells)),
+            [length], span, [0],
+        )
         positions, hit_scores, scores, merged_length = merged[0]
         assert merged_length == length
         assert np.array_equal(scores, full)
         assert np.array_equal(positions, np.nonzero(full >= span)[0])
         assert np.array_equal(hit_scores, full[positions])
+
+    def test_many_references_split_bit_identical(self, rng):
+        """Windows of several references, some shorter than the query, in
+        one row; any subset of the references comes back whole."""
+        encoded = encode_query(random_protein(12, rng=rng)).as_array()
+        span = int(encoded.size)
+        texts = [random_rna(n, rng=rng).letters for n in (900, 20, 1500, 36, 700)]
+        database = PackedDatabase.from_references(texts)
+        lengths = database.length_list
+        plan = windows.plan_windows(lengths, span, 2, target_positions=311)
+        spans = [(w.reference, w.start, w.stop) for chunk in plan for w in chunk]
+        threshold = span // 2
+        cells = []
+        for reference, start, stop in spans:
+            codes, lookback = windows.window_codes(
+                database.buffer, int(database.byte_offsets[reference]),
+                lengths[reference], start, stop, span,
+            )
+            kept = scores_from_codes(encoded, codes)[lookback : lookback + stop - start]
+            hits = np.nonzero(kept >= threshold)[0]
+            cells.append((hits.astype(np.int64), kept[hits], kept))
+        rows = [np.concatenate(row) for row in zip(*cells)]
+        counts = [hits.size for hits, _, _ in cells]
+        for references in ([0, 1, 2, 3, 4], [0, 2, 3], [4], []):
+            merged = windows.split_rows(spans, counts, *rows, lengths, span, references)
+            assert len(merged) == len(references)
+            for reference, (positions, hit_scores, scores, length) in zip(
+                references, merged
+            ):
+                full = scores_from_codes(encoded, codes_from_text(texts[reference]))
+                assert length == lengths[reference]
+                assert np.array_equal(scores, full)
+                assert np.array_equal(positions, np.nonzero(full >= threshold)[0])
+                assert np.array_equal(hit_scores, full[positions])
 
     def test_window_start_before_lookback(self, rng):
         # start in {0, 1} has fewer than LOOKBACK real predecessors; the
@@ -199,17 +238,20 @@ class TestWindowedScanBitIdentity:
             assert np.array_equal(kept, full[start:stop]), start
 
 
-class TestMergeWindowRecords:
+class TestSplitRows:
     def test_missing_window_is_detected(self):
-        records = [
-            (0, 0, np.zeros(0, np.int64), np.zeros(0, np.int32),
-             np.zeros(50, np.int32)),
-        ]
-        with pytest.raises(ValueError, match="merged scores cover"):
-            windows.merge_window_records(records, [199], 100, True)
+        with pytest.raises(ValueError, match="merged scores cover 50 of 100"):
+            windows.split_rows(
+                [(0, 0, 50)], [0], np.zeros(0, np.int64), np.zeros(0, np.int32),
+                np.zeros(50, np.int32), [199], 100, [0],
+            )
 
     def test_empty_reference_synthesizes_empty_result(self):
-        merged = windows.merge_window_records([], [10], 90, True)
+        empty = np.zeros(0, np.int64)
+        merged = windows.split_rows(
+            np.zeros((0, 3), np.int64), empty, empty, empty.astype(np.int32),
+            empty.astype(np.int32), [10], 90, [0],
+        )
         positions, hit_scores, scores, length = merged[0]
         assert positions.size == 0 and hit_scores.size == 0
         assert scores is not None and scores.size == 0
