@@ -166,16 +166,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-#: Engine choices for the scan subcommand (mirrors repro.core.aligner.ENGINES
-#: without importing the scoring stack at parser-build time).
-SCAN_ENGINES = (
-    "bitscore",
-    "bitscore_batch",
-    "vectorized",
-    "naive",
-)
-
-
 def _obs_begin(args) -> bool:
     """Enable observability when the command asked for an artifact."""
     if not (getattr(args, "metrics_json", None) or getattr(args, "trace_json", None)):
@@ -220,7 +210,7 @@ def cmd_scan(args) -> int:
     from repro.host.errors import ScanError
     from repro.host.faults import FaultPlan
     from repro.host.resilience import RetryPolicy
-    from repro.host.scan import PackedDatabase
+    from repro.host.scan import SESSION_ENGINE, PackedDatabase
     from repro.host.scan_session import ScanSession
     from repro.seq import fasta
 
@@ -235,29 +225,22 @@ def cmd_scan(args) -> int:
             return 2
     obs_active = _obs_begin(args)
     payload: Dict[str, object] = {"version": 1, "queries": []}
-    degraded_any = dead_any = False
     rows: List[list] = []
     session = None
     try:
+        if args.chunk_timeout < 0:
+            raise ValueError("--chunk-timeout must be >= 0")
         skipped: List[fasta.SkippedRecord] = []
         references = fasta.read_rna(args.database, on_error=on_error, skipped=skipped)
         database = PackedDatabase.from_references(references)
-        # Every call runs on this one session; with --shards it is sharded
-        # and scans every query in one batch with one worker thread per
-        # shard.
-        session = ScanSession(
-            database, engine=args.engine, workers=args.workers, shards=args.shards
-        )
+        # Every query runs in one batch on this session; with --shards it
+        # is sharded, with one worker thread per shard.
+        session = ScanSession(database, workers=args.workers, shards=args.shards)
         shard_specs = session.shard_specs
         num_workers = session.num_workers
-        # The session's own plan of each call: fault plans and checkpoints
-        # are keyed on task ids.
-        one_batch = args.session or shard_specs is not None
-        calls = [encoded] if one_batch else [[e] for e in encoded]
-        plans = [
-            session.plan_tasks(call, chunk_size=args.chunk_size) for call in calls
-        ]
-        num_tasks = max((len(tasks) for tasks in plans), default=0)
+        # The batch's own plan: fault plans and checkpoints are keyed on
+        # its task ids.
+        tasks = session.plan_tasks(encoded, chunk_size=args.chunk_size)
         granule = (
             f"chunks of <= {args.chunk_size} references"
             if args.chunk_size
@@ -266,7 +249,7 @@ def cmd_scan(args) -> int:
         owners = ""
         if shard_specs is not None:
             owned: Dict[int, List[int]] = {}
-            for task_id, task in enumerate(plans[0] if plans else []):
+            for task_id, task in enumerate(tasks):
                 owned.setdefault(task.shard, []).append(task_id)
             owners = f"; {len(shard_specs)} shards, task ids " + ", ".join(
                 f"shard {spec.shard}: {_id_range(owned.get(spec.shard, []))}"
@@ -274,7 +257,7 @@ def cmd_scan(args) -> int:
             )
         print(
             f"database: {database.num_references} references, "
-            f"{database.total_nucleotides:,} nt in {num_tasks} {granule} "
+            f"{database.total_nucleotides:,} nt in {len(tasks)} {granule} "
             f"(workers={num_workers}){owners}"
         )
         if skipped:
@@ -288,7 +271,7 @@ def cmd_scan(args) -> int:
 
         policy = RetryPolicy(
             max_retries=args.retries,
-            timeout=args.chunk_timeout if args.chunk_timeout > 0 else None,
+            timeout=args.chunk_timeout or None,
             max_respawns=args.max_respawns,
             degrade=not args.no_degrade,
         )
@@ -300,64 +283,33 @@ def cmd_scan(args) -> int:
         elif args.fault_rate > 0:
             plan = FaultPlan.from_seed(
                 args.fault_seed,
-                num_tasks,
+                len(tasks),
                 rate=args.fault_rate,
                 max_attempts=args.fault_attempts,
                 hang_seconds=args.fault_hang_seconds,
             )
 
-        threshold = args.threshold
-        min_identity = None if threshold is not None else args.min_identity
-        engine = args.engine
-        outcomes = []
-        if one_batch:
-            # One warm runtime for the whole query stream: the packed image
-            # is set up once, queries share passes, and a single batch
-            # report covers every query.  With --shards the tasks carry
-            # shard labels; a shard whose task exhausts its budget is dead
-            # and its references missing.
-            checkpoint_dir = (
-                pathlib.Path(args.checkpoint) if args.checkpoint else None
-            )
-            print(
-                f"session: {session.resident_bytes:,} resident bytes, "
-                f"{num_workers} workers, engine={engine}"
-            )
-            batches, report = session.scan_batch(
-                queries,
-                threshold=threshold,
-                min_identity=min_identity,
-                chunk_size=args.chunk_size,
-                policy=policy,
-                faults=plan,
-                checkpoint_dir=checkpoint_dir,
-                resume=args.resume,
-                with_report=True,
-            )
-            outcomes = [
-                (query, results, report)
-                for query, results in zip(queries, batches)
-            ]
-        else:
-            for index, query in enumerate(queries):
-                checkpoint_dir = None
-                if args.checkpoint:
-                    checkpoint_dir = pathlib.Path(args.checkpoint)
-                    if len(queries) > 1:
-                        checkpoint_dir = checkpoint_dir / f"q{index:03d}"
-                results, report = session.scan(
-                    query,
-                    threshold=threshold,
-                    min_identity=min_identity,
-                    chunk_size=args.chunk_size,
-                    policy=policy,
-                    faults=plan,
-                    checkpoint_dir=checkpoint_dir,
-                    resume=args.resume,
-                    with_report=True,
-                )
-                outcomes.append((query, results, report))
-        for index, (query, results, report) in enumerate(outcomes):
+        print(
+            f"session: {session.resident_bytes:,} resident bytes, "
+            f"{num_workers} workers, engine={SESSION_ENGINE}"
+        )
+        # One warm runtime for the whole query stream: queries share
+        # passes, and one batch report covers every query.  With --shards
+        # the tasks carry shard labels; a shard whose task exhausts its
+        # budget is dead and its references missing.
+        batches, report = session.scan_batch(
+            encoded,
+            threshold=args.threshold,
+            min_identity=None if args.threshold is not None else args.min_identity,
+            chunk_size=args.chunk_size,
+            policy=policy,
+            faults=plan,
+            checkpoint_dir=pathlib.Path(args.checkpoint) if args.checkpoint else None,
+            resume=args.resume,
+            with_report=True,
+        )
+        report_dict = report.to_dict()
+        for index, (query, results) in enumerate(zip(queries, batches)):
             hits = sorted(
                 (
                     (result.reference_name, hit.position, hit.score)
@@ -368,25 +320,23 @@ def cmd_scan(args) -> int:
             )
             for reference, position, score in hits[: args.max_hits]:
                 rows.append([query.name or "query", reference, position, score])
-            degraded_any = degraded_any or report.degraded
-            dead_any = dead_any or report.dead_shards > 0
             print(f"{query.name or 'query'}: {len(hits)} hits; {report.summary()}")
-            if report.degraded:
-                print(f"  DEGRADED: {report.degraded_reason}")
-            for shard in report.shards:
-                if shard.status == "dead":
-                    print(
-                        f"  DEAD SHARD {shard.shard} "
-                        f"(references {shard.start}..{shard.stop}): "
-                        f"{shard.detail}"
-                    )
             payload["queries"].append(  # type: ignore[union-attr]
                 {
                     "query": query.name or f"query_{index}",
                     "num_hits": len(hits),
-                    "report": report.to_dict(),
+                    "report": report_dict,
                 }
             )
+        if report.degraded:
+            print(f"  DEGRADED: {report.degraded_reason}")
+        for shard in report.shards:
+            if shard.status == "dead":
+                print(
+                    f"  DEAD SHARD {shard.shard} "
+                    f"(references {shard.start}..{shard.stop}): "
+                    f"{shard.detail}"
+                )
     except (ScanError, fasta.FastaError, OSError, ValueError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         _obs_finish(args, obs_active)
@@ -397,17 +347,15 @@ def cmd_scan(args) -> int:
     if rows:
         print()
         print(text_table(["query", "reference", "position", "score"], rows))
-    payload["degraded"] = degraded_any
-    payload["dead_shards"] = dead_any
+    payload["degraded"] = report.degraded
+    payload["dead_shards"] = report.dead_shards > 0
     if args.report_json:
         path = pathlib.Path(args.report_json)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
     _obs_finish(args, obs_active)
-    if dead_any:
-        return 4
-    return 3 if degraded_any else 0
+    return report.exit_code()
 
 
 def cmd_serve(args) -> int:
@@ -416,7 +364,7 @@ def cmd_serve(args) -> int:
 
     from repro import obs
     from repro.host.errors import ScanError
-    from repro.host.scan import PackedDatabase
+    from repro.host.scan import SESSION_ENGINE, PackedDatabase
     from repro.seq import fasta
     from repro.service import ScanServer, ScanService
 
@@ -436,7 +384,6 @@ def cmd_serve(args) -> int:
             obs.enable()
         service = ScanService(
             database,
-            engine=args.engine,
             workers=args.workers,
             shards=args.shards,
             max_queue=args.max_queue,
@@ -447,10 +394,13 @@ def cmd_serve(args) -> int:
         server = ScanServer(
             service, host=args.host, port=args.port, verbose=args.verbose
         )
-    except (ScanError, fasta.FastaError, OSError, ValueError) as exc:
+    except (ScanError, fasta.FastaError, OSError, OverflowError, ValueError) as exc:
+        # OverflowError: bind() refuses a port outside 0-65535.
         print(f"fatal: {exc}", file=sys.stderr)
         if service is not None:
             service.close(drain=False)
+        if not args.no_obs:
+            obs.disable()
         return 1
     host, port = server.address
     backend = (
@@ -460,7 +410,7 @@ def cmd_serve(args) -> int:
     print(
         f"serving http://{host}:{port} — {database.num_references} references, "
         f"{database.total_nucleotides:,} nt resident "
-        f"(engine={service.engine}, {backend}, "
+        f"(engine={SESSION_ENGINE}, {backend}, "
         f"cache={args.cache_entries} entries, queue<={args.max_queue})"
     )
     print(
@@ -1101,15 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-identity", type=float, default=0.9)
     p.add_argument("--threshold", type=int, default=None,
                    help="absolute score threshold (overrides --min-identity)")
-    p.add_argument("--engine", choices=SCAN_ENGINES, default="bitscore_batch",
-                   help="scoring engine (default: bitscore_batch)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads (default: one per CPU; 1 = serial)")
-    p.add_argument("--session", action="store_true",
-                   help="scan all queries through one warm ScanSession: the "
-                   "database image is packed once, queries "
-                   "are grouped into shared passes, and each database "
-                   "window is swept once per pass")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="scan through one ScanSession whose database is "
                    "partitioned into N contiguous shards, as one batch on N "
@@ -1170,8 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default: loopback only)")
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 = OS-assigned; see --ready-file)")
-    p.add_argument("--engine", choices=SCAN_ENGINES, default=None,
-                   help="scoring engine (default: bitscore_batch)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads of the warm session "
                    "(default: one per CPU; 1 = serial)")

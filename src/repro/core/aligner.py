@@ -35,7 +35,7 @@ import numpy as np
 from repro.core import backtranslate as bt
 from repro.core import bitscore
 from repro.core import comparator as cmp
-from repro.core.contracts import check_query_elements, engine_contract
+from repro.core.contracts import engine_contract
 from repro.core.encoding import EncodedQuery, encode_pattern, encode_query
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
@@ -546,45 +546,27 @@ def search_database(
     threshold: Optional[int] = None,
     min_identity: Optional[float] = None,
     keep_scores: bool = False,
-    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     chunk_size: Optional[int] = None,
 ) -> List[AlignmentResult]:
     """Align one query against many references; results in input order.
 
-    The query is encoded and the threshold resolved exactly once, and
-    pre-packed code arrays are accepted without re-parsing.  With
-    ``workers > 1`` the scan fans out over worker threads via
-    :func:`repro.host.scan.scan_database` (windowed scan of one packed
-    image with an ordered merge); ``chunk_size`` tunes references per
-    work item.
+    This is :func:`repro.host.scan.scan_database`: the references are
+    packed into one 2-bit image (pre-packed code arrays are taken without
+    re-parsing; a code outside 0..3 raises ``ValueError``) and scanned on
+    ``workers`` threads, ``chunk_size`` references per work item if given.
     A query that is empty or longer than
     :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` raises ``ValueError``.
     """
-    encoded = _coerce_query(query)
-    check_query_elements(len(encoded))
-    resolved = resolve_threshold(encoded, threshold, min_identity)
-    if workers > 1:
-        # Local import: repro.host sits above repro.core in the layering.
-        from repro.host.scan import scan_database
+    # Local import: repro.host sits above repro.core in the layering.
+    from repro.host.scan import scan_database
 
-        return scan_database(
-            encoded,
-            references,
-            threshold=resolved,
-            keep_scores=keep_scores,
-            engine=engine,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-    return [
-        align_prepared(
-            encoded,
-            codes,
-            resolved,
-            reference_name=name,
-            keep_scores=keep_scores,
-            engine=engine,
-        )
-        for codes, name in iter_reference_codes(references)
-    ]
+    return scan_database(  # type: ignore[return-value]
+        query,
+        references,
+        threshold=threshold,
+        min_identity=min_identity,
+        keep_scores=keep_scores,
+        workers=workers,
+        chunk_size=chunk_size,
+    )

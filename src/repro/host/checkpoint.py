@@ -6,7 +6,7 @@ checkpoint directory as soon as the task passes its sanity check:
 
 * ``manifest.json`` — schema version plus a SHA-256 **fingerprint** of
   everything that determines the results (packed database image, reference
-  names/lengths, every pass's encoded queries and thresholds, engine,
+  names/lengths, every pass's encoded queries and thresholds,
   ``keep_scores``, task/window layout).  ``--resume`` refuses to reuse
   checkpoints whose fingerprint or schema does not match the current scan
   (:class:`repro.host.errors.CheckpointMismatchError`).
@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.host.errors import CheckpointError, CheckpointMismatchError
+from repro.host.scan import SESSION_ENGINE
 from repro.obs import profile as _obs_profile
 
 #: Bump when the on-disk layout changes; old checkpoints are refused.
@@ -45,22 +46,21 @@ MANIFEST_NAME = "manifest.json"
 ChunkArrays = Dict[str, np.ndarray]
 
 
-def scan_fingerprint(
-    database: Any, tasks: Sequence[Any], engine: str, keep_scores: bool
-) -> str:
+def scan_fingerprint(database: Any, tasks: Sequence[Any], keep_scores: bool) -> str:
     """SHA-256 over everything that determines one scan call's results.
 
     ``database`` is a :class:`repro.host.scan.PackedDatabase` and ``tasks``
     the call's :class:`repro.host.scan_session.WindowTask` list (both
     duck-typed to avoid a circular import).  Covers the database image,
-    every pass's queries and thresholds, the engine/``keep_scores``
-    configuration *and* the task/window layout — task files are keyed by
-    task id, so resuming against a different plan must be refused, not
-    silently mixed.
+    every pass's queries and thresholds, ``keep_scores`` *and* the
+    task/window layout — task files are keyed by task id, so resuming
+    against a different plan must be refused, not silently mixed.
     """
     digest = hashlib.sha256()
     digest.update(f"fabp-scan-v{SCHEMA_VERSION}".encode())
-    digest.update(f"|e={engine}|k={int(keep_scores)}".encode())
+    # Every scan runs the one engine; its name stays in the digest, so
+    # checkpoints of earlier default-engine scans still resume.
+    digest.update(f"|e={SESSION_ENGINE}|k={int(keep_scores)}".encode())
     digest.update(f"|n={database.num_references}".encode())
     digest.update("\x00".join(database.names).encode())
     digest.update(np.ascontiguousarray(database.lengths).tobytes())

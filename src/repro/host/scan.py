@@ -15,8 +15,8 @@ counterpart is one packed in-process buffer read by every worker thread:
   :class:`repro.host.scan_session.ScanSession`: it opens a session over
   the references, scans one query under the task supervisor of
   :mod:`repro.host.resilience`, and closes it.  Results come back in input
-  order as plain :class:`repro.core.aligner.AlignmentResult` objects, so a
-  scan is a drop-in replacement for the serial ``search_database``.
+  order as plain :class:`repro.core.aligner.AlignmentResult` objects;
+  :func:`repro.core.aligner.search_database` is this call.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from repro.core.encoding import EncodedQuery
 from repro.obs import profile as _obs_profile
 from repro.seq import packing
 
-#: Engine every runtime sweeps with unless told otherwise: the batched
-#: kernel shares the reference stream *and* the comparator bitplanes across
-#: every co-resident query (bit-identical scores to any other engine).
+#: The engine every scan runs on, as reports, metrics and checkpoint
+#: fingerprints name it: the batched kernel shares the reference stream
+#: *and* the comparator bitplanes across every co-resident query
+#: (bit-identical scores to the ``naive`` oracle).
 SESSION_ENGINE = "bitscore_batch"
 
 
@@ -72,8 +73,8 @@ class PackedDatabase:
 
         ``names`` overrides the per-reference names (useful for pre-packed
         code arrays, which carry none of their own).  Names are otherwise
-        kept exactly as coerced — possibly empty — so a scan is a drop-in
-        replacement for the serial ``search_database``.
+        kept exactly as coerced — possibly empty, as for a bare string or
+        code array.
         """
         resolved_names: List[str] = []
         lengths: List[int] = []
@@ -301,7 +302,6 @@ def scan_database(
     *,
     threshold: Optional[int] = None,
     min_identity: Optional[float] = None,
-    engine: str = SESSION_ENGINE,
     workers: Optional[int] = 1,
     chunk_size: Optional[int] = None,
     keep_scores: bool = False,
@@ -326,7 +326,8 @@ def scan_database(
     whole-reference chunks instead (task *i* = references ``[i *
     chunk_size, (i + 1) * chunk_size)``), the granule fault plans and
     checkpoints are keyed on.  Either way the merged results — hits and
-    ``keep_scores`` vectors alike — are bit-identical to a serial scan.
+    ``keep_scores`` vectors alike — are bit-identical to scoring each
+    reference alone.
 
     Robustness (see :mod:`repro.host.resilience` and
     ``docs/robustness.md``): ``policy`` (a
@@ -338,7 +339,7 @@ def scan_database(
     """
     from repro.host.scan_session import ScanSession
 
-    with ScanSession(references, engine=engine, workers=workers) as session:  # type: ignore[arg-type]
+    with ScanSession(references, workers=workers) as session:  # type: ignore[arg-type]
         return session.scan(
             query,
             threshold=threshold,

@@ -16,11 +16,11 @@ opened with ``shards=``):
   budget of :mod:`repro.accel.multi_query`, the software kernel lets any
   queries share a sweep, so passes are bounded only by a working-set cap
   and a span-spread bound) and each database window is swept **once per
-  pass**, scoring all co-resident queries against the same unpacked slice
-  (the default ``bitscore_batch`` engine additionally shares the
-  comparator bitplanes across the batch, and its compiled kernel
-  thresholds inside the fold: a task yields one row of hits per query,
-  and a score per position only under ``keep_scores``);
+  pass**, scoring all co-resident queries against the same slice and
+  sharing the comparator bitplanes across them (the ``bitscore_batch``
+  datapath; its compiled kernel thresholds inside the fold: a task yields
+  one row of hits per query, and a score per position only under
+  ``keep_scores``);
 * each pass becomes :class:`WindowTask` work items run by the
   :class:`repro.host.resilience.Supervisor` (its guarantees are listed
   in :mod:`repro.host.resilience`), and each batch returns a
@@ -102,9 +102,6 @@ MAX_QUERIES_PER_PASS = 16
 #: the batch kernel's planes, so mixed batches split instead.
 MAX_PASS_SPAN_RATIO = 2.0
 
-#: Engines whose tasks run in one call of the compiled kernel, when built.
-_NATIVE_ENGINES = ("bitscore", "bitscore_batch")
-
 __all__ = [
     "SESSION_ENGINE",
     "ScanSession",
@@ -163,8 +160,8 @@ class _PassSpec:
 class WindowTask:
     """One supervised work item: a chunk of windows of one pass.
 
-    Self-contained — it carries its pass's queries, thresholds and engine
-    — so any worker thread can run it with nothing installed per call.
+    Self-contained — it carries its pass's queries and thresholds — so
+    any worker thread can run it with nothing installed per call.
     Only the task reads its payload, a :class:`repro.core.bitscore.ScanRows`.
     """
 
@@ -172,7 +169,6 @@ class WindowTask:
     windows: Tuple[WindowSpan, ...]
     arrays: Tuple[np.ndarray, ...]
     thresholds: Tuple[int, ...]
-    engine: str
     keep_scores: bool
     #: The shard whose reference range holds these windows (0 unsharded).
     shard: int = 0
@@ -182,15 +178,15 @@ class WindowTask:
     def run(self, database: PackedDatabase, attempt: int) -> bitscore.ScanRows:
         """Score every (window, query) cell.
 
-        On the bitscore engines with the compiled kernel this is one
-        GIL-free call, :func:`repro.core.bitscore.scan_windows`, reading
-        the 2-bit image directly.  Elsewhere each window is unpacked once
-        with the *longest* query's forward halo and swept once for the
-        whole pass; shorter queries' extra trailing positions are clipped
-        to their own position count, so every kept slice matches a solo
-        scan of that query bit for bit.
+        Where the compiled kernel is built this is one GIL-free call,
+        :func:`repro.core.bitscore.scan_windows`, reading the 2-bit image
+        directly.  On the NumPy body (no C compiler) each window is
+        unpacked once with the *longest* query's forward halo and swept
+        once for the whole pass; shorter queries' extra trailing positions
+        are clipped to their own position count, so every kept slice
+        matches a solo scan of that query bit for bit.
         """
-        if self.engine in _NATIVE_ENGINES and bitscore.batch_kernel() == "native":
+        if bitscore.batch_kernel() == "native":
             return self._run_native(database)
         max_span = max(int(a.size) for a in self.arrays)
         parts = []
@@ -202,7 +198,7 @@ class WindowTask:
             # Code position lookback is alignment position start; each
             # query's positions end at stop or at its own last position.
             parts.append(_window_rows(hits_batch_from_codes(
-                self.arrays, codes, self.thresholds, self.engine,
+                self.arrays, codes, self.thresholds, SESSION_ENGINE,
                 start=lookback, stop=lookback + stop - start,
                 keep_scores=self.keep_scores,
             )))
@@ -218,7 +214,7 @@ class WindowTask:
             self.thresholds, self.keep_scores,
         )
         _obs_profile.record_score_call(
-            self.engine, time.perf_counter() - began, positions
+            SESSION_ENGINE, time.perf_counter() - began, positions
         )
         return rows
 
@@ -384,7 +380,6 @@ def plan_batch(
     num_workers: int,
     *,
     chunk_size: Optional[int] = None,
-    engine: str = SESSION_ENGINE,
     keep_scores: bool = False,
     shards: Optional[Sequence[ShardSpec]] = None,
 ) -> Tuple[List[_PassSpec], List[WindowTask]]:
@@ -448,7 +443,7 @@ def plan_batch(
                 tasks.append(
                     WindowTask(
                         spec.pass_id, tuple(windows), spec.arrays,
-                        spec.thresholds, engine, keep_scores, shard,
+                        spec.thresholds, keep_scores, shard,
                         prepared[spec.pass_id],
                     )
                 )
@@ -563,7 +558,6 @@ class ScanSession:
         self,
         references: Union[PackedDatabase, Iterable[ReferenceLike]],
         *,
-        engine: Optional[str] = None,
         workers: Optional[int] = None,
         names: Optional[Sequence[str]] = None,
         shards: Optional[int] = None,
@@ -574,7 +568,6 @@ class ScanSession:
             else PackedDatabase.from_references(references, names)
         )
         self._lengths = self._database.length_list
-        self._engine = engine or SESSION_ENGINE
         self._shards: Optional[Tuple[ShardSpec, ...]] = (
             None if shards is None else tuple(plan_shards(self._lengths, shards))
         )
@@ -616,10 +609,6 @@ class ScanSession:
     @property
     def database(self) -> PackedDatabase:
         return self._database
-
-    @property
-    def engine(self) -> str:
-        return self._engine
 
     @property
     def num_workers(self) -> int:
@@ -670,8 +659,7 @@ class ScanSession:
         """This session's :func:`plan_batch` over the resident database."""
         return plan_batch(
             self._lengths, encoded, resolved, self._num_workers,
-            chunk_size=chunk_size, engine=self._engine, keep_scores=keep_scores,
-            shards=self._shards,
+            chunk_size=chunk_size, keep_scores=keep_scores, shards=self._shards,
         )
 
     # -- public API -----------------------------------------------------------
@@ -751,7 +739,7 @@ class ScanSession:
             workers=1,
             chunk_size=chunk_size or 0,
             chunks_total=len(tasks),
-            engine=self._engine,
+            engine=SESSION_ENGINE,
             threshold=min(resolved) if resolved else 0,
         )
 
@@ -765,9 +753,7 @@ class ScanSession:
             with _obs_profile.stage(
                 "scan.checkpoint_load", category="scan"
             ) as load_timer:
-                fingerprint = scan_fingerprint(
-                    self._database, tasks, self._engine, keep_scores
-                )
+                fingerprint = scan_fingerprint(self._database, tasks, keep_scores)
                 loaded = store.prepare(fingerprint, len(tasks), chunk_size or 0, resume)
                 # Never trust disk blindly: checkpointed tasks must pass the
                 # same sanity check a worker result does.
@@ -899,6 +885,6 @@ class ShardedScanRuntime(ScanSession):
 
     def __init__(
         self, references: Any, *, num_shards: int,
-        engine: Optional[str] = None, names: Optional[Sequence[str]] = None,
+        names: Optional[Sequence[str]] = None,
     ):
-        super().__init__(references, engine=engine, names=names, shards=num_shards)
+        super().__init__(references, names=names, shards=num_shards)

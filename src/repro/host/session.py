@@ -251,7 +251,6 @@ class FabPHost:
         *,
         threshold: Optional[int] = None,
         min_identity: Optional[float] = None,
-        engine: str = "bitscore",
         workers: Optional[int] = 1,
         chunk_size: Optional[int] = None,
         keep_scores: bool = False,
@@ -263,7 +262,7 @@ class FabPHost:
     ):
         """Software fast-path scan of the resident database (no cycle model).
 
-        Runs the bit-parallel scoring engine — optionally on several worker
+        Runs the bit-parallel batch kernel — optionally on several worker
         threads — over every reference already packed into this host, and
         returns per-reference :class:`repro.core.aligner.AlignmentResult`
         objects in database order.  Use :meth:`search` when modeled kernel
@@ -289,7 +288,6 @@ class FabPHost:
             database,
             threshold=threshold,
             min_identity=min_identity,
-            engine=engine,
             workers=workers,
             chunk_size=chunk_size,
             keep_scores=keep_scores,

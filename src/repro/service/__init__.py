@@ -7,7 +7,7 @@ each usable on its own:
 * :mod:`repro.service.jobs` — job lifecycle (``queued`` → ``running`` →
   ``done``/``failed``) and the bounded, thread-safe job store;
 * :mod:`repro.service.cache` — content-addressed LRU result cache keyed
-  by (query fingerprint, database fingerprint, threshold, engine);
+  by (query fingerprint, database fingerprint, threshold);
 * :mod:`repro.service.daemon` — :class:`ScanService`, the resident core:
   admission queue, single batcher thread coalescing concurrent jobs into
   shared ``bitscore_batch`` passes, graceful drain;

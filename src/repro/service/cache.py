@@ -1,10 +1,10 @@
 """Bounded LRU result cache for the front-door scan service.
 
 A scan's answer is fully determined by *(query fingerprint, database
-fingerprint, absolute threshold, engine)* — the same determinism the
-checkpoint manifests of :mod:`repro.host.checkpoint` rely on — so the
-service can replay a previous answer byte-for-byte whenever the tuple
-recurs.  Fingerprints are SHA-256 over the exact bytes that decide the
+fingerprint, absolute threshold)*, since every scan runs the one batch
+datapath.  The checkpoint manifests of :mod:`repro.host.checkpoint` rely
+on the same determinism, and it lets the service replay a previous answer
+byte-for-byte whenever the tuple recurs.  Fingerprints are SHA-256 over the exact bytes that decide the
 result: the encoded query's instruction words, and the packed database's
 names, lengths and 2-bit buffer.  Swapping the database (even to one with
 identical names) changes the fingerprint and silently invalidates every
@@ -34,8 +34,8 @@ __all__ = [
     "query_fingerprint",
 ]
 
-#: (query fingerprint, database fingerprint, absolute threshold, engine).
-CacheKey = Tuple[str, str, int, str]
+#: (query fingerprint, database fingerprint, absolute threshold).
+CacheKey = Tuple[str, str, int]
 
 
 def query_fingerprint(query: EncodedQuery) -> str:

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union, cast
 from repro.core.aligner import resolve_threshold
 from repro.core.contracts import check_query_elements
 from repro.core.encoding import EncodedQuery, encode_query
-from repro.host.scan import PackedDatabase
+from repro.host.scan import SESSION_ENGINE, PackedDatabase
 from repro.host.scan_session import ScanSession
 from repro.obs import profile as _obs_profile
 from repro.service.cache import (
@@ -85,7 +85,6 @@ class ScanService:
         self,
         references: Union[PackedDatabase, Any],
         *,
-        engine: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -95,14 +94,15 @@ class ScanService:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        # queue.Queue(maxsize=0) is unbounded: admission would never refuse.
+        if max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
         self._database = (
             references
             if isinstance(references, PackedDatabase)
             else PackedDatabase.from_references(references)
         )
-        self._runtime = ScanSession(
-            self._database, engine=engine, workers=workers, shards=shards
-        )
+        self._runtime = ScanSession(self._database, workers=workers, shards=shards)
         self._db_fingerprint = database_fingerprint(self._database)
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -138,12 +138,8 @@ class ScanService:
 
     @property
     def database_fingerprint(self) -> str:
-        """SHA-256 of the resident database; half of every cache key."""
+        """SHA-256 of the resident database; part of every cache key."""
         return self._db_fingerprint
-
-    @property
-    def engine(self) -> str:
-        return self._runtime.engine
 
     @property
     def jobs(self) -> JobStore:
@@ -172,7 +168,7 @@ class ScanService:
             state = "serving"
         runtime = self._runtime
         backend: Dict[str, Any] = {
-            "engine": runtime.engine,
+            "engine": SESSION_ENGINE,
             "mode": "session" if runtime.num_shards is None else "sharded",
             "workers": runtime.num_workers,
             "resident_bytes": runtime.resident_bytes,
@@ -238,12 +234,7 @@ class ScanService:
             query, threshold=threshold, min_identity=min_identity
         )
         job = self._jobs.create(name or "query", encoded, resolved)
-        key: CacheKey = (
-            query_fingerprint(encoded),
-            self._db_fingerprint,
-            resolved,
-            self.engine,
-        )
+        key: CacheKey = (query_fingerprint(encoded), self._db_fingerprint, resolved)
         cached = self._cache.get(key)
         _obs_profile.record_service_cache(cached is not None)
         if cached is not None:
@@ -353,10 +344,7 @@ class ScanService:
         for job, results in zip(batch, batches):
             job.mark_done(results, degraded=degraded, dead_shards=dead)
             key: CacheKey = (
-                query_fingerprint(job.query),
-                self._db_fingerprint,
-                job.threshold,
-                self.engine,
+                query_fingerprint(job.query), self._db_fingerprint, job.threshold
             )
             if not degraded and not dead:
                 self._cache.put(key, results)

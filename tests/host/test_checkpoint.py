@@ -18,14 +18,13 @@ def database(rng):
     return PackedDatabase.from_references(refs)
 
 
-def fingerprint(database, query="MKV", threshold=5, engine="bitscore",
-                keep_scores=False, chunk_size=4):
+def fingerprint(database, query="MKV", threshold=5, keep_scores=False, chunk_size=4):
     """The checkpoint fingerprint of a one-query scan of ``database``."""
     _passes, tasks = plan_batch(
         database.lengths, [encode_query(query)], [threshold], 1,
-        chunk_size=chunk_size, engine=engine, keep_scores=keep_scores,
+        chunk_size=chunk_size, keep_scores=keep_scores,
     )
-    return scan_fingerprint(database, tasks, engine, keep_scores)
+    return scan_fingerprint(database, tasks, keep_scores)
 
 
 def make_payload(with_scores=False):
@@ -49,7 +48,6 @@ class TestFingerprint:
     def test_sensitive_to_every_parameter(self, database):
         base = fingerprint(database)
         assert fingerprint(database, threshold=6) != base
-        assert fingerprint(database, engine="naive") != base
         assert fingerprint(database, keep_scores=True) != base
         # The task layout is hashed, so a different chunking is a different
         # scan even though its results would be identical.
@@ -70,9 +68,9 @@ class TestFingerprint:
         )
         _passes, tasks = plan_batch(
             database.lengths, [encode_query("MKVLAWRS*")], [20], 1,
-            chunk_size=1, engine="bitscore_batch", keep_scores=False,
+            chunk_size=1, keep_scores=False,
         )
-        assert scan_fingerprint(database, tasks, "bitscore_batch", False) == (
+        assert scan_fingerprint(database, tasks, False) == (
             "bdeabd7ffce90aa11e8cadd7f7d836584848e068903bb65c47f6ee12e4e24959"
         )
 

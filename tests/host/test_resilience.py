@@ -72,7 +72,7 @@ def assert_identical(results, baseline):
 class TestSerialSupervised:
     def test_bit_identical_without_faults(self, query, database, baseline):
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST,
         )
         assert_identical(results, baseline)
@@ -84,7 +84,7 @@ class TestSerialSupervised:
     def test_recovers_from_raise_and_corrupt(self, query, database, baseline):
         plan = FaultPlan.parse("0:raise,2:corrupt")
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST, faults=plan,
         )
         assert_identical(results, baseline)
@@ -98,7 +98,7 @@ class TestSerialSupervised:
             query, database, threshold=THRESHOLD, workers=1, keep_scores=True
         )
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=3, policy=FAST, keep_scores=True,
             faults=FaultPlan.parse("1:corrupt"),
         )
@@ -112,7 +112,7 @@ class TestParallelFaults:
 
     def run(self, query, database, plan, policy=FAST, workers=3):
         return supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=workers, chunk_size=2, policy=policy, faults=plan,
         )
 
@@ -160,7 +160,7 @@ class TestDegradation:
         plan = FaultPlan(specs=(FaultSpec(1, FaultKind.CRASH, attempts=ALWAYS),))
         policy = RetryPolicy(max_retries=1, timeout=2.0, max_respawns=3)
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=3, chunk_size=2, policy=policy, faults=plan,
         )
         # Degraded, but still correct: the serial fallback runs faultless.
@@ -175,7 +175,7 @@ class TestDegradation:
         policy = RetryPolicy(max_retries=1, degrade=False)
         with pytest.raises(ChunkFailedError):
             supervised_scan(
-                query, database, threshold=THRESHOLD, engine="bitscore",
+                query, database, threshold=THRESHOLD,
                 workers=1, chunk_size=2, policy=policy, faults=plan,
             )
 
@@ -187,7 +187,7 @@ class TestCheckpointResume:
     def test_resume_skips_completed_chunks(self, query, database, baseline, tmp_path):
         ckpt = tmp_path / "ckpt"
         first, _ = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST, checkpoint_dir=ckpt,
         )
         assert_identical(first, baseline)
@@ -203,7 +203,7 @@ class TestCheckpointResume:
             )
         )
         second, second_report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST, faults=poison,
             checkpoint_dir=ckpt, resume=True,
         )
@@ -216,12 +216,12 @@ class TestCheckpointResume:
     def test_resume_refuses_different_scan(self, query, database, tmp_path):
         ckpt = tmp_path / "ckpt"
         supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST, checkpoint_dir=ckpt,
         )
         with pytest.raises(CheckpointMismatchError):
             supervised_scan(
-                query, database, threshold=THRESHOLD + 1, engine="bitscore",
+                query, database, threshold=THRESHOLD + 1,
                 workers=1, chunk_size=2, policy=FAST,
                 checkpoint_dir=ckpt, resume=True,
             )
@@ -231,14 +231,14 @@ class TestCheckpointResume:
     ):
         ckpt = tmp_path / "ckpt"
         supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST, checkpoint_dir=ckpt,
         )
         # Truncate one chunk file as a kill-mid-write would.
         victim = ckpt / "chunk_000002.npz"
         victim.write_bytes(victim.read_bytes()[:16])
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST,
             checkpoint_dir=ckpt, resume=True,
         )
@@ -301,7 +301,7 @@ class TestSharedMemoryLifecycle:
     ):
         plan = FaultPlan.parse("0:crash,2:raise")
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=3, chunk_size=2, policy=FAST, faults=plan,
         )
         assert_identical(results, baseline)
@@ -313,7 +313,7 @@ class TestSharedMemoryLifecycle:
         policy = RetryPolicy(max_retries=0, degrade=False)
         with pytest.raises(ScanError):
             supervised_scan(
-                query, database, threshold=THRESHOLD, engine="bitscore",
+                query, database, threshold=THRESHOLD,
                 workers=2, chunk_size=2, policy=policy, faults=plan,
             )
         self.assert_nothing_left(snapshot)
@@ -351,7 +351,7 @@ class TestSharedMemoryLifecycle:
         closing the session joins its slot threads."""
         faults = FaultPlan.parse(plan, hang_seconds=60.0)
         started = time.monotonic()
-        with ScanSession(database, engine="bitscore", workers=2) as session:
+        with ScanSession(database, workers=2) as session:
             if outcome == "raise":
                 with pytest.raises(ScanError):
                     session.scan(
@@ -396,7 +396,7 @@ class TestOneLoop:
 
     def scan(self, query, database, workers, **kwargs):
         return supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=workers, chunk_size=2, **kwargs,
         )
 
@@ -646,7 +646,7 @@ class TestSanityCheck:
     ):
         _passes, tasks = plan_batch(
             database.lengths, [query], [threshold], 1,
-            chunk_size=2, engine="bitscore", keep_scores=keep_scores,
+            chunk_size=2, keep_scores=keep_scores,
         )
         return tasks[start // 2]
 
@@ -688,7 +688,7 @@ class TestSanityCheck:
     def test_rows_of_two_queries(self, query, database):
         _passes, tasks = plan_batch(
             database.lengths, [query, encode_query("MKW")], [THRESHOLD] * 2, 1,
-            chunk_size=2, engine="bitscore", keep_scores=True,
+            chunk_size=2, keep_scores=True,
         )
         payload = tasks[0].run(database, 0)
         assert payload.counts.shape == (2, 2)
@@ -719,7 +719,7 @@ class TestPolicyAndReport:
 
     def test_report_dict_schema(self, query, database):
         results, report = supervised_scan(
-            query, database, threshold=THRESHOLD, engine="bitscore",
+            query, database, threshold=THRESHOLD,
             workers=1, chunk_size=2, policy=FAST,
             faults=FaultPlan.parse("1:raise"),
         )

@@ -4,7 +4,8 @@ The one-shot scan, the warm session and the sharded session all run on the
 same task supervisor.  Each is checked here against the paper's
 instruction semantics (``naive``) at every alignment position — score
 vectors via ``keep_scores=True`` and the hit lists they imply — never one
-runtime against another.
+runtime against another: on the compiled kernel where it is built, and on
+the NumPy body a host without a C compiler runs (:class:`TestNumpyBody`).
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import bitscore
 from repro.core.aligner import resolve_threshold, scores_from_codes
 from repro.core.encoding import encode_query
 from repro.host.faults import FaultPlan
@@ -291,3 +293,62 @@ class TestShardedScanRuntime:
             assert child_pids() <= children
             assert shm_entries() <= segments
         assert_matches_oracle(batches[0], mixed_oracle[0], 8)
+
+
+@pytest.fixture
+def numpy_body(monkeypatch, small_chunk_floor):
+    """Score on the NumPy body, as a host without a C compiler does, with
+    a chunk floor low enough that ``SMALL``'s first reference is cut into
+    windows too."""
+    monkeypatch.setattr(bitscore, "_NATIVE", None)
+    monkeypatch.setattr(windows, "MIN_CHUNK_CELLS", 1 << 14)
+    assert bitscore.batch_kernel() == "numpy"
+
+
+class TestNumpyBody:
+    """``WindowTask.run``'s per-window branch: each window unpacked with
+    the pass's longest halo, then clipped to every query's own positions.
+    ``MIXED`` puts queries of 36 and 21 elements in one pass, so a window
+    that ends inside a reference holds positions past its stop for the
+    shorter one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_session_under_faults(self, numpy_body, mixed_oracle, workers):
+        thresholds = [10, None, 15, None]
+        with ScanSession(SMALL, workers=workers) as session:
+            batches, report = session.scan_batch(
+                MIXED, threshold=thresholds, min_identity=0.7,
+                keep_scores=True, policy=POLICY,
+                faults=FaultPlan.parse("0:crash,1:corrupt,2:raise"),
+                with_report=True,
+            )
+        assert report.clean
+        assert report.chunks_total > len(SMALL.names) and report.retries == 3
+        for query, given, batch, expected in zip(
+            MIXED, thresholds, batches, mixed_oracle
+        ):
+            resolved = resolve_threshold(
+                encode_query(query), given, 0.7 if given is None else None
+            )
+            assert_matches_oracle(batch, expected, resolved)
+
+    def test_scan_database(self, numpy_body, big_oracle):
+        results, report = scan_database(
+            QUERY, BIG, threshold=14, workers=2, keep_scores=True,
+            with_report=True,
+        )
+        assert report.chunks_total > 1
+        assert_matches_oracle(results, big_oracle, 14)
+
+    def test_sharded_session(self, numpy_body, mixed_oracle):
+        queries = MIXED[:3]
+        with ScanSession(SMALL, shards=3) as session:
+            batches, report = session.scan_batch(
+                queries, min_identity=0.6, keep_scores=True, policy=POLICY,
+                with_report=True,
+            )
+        assert report.exit_code() == 0
+        assert len(report.shards) == 3
+        for query, batch, expected in zip(queries, batches, mixed_oracle):
+            threshold = resolve_threshold(encode_query(query), None, 0.6)
+            assert_matches_oracle(batch, expected, threshold)

@@ -1,9 +1,9 @@
-"""Tests for the chunked multi-process database scanner."""
+"""Tests for the packed database image and the one-shot scan."""
 
 import numpy as np
 import pytest
 
-from repro.core.aligner import search_database
+from repro.core.aligner import align, search_database
 from repro.host.scan import (
     PackedDatabase,
     chunk_bounds,
@@ -62,20 +62,25 @@ class TestChunking:
 class TestScan:
     def test_serial_scan_matches_search_database(self, rng, database_refs):
         query = random_protein(8, rng=rng)
-        serial = search_database(query, database_refs, min_identity=0.4)
+        naive = [
+            align(query, ref, min_identity=0.4, engine="naive")
+            for ref in database_refs
+        ]
+        searched = search_database(query, database_refs, min_identity=0.4)
         scanned = scan_database(query, database_refs, min_identity=0.4, workers=1)
-        assert len(scanned) == len(serial)
-        for a, b in zip(serial, scanned):
-            assert a.hits == b.hits
-            assert a.reference_name == b.reference_name
-            assert a.reference_length == b.reference_length
-            assert a.threshold == b.threshold
+        for results in (searched, scanned):
+            assert len(results) == len(naive)
+            for a, b in zip(naive, results):
+                assert a.hits == b.hits
+                assert a.reference_name == b.reference_name
+                assert a.reference_length == b.reference_length
+                assert a.threshold == b.threshold
 
     def test_parallel_scan_matches_serial(self, rng):
         # Large enough to clear the serial-fallback size gate.
         refs = [random_rna(70_000, rng=rng) for _ in range(4)]
         query = random_protein(10, rng=rng)
-        serial = search_database(query, refs, min_identity=0.4)
+        serial = [align(query, ref, min_identity=0.4) for ref in refs]
         parallel = scan_database(
             query, refs, min_identity=0.4, workers=2, chunk_size=1
         )
@@ -97,14 +102,6 @@ class TestScan:
         second = scan_database(query, db, min_identity=0.4)
         assert [r.hits for r in first] == [r.hits for r in second]
 
-    def test_engine_knob(self, rng, database_refs):
-        query = random_protein(8, rng=rng)
-        bitscore = scan_database(query, database_refs, min_identity=0.4)
-        vectorized = scan_database(
-            query, database_refs, min_identity=0.4, engine="vectorized"
-        )
-        assert [r.hits for r in bitscore] == [r.hits for r in vectorized]
-
     def test_results_in_input_order(self, rng):
         refs = [random_rna(70_000, rng=rng) for _ in range(6)]
         query = random_protein(10, rng=rng)
@@ -118,9 +115,14 @@ class TestSearchDatabaseIntegration:
     def test_workers_knob_routes_through_scan(self, rng):
         refs = [random_rna(70_000, rng=rng) for _ in range(4)]
         query = random_protein(10, rng=rng)
-        serial = search_database(query, refs, min_identity=0.4)
+        serial = [align(query, ref, min_identity=0.4) for ref in refs]
         routed = search_database(query, refs, min_identity=0.4, workers=2)
         assert [r.hits for r in routed] == [r.hits for r in serial]
+
+    def test_code_outside_two_bits_is_refused(self):
+        codes = np.array([0, 1, 2, 3, 4] * 10, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            search_database("MKV", [codes], threshold=1)
 
     def test_prepacked_code_arrays_accepted(self, rng):
         codes = [

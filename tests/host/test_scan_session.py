@@ -80,14 +80,6 @@ class TestBitIdentity:
         with ScanSession(database, workers=1) as session:
             assert session.scan_batch([]) == []
 
-    def test_every_engine_agrees(self, queries, database, solo_results):
-        for engine in ("bitscore", "bitscore_batch", "vectorized"):
-            with ScanSession(database, engine=engine, workers=1) as session:
-                batches = session.scan_batch(
-                    queries, min_identity=0.8, keep_scores=True
-                )
-                assert_matches_solo(batches, solo_results)
-
 
 class TestWarmReuse:
     def test_pool_and_image_survive_across_calls(self, queries, database):
@@ -355,6 +347,8 @@ class TestLifecycle:
         with ScanSession(database, workers=1) as session:
             assert session.resident_bytes == database.packed_bytes
 
-    def test_default_engine_is_the_batched_kernel(self, database):
+    def test_default_engine_is_the_batched_kernel(self, queries, database):
         with ScanSession(database, workers=1) as session:
-            assert session.engine == session_mod.SESSION_ENGINE == "bitscore_batch"
+            _, report = session.scan_batch(queries[:1], with_report=True)
+        assert report.engine == session_mod.SESSION_ENGINE == "bitscore_batch"
+        assert report.to_dict()["engine"] == "bitscore_batch"

@@ -112,7 +112,7 @@ class TestBitIdentity:
         assert all(s.status == "ok" for s in report.shards)
         for query, batch in zip(queries, batches):
             expected = scan_database(
-                query, references, threshold=14, engine="bitscore_batch"
+                query, references, threshold=14
             )
             assert hit_tuples(batch) == hit_tuples(expected)
 
@@ -123,7 +123,7 @@ class TestBitIdentity:
             (batch,) = session.scan_batch([query], threshold=12, keep_scores=True)
         expected = scan_database(
             query, references, threshold=12,
-            engine="bitscore_batch", keep_scores=True,
+            keep_scores=True,
         )
         assert len(batch) == len(expected)
         for got, want in zip(batch, expected):
@@ -172,7 +172,7 @@ class TestFaultRecovery:
         assert report.shards[1].attempts == 2
         assert report.retries == 1
         expected = scan_database(
-            query, references, threshold=14, engine="bitscore_batch"
+            query, references, threshold=14
         )
         assert hit_tuples(batches[0]) == hit_tuples(expected)
 
@@ -208,7 +208,7 @@ class TestFaultRecovery:
         spec = session.shard_specs[1]
         expected = scan_database(
             query, references[spec.start : spec.stop],
-            threshold=14, engine="bitscore_batch",
+            threshold=14,
         )
         assert hit_tuples(batches[0]) == hit_tuples(expected)
 
@@ -246,7 +246,7 @@ class TestCheckpointResume:
         ]
         assert not [p for p in tmp_path.iterdir() if p.is_dir()]
         expected = scan_database(
-            query, references, threshold=16, engine="bitscore_batch"
+            query, references, threshold=16
         )
         assert hit_tuples(batches[0]) == hit_tuples(expected)
 

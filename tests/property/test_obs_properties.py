@@ -2,15 +2,17 @@
 
 The observability layer's core guarantee — instrumented runs are
 bit-identical to uninstrumented ones — is checked over random workloads,
-engines and thresholds.  A second property pins the no-op contract: with
+both bodies of the batch kernel and thresholds.  A second property pins the no-op contract: with
 the layer disabled (the default), nothing is ever recorded.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import bitscore
 from repro.core.encoding import encode_query
 from repro.host.resilience import RetryPolicy
 from repro.host.scan import PackedDatabase, scan_database
@@ -34,25 +36,26 @@ def hits_of(results):
 @settings(max_examples=25, deadline=None)
 @given(
     query=st.text(alphabet=AMINO, min_size=2, max_size=8),
-    engine=st.sampled_from(["naive", "vectorized", "bitscore"]),
+    body=st.sampled_from(["native", "numpy"]),
     threshold=st.integers(min_value=1, max_value=8),
 )
-def test_observability_never_changes_scan_results(query, engine, threshold):
+def test_observability_never_changes_scan_results(query, body, threshold):
     encoded = encode_query(query)
     threshold = min(threshold, len(encoded))
     obs.disable()
     obs.reset()
-    baseline = scan_database(
-        encoded, _DATABASE, threshold=threshold, engine=engine, workers=1
-    )
-    obs.reset()
-    obs.enable()
-    try:
-        instrumented = scan_database(
-            encoded, _DATABASE, threshold=threshold, engine=engine, workers=1
-        )
-    finally:
-        obs.disable()
+    with pytest.MonkeyPatch.context() as patch:
+        if body == "numpy":
+            patch.setattr(bitscore, "_NATIVE", None)
+        baseline = scan_database(encoded, _DATABASE, threshold=threshold, workers=1)
+        obs.reset()
+        obs.enable()
+        try:
+            instrumented = scan_database(
+                encoded, _DATABASE, threshold=threshold, workers=1
+            )
+        finally:
+            obs.disable()
     assert hits_of(instrumented) == hits_of(baseline)
     obs.reset()
 
@@ -67,14 +70,14 @@ def test_observability_never_changes_supervised_results(query, threshold):
     obs.disable()
     obs.reset()
     baseline = scan_database(
-        encoded, _DATABASE, threshold=threshold, engine="bitscore",
+        encoded, _DATABASE, threshold=threshold,
         workers=1, chunk_size=2, policy=_POLICY, with_report=True,
     )
     obs.reset()
     obs.enable()
     try:
         instrumented = scan_database(
-            encoded, _DATABASE, threshold=threshold, engine="bitscore",
+            encoded, _DATABASE, threshold=threshold,
             workers=1, chunk_size=2, policy=_POLICY, with_report=True,
         )
         # The instrumented run actually recorded something...
@@ -100,7 +103,7 @@ def test_disabled_layer_records_nothing(query, threshold):
     obs.disable()
     obs.reset()
     scan_database(
-        encode_query(query), _DATABASE, threshold=threshold, engine="bitscore",
+        encode_query(query), _DATABASE, threshold=threshold,
         workers=1, chunk_size=3, policy=_POLICY, with_report=True,
     )
     assert obs.REGISTRY.families() == []

@@ -58,7 +58,7 @@ def fault_plans(draw):
 @given(plan=fault_plans())
 def test_recoverable_faults_are_invisible(plan):
     results, report = scan_database(
-        _QUERY, _DATABASE, threshold=_THRESHOLD, engine="bitscore",
+        _QUERY, _DATABASE, threshold=_THRESHOLD,
         workers=1, chunk_size=2, policy=_POLICY, faults=plan, with_report=True,
     )
     assert report.clean
@@ -80,7 +80,7 @@ def test_seeded_plans_are_reproducible_and_recoverable(seed):
         seed, 5, rate=0.4, kinds=SERIAL_KINDS, max_attempts=2
     ).specs
     results, report = scan_database(
-        _QUERY, _DATABASE, threshold=_THRESHOLD, engine="bitscore",
+        _QUERY, _DATABASE, threshold=_THRESHOLD,
         workers=1, chunk_size=2, policy=_POLICY, faults=plan, with_report=True,
     )
     assert report.clean

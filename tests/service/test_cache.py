@@ -13,7 +13,7 @@ from repro.service.cache import (
 
 
 def _key(tag, threshold=10):
-    return (f"qfp-{tag}", "dbfp", threshold, "bitscore_batch")
+    return (f"qfp-{tag}", "dbfp", threshold)
 
 
 def test_get_put_and_counters():
@@ -106,9 +106,9 @@ def test_database_fingerprint_swap_invalidates_key():
     old = _packed(["AUGUUUCGU"])
     new = _packed(["AUGUUUCGC"])
     cache = ResultCache(max_entries=4)
-    old_key = (query_fingerprint(query), database_fingerprint(old), 9, "bitscore")
+    old_key = (query_fingerprint(query), database_fingerprint(old), 9)
     cache.put(old_key, ["old-results"])
-    new_key = (query_fingerprint(query), database_fingerprint(new), 9, "bitscore")
+    new_key = (query_fingerprint(query), database_fingerprint(new), 9)
     assert cache.get(new_key) is None  # nothing stale crosses the swap
     assert cache.get(old_key) == ["old-results"]
 

@@ -157,6 +157,17 @@ def test_saturation_refuses_instead_of_dropping(workload):
         service.close()
 
 
+@pytest.mark.parametrize("field", ["max_queue", "max_batch"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_sizes_below_one_are_refused(workload, field, value):
+    """``max_queue=0`` would build an unbounded queue that never refuses."""
+    _, packed = workload
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        ScanService(packed, workers=1, **{field: value})
+    assert set(threading.enumerate()) <= threads
+
+
 def test_jobs_queued_during_a_pass_share_the_next_pass(workload):
     """With no linger, jobs that queue behind a running pass still coalesce."""
     queries, packed = workload

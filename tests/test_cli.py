@@ -73,7 +73,7 @@ class TestBadQueryLetters:
 class TestScanQueryEnvelope:
     """``scan`` refuses a query over 750 elements with exit 2, one line."""
 
-    @pytest.mark.parametrize("flags", [[], ["--session"], ["--shards", "2"]])
+    @pytest.mark.parametrize("flags", [[], ["--workers", "2"], ["--shards", "2"]])
     def test_251_residues_exit_two(self, synthetic_files, capsys, flags):
         db, _queries = synthetic_files
         argv = ["scan", "--query", "M" * 251, "--database", str(db), *flags]
@@ -558,7 +558,12 @@ class TestScan:
         assert "fatal:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, field", [("--retries", "max_retries"), ("--max-respawns", "max_respawns")]
+        "flag, field",
+        [
+            ("--retries", "max_retries"),
+            ("--max-respawns", "max_respawns"),
+            ("--chunk-timeout", "--chunk-timeout"),
+        ],
     )
     def test_negative_budget_is_fatal(self, synthetic_files, capsys, flag, field):
         db, queries = synthetic_files
@@ -586,32 +591,45 @@ class TestScan:
         assert report["clean"] is True
 
     def test_session_matches_per_query_scans(self, synthetic_files, capsys):
-        """--session: same hit table as the per-query path, one warm runtime."""
+        """All queries run as one batch; its hit table is each query's own
+        naive hits, best first."""
+        from repro.core.aligner import align
+        from repro.seq import fasta
+
         db, queries = synthetic_files
         assert self.scan(db, queries) == 0
-        plain = capsys.readouterr().out
-        assert self.scan(db, queries, "--session") == 0
         warm = capsys.readouterr().out
         assert "session:" in warm
         assert "engine=bitscore_batch" in warm
 
-        def hit_rows(out):
-            return [
-                line.split() for line in out.splitlines()
-                if line.strip().startswith("query_")
-                and "hits" not in line
-            ]
-
-        assert hit_rows(warm) == hit_rows(plain)
+        references = fasta.read_rna(db)
+        expected = []
+        for query in fasta.read_proteins(queries):
+            hits = sorted(
+                (
+                    (reference.name, hit.position, hit.score)
+                    for reference in references
+                    for hit in align(
+                        query, reference, min_identity=0.9, engine="naive"
+                    ).hits
+                ),
+                key=lambda item: (-item[2], item[0], item[1]),
+            )
+            expected += [[query.name, r, str(p), str(h)] for r, p, h in hits[:10]]
+        rows = [
+            line.split() for line in warm.splitlines()
+            if line.strip().startswith("query_") and "hits" not in line
+        ]
+        assert expected and rows == expected
 
     def test_session_chaos_scan_keeps_fault_free_hits(self, synthetic_files, capsys):
-        """--session takes --fault-rate: recovered faults leave the hits alone."""
+        """The batch takes --fault-rate: recovered faults leave the hits alone."""
         db, queries = synthetic_files
-        assert self.scan(db, queries, "--session") == 0
+        assert self.scan(db, queries) == 0
         clean = capsys.readouterr().out
         # Seed 1 plans a crash on task 0 and a corrupt result on task 1.
         code = self.scan(
-            db, queries, "--session", "--workers", "2",
+            db, queries, "--workers", "2",
             "--fault-rate", "0.5", "--fault-seed", "1",
             "--chunk-timeout", "5", "--fault-hang-seconds", "5",
         )
@@ -715,13 +733,6 @@ class TestScanShards:
         assert payload["dead_shards"] is True
         shards = payload["queries"][0]["report"]["shards"]
         assert shards[0]["status"] == "dead"
-
-    def test_shards_with_session_scan_one_batch(self, synthetic_files, capsys):
-        db, queries = synthetic_files
-        assert self.scan(db, queries, "--shards", "2") == 0
-        alone = capsys.readouterr().out
-        assert self.scan(db, queries, "--shards", "2", "--session") == 0
-        assert capsys.readouterr().out == alone
 
     def test_shards_take_chunk_fault_plans(self, synthetic_files, capsys):
         db, queries = synthetic_files
@@ -886,6 +897,7 @@ class TestServeContract:
         assert excinfo.value.code == 2
 
     def test_unknown_engine_is_usage_error(self):
+        # Every scan runs the one batch datapath: there is no --engine.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["serve", "--database", "db.fasta", "--engine", "warp"]
@@ -896,9 +908,32 @@ class TestServeContract:
         assert main(["serve", "--database", "/no/such/db.fasta"]) == 1
         assert "fatal:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-queue", "0"], "max_queue must be >= 1"),
+            (["--port", "-5"], "port must be 0-65535"),
+        ],
+    )
+    def test_bad_config_is_fatal_and_closes_the_service(
+        self, synthetic_files, capsys, flags, message
+    ):
+        import threading
+
+        from repro import obs
+
+        db, _queries = synthetic_files
+        threads = set(threading.enumerate())
+        assert main(["serve", "--database", str(db), "--workers", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal: ") and message in err
+        # No batcher or worker thread outlives the refused start.
+        assert set(threading.enumerate()) <= threads
+        assert not obs.enabled()
+
     def test_defaults_follow_the_documented_contract(self):
         args = build_parser().parse_args(["serve", "--database", "db.fasta"])
         assert (args.host, args.port) == ("127.0.0.1", 8765)
         assert (args.max_queue, args.max_batch) == (64, 16)
         assert args.cache_entries == 256
-        assert args.shards is None and args.engine is None
+        assert args.shards is None and not hasattr(args, "engine")
