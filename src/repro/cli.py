@@ -224,7 +224,7 @@ def cmd_scan(args) -> int:
             print(f"error: {query.name or 'query'}: {exc}", file=sys.stderr)
             return 2
     obs_active = _obs_begin(args)
-    payload: Dict[str, object] = {"version": 1, "queries": []}
+    payload: Dict[str, object] = {"version": 2, "queries": []}
     rows: List[list] = []
     session = None
     try:
@@ -308,7 +308,8 @@ def cmd_scan(args) -> int:
             resume=args.resume,
             with_report=True,
         )
-        report_dict = report.to_dict()
+        print(f"batch of {len(queries)} queries: {report.summary()}")
+        payload["report"] = report.to_dict()
         for index, (query, results) in enumerate(zip(queries, batches)):
             hits = sorted(
                 (
@@ -320,13 +321,9 @@ def cmd_scan(args) -> int:
             )
             for reference, position, score in hits[: args.max_hits]:
                 rows.append([query.name or "query", reference, position, score])
-            print(f"{query.name or 'query'}: {len(hits)} hits; {report.summary()}")
+            print(f"{query.name or 'query'}: {len(hits)} hits")
             payload["queries"].append(  # type: ignore[union-attr]
-                {
-                    "query": query.name or f"query_{index}",
-                    "num_hits": len(hits),
-                    "report": report_dict,
-                }
+                {"query": query.name or f"query_{index}", "num_hits": len(hits)}
             )
         if report.degraded:
             print(f"  DEGRADED: {report.degraded_reason}")

@@ -9,18 +9,22 @@ scores the hardware produces, through several interchangeable engines:
   the bit-parallel SWAR engine of :mod:`repro.core.bitscore`: packed match
   bitplanes summed by a carry-save vertical-counter popcount, the software
   analog of the hardware's Pop36 tree.  One query is a batch of one through
-  :func:`repro.core.bitscore.scores_batch` (compiled where a C compiler was
-  found); a batch shares one sweep of the reference, and
-  :func:`hits_batch_from_codes` — what ``align`` and every scan call —
-  thresholds inside the compiled fold;
+  :func:`repro.core.bitscore.scores_batch`; ``align`` thresholds through
+  :func:`hits_batch_from_codes`, which on this engine hands the batch to
+  :func:`repro.core.bitscore.hits_batch`, one
+  :func:`~repro.core.bitscore.scan_windows` call (compiled where a C
+  compiler was found, NumPy elsewhere).  Scan tasks call ``scan_windows``
+  directly;
 * ``engine="vectorized"`` — per-element numpy table gathers (the previous
   default, kept as an independent mid-speed implementation);
 * ``engine="naive"`` — straight-line Python, used as a cross-check oracle
   in tests (and the easiest version to read against the paper).
 
-All engines are bit-identical (enforced by the property-test suite); the
-LUT-level netlist model in :mod:`repro.accel` is verified against this
-module on randomized inputs, so every representation agrees.
+Reference code arrays are checked once, where they come in: a code
+outside 0..3 raises ``ValueError`` on every engine.  All engines are
+bit-identical (enforced by the property-test suite); the LUT-level netlist
+model in :mod:`repro.accel` is verified against this module on randomized
+inputs, so every representation agrees.
 """
 
 from __future__ import annotations
@@ -143,8 +147,15 @@ def _coerce_query(query: QueryLike) -> EncodedQuery:
 
 
 def _reference_codes(reference: ReferenceLike) -> Tuple[np.ndarray, str]:
+    """``(codes, name)`` of a reference; a code outside 0..3 raises ``ValueError``."""
     if isinstance(reference, np.ndarray):
-        return np.asarray(reference, dtype=np.uint8), ""
+        codes = np.asarray(reference, dtype=np.uint8)
+        if codes.size and codes.max() > 3:
+            at = int(np.argmax(codes.ravel() > 3))
+            raise ValueError(
+                f"reference code {reference.ravel()[at]} at position {at} is outside 0..3"
+            )
+        return codes, ""
     if isinstance(reference, str):
         return packing.codes_from_text(reference), ""
     rna = as_rna(reference)
@@ -311,45 +322,35 @@ def hits_batch_from_codes(
     thresholds: Sequence[int],
     engine: str = DEFAULT_ENGINE,
     *,
-    start: int = 0,
-    stop: Optional[int] = None,
     keep_scores: bool = False,
 ) -> List[bitscore.QueryHits]:
     """Score a batch of queries over one reference and keep what passes.
 
-    The one place a scan thresholds — the software counterpart of the
-    comparators behind the FPGA's Pop36 counters.  Query ``q`` keeps the
-    alignment positions ``[start, min(stop, L_r - L_q + 1))``; its result
-    is the kept positions scoring at least ``thresholds[q]`` (as offsets
-    from ``start``), their scores, and — with ``keep_scores`` — the kept
-    score slice.  On the bitscore engines the compiled kernel thresholds
-    inside its fold and writes no per-position score unless asked; the
-    NumPy body and every other engine score here and keep the positions
+    The software counterpart of the comparators behind the FPGA's Pop36
+    counters: query ``q``'s result is the alignment positions scoring at
+    least ``thresholds[q]``, their scores, and — with ``keep_scores`` —
+    every position's score.  The bitscore engines threshold in
+    :func:`repro.core.bitscore.hits_batch` (inside the compiled fold where
+    it was built, and no per-position score is written unless asked);
+    ``vectorized`` and ``naive`` score here and keep the positions
     ``np.nonzero`` finds.  With observability enabled each call records
-    its engine, wall time and positions kept (not hits).
+    its engine, wall time and positions scored (not hits).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if start < 0:
-        raise ValueError(f"start {start} is negative")
     ref_codes = np.asarray(ref_codes, dtype=np.uint8)
     arrays = [
         np.asarray(instructions, dtype=np.uint8).ravel()
         for instructions in instruction_batch
     ]
-    bounds: List[Tuple[int, int]] = []
-    for array in arrays:
-        hi = ref_codes.size - array.size + 1
-        if stop is not None:
-            hi = min(hi, stop)
-        hi = max(0, hi)
-        bounds.append((min(start, hi), hi))
     if not _obs_state.enabled():
-        return _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+        return _threshold_batch(arrays, ref_codes, thresholds, keep_scores, engine)
     began = time.perf_counter()
-    hits = _threshold_batch(arrays, ref_codes, thresholds, bounds, keep_scores, engine)
+    hits = _threshold_batch(arrays, ref_codes, thresholds, keep_scores, engine)
     _obs_profile.record_score_call(
-        engine, time.perf_counter() - began, sum(hi - lo for lo, hi in bounds)
+        engine,
+        time.perf_counter() - began,
+        sum(max(0, ref_codes.size - array.size + 1) for array in arrays),
     )
     return hits
 
@@ -358,22 +359,15 @@ def _threshold_batch(
     arrays: List[np.ndarray],
     ref_codes: np.ndarray,
     thresholds: Sequence[int],
-    bounds: List[Tuple[int, int]],
     keep_scores: bool,
     engine: str,
 ) -> List[bitscore.QueryHits]:
     if engine in ("bitscore", "bitscore_batch"):
-        fused = bitscore.hits_batch(
-            arrays, ref_codes, thresholds, bounds, keep_scores=keep_scores
-        )
-        if fused is not None:
-            return fused
+        return bitscore.hits_batch(arrays, ref_codes, thresholds, keep_scores=keep_scores)
     hits: List[bitscore.QueryHits] = []
-    batch = _dispatch_batch(arrays, ref_codes, engine)
-    for scores, threshold, (lo, hi) in zip(batch, thresholds, bounds):
-        kept = scores[lo:hi]
-        positions = np.nonzero(kept >= threshold)[0].astype(np.int64, copy=False)
-        hits.append((positions, kept[positions], kept if keep_scores else None))
+    for scores, threshold in zip(_dispatch_batch(arrays, ref_codes, engine), thresholds):
+        positions = np.nonzero(scores >= threshold)[0].astype(np.int64, copy=False)
+        hits.append((positions, scores[positions], scores if keep_scores else None))
     return hits
 
 

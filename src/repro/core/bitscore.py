@@ -26,25 +26,24 @@ the bits (§III-C/D).  The software counterpart of that datapath is SWAR
    low-plane traffic, mirroring the hardware's 6:3 compression stage.
 
 3. **Threshold comparators.**  The FPGA writes back only the positions
-   whose count clears the threshold.  :func:`hits_batch` does the same in
-   the compiled fold: the counter planes are compared with the threshold
-   bit-sliced, only 16-position groups holding a hit are decoded, and the
-   passing ``(position, score)`` pairs are all it returns — no int32
-   score per position is written unless the caller keeps the scores.
+   whose count clears the threshold.  :func:`scan_windows` does the same:
+   in the compiled fold the counter planes are compared with the
+   threshold bit-sliced, only 16-position groups holding a hit are
+   decoded, and the passing ``(position, score)`` pairs are all it
+   returns — no int32 score per position is written unless the caller
+   keeps the scores.
 
-The batched sweep :func:`scores_batch` runs this datapath compiled
-(``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever a C
-compiler was found, and its NumPy body everywhere else.  The ``bitscore``
-engine, :func:`scores`, is a batch of one through it: every caller, one
-query or many, scores on the same path.  The compiled path has one entry
-point, :func:`scan_windows`: a scan task hands it windows of the packed
-2-bit database image, and :func:`hits_batch` and :func:`scores_batch`
-pack their reference codes and hand it one window.  ``align`` thresholds
-through :func:`repro.core.aligner.hits_batch_from_codes`, which calls
-:func:`hits_batch` where the kernel was built and thresholds
-:func:`scores_batch` output itself elsewhere.  :func:`packed_scores` is
-the same datapath one query at a time in NumPy, kept as the sequential
-side of the batch-amortization benchmark.
+:func:`scan_windows` is the one thresholded scan, the host's one job for
+the kernel: encoded queries, windows of the packed 2-bit database image
+and thresholds in, the passing positions out.  It runs the datapath
+compiled (``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever
+a C compiler was found, and its NumPy body everywhere else; no caller
+chooses.  A scan task hands it its windows; :func:`hits_batch` (what
+``align`` thresholds through) and :func:`scores_batch` pack their
+reference codes and hand it one window.  The ``bitscore`` engine,
+:func:`scores`, is a batch of one through :func:`scores_batch`.
+:func:`packed_scores` is the same datapath one query at a time in NumPy,
+kept as the sequential side of the batch-amortization benchmark.
 
 Every path is bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
 (enforced by the property-test suite in ``tests/property``).
@@ -416,13 +415,17 @@ def _decode_planes(planes: List[np.ndarray], num_positions: int) -> np.ndarray:
     ).astype(np.int32)
 
 
-def _numpy_batch(
-    arrays: List[np.ndarray],
-    active: List[int],
-    ref_codes: np.ndarray,
-    results: List[Optional[np.ndarray]],
-) -> None:
-    """The NumPy body of :func:`scores_batch`: fills ``results[q]`` for ``active``."""
+def _numpy_batch(arrays: List[np.ndarray], ref_codes: np.ndarray) -> List[np.ndarray]:
+    """The NumPy body: every query's scores at every position of ``ref_codes``."""
+    results = [
+        np.zeros(max(0, ref_codes.size - array.size + 1), dtype=np.int32)
+        for array in arrays
+    ]
+    active = [
+        q for q, array in enumerate(arrays) if array.size and results[q].size
+    ]
+    if not active:
+        return results
     # Shared precompute: one comparator evaluation over the reference for
     # the union of distinct instructions across the whole batch.
     rows, concat_rows = match_bytes(
@@ -472,6 +475,7 @@ def _numpy_batch(
             tuple(buffer[:num_words] for buffer in scratch),
         )
         results[q] = _decode_planes(counter.planes, num_positions)
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +489,8 @@ def _numpy_batch(
 # with the threshold and writes only the passing positions (and, when
 # asked, every int32 score).  ctypes releases the GIL for the call, so
 # worker threads fold at once.  When no compiler is found or the build
-# fails, ``_NATIVE`` is None and the NumPy body runs.
+# fails, ``_NATIVE`` is None and :func:`scan_windows`, the one reader of
+# ``_NATIVE``, runs the NumPy body.
 # --------------------------------------------------------------------------
 
 _NATIVE: Optional[ctypes.CDLL] = native.load()
@@ -509,6 +514,29 @@ class ScanRows(NamedTuple):
     hit_scores: Tuple[np.ndarray, ...]
     scores: Optional[Tuple[np.ndarray, ...]]
 
+    @classmethod
+    def of_window(cls, hits: Sequence[QueryHits]) -> "ScanRows":
+        """One window's :data:`QueryHits`, one per query, as rows."""
+        positions, hit_scores, scores = zip(*hits)
+        counts = np.array([[row.size for row in positions]], dtype=np.int64)
+        return cls(counts, positions, hit_scores, scores)
+
+    @classmethod
+    def join(cls, parts: Sequence["ScanRows"], k: int, keep_scores: bool) -> "ScanRows":
+        """Rows of ``k`` queries over consecutive windows, as one payload."""
+
+        def rows(field: str, dtype: type) -> Tuple[np.ndarray, ...]:
+            return tuple(
+                np.concatenate([np.zeros(0, dtype)] + [getattr(p, field)[q] for p in parts])
+                for q in range(k)
+            )
+
+        return cls(
+            np.concatenate([np.zeros((0, k), np.int64)] + [p.counts for p in parts]),
+            rows("positions", np.int64), rows("hit_scores", np.int32),
+            rows("scores", np.int32) if keep_scores else None,
+        )
+
 
 #: Hit entries each query's row starts with in a task call: two tiles'
 #: worth.  A tile writes at most ``64 * TILE_WORDS`` hits; the kernel stops
@@ -517,7 +545,7 @@ HIT_ROOM = 2 * WORD_BITS * native.TILE_WORDS
 
 
 def batch_kernel() -> str:
-    """The body :func:`scores_batch` runs in this process: ``native`` or ``numpy``."""
+    """The body :func:`scan_windows` runs in this process: ``native`` or ``numpy``."""
     return "numpy" if _NATIVE is None else "native"
 
 
@@ -585,7 +613,7 @@ def scan_windows(
     thresholds: Optional[Sequence[int]],
     keep_scores: bool,
 ) -> Tuple[ScanRows, int]:
-    """Score a batch over windows of a packed 2-bit image in one kernel call.
+    """Score a batch over windows of a packed 2-bit image and threshold it.
 
     ``image`` is packed as :func:`repro.seq.packing.pack` packs it, one
     reference after another from byte offsets; each window is ``(byte
@@ -593,20 +621,38 @@ def scan_windows(
     at its alignment positions ``[start, min(stop, length - s + 1))``.
     Returns the call's :class:`ScanRows` and the number of positions
     scored.  Without ``thresholds`` no hits are written (the score rows
-    only, with ``keep_scores``).  The compiled kernel must be loaded.  Its
-    element rows folded and skipped go to observability, when enabled.
+    only, with ``keep_scores``).  The compiled kernel runs the whole call
+    where it was built, and the NumPy body window by window elsewhere;
+    this is the one place that chooses.  The element rows folded and
+    skipped go to observability, when enabled.
     """
-    library = _NATIVE
-    if library is None:
-        raise RuntimeError("scan_windows needs the compiled kernel")
-    k = int(prepared.spans.size)
     image = np.ascontiguousarray(image, dtype=np.uint8)
     rows = np.ascontiguousarray(windows, dtype=np.int64).reshape(-1, 4)
-    num_windows = rows.shape[0]
     # The kernel reads from each byte offset up to the reference's or the
     # image's end, whichever comes first, and from each start onwards.
-    if num_windows and rows.min() < 0:
+    if rows.size and rows.min() < 0:
         raise ValueError("scan windows need non-negative offsets, lengths and bounds")
+    if _NATIVE is None:
+        return _numpy_windows(image, rows, prepared, thresholds, keep_scores)
+    return _native_windows(_NATIVE, image, rows, prepared, thresholds, keep_scores)
+
+
+def _cell_sizes(rows: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Positions cell ``(j, q)`` keeps: ``[start, min(stop, length - span + 1))``."""
+    stops = np.minimum(rows[:, 3:], rows[:, 1:2] - spans + 1)
+    return np.maximum(0, stops - rows[:, 2:3])
+
+
+def _native_windows(
+    library: ctypes.CDLL,
+    image: np.ndarray,
+    rows: np.ndarray,
+    prepared: PreparedBatch,
+    thresholds: Optional[Sequence[int]],
+    keep_scores: bool,
+) -> Tuple[ScanRows, int]:
+    """:func:`scan_windows` as one ``fabp_scan_task`` call."""
+    k, num_windows = int(prepared.spans.size), rows.shape[0]
     if thresholds is None:
         limits, room = prepared.spans + 1, 0
     else:
@@ -618,9 +664,7 @@ def scan_windows(
     hit_scores = np.empty((k, room), dtype=np.int32)
     scores: Optional[np.ndarray] = None
     if keep_scores:
-        # Cell (j, q) keeps [start, min(stop, length - span + 1)).
-        stops = np.minimum(rows[:, 3:], rows[:, 1:2] - prepared.spans + 1)
-        sizes = np.maximum(0, stops - rows[:, 2:3]).ravel()
+        sizes = _cell_sizes(rows, prepared.spans)
         score_at = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         scores = np.empty(score_at[-1], dtype=np.int32)
     while True:
@@ -649,13 +693,13 @@ def scan_windows(
         # query q's window j: gather each query's cells into its row.
         cells = np.split(scores, score_at[1:-1])
         kept = tuple(np.concatenate([scores[:0], *cells[q::k]]) for q in range(k))
-    rows = ScanRows(
+    scan = ScanRows(
         counts.reshape(num_windows, k),
         tuple(positions[q, : fills[q]].copy() for q in range(k)),
         tuple(hit_scores[q, : fills[q]].copy() for q in range(k)),
         kept,
     )
-    return rows, int(state[6])
+    return scan, int(state[6])
 
 
 def _grown(rows: np.ndarray, room: int) -> np.ndarray:
@@ -665,85 +709,103 @@ def _grown(rows: np.ndarray, room: int) -> np.ndarray:
     return grown
 
 
+#: Nucleotides of context *behind* a window start the comparator may read
+#: (:func:`x_bit_rows` resolves wildcard codes from the two previous bases).
+LOOKBACK = 2
+
+
+def _window_codes(
+    image: np.ndarray, offset: int, length: int, start: int, stop: int, span: int
+) -> Tuple[np.ndarray, int]:
+    """Unpack the codes a window needs; return ``(codes, lookback)``.
+
+    The window's reference sits at byte ``offset`` of ``image``.  The codes
+    cover ``[start - lookback, min(length, stop + span - 1))``, so a
+    ``span``-element query scored over them sees every position of
+    ``[start, stop)`` in full context at ``lookback`` onwards.
+    """
+    lookback = min(start, LOOKBACK)
+    first = start - lookback
+    end = min(length, stop + span - 1)
+    packed = image[offset + first // 4 : offset + (end + 3) // 4]
+    return packing.unpack(packed, end - first // 4 * 4)[first % 4 :], lookback
+
+
+def _numpy_windows(
+    image: np.ndarray,
+    rows: np.ndarray,
+    prepared: PreparedBatch,
+    thresholds: Optional[Sequence[int]],
+    keep_scores: bool,
+) -> Tuple[ScanRows, int]:
+    """:func:`scan_windows` on the NumPy body, one sweep per window.
+
+    Each window is unpacked once with the *longest* query's halo and
+    scored for the whole batch; a shorter query's extra trailing positions
+    fall outside its cell.  Every element row counts as folded.
+    """
+    arrays = [prepared.distinct[row] for row in prepared.rows]
+    sizes, max_span = _cell_sizes(rows, prepared.spans), int(prepared.spans.max())
+    parts = []
+    for j, (offset, length, start, stop) in enumerate(rows.tolist()):
+        scores = [np.zeros(0, dtype=np.int32)] * len(arrays)
+        if sizes[j].any():
+            codes, lookback = _window_codes(image, offset, length, start, stop, max_span)
+            scores = [
+                window[lookback : lookback + size]
+                for window, size in zip(_numpy_batch(arrays, codes), sizes[j])
+            ]
+        cells = []
+        for q, kept in enumerate(scores):
+            hits = np.zeros(0, dtype=np.int64)
+            if thresholds is not None:
+                hits = np.flatnonzero(kept >= thresholds[q])
+            cells.append((hits, kept[hits], kept if keep_scores else None))
+        parts.append(ScanRows.of_window(cells))
+    tiles = -(-sizes // (WORD_BITS * native.TILE_WORDS))
+    folded = int((tiles * prepared.spans).sum())
+    _obs_profile.record_fold_rows(folded, folded)
+    return ScanRows.join(parts, len(arrays), keep_scores), int(sizes.sum())
+
+
 def hits_batch(
     instruction_batch: Sequence[np.ndarray],
     ref_codes: np.ndarray,
     thresholds: Sequence[int],
-    bounds: Sequence[Tuple[int, int]],
     *,
     keep_scores: bool = False,
-) -> Optional[List[QueryHits]]:
-    """Threshold ``k`` queries inside the compiled fold, in one sweep.
+) -> List[QueryHits]:
+    """Threshold ``k`` queries over every position of a reference, in one sweep.
 
-    Query ``q`` is scored at alignment positions ``bounds[q] = (lo, hi)``
-    (``0 <= lo <= hi <= L_r - L_q + 1``); its result lists the positions
-    ``p`` whose score is at least ``thresholds[q]`` as ``p - lo``, their
-    scores, and — with ``keep_scores`` — the scores of all of
-    ``[lo, hi)``.  No per-position score is written otherwise, and the
-    fold abandons each 512-position tile once no position in it can still
-    reach the threshold.  The reference is packed to 2 bits and scored
-    through :func:`scan_windows`, one call per distinct bound (one call
-    when every query keeps the positions it has from a common start).
-    ``None`` when the compiled kernel cannot run here (it was not built,
-    or a code is outside ``0..3``): the caller scores with
-    :func:`scores_batch` and thresholds the scores itself
-    (:func:`repro.core.aligner.hits_batch_from_codes`).
+    Query ``q``'s result lists the alignment positions whose score is at
+    least ``thresholds[q]``, their scores, and — with ``keep_scores`` —
+    the scores of every position.  The reference (codes ``0..3``; any
+    other raises ``ValueError``) is packed to 2 bits and scored by one
+    :func:`scan_windows` call.  The compiled fold writes no per-position
+    score unless asked, and abandons each 512-position tile once no
+    position in it can still reach the threshold.
     """
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    if _NATIVE is None or (ref_codes.size and ref_codes.max() > 3):
-        return None
-    arrays = [
-        np.asarray(instructions, dtype=np.uint8).ravel()
-        for instructions in instruction_batch
-    ]
-    length = ref_codes.size
-    for array, (lo, hi) in zip(arrays, bounds):
-        # A negative lo would score before the reference, a hi past the
-        # last position would score past it.
-        if not 0 <= lo <= hi <= max(0, length - array.size + 1):
-            raise ValueError(
-                f"bounds [{lo}, {hi}) outside the {array.size}-element "
-                f"query's positions on {length} nt"
-            )
-    if not arrays:
-        return []
-    return _scan_codes(arrays, ref_codes, thresholds, bounds, keep_scores)
+    return _scan_codes(instruction_batch, ref_codes, thresholds, keep_scores)
 
 
 def _scan_codes(
-    arrays: List[np.ndarray],
+    instruction_batch: Sequence[np.ndarray],
     ref_codes: np.ndarray,
     thresholds: Optional[Sequence[int]],
-    bounds: Sequence[Tuple[int, int]],
     keep_scores: bool,
 ) -> List[QueryHits]:
-    """:func:`hits_batch` over valid bounds (no hits without ``thresholds``)."""
-    length = ref_codes.size
-    results: List[Optional[QueryHits]] = [None] * len(arrays)
-    # A window (0, length, lo, stop) keeps [lo, min(stop, positions)): one
-    # window serves every query whose bound it reproduces.
-    groups: dict = {}
-    for q, (array, (lo, hi)) in enumerate(zip(arrays, bounds)):
-        if lo >= hi:
-            empty = np.zeros(0, dtype=np.int32)
-            results[q] = (
-                np.zeros(0, dtype=np.int64), empty, empty.copy() if keep_scores else None
-            )
-            continue
-        stop = hi if hi < length - array.size + 1 else length + 1
-        groups.setdefault((lo, stop), []).append(q)
-    image = packing.pack(ref_codes)
-    for (lo, stop), members in groups.items():
-        rows, _ = scan_windows(
-            image, [(0, length, lo, stop)],
-            prepare_batch([arrays[q] for q in members]),
-            None if thresholds is None else [thresholds[q] for q in members],
-            keep_scores,
-        )
-        scores = rows.scores or (None,) * len(members)
-        for q, cell in zip(members, zip(rows.positions, rows.hit_scores, scores)):
-            results[q] = cell
-    return results  # type: ignore[return-value]
+    """:func:`hits_batch` (no hits without ``thresholds``)."""
+    if not instruction_batch:
+        return []
+    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
+    # Stop past the last position: every query keeps all of its own.
+    window = (0, ref_codes.size, 0, ref_codes.size + 1)
+    rows, _ = scan_windows(
+        packing.pack(ref_codes), [window], prepare_batch(instruction_batch),
+        thresholds, keep_scores,
+    )
+    scores = rows.scores or (None,) * len(instruction_batch)
+    return list(zip(rows.positions, rows.hit_scores, scores))
 
 
 @kernel_summary(("int32", 0, MAX_QUERY_ELEMENTS))
@@ -755,39 +817,12 @@ def scores_batch(
     The software analogue of ``k`` comparator arrays on one reference
     stream (§III-C): the comparator tables, match bitplanes and packed
     rows are computed **once** for the union of the batch's distinct
-    instructions, then every query folds zero-copy views of the shared
-    rows.  Each result is bit-identical to
-    :func:`packed_scores(instruction_batch[q], ref_codes)`; queries may
-    have ragged lengths.  The compiled kernel runs when it was built;
-    otherwise, or for codes outside ``0..3``, the NumPy body does.
+    instructions, then every query folds its rows over them.  Each result
+    is bit-identical to :func:`packed_scores(instruction_batch[q],
+    ref_codes)`; queries may have ragged lengths.  Kept scores of one
+    :func:`scan_windows` call.
     """
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    arrays = [
-        np.asarray(instructions, dtype=np.uint8).ravel()
-        for instructions in instruction_batch
-    ]
-    results: List[Optional[np.ndarray]] = [None] * len(arrays)
-    active: List[int] = []
-    for q, instructions in enumerate(arrays):
-        num_positions = ref_codes.size - instructions.size + 1
-        if num_positions <= 0:
-            results[q] = np.zeros(0, dtype=np.int32)
-        elif instructions.size == 0:
-            results[q] = np.zeros(num_positions, dtype=np.int32)
-        else:
-            active.append(q)
-    if active:
-        if _NATIVE is not None and ref_codes.max() <= 3:
-            folded = _scan_codes(
-                [arrays[q] for q in active], ref_codes, None,
-                [(0, ref_codes.size - arrays[q].size + 1) for q in active],
-                True,
-            )
-            for q, (_, _, scores) in zip(active, folded):
-                results[q] = scores
-        else:
-            _numpy_batch(arrays, active, ref_codes, results)
-    return [result for result in results if result is not None]
+    return [scores for _, _, scores in _scan_codes(instruction_batch, ref_codes, None, True)]
 
 
 @engine_contract("bitscore")

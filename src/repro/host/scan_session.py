@@ -65,7 +65,6 @@ from repro.core.aligner import (
     AlignmentResult,
     QueryLike,
     ReferenceLike,
-    hits_batch_from_codes,
     resolve_threshold,
 )
 from repro.core.contracts import check_query_elements
@@ -176,35 +175,8 @@ class WindowTask:
     prepared: Optional[bitscore.PreparedBatch] = field(default=None, compare=False)
 
     def run(self, database: PackedDatabase, attempt: int) -> bitscore.ScanRows:
-        """Score every (window, query) cell.
-
-        Where the compiled kernel is built this is one GIL-free call,
-        :func:`repro.core.bitscore.scan_windows`, reading the 2-bit image
-        directly.  On the NumPy body (no C compiler) each window is
-        unpacked once with the *longest* query's forward halo and swept
-        once for the whole pass; shorter queries' extra trailing positions
-        are clipped to their own position count, so every kept slice
-        matches a solo scan of that query bit for bit.
-        """
-        if bitscore.batch_kernel() == "native":
-            return self._run_native(database)
-        max_span = max(int(a.size) for a in self.arrays)
-        parts = []
-        for reference, start, stop in self.windows:
-            codes, lookback = _windows.window_codes(
-                database.buffer, int(database.byte_offsets[reference]),
-                int(database.lengths[reference]), start, stop, max_span,
-            )
-            # Code position lookback is alignment position start; each
-            # query's positions end at stop or at its own last position.
-            parts.append(_window_rows(hits_batch_from_codes(
-                self.arrays, codes, self.thresholds, SESSION_ENGINE,
-                start=lookback, stop=lookback + stop - start,
-                keep_scores=self.keep_scores,
-            )))
-        return _join(parts, len(self.arrays), self.keep_scores)
-
-    def _run_native(self, database: PackedDatabase) -> bitscore.ScanRows:
+        """Score every (window, query) cell in one
+        :func:`repro.core.bitscore.scan_windows` call over the 2-bit image."""
         offsets, lengths = database.byte_offsets, database.lengths
         began = time.perf_counter()
         rows, positions = bitscore.scan_windows(
@@ -342,35 +314,13 @@ class WindowTask:
                 (arrays[f"pos_{i}"], arrays[f"hs_{i}"], arrays.get(f"sc_{i}"))
                 for i in range(len(self.windows) * k)
             ]
-            parts = [_window_rows(cells[j : j + k]) for j in range(0, len(cells), k)]
-            return _join(parts, k, self.keep_scores)
+            parts = [
+                bitscore.ScanRows.of_window(cells[j : j + k])
+                for j in range(0, len(cells), k)
+            ]
+            return bitscore.ScanRows.join(parts, k, self.keep_scores)
         except (KeyError, ValueError):
             return None
-
-
-def _window_rows(hits: Sequence[bitscore.QueryHits]) -> bitscore.ScanRows:
-    """One window's per-query hit lists as rows."""
-    positions, hit_scores, scores = zip(*hits)
-    counts = np.array([[row.size for row in positions]], dtype=np.int64)
-    return bitscore.ScanRows(counts, positions, hit_scores, scores)
-
-
-def _join(
-    parts: Sequence[bitscore.ScanRows], k: int, keep_scores: bool
-) -> bitscore.ScanRows:
-    """Rows of ``k`` queries over consecutive windows, as one payload."""
-
-    def rows(field: str, dtype: type) -> Tuple[np.ndarray, ...]:
-        return tuple(
-            np.concatenate([np.zeros(0, dtype)] + [getattr(p, field)[q] for p in parts])
-            for q in range(k)
-        )
-
-    return bitscore.ScanRows(
-        np.concatenate([np.zeros((0, k), np.int64)] + [p.counts for p in parts]),
-        rows("positions", np.int64), rows("hit_scores", np.int32),
-        rows("scores", np.int32) if keep_scores else None,
-    )
 
 
 def plan_batch(
@@ -852,7 +802,9 @@ class ScanSession:
         for spec in passes:
             ids = [task_id for task_id in sorted(done) if tasks[task_id].pass_id == spec.pass_id]
             windows = [window for task_id in ids for window in tasks[task_id].windows]
-            rows = _join([done[task_id] for task_id in ids], len(spec.spans), keep_scores)
+            rows = bitscore.ScanRows.join(
+                [done[task_id] for task_id in ids], len(spec.spans), keep_scores
+            )
             for slot, query_index in enumerate(spec.query_indices):
                 per_reference = _windows.split_rows(
                     windows, rows.counts[:, slot], rows.positions[slot],

@@ -21,19 +21,21 @@ Correctness of splitting is subtle because the comparator is contextual:
 the match bit at position ``p`` reads ``Ref[p]``, ``Ref[p-1]`` and
 ``Ref[p-2]`` (the ``x_bit_rows`` look-back that resolves R/Y/N wildcard
 codes), and a query spanning ``span`` elements reads forward through
-``Ref[p + span - 1]``.  A window producing positions ``[a, b)`` therefore
-scores the nucleotide slice::
+``Ref[p + span - 1]``.  A window producing positions ``[a, b)`` is
+therefore scored over the nucleotides::
 
     codes[a - lookback : min(L, b + span - 1)],   lookback = min(2, a)
 
-and keeps ``scores[lookback : lookback + (b - a)]``.  For ``a >= 2`` the
-two look-back nucleotides are real database content, so every kept score
-is computed from exactly the same context as the full-reference scan; for
-``a < 2`` the missing predecessors fall before the sequence start, which
-is the identical boundary condition the full scan sees.  Concatenating
-the kept slices in window order is therefore **bit-identical** to scoring
-the whole reference in one call — the invariant the regression tests in
-``tests/host/test_scan_windows.py`` pin down.
+(:func:`repro.core.bitscore.scan_windows` reads them from the packed
+image).  For ``a >= 2`` the two look-back nucleotides are real database
+content, so every kept score is computed from exactly the same context as
+the full-reference scan; for ``a < 2`` the missing predecessors fall
+before the sequence start, which is the identical boundary condition the
+full scan sees.  Concatenating the kept slices in window order is
+therefore **bit-identical** to scoring the whole reference in one call —
+the invariant the regression tests in ``tests/host/test_scan_windows.py``
+pin down.  This module only plans the windows and splits a task's rows
+back into per-reference results (:func:`split_rows`).
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.seq import packing
-
 __all__ = [
-    "LOOKBACK",
     "MIN_CHUNK_CELLS",
     "min_chunk_positions",
     "num_chunks",
@@ -54,13 +53,8 @@ __all__ = [
     "Window",
     "num_positions",
     "plan_windows",
-    "window_codes",
     "split_rows",
 ]
-
-#: Nucleotides of context *behind* a window start the comparator may read
-#: (``x_bit_rows`` resolves wildcard codes from the two previous bases).
-LOOKBACK = 2
 
 #: Floor on a task's work, in alignment cells: positions times the sum of
 #: the spans of the queries its pass folds, which is what one
@@ -181,37 +175,6 @@ def plan_windows(
                 current = []
                 room = next(pending, 0)
     return chunks
-
-
-def window_codes(
-    buffer: np.ndarray,
-    byte_base: int,
-    length: int,
-    start: int,
-    stop: int,
-    span: int,
-) -> Tuple[np.ndarray, int]:
-    """Unpack the code slice a window needs; return ``(codes, lookback)``.
-
-    ``buffer`` is the packed database image, ``byte_base`` the byte offset
-    of this reference within it.  The slice covers ``[start - lookback,
-    min(length, stop + span - 1))`` so scores at every position in
-    ``[start, stop)`` see full context; the caller keeps
-    ``scores[lookback : lookback + (stop - start)]``.
-    """
-    lookback = LOOKBACK if start >= LOOKBACK else start
-    nt_start = start - lookback
-    nt_stop = min(int(length), stop + span - 1)
-    byte_start = nt_start // 4
-    byte_stop = (nt_stop + 3) // 4
-    codes = packing.unpack(
-        buffer[byte_base + byte_start : byte_base + byte_stop],
-        nt_stop - byte_start * 4,
-    )
-    offset = nt_start - byte_start * 4
-    if offset:
-        codes = codes[offset:]
-    return codes, lookback
 
 
 def split_rows(

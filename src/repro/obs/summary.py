@@ -249,7 +249,9 @@ def _shard_rows(report: Dict[str, Any]) -> List[List[object]]:
 def summarize_scan_report(payload: Dict[str, Any]) -> str:
     """Outcome/stage tables from a scan report artifact (v1, v2 or v3)."""
     reports: List[Tuple[str, Dict[str, Any]]] = []
-    if "queries" in payload:  # the CLI wrapper: one report per query
+    if "report" in payload:  # the CLI wrapper: the batch's one report
+        reports.append(("batch", normalize_report_dict(payload["report"])))
+    elif "queries" in payload:  # the version-1 CLI wrapper: a copy per query
         for entry in payload.get("queries", []):
             reports.append(
                 (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.aligner import (
+    ENGINES,
     AlignmentResult,
     Hit,
     align,
@@ -130,6 +131,36 @@ class TestThreshold:
             resolve_threshold(encoded, threshold=10)
         with pytest.raises(ValueError):
             resolve_threshold(encoded, min_identity=1.5)
+
+
+class TestReferenceCodes:
+    """Code arrays are checked where they come in, whatever the engine."""
+
+    @staticmethod
+    def _codes():
+        codes = np.zeros(40, dtype=np.uint8)
+        codes[17] = 4
+        return codes
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_out_of_range_code_is_a_value_error_on_every_engine(self, engine):
+        with pytest.raises(ValueError, match="reference code 4 at position 17"):
+            alignment_scores("MK", self._codes(), engine=engine)
+
+    def test_align_and_the_other_entry_points_refuse_it(self):
+        for call in (
+            lambda codes: align("MK", codes, threshold=1),
+            lambda codes: alignment_scores_naive("MK", codes),
+            lambda codes: alignment_scores_extended("MK", codes),
+        ):
+            with pytest.raises(ValueError, match="reference code 4 at position 17"):
+                call(self._codes())
+
+    def test_negative_codes_are_named_as_given(self):
+        codes = np.zeros(30, dtype=np.int64)
+        codes[3] = -1
+        with pytest.raises(ValueError, match="reference code -1 at position 3"):
+            align("MK", codes, threshold=1)
 
 
 class TestResultObjects:

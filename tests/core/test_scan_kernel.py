@@ -14,6 +14,8 @@ hits-only fold abandon a tile, and the fold order (each residue class mod
 64 lightest element first) that lets it abandon sooner.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ from repro.workloads.builder import encode_protein_as_rna
 requires_native = pytest.mark.skipif(
     bitscore._NATIVE is None, reason="the compiled kernel is not available"
 )
+
+#: The bodies of ``bitscore.scan_windows``: the compiled kernel (where it
+#: was built) and the NumPy body every host without a compiler runs.
+BATCH_KERNELS = ("native", "numpy")
+
+
+@contextlib.contextmanager
+def batch_kernel(kernel):
+    """Run the block on one body of ``scan_windows``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "numpy":
+            patch.setattr(bitscore, "_NATIVE", None)
+        yield
 
 
 def _naive(instructions, codes):
@@ -72,6 +87,16 @@ def _assert_batch_is_naive(batch, codes):
     for scores, instructions in zip(got, batch):
         assert scores.dtype == np.int32
         assert np.array_equal(scores, _naive(instructions, codes))
+
+
+def _scan_slice(batch, codes, thresholds, lo, hi, keep_scores=False):
+    """Hits (and kept scores) of ``batch`` at alignment positions ``[lo, hi)``
+    of ``codes``: one ``scan_windows`` call over the one-reference image."""
+    rows, _ = bitscore.scan_windows(
+        packing.pack(codes), [(0, codes.size, lo, hi)], bitscore.prepare_batch(batch),
+        thresholds, keep_scores,
+    )
+    return list(zip(rows.positions, rows.hit_scores, rows.scores or (None,) * len(batch)))
 
 
 @requires_native
@@ -198,8 +223,9 @@ class TestFoldBoundaries:
             thresholds = [0, 1, int(np.median(want)), n, n + 1, 1]
             bounds = [(0, positions)] * 5 + [(37, positions - 70)]
             results = bitscore.hits_batch(
-                [self.INSTRUCTIONS[:n]] * len(thresholds), self.CODES,
-                thresholds, bounds, keep_scores=True,
+                [self.INSTRUCTIONS[:n]] * 5, self.CODES, thresholds[:5], keep_scores=True
+            ) + _scan_slice(
+                [self.INSTRUCTIONS[:n]], self.CODES, thresholds[5:], *bounds[5], True
             )
             for threshold, (lo, hi), (hits, hit_scores, kept) in zip(
                 thresholds, bounds, results
@@ -292,7 +318,7 @@ class TestAbandonedTiles:
         want = _naive_by_element(instructions, codes)
         assert want[1100] == threshold
         ((positions, hit_scores, _),) = bitscore.hits_batch(
-            [instructions], codes, [threshold], [(0, want.size)]
+            [instructions], codes, [threshold]
         )
         (expected,) = np.nonzero(want >= threshold)
         assert 1100 in expected.tolist()
@@ -313,7 +339,7 @@ class TestAbandonedTiles:
         want = _naive_by_element(instructions, codes)
         assert want[700] == n - 1 and want[2300] == n
         ((positions, hit_scores, _),), folded, nominal = fold_rows(
-            [instructions], codes, [n], [(0, want.size)]
+            [instructions], codes, [n]
         )
         (expected,) = np.nonzero(want >= n)
         assert np.array_equal(positions, expected)
@@ -328,7 +354,7 @@ class TestAbandonedTiles:
         count = codes.size - query.size + 1
         for threshold, keep in ((300, True), (0, False)):
             _, folded, nominal = fold_rows(
-                [instructions], codes, [threshold], [(0, count)], keep_scores=keep
+                [instructions], codes, [threshold], keep_scores=keep
             )
             assert folded == nominal == 6 * 300
 
@@ -346,9 +372,7 @@ class TestAbandonedTiles:
         want = _naive_by_element(instructions, codes)
         lo, hi = bounds
         thresholds = [n, n - 1, n // 2]
-        results = bitscore.hits_batch(
-            [instructions] * 3, codes, thresholds, [bounds] * 3
-        )
+        results = _scan_slice([instructions] * 3, codes, thresholds, lo, hi)
         for threshold, (positions, hit_scores, _) in zip(thresholds, results):
             (expected,) = np.nonzero(want[lo:hi] >= threshold)
             assert np.array_equal(positions, expected), (bounds, threshold)
@@ -482,7 +506,7 @@ class TestFoldOrder:
             if threshold - (n - i) > 0:
                 assert matched[i - 1] == threshold - (n - i)
         ((positions, hit_scores, _),), folded, _ = fold_rows(
-            [instructions], codes, [threshold], [(0, want.size)]
+            [instructions], codes, [threshold]
         )
         (expected,) = np.nonzero(want >= threshold)
         assert {1100, 2300} <= set(expected.tolist())
@@ -519,7 +543,7 @@ class TestFoldOrder:
         batch = [late, early]
         want = [_naive_by_element(instructions, codes) for instructions in batch]
         assert want[0][100] == n - 1 and want[0][2300] == n
-        results, folded, nominal = fold_rows(batch, codes, [n, n], [(0, want[0].size)] * 2)
+        results, folded, nominal = fold_rows(batch, codes, [n, n])
         for (positions, hit_scores, _), scores in zip(results, want):
             (expected,) = np.nonzero(scores >= n)
             assert np.array_equal(positions, expected)
@@ -551,17 +575,15 @@ class TestFoldOrder:
         thresholds = [0, 1, int(np.median(want)), top, top + 1, top]
         bounds = [(0, want.size)] * 5 + [(37, want.size - 70)]
         results = bitscore.hits_batch(
-            [instructions] * len(thresholds), codes, thresholds, bounds, keep_scores=True
-        )
+            [instructions] * 5, codes, thresholds[:5], keep_scores=True
+        ) + _scan_slice([instructions], codes, thresholds[5:], *bounds[5], True)
         for threshold, (lo, hi), (hits, hit_scores, kept) in zip(thresholds, bounds, results):
             window = want[lo:hi]
             (expected,) = np.nonzero(window >= threshold)
             assert np.array_equal(hits, expected), (n, threshold, lo)
             assert np.array_equal(hit_scores, window[expected]), (n, threshold)
             assert np.array_equal(kept, window), (n, lo, hi)
-        ((hits, hit_scores, _),), folded, nominal = fold_rows(
-            [instructions], codes, [0], [(0, want.size)]
-        )
+        ((hits, hit_scores, _),), folded, nominal = fold_rows([instructions], codes, [0])
         assert np.array_equal(hits, np.arange(want.size))
         assert np.array_equal(hit_scores, want)
         assert folded == nominal == 4 * n
@@ -580,9 +602,7 @@ class TestFoldOrder:
         wants = [_naive_by_element(q, codes) for q in batch]
         thresholds = [-(-9 * q.size // 10) for q in batch]
         thresholds += [int(w.max()) for w in wants]
-        spans = [q.size for q in batch] * 2
-        bounds = [(0, codes.size - s + 1) for s in spans]
-        results = bitscore.hits_batch(batch * 2, codes, thresholds, bounds)
+        results = bitscore.hits_batch(batch * 2, codes, thresholds)
         for (hits, hit_scores, _), want, threshold in zip(results, wants * 2, thresholds):
             (expected,) = np.nonzero(want >= threshold)
             assert expected.size > 0
@@ -663,20 +683,29 @@ def test_plane_build_writes_only_the_words_asked_for(rng, words):
     assert (short[:, words:] == sentinel).all()
 
 
-@requires_native
-@pytest.mark.parametrize("bounds", [(-1, 10), (5, 4), (0, 52)])
-def test_hits_batch_refuses_bounds_outside_the_positions(bounds):
-    """The kernel reads planes sized from the bounds: bad ones never reach it."""
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+@pytest.mark.parametrize(
+    "start, stop, kept", [(5, 4, 0), (0, 52, 51), (50, 99, 1), (51, 60, 0), (70, 90, 0)]
+)
+def test_scan_windows_clips_windows_to_the_positions(kernel, start, stop, kept):
+    """A window keeps ``[start, min(stop, positions))``: a stop before its
+    start, or past the last position, never reads outside the reference."""
     instructions = encode_query("MK").as_array()  # 6 elements: 51 positions
-    codes = np.zeros(56, dtype=np.uint8)
-    with pytest.raises(ValueError, match="outside"):
-        bitscore.hits_batch([instructions], codes, [1], [bounds])
+    with batch_kernel(kernel):
+        rows, positions = bitscore.scan_windows(
+            packing.pack(np.zeros(56, dtype=np.uint8)), [(0, 56, start, stop)],
+            bitscore.prepare_batch([instructions]), [0], True,
+        )
+    assert positions == kept and rows.counts.tolist() == [[kept]]
+    assert np.array_equal(rows.positions[0], np.arange(kept))
+    assert rows.scores[0].size == kept
 
 
-def test_codes_outside_the_alphabet_take_the_numpy_body():
-    """The NumPy body's IndexError, never a read outside the truth masks."""
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+def test_codes_outside_the_alphabet_are_refused(kernel):
+    """The packer's ValueError on either body, never a read outside the truth masks."""
     instructions = encode_query("MK").as_array()
-    with pytest.raises(IndexError):
+    with batch_kernel(kernel), pytest.raises(ValueError, match="0..3"):
         bitscore.scores_batch([instructions], np.full(20, 7, dtype=np.uint8))
 
 
@@ -761,8 +790,18 @@ def _image(references):
 
 def _assert_task_is_naive(references, windows, batch, thresholds, keep_scores):
     """One ``scan_windows`` call over ``windows`` = (reference, start, stop)
-    rows equals ``naive``, cell by cell; returns the cells, window-major,
-    as ``(hits, hit_scores, kept scores | None)`` cut from the rows."""
+    rows equals ``naive``, cell by cell, on each body in turn; returns the
+    last body's cells, window-major, as ``(hits, hit_scores, kept scores |
+    None)`` cut from the rows."""
+    for kernel in BATCH_KERNELS:
+        with batch_kernel(kernel):
+            cells = _assert_cells_are_naive(
+                references, windows, batch, thresholds, keep_scores
+            )
+    return cells
+
+
+def _assert_cells_are_naive(references, windows, batch, thresholds, keep_scores):
     image, offsets = _image(references)
     spans = [
         (int(offsets[r]), references[r].codes.size, start, stop)
@@ -792,7 +831,7 @@ def _assert_task_is_naive(references, windows, batch, thresholds, keep_scores):
             cells.append(cell)
             hits, hit_scores, kept = cell
             (expected,) = np.nonzero(want >= threshold)
-            where = (r, start, stop, q, threshold)
+            where = (bitscore.batch_kernel(), r, start, stop, q, threshold)
             assert hits.dtype == np.int64 and hit_scores.dtype == np.int32
             assert np.array_equal(hits, expected), where
             assert np.array_equal(hit_scores, want[expected]), where
@@ -810,14 +849,17 @@ def _palette_query(rng, span):
     return rng.choice(PALETTE, span).astype(np.uint8)
 
 
-@requires_native
 class TestScanTask:
-    """``fabp_scan_task`` (through ``bitscore.scan_windows``) against ``naive``.
+    """``bitscore.scan_windows`` against ``naive``, on both of its bodies.
 
-    It reads 2-bit codes straight from the packed image: windows start at
-    every phase of a byte and of a 64-nt word, references end inside a
-    byte, planes are built a block at a time with a halo of the longest
-    query's span, and hit rows start small and grow.
+    The compiled kernel (``fabp_scan_task``) reads 2-bit codes straight
+    from the packed image: windows start at every phase of a byte and of a
+    64-nt word, references end inside a byte, planes are built a block at
+    a time with a halo of the longest query's span, and hit rows start
+    small and grow.  The NumPy body unpacks each window with its look-back
+    and the longest query's halo and clips every query to its own
+    positions; each case runs on it too (on the NumPy body twice where the
+    kernel was not built).
     """
 
     @pytest.fixture(scope="class")
@@ -938,25 +980,28 @@ class TestScanTask:
         image, offsets = _image(short)
         windows = [(int(offsets[r]), ref.codes.size, 0, ref.codes.size)
                    for r, ref in enumerate(short)]
-        rows, _ = bitscore.scan_windows(
-            image, windows, bitscore.prepare_batch(batch), None, True
-        )
-        assert not rows.counts.any()
-        for q, instructions in enumerate(batch):
-            assert rows.positions[q].size == rows.hit_scores[q].size == 0
-            # Query q's row is its scores over every reference, one after another.
-            want = [reference.scores(instructions) for reference in short]
-            assert np.array_equal(rows.scores[q], np.concatenate(want))
+        for kernel in BATCH_KERNELS:
+            with batch_kernel(kernel):
+                rows, _ = bitscore.scan_windows(
+                    image, windows, bitscore.prepare_batch(batch), None, True
+                )
+            assert not rows.counts.any()
+            for q, instructions in enumerate(batch):
+                assert rows.positions[q].size == rows.hit_scores[q].size == 0
+                # Query q's row is its scores over every reference, one after another.
+                want = [reference.scores(instructions) for reference in short]
+                assert np.array_equal(rows.scores[q], np.concatenate(want)), kernel
 
 
-@requires_native
 @pytest.mark.parametrize("window", [(-1, 40, 0, 10), (0, 40, -3, 10), (0, -1, 0, 10)])
 def test_scan_windows_refuses_negative_windows(window):
-    """The kernel reads the image from each offset and start: bad rows never reach it."""
+    """The kernel reads the image from each offset and start: bad rows never
+    reach either body."""
     image = packing.pack(np.zeros(40, dtype=np.uint8))
     prepared = bitscore.prepare_batch([encode_query("MK").as_array()])
-    with pytest.raises(ValueError, match="non-negative"):
-        bitscore.scan_windows(image, [window], prepared, [1], False)
+    for kernel in BATCH_KERNELS:
+        with batch_kernel(kernel), pytest.raises(ValueError, match="non-negative"):
+            bitscore.scan_windows(image, [window], prepared, [1], False)
 
 
 @requires_native

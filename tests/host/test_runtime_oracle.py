@@ -306,8 +306,9 @@ def numpy_body(monkeypatch, small_chunk_floor):
 
 
 class TestNumpyBody:
-    """``WindowTask.run``'s per-window branch: each window unpacked with
-    the pass's longest halo, then clipped to every query's own positions.
+    """``scan_windows``'s NumPy body under every runtime: each window
+    unpacked with the pass's longest halo, then clipped to every query's
+    own positions.
     ``MIXED`` puts queries of 36 and 21 elements in one pass, so a window
     that ends inside a reference holds positions past its stop for the
     shorter one."""

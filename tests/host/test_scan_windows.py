@@ -6,13 +6,16 @@ whole reference in one call — including the ``x_bit_rows`` look-back
 context at every seam and the ``keep_scores`` reconstruction.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.core.test_scan_kernel import BATCH_KERNELS, batch_kernel
 
+from repro.core import bitscore
 from repro.core.aligner import scores_from_codes
 from repro.core.encoding import encode_query
 from repro.host import windows
@@ -143,8 +146,26 @@ class TestPlanWindows:
         assert all(c >= min_cells for c in cells[:-1])
 
 
+def _scans(database, spans, encoded, threshold):
+    """One query's ``scan_windows`` rows over ``spans`` = (reference, start,
+    stop) of ``database``, scores kept, on each body in turn: ``(counts,
+    positions, hit_scores, scores)`` per body."""
+    for kernel in BATCH_KERNELS:
+        with batch_kernel(kernel):
+            rows, _ = bitscore.scan_windows(
+                database.buffer,
+                [
+                    (int(database.byte_offsets[r]), int(database.lengths[r]), start, stop)
+                    for r, start, stop in spans
+                ],
+                bitscore.prepare_batch([encoded]), [threshold], True,
+            )
+        yield rows.counts[:, 0], rows.positions[0], rows.hit_scores[0], rows.scores[0]
+
+
 class TestWindowedScanBitIdentity:
-    """Windowed scores == whole-reference scores, slice for slice."""
+    """Windowed scores == whole-reference scores, slice for slice, on each
+    body of ``scan_windows``."""
 
     @pytest.mark.parametrize("residues", [5, 30, 250])
     def test_long_reference_merges_bit_identical(self, rng, residues):
@@ -154,34 +175,20 @@ class TestWindowedScanBitIdentity:
         reference = random_rna(20_000, rng=rng).letters
         database = PackedDatabase.from_references([reference])
         length = int(database.lengths[0])
-        full = scores_from_codes(encoded, codes_from_text(reference))
+        full = scores_from_codes(encoded, codes_from_text(reference), "naive")
 
         chunks = windows.plan_windows([length], span, 2, target_positions=777)
-        all_windows = [w for chunk in chunks for w in chunk]
-        assert len(all_windows) > 10  # the seam case, many times over
-        cells = []
-        for w in all_windows:
-            codes, lookback = windows.window_codes(
-                database.buffer, int(database.byte_offsets[0]), length,
-                w.start, w.stop, span,
-            )
-            scores = scores_from_codes(encoded, codes)
-            kept = scores[lookback : lookback + w.positions]
-            hits = np.nonzero(kept >= span)[0]
-            cells.append((hits.astype(np.int64), kept[hits], kept))
+        spans = [(w.reference, w.start, w.stop) for chunk in chunks for w in chunk]
+        assert len(spans) > 10  # the seam case, many times over
         # One query's rows over the windows, window after window, as a
         # scan task returns them and the session merge joins them.
-        merged = windows.split_rows(
-            [(w.reference, w.start, w.stop) for w in all_windows],
-            [hits.size for hits, _, _ in cells],
-            *(np.concatenate(row) for row in zip(*cells)),
-            [length], span, [0],
-        )
-        positions, hit_scores, scores, merged_length = merged[0]
-        assert merged_length == length
-        assert np.array_equal(scores, full)
-        assert np.array_equal(positions, np.nonzero(full >= span)[0])
-        assert np.array_equal(hit_scores, full[positions])
+        for rows in _scans(database, spans, encoded, span):
+            merged = windows.split_rows(spans, *rows, [length], span, [0])
+            positions, hit_scores, scores, merged_length = merged[0]
+            assert merged_length == length
+            assert np.array_equal(scores, full)
+            assert np.array_equal(positions, np.nonzero(full >= span)[0])
+            assert np.array_equal(hit_scores, full[positions])
 
     def test_many_references_split_bit_identical(self, rng):
         """Windows of several references, some shorter than the query, in
@@ -194,48 +201,37 @@ class TestWindowedScanBitIdentity:
         plan = windows.plan_windows(lengths, span, 2, target_positions=311)
         spans = [(w.reference, w.start, w.stop) for chunk in plan for w in chunk]
         threshold = span // 2
-        cells = []
-        for reference, start, stop in spans:
-            codes, lookback = windows.window_codes(
-                database.buffer, int(database.byte_offsets[reference]),
-                lengths[reference], start, stop, span,
-            )
-            kept = scores_from_codes(encoded, codes)[lookback : lookback + stop - start]
-            hits = np.nonzero(kept >= threshold)[0]
-            cells.append((hits.astype(np.int64), kept[hits], kept))
-        rows = [np.concatenate(row) for row in zip(*cells)]
-        counts = [hits.size for hits, _, _ in cells]
-        for references in ([0, 1, 2, 3, 4], [0, 2, 3], [4], []):
-            merged = windows.split_rows(spans, counts, *rows, lengths, span, references)
+        fulls = [scores_from_codes(encoded, codes_from_text(text), "naive") for text in texts]
+        for rows, references in itertools.product(
+            _scans(database, spans, encoded, threshold),
+            ([0, 1, 2, 3, 4], [0, 2, 3], [4], []),
+        ):
+            merged = windows.split_rows(spans, *rows, lengths, span, references)
             assert len(merged) == len(references)
             for reference, (positions, hit_scores, scores, length) in zip(
                 references, merged
             ):
-                full = scores_from_codes(encoded, codes_from_text(texts[reference]))
+                full = fulls[reference]
                 assert length == lengths[reference]
                 assert np.array_equal(scores, full)
                 assert np.array_equal(positions, np.nonzero(full >= threshold)[0])
                 assert np.array_equal(hit_scores, full[positions])
 
     def test_window_start_before_lookback(self, rng):
-        # start in {0, 1} has fewer than LOOKBACK real predecessors; the
-        # kept slice must still match the full scan's boundary behaviour.
+        # start in {0, 1} has fewer than two real predecessors (the
+        # look-back); the kept slice must still match the full scan's
+        # boundary behaviour.
         query = random_protein(4, rng=rng)
         encoded = encode_query(query).as_array()
         span = int(encoded.size)
         reference = random_rna(64, rng=rng).letters
         database = PackedDatabase.from_references([reference])
         length = int(database.lengths[0])
-        full = scores_from_codes(encoded, codes_from_text(reference))
+        full = scores_from_codes(encoded, codes_from_text(reference), "naive")
         for start in (0, 1, 2, 3):
             stop = min(windows.num_positions(length, span), start + 7)
-            codes, lookback = windows.window_codes(
-                database.buffer, 0, length, start, stop, span
-            )
-            kept = scores_from_codes(encoded, codes)[
-                lookback : lookback + (stop - start)
-            ]
-            assert np.array_equal(kept, full[start:stop]), start
+            for _, _, _, kept in _scans(database, [(0, start, stop)], encoded, span):
+                assert np.array_equal(kept, full[start:stop]), start
 
 
 class TestSplitRows:

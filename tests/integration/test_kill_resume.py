@@ -68,7 +68,7 @@ def scan_args(db, queries, *extra):
 def hits_from(report_path):
     payload = json.loads(Path(report_path).read_text())
     return [
-        (q["query"], q["num_hits"], q["report"]["clean"])
+        (q["query"], q["num_hits"], payload["report"]["clean"])
         for q in payload["queries"]
     ]
 
@@ -136,7 +136,7 @@ def test_killed_scan_resumes_to_identical_results(workload):
     assert hits_from(resumed_report) == hits_from(clean_report)
 
     payload = json.loads(resumed_report.read_text())
-    report = payload["queries"][0]["report"]
+    report = payload["report"]
     assert report["resumed"] is True
     assert report["clean"] is True
     # Chunks 0 and 1 came from the checkpoint, untouched; only the

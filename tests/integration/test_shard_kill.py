@@ -187,7 +187,7 @@ def test_killed_shard_runtime_resumes_to_identical_results(workload):
     assert resumed.returncode == 0, resumed.stderr
     assert hit_table(resumed.stdout) == expected
 
-    report = json.loads(resumed_report.read_text())["queries"][0]["report"]
+    report = json.loads(resumed_report.read_text())["report"]
     assert report["version"] == 3
     assert report["clean"] is True
     assert report["chunks"]["from_checkpoint"] == 3
@@ -215,7 +215,7 @@ def test_dead_shard_degrades_to_partial_results(workload):
     assert "DEAD SHARD 0" in result.stdout
     payload = json.loads(report_path.read_text())
     assert payload["dead_shards"] is True
-    report = payload["queries"][0]["report"]
+    report = payload["report"]
     shards = {s["shard"]: s for s in report["shards"]}
     assert shards[0]["status"] == "dead"
     assert "health budget exhausted" in shards[0]["detail"]

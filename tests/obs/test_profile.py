@@ -54,23 +54,22 @@ class TestScanHooks:
         assert hist.count == 2 and hist.sum == 0.5
 
     def test_thresholded_scan_counts_positions_not_hits(self):
-        """A scan window reports the positions it kept, however few pass."""
+        """A thresholded call reports the positions it scored, however few pass."""
         import numpy as np
 
         from repro.core.aligner import hits_batch_from_codes
         from repro.core.encoding import encode_query
 
         state.enable()
-        codes = np.random.default_rng(7).integers(0, 4, 3000).astype(np.uint8)
+        codes = np.random.default_rng(7).integers(0, 4, 1017).astype(np.uint8)
         arrays = [encode_query("MKVLAW").as_array(), encode_query("MK").as_array()]
-        hits = hits_batch_from_codes(
-            arrays, codes, [19, 0], "bitscore_batch", start=2, stop=1002
-        )
-        assert hits[0][0].size == 0 and hits[1][0].size == 1000
+        hits = hits_batch_from_codes(arrays, codes, [19, 0], "bitscore_batch")
+        # 18 elements: 1,000 positions; 6 elements: 1,012, all of them hits.
+        assert hits[0][0].size == 0 and hits[1][0].size == 1012
         assert counter_value("fabp_score_calls_total", engine="bitscore_batch") == 1
         assert (
             counter_value("fabp_score_positions_total", engine="bitscore_batch")
-            == 2000
+            == 2012
         )
 
     def test_scan_merge_totals(self):

@@ -194,6 +194,18 @@ class TestSummarizeRendering:
         assert "attempt:ok" in text and "attempt:raise" in text
         assert "stage:execute" in text
 
+    def test_cli_wrappers_of_both_versions(self):
+        """Version 2 holds the batch's one report; version 1 a copy per query."""
+        queries = [{"query": "q1", "num_hits": 2}, {"query": "q2", "num_hits": 0}]
+        text = summarize_scan_report(
+            {"version": 2, "queries": queries, "report": v2_report()}
+        )
+        assert text.count("chunks [clean]") == 1
+        assert text.startswith("batch: 3/3 chunks [clean]")
+        old = [dict(entry, report=v1_report()) for entry in queries]
+        text = summarize_scan_report({"version": 1, "queries": old})
+        assert "q1: 3/3 chunks [clean]" in text and "q2: 3/3 chunks [clean]" in text
+
     def test_scan_report_shard_table(self):
         report = v2_report()
         report["version"] = 3

@@ -7,7 +7,6 @@ instruction streams (Leu/Arg/Ser/Stop), and references shorter than the
 3-nt look-back window.
 """
 
-import contextlib
 import functools
 import threading
 
@@ -16,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests.core.test_scan_kernel import (
+    BATCH_KERNELS,
     BLOCK,
     CODE_ONLY,
     PALETTE,
     _assert_task_is_naive,
     _Reference,
+    _scan_slice,
+    batch_kernel,
 )
 
 from repro.core import bitscore
@@ -28,7 +30,6 @@ from repro.core.aligner import (
     align,
     alignment_scores,
     alignment_scores_naive,
-    hits_batch_from_codes,
     scores_from_codes,
     search_database,
 )
@@ -50,20 +51,6 @@ rna_strings = st.text(
 #: References shorter than the 3-nt look-back window (the boundary reads
 #: nucleotide A, matching the hardware stream-buffer reset).
 tiny_rna = st.text(alphabet=sorted(alphabet.RNA_NUCLEOTIDES), min_size=1, max_size=2)
-
-
-#: The bodies of ``bitscore.scores_batch``: the compiled kernel (where it
-#: was built) and the NumPy body every host without a compiler runs.
-BATCH_KERNELS = ("native", "numpy")
-
-
-@contextlib.contextmanager
-def batch_kernel(kernel):
-    """Run the block on one body of ``scores_batch``."""
-    with pytest.MonkeyPatch.context() as patch:
-        if kernel == "numpy":
-            patch.setattr(bitscore, "_NATIVE", None)
-        yield
 
 
 def _assert_all_engines_agree(protein, reference):
@@ -205,13 +192,11 @@ def _threshold(kind, span):
 
 
 def _assert_hits_are_naive(arrays, codes, thresholds, start, stop, keep_scores):
-    """``hits_batch_from_codes`` == ``np.nonzero(naive >= t)`` over ``[lo, hi)``."""
+    """A window ``[start, stop)`` of ``scan_windows`` == ``np.nonzero(naive >= t)``
+    over each query's ``[lo, hi)``."""
     for kernel in BATCH_KERNELS:
         with batch_kernel(kernel):
-            got = hits_batch_from_codes(
-                arrays, codes, thresholds, "bitscore_batch",
-                start=start, stop=stop, keep_scores=keep_scores,
-            )
+            got = _scan_slice(arrays, codes, thresholds, start, stop, keep_scores)
         assert len(got) == len(arrays)
         for array, threshold, (positions, hit_scores, scores) in zip(
             arrays, thresholds, got
@@ -237,9 +222,9 @@ def _assert_hits_are_naive(arrays, codes, thresholds, start, stop, keep_scores):
 class TestFusedThreshold:
     """The thresholded scan keeps exactly the naive oracle's hits in its window.
 
-    Every example runs on each body of ``scores_batch`` in turn: the
-    compiled kernel thresholds inside its fold, the NumPy body scores and
-    thresholds in ``hits_batch_from_codes``.
+    Every example runs on each body of ``scan_windows`` in turn: the
+    compiled kernel thresholds inside its fold, the NumPy body scores the
+    window and thresholds the scores.
     """
 
     @given(
@@ -346,10 +331,7 @@ class TestAbandonedTiles:
             for q in (0.5, 0.9, 0.99, 1.0)
             for step in (-1, 0, 1)
         ]
-        results = bitscore.hits_batch(
-            [instructions] * len(thresholds), codes, thresholds,
-            [(lo, hi)] * len(thresholds),
-        )
+        results = _scan_slice([instructions] * len(thresholds), codes, thresholds, lo, hi)
         for threshold, (got, got_scores, kept) in zip(thresholds, results):
             (expected,) = np.nonzero(want[lo:hi] >= threshold)
             where = (elements, positions, lo, hi, threshold)
@@ -406,10 +388,7 @@ class TestFoldOrder:
             for q in (0.5, 0.9, 0.99, 1.0)
             for step in (-1, 0, 1)
         ]
-        results = bitscore.hits_batch(
-            [instructions] * len(thresholds), codes, thresholds,
-            [(lo, hi)] * len(thresholds),
-        )
+        results = _scan_slice([instructions] * len(thresholds), codes, thresholds, lo, hi)
         for threshold, (got, got_scores, kept) in zip(thresholds, results):
             (expected,) = np.nonzero(want[lo:hi] >= threshold)
             where = (elements, positions, lo, hi, threshold)
@@ -417,8 +396,8 @@ class TestFoldOrder:
             assert np.array_equal(got_scores, want[lo:hi][expected]), where
             assert kept is None
         threshold = thresholds[int(rng.integers(0, len(thresholds)))]
-        ((got, got_scores, kept),) = bitscore.hits_batch(
-            [instructions], codes, [threshold], [(lo, hi)], keep_scores=True
+        ((got, got_scores, kept),) = _scan_slice(
+            [instructions], codes, [threshold], lo, hi, keep_scores=True
         )
         (expected,) = np.nonzero(want[lo:hi] >= threshold)
         assert np.array_equal(got, expected) and np.array_equal(kept, want[lo:hi])
@@ -432,9 +411,9 @@ def _long_reference():
     return _Reference(rng.integers(0, 4, 2 * BLOCK + 300).astype(np.uint8))
 
 
-@pytest.mark.skipif(bitscore._NATIVE is None, reason="the compiled kernel is not available")
 class TestScanTask:
-    """One task call over many windows of many references equals ``naive``.
+    """One task call over many windows of many references equals ``naive``,
+    on each body of ``scan_windows``.
 
     Up to sixteen ragged queries drawn from a palette that reads every
     look-back source; references from empty to a few hundred nt, plus (in

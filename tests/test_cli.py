@@ -581,12 +581,15 @@ class TestScan:
             "--report-json", str(artifact),
         )
         assert code == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        # One report for the batch: its summary is printed once.
+        assert out.count(" chunks (") == 1 and "batch of 2 queries: " in out
         payload = json.loads(artifact.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["degraded"] is False
         assert len(payload["queries"]) == 2
-        report = payload["queries"][0]["report"]
+        assert all("report" not in entry for entry in payload["queries"])
+        report = payload["report"]
         assert report["counters"]["corrupt"] == 1
         assert report["clean"] is True
 
@@ -731,7 +734,7 @@ class TestScanShards:
         assert "DEAD SHARD 0" in capsys.readouterr().out
         payload = json.loads(artifact.read_text())
         assert payload["dead_shards"] is True
-        shards = payload["queries"][0]["report"]["shards"]
+        shards = payload["report"]["shards"]
         assert shards[0]["status"] == "dead"
 
     def test_shards_take_chunk_fault_plans(self, synthetic_files, capsys):
@@ -805,7 +808,7 @@ class TestObsCli:
         assert self.scan(db, queries, "--report-json", str(artifact)) == 0
         capsys.readouterr()
         payload = json.loads(artifact.read_text())
-        report = payload["queries"][0]["report"]
+        report = payload["report"]
         assert report["version"] == 3
         assert "execute" in report["metrics"]["stage_seconds"]
         assert report["shards"] == []  # single-shard scans carry no shard rows
