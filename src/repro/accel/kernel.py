@@ -277,7 +277,7 @@ class FabPKernel:
     @staticmethod
     def _codes(reference) -> np.ndarray:
         if isinstance(reference, np.ndarray):
-            return np.asarray(reference, dtype=np.uint8)
+            return packing.codes_from_array(reference)
         if isinstance(reference, str):
             return packing.codes_from_text(reference)
         return packing.codes_from_text(as_rna(reference).letters)

@@ -255,7 +255,7 @@ class RtlKernel:
         the stall/clock-enable path.
         """
         if isinstance(reference, np.ndarray):
-            codes = np.asarray(reference, dtype=np.uint8)
+            codes = packing.codes_from_array(reference)
         elif isinstance(reference, str):
             codes = packing.codes_from_text(reference)
         else:

@@ -990,8 +990,8 @@ def cmd_obs_summarize(args) -> int:
         print(f"fatal: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        if kind == "scan-report" and "queries" not in payload:
-            payload = obs.normalize_report_dict(payload)
+        if kind == "scan-report":
+            payload = obs.normalize_scan_artifact(payload)
         print(json.dumps({"kind": kind, "artifact": payload}, indent=2))
         return 0
     print(f"{args.artifact}: {kind} artifact")
@@ -1260,8 +1260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis of the repo's own source (rules RC001-RC008, "
-        "OB001-OB004, KC001-KC008)",
+        help="static analysis of the repo's own source (rules RC001, RC002, "
+        "RC004, RC006, RC007, OB001-OB004, KC001-KC008)",
     )
     p.add_argument("--root", default=None,
                    help="package directory to analyze (default: the "

@@ -8,23 +8,24 @@ scores the hardware produces, through several interchangeable engines:
 * ``engine="bitscore"`` (default) and its alias ``"bitscore_batch"`` —
   the bit-parallel SWAR engine of :mod:`repro.core.bitscore`: packed match
   bitplanes summed by a carry-save vertical-counter popcount, the software
-  analog of the hardware's Pop36 tree.  One query is a batch of one through
-  :func:`repro.core.bitscore.scores_batch`; ``align`` thresholds through
-  :func:`hits_batch_from_codes`, which on this engine hands the batch to
-  :func:`repro.core.bitscore.hits_batch`, one
-  :func:`~repro.core.bitscore.scan_windows` call (compiled where a C
-  compiler was found, NumPy elsewhere).  Scan tasks call ``scan_windows``
-  directly;
+  analog of the hardware's Pop36 tree.  Its scores are
+  :func:`repro.core.bitscore.scores`; ``align`` thresholds through
+  :func:`repro.core.bitscore.hits_batch`, so the threshold stays inside
+  the fold.  Both are one :func:`~repro.core.bitscore.scan_windows` call
+  (compiled where a C compiler was found, NumPy elsewhere), which scan
+  tasks call directly;
 * ``engine="vectorized"`` — per-element numpy table gathers (the previous
   default, kept as an independent mid-speed implementation);
 * ``engine="naive"`` — straight-line Python, used as a cross-check oracle
   in tests (and the easiest version to read against the paper).
 
-Reference code arrays are checked once, where they come in: a code
-outside 0..3 raises ``ValueError`` on every engine.  All engines are
-bit-identical (enforced by the property-test suite); the LUT-level netlist
-model in :mod:`repro.accel` is verified against this module on randomized
-inputs, so every representation agrees.
+Each entry here is one call to its engine.  Reference code arrays are
+checked once, where they come in (:func:`repro.seq.packing.codes_from_array`).
+A query longer than :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS`, the
+10-bit Pop36 envelope, raises ``ValueError`` on every engine, as the scans
+do.  All engines are bit-identical (enforced by the property-test suite);
+the LUT-level netlist model in :mod:`repro.accel` is verified against this
+module on randomized inputs, so every representation agrees.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core import backtranslate as bt
 from repro.core import bitscore
 from repro.core import comparator as cmp
-from repro.core.contracts import engine_contract
+from repro.core.contracts import MAX_QUERY_ELEMENTS, check_query_elements, engine_contract
 from repro.core.encoding import EncodedQuery, encode_pattern, encode_query
 from repro.obs import profile as _obs_profile
 from repro.obs import state as _obs_state
@@ -147,15 +148,10 @@ def _coerce_query(query: QueryLike) -> EncodedQuery:
 
 
 def _reference_codes(reference: ReferenceLike) -> Tuple[np.ndarray, str]:
-    """``(codes, name)`` of a reference; a code outside 0..3 raises ``ValueError``."""
+    """``(codes, name)`` of a reference; bad code arrays raise ``ValueError``
+    (:func:`repro.seq.packing.codes_from_array`)."""
     if isinstance(reference, np.ndarray):
-        codes = np.asarray(reference, dtype=np.uint8)
-        if codes.size and codes.max() > 3:
-            at = int(np.argmax(codes.ravel() > 3))
-            raise ValueError(
-                f"reference code {reference.ravel()[at]} at position {at} is outside 0..3"
-            )
-        return codes, ""
+        return packing.codes_from_array(reference), ""
     if isinstance(reference, str):
         return packing.codes_from_text(reference), ""
     rna = as_rna(reference)
@@ -247,16 +243,23 @@ def _naive_scores(instructions: np.ndarray, ref_codes: np.ndarray) -> np.ndarray
     return scores
 
 
+def _check_span(num_elements: int) -> None:
+    """Refuse a query past :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS`,
+    as the scans do; an empty query scores as it always has."""
+    if num_elements > MAX_QUERY_ELEMENTS:
+        check_query_elements(num_elements)
+
+
 def scores_from_codes(
     instructions: np.ndarray, ref_codes: np.ndarray, engine: str = DEFAULT_ENGINE
 ) -> np.ndarray:
     """Dispatch scoring of a raw instruction array over a code array.
 
-    This is the single entry point every engine routes through —
-    :mod:`repro.host.scan` workers call it directly on pre-packed codes.
-    With observability enabled (:mod:`repro.obs`) each dispatch records
-    its engine, wall time, and positions scored; disabled, the guard is a
-    single boolean check.
+    The one score dispatch every engine routes through.  A query longer
+    than :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` raises
+    ``ValueError`` on every engine.  With observability enabled
+    (:mod:`repro.obs`) each dispatch records its engine, wall time, and
+    positions scored; disabled, the guard is a single boolean check.
     """
     if not _obs_state.enabled():
         return _dispatch_scores(instructions, ref_codes, engine)
@@ -271,6 +274,7 @@ def scores_from_codes(
 def _dispatch_scores(
     instructions: np.ndarray, ref_codes: np.ndarray, engine: str
 ) -> np.ndarray:
+    _check_span(np.size(instructions))
     if engine == "bitscore" or engine == "bitscore_batch":
         return bitscore.scores(instructions, ref_codes)
     if engine == "vectorized":
@@ -278,97 +282,6 @@ def _dispatch_scores(
     if engine == "naive":
         return _naive_scores(instructions, ref_codes)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
-def scores_batch_from_codes(
-    instruction_batch: List[np.ndarray],
-    ref_codes: np.ndarray,
-    engine: str = DEFAULT_ENGINE,
-) -> List[np.ndarray]:
-    """Dispatch batched scoring of many instruction arrays over one reference.
-
-    Both bitscore names share one comparator/packing pass over the
-    reference across the whole batch (one sweep, ``k`` scores — the
-    software analogue of ``k`` comparator arrays); every other engine is
-    applied per query, so results are engine-for-engine bit-identical to
-    :func:`scores_from_codes` in all cases.  With observability enabled
-    the batch records one score call.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if not _obs_state.enabled():
-        return _dispatch_batch(instruction_batch, ref_codes, engine)
-    start = time.perf_counter()
-    batch = _dispatch_batch(instruction_batch, ref_codes, engine)
-    _obs_profile.record_score_call(
-        engine,
-        time.perf_counter() - start,
-        sum(int(scores.size) for scores in batch),
-    )
-    return batch
-
-
-def _dispatch_batch(
-    instruction_batch: Sequence[np.ndarray], ref_codes: np.ndarray, engine: str
-) -> List[np.ndarray]:
-    if engine == "bitscore" or engine == "bitscore_batch":
-        return bitscore.scores_batch(instruction_batch, ref_codes)
-    return [_dispatch_scores(array, ref_codes, engine) for array in instruction_batch]
-
-
-def hits_batch_from_codes(
-    instruction_batch: Sequence[np.ndarray],
-    ref_codes: np.ndarray,
-    thresholds: Sequence[int],
-    engine: str = DEFAULT_ENGINE,
-    *,
-    keep_scores: bool = False,
-) -> List[bitscore.QueryHits]:
-    """Score a batch of queries over one reference and keep what passes.
-
-    The software counterpart of the comparators behind the FPGA's Pop36
-    counters: query ``q``'s result is the alignment positions scoring at
-    least ``thresholds[q]``, their scores, and — with ``keep_scores`` —
-    every position's score.  The bitscore engines threshold in
-    :func:`repro.core.bitscore.hits_batch` (inside the compiled fold where
-    it was built, and no per-position score is written unless asked);
-    ``vectorized`` and ``naive`` score here and keep the positions
-    ``np.nonzero`` finds.  With observability enabled each call records
-    its engine, wall time and positions scored (not hits).
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-    arrays = [
-        np.asarray(instructions, dtype=np.uint8).ravel()
-        for instructions in instruction_batch
-    ]
-    if not _obs_state.enabled():
-        return _threshold_batch(arrays, ref_codes, thresholds, keep_scores, engine)
-    began = time.perf_counter()
-    hits = _threshold_batch(arrays, ref_codes, thresholds, keep_scores, engine)
-    _obs_profile.record_score_call(
-        engine,
-        time.perf_counter() - began,
-        sum(max(0, ref_codes.size - array.size + 1) for array in arrays),
-    )
-    return hits
-
-
-def _threshold_batch(
-    arrays: List[np.ndarray],
-    ref_codes: np.ndarray,
-    thresholds: Sequence[int],
-    keep_scores: bool,
-    engine: str,
-) -> List[bitscore.QueryHits]:
-    if engine in ("bitscore", "bitscore_batch"):
-        return bitscore.hits_batch(arrays, ref_codes, thresholds, keep_scores=keep_scores)
-    hits: List[bitscore.QueryHits] = []
-    for scores, threshold in zip(_dispatch_batch(arrays, ref_codes, engine), thresholds):
-        positions = np.nonzero(scores >= threshold)[0].astype(np.int64, copy=False)
-        hits.append((positions, scores[positions], scores if keep_scores else None))
-    return hits
 
 
 def alignment_scores(
@@ -391,7 +304,7 @@ def alignment_scores_naive(query: QueryLike, reference: ReferenceLike) -> np.nda
     """Reference implementation with explicit loops (test oracle)."""
     encoded = _coerce_query(query)
     ref_codes, _ = _reference_codes(reference)
-    return _naive_scores(encoded.as_array(), ref_codes)
+    return _dispatch_scores(encoded.as_array(), ref_codes, "naive")
 
 
 # The extended alphabet has 21 letters, so 32 entries hold every residue a
@@ -436,6 +349,7 @@ def alignment_scores_extended(
     ref_codes, _ = _reference_codes(reference)
     sequence = as_protein(protein)
     num_elements = 3 * len(sequence)
+    _check_span(num_elements)
     num_positions = ref_codes.size - num_elements + 1
     if num_positions <= 0:
         return np.zeros(0, dtype=np.int32)
@@ -463,35 +377,6 @@ def alignment_scores_extended(
     return scores
 
 
-def align_prepared(
-    encoded: EncodedQuery,
-    ref_codes: np.ndarray,
-    resolved_threshold: int,
-    *,
-    reference_name: str = "",
-    keep_scores: bool = False,
-    engine: str = DEFAULT_ENGINE,
-) -> AlignmentResult:
-    """Score + threshold with everything pre-resolved.
-
-    Callers that already hold an :class:`EncodedQuery`, a 2-bit code array
-    and an absolute threshold come in here and skip re-coercion entirely;
-    the query is a batch of one through :func:`hits_batch_from_codes`.
-    """
-    ((positions, hit_scores, scores),) = hits_batch_from_codes(
-        [encoded.as_array()], ref_codes, [resolved_threshold], engine,
-        keep_scores=keep_scores,
-    )
-    return AlignmentResult(
-        query=encoded,
-        reference_name=reference_name,
-        reference_length=int(ref_codes.size),
-        threshold=resolved_threshold,
-        hits=tuple(Hit(int(p), int(h)) for p, h in zip(positions, hit_scores)),
-        scores=scores,
-    )
-
-
 def align(
     query: QueryLike,
     reference: ReferenceLike,
@@ -507,18 +392,40 @@ def align(
     scoring and thresholding in one step, mirroring the accelerator's
     end-to-end behaviour (the hardware writes back exactly the positions
     whose score clears the threshold).  ``engine`` selects the scoring
-    implementation (:data:`ENGINES`); all of them are bit-identical.
+    implementation (:data:`ENGINES`); all of them are bit-identical.  The
+    call is one engine call: :func:`repro.core.bitscore.hits_batch` for the
+    bitscore names, the engine's scores and ``np.flatnonzero`` for the
+    others.  A query longer than
+    :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` raises ``ValueError``.
     """
     encoded = _coerce_query(query)
     ref_codes, ref_name = _reference_codes(reference)
     resolved = resolve_threshold(encoded, threshold, min_identity)
-    return align_prepared(
-        encoded,
-        ref_codes,
-        resolved,
+    instructions = encoded.as_array()
+    began = time.perf_counter()
+    if engine in ("bitscore", "bitscore_batch"):
+        # The threshold stays inside the fold: no score is written unless kept.
+        ((positions, hit_scores, scores),) = bitscore.hits_batch(
+            [instructions], ref_codes, [resolved], keep_scores=keep_scores
+        )
+    else:
+        all_scores = _dispatch_scores(instructions, ref_codes, engine)
+        positions = np.flatnonzero(all_scores >= resolved)
+        hit_scores = all_scores[positions]
+        scores = all_scores if keep_scores else None
+    if _obs_state.enabled():
+        _obs_profile.record_score_call(
+            engine,
+            time.perf_counter() - began,
+            max(0, ref_codes.size - instructions.size + 1),
+        )
+    return AlignmentResult(
+        query=encoded,
         reference_name=ref_name,
-        keep_scores=keep_scores,
-        engine=engine,
+        reference_length=int(ref_codes.size),
+        threshold=resolved,
+        hits=tuple(Hit(int(p), int(h)) for p, h in zip(positions, hit_scores)),
+        scores=scores,
     )
 
 

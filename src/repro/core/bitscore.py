@@ -39,11 +39,15 @@ and thresholds in, the passing positions out.  It runs the datapath
 compiled (``scan_kernel.c``, loaded by :mod:`repro.core.native`) wherever
 a C compiler was found, and its NumPy body everywhere else; no caller
 chooses.  A scan task hands it its windows; :func:`hits_batch` (what
-``align`` thresholds through) and :func:`scores_batch` pack their
-reference codes and hand it one window.  The ``bitscore`` engine,
-:func:`scores`, is a batch of one through :func:`scores_batch`.
-:func:`packed_scores` is the same datapath one query at a time in NumPy,
-kept as the sequential side of the batch-amortization benchmark.
+``align`` thresholds through) packs its reference codes and hands it one
+window, and :func:`scores_batch` is ``hits_batch`` without thresholds,
+keeping every score.  The ``bitscore`` engine, :func:`scores`, is a batch
+of one through :func:`scores_batch`.  Every one of them refuses a query
+longer than :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS` (750
+elements, the 10-bit envelope of the Pop36 counter) in
+:func:`prepare_batch`, so the compiled fold needs at most ten counter
+planes.  :func:`packed_scores` is the same datapath one query at a time
+in NumPy, kept as the sequential side of the batch-amortization benchmark.
 
 Every path is bit-identical to :func:`repro.core.aligner.alignment_scores_naive`
 (enforced by the property-test suite in ``tests/property``).
@@ -58,7 +62,12 @@ import numpy as np
 
 from repro.core import comparator as cmp
 from repro.core import native
-from repro.core.contracts import MAX_QUERY_ELEMENTS, engine_contract, kernel_summary
+from repro.core.contracts import (
+    MAX_QUERY_ELEMENTS,
+    check_query_elements,
+    engine_contract,
+    kernel_summary,
+)
 from repro.obs import profile as _obs_profile
 from repro.seq import packing
 
@@ -402,16 +411,11 @@ def _decode_planes(planes: List[np.ndarray], num_positions: int) -> np.ndarray:
     bits = np.unpackbits(
         stacked.view(np.uint8), axis=1, bitorder="little", count=num_positions
     )
-    if len(planes) <= 14:
-        # Counts are bounded by MAX_QUERY_ELEMENTS, so the weighted sum
-        # fits int16 — half the reduction bandwidth of an int32 einsum.
-        weights16 = (1 << np.arange(len(planes))).astype(np.int16)
-        return np.einsum(
-            "l,lp->p", weights16, bits, dtype=np.int16, casting="unsafe"
-        ).astype(np.int32)
-    weights = (1 << np.arange(len(planes))).astype(np.int64)
+    # Counts are bounded by MAX_QUERY_ELEMENTS (10 planes), so the weighted
+    # sum fits int16 — half the reduction bandwidth of an int32 einsum.
+    weights16 = (1 << np.arange(len(planes))).astype(np.int16)
     return np.einsum(
-        "l,lp->p", weights, bits, dtype=np.int64, casting="unsafe"
+        "l,lp->p", weights16, bits, dtype=np.int16, casting="unsafe"
     ).astype(np.int32)
 
 
@@ -591,11 +595,19 @@ class PreparedBatch(NamedTuple):
 
 
 def prepare_batch(instruction_batch: Sequence[np.ndarray]) -> PreparedBatch:
-    """The :class:`PreparedBatch` of ``instruction_batch`` (at least one query)."""
+    """The :class:`PreparedBatch` of ``instruction_batch`` (at least one query).
+
+    A query longer than :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS`
+    raises ``ValueError``: every entry of this module that scores reaches
+    :func:`scan_windows` through here, and the kernel has a fold for no
+    deeper count.  An empty query passes (it scores 0 at every position).
+    """
     arrays = [np.asarray(a, dtype=np.uint8).ravel() for a in instruction_batch]
+    spans = np.array([array.size for array in arrays], dtype=np.int64)
+    if spans.max() > MAX_QUERY_ELEMENTS:
+        check_query_elements(int(spans.max()))
     distinct, concat_rows = np.unique(np.concatenate(arrays), return_inverse=True)
     elements = np.ascontiguousarray(concat_rows, dtype=np.int32).ravel()
-    spans = np.array([array.size for array in arrays], dtype=np.int64)
     return PreparedBatch(
         distinct,
         tuple(np.split(elements, np.cumsum(spans)[:-1])),
@@ -679,6 +691,9 @@ def _native_windows(
         )
         if status == 0:
             break
+        if status == -2:
+            # A span the kernel has no fold for: past MAX_QUERY_ELEMENTS.
+            check_query_elements(int(prepared.spans.max()))
         if status < 0:
             raise MemoryError("scan kernel could not allocate its planes")
         # A hit row is full: grow every row, keep what they hold, resume.
@@ -771,7 +786,7 @@ def _numpy_windows(
 def hits_batch(
     instruction_batch: Sequence[np.ndarray],
     ref_codes: np.ndarray,
-    thresholds: Sequence[int],
+    thresholds: Optional[Sequence[int]],
     *,
     keep_scores: bool = False,
 ) -> List[QueryHits]:
@@ -779,25 +794,17 @@ def hits_batch(
 
     Query ``q``'s result lists the alignment positions whose score is at
     least ``thresholds[q]``, their scores, and — with ``keep_scores`` —
-    the scores of every position.  The reference (codes ``0..3``; any
-    other raises ``ValueError``) is packed to 2 bits and scored by one
-    :func:`scan_windows` call.  The compiled fold writes no per-position
+    the scores of every position; without ``thresholds`` it lists no hits.
+    The reference (codes ``0..3``; any other raises ``ValueError``) is
+    packed to 2 bits and scored by one :func:`scan_windows` call, so a
+    query longer than :data:`~repro.core.contracts.MAX_QUERY_ELEMENTS`
+    raises ``ValueError`` too.  The compiled fold writes no per-position
     score unless asked, and abandons each 512-position tile once no
     position in it can still reach the threshold.
     """
-    return _scan_codes(instruction_batch, ref_codes, thresholds, keep_scores)
-
-
-def _scan_codes(
-    instruction_batch: Sequence[np.ndarray],
-    ref_codes: np.ndarray,
-    thresholds: Optional[Sequence[int]],
-    keep_scores: bool,
-) -> List[QueryHits]:
-    """:func:`hits_batch` (no hits without ``thresholds``)."""
     if not instruction_batch:
         return []
-    ref_codes = np.asarray(ref_codes, dtype=np.uint8)
+    ref_codes = np.asarray(ref_codes)
     # Stop past the last position: every query keeps all of its own.
     window = (0, ref_codes.size, 0, ref_codes.size + 1)
     rows, _ = scan_windows(
@@ -819,10 +826,13 @@ def scores_batch(
     rows are computed **once** for the union of the batch's distinct
     instructions, then every query folds its rows over them.  Each result
     is bit-identical to :func:`packed_scores(instruction_batch[q],
-    ref_codes)`; queries may have ragged lengths.  Kept scores of one
-    :func:`scan_windows` call.
+    ref_codes)`; queries may have ragged lengths.  The kept scores of
+    :func:`hits_batch` without thresholds.
     """
-    return [scores for _, _, scores in _scan_codes(instruction_batch, ref_codes, None, True)]
+    return [
+        scores
+        for _, _, scores in hits_batch(instruction_batch, ref_codes, None, keep_scores=True)
+    ]
 
 
 @engine_contract("bitscore")

@@ -47,7 +47,12 @@ def check_query_elements(num_elements: int) -> None:
     Raises ``ValueError``.  Every database scan (``search_database``,
     ``ScanSession.scan_batch`` and so ``scan_database`` and the sharded
     runtime, ``ScanService.submit`` and ``fabp-repro scan``) calls it before
-    scoring, so none scores a query outside the proven lane budget.
+    scoring, so none scores a query outside the proven lane budget.  The
+    single-reference entries call it only past the limit, where an empty
+    query keeps its all-zero scores: ``aligner._check_span`` (``align``,
+    every ``alignment_scores*``, ``scores_from_codes`` on every engine) and
+    ``bitscore.prepare_batch`` (``bitscore.scores``, ``scores_batch``,
+    ``hits_batch``, ``scan_windows``, and ``align`` on the bitscore names).
     """
     if num_elements == 0:
         raise ValueError("query is empty")

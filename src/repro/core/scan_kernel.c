@@ -68,17 +68,20 @@
  * -1 when not resuming), state[4] and state[5] accumulate the element rows
  * folded and the nominal rows (one element over one tile), state[6] the
  * positions scored, and state[7 + q] the fill of hit row q.  A fresh call
- * passes zeros with state[3] = -1 and zeroed counts.
+ * passes zeros with state[3] = -1 and zeroed counts.  The task returns 0
+ * when done, -1 when it cannot allocate its planes, and -2 for a span
+ * with no fold instance (see Counter depth).
  *
  * Counter depth.  An n-element query's counts lie in [0, n], so
  * max(3, n.bit_length()) counter planes hold every count: ones, twos and
  * fours from the Harley-Seal block, then one plane per further bit.  The
  * fold body is instantiated once for each depth 3-10 (n < 1024, which
  * covers every query up to the 750-element budget), so those counter
- * planes live in registers and the carry ripple unrolls; one instance
- * with a run-time depth serves n >= 1024.  The element loop is unrolled
- * by 64 so that every funnel shift of a full 64-element stretch has a
- * constant count; the 8-row and 1-row tails take run-time shifts.
+ * planes live in registers and the carry ripple unrolls.  There is no
+ * deeper instance: a task with a span of 1024 or more returns -2 before
+ * it folds anything.  The element loop is unrolled by 64 so that every
+ * funnel shift of a full 64-element stretch has a constant count; the
+ * 8-row and 1-row tails take run-time shifts.
  *
  * Abandoning a tile.  A fold that writes hits and no scores, with a
  * threshold t > 0, stops folding a tile once no position in it can pass.
@@ -111,10 +114,11 @@
 
 #define T TILE_WORDS
 
-/* Counter planes: ones, twos and fours at least, at most one per bit of
- * an int32 count (see the header for the depths with their own fold). */
+/* Counter planes: ones, twos and fours at least, and at most ten, the
+ * counter width of a 750-element query (see the header: one fold instance
+ * per depth). */
 #define MIN_LEVELS 3
-#define MAX_LEVELS 32
+#define MAX_LEVELS 10
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -450,8 +454,9 @@ static int64_t fold(const struct fold_job *job, int64_t begin, int64_t room,
     case 7: return FOLD(7);
     case 8: return FOLD(8);
     case 9: return FOLD(9);
-    case 10: return FOLD(10);
-    default: return FOLD(levels);
+    /* levels == MAX_LEVELS: fabp_scan_task refuses any span that needs
+     * more, so no count is folded at a smaller depth than it needs. */
+    default: return FOLD(MAX_LEVELS);
     }
 #undef FOLD
 }
@@ -504,6 +509,9 @@ int64_t fabp_scan_task(const uint8_t *image, int64_t image_bytes,
     const int64_t block = 64 * (int64_t)BLOCK_WORDS;
     int64_t max_span = 1, total_span = 0;
     for (int64_t q = 0; q < num_queries; q++) {
+        /* No fold instance holds a count of 2**MAX_LEVELS. */
+        if (spans[q] >= 1LL << MAX_LEVELS)
+            return -2;
         max_span = spans[q] > max_span ? spans[q] : max_span;
         total_span += spans[q];
     }

@@ -119,7 +119,7 @@ class FabPHost:
     def add_reference(self, reference, name: str = "") -> DatabaseEntry:
         """Pack one reference into DRAM (striped to the emptiest channel)."""
         if isinstance(reference, np.ndarray):
-            codes = np.asarray(reference, dtype=np.uint8)
+            codes = packing.codes_from_array(reference)
         elif isinstance(reference, str):
             codes = packing.codes_from_text(reference)
         else:

@@ -52,6 +52,7 @@ from repro.obs.state import disable, enable, enabled
 from repro.obs.summary import (
     load_artifact,
     normalize_report_dict,
+    normalize_scan_artifact,
     summarize,
     summarize_metrics,
     summarize_scan_report,
@@ -92,6 +93,7 @@ __all__ = [
     "write_trace_json",
     "load_artifact",
     "normalize_report_dict",
+    "normalize_scan_artifact",
     "summarize",
     "summarize_metrics",
     "summarize_scan_report",

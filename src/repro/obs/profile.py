@@ -192,7 +192,12 @@ def stage(
 
 
 def record_score_call(engine: str, seconds: float, positions: int) -> None:
-    """One ``scores_from_codes`` dispatch: engine, wall time, positions."""
+    """One scoring call: engine, wall time, alignment positions scored.
+
+    Recorded once per ``scores_from_codes`` dispatch, once per ``align``
+    call (its one engine call; positions, not hits) and once per scan task
+    (``WindowTask.run``).
+    """
     if not state.enabled():
         return
     REGISTRY.counter(

@@ -246,21 +246,38 @@ def _shard_rows(report: Dict[str, Any]) -> List[List[object]]:
     return rows
 
 
+def normalize_scan_artifact(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A scan-report artifact with every report in it upgraded to v3.
+
+    A bare ``ScanReport`` dict is :func:`normalize_report_dict` itself; a
+    ``--report-json`` wrapper keeps its shape, with its top-level
+    ``report`` (version 2) or each ``queries[i].report`` (version 1, a
+    copy per query) normalized.
+    """
+    if "report" in payload:  # the CLI wrapper: the batch's one report
+        return {**payload, "report": normalize_report_dict(payload["report"])}
+    if "queries" in payload:  # the version-1 CLI wrapper: a copy per query
+        queries = [
+            {**entry, "report": normalize_report_dict(entry.get("report", {}))}
+            for entry in payload["queries"]
+        ]
+        return {**payload, "queries": queries}
+    return normalize_report_dict(payload)
+
+
 def summarize_scan_report(payload: Dict[str, Any]) -> str:
     """Outcome/stage tables from a scan report artifact (v1, v2 or v3)."""
-    reports: List[Tuple[str, Dict[str, Any]]] = []
-    if "report" in payload:  # the CLI wrapper: the batch's one report
-        reports.append(("batch", normalize_report_dict(payload["report"])))
-    elif "queries" in payload:  # the version-1 CLI wrapper: a copy per query
-        for entry in payload.get("queries", []):
-            reports.append(
-                (
-                    str(entry.get("query", "query")),
-                    normalize_report_dict(entry.get("report", {})),
-                )
-            )
-    else:  # a bare ScanReport.to_dict()
-        reports.append(("scan", normalize_report_dict(payload)))
+    payload = normalize_scan_artifact(payload)
+    reports: List[Tuple[str, Dict[str, Any]]]
+    if "report" in payload:
+        reports = [("batch", payload["report"])]
+    elif "queries" in payload:
+        reports = [
+            (str(entry.get("query", "query")), entry["report"])
+            for entry in payload["queries"]
+        ]
+    else:
+        reports = [("scan", payload)]
     sections: List[str] = []
     for name, report in reports:
         entries = _one_report_rows(report)

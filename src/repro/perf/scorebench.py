@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.aligner import DEFAULT_ENGINE, scores_from_codes
-from repro.core.bitscore import batch_kernel
+from repro.core.bitscore import batch_kernel, packed_scores, scores_batch
 from repro.core.encoding import EncodedQuery, encode_query
 from repro.obs import profile as _obs_profile
 from repro.seq.packing import codes_from_text
@@ -288,8 +288,6 @@ def run_batch_benchmark(
     Derived speedups: ``batch_amortization_k{k}`` per batch size,
     ``batch_amortization_native_k{max k}`` and ``session_warm_speedup``.
     """
-    from repro.core.aligner import scores_batch_from_codes
-    from repro.core.bitscore import packed_scores
     from repro.host.scan_session import ScanSession
     from repro.seq.generate import random_protein, random_rna
 
@@ -325,10 +323,7 @@ def run_batch_benchmark(
             repeats,
         )
         wall_batch = _time(
-            lambda subset=subset: scores_batch_from_codes(
-                subset, ref_codes, "bitscore_batch"
-            ),
-            repeats,
+            lambda subset=subset: scores_batch(subset, ref_codes), repeats
         )
         walls = [("bitscore-sequential", wall_seq), ("bitscore_batch", wall_batch)]
         if k == max_k:

@@ -57,14 +57,36 @@ def text_from_codes(codes: np.ndarray) -> str:
     return _RNA_LETTERS[np.asarray(codes, dtype=np.uint8)].tobytes().decode("ascii")
 
 
-def pack(codes: np.ndarray) -> np.ndarray:
-    """Pack a uint8 code array (values 0..3) into a 2-bit-per-element byte array.
+def codes_from_array(codes: np.ndarray) -> np.ndarray:
+    """Check a reference code array and return it as uint8, in one pass for uint8.
 
-    The result is padded with ``A`` (code 0) to a whole number of bytes.
+    A 1-D array of an integer dtype (not ``bool``) whose values all lie in
+    0..3 passes; anything else raises ``ValueError``, naming the first bad
+    value and its position.  Values are checked before the cast, so a code
+    of 259 or -1 is refused, not wrapped into range.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max() > 3:
-        raise ValueError("codes must be in 0..3")
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"reference codes must be integers, not {codes.dtype}")
+    if codes.ndim != 1:
+        raise ValueError(f"reference codes must be 1-D, not {codes.ndim}-D")
+    if codes.dtype == np.uint8:
+        bad = codes.size and codes.max() > 3
+    else:
+        bad = codes.size and (codes.min() < 0 or codes.max() > 3)
+    if bad:
+        at = int(np.argmax((codes < 0) | (codes > 3)))
+        raise ValueError(f"reference code {codes[at]} at position {at} is outside 0..3")
+    return codes.astype(np.uint8, copy=False)
+
+
+def pack(codes: np.ndarray) -> np.ndarray:
+    """Pack a code array (values 0..3) into a 2-bit-per-element byte array.
+
+    The codes are checked by :func:`codes_from_array`.  The result is
+    padded with ``A`` (code 0) to a whole number of bytes.
+    """
+    codes = codes_from_array(codes)
     padded_len = -(-codes.size // 4) * 4
     padded = np.zeros(padded_len, dtype=np.uint8)
     padded[: codes.size] = codes

@@ -15,9 +15,9 @@ invariants are enforced by ``fabp-repro lint``:
 * :mod:`repro.statics.engine` — the rule registry (reusing the
   :class:`repro.lint.Finding` model) plus :func:`analyze_module` /
   :func:`run_statics`;
-* :mod:`repro.statics.concurrency` — rules RC001-RC008: shared-memory
-  lifecycle, fork discipline, atomic durable writes, non-blocking pipe
-  protocols, honest exception handling;
+* :mod:`repro.statics.concurrency` — rules RC001, RC002, RC004, RC006 and
+  RC007: shared-memory lifecycle, atomic durable writes, honest exception
+  handling;
 * :mod:`repro.statics.observability` — rules OB001-OB004: enabled-boolean
   guards, the declared hook catalogue, hot-path label hygiene;
 * :mod:`repro.statics.kernels` — rules KC001-KC008: engine-contract

@@ -1,18 +1,18 @@
-"""Concurrency & resource rules RC001-RC008.
+"""Concurrency & resource rules RC001, RC002, RC004, RC006 and RC007.
 
-These rules encode the lifecycle discipline the host runtime established in
-PRs 3-4 as *machine-checked structure*, so every future scan-runtime change
-is held to it automatically:
+These rules encode the lifecycle discipline of the host runtime as
+*machine-checked structure*, so every future scan-runtime change is held to
+it automatically:
 
 * shared-memory segments are created only where cleanup is provably
   reachable (RC001), attached handles are released or registered (RC007),
   and numpy views are dropped before ``close()`` (RC002);
-* process management goes through sanctioned ``get_context("fork")`` sites
-  with a restricted-platform fallback (RC003) and context-bound pools
-  (RC008);
 * durable files are written temp-then-``os.replace`` only (RC004);
-* pipe-protocol code never blocks without a timeout (RC005) and host
-  exception handlers never silently swallow broad exceptions (RC006).
+* host exception handlers never silently swallow broad exceptions (RC006).
+
+The fork, pipe-protocol and pool rules (RC003, RC005, RC008) are retired:
+scan workers are threads, and ``src/`` has no fork, pipe or pool left for
+them to check.
 
 Every check is a lexical/AST approximation, tuned to be *precise on this
 codebase* and documented in ``docs/static_analysis.md``; accepted false
@@ -23,7 +23,7 @@ positives are suppressed in place with a justified
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.lint import Finding, Rule, Severity
 from repro.statics.discovery import (
@@ -41,12 +41,9 @@ from repro.statics.registry import STATIC_RULES
 CONCURRENCY_RULES: Tuple[str, ...] = (
     "RC001",
     "RC002",
-    "RC003",
     "RC004",
-    "RC005",
     "RC006",
     "RC007",
-    "RC008",
 )
 
 
@@ -245,66 +242,6 @@ def check_view_dropped_before_close(
             )
 
 
-def _inside_valueerror_try(node: ast.AST) -> bool:
-    current = getattr(node, "statics_parent", None)
-    while current is not None:
-        if isinstance(current, ast.Try):
-            for handler in current.handlers:
-                if _handler_catches(handler, "ValueError"):
-                    return True
-        current = getattr(current, "statics_parent", None)
-    return False
-
-
-def _handler_catches(handler: ast.ExceptHandler, exc_name: str) -> bool:
-    kind = handler.type
-    if kind is None:
-        return True
-    names = []
-    if isinstance(kind, ast.Tuple):
-        names = [dotted_name(el) for el in kind.elts]
-    else:
-        names = [dotted_name(kind)]
-    return any(name is not None and name.split(".")[-1] == exc_name for name in names)
-
-
-@STATIC_RULES.register(
-    "RC003",
-    "unsanctioned-fork",
-    Severity.ERROR,
-    "Process creation goes through get_context('fork') wrapped in a "
-    "try/except ValueError fallback — bare os.fork / set_start_method break "
-    "the restricted-platform degradation path.",
-)
-def check_fork_discipline(rule: Rule, module: SourceModule) -> Iterator[Finding]:
-    """Flag bare fork primitives and unguarded get_context('fork') sites."""
-    for call in _calls_in(module.tree):
-        name = call_name(call) or ""
-        tail = name.split(".")[-1]
-        if name == "os.fork":
-            yield rule.finding(
-                _location(module, call),
-                "bare os.fork() bypasses the sanctioned multiprocessing context",
-                suggested_fix="use multiprocessing.get_context('fork')",
-            )
-        elif tail == "set_start_method":
-            yield rule.finding(
-                _location(module, call),
-                "set_start_method() mutates global multiprocessing state for "
-                "every caller in the process",
-                suggested_fix="pass an explicit context object instead",
-            )
-        elif tail == "get_context" and call.args:
-            if is_constant(call.args[0], "fork") and not _inside_valueerror_try(call):
-                yield rule.finding(
-                    _location(module, call),
-                    "get_context('fork') without a try/except ValueError "
-                    "fallback raises on platforms without fork",
-                    suggested_fix="wrap in try/except ValueError and fall back "
-                    "to get_context()",
-                )
-
-
 def _is_durable_write(call: ast.Call) -> bool:
     name = call_name(call) or ""
     tail = name.split(".")[-1]
@@ -344,58 +281,6 @@ def check_atomic_checkpoint_writes(
                     f"{func.name}() writes a checkpoint file without "
                     "temp-then-os.replace; a kill mid-write leaves a torn file",
                     suggested_fix="write to a .tmp sibling and os.replace() it",
-                )
-
-
-def _is_protocol_function(func: ast.AST) -> bool:
-    """Functions that speak the duplex-pipe worker protocol (send/recv)."""
-    for call in _calls_in(func):
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-            "send",
-            "recv",
-        ):
-            return True
-    return False
-
-
-def _has_timeout_argument(call: ast.Call) -> bool:
-    if keyword_value(call, "timeout") is not None:
-        return True
-    # positional timeout: join(1.0), wait(handles, 0.5)
-    if isinstance(call.func, ast.Attribute) and call.func.attr == "join":
-        return len(call.args) >= 1
-    return len(call.args) >= 2
-
-
-@STATIC_RULES.register(
-    "RC005",
-    "blocking-call-in-protocol",
-    Severity.ERROR,
-    "Pipe-protocol handlers never block without a timeout: a sleep or an "
-    "unbounded wait/join in protocol code turns one sick worker into a hung "
-    "supervisor.",
-)
-def check_protocol_blocking(rule: Rule, module: SourceModule) -> Iterator[Finding]:
-    """time.sleep / unbounded wait()/join() inside send/recv protocol code."""
-    for func in iter_functions(module.tree):
-        if not _is_protocol_function(func):
-            continue
-        for call in _calls_in(func):
-            name = call_name(call) or ""
-            tail = name.split(".")[-1]
-            if name == "time.sleep" or (name == "sleep" and tail == "sleep"):
-                yield rule.finding(
-                    _location(module, call),
-                    f"{func.name}() sleeps inside pipe-protocol code; the "
-                    "peer is blocked for the whole duration",
-                    suggested_fix="use a deadline the supervisor can interrupt",
-                )
-            elif tail in ("wait", "join") and not _has_timeout_argument(call):
-                yield rule.finding(
-                    _location(module, call),
-                    f"{func.name}() calls {tail}() without a timeout inside "
-                    "pipe-protocol code",
-                    suggested_fix=f"pass timeout= to {tail}()",
                 )
 
 
@@ -467,46 +352,3 @@ def check_attach_released(rule: Rule, module: SourceModule) -> Iterator[Finding]
             suggested_fix="close() in a finally, or store the handle in a "
             "module-level registry",
         )
-
-
-@STATIC_RULES.register(
-    "RC008",
-    "pool-outside-context",
-    Severity.ERROR,
-    "Pools and processes are built from an explicit context object — "
-    "module-level multiprocessing.Pool/Process silently binds whatever "
-    "global start method another import chose.",
-)
-def check_context_bound_pools(rule: Rule, module: SourceModule) -> Iterator[Finding]:
-    """multiprocessing.Pool/Process called on the module, not a context."""
-    bare_imports: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "multiprocessing":
-            for alias in node.names:
-                if alias.name in ("Pool", "Process"):
-                    bare_imports.add(alias.asname or alias.name)
-                    yield rule.finding(
-                        _location(module, node),
-                        f"importing {alias.name} straight from multiprocessing "
-                        "bypasses the sanctioned context",
-                        suggested_fix="use get_context('fork' with fallback) "
-                        f"and context.{alias.name}",
-                    )
-    for call in _calls_in(module.tree):
-        name = call_name(call) or ""
-        if name in ("multiprocessing.Pool", "multiprocessing.Process"):
-            yield rule.finding(
-                _location(module, call),
-                f"{name}() binds the global start method; build it from an "
-                "explicit context object",
-                suggested_fix="context = get_context(...); context."
-                + name.split(".")[-1] + "(...)",
-            )
-        elif name in bare_imports and isinstance(call.func, ast.Name):
-            yield rule.finding(
-                _location(module, call),
-                f"{name}() was imported bare from multiprocessing; build it "
-                "from an explicit context object",
-                suggested_fix="context = get_context(...); context."
-                + name + "(...)",
-            )

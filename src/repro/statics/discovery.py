@@ -8,8 +8,8 @@ Suppression pragmas are line-anchored comments::
 
     segment = make_segment()  # statics: ignore[RC001] owned by the caller
 
-    # statics: ignore[RC005, RC006] injected fault; supervised by the parent
-    time.sleep(hang_seconds)
+    # statics: ignore[RC004, RC006] scratch copy; the caller reports errors
+    path.write_text(payload)
 
 A pragma suppresses the listed rule ids on its own line and on the line
 immediately below it (so long statements can carry the pragma on a

@@ -162,6 +162,53 @@ class TestReferenceCodes:
         with pytest.raises(ValueError, match="reference code -1 at position 3"):
             align("MK", codes, threshold=1)
 
+    @staticmethod
+    def _entry_points():
+        from repro.accel.kernel import FabPKernel
+        from repro.host.scan import scan_database
+        from repro.host.session import FabPHost
+
+        return {
+            "align": lambda codes: align("MK", codes, threshold=1),
+            "search_database": lambda codes: search_database("MK", [codes], threshold=1),
+            "scan_database": lambda codes: scan_database("MK", [codes], threshold=1),
+            "FabPHost.add_reference": lambda codes: FabPHost().add_reference(codes),
+            "FabPKernel.run": lambda codes: FabPKernel("MK", threshold=1).run(codes),
+        }
+
+    @pytest.mark.parametrize(
+        "entry", ["align", "search_database", "scan_database",
+                  "FabPHost.add_reference", "FabPKernel.run"]
+    )
+    def test_wide_codes_are_checked_before_the_cast(self, entry):
+        """259 (int64) would cast to 3, and 256 + a code to the code."""
+        call = self._entry_points()[entry]
+        codes = np.zeros(30, dtype=np.int64)
+        codes[5] = 259
+        with pytest.raises(ValueError, match="reference code 259 at position 5"):
+            call(codes)
+        with pytest.raises(ValueError, match="reference code 256 at position 0"):
+            call(np.zeros(30, dtype=np.uint8).astype(np.int64) + 256)
+
+    @pytest.mark.parametrize(
+        "entry", ["align", "search_database", "scan_database",
+                  "FabPHost.add_reference", "FabPKernel.run"]
+    )
+    def test_float_bool_and_2d_code_arrays_are_refused(self, entry):
+        call = self._entry_points()[entry]
+        with pytest.raises(ValueError, match="integers, not float64"):
+            call(np.full(30, 2.9))
+        with pytest.raises(ValueError, match="integers, not bool"):
+            call(np.ones(30, dtype=bool))
+        with pytest.raises(ValueError, match="1-D, not 2-D"):
+            call(np.zeros((3, 10), dtype=np.uint8))
+
+    def test_integer_codes_of_any_width_score_as_uint8(self):
+        codes = np.random.default_rng(5).integers(0, 4, 60)
+        want = align("MK", codes.astype(np.uint8), threshold=2)
+        for dtype in (np.int8, np.uint16, np.int32, np.int64):
+            assert align("MK", codes.astype(dtype), threshold=2) == want
+
 
 class TestResultObjects:
     """Scans keep one result per query and reference: no per-instance dict."""

@@ -4,10 +4,10 @@
 and its NumPy body otherwise.  The edge cases here sit where the C code
 could go wrong: word and tile edges (a tile is 8 words, 512 positions),
 references shorter than the look-back window, dependent-only queries,
-ragged batches that size the shared planes, counters wider than the
-750-element budget, the fold's 8-row block and 64-element unroll, the
-change from fixed-depth fold instances to the run-time-depth one at 1,024
-elements, the plane build's direct and complemented minterm sums (over the
+ragged batches that size the shared planes, the fold's 8-row block and
+64-element unroll, the counter depths up to the top of the 750-element
+envelope and the kernel's refusal of a span it has no fold for, the plane
+build's direct and complemented minterm sums (over the
 context, and over the code alone for masks that ignore the look-back),
 builds cut short to the words a block's folds read, the bound that lets a
 hits-only fold abandon a tile, and the fold order (each residue class mod
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import bitscore, native
-from repro.core.aligner import scores_batch_from_codes, scores_from_codes
+from repro.core.aligner import scores_from_codes
 from repro.core.encoding import encode_query, pad_instruction
 from repro.seq.generate import random_protein
 from repro.seq import packing
@@ -164,23 +164,23 @@ class TestNativeKernel:
 
     def test_ragged_batch_sizes_planes_for_every_member(self, rng):
         """The longest member keeps one position; the shortest has the most."""
-        codes = rng.integers(0, 4, 1100).astype(np.uint8)
-        lengths = (1, 37, 170, 366)  # 366 aa = 1098 elements: 3 positions
+        codes = rng.integers(0, 4, 750).astype(np.uint8)
+        lengths = (1, 37, 170, 249)  # 249 aa = 747 elements: 4 positions
         batch = [encode_query(random_protein(aa, rng=rng)).as_array() for aa in lengths]
         batch.append(rng.integers(0, 64, codes.size).astype(np.uint8))  # 1 position
         _assert_batch_is_naive(batch, codes)
 
-    def test_query_past_the_lane_budget_is_exact(self, rng):
-        """1,200 elements need 11 counter planes, not the 10 of 750."""
-        protein = random_protein(400, rng=rng)
-        instructions = encode_query(protein).as_array()
-        assert instructions.size == 1200
-        codes = rng.integers(0, 4, 2500).astype(np.uint8)
-        # A planted back-translation scores past 10 bits at position 100.
-        codes[100:1300] = codes_from_text(encode_protein_as_rna(protein, rng=rng).letters)
-        got = scores_from_codes(instructions, codes, "bitscore_batch")
-        assert got[100] >= 1 << 10
-        assert np.array_equal(got, _naive(instructions, codes))
+    def test_span_with_no_fold_instance_is_refused(self, monkeypatch):
+        """The kernel folds at most ten counter planes: a 1,024-element span
+        let past ``prepare_batch`` returns its error status, raised as the
+        envelope's ValueError, and is never folded at a smaller depth."""
+        monkeypatch.setattr(bitscore, "MAX_QUERY_ELEMENTS", 2000)
+        codes = np.zeros(1100, dtype=np.uint8)
+        # Instruction 0 matches A: over all-A codes every count is the span.
+        (scores,) = bitscore.scores_batch([np.zeros(1023, dtype=np.uint8)], codes)
+        assert scores.tolist() == [1023] * 78
+        with pytest.raises(ValueError, match="1024 elements.*MAX_QUERY_ELEMENTS = 750"):
+            bitscore.scores_batch([np.zeros(1024, dtype=np.uint8)], codes)
 
     def test_matches_numpy_body_on_a_long_reference(self, rng, monkeypatch):
         batch = [encode_query(random_protein(aa, rng=rng)).as_array() for aa in (250, 80)]
@@ -196,14 +196,14 @@ class TestFoldBoundaries:
     """Fused hits and kept scores against ``naive`` at every fold boundary.
 
     Counts 1-130 cross the 8-row block and the 64-element unroll twice;
-    511-513 cross counter depth 9 -> 10, and 1,023-1,025 cross 10 -> 11,
-    where the last two counts run the run-time-depth fold.  Positions span
-    several 512-position tiles, and one batch member keeps a slice whose
-    ends are not word-aligned.
+    511-513 cross counter depth 9 -> 10, and 745-750 end at the top of the
+    750-element envelope, the deepest counts the depth-10 fold holds.
+    Positions span several 512-position tiles, and one batch member keeps
+    a slice whose ends are not word-aligned.
     """
 
-    INSTRUCTIONS = np.random.default_rng(25).integers(0, 64, 1025).astype(np.uint8)
-    CODES = np.random.default_rng(26).integers(0, 4, 1025 + 599).astype(np.uint8)
+    INSTRUCTIONS = np.random.default_rng(25).integers(0, 64, 750).astype(np.uint8)
+    CODES = np.random.default_rng(26).integers(0, 4, 750 + 599).astype(np.uint8)
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -211,8 +211,8 @@ class TestFoldBoundaries:
 
     @pytest.mark.parametrize(
         "counts",
-        [range(1, 131), range(511, 514), range(1023, 1026)],
-        ids=["1-130", "511-513", "1023-1025"],
+        [range(1, 131), range(511, 514), range(745, 751)],
+        ids=["1-130", "511-513", "745-750"],
     )
     def test_hits_and_kept_scores_match_naive(self, oracle, counts):
         for n in counts:
@@ -294,8 +294,8 @@ class TestAbandonedTiles:
     """
 
     #: Counter depth 3 (n < 8: single rows only, never abandoned), 4-10,
-    #: and the run-time depth past 1,023.
-    COUNTS = [5, 8, 20, 40, 100, 200, 300, 750, 1030]
+    #: up to the top of the 750-element envelope.
+    COUNTS = [5, 8, 20, 40, 100, 200, 300, 745, 750]
 
     @staticmethod
     def _case(n, seed, positions=6 * 512 - 3):
@@ -465,11 +465,11 @@ class TestFoldOrder:
     the query order could not abandon before its end), and scores are the
     same sums in any order.  Counts 5-65 cross the single-element classes
     (n <= 64, where the order is the identity) into the first class of two;
-    150 and 750 (n % 64 = 46) have ragged classes; 1,023-1,030 run the
-    run-time-depth fold.
+    150 and 745-750 (n % 64 = 41-46) have ragged classes, the last at the
+    top of the 750-element envelope.
     """
 
-    COUNTS = [5, 63, 64, 65, 150, 750, *range(1023, 1031)]
+    COUNTS = [5, 63, 64, 65, 150, *range(745, 751)]
 
     @staticmethod
     def _case(n, seed, positions=6 * 512 - 3):
@@ -718,7 +718,7 @@ class TestFallback:
         monkeypatch.setattr(bitscore, "_NATIVE", library)
         instructions = encode_query(random_protein(20, rng=rng)).as_array()
         codes = rng.integers(0, 4, 700).astype(np.uint8)
-        (got,) = scores_batch_from_codes([instructions], codes, "bitscore_batch")
+        (got,) = bitscore.scores_batch([instructions], codes)
         assert np.array_equal(got, _naive(instructions, codes))
 
     def test_failed_build_leaves_no_files(self, tmp_path, monkeypatch):

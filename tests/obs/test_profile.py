@@ -57,20 +57,16 @@ class TestScanHooks:
         """A thresholded call reports the positions it scored, however few pass."""
         import numpy as np
 
-        from repro.core.aligner import hits_batch_from_codes
-        from repro.core.encoding import encode_query
+        from repro.core.aligner import align
 
         state.enable()
         codes = np.random.default_rng(7).integers(0, 4, 1017).astype(np.uint8)
-        arrays = [encode_query("MKVLAW").as_array(), encode_query("MK").as_array()]
-        hits = hits_batch_from_codes(arrays, codes, [19, 0], "bitscore_batch")
-        # 18 elements: 1,000 positions; 6 elements: 1,012, all of them hits.
-        assert hits[0][0].size == 0 and hits[1][0].size == 1012
-        assert counter_value("fabp_score_calls_total", engine="bitscore_batch") == 1
-        assert (
-            counter_value("fabp_score_positions_total", engine="bitscore_batch")
-            == 2012
-        )
+        for engine in ("bitscore_batch", "naive"):
+            # 18 elements: 1,000 positions; 6 elements: 1,012, all of them hits.
+            assert not align("MKVLAW", codes, threshold=18, engine=engine).hits
+            assert len(align("MK", codes, threshold=0, engine=engine).hits) == 1012
+            assert counter_value("fabp_score_calls_total", engine=engine) == 2
+            assert counter_value("fabp_score_positions_total", engine=engine) == 2012
 
     def test_scan_merge_totals(self):
         state.enable()

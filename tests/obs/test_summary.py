@@ -9,6 +9,7 @@ from repro.obs.summary import (
     SCAN_REPORT_VERSION,
     load_artifact,
     normalize_report_dict,
+    normalize_scan_artifact,
     summarize,
     summarize_metrics,
     summarize_scan_report,
@@ -205,6 +206,21 @@ class TestSummarizeRendering:
         old = [dict(entry, report=v1_report()) for entry in queries]
         text = summarize_scan_report({"version": 1, "queries": old})
         assert "q1: 3/3 chunks [clean]" in text and "q2: 3/3 chunks [clean]" in text
+
+    def test_normalize_scan_artifact_upgrades_every_report(self):
+        """Bare reports and both wrapper versions; the input is not mutated."""
+        queries = [{"query": "q1", "num_hits": 2}, {"query": "q2", "num_hits": 0}]
+        old = {"version": 1, "queries": [dict(entry, report=v1_report()) for entry in queries]}
+        new = {"version": 2, "queries": queries, "report": v2_report()}
+        assert normalize_scan_artifact(v1_report()) == normalize_report_dict(v1_report())
+        upgraded = normalize_scan_artifact(old)
+        assert [entry["report"] for entry in upgraded["queries"]] == [
+            normalize_report_dict(v1_report())
+        ] * 2
+        assert old["queries"][0]["report"]["version"] == 1
+        upgraded = normalize_scan_artifact(new)
+        assert upgraded["report"] == normalize_report_dict(v2_report())
+        assert upgraded["queries"] == queries and new["report"]["version"] == 2
 
     def test_scan_report_shard_table(self):
         report = v2_report()

@@ -26,6 +26,7 @@ from tests.core.test_scan_kernel import (
 )
 
 from repro.core import bitscore
+from repro.core.contracts import MAX_QUERY_ELEMENTS
 from repro.core.aligner import (
     align,
     alignment_scores,
@@ -132,32 +133,30 @@ class TestBatchEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_ragged_batch_matches_per_query_sweeps(self, batch, reference):
-        from repro.core.aligner import scores_batch_from_codes
-
         arrays = [encode_query(p).as_array() for p in batch]
         codes = codes_from_text(reference)
         # One query at a time, outside scores_batch.
         solo = [bitscore.packed_scores(a, codes) for a in arrays]
         for kernel in BATCH_KERNELS:
             with batch_kernel(kernel):
+                runs = {"scores_batch": bitscore.scores_batch(arrays, codes)}
                 for engine in ("bitscore_batch", "bitscore", "vectorized"):
-                    shared = scores_batch_from_codes(arrays, codes, engine)
-                    assert len(shared) == len(solo)
-                    for got, want in zip(shared, solo):
-                        assert got.dtype == want.dtype
-                        assert np.array_equal(got, want), (kernel, engine)
+                    runs[engine] = [scores_from_codes(a, codes, engine) for a in arrays]
+            for name, shared in runs.items():
+                assert len(shared) == len(solo)
+                for got, want in zip(shared, solo):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (kernel, name)
 
     @given(protein=type_iii_proteins, reference=rna_strings)
     @settings(max_examples=25, deadline=None)
     def test_batch_of_one_is_the_plain_sweep(self, protein, reference):
-        from repro.core.aligner import scores_batch_from_codes
-
         array = encode_query(protein).as_array()
         codes = codes_from_text(reference)
         want = bitscore.packed_scores(array, codes)
         for kernel in BATCH_KERNELS:
             with batch_kernel(kernel):
-                (got,) = scores_batch_from_codes([array], codes, "bitscore_batch")
+                (got,) = bitscore.scores_batch([array], codes)
             assert np.array_equal(got, want), kernel
 
     @given(
@@ -168,13 +167,11 @@ class TestBatchEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_duplicate_queries_score_identically(self, protein, reference, copies):
         """The shared planes must not cross-talk between identical lanes."""
-        from repro.core.aligner import scores_batch_from_codes
-
         arrays = [encode_query(protein).as_array() for _ in range(copies)]
         codes = codes_from_text(reference)
         for kernel in BATCH_KERNELS:
             with batch_kernel(kernel):
-                shared = scores_batch_from_codes(arrays, codes, "bitscore_batch")
+                shared = bitscore.scores_batch(arrays, codes)
             for got in shared[1:]:
                 assert np.array_equal(got, shared[0]), kernel
 
@@ -289,8 +286,8 @@ class TestAbandonedTiles:
     """A hits-only fold abandons the tiles no position of which can pass;
     its hits still equal ``naive`` at every threshold near the top scores.
 
-    Queries of 1-1,100 elements cover every counter depth, over up to six
-    512-position tiles.  Most elements
+    Queries of 1-750 elements cover every counter depth of the envelope,
+    over up to six 512-position tiles.  Most elements
     match one nucleotide exactly and a few are drawn from a small random
     palette of instructions; up to three copies of the query, some with
     mismatches, are planted in ``[lo, hi)`` so the top of its score
@@ -309,7 +306,7 @@ class TestAbandonedTiles:
     def test_quantile_thresholds_match_naive(self, seed, plants):
         rng = np.random.default_rng(seed)
         # As many draws at each counter depth (log-uniform), up to 6 tiles.
-        elements = int(2 ** rng.uniform(0, np.log2(1101)))
+        elements = int(2 ** rng.uniform(0, np.log2(MAX_QUERY_ELEMENTS + 1)))
         positions = int(rng.integers(1, 3001))
         query = rng.integers(0, 4, elements).astype(np.uint8)
         instructions = self.EXACT[query]
@@ -347,7 +344,7 @@ class TestFoldOrder:
     The fold runs each residue class of a query's elements mod 64 lightest
     first (fewest contexts matched), so these queries mix instructions of
     every weight, 16 to 64, look-back ones included, in random proportions:
-    their fold order is not the query order.  1-1,100 elements, up to six
+    their fold order is not the query order.  1-750 elements, up to six
     512-position tiles, ragged bounds, up to three near-copies planted in
     them (code-only elements match, the others take a random code), and
     thresholds at the 50, 90, 99 and 100 % quantiles of the scores in the
@@ -361,7 +358,7 @@ class TestFoldOrder:
     @settings(max_examples=30, deadline=None)
     def test_quantile_thresholds_match_naive(self, seed, plants):
         rng = np.random.default_rng(seed)
-        elements = int(2 ** rng.uniform(0, np.log2(1101)))
+        elements = int(2 ** rng.uniform(0, np.log2(MAX_QUERY_ELEMENTS + 1)))
         positions = int(rng.integers(1, 3001))
         # Code-only instructions (weights 16-64) and all 64, mixed.
         code_only = np.array(sorted(CODE_ONLY), dtype=np.uint8)

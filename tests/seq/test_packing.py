@@ -9,6 +9,41 @@ from repro.seq import packing
 from repro.seq.sequence import DnaSequence, RnaSequence
 
 
+class TestCodesFromArray:
+    """One check for every code array that comes in: dtype, shape, range."""
+
+    def test_uint8_passes_without_a_copy(self):
+        codes = np.array([0, 1, 2, 3, 3], dtype=np.uint8)
+        assert packing.codes_from_array(codes) is codes
+
+    def test_other_integer_widths_are_cast_after_the_check(self):
+        for dtype in (np.int8, np.int16, np.uint32, np.int64):
+            got = packing.codes_from_array(np.array([3, 0, 2], dtype=dtype))
+            assert got.dtype == np.uint8 and got.tolist() == [3, 0, 2]
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            (np.array([0, 1, 259], dtype=np.int64), "code 259 at position 2"),
+            (np.array([0, -1, 2], dtype=np.int16), "code -1 at position 1"),
+            (np.array([0, 3, 4], dtype=np.uint8), "code 4 at position 2"),
+            (np.array([0.0, 2.9]), "integers, not float64"),
+            (np.array([True, False]), "integers, not bool"),
+            (np.zeros((2, 2), dtype=np.uint8), "1-D, not 2-D"),
+            (np.uint8(2), "1-D, not 0-D"),
+        ],
+    )
+    def test_bad_arrays_are_refused(self, codes, message):
+        with pytest.raises(ValueError, match=message):
+            packing.codes_from_array(codes)
+        with pytest.raises(ValueError, match=message):
+            packing.pack(codes)
+
+    def test_empty_integer_array_passes(self):
+        assert packing.codes_from_array(np.zeros(0, dtype=np.int64)).size == 0
+        assert packing.pack(np.zeros(0, dtype=np.uint8)).size == 0
+
+
 class TestCodeConversion:
     def test_codes_from_text(self):
         assert list(packing.codes_from_text("ACGU")) == [0, 1, 2, 3]

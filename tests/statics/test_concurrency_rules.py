@@ -1,4 +1,4 @@
-"""RC001-RC008: one triggering and one clean fixture per rule."""
+"""RC001, RC002, RC004, RC006, RC007: triggering and clean fixtures per rule."""
 
 import textwrap
 
@@ -100,50 +100,6 @@ class TestRC002ViewOutlivesClose:
         assert not findings_for(good, "RC002")
 
 
-class TestRC003ForkDiscipline:
-    def test_bare_os_fork_is_flagged(self):
-        bad = """\
-            import os
-
-            def spawn():
-                if os.fork() == 0:
-                    work()
-            """
-        assert findings_for(bad, "RC003")
-
-    def test_set_start_method_is_flagged(self):
-        bad = """\
-            import multiprocessing
-
-            def configure():
-                multiprocessing.set_start_method("fork")
-            """
-        assert findings_for(bad, "RC003")
-
-    def test_unguarded_fork_context_is_flagged(self):
-        bad = """\
-            import multiprocessing
-
-            def pool():
-                context = multiprocessing.get_context("fork")
-                return context
-            """
-        assert findings_for(bad, "RC003")
-
-    def test_guarded_fork_context_is_clean(self):
-        good = """\
-            import multiprocessing
-
-            def pool():
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError:
-                    context = multiprocessing.get_context()
-                return context
-            """
-        assert not findings_for(good, "RC003")
-
-
 class TestRC004AtomicCheckpointWrites:
     def test_plain_write_in_checkpoint_module_is_flagged(self):
         bad = """\
@@ -175,59 +131,6 @@ class TestRC004AtomicCheckpointWrites:
                     handle.write(text)
             """
         assert not findings_for(elsewhere, "RC004", name="host.report")
-
-
-class TestRC005BlockingInProtocol:
-    def test_sleep_in_protocol_function_is_flagged(self):
-        bad = """\
-            import time
-
-            def worker_loop(conn):
-                message = conn.recv()
-                time.sleep(5.0)
-                conn.send(("ok",))
-            """
-        assert findings_for(bad, "RC005")
-
-    def test_unbounded_wait_is_flagged(self):
-        bad = """\
-            from multiprocessing import connection
-
-            def supervise(conns):
-                ready = connection.wait(conns)
-                for conn in ready:
-                    conn.recv()
-            """
-        assert findings_for(bad, "RC005")
-
-    def test_unbounded_join_is_flagged(self):
-        bad = """\
-            def stop(worker):
-                worker.conn.send(("stop",))
-                worker.process.join()
-            """
-        assert findings_for(bad, "RC005")
-
-    def test_timeouts_everywhere_is_clean(self):
-        good = """\
-            from multiprocessing import connection
-
-            def supervise(conns, worker):
-                ready = connection.wait(conns, timeout=0.5)
-                for conn in ready:
-                    conn.recv()
-                worker.join(1.0)
-            """
-        assert not findings_for(good, "RC005")
-
-    def test_sleep_outside_protocol_code_is_clean(self):
-        good = """\
-            import time
-
-            def backoff(delay):
-                time.sleep(delay)
-            """
-        assert not findings_for(good, "RC005")
 
 
 class TestRC006SwallowedExceptions:
@@ -317,39 +220,3 @@ class TestRC007AttachUnreleased:
                 _WORKER["segment"] = segment
             """
         assert not findings_for(good, "RC007")
-
-
-class TestRC008PoolOutsideContext:
-    def test_bare_pool_import_and_call_are_flagged(self):
-        bad = """\
-            from multiprocessing import Pool
-
-            def scan(bounds):
-                with Pool(4) as pool:
-                    return pool.map(work, bounds)
-            """
-        assert len(findings_for(bad, "RC008")) == 2
-
-    def test_module_attribute_pool_is_flagged(self):
-        bad = """\
-            import multiprocessing
-
-            def scan(bounds):
-                with multiprocessing.Pool(4) as pool:
-                    return pool.map(work, bounds)
-            """
-        assert findings_for(bad, "RC008")
-
-    def test_context_bound_pool_is_clean(self):
-        good = """\
-            import multiprocessing
-
-            def scan(bounds):
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError:
-                    context = multiprocessing.get_context()
-                with context.Pool(4) as pool:
-                    return pool.map(work, bounds)
-            """
-        assert not findings_for(good, "RC008")

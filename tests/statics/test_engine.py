@@ -94,7 +94,7 @@ class TestEngine:
         ids = {entry["rule"] for entry in rule_catalogue()}
         assert set(CONCURRENCY_RULES) <= ids
         assert set(OBSERVABILITY_RULES) <= ids
-        assert len(CONCURRENCY_RULES) == 8
+        assert len(CONCURRENCY_RULES) == 5
         assert len(OBSERVABILITY_RULES) == 4
 
 

@@ -292,7 +292,7 @@ class TestCheckExitCodes:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         ids = {entry["rule"] for entry in payload["rules"]}
-        assert {"RC001", "RC008", "OB001", "OB004"} <= ids
+        assert {"RC001", "RC007", "OB001", "OB004"} <= ids
         assert payload["summary"]["errors"] == 0
 
 
@@ -876,6 +876,41 @@ class TestObsCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "metrics"
         assert payload["artifact"]["schema"] == "fabp-metrics"
+
+    def test_summarize_json_normalizes_reports_inside_wrappers(self, tmp_path, capsys):
+        """Every report inside a ``--report-json`` wrapper comes out as v3:
+        each per-query copy of a version-1 wrapper, and a version-2
+        wrapper's one top-level report."""
+        import json
+
+        report = {
+            "version": 1, "mode": "serial", "degraded": False, "clean": True,
+            "elapsed_seconds": 0.5, "chunks": {"total": 1, "completed": 1},
+            "counters": {"ok": 1},
+            "chunk_attempts": [{"chunk": 0, "attempt": 1, "outcome": "ok", "seconds": 0.4}],
+        }
+        rows = [{"query": "MK", "num_hits": 1}, {"query": "W", "num_hits": 0}]
+        wrappers = {
+            "v1.json": {"version": 1, "queries": [dict(row, report=report) for row in rows]},
+            "v2.json": {"version": 2, "queries": rows, "report": dict(report, version=2)},
+        }
+        for name, wrapper in wrappers.items():
+            path = tmp_path / name
+            path.write_text(json.dumps(wrapper))
+            assert main(["obs", "summarize", str(path), "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["kind"] == "scan-report"
+            artifact = payload["artifact"]
+            assert [row["query"] for row in artifact["queries"]] == ["MK", "W"]
+            if name == "v1.json":
+                reports = [row["report"] for row in artifact["queries"]]
+            else:
+                reports = [artifact["report"]]
+                assert all("report" not in row for row in artifact["queries"])
+            for got in reports:
+                assert got["version"] == 3, name
+                assert got["metrics"] == {} and got["shards"] == [], name
+                assert got["chunk_attempts"] == report["chunk_attempts"]
 
     def test_summarize_missing_file_is_fatal(self, capsys):
         assert main(["obs", "summarize", "/no/such/artifact.json"]) == 1

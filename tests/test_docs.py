@@ -67,7 +67,7 @@ def test_rule_anchor_check_catches_drift():
     """The anchor check is demonstrably capable of failing, both directions."""
     checker = _load_checker()
     registered = checker.registered_static_rules()
-    assert {"RC001", "RC008", "OB001", "OB004"} <= registered
+    assert {"RC001", "RC007", "OB001", "OB004"} <= registered
     page = REPO / "docs" / "static_analysis.md"
     documented = {
         match.group(1).upper()
